@@ -22,10 +22,10 @@ from posgame.cli import main as posgame_main
 
 def run(command: str, config: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as handle:
-        json.dump(config, handle)
-        cfg_path = handle.name
-    code = posgame_main([command, "--config", cfg_path, "--out", str(out_dir)])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        code = posgame_main([command, "--config", str(cfg_path), "--out", str(out_dir)])
     if code != 0:
         raise SystemExit(f"posgame {command} failed with exit code {code}")
 

@@ -18,10 +18,10 @@ def main() -> int:
         "verify": {"n": [2, 3, 5], "kappa": [1, 5, 25], "draws": 3, "n_steps": 2000},
         "output": {"seed": 20240901},
     }
-    with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as handle:
-        json.dump(config, handle)
-        cfg_path = handle.name
-    return posgame_main(["verify", "--config", cfg_path, "--out", str(out)])
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "config.json"
+        cfg_path.write_text(json.dumps(config))
+        return posgame_main(["verify", "--config", str(cfg_path), "--out", str(out)])
 
 
 if __name__ == "__main__":

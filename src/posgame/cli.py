@@ -13,7 +13,7 @@ sections it needs, so a single scenario file can serve several commands.
 Unknown keys anywhere are rejected with their path.  Every CSV starts with a
 comment line carrying the tool version and a hash of the effective config,
 so identical config + seed reproduce byte-identical files.
-Exit codes: 0 success, 1 config error, 2 numeric or verification failure.
+Exit codes: 0 success, 1 config error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .centralization import (
     optimal_representation,
     sampled_report,
 )
-from .core import GameSpec, GameSpecError, NoConvergence, renormalize_lambdas, validate_spec
+from .core import GameSpec, GameSpecError, renormalize_lambdas, validate_spec
 from .costs import aggregate_cost, cost_breakdown, price_of_anarchy
 from .equilibrium import solve
 from .verification import run_verification
@@ -452,19 +452,15 @@ def cmd_poa(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
 
 
 def cmd_verify(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
-    try:
-        report = run_verification(
-            n_values=sc.verify_n,
-            kappa_values=sc.verify_kappa,
-            draws=sc.verify_draws,
-            n_steps=sc.verify_n_steps,
-            tol=sc.verify_tol,
-            seed=seed,
-            bug_scale=1.01 if sc.inject_bug else 1.0,
-        )
-    except NoConvergence as exc:
-        print(f"FAIL fixed-point iteration: {exc}", file=sys.stderr)
-        return 2
+    report = run_verification(
+        n_values=sc.verify_n,
+        kappa_values=sc.verify_kappa,
+        draws=sc.verify_draws,
+        n_steps=sc.verify_n_steps,
+        tol=sc.verify_tol,
+        seed=seed,
+        bug_scale=1.01 if sc.inject_bug else 1.0,
+    )
 
     header = ["check", "measured", "threshold", "status", "detail"]
     rows = [
@@ -526,9 +522,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except NoConvergence as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

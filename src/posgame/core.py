@@ -63,17 +63,6 @@ class RepresentationTooSmall(ValueError):
     """Represented trader count n1 + delta fell below one."""
 
 
-class NoConvergence(RuntimeError):
-    """Fixed-point iteration did not reach tolerance."""
-
-    def __init__(self, iterations: int, residual: float):
-        self.iterations = iterations
-        self.residual = residual
-        super().__init__(
-            f"no convergence after {iterations} sweeps (last residual {residual:.3e})"
-        )
-
-
 @dataclass(frozen=True)
 class GameSpec:
     """Competition instance: trader count, target fractions, impact parameter.

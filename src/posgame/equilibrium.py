@@ -128,13 +128,17 @@ def market_residual(solution: EquilibriumSolution, t) -> float:
     return float(solution.market_acceleration(t) + a * solution.market_velocity(t))
 
 
-def governing_residuals(solution: EquilibriumSolution, i: int, t) -> tuple[float, float, float]:
-    """Residuals of the three coupled stationarity equations at time t.
+def governing_residuals(solution: EquilibriumSolution, i: int, t):
+    """Residuals of the three coupled stationarity equations at time(s) t.
 
     1. a_i'' - kappa a_i' + (1/lambda_i)(m'' + kappa m')
     2. m'' + kappa m' - (2 kappa / (n + 1)) m'
     3. m'' + alpha m'
+
+    Returns three floats for a scalar t and three arrays shaped like t for an
+    array t.
     """
+    t = np.asarray(t, dtype=float)
     s = solution.strategies[i]
     n = solution.spec.n
     kappa = s.kappa
@@ -143,4 +147,6 @@ def governing_residuals(solution: EquilibriumSolution, i: int, t) -> tuple[float
     r1 = s.acceleration(t) - kappa * s.velocity(t) + (mdd + kappa * md) / s.lam
     r2 = mdd + kappa * md - (2.0 * kappa / (n + 1)) * md
     r3 = mdd + solution.alpha.value * md
+    if t.ndim:
+        return r1, r2, r3
     return float(r1), float(r2), float(r3)

@@ -134,6 +134,16 @@ class TestResiduals:
                 assert abs(r2) < 1e-9
                 assert abs(r3) < 1e-9
 
+    def test_array_time_matches_scalar_calls(self):
+        sol = pg.solve_equilibrium(pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=4.0))
+        t = np.linspace(0.0, 1.0, 11)
+        columns = pg.governing_residuals(sol, 1, t)
+        assert all(c.shape == t.shape for c in columns)
+        for k, tk in enumerate(t):
+            scalars = pg.governing_residuals(sol, 1, tk)
+            assert all(isinstance(r, float) for r in scalars)
+            np.testing.assert_allclose([c[k] for c in columns], scalars, rtol=0, atol=1e-12)
+
 
 def test_market_is_strictly_concave_for_positive_alpha():
     sol = pg.solve_equilibrium(pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=4.0))

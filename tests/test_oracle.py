@@ -68,41 +68,56 @@ class TestBestResponse:
 
 
 class TestNashFixedPoint:
+    STRONG = pg.GameSpec(n=5, lambdas=(0.02, 0.08, 0.2, 0.3, 0.4), kappa=25.0)
+
     def test_two_trader_gap(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        fp = pg.nash_fixed_point(spec, 2000, tol=1e-8)
+        fp = pg.nash_fixed_point(spec, 2000)
         cf = pg.sampled_equilibrium(spec, 2000)
         assert np.max(np.abs(fp.paths - cf.paths)) < 1e-3
 
     def test_three_trader_gap_and_concavity(self):
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=5.0)
-        fp = pg.nash_fixed_point(spec, 2000, tol=1e-8)
+        fp = pg.nash_fixed_point(spec, 2000)
         cf = pg.sampled_equilibrium(spec, 2000)
         assert np.max(np.abs(fp.paths - cf.paths)) < 2e-3
         market = spec.lambdas_array() @ fp.paths
         assert np.all(np.diff(market, 2) < 1e-9)
 
-    def test_strong_coupling_converges_via_relaxation(self):
-        spec = pg.GameSpec(n=5, lambdas=(0.02, 0.08, 0.2, 0.3, 0.4), kappa=25.0)
-        fp = pg.nash_fixed_point(spec, 1000, tol=1e-8)
-        cf = pg.sampled_equilibrium(spec, 1000)
+    def test_strong_coupling_solves_every_best_response(self):
+        fp = pg.nash_fixed_point(self.STRONG, 1000)
+        assert np.all(pg.stationarity_residual(fp) <= 1e-10)
+        cf = pg.sampled_equilibrium(self.STRONG, 1000)
         assert np.max(np.abs(fp.paths - cf.paths)) < 2e-3
 
-    def test_zero_kappa_converges_in_one_sweep(self):
-        spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=0.0)
-        fp = pg.nash_fixed_point(spec, 500, tol=1e-10, max_iters=1)
-        np.testing.assert_allclose(fp.paths, np.tile(fp.grid, (3, 1)), atol=1e-12)
+    def test_each_best_response_reproduces_the_solution(self):
+        fp = pg.nash_fixed_point(self.STRONG, 1000)
+        for i in range(fp.spec.n):
+            response = pg.best_response(fp, i)
+            assert np.max(np.abs(response.values - fp.paths[i])) <= 1e-8
 
-    def test_reports_no_convergence(self):
-        spec = pg.GameSpec(n=2, lambdas=(0.4, 0.6), kappa=5.0)
-        with pytest.raises(pg.NoConvergence) as exc_info:
-            pg.nash_fixed_point(spec, 500, tol=1e-8, max_iters=2)
-        assert exc_info.value.iterations == 2
-        assert exc_info.value.residual > 0.0
+    def test_fine_grid_best_responses_stay_consistent(self):
+        # 1 +- c must be exact: a rounded coefficient leaves a row-sum error that
+        # D2's O(N^2) condition number turns into ~2e-8 here; exact ones give ~6e-10
+        spec = pg.GameSpec(n=5, lambdas=(0.02, 0.08, 0.2, 0.3, 0.4), kappa=1.0)
+        fp = pg.nash_fixed_point(spec, 10_000)
+        for i in range(spec.n):
+            response = pg.best_response(fp, i)
+            assert np.max(np.abs(response.values - fp.paths[i])) <= 5e-9
+
+    def test_residual_flags_a_profile_off_the_nash_point(self):
+        # the sampled closed form carries the O(h^2) discretization error
+        cf = pg.sampled_equilibrium(self.STRONG, 1000)
+        assert np.max(pg.stationarity_residual(cf)) > 1e-10
+
+    def test_zero_kappa_gives_straight_lines(self):
+        spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=0.0)
+        fp = pg.nash_fixed_point(spec, 500)
+        np.testing.assert_allclose(fp.paths, np.tile(fp.grid, (3, 1)), atol=1e-12)
 
     def test_total_discrete_cost_matches_aggregate(self):
         spec = pg.GameSpec(n=3, lambdas=(0.25, 0.35, 0.4), kappa=5.0)
-        fp = pg.nash_fixed_point(spec, 10_000, tol=1e-8)
+        fp = pg.nash_fixed_point(spec, 10_000)
         total = sum(pg.discrete_cost(fp, i) for i in range(3))
         assert total == pytest.approx(pg.aggregate_cost(3, 5.0), abs=1e-3)
 
@@ -111,12 +126,24 @@ def test_grid_doubling_convergence_order():
     spec = pg.GameSpec(n=2, lambdas=(0.3, 0.7), kappa=5.0)
     gaps = []
     for n_steps in (250, 500, 1000):
-        fp = pg.nash_fixed_point(spec, n_steps, tol=1e-11)
+        fp = pg.nash_fixed_point(spec, n_steps)
         cf = pg.sampled_equilibrium(spec, n_steps)
         gaps.append(float(np.max(np.abs(fp.paths - cf.paths))))
     ratios = [gaps[k] / gaps[k + 1] for k in range(2)]
     # midpoint averaging makes the stationarity system second order: the gap
     # quarters per doubling
+    assert all(3.2 < r < 4.8 for r in ratios)
+
+
+def test_market_path_grid_doubling():
+    spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=5.0)
+    market = pg.solve(spec).market
+    gaps = []
+    for n_steps in (500, 1000, 2000):
+        fp = pg.nash_fixed_point(spec, n_steps)
+        gaps.append(float(np.max(np.abs(spec.lambdas_array() @ fp.paths - market(fp.grid)))))
+    ratios = [gaps[k] / gaps[k + 1] for k in range(2)]
+    # the summed stationarity rows are a second-order scheme for m'' + alpha m' = 0
     assert all(3.2 < r < 4.8 for r in ratios)
 
 
