@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NegativeKappa, RepresentationTooSmall
-from .costs import aggregate_cost_limit
+from .core import RepresentationTooSmall, _check_kappa
+from .costs import aggregate_cost_limit, group_cost
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,7 @@ class CentralizationScenario:
     kappa: float
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError(f"need n1 >= 1 and n2 >= 1, got n1={self.n1}, n2={self.n2}")
-        if not 0.0 < self.lambda_firm < 1.0:
-            raise ValueError(f"need 0 < lambda_firm < 1, got {self.lambda_firm}")
-        if self.kappa < 0.0:
-            raise NegativeKappa(f"kappa = {self.kappa} must be non-negative")
+        _check_split(self.n1, self.n2, self.lambda_firm, self.kappa)
 
     @property
     def n(self) -> int:
@@ -51,6 +46,20 @@ class CentralizationScenario:
     @property
     def lambda_nonfirm(self) -> float:
         return 1.0 - self.lambda_firm
+
+
+def _check_split(n1, n2, lambda_firm, kappa) -> None:
+    """Raise ValueError unless every firm split is valid; counts and
+    fractions may be arrays of splits."""
+    n1, n2, lam = np.broadcast_arrays(n1, n2, lambda_firm)
+    bad = (n1 < 1) | (n2 < 1)
+    if bad.any():
+        k = np.argmax(bad)
+        raise ValueError(f"need n1 >= 1 and n2 >= 1, got n1={n1.flat[k]}, n2={n2.flat[k]}")
+    bad = ~((0.0 < lam) & (lam < 1.0))
+    if bad.any():
+        raise ValueError(f"need 0 < lambda_firm < 1, got {lam.flat[np.argmax(bad)]}")
+    _check_kappa(kappa)
 
 
 @dataclass(frozen=True)
@@ -97,69 +106,48 @@ class StrategicCurve:
     continuous_opt: float
 
 
-def _alpha_at(total_traders, kappa):
-    return kappa * (total_traders - 1.0) / (total_traders + 1.0)
-
-
-def _group_cost(total_traders, group_count, group_lambda, kappa):
-    """Aggregate equilibrium cost of a group holding ``group_count`` of the
-    ``total_traders`` strategies and ``group_lambda`` of the quantity."""
-    alpha = _alpha_at(total_traders, kappa)
-    return (
-        kappa
-        * (group_lambda * total_traders - group_count)
-        / (total_traders * -np.expm1(-kappa))
-        + alpha * group_count / (total_traders * np.expm1(alpha))
-        + group_count * kappa / (total_traders + 1.0)
-    )
-
-
-def _group_cost_frozen_decay(total_traders, group_count, group_lambda, kappa):
-    """Same as :func:`_group_cost` with the decay rate frozen at kappa."""
-    return (
-        kappa
-        * (group_lambda * total_traders - group_count)
-        / (total_traders * -np.expm1(-kappa))
-        + kappa * group_count / (total_traders * np.expm1(kappa))
-        + group_count * kappa / (total_traders + 1.0)
-    )
-
-
 def firm_cost_no_centralization(sc: CentralizationScenario) -> float:
     """Aggregate cost of the n1 firm traders when everyone trades independently."""
-    return float(_group_cost(sc.n, sc.n1, sc.lambda_firm, sc.kappa))
+    return float(group_cost(sc.n, sc.n1, sc.lambda_firm, sc.kappa))
 
 
 def nonfirm_cost_no_centralization(sc: CentralizationScenario) -> float:
     """Aggregate cost of the n2 outside traders without centralization."""
-    return float(_group_cost(sc.n, sc.n2, sc.lambda_nonfirm, sc.kappa))
+    return float(group_cost(sc.n, sc.n2, sc.lambda_nonfirm, sc.kappa))
 
 
 def firm_cost_centralized(sc: CentralizationScenario) -> float:
     """Firm cost after merging its flow into one trader of an (n2+1)-trader game."""
-    return float(_group_cost(sc.n2 + 1, 1, sc.lambda_firm, sc.kappa))
+    return float(group_cost(sc.n2 + 1, 1, sc.lambda_firm, sc.kappa))
 
 
 def nonfirm_cost_centralized(sc: CentralizationScenario) -> float:
     """Outside traders' aggregate cost after the firm centralizes."""
-    return float(_group_cost(sc.n2 + 1, sc.n2, sc.lambda_nonfirm, sc.kappa))
+    return float(group_cost(sc.n2 + 1, sc.n2, sc.lambda_nonfirm, sc.kappa))
+
+
+def _report_columns(n1, n2, lambda_firm, kappa) -> tuple:
+    """The seven :class:`CentralizationReport` fields, broadcast over
+    arrays of firm splits (the quadrant functions above, in one pass)."""
+    f0 = group_cost(n1 + n2, n1, lambda_firm, kappa)
+    nf0 = group_cost(n1 + n2, n2, 1.0 - lambda_firm, kappa)
+    f1 = group_cost(n2 + 1, 1, lambda_firm, kappa)
+    nf1 = group_cost(n2 + 1, n2, 1.0 - lambda_firm, kappa)
+    return (
+        f0,
+        nf0,
+        f1,
+        nf1,
+        100.0 * (f1 - f0) / f0,
+        100.0 * (nf1 - nf0) / nf0,
+        100.0 * ((f1 + nf1) - (f0 + nf0)) / (f0 + nf0),
+    )
 
 
 def naive_centralization_report(sc: CentralizationScenario) -> CentralizationReport:
     """All four cost quadrants with percent changes from centralizing."""
-    f0 = firm_cost_no_centralization(sc)
-    nf0 = nonfirm_cost_no_centralization(sc)
-    f1 = firm_cost_centralized(sc)
-    nf1 = nonfirm_cost_centralized(sc)
-    return CentralizationReport(
-        firm_cost_no_central=f0,
-        nonfirm_cost_no_central=nf0,
-        firm_cost_central=f1,
-        nonfirm_cost_central=nf1,
-        pct_change_firm=100.0 * (f1 - f0) / f0,
-        pct_change_nonfirm=100.0 * (nf1 - nf0) / nf0,
-        pct_change_total=100.0 * ((f1 + nf1) - (f0 + nf0)) / (f0 + nf0),
-    )
+    columns = _report_columns(sc.n1, sc.n2, sc.lambda_firm, sc.kappa)
+    return CentralizationReport(*(float(c) for c in columns))
 
 
 def strategic_cost(sc: CentralizationScenario, delta: int) -> float:
@@ -173,7 +161,7 @@ def strategic_cost(sc: CentralizationScenario, delta: int) -> float:
         raise RepresentationTooSmall(
             f"n1 + delta = {sc.n1 + delta} must be at least 1"
         )
-    return float(_group_cost(sc.n + delta, sc.n1 + delta, sc.lambda_firm, sc.kappa))
+    return float(group_cost(sc.n + delta, sc.n1 + delta, sc.lambda_firm, sc.kappa))
 
 
 def strategic_cost_approx(sc: CentralizationScenario, delta: int) -> float:
@@ -184,7 +172,7 @@ def strategic_cost_approx(sc: CentralizationScenario, delta: int) -> float:
             f"n1 + delta = {sc.n1 + delta} must be at least 1"
         )
     return float(
-        _group_cost_frozen_decay(sc.n + delta, sc.n1 + delta, sc.lambda_firm, sc.kappa)
+        group_cost(sc.n + delta, sc.n1 + delta, sc.lambda_firm, sc.kappa, decay=sc.kappa)
     )
 
 
@@ -214,10 +202,8 @@ def optimal_representation(
         if hi < lo:
             raise ValueError(f"empty delta_range {delta_range}")
     deltas = np.arange(lo, hi + 1, dtype=int)
-    exact = _group_cost(sc.n + deltas, sc.n1 + deltas, sc.lambda_firm, sc.kappa)
-    approx = _group_cost_frozen_decay(
-        sc.n + deltas, sc.n1 + deltas, sc.lambda_firm, sc.kappa
-    )
+    exact = group_cost(sc.n + deltas, sc.n1 + deltas, sc.lambda_firm, sc.kappa)
+    approx = group_cost(sc.n + deltas, sc.n1 + deltas, sc.lambda_firm, sc.kappa, decay=sc.kappa)
     return StrategicCurve(
         deltas=deltas,
         exact_costs=exact,
@@ -247,23 +233,12 @@ FRACTION_BANDS: dict[float, tuple[float, float]] = {
 }
 
 
-def _mean_report(reports: list[tuple[CentralizationReport, float]]) -> CentralizationReport:
-    tot = sum(w for _, w in reports)
-    acc = [0.0] * 7
-    for rep, w in reports:
-        vals = (
-            rep.firm_cost_no_central,
-            rep.nonfirm_cost_no_central,
-            rep.firm_cost_central,
-            rep.nonfirm_cost_central,
-            rep.pct_change_firm,
-            rep.pct_change_nonfirm,
-            rep.pct_change_total,
-        )
-        for k, v in enumerate(vals):
-            acc[k] += w * v
-    acc = [v / tot for v in acc]
-    return CentralizationReport(*acc)
+def _mean_report(n1, n2, lambda_firm, kappa, weights) -> CentralizationReport:
+    """Weighted mean of the naive report over arrays of firm splits."""
+    _check_split(n1, n2, lambda_firm, kappa)
+    columns = _report_columns(n1, n2, lambda_firm, kappa)
+    total = weights.sum()
+    return CentralizationReport(*(float(np.dot(weights, c) / total) for c in columns))
 
 
 def averaged_report(
@@ -284,15 +259,9 @@ def averaged_report(
     lo, hi = lambda_band
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     lams = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-    reports = []
-    for n in n_values:
-        for n1 in n1_values:
-            for lam, w in zip(lams, weights):
-                sc = CentralizationScenario(
-                    n1=n1, n2=n - n1, lambda_firm=float(lam), kappa=kappa
-                )
-                reports.append((naive_centralization_report(sc), float(w)))
-    return _mean_report(reports)
+    n, n1, lam = np.meshgrid(n_values, n1_values, lams, indexing="ij")
+    w = np.broadcast_to(weights, lam.shape)
+    return _mean_report(n1.ravel(), (n - n1).ravel(), lam.ravel(), kappa, w.ravel())
 
 
 def sampled_report(
@@ -308,11 +277,8 @@ def sampled_report(
     if rng is None:
         rng = np.random.default_rng(0)
     lo, hi = lambda_band
-    reports = []
-    for _ in range(draws):
-        n = int(rng.choice(n_values))
-        n1 = int(rng.choice(n1_values))
-        lam = float(rng.uniform(lo, hi))
-        sc = CentralizationScenario(n1=n1, n2=n - n1, lambda_firm=lam, kappa=kappa)
-        reports.append((naive_centralization_report(sc), 1.0))
-    return _mean_report(reports)
+    samples = np.empty((3, draws))
+    for k in range(draws):  # one draw at a time keeps the generator's stream order
+        samples[:, k] = rng.choice(n_values), rng.choice(n1_values), rng.uniform(lo, hi)
+    n, n1, lam = samples
+    return _mean_report(n1, n - n1, lam, kappa, np.ones(draws))

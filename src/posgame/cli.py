@@ -13,7 +13,8 @@ sections it needs, so a single scenario file can serve several commands.
 Unknown keys anywhere are rejected with their path.  Every CSV starts with a
 comment line carrying the tool version and a hash of the effective config,
 so identical config + seed reproduce byte-identical files.
-Exit codes: 0 success, 1 config error, 2 verification failure.
+Exit codes: 0 success, 1 config error (a game the library rejects, such as
+a non-finite kappa, counts as one), 2 verification failure.
 """
 
 from __future__ import annotations
@@ -144,7 +145,6 @@ class Scenario:
     verify_kappa: tuple[float, ...] = (1.0, 5.0, 25.0)
     verify_draws: int = 1
     verify_n_steps: int = 2000
-    verify_tol: float = 1e-8
     inject_bug: bool = False
     directory: str = "."
     seed: int = 0
@@ -253,7 +253,6 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
         kappa_values = _number_list(verify, "kappa")
         sc.verify_draws = verify.take("draws", int, default=1)
         sc.verify_n_steps = verify.take("n_steps", int, default=2000)
-        sc.verify_tol = verify.take("tol", float, default=1e-8)
         sc.inject_bug = verify.take("inject_bug", bool, default=False)
         verify.finish()
         if n_values:
@@ -457,7 +456,6 @@ def cmd_verify(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
         kappa_values=sc.verify_kappa,
         draws=sc.verify_draws,
         n_steps=sc.verify_n_steps,
-        tol=sc.verify_tol,
         seed=seed,
         bug_scale=1.01 if sc.inject_bug else 1.0,
     )
@@ -519,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
             f"config_sha256={_config_hash(config, seed)}"
         )
         return _COMMANDS[args.command](scenario, out_dir, seed, meta)
-    except ConfigError as exc:
+    except (ConfigError, GameSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

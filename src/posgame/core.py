@@ -40,6 +40,10 @@ class NegativeKappa(GameSpecError):
     """Impact parameter must be non-negative."""
 
 
+class NonFiniteKappa(GameSpecError):
+    """Impact parameter is NaN or infinite."""
+
+
 class DegenerateAlpha(ValueError):
     """Closed forms are singular at alpha = 0 (n = 1 or kappa = 0).
 
@@ -93,6 +97,7 @@ def validate_spec(spec: GameSpec) -> GameSpec:
         NonPositiveLambda: some lambda_i <= 0.
         LambdaSumMismatch: |sum(lambdas) - 1| > 1e-12.
         NegativeKappa: kappa < 0.
+        NonFiniteKappa: kappa is NaN or +inf.
     """
     if spec.n < 1 or len(spec.lambdas) == 0:
         raise EmptyGame(f"need at least one trader, got n={spec.n}")
@@ -106,9 +111,16 @@ def validate_spec(spec: GameSpec) -> GameSpec:
     total = math.fsum(spec.lambdas)
     if abs(total - 1.0) > LAMBDA_SUM_TOL:
         raise LambdaSumMismatch(f"sum of lambdas is {total!r}, expected 1")
-    if spec.kappa < 0.0:
-        raise NegativeKappa(f"kappa = {spec.kappa} must be non-negative")
+    _check_kappa(spec.kappa)
     return spec
+
+
+def _check_kappa(kappa: float) -> None:
+    """Raise NegativeKappa for kappa < 0 and NonFiniteKappa for NaN or +inf."""
+    if kappa < 0.0:
+        raise NegativeKappa(f"kappa = {kappa} must be non-negative")
+    if not math.isfinite(kappa):
+        raise NonFiniteKappa(f"kappa = {kappa} must be finite")
 
 
 def renormalize_lambdas(spec: GameSpec) -> GameSpec:
@@ -156,31 +168,35 @@ class ClosedFormStrategy:
         """Cumulative position at scaled time t in [0, 1]."""
         t = np.asarray(t, dtype=float)
         if self.alpha == 0.0:
-            return t.copy() if t.ndim else float(t)
-        val = self.b * np.expm1(self.kappa * t) - self.d * np.expm1(-self.alpha * t)
-        return val if val.ndim else float(val)
+            return _float_if_scalar(t.copy())
+        return _float_if_scalar(
+            self.b * np.expm1(self.kappa * t) - self.d * np.expm1(-self.alpha * t)
+        )
 
     def velocity(self, t):
         """Trading rate da/dt."""
         t = np.asarray(t, dtype=float)
         if self.alpha == 0.0:
-            out = np.ones_like(t)
-            return out if out.ndim else float(out)
-        val = self.kappa * self.b * np.exp(self.kappa * t) + self.alpha * self.d * np.exp(
-            -self.alpha * t
+            return _float_if_scalar(np.ones_like(t))
+        return _float_if_scalar(
+            self.kappa * self.b * np.exp(self.kappa * t)
+            + self.alpha * self.d * np.exp(-self.alpha * t)
         )
-        return val if val.ndim else float(val)
 
     def acceleration(self, t):
         """Second derivative d2a/dt2."""
         t = np.asarray(t, dtype=float)
         if self.alpha == 0.0:
-            out = np.zeros_like(t)
-            return out if out.ndim else float(out)
-        val = self.kappa**2 * self.b * np.exp(self.kappa * t) - self.alpha**2 * self.d * np.exp(
-            -self.alpha * t
+            return _float_if_scalar(np.zeros_like(t))
+        return _float_if_scalar(
+            self.kappa**2 * self.b * np.exp(self.kappa * t)
+            - self.alpha**2 * self.d * np.exp(-self.alpha * t)
         )
-        return val if val.ndim else float(val)
+
+
+def _float_if_scalar(values):
+    """Curve-method return convention: a float for scalar t, else the array."""
+    return values if np.ndim(values) else float(values)
 
 
 @dataclass(frozen=True)
@@ -226,27 +242,22 @@ class EquilibriumSolution:
         t = np.asarray(t, dtype=float)
         a = self.alpha.value
         if a == 0.0:
-            return t.copy() if t.ndim else float(t)
-        val = np.expm1(-a * t) / np.expm1(-a)
-        return val if val.ndim else float(val)
+            return _float_if_scalar(t.copy())
+        return _float_if_scalar(np.expm1(-a * t) / np.expm1(-a))
 
     def market_velocity(self, t):
         t = np.asarray(t, dtype=float)
         a = self.alpha.value
         if a == 0.0:
-            out = np.ones_like(t)
-            return out if out.ndim else float(out)
-        val = a * np.exp(-a * t) / (-np.expm1(-a))
-        return val if val.ndim else float(val)
+            return _float_if_scalar(np.ones_like(t))
+        return _float_if_scalar(a * np.exp(-a * t) / (-np.expm1(-a)))
 
     def market_acceleration(self, t):
         t = np.asarray(t, dtype=float)
         a = self.alpha.value
         if a == 0.0:
-            out = np.zeros_like(t)
-            return out if out.ndim else float(out)
-        val = -(a**2) * np.exp(-a * t) / (-np.expm1(-a))
-        return val if val.ndim else float(val)
+            return _float_if_scalar(np.zeros_like(t))
+        return _float_if_scalar(-(a**2) * np.exp(-a * t) / (-np.expm1(-a)))
 
 
 @dataclass(frozen=True)

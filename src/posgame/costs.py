@@ -19,17 +19,52 @@ from __future__ import annotations
 
 import math
 
-from .core import CostBreakdown, DegenerateAlpha, GameSpec, validate_spec
+import numpy as np
+
+from .core import CostBreakdown, DegenerateAlpha, GameSpec, _check_kappa, validate_spec
 from .equilibrium import compute_alpha
 
 
-def _require_generic(n: int, kappa: float) -> float:
-    """Return alpha, raising DegenerateAlpha when the closed forms are singular."""
+def group_cost(total, count, lam, kappa, decay=None):
+    """Aggregate equilibrium cost of ``count`` of ``total`` traders who hold
+    the fraction ``lam`` of the quantity between them.
+
+    Every cost in the package is this formula: one trader is ``count=1``,
+    the whole market ``count=total, lam=1``, and the centralization analytics
+    pass firm and non-firm groups.  ``decay`` is the market decay rate,
+    alpha = kappa (total - 1) / (total + 1) by default; the frozen-decay
+    approximation passes ``decay=kappa``.  Arguments are scalars or numpy
+    arrays that broadcast together; the caller rules out the degenerate
+    total = 1 and kappa = 0.
+    """
+    alpha = kappa * (total - 1.0) / (total + 1.0) if decay is None else decay
+    return (
+        kappa * (lam * total - count) / (total * -np.expm1(-kappa))
+        + alpha * count / (total * np.expm1(alpha))
+        + count * kappa / (total + 1.0)
+    )
+
+
+def _require_generic(n: int, kappa: float) -> None:
+    """Raise DegenerateAlpha where the closed forms are singular and
+    NonFiniteKappa for NaN or infinite kappa."""
     if n < 2 or kappa <= 0.0:
         raise DegenerateAlpha(
             f"cost formulas need n >= 2 and kappa > 0, got n={n}, kappa={kappa}"
         )
-    return compute_alpha(n, kappa).value
+    _check_kappa(kappa)
+
+
+def _shares(n: int, kappa: float, lam):
+    """Cost shares 1/n + T (1/n - lam), affine in the target fraction(s) lam.
+
+    T = (n + 1)(e^alpha - 1) / ((1 - e^{-kappa})(1 - n e^alpha)); the affine
+    form keeps an equal split at exactly 1/n.  1 - n e^alpha < 0 for every
+    n >= 2 and alpha > 0, so the shares are well defined.
+    """
+    alpha = compute_alpha(n, kappa).value
+    t_slope = (n + 1) * math.expm1(alpha) / (-math.expm1(-kappa) * (1.0 - n * math.exp(alpha)))
+    return 1.0 / n + t_slope * (1.0 / n - lam)
 
 
 def trader_cost(spec: GameSpec, i: int) -> float:
@@ -40,20 +75,14 @@ def trader_cost(spec: GameSpec, i: int) -> float:
     served by :func:`cost_breakdown`, which owns the continuity extension.
     """
     validate_spec(spec)
-    alpha = _require_generic(spec.n, spec.kappa)
-    n, kappa = spec.n, spec.kappa
-    lam = spec.lambdas[i]
-    return (
-        kappa * (lam * n - 1.0) / (n * -math.expm1(-kappa))
-        + alpha / (n * math.expm1(alpha))
-        + kappa / (n + 1)
-    )
+    _require_generic(spec.n, spec.kappa)
+    return float(group_cost(spec.n, 1, spec.lambdas[i], spec.kappa))
 
 
 def aggregate_cost(n: int, kappa: float) -> float:
     """Total implementation cost over all traders; independent of the lambdas."""
-    alpha = _require_generic(n, kappa)
-    return alpha / math.expm1(alpha) + kappa * n / (n + 1)
+    _require_generic(n, kappa)
+    return float(group_cost(n, n, 1.0, kappa))
 
 
 def aggregate_cost_limit(kappa: float) -> float:
@@ -87,20 +116,11 @@ def price_of_anarchy(n, kappa: float) -> float:
 
 
 def cost_share(spec: GameSpec, i: int) -> float:
-    """Trader i's fraction of the aggregate cost; affine in lambda_i.
-
-    share_i = 1/n + T (1/n - lambda_i) with
-    T = (n + 1)(e^alpha - 1) / ((1 - e^{-kappa})(1 - n e^alpha)),
-    so an equal split pays exactly 1/n each and the shares always sum to one.
-    """
+    """Trader i's fraction of the aggregate cost; affine in lambda_i, so an
+    equal split pays exactly 1/n each and the shares always sum to one."""
     validate_spec(spec)
-    alpha = _require_generic(spec.n, spec.kappa)
-    n, kappa = spec.n, spec.kappa
-    denom = 1.0 - n * math.exp(alpha)
-    # 1 - n e^alpha < 0 for every n >= 2, alpha > 0: the share is well defined.
-    assert denom < 0.0, f"degenerate share denominator {denom}"
-    t_slope = (n + 1) * math.expm1(alpha) / (-math.expm1(-kappa) * denom)
-    return 1.0 / n + t_slope * (1.0 / n - spec.lambdas[i])
+    _require_generic(spec.n, spec.kappa)
+    return _shares(spec.n, spec.kappa, spec.lambdas[i])
 
 
 def cost_breakdown(spec: GameSpec) -> CostBreakdown:
@@ -126,10 +146,11 @@ def cost_breakdown(spec: GameSpec) -> CostBreakdown:
             shares=spec.lambdas,
             fair_share_deviation=(0.0,) * spec.n,
         )
-    per = tuple(trader_cost(spec, i) for i in range(spec.n))
-    total = aggregate_cost(spec.n, spec.kappa)
-    shares = tuple(cost_share(spec, i) for i in range(spec.n))
-    dev = tuple(s - lam for s, lam in zip(shares, spec.lambdas))
+    n, kappa, lam = spec.n, spec.kappa, spec.lambdas_array()
+    shares = _shares(n, kappa, lam)
     return CostBreakdown(
-        per_trader=per, aggregate=total, shares=shares, fair_share_deviation=dev
+        per_trader=tuple(group_cost(n, 1, lam, kappa).tolist()),
+        aggregate=aggregate_cost(n, kappa),
+        shares=tuple(shares.tolist()),
+        fair_share_deviation=tuple((shares - lam).tolist()),
     )

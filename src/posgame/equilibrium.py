@@ -29,6 +29,7 @@ from .core import (
     GameSpec,
     GridTooSmall,
     SampledPath,
+    _float_if_scalar,
     validate_spec,
 )
 
@@ -147,6 +148,4 @@ def governing_residuals(solution: EquilibriumSolution, i: int, t):
     r1 = s.acceleration(t) - kappa * s.velocity(t) + (mdd + kappa * md) / s.lam
     r2 = mdd + kappa * md - (2.0 * kappa / (n + 1)) * md
     r3 = mdd + solution.alpha.value * md
-    if t.ndim:
-        return r1, r2, r3
-    return float(r1), float(r2), float(r3)
+    return _float_if_scalar(r1), _float_if_scalar(r2), _float_if_scalar(r3)

@@ -41,6 +41,7 @@ from scipy.linalg import solve_banded, solveh_banded
 
 from .core import (
     BadBump,
+    EquilibriumSolution,
     GameSpec,
     GridMismatch,
     SampledPath,
@@ -88,10 +89,16 @@ def game_from_paths(spec: GameSpec, paths: np.ndarray) -> DiscreteGame:
     )
 
 
-def sampled_equilibrium(spec: GameSpec, n_steps: int) -> DiscreteGame:
-    """Closed-form strategies sampled on the oracle grid (for comparisons)."""
+def sampled_equilibrium(
+    spec: GameSpec, n_steps: int, solution: EquilibriumSolution | None = None
+) -> DiscreteGame:
+    """Closed-form strategies sampled on the oracle grid (for comparisons).
+
+    ``solution`` defaults to ``solve(spec)``; pass one to sample a modified
+    solution instead.
+    """
     grid = np.linspace(0.0, 1.0, n_steps + 1)
-    sol = solve(spec)
+    sol = solution if solution is not None else solve(spec)
     paths = np.vstack([s.position(grid) for s in sol.strategies])
     paths[:, 0] = 0.0
     paths[:, -1] = 1.0
@@ -197,28 +204,32 @@ def stationarity_residual(game: DiscreteGame) -> np.ndarray:
 def deviation_test(
     spec: GameSpec,
     i: int,
-    bump: SampledPath,
+    bumps: list[SampledPath],
     eps: float,
     base: DiscreteGame | None = None,
-) -> float:
-    """Cost change when trader i deviates by eps * bump off the closed form.
+) -> np.ndarray:
+    """Cost changes when trader i deviates by eps * bump off the closed form.
 
     All traders sit at the sampled closed-form equilibrium (or at ``base``
-    when given); the return value is
-    discrete_cost(a_i + eps * bump) - discrete_cost(a_i), which is
+    when given); entry k of the returned array is
+    discrete_cost(a_i + eps * bumps[k]) - discrete_cost(a_i), which is
     non-negative (to rounding) for every endpoint-vanishing bump because the
     discrete cost is convex in the own path and stationary at its minimum.
     """
-    if bump.values[0] != 0.0 or bump.values[-1] != 0.0:
+    if any(b.values[0] != 0.0 or b.values[-1] != 0.0 for b in bumps):
         raise BadBump("bump must vanish at both endpoints")
-    n_steps = bump.grid.size - 1
+    n_steps = bumps[0].grid.size - 1
     base = base if base is not None else sampled_equilibrium(spec, n_steps)
-    if not np.array_equal(base.grid, bump.grid):
+    if not all(np.array_equal(base.grid, b.grid) for b in bumps):
         raise GridMismatch("bump grid must be the uniform oracle grid")
-    perturbed = base.paths.copy()
-    perturbed[i] = perturbed[i] + eps * bump.values
-    bumped = DiscreteGame(spec=spec, n_steps=n_steps, grid=base.grid, paths=perturbed)
-    return discrete_cost(bumped, i) - discrete_cost(base, i)
+    base_cost = discrete_cost(base, i)
+    changes = []
+    for bump in bumps:
+        perturbed = base.paths.copy()
+        perturbed[i] = perturbed[i] + eps * bump.values
+        bumped = DiscreteGame(spec=spec, n_steps=n_steps, grid=base.grid, paths=perturbed)
+        changes.append(discrete_cost(bumped, i) - base_cost)
+    return np.array(changes)
 
 
 def standard_bumps(

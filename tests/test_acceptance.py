@@ -307,7 +307,6 @@ def test_default_verification_suite_passes():
         kappa_values=(1.0, 5.0, 25.0),
         draws=1,
         n_steps=2000,
-        tol=1e-8,
         seed=SEED,
     )
     failed = [c.name for c in suite.checks if not c.passed]

@@ -22,6 +22,19 @@ class TestScenarioValidation:
             with pytest.raises(ValueError):
                 pg.CentralizationScenario(n1=2, n2=2, lambda_firm=lam, kappa=1.0)
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_non_finite_kappa_rejected(self, kappa):
+        with pytest.raises(pg.NonFiniteKappa):
+            pg.CentralizationScenario(n1=2, n2=2, lambda_firm=0.5, kappa=kappa)
+        with pytest.raises(pg.NonFiniteKappa):
+            pg.averaged_report(kappa, (0.3, 0.5))
+
+    def test_report_grids_validate_every_split(self):
+        with pytest.raises(ValueError):
+            pg.averaged_report(1.0, (0.3, 0.5), n_values=(5,), n1_values=(4, 5))
+        with pytest.raises(ValueError):
+            pg.sampled_report(1.0, (0.5, 1.5), draws=50)
+
     def test_nonfirm_fraction_complements(self):
         sc = scenario(lam=0.3)
         assert sc.lambda_nonfirm == pytest.approx(0.7)
@@ -203,3 +216,62 @@ class TestAveragedReports:
         assert det.firm_cost_no_central == pytest.approx(
             pg.firm_cost_no_centralization(sc), abs=1e-9
         )
+
+
+REPORT_FIELDS = (
+    "firm_cost_no_central",
+    "nonfirm_cost_no_central",
+    "firm_cost_central",
+    "nonfirm_cost_central",
+    "pct_change_firm",
+    "pct_change_nonfirm",
+    "pct_change_total",
+)
+
+
+def per_scenario_mean(kappa, scenarios, weights):
+    """Reference algorithm: one scenario and one naive report per (n, n1,
+    fraction) point, accumulated into a weighted mean in a Python loop."""
+    acc = dict.fromkeys(REPORT_FIELDS, 0.0)
+    for (n, n1, lam), w in zip(scenarios, weights):
+        sc = pg.CentralizationScenario(n1=n1, n2=n - n1, lambda_firm=float(lam), kappa=kappa)
+        rep = pg.naive_centralization_report(sc)
+        for name in REPORT_FIELDS:
+            acc[name] += w * getattr(rep, name)
+    return {name: value / sum(weights) for name, value in acc.items()}
+
+
+class TestBroadcastReportsMatchPerScenarioLoop:
+    GRIDS = [((20, 21, 22), (3, 4, 5)), ((30, 31, 32), (14, 15, 16))]
+
+    @pytest.mark.parametrize("kappa", [0.5, 5.0, 25.0])
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_averaged_report(self, kappa, grid):
+        n_values, n1_values = grid
+        for band in pg.FRACTION_BANDS.values():
+            nodes, weights = np.polynomial.legendre.leggauss(64)
+            lams = 0.5 * (band[1] + band[0]) + 0.5 * (band[1] - band[0]) * nodes
+            points = [(n, n1, lam) for n in n_values for n1 in n1_values for lam in lams]
+            expected = per_scenario_mean(kappa, points, list(weights) * 9)
+            got = pg.averaged_report(kappa, band, n_values=n_values, n1_values=n1_values)
+            for name in REPORT_FIELDS:
+                assert getattr(got, name) == pytest.approx(expected[name], rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [0.5, 5.0, 25.0])
+    @pytest.mark.parametrize("grid", GRIDS)
+    def test_sampled_report(self, kappa, grid):
+        n_values, n1_values = grid
+        band = pg.FRACTION_BANDS[0.15]
+        rng = np.random.default_rng(7)
+        # the draw order per scenario is n, n1, fraction
+        points = [
+            (int(rng.choice(n_values)), int(rng.choice(n1_values)), float(rng.uniform(*band)))
+            for _ in range(500)
+        ]
+        expected = per_scenario_mean(kappa, points, [1.0] * 500)
+        got = pg.sampled_report(
+            kappa, band, n_values=n_values, n1_values=n1_values, draws=500,
+            rng=np.random.default_rng(7),
+        )
+        for name in REPORT_FIELDS:
+            assert getattr(got, name) == pytest.approx(expected[name], rel=1e-12)

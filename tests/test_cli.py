@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,3 +299,60 @@ def test_twelve_significant_digit_formatting(tmp_path):
     t = np.linspace(0.0, 1.0, 101)
     mid = rows[50]
     assert float(mid[1]) == pytest.approx(float(sol.strategies[0].position(t[50])), rel=1e-11)
+
+
+class TestNonFiniteKappa:
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "command,payload",
+        [
+            ("costs", lambda k: {"sweep": {"n": [3], "kappa": [k], "lambda1": [0.2]}}),
+            ("poa", lambda k: {"sweep": {"n": [2, 3], "kappa": [k]}}),
+            ("centralize", lambda k: {"game": {"n": 12, "kappa": k},
+                                      "centralization": {"n1": 4, "lambda_firm": 0.4}}),
+            ("equilibrium", lambda k: {"game": {"n": 2, "symmetric": True, "kappa": k}}),
+        ],
+    )
+    def test_config_error_and_no_csv(self, tmp_path, capsys, command, payload, kappa):
+        # json.dumps writes NaN / Infinity, which Python's json.loads accepts
+        cfg = write_config(tmp_path, "cfg.json", payload(kappa))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "figures"
+
+
+@pytest.mark.parametrize(
+    "command,config,subdir",
+    [
+        (
+            "centralize",
+            {
+                "game": {"n": 21, "kappa": 1.0},
+                "centralization": {"n1": 4, "lambda_firm": 0.4},
+                "table": {"kappa": [1, 5, 25], "rows": [0.07, 0.15, 0.40, 0.62, 0.82],
+                          "n1": [3, 4, 5]},
+            },
+            "tables/minority",
+        ),
+        (
+            "costs",
+            {"sweep": {"n": [8], "kappa": [25],
+                       "lambda1": [0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.88, 0.99]}},
+            "shares/n_8_kappa_25",
+        ),
+    ],
+)
+def test_figure_csvs_match_committed_reference(tmp_path, command, config, subdir):
+    """The figure-data CSVs stay byte-identical to the committed references
+    below the first line (which carries the version and config hash)."""
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    references = sorted((REFERENCE / subdir).glob("*.csv"))
+    assert references
+    for ref in references:
+        produced = (tmp_path / "out" / ref.name).read_text().splitlines()[1:]
+        assert produced == ref.read_text().splitlines()[1:], ref.name

@@ -31,6 +31,16 @@ class TestValidateSpec:
         with pytest.raises(pg.NegativeKappa):
             pg.validate_spec(pg.GameSpec(n=1, lambdas=(1.0,), kappa=-0.1))
 
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_non_finite_kappa(self, kappa):
+        with pytest.raises(pg.NonFiniteKappa):
+            pg.validate_spec(pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=kappa))
+        assert issubclass(pg.NonFiniteKappa, pg.GameSpecError)
+
+    def test_negative_infinite_kappa_is_negative(self):
+        with pytest.raises(pg.NegativeKappa):
+            pg.validate_spec(pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=-math.inf))
+
     def test_empty_game(self):
         with pytest.raises(pg.EmptyGame):
             pg.validate_spec(pg.GameSpec(n=0, lambdas=(), kappa=1.0))

@@ -184,6 +184,62 @@ class TestCostBreakdown:
             )
 
 
+    def test_large_n_matches_per_trader_functions(self):
+        rng = np.random.default_rng(5)
+        raw = pg.GameSpec(n=4000, lambdas=tuple(rng.dirichlet(np.ones(4000))), kappa=5.0)
+        spec = pg.renormalize_lambdas(raw)
+        bd = pg.cost_breakdown(spec)
+        assert len(bd.per_trader) == len(bd.shares) == 4000
+        for i in rng.choice(4000, size=25, replace=False):
+            assert bd.per_trader[i] == pytest.approx(pg.trader_cost(spec, int(i)), rel=1e-12)
+            assert bd.shares[i] == pytest.approx(pg.cost_share(spec, int(i)), rel=1e-12)
+        assert math.fsum(bd.shares) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(bd.per_trader) == pytest.approx(bd.aggregate, abs=1e-12)
+
+
+class TestGroupCost:
+    def test_special_cases_are_the_public_costs(self):
+        spec = pg.GameSpec(n=4, lambdas=(0.4, 0.3, 0.2, 0.1), kappa=6.0)
+        for i in range(4):
+            assert pg.group_cost(4, 1, spec.lambdas[i], 6.0) == pg.trader_cost(spec, i)
+        assert pg.group_cost(4, 4, 1.0, 6.0) == pg.aggregate_cost(4, 6.0)
+
+    def test_broadcasts_like_scalar_calls(self):
+        totals = np.arange(2, 40)
+        counts = totals // 2
+        lam = np.linspace(0.05, 0.95, totals.size)
+        for decay in (None, 3.0):
+            batch = pg.group_cost(totals, counts, lam, 3.0, decay=decay)
+            assert batch.shape == totals.shape
+            for k in range(totals.size):
+                single = pg.group_cost(int(totals[k]), int(counts[k]), lam[k], 3.0, decay=decay)
+                assert batch[k] == pytest.approx(single, rel=1e-15)
+
+    def test_groups_partition_the_aggregate(self):
+        for n, count, lam in ((5, 2, 0.3), (12, 4, 0.8), (40, 39, 0.01)):
+            split = pg.group_cost(n, count, lam, 2.0) + pg.group_cost(n, n - count, 1.0 - lam, 2.0)
+            assert split == pytest.approx(pg.aggregate_cost(n, 2.0), rel=1e-12)
+
+    def test_frozen_decay_is_the_approximate_strategic_cost(self):
+        sc = pg.CentralizationScenario(n1=4, n2=8, lambda_firm=0.4, kappa=5.0)
+        assert pg.group_cost(12 + 3, 4 + 3, 0.4, 5.0, decay=5.0) == pg.strategic_cost_approx(sc, 3)
+
+
+class TestNonFiniteKappa:
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_rejected_by_every_cost(self, kappa):
+        spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=kappa)
+        for call in (
+            lambda: pg.cost_breakdown(spec),
+            lambda: pg.trader_cost(spec, 0),
+            lambda: pg.cost_share(spec, 0),
+            lambda: pg.aggregate_cost(3, kappa),
+            lambda: pg.price_of_anarchy(3, kappa),
+        ):
+            with pytest.raises(pg.NonFiniteKappa):
+                call()
+
+
 def test_aggregate_cost_is_independent_of_target_split():
     rng = np.random.default_rng(11)
     n, kappa = 5, 5.0

@@ -152,7 +152,7 @@ class TestDeviation:
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         grid = np.linspace(0.0, 1.0, 201)
         zero = pg.SampledPath(grid=grid, values=np.zeros(201))
-        assert pg.deviation_test(spec, 0, zero, eps=0.01) == 0.0
+        assert pg.deviation_test(spec, 0, [zero], eps=0.01)[0] == 0.0
 
     def test_smooth_bump_costs_order_eps_squared(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
@@ -160,8 +160,8 @@ class TestDeviation:
         values = np.sin(np.pi * grid)
         values[0] = values[-1] = 0.0
         bump = pg.SampledPath(grid=grid, values=values)
-        small = pg.deviation_test(spec, 0, bump, eps=0.01)
-        large = pg.deviation_test(spec, 0, bump, eps=0.02)
+        small = pg.deviation_test(spec, 0, [bump], eps=0.01)[0]
+        large = pg.deviation_test(spec, 0, [bump], eps=0.02)[0]
         assert small > 0.0
         assert large / small == pytest.approx(4.0, rel=0.05)
 
@@ -169,14 +169,14 @@ class TestDeviation:
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=5.0)
         for bump in pg.standard_bumps(300, seed=2):
             flipped = pg.SampledPath(grid=bump.grid, values=-bump.values)
-            assert pg.deviation_test(spec, 1, bump, eps=0.01) >= -1e-9
-            assert pg.deviation_test(spec, 1, flipped, eps=0.01) >= -1e-9
+            assert pg.deviation_test(spec, 1, [bump], eps=0.01)[0] >= -1e-9
+            assert pg.deviation_test(spec, 1, [flipped], eps=0.01)[0] >= -1e-9
 
     def test_rejects_nonvanishing_bump(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         grid = np.linspace(0.0, 1.0, 101)
         with pytest.raises(pg.BadBump):
-            pg.deviation_test(spec, 0, pg.SampledPath(grid=grid, values=grid), eps=0.01)
+            pg.deviation_test(spec, 0, [pg.SampledPath(grid=grid, values=grid)], eps=0.01)
 
     def test_hundred_random_bumps_never_profit(self):
         n_steps = 500
@@ -195,7 +195,7 @@ class TestDeviation:
                 values /= np.max(np.abs(values))
                 bump = pg.SampledPath(grid=grid, values=values)
                 i = int(rng.integers(spec.n))
-                assert pg.deviation_test(spec, i, bump, eps=0.01, base=base) >= -1e-9
+                assert pg.deviation_test(spec, i, [bump], eps=0.01, base=base)[0] >= -1e-9
 
 
 class TestDiscreteGameInvariants:
