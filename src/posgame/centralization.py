@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RepresentationTooSmall, _check_kappa
+from .core import RepresentationTooSmall, _check_count, _check_kappa
 from .costs import aggregate_cost_limit, group_cost
 
 
@@ -50,12 +50,15 @@ class CentralizationScenario:
 
 def _check_split(n1, n2, lambda_firm, kappa) -> None:
     """Raise ValueError unless every firm split is valid; counts and
-    fractions may be arrays of splits."""
+    fractions may be arrays of splits.  Counts that are not whole numbers
+    raise NonIntegerCount."""
     n1, n2, lam = np.broadcast_arrays(n1, n2, lambda_firm)
     bad = (n1 < 1) | (n2 < 1)
     if bad.any():
         k = np.argmax(bad)
         raise ValueError(f"need n1 >= 1 and n2 >= 1, got n1={n1.flat[k]}, n2={n2.flat[k]}")
+    _check_count("n1", n1)
+    _check_count("n2", n2)
     bad = ~((0.0 < lam) & (lam < 1.0))
     if bad.any():
         raise ValueError(f"need 0 < lambda_firm < 1, got {lam.flat[np.argmax(bad)]}")
@@ -150,6 +153,14 @@ def naive_centralization_report(sc: CentralizationScenario) -> CentralizationRep
     return CentralizationReport(*(float(c) for c in columns))
 
 
+def _check_delta(sc: CentralizationScenario, delta) -> None:
+    """Raise NonIntegerCount for a fractional delta and RepresentationTooSmall
+    when n1 + delta falls below one."""
+    _check_count("delta", delta)
+    if sc.n1 + delta < 1:
+        raise RepresentationTooSmall(f"n1 + delta = {sc.n1 + delta} must be at least 1")
+
+
 def strategic_cost(sc: CentralizationScenario, delta: int) -> float:
     """Firm cost when centralizing and representing n1 + delta traders.
 
@@ -157,20 +168,14 @@ def strategic_cost(sc: CentralizationScenario, delta: int) -> float:
     delta = 1 - n1 recovers naive centralization exactly (same code path).
     As delta -> infinity the cost tends to kappa lambda_firm / (1 - e^{-kappa}).
     """
-    if sc.n1 + delta < 1:
-        raise RepresentationTooSmall(
-            f"n1 + delta = {sc.n1 + delta} must be at least 1"
-        )
+    _check_delta(sc, delta)
     return float(group_cost(sc.n + delta, sc.n1 + delta, sc.lambda_firm, sc.kappa))
 
 
 def strategic_cost_approx(sc: CentralizationScenario, delta: int) -> float:
     """Frozen-decay approximation of :func:`strategic_cost` (accurate for
     large represented counts, where the decay rate is close to kappa)."""
-    if sc.n1 + delta < 1:
-        raise RepresentationTooSmall(
-            f"n1 + delta = {sc.n1 + delta} must be at least 1"
-        )
+    _check_delta(sc, delta)
     return float(
         group_cost(sc.n + delta, sc.n1 + delta, sc.lambda_firm, sc.kappa, decay=sc.kappa)
     )

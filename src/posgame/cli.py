@@ -12,7 +12,10 @@ centralization, sweep, table, verify, output); each command reads the
 sections it needs, so a single scenario file can serve several commands.
 Unknown keys anywhere are rejected with their path.  Every CSV starts with a
 comment line carrying the tool version and a hash of the effective config,
-so identical config + seed reproduce byte-identical files.
+so identical config + seed reproduce byte-identical files.  Cells are
+written by one rule: strings verbatim, integers as plain digits, every other
+number as ``%.12g`` (12 significant digits, locale-independent; nan and inf
+as ``nan``, ``inf``, ``-inf``).
 Exit codes: 0 success, 1 config error (a game the library rejects, such as
 a non-finite kappa, counts as one), 2 verification failure.
 """
@@ -55,11 +58,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _cell_format(kind: type) -> str:
+    """printf format of a CSV cell of type ``kind``: strings verbatim,
+    integers as plain digits, anything else to 12 significant digits."""
+    if issubclass(kind, str):
+        return "%s"
+    if issubclass(kind, (int, np.integer)):
+        return "%d"
+    return "%.12g"
+
+
 def _fmt(x) -> str:
-    """12 significant digits, locale-independent."""
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.12g}"
+    """One value formatted as a CSV cell."""
+    return _cell_format(type(x)) % (x,)
 
 
 class _Section:
@@ -284,13 +295,21 @@ def _config_hash(config: dict, seed: int) -> str:
 
 def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
                extra_comments: list[str] | None = None) -> Path:
+    """Write comment lines, the header and ``rows`` as one CSV file.
+
+    Each row is formatted by a single ``%`` on a line format built once per
+    distinct tuple of cell types (see :func:`_cell_format`).
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    lines = [meta]
-    lines.extend(extra_comments or [])
-    lines.append(",".join(header))
+    lines = [meta, *(extra_comments or ()), ",".join(header)]
+    formats = {}
     for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+        kinds = tuple(map(type, row))
+        fmt = formats.get(kinds)
+        if fmt is None:
+            fmt = formats[kinds] = ",".join(map(_cell_format, kinds))
+        lines.append(fmt % tuple(row))
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -301,9 +320,8 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
     )
     sol = solve(spec)
     t = np.linspace(0.0, 1.0, sc.n_points)
-    columns = [t] + [s.position(t) for s in sol.strategies] + [sol.market(t)]
     header = ["t"] + [f"a_{i + 1}" for i in range(spec.n)] + ["m"]
-    rows = [[col[k] for col in columns] for k in range(sc.n_points)]
+    rows = np.column_stack([t, sol.positions(t).T, sol.market(t)]).tolist()
     breakdown = cost_breakdown(spec)
     rows.append(["cost", *breakdown.per_trader, breakdown.aggregate])
     rows.append(["share", *breakdown.shares, 1.0])

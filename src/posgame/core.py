@@ -44,6 +44,10 @@ class NonFiniteKappa(GameSpecError):
     """Impact parameter is NaN or infinite."""
 
 
+class NonIntegerCount(GameSpecError):
+    """A trader count (or a change of one) is NaN, infinite or fractional."""
+
+
 class DegenerateAlpha(ValueError):
     """Closed forms are singular at alpha = 0 (n = 1 or kappa = 0).
 
@@ -123,6 +127,18 @@ def _check_kappa(kappa: float) -> None:
         raise NonFiniteKappa(f"kappa = {kappa} must be finite")
 
 
+def _check_count(name: str, value) -> None:
+    """Raise NonIntegerCount unless ``value`` (a number or an array of them)
+    holds only finite whole numbers."""
+    value = np.asarray(value)
+    if value.dtype.kind in "biu":
+        return
+    as_float = value.astype(float)  # object arrays: ints beyond int64, fractions
+    bad = ~(np.isfinite(as_float) & (as_float == np.round(as_float)))
+    if bad.any():
+        raise NonIntegerCount(f"{name} = {value.flat[np.argmax(bad)]} must be a whole number")
+
+
 def renormalize_lambdas(spec: GameSpec) -> GameSpec:
     """Rescale target fractions to sum to one.
 
@@ -166,32 +182,38 @@ class ClosedFormStrategy:
 
     def position(self, t):
         """Cumulative position at scaled time t in [0, 1]."""
-        t = np.asarray(t, dtype=float)
-        if self.alpha == 0.0:
-            return _float_if_scalar(t.copy())
-        return _float_if_scalar(
-            self.b * np.expm1(self.kappa * t) - self.d * np.expm1(-self.alpha * t)
-        )
+        return _float_if_scalar(_curve(self.b, self.d, self.kappa, self.alpha, t, 0))
 
     def velocity(self, t):
         """Trading rate da/dt."""
-        t = np.asarray(t, dtype=float)
-        if self.alpha == 0.0:
-            return _float_if_scalar(np.ones_like(t))
-        return _float_if_scalar(
-            self.kappa * self.b * np.exp(self.kappa * t)
-            + self.alpha * self.d * np.exp(-self.alpha * t)
-        )
+        return _float_if_scalar(_curve(self.b, self.d, self.kappa, self.alpha, t, 1))
 
     def acceleration(self, t):
         """Second derivative d2a/dt2."""
-        t = np.asarray(t, dtype=float)
-        if self.alpha == 0.0:
-            return _float_if_scalar(np.zeros_like(t))
-        return _float_if_scalar(
-            self.kappa**2 * self.b * np.exp(self.kappa * t)
-            - self.alpha**2 * self.d * np.exp(-self.alpha * t)
-        )
+        return _float_if_scalar(_curve(self.b, self.d, self.kappa, self.alpha, t, 2))
+
+
+def _curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
+    """The ``order``-th time derivative (0, 1 or 2) of the equilibrium curve
+    b (e^{kappa t} - 1) + d (1 - e^{-alpha t}); alpha == 0 is the straight
+    line a(t) = t.
+
+    The one copy of the curve formula.  ``b`` and ``d`` are scalars or
+    arrays that broadcast against ``t`` (an (n, 1, ...) column of
+    coefficients gives every trader's curve at once); each entry is computed
+    exactly as for scalar coefficients.
+    """
+    t = np.asarray(t, dtype=float)
+    if alpha == 0.0:
+        shape = np.broadcast_shapes(np.shape(b), t.shape)
+        if order == 0:
+            return np.broadcast_to(t, shape).copy()
+        return np.full(shape, 1.0 if order == 1 else 0.0)
+    if order == 0:
+        return b * np.expm1(kappa * t) - d * np.expm1(-alpha * t)
+    if order == 1:
+        return kappa * b * np.exp(kappa * t) + alpha * d * np.exp(-alpha * t)
+    return kappa**2 * b * np.exp(kappa * t) - alpha**2 * d * np.exp(-alpha * t)
 
 
 def _float_if_scalar(values):
@@ -237,6 +259,24 @@ class EquilibriumSolution:
     spec: GameSpec
     strategies: tuple[ClosedFormStrategy, ...]
     alpha: Alpha
+
+    def positions(self, t) -> np.ndarray:
+        """Every trader's position at time(s) t: shape (n,) + shape of t,
+        row i equal to ``strategies[i].position(t)``."""
+        return self._curves(t, 0)
+
+    def velocities(self, t) -> np.ndarray:
+        """Every trader's trading rate at time(s) t, shaped as :meth:`positions`."""
+        return self._curves(t, 1)
+
+    def _curves(self, t, order: int) -> np.ndarray:
+        # b and d come from the strategies, so a solution with modified
+        # coefficients samples what its strategies hold.
+        t = np.asarray(t, dtype=float)
+        column = (-1,) + (1,) * t.ndim
+        b = np.array([s.b for s in self.strategies]).reshape(column)
+        d = np.array([s.d for s in self.strategies]).reshape(column)
+        return _curve(b, d, self.spec.kappa, self.alpha.value, t, order)
 
     def market(self, t):
         t = np.asarray(t, dtype=float)

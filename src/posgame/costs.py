@@ -21,7 +21,14 @@ import math
 
 import numpy as np
 
-from .core import CostBreakdown, DegenerateAlpha, GameSpec, _check_kappa, validate_spec
+from .core import (
+    CostBreakdown,
+    DegenerateAlpha,
+    GameSpec,
+    _check_count,
+    _check_kappa,
+    validate_spec,
+)
 from .equilibrium import compute_alpha
 
 
@@ -87,8 +94,7 @@ def aggregate_cost(n: int, kappa: float) -> float:
 
 def aggregate_cost_limit(kappa: float) -> float:
     """Aggregate cost in the many-trader limit: kappa / (1 - e^{-kappa})."""
-    if kappa < 0.0:
-        raise ValueError(f"need kappa >= 0, got {kappa}")
+    _check_kappa(kappa)
     if kappa == 0.0:
         return 1.0
     return kappa / -math.expm1(-kappa)
@@ -96,8 +102,7 @@ def aggregate_cost_limit(kappa: float) -> float:
 
 def market_min_cost(kappa: float) -> float:
     """Cost of the centrally minimized market-wide strategy m(t) = t."""
-    if kappa < 0.0:
-        raise ValueError(f"need kappa >= 0, got {kappa}")
+    _check_kappa(kappa)
     return 1.0 + kappa / 2.0
 
 
@@ -106,12 +111,15 @@ def price_of_anarchy(n, kappa: float) -> float:
 
     ``n`` may be ``math.inf`` for the limiting ratio
     (kappa / (1 - e^{-kappa})) / (1 + kappa/2), which approaches 2 from below
-    as kappa grows.
+    as kappa grows.  Any other ``n`` must be a whole number
+    (NonIntegerCount otherwise).
     """
-    if kappa <= 0.0:
+    _check_kappa(kappa)
+    if kappa == 0.0:
         raise ValueError(f"need kappa > 0, got {kappa}")
-    if math.isinf(n):
+    if n == math.inf:
         return aggregate_cost_limit(kappa) / market_min_cost(kappa)
+    _check_count("n", n)
     return aggregate_cost(int(n), kappa) / market_min_cost(kappa)
 
 

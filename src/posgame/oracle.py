@@ -99,7 +99,7 @@ def sampled_equilibrium(
     """
     grid = np.linspace(0.0, 1.0, n_steps + 1)
     sol = solution if solution is not None else solve(spec)
-    paths = np.vstack([s.position(grid) for s in sol.strategies])
+    paths = sol.positions(grid)
     paths[:, 0] = 0.0
     paths[:, -1] = 1.0
     return DiscreteGame(spec=spec, n_steps=n_steps, grid=grid, paths=paths)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import simpson
 
-from .core import GameSpec
+from .core import EquilibriumSolution, GameSpec
 from .costs import aggregate_cost, trader_cost
 from .equilibrium import governing_residuals, solve
 from .oracle import (
@@ -69,18 +69,20 @@ def _buggy_solution(spec: GameSpec, bug_scale: float):
     return replace(sol, strategies=strategies)
 
 
-def simpson_cost(spec: GameSpec, i: int, intervals: int = 10_000, bug_scale: float = 1.0) -> float:
-    """Simpson quadrature of the cost integrand on the closed-form curves,
-    using analytic rates; independent of the cost formula being checked."""
-    sol = _buggy_solution(spec, bug_scale)
+def simpson_cost(solution: EquilibriumSolution, intervals: int = 10_000) -> np.ndarray:
+    """Every trader's cost by Simpson quadrature of the cost integrand on the
+    solution's curves, using analytic rates; independent of the cost formula
+    being checked.  Returns one cost per trader."""
+    spec = solution.spec
     t = np.linspace(0.0, 1.0, intervals + 1)
     lambdas = spec.lambdas_array()
-    velocities = np.vstack([s.velocity(t) for s in sol.strategies])
-    positions = np.vstack([s.position(t) for s in sol.strategies])
+    velocities = solution.velocities(t)
     m_dot = lambdas @ velocities
-    m = lambdas @ positions
-    integrand = (m_dot + spec.kappa * m) * lambdas[i] * velocities[i]
-    return float(simpson(integrand, x=t))
+    m = lambdas @ solution.positions(t)
+    # The integrand overwrites the rates, so one (n, len(t)) array stays alive.
+    integrand = velocities
+    integrand *= np.multiply.outer(lambdas, m_dot + spec.kappa * m)
+    return simpson(integrand, x=t)
 
 
 def run_verification(
@@ -135,9 +137,7 @@ def run_verification(
                     )
                 )
 
-                end_err = max(
-                    abs(float(s.position(1.0)) - 1.0) for s in sol.strategies
-                )
+                end_err = float(np.max(np.abs(sol.positions(1.0) - 1.0)))
                 checks.append(
                     Check(
                         name=f"endpoint a_i(1)=1 [{label}]",
@@ -147,11 +147,8 @@ def run_verification(
                     )
                 )
 
-                rel = max(
-                    abs(trader_cost(spec, i) - simpson_cost(spec, i, bug_scale=bug_scale))
-                    / abs(trader_cost(spec, i))
-                    for i in range(n)
-                )
+                costs = np.array([trader_cost(spec, i) for i in range(n)])
+                rel = float(np.max(np.abs(costs - simpson_cost(sol)) / np.abs(costs)))
                 checks.append(
                     Check(
                         name=f"cost formula vs quadrature [{label}]",

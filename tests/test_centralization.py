@@ -29,6 +29,25 @@ class TestScenarioValidation:
         with pytest.raises(pg.NonFiniteKappa):
             pg.averaged_report(kappa, (0.3, 0.5))
 
+    @pytest.mark.parametrize(
+        "counts", [dict(n1=2.5, n2=5), dict(n1=2, n2=5.5), dict(n1=math.nan, n2=5),
+                   dict(n1=2, n2=math.inf)]
+    )
+    def test_counts_must_be_whole(self, counts):
+        with pytest.raises(pg.NonIntegerCount):
+            pg.CentralizationScenario(**counts, lambda_firm=0.5, kappa=1.0)
+
+    def test_whole_float_counts_stay_valid(self):
+        assert pg.CentralizationScenario(n1=2.0, n2=5.0, lambda_firm=0.5, kappa=1.0).n == 7
+
+    def test_delta_must_be_whole(self):
+        sc = scenario()
+        for call in (pg.strategic_cost, pg.strategic_cost_approx):
+            for delta in (0.5, math.nan):
+                with pytest.raises(pg.NonIntegerCount):
+                    call(sc, delta)
+        assert pg.strategic_cost(sc, 2.0) == pg.strategic_cost(sc, 2)
+
     def test_report_grids_validate_every_split(self):
         with pytest.raises(ValueError):
             pg.averaged_report(1.0, (0.3, 0.5), n_values=(5,), n1_values=(4, 5))

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import posgame as pg
+import posgame.cli as cli
 from posgame.cli import main
 
 
@@ -322,37 +324,91 @@ class TestNonFiniteKappa:
         assert not out.exists() or not any(out.iterdir())
 
 
-REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "figures"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+REFERENCE = BENCH / "reference"
+
+
+def _bench_workloads():
+    """The benchmark's workload definitions, loaded from bench/workloads.py."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _bench_workloads()
+REFERENCE_OPS = [("figures", op) for op in WORKLOADS.figures_ops(0)] + [
+    ("large_n", op) for op in WORKLOADS.large_n_ops(0) if op["out"] == "costs"
+]
 
 
 @pytest.mark.parametrize(
-    "command,config,subdir",
-    [
-        (
-            "centralize",
-            {
-                "game": {"n": 21, "kappa": 1.0},
-                "centralization": {"n1": 4, "lambda_firm": 0.4},
-                "table": {"kappa": [1, 5, 25], "rows": [0.07, 0.15, 0.40, 0.62, 0.82],
-                          "n1": [3, 4, 5]},
-            },
-            "tables/minority",
-        ),
-        (
-            "costs",
-            {"sweep": {"n": [8], "kappa": [25],
-                       "lambda1": [0.01, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.88, 0.99]}},
-            "shares/n_8_kappa_25",
-        ),
-    ],
+    "workload,op", REFERENCE_OPS, ids=[f"{w}/{op['out']}" for w, op in REFERENCE_OPS]
 )
-def test_figure_csvs_match_committed_reference(tmp_path, command, config, subdir):
-    """The figure-data CSVs stay byte-identical to the committed references
-    below the first line (which carries the version and config hash)."""
-    cfg = write_config(tmp_path, "cfg.json", config)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    references = sorted((REFERENCE / subdir).glob("*.csv"))
+def test_figure_csvs_match_committed_reference(tmp_path, workload, op):
+    """Every figure-data CSV and the large cost sweep stay byte-identical to
+    the committed references below the first line (which carries the version
+    and config hash)."""
+    cfg = write_config(tmp_path, "cfg.json", op["config"])
+    assert main([op["command"], "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    references = sorted((REFERENCE / workload / op["out"]).glob("*.csv"))
     assert references
     for ref in references:
         produced = (tmp_path / "out" / ref.name).read_text().splitlines()[1:]
         assert produced == ref.read_text().splitlines()[1:], ref.name
+
+
+def per_cell_lines(rows):
+    """CSV lines as the writer formerly built them, one formatting call per
+    cell; kept here as the reference for the row-at-a-time writer."""
+
+    def fmt(x):
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        return f"{float(x):.12g}"
+
+    return [",".join(c if isinstance(c, str) else fmt(c) for c in row) for row in rows]
+
+
+def test_csv_writer_matches_per_cell_formatting(tmp_path):
+    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]
+    rows = [
+        ["cost", 3, np.int64(-7), 2.5, np.float64(1e-17), -0.0],
+        ["cost", 4, np.int64(12), 1e300, np.float64(math.nan), math.inf],  # same cell types
+        [np.int32(5), True, np.float32(0.1), np.float64(-math.inf), "a b", 5e-324],
+        special,
+        [np.float64(x) for x in special],
+        [2**70, -(2**63), np.uint64(2**64 - 1), "%d %s", "", 1],
+    ]
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        magnitudes = 10.0 ** rng.uniform(-300, 300, 50)
+        rows.append((rng.choice([-1.0, 1.0], 50) * magnitudes).tolist())
+        rows.append(list(rng.standard_normal(50)))  # np.float64 cells
+    path = cli._write_csv(tmp_path, "mixed.csv", ["h1", "h2"], rows, "# meta",
+                          extra_comments=["# extra"])
+    expected = ["# meta", "# extra", "h1,h2", *per_cell_lines(rows)]
+    assert path.read_text() == "\n".join(expected) + "\n"
+
+
+def test_large_equilibrium_matches_per_cell_formatting(tmp_path):
+    """A 2000-trader equilibrium with the benchmark's Dirichlet fractions is
+    byte-identical to sampling each strategy and formatting cell by cell."""
+    lambdas = WORKLOADS.large_n_lambdas(0)
+    spec = pg.GameSpec(n=2000, lambdas=tuple(lambdas), kappa=5.0)
+    cfg = write_config(
+        tmp_path, "cfg.json", {"game": {"n": 2000, "lambdas": lambdas, "kappa": 5.0},
+                               "grid": {"n_points": 201}},
+    )
+    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    sol = pg.solve(spec)
+    t = np.linspace(0.0, 1.0, 201)
+    columns = [t] + [s.position(t) for s in sol.strategies] + [sol.market(t)]
+    rows = [[col[k] for col in columns] for k in range(t.size)]
+    breakdown = pg.cost_breakdown(spec)
+    rows.append(["cost", *breakdown.per_trader, breakdown.aggregate])
+    rows.append(["share", *breakdown.shares, 1.0])
+    header = ",".join(["t"] + [f"a_{i + 1}" for i in range(2000)] + ["m"])
+    produced = (tmp_path / "out" / "equilibrium.csv").read_text().splitlines()[1:]
+    assert produced == [header, *per_cell_lines(rows)]

@@ -259,3 +259,43 @@ def test_cost_formula_matches_quadrature(spec):
         formula = pg.trader_cost(spec, i)
         numeric = integral_cost(spec, i)
         assert formula == pytest.approx(numeric, rel=1e-6, abs=1e-9)
+
+
+class TestTypedDomainErrors:
+    @pytest.mark.parametrize("kappa", [math.nan, math.inf])
+    def test_non_finite_kappa_in_the_limits(self, kappa):
+        for call in (
+            lambda: pg.aggregate_cost_limit(kappa),
+            lambda: pg.market_min_cost(kappa),
+            lambda: pg.price_of_anarchy(math.inf, kappa),
+        ):
+            with pytest.raises(pg.NonFiniteKappa):
+                call()
+
+    def test_negative_kappa_in_the_limits(self):
+        for call in (pg.aggregate_cost_limit, pg.market_min_cost):
+            with pytest.raises(pg.NegativeKappa):
+                call(-1.0)
+
+    @pytest.mark.parametrize("n", [math.nan, 2.5, -math.inf])
+    def test_trader_count_must_be_whole(self, n):
+        with pytest.raises(pg.NonIntegerCount):
+            pg.price_of_anarchy(n, 1.0)
+        assert issubclass(pg.NonIntegerCount, pg.GameSpecError)
+
+    def test_whole_float_and_infinite_counts_stay_valid(self):
+        assert pg.price_of_anarchy(3.0, 1.0) == pg.price_of_anarchy(3, 1.0)
+        assert pg.price_of_anarchy(np.int64(3), 1.0) == pg.price_of_anarchy(3, 1.0)
+        assert pg.price_of_anarchy(2**70, 1.0) == pytest.approx(pg.price_of_anarchy(math.inf, 1.0))
+        assert pg.price_of_anarchy(math.inf, 1.0) < 2.0
+
+
+def test_simpson_cost_gives_every_traders_cost():
+    from posgame.verification import simpson_cost
+
+    spec = pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=6.0)
+    quadrature = simpson_cost(pg.solve(spec))
+    assert quadrature.shape == (4,)
+    for i in range(4):
+        assert quadrature[i] == pytest.approx(integral_cost(spec, i), rel=1e-13)
+        assert quadrature[i] == pytest.approx(pg.trader_cost(spec, i), rel=1e-6)

@@ -184,3 +184,43 @@ def test_solutions_are_continuous_in_kappa(spec):
     b = pg.solve_equilibrium(nudged)
     for sa, sb in zip(a.strategies, b.strategies):
         assert np.max(np.abs(sa.position(t) - sb.position(t))) < 1e-6
+
+
+class TestCurveMatrix:
+    """positions/velocities give exactly the per-strategy curves, row by row."""
+
+    T = np.linspace(0.0, 1.0, 37)
+
+    def assert_rows_match(self, sol):
+        positions, velocities = sol.positions(self.T), sol.velocities(self.T)
+        assert positions.shape == velocities.shape == (sol.spec.n, self.T.size)
+        for i, s in enumerate(sol.strategies):
+            assert np.array_equal(positions[i], s.position(self.T))
+            assert np.array_equal(velocities[i], s.velocity(self.T))
+
+    def test_generic_branch(self):
+        self.assert_rows_match(pg.solve(pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=7.0)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=0.0), pg.GameSpec(n=1, lambdas=(1.0,), kappa=3.0)],
+    )
+    def test_straight_line_branch(self, spec):
+        sol = pg.solve(spec)
+        self.assert_rows_match(sol)
+        assert np.array_equal(sol.positions(self.T), np.tile(self.T, (spec.n, 1)))
+        assert np.array_equal(sol.velocities(self.T), np.ones((spec.n, self.T.size)))
+
+    def test_modified_coefficients(self):
+        from dataclasses import replace
+
+        sol = pg.solve(pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=4.0))
+        bumped = replace(sol, strategies=tuple(replace(s, d=s.d * 1.01) for s in sol.strategies))
+        self.assert_rows_match(bumped)
+        assert not np.array_equal(bumped.positions(self.T), sol.positions(self.T))
+
+    def test_scalar_time_gives_one_value_per_trader(self):
+        sol = pg.solve(pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=4.0))
+        values = sol.positions(0.5)
+        assert values.shape == (3,)
+        assert values.tolist() == [s.position(0.5) for s in sol.strategies]
