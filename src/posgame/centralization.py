@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -246,23 +247,31 @@ def _mean_report(n1, n2, lambda_firm, kappa, weights) -> CentralizationReport:
     return CentralizationReport(*(float(np.dot(weights, c) / total) for c in columns))
 
 
+@cache
+def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
+    """64-point Gauss-Legendre nodes and weights on [-1, 1], computed once
+    and shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def averaged_report(
     kappa: float,
     lambda_band: tuple[float, float],
     n_values: tuple[int, ...] = (20, 21, 22),
     n1_values: tuple[int, ...] = (3, 4, 5),
-    quad_points: int = 64,
 ) -> CentralizationReport:
     """Deterministic scenario-grid average of centralization outcomes.
 
     Averages the report over every (n, n1) combination and over a uniform
-    band of firm fractions, integrated by Gauss-Legendre quadrature so no
-    RNG is involved.  Cost columns are affine in the firm fraction, so they
-    equal the point value at the band mean; the percent columns are not, and
-    the band average is what tabulated values reflect.
+    band of firm fractions, integrated by 64-point Gauss-Legendre quadrature
+    so no RNG is involved.  Cost columns are affine in the firm fraction, so
+    they equal the point value at the band mean; the percent columns are not,
+    and the band average is what tabulated values reflect.
     """
     lo, hi = lambda_band
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
+    nodes, weights = _gauss_legendre_64()
     lams = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
     n, n1, lam = np.meshgrid(n_values, n1_values, lams, indexing="ij")
     w = np.broadcast_to(weights, lam.shape)

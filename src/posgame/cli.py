@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -270,6 +271,13 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
             sc.verify_n = tuple(n_values)
         if kappa_values:
             sc.verify_kappa = tuple(kappa_values)
+        # the closed forms under test are singular at n = 1 and kappa = 0
+        if min(sc.verify_n) < 2:
+            raise ConfigError(f"config.verify.n: need every n >= 2, got {sc.verify_n}")
+        if not all(0.0 < k < math.inf for k in sc.verify_kappa):
+            raise ConfigError(f"config.verify.kappa: need 0 < kappa < inf, got {sc.verify_kappa}")
+        if sc.verify_n_steps < 2:
+            raise ConfigError(f"config.verify.n_steps: need >= 2, got {sc.verify_n_steps}")
 
     output = root.take_section("output")
     if output is not None:

@@ -269,6 +269,10 @@ class EquilibriumSolution:
         """Every trader's trading rate at time(s) t, shaped as :meth:`positions`."""
         return self._curves(t, 1)
 
+    def accelerations(self, t) -> np.ndarray:
+        """Every trader's second derivative at time(s) t, shaped as :meth:`positions`."""
+        return self._curves(t, 2)
+
     def _curves(self, t, order: int) -> np.ndarray:
         # b and d come from the strategies, so a solution with modified
         # coefficients samples what its strategies hold.

@@ -105,47 +105,24 @@ def sample_strategy(strategy: ClosedFormStrategy, n_points: int) -> SampledPath:
     return SampledPath(grid=grid, values=strategy.position(grid))
 
 
-def ode_residual(solution: EquilibriumSolution, i: int, t) -> float:
-    """Residual of trader i's stationarity equation at time t.
-
-    For a correct equilibrium
-
-        a_i'' - kappa a_i' + (1/lambda_i) (2 kappa / (n + 1)) m' = 0
-
-    holds identically; the returned value is zero to ~1e-9 in absolute terms.
-    Derivatives are analytic, so the check carries no step-size error.
-    """
-    s = solution.strategies[i]
-    n = solution.spec.n
-    coupling = (2.0 * s.kappa / (n + 1)) / s.lam
-    return float(
-        s.acceleration(t) - s.kappa * s.velocity(t) + coupling * solution.market_velocity(t)
-    )
-
-
-def market_residual(solution: EquilibriumSolution, t) -> float:
-    """Residual of the aggregate equation m'' + alpha m' = 0 at time t."""
-    a = solution.alpha.value
-    return float(solution.market_acceleration(t) + a * solution.market_velocity(t))
-
-
-def governing_residuals(solution: EquilibriumSolution, i: int, t):
+def governing_residuals(solution: EquilibriumSolution, t):
     """Residuals of the three coupled stationarity equations at time(s) t.
 
-    1. a_i'' - kappa a_i' + (1/lambda_i)(m'' + kappa m')
+    1. a_i'' - kappa a_i' + (1/lambda_i)(m'' + kappa m'), every trader i
     2. m'' + kappa m' - (2 kappa / (n + 1)) m'
     3. m'' + alpha m'
 
-    Returns three floats for a scalar t and three arrays shaped like t for an
-    array t.
+    r1 has shape (n,) + shape of t, row i for trader i; r2 and r3 are
+    floats for a scalar t and arrays shaped like t otherwise.  Trader i's
+    own stationarity equation a_i'' - kappa a_i' + (2 kappa / (n + 1)) m' /
+    lambda_i = 0 is r1[i] - r2 / lambda_i.  Derivatives are analytic.
     """
     t = np.asarray(t, dtype=float)
-    s = solution.strategies[i]
-    n = solution.spec.n
-    kappa = s.kappa
+    n, kappa = solution.spec.n, solution.spec.kappa
+    lam = solution.spec.lambdas_array().reshape((-1,) + (1,) * t.ndim)
     mdd = solution.market_acceleration(t)
     md = solution.market_velocity(t)
-    r1 = s.acceleration(t) - kappa * s.velocity(t) + (mdd + kappa * md) / s.lam
+    r1 = solution.accelerations(t) - kappa * solution.velocities(t) + (mdd + kappa * md) / lam
     r2 = mdd + kappa * md - (2.0 * kappa / (n + 1)) * md
     r3 = mdd + solution.alpha.value * md
-    return _float_if_scalar(r1), _float_if_scalar(r2), _float_if_scalar(r3)
+    return r1, _float_if_scalar(r2), _float_if_scalar(r3)

@@ -105,19 +105,20 @@ def sampled_equilibrium(
     return DiscreteGame(spec=spec, n_steps=n_steps, grid=grid, paths=paths)
 
 
-def _interval_pressure(m: np.ndarray, kappa: float, h: float) -> np.ndarray:
-    """Per-interval price pressure: forward-difference rate plus kappa times
-    the midpoint level of the aggregate path."""
-    return np.diff(m) / h + kappa * 0.5 * (m[:-1] + m[1:])
+def _cost_sum(m: np.ndarray, lam, a: np.ndarray, kappa: float, h: float) -> np.ndarray:
+    """The discrete cost sum over the last axis: per-interval price pressure
+    (forward-difference rate of the aggregate path ``m`` plus kappa times its
+    midpoint level) times ``lam`` times the own path's increments.  Leading
+    axes broadcast: one call prices every trader or every profile of a stack."""
+    pressure = np.diff(m) / h + kappa * 0.5 * (m[..., :-1] + m[..., 1:])
+    return np.sum(pressure * lam * np.diff(a), axis=-1)
 
 
-def discrete_cost(game: DiscreteGame, i: int) -> float:
-    """Discretized implementation cost of trader i on the shared grid."""
+def discrete_cost(game: DiscreteGame) -> np.ndarray:
+    """Discretized implementation cost of every trader, shape (n,)."""
     lambdas = game.spec.lambdas_array()
-    h = 1.0 / game.n_steps
     m = lambdas @ game.paths
-    pressure = _interval_pressure(m, game.spec.kappa, h)
-    return float(np.sum(pressure * lambdas[i] * np.diff(game.paths[i])))
+    return _cost_sum(m, lambdas[:, None], game.paths, game.spec.kappa, 1.0 / game.n_steps)
 
 
 def _best_response_rhs(game: DiscreteGame) -> np.ndarray:
@@ -203,52 +204,48 @@ def stationarity_residual(game: DiscreteGame) -> np.ndarray:
 
 def deviation_test(
     spec: GameSpec,
-    i: int,
-    bumps: list[SampledPath],
+    bumps: np.ndarray,
     eps: float,
     base: DiscreteGame | None = None,
 ) -> np.ndarray:
-    """Cost changes when trader i deviates by eps * bump off the closed form.
+    """Cost changes when each trader alone deviates by eps * bump, shape (n, K).
 
-    All traders sit at the sampled closed-form equilibrium (or at ``base``
-    when given); entry k of the returned array is
-    discrete_cost(a_i + eps * bumps[k]) - discrete_cost(a_i), which is
-    non-negative (to rounding) for every endpoint-vanishing bump because the
-    discrete cost is convex in the own path and stationary at its minimum.
+    ``bumps`` holds K endpoint-vanishing directions on the oracle grid, shape
+    (K, N + 1).  All traders sit at the sampled closed-form equilibrium (or
+    at ``base``); entry (i, k) is trader i's discrete cost with its path
+    moved to a_i + eps * bumps[k] minus its cost at the base, non-negative
+    (to rounding) because the discrete cost is convex in the own path and
+    stationary at its minimum.  Each trader's K perturbed profiles are priced
+    as one (K, n, N + 1) stack.
     """
-    if any(b.values[0] != 0.0 or b.values[-1] != 0.0 for b in bumps):
+    bumps = np.asarray(bumps, dtype=float)
+    base = base if base is not None else sampled_equilibrium(spec, bumps.shape[-1] - 1)
+    if bumps.ndim != 2 or bumps.shape[1] != base.grid.size:
+        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.grid.size})")
+    if np.any(bumps[:, [0, -1]] != 0.0):
         raise BadBump("bump must vanish at both endpoints")
-    n_steps = bumps[0].grid.size - 1
-    base = base if base is not None else sampled_equilibrium(spec, n_steps)
-    if not all(np.array_equal(base.grid, b.grid) for b in bumps):
-        raise GridMismatch("bump grid must be the uniform oracle grid")
-    base_cost = discrete_cost(base, i)
-    changes = []
-    for bump in bumps:
-        perturbed = base.paths.copy()
-        perturbed[i] = perturbed[i] + eps * bump.values
-        bumped = DiscreteGame(spec=spec, n_steps=n_steps, grid=base.grid, paths=perturbed)
-        changes.append(discrete_cost(bumped, i) - base_cost)
-    return np.array(changes)
+    lambdas = spec.lambdas_array()
+    kappa, h = spec.kappa, 1.0 / base.n_steps
+    base_costs = _cost_sum(lambdas @ base.paths, lambdas[:, None], base.paths, kappa, h)
+    changes = np.empty((spec.n, len(bumps)))
+    for i in range(spec.n):
+        stack = np.repeat(base.paths[None], len(bumps), axis=0)
+        stack[:, i] += eps * bumps
+        costs = _cost_sum(lambdas @ stack, lambdas[i], stack[:, i], kappa, h)
+        changes[i] = costs - base_costs[i]
+    return changes
 
 
 def standard_bumps(
     n_steps: int, modes: int = 5, n_random: int = 5, seed: int = 0
-) -> list[SampledPath]:
-    """Deviation directions: sine modes k = 1..modes plus seeded random
-    endpoint-vanishing vectors (smooth and rough perturbations)."""
+) -> np.ndarray:
+    """Deviation directions, shape (modes + n_random, n_steps + 1): sine
+    modes k = 1..modes plus seeded random endpoint-vanishing vectors scaled
+    into [-1, 1] (smooth and rough perturbations)."""
     grid = np.linspace(0.0, 1.0, n_steps + 1)
-    bumps = []
-    for k in range(1, modes + 1):
-        values = np.sin(k * np.pi * grid)
-        values[0] = 0.0
-        values[-1] = 0.0
-        bumps.append(SampledPath(grid=grid, values=values))
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        values = rng.standard_normal(n_steps + 1)
-        values[0] = 0.0
-        values[-1] = 0.0
-        values /= max(1.0, float(np.max(np.abs(values))))
-        bumps.append(SampledPath(grid=grid, values=values))
+    sines = np.sin(np.multiply.outer(np.arange(1, modes + 1) * np.pi, grid))
+    rough = np.random.default_rng(seed).standard_normal((n_random, n_steps + 1))
+    bumps = np.concatenate((sines, rough))
+    bumps[:, [0, -1]] = 0.0
+    bumps[modes:] /= np.maximum(1.0, np.max(np.abs(bumps[modes:]), axis=1, keepdims=True))
     return bumps

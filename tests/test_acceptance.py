@@ -102,7 +102,7 @@ def test_criterion_4_market_wide_minimum():
         worst_line = max(worst_line, float(np.max(np.abs(response.values - grid))))
         optimal = game_from_paths(spec, response.values[None, :])
         worst_cost = max(
-            worst_cost, abs(pg.discrete_cost(optimal, 0) - pg.market_min_cost(kappa))
+            worst_cost, abs(pg.discrete_cost(optimal)[0] - pg.market_min_cost(kappa))
         )
     assert worst_line < 1e-10
     assert worst_cost < 1e-4
@@ -248,9 +248,8 @@ def test_criterion_10_governing_equation_residuals():
             n=n, lambdas=draw_lambdas(rng, n), kappa=float(rng.uniform(0.05, 25.0))
         )
         sol = pg.solve_equilibrium(spec)
-        for i in range(n):
-            for tk in t:
-                worst = max(worst, *map(abs, pg.governing_residuals(sol, i, tk)))
+        residuals = pg.governing_residuals(sol, t)
+        worst = max(worst, *(float(np.max(np.abs(r))) for r in residuals))
     assert worst < 1e-9
     report("10", f"three governing equations, 50 specs x 101 points, worst |residual| {worst:.2e}")
 

@@ -1,6 +1,9 @@
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +265,17 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "FAIL" in captured.out
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n", [2, 0]), ("n", [1, 3]), ("kappa", [5.0, 0.0]), ("kappa", [math.inf]), ("n_steps", 1)],
+    )
+    def test_singular_or_too_small_setting_is_config_error(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, "cfg.json", {"verify": {"draws": 1, "n_steps": 40, key: value}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert f"config error: config.verify.{key}:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_one_scenario_config_drives_every_command(tmp_path):
     # sections irrelevant to a command are validated but ignored
@@ -301,6 +315,21 @@ def test_twelve_significant_digit_formatting(tmp_path):
     t = np.linspace(0.0, 1.0, 101)
     mid = rows[50]
     assert float(mid[1]) == pytest.approx(float(sol.strategies[0].position(t[50])), rel=1e-11)
+
+
+def test_cli_import_loads_every_layer_but_not_scipy_integrate():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = str(Path(pg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import json, sys, posgame.cli\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    layers = ("core", "equilibrium", "costs", "centralization", "oracle", "verification", "cli")
+    assert {f"posgame.{layer}" for layer in layers} <= loaded
+    assert not any(m.startswith("scipy.integrate") for m in loaded)
 
 
 class TestNonFiniteKappa:

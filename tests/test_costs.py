@@ -299,3 +299,8 @@ def test_simpson_cost_gives_every_traders_cost():
     for i in range(4):
         assert quadrature[i] == pytest.approx(integral_cost(spec, i), rel=1e-13)
         assert quadrature[i] == pytest.approx(pg.trader_cost(spec, i), rel=1e-6)
+    coarse = simpson_cost(pg.solve(spec), intervals=10)
+    for i in range(4):
+        assert coarse[i] == pytest.approx(integral_cost(spec, i, intervals=10), rel=1e-13)
+    with pytest.raises(ValueError):
+        simpson_cost(pg.solve(spec), intervals=9)

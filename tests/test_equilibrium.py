@@ -106,15 +106,17 @@ class TestSampleStrategy:
 
 class TestResiduals:
     def test_vanish_on_equilibrium(self):
+        # trader i's own stationarity equation is r1[i] - r2 / lambda_i
         sol = pg.solve_equilibrium(pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=5.0))
-        for i in range(3):
-            for t in np.linspace(0.0, 1.0, 11):
-                assert abs(pg.ode_residual(sol, i, t)) < 1e-9
+        for t in np.linspace(0.0, 1.0, 11):
+            r1, r2, _ = pg.governing_residuals(sol, t)
+            for i, lam in enumerate(sol.spec.lambdas):
+                assert abs(r1[i] - r2 / lam) < 1e-9
 
     def test_market_residual_vanishes(self):
         sol = pg.solve_equilibrium(pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=7.0))
         for t in np.linspace(0.0, 1.0, 11):
-            assert abs(pg.market_residual(sol, t)) < 1e-9
+            assert abs(pg.governing_residuals(sol, t)[2]) < 1e-9
 
     def test_perturbed_coefficient_is_detected(self):
         from dataclasses import replace
@@ -122,27 +124,43 @@ class TestResiduals:
         sol = pg.solve_equilibrium(pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0))
         bad = replace(sol.strategies[0], d=sol.strategies[0].d * 1.01)
         perturbed = replace(sol, strategies=(bad, sol.strategies[1]))
-        assert abs(pg.ode_residual(perturbed, 0, 0.0)) > 1e-4
+        r1, r2, _ = pg.governing_residuals(perturbed, 0.0)
+        assert abs(r1[0] - r2 / 0.5) > 1e-4
 
     def test_all_three_equations(self):
         sol = pg.solve_equilibrium(pg.GameSpec(n=5, lambdas=(0.1, 0.15, 0.2, 0.25, 0.3), kappa=12.0))
-        t = np.linspace(0.0, 1.0, 101)
-        for i in range(5):
-            for tk in t:
-                r1, r2, r3 = pg.governing_residuals(sol, i, tk)
-                assert abs(r1) < 1e-9
-                assert abs(r2) < 1e-9
-                assert abs(r3) < 1e-9
+        for tk in np.linspace(0.0, 1.0, 101):
+            r1, r2, r3 = pg.governing_residuals(sol, tk)
+            assert np.all(np.abs(r1) < 1e-9)
+            assert abs(r2) < 1e-9
+            assert abs(r3) < 1e-9
 
     def test_array_time_matches_scalar_calls(self):
         sol = pg.solve_equilibrium(pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=4.0))
         t = np.linspace(0.0, 1.0, 11)
-        columns = pg.governing_residuals(sol, 1, t)
-        assert all(c.shape == t.shape for c in columns)
+        r1, r2, r3 = pg.governing_residuals(sol, t)
+        assert r1.shape == (3,) + t.shape
+        assert r2.shape == r3.shape == t.shape
         for k, tk in enumerate(t):
-            scalars = pg.governing_residuals(sol, 1, tk)
-            assert all(isinstance(r, float) for r in scalars)
-            np.testing.assert_allclose([c[k] for c in columns], scalars, rtol=0, atol=1e-12)
+            s1, s2, s3 = pg.governing_residuals(sol, tk)
+            assert s1.shape == (3,)
+            assert isinstance(s2, float) and isinstance(s3, float)
+            np.testing.assert_allclose(r1[:, k], s1, rtol=0, atol=1e-12)
+            np.testing.assert_allclose([r2[k], r3[k]], [s2, s3], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kappa", [0.0, 4.0])
+    def test_rows_equal_the_single_trader_formula(self, kappa):
+        from dataclasses import replace
+
+        sol = pg.solve(pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=kappa))
+        bumped = replace(sol, strategies=tuple(replace(s, d=s.d * 1.01) for s in sol.strategies))
+        t = np.linspace(0.0, 1.0, 101)
+        for solution in (sol, bumped):
+            r1, r2, r3 = pg.governing_residuals(solution, t)
+            for i in range(solution.spec.n):
+                e1, e2, e3 = _vector_residuals(solution, i, t)
+                assert np.array_equal(r1[i], e1)
+                assert np.array_equal(r2, e2) and np.array_equal(r3, e3)
 
 
 def test_market_is_strictly_concave_for_positive_alpha():
@@ -187,7 +205,8 @@ def test_solutions_are_continuous_in_kappa(spec):
 
 
 class TestCurveMatrix:
-    """positions/velocities give exactly the per-strategy curves, row by row."""
+    """positions/velocities/accelerations give exactly the per-strategy
+    curves, row by row."""
 
     T = np.linspace(0.0, 1.0, 37)
 
@@ -197,6 +216,7 @@ class TestCurveMatrix:
         for i, s in enumerate(sol.strategies):
             assert np.array_equal(positions[i], s.position(self.T))
             assert np.array_equal(velocities[i], s.velocity(self.T))
+            assert np.array_equal(sol.accelerations(self.T)[i], s.acceleration(self.T))
 
     def test_generic_branch(self):
         self.assert_rows_match(pg.solve(pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=7.0)))

@@ -19,7 +19,8 @@ class TestDiscreteCost:
         spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=1.0)
         grid = np.linspace(0.0, 1.0, 101)
         game = game_from_paths(spec, grid[None, :])
-        assert pg.discrete_cost(game, 0) == pytest.approx(1.5, abs=1e-12)
+        assert pg.discrete_cost(game).shape == (1,)
+        assert pg.discrete_cost(game)[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_zero_kappa_total_bounded_below_by_one(self):
         rng = np.random.default_rng(5)
@@ -29,19 +30,17 @@ class TestDiscreteCost:
             paths = np.vstack([np.sort(rng.uniform(size=199)) for _ in range(3)])
             paths = np.hstack([np.zeros((3, 1)), paths, np.ones((3, 1))])
             game = game_from_paths(spec, paths)
-            total = sum(pg.discrete_cost(game, i) for i in range(3))
+            total = sum(pg.discrete_cost(game))
             assert total >= 1.0 - 1e-12
         straight = game_from_paths(spec, np.tile(grid, (3, 1)))
-        total = sum(pg.discrete_cost(straight, i) for i in range(3))
+        total = sum(pg.discrete_cost(straight))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_converges_to_closed_form_cost(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        game = pg.sampled_equilibrium(spec, 10_000)
+        costs = pg.discrete_cost(pg.sampled_equilibrium(spec, 10_000))
         for i in range(2):
-            assert pg.discrete_cost(game, i) == pytest.approx(
-                pg.trader_cost(spec, i), abs=1e-4
-            )
+            assert costs[i] == pytest.approx(pg.trader_cost(spec, i), abs=1e-4)
 
 
 class TestBestResponse:
@@ -118,7 +117,7 @@ class TestNashFixedPoint:
     def test_total_discrete_cost_matches_aggregate(self):
         spec = pg.GameSpec(n=3, lambdas=(0.25, 0.35, 0.4), kappa=5.0)
         fp = pg.nash_fixed_point(spec, 10_000)
-        total = sum(pg.discrete_cost(fp, i) for i in range(3))
+        total = sum(pg.discrete_cost(fp))
         assert total == pytest.approx(pg.aggregate_cost(3, 5.0), abs=1e-3)
 
 
@@ -150,37 +149,42 @@ def test_market_path_grid_doubling():
 class TestDeviation:
     def test_zero_bump_changes_nothing(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        grid = np.linspace(0.0, 1.0, 201)
-        zero = pg.SampledPath(grid=grid, values=np.zeros(201))
-        assert pg.deviation_test(spec, 0, [zero], eps=0.01)[0] == 0.0
+        changes = pg.deviation_test(spec, np.zeros((1, 201)), eps=0.01)
+        assert changes.shape == (2, 1)
+        assert np.all(changes == 0.0)
 
     def test_smooth_bump_costs_order_eps_squared(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         grid = np.linspace(0.0, 1.0, 401)
-        values = np.sin(np.pi * grid)
-        values[0] = values[-1] = 0.0
-        bump = pg.SampledPath(grid=grid, values=values)
-        small = pg.deviation_test(spec, 0, [bump], eps=0.01)[0]
-        large = pg.deviation_test(spec, 0, [bump], eps=0.02)[0]
+        bump = np.sin(np.pi * grid)
+        bump[0] = bump[-1] = 0.0
+        small = pg.deviation_test(spec, bump[None], eps=0.01)[0, 0]
+        large = pg.deviation_test(spec, bump[None], eps=0.02)[0, 0]
         assert small > 0.0
         assert large / small == pytest.approx(4.0, rel=0.05)
 
     def test_sign_flip_also_costs(self):
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=5.0)
-        for bump in pg.standard_bumps(300, seed=2):
-            flipped = pg.SampledPath(grid=bump.grid, values=-bump.values)
-            assert pg.deviation_test(spec, 1, [bump], eps=0.01)[0] >= -1e-9
-            assert pg.deviation_test(spec, 1, [flipped], eps=0.01)[0] >= -1e-9
+        bumps = pg.standard_bumps(300, seed=2)
+        assert np.all(pg.deviation_test(spec, bumps, eps=0.01) >= -1e-9)
+        assert np.all(pg.deviation_test(spec, -bumps, eps=0.01) >= -1e-9)
 
     def test_rejects_nonvanishing_bump(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         grid = np.linspace(0.0, 1.0, 101)
         with pytest.raises(pg.BadBump):
-            pg.deviation_test(spec, 0, [pg.SampledPath(grid=grid, values=grid)], eps=0.01)
+            pg.deviation_test(spec, grid[None], eps=0.01)
+
+    def test_rejects_bumps_off_the_oracle_grid(self):
+        spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
+        base = pg.sampled_equilibrium(spec, 100)
+        with pytest.raises(pg.GridMismatch):
+            pg.deviation_test(spec, pg.standard_bumps(50), eps=0.01, base=base)
+        with pytest.raises(pg.GridMismatch):
+            pg.deviation_test(spec, pg.standard_bumps(100)[0], eps=0.01, base=base)
 
     def test_hundred_random_bumps_never_profit(self):
         n_steps = 500
-        grid = np.linspace(0.0, 1.0, n_steps + 1)
         rng = np.random.default_rng(17)
         configs = [
             pg.GameSpec(n=2, lambdas=(0.3, 0.7), kappa=1.0),
@@ -189,13 +193,86 @@ class TestDeviation:
         ]
         for spec in configs:
             base = pg.sampled_equilibrium(spec, n_steps)
-            for _ in range(100):
+            bumps = np.empty((100, n_steps + 1))
+            for k in range(100):  # the bump and its trader index interleave in the stream
                 values = rng.standard_normal(n_steps + 1)
                 values[0] = values[-1] = 0.0
-                values /= np.max(np.abs(values))
-                bump = pg.SampledPath(grid=grid, values=values)
-                i = int(rng.integers(spec.n))
-                assert pg.deviation_test(spec, i, [bump], eps=0.01, base=base)[0] >= -1e-9
+                bumps[k] = values / np.max(np.abs(values))
+                rng.integers(spec.n)
+            # every trader against every bump, not only the drawn trader
+            assert np.all(pg.deviation_test(spec, bumps, eps=0.01, base=base) >= -1e-9)
+
+
+def _single_trader_cost(game, i):
+    """Trader i's discrete cost computed alone, as the oracle did one trader
+    at a time: the reference the all-trader kernel must reproduce bit for bit."""
+    lambdas = game.spec.lambdas_array()
+    h = 1.0 / game.n_steps
+    m = lambdas @ game.paths
+    pressure = np.diff(m) / h + game.spec.kappa * 0.5 * (m[:-1] + m[1:])
+    return float(np.sum(pressure * lambdas[i] * np.diff(game.paths[i])))
+
+
+class TestAllTraderKernelsMatchSingleTraderRoute:
+    CASES = [
+        pg.GameSpec(n=1, lambdas=(1.0,), kappa=3.0),
+        pg.GameSpec(n=2, lambdas=(0.3, 0.7), kappa=1.0),
+        pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=0.0),
+        pg.GameSpec(n=5, lambdas=(0.02, 0.08, 0.2, 0.3, 0.4), kappa=25.0),
+        pg.GameSpec(n=8, lambdas=(0.05, 0.1, 0.15, 0.1, 0.2, 0.1, 0.2, 0.1), kappa=5.0),
+    ]
+
+    @pytest.mark.parametrize("spec", CASES, ids=lambda s: f"n{s.n}-k{s.kappa:g}")
+    def test_discrete_cost(self, spec):
+        rng = np.random.default_rng(spec.n)
+        rough = np.cumsum(rng.uniform(size=(spec.n, 300)), axis=1)
+        rough = np.hstack([np.zeros((spec.n, 1)), rough / rough[:, -1:]])
+        for game in (
+            pg.nash_fixed_point(spec, 400),
+            pg.sampled_equilibrium(spec, 257),
+            game_from_paths(spec, rough),
+        ):
+            costs = pg.discrete_cost(game)
+            assert costs.shape == (spec.n,)
+            for i in range(spec.n):
+                assert costs[i] == _single_trader_cost(game, i)
+
+    @pytest.mark.parametrize("spec", CASES, ids=lambda s: f"n{s.n}-k{s.kappa:g}")
+    def test_deviation_test(self, spec):
+        n_steps, eps = 300, 0.01
+        base = pg.sampled_equilibrium(spec, n_steps)
+        bumps = pg.standard_bumps(n_steps, seed=3)
+        changes = pg.deviation_test(spec, bumps, eps=eps, base=base)
+        assert changes.shape == (spec.n, len(bumps))
+        for i in range(spec.n):
+            base_cost = _single_trader_cost(base, i)
+            for k, bump in enumerate(bumps):
+                perturbed = base.paths.copy()
+                perturbed[i] = perturbed[i] + eps * bump
+                game = pg.DiscreteGame(spec=spec, n_steps=n_steps, grid=base.grid, paths=perturbed)
+                assert changes[i, k] == _single_trader_cost(game, i) - base_cost
+        assert np.array_equal(pg.deviation_test(spec, bumps, eps=eps), changes)
+
+
+def test_standard_bumps_match_one_draw_per_bump():
+    def one_at_a_time(n_steps, modes, n_random, seed):
+        grid = np.linspace(0.0, 1.0, n_steps + 1)
+        rows = []
+        for k in range(1, modes + 1):
+            values = np.sin(k * np.pi * grid)
+            values[0] = values[-1] = 0.0
+            rows.append(values)
+        rng = np.random.default_rng(seed)
+        for _ in range(n_random):
+            values = rng.standard_normal(n_steps + 1)
+            values[0] = values[-1] = 0.0
+            rows.append(values / max(1.0, float(np.max(np.abs(values)))))
+        return np.array(rows)
+
+    for n_steps, modes, n_random, seed in ((2000, 5, 5, 20240901), (7, 3, 2, 0), (500, 0, 4, 9)):
+        bumps = pg.standard_bumps(n_steps, modes, n_random, seed)
+        assert bumps.shape == (modes + n_random, n_steps + 1)
+        assert np.array_equal(bumps, one_at_a_time(n_steps, modes, n_random, seed))
 
 
 class TestDiscreteGameInvariants:
