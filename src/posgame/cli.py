@@ -278,6 +278,8 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
             raise ConfigError(f"config.verify.kappa: need 0 < kappa < inf, got {sc.verify_kappa}")
         if sc.verify_n_steps < 2:
             raise ConfigError(f"config.verify.n_steps: need >= 2, got {sc.verify_n_steps}")
+        if sc.verify_draws < 1:
+            raise ConfigError(f"config.verify.draws: need >= 1, got {sc.verify_draws}")
 
     output = root.take_section("output")
     if output is not None:

@@ -36,8 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import importlib
+
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
 
 from .core import (
     BadBump,
@@ -48,6 +49,31 @@ from .core import (
     validate_spec,
 )
 from .equilibrium import solve
+
+
+class _Deferred:
+    """A scipy.linalg routine imported on its first call, not with this module.
+
+    scipy.linalg takes about 0.26 s and 25 MiB to import, and only the
+    oracle's solves use it, so every other command runs on numpy alone.
+    Each call forwards its arguments unchanged to the real routine.
+    """
+
+    def __init__(self, name: str):
+        self._name = name
+        self._fn = None
+
+    def __call__(self, *args, **kwargs):
+        if self._fn is None:
+            self._fn = getattr(importlib.import_module("scipy.linalg"), self._name)
+        return self._fn(*args, **kwargs)
+
+    def __repr__(self):
+        return f"<scipy.linalg.{self._name}, imported on first call>"
+
+
+solve_banded = _Deferred("solve_banded")
+solveh_banded = _Deferred("solveh_banded")
 
 
 @dataclass(frozen=True)

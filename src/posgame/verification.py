@@ -101,8 +101,11 @@ def run_verification(
 
     The fixed-point gap threshold is 5 / n_steps, loose against the
     second-order discretization error.  ``seed`` draws the target fractions
-    and the random deviation bumps.
+    and the random deviation bumps.  ``draws`` must be at least 1, so that
+    a passing report always holds per-draw checks.
     """
+    if draws < 1:
+        raise ValueError(f"need draws >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     gap_threshold = 5.0 / n_steps

@@ -267,7 +267,15 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("n", [2, 0]), ("n", [1, 3]), ("kappa", [5.0, 0.0]), ("kappa", [math.inf]), ("n_steps", 1)],
+        [
+            ("n", [2, 0]),
+            ("n", [1, 3]),
+            ("kappa", [5.0, 0.0]),
+            ("kappa", [math.inf]),
+            ("n_steps", 1),
+            ("draws", 0),
+            ("draws", -1),
+        ],
     )
     def test_singular_or_too_small_setting_is_config_error(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, "cfg.json", {"verify": {"draws": 1, "n_steps": 40, key: value}})
@@ -330,6 +338,47 @@ def test_cli_import_loads_every_layer_but_not_scipy_integrate():
     layers = ("core", "equilibrium", "costs", "centralization", "oracle", "verification", "cli")
     assert {f"posgame.{layer}" for layer in layers} <= loaded
     assert not any(m.startswith("scipy.integrate") for m in loaded)
+
+
+def loaded_modules_after(code):
+    """Names in sys.modules after running ``code`` in a fresh interpreter."""
+    src = str(Path(pg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def is_scipy(module):
+    return module == "scipy" or module.startswith("scipy.")
+
+
+def test_cli_import_loads_no_scipy():
+    assert not any(is_scipy(m) for m in loaded_modules_after("import posgame.cli"))
+
+
+def test_non_verify_commands_run_without_scipy(tmp_path):
+    payload = {
+        "game": {"n": 4, "lambdas": [0.4, 0.3, 0.2, 0.1], "kappa": 5.0},
+        "grid": {"n_points": 11},
+        "centralization": {"n1": 2, "lambda_firm": 0.4, "delta_range": [-1, 5]},
+        "sweep": {"n": [2, 5], "kappa": [1.0], "lambda1": [0.3]},
+        "table": {"kappa": [1.0], "rows": [0.40], "draws": 20},
+    }
+    cfg = write_config(tmp_path, "cfg.json", payload)
+    out = str(tmp_path / "out")
+    code = (
+        "from posgame.cli import main\n"
+        f"for command in ('equilibrium', 'costs', 'centralize', 'poa'):\n"
+        f"    assert main([command, '--config', {cfg!r}, '--out', {out!r}]) == 0, command"
+    )
+    assert not any(is_scipy(m) for m in loaded_modules_after(code))
+    assert (tmp_path / "out" / "poa.csv").exists()
+
+
+def test_first_oracle_solve_loads_scipy_linalg():
+    code = "import posgame as pg\npg.nash_fixed_point(pg.GameSpec.symmetric(2, 1.0), 10)"
+    assert "scipy.linalg" in loaded_modules_after(code)
 
 
 class TestNonFiniteKappa:
