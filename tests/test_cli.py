@@ -369,7 +369,7 @@ def test_non_verify_commands_run_without_scipy(tmp_path):
     out = str(tmp_path / "out")
     code = (
         "from posgame.cli import main\n"
-        f"for command in ('equilibrium', 'costs', 'centralize', 'poa'):\n"
+        "for command in ('equilibrium', 'costs', 'centralize', 'poa'):\n"
         f"    assert main([command, '--config', {cfg!r}, '--out', {out!r}]) == 0, command"
     )
     assert not any(is_scipy(m) for m in loaded_modules_after(code))
