@@ -128,8 +128,8 @@ def _int_list(section: _Section, key: str, required=False) -> list[int] | None:
     if values is None:
         return None
     for v in values:
-        if v != int(v):
-            raise ConfigError(f"{section.path}.{key}: expected integers")
+        if not math.isfinite(v) or v != int(v):
+            raise ConfigError(f"{section.path}.{key}: expected integers, got {v}")
     return [int(v) for v in values]
 
 
@@ -248,6 +248,13 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
             sc.table_n = tuple(n_values)
         if n1_values:
             sc.table_n1 = tuple(n1_values)
+        if min(sc.table_n1) < 1 or max(sc.table_n1) >= min(sc.table_n):
+            raise ConfigError(
+                f"config.table.n1: need 1 <= n1 < n for every pair, got n1={sc.table_n1}, "
+                f"n={sc.table_n}"
+            )
+        if sc.table_draws < 1:
+            raise ConfigError(f"config.table.draws: need >= 1, got {sc.table_draws}")
         if sc.table_mode not in ("quadrature", "sampled"):
             raise ConfigError(
                 f"config.table.mode: expected 'quadrature' or 'sampled', got {sc.table_mode!r}"
@@ -401,26 +408,18 @@ def cmd_centralize(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
         curve = optimal_representation(scenario, delta_range=sc.delta_range)
     except ValueError as exc:
         raise ConfigError(f"config.centralization.delta_range: {exc}") from exc
-    at_zero = curve.exact_costs[curve.deltas == 0]
-    base_exact = float(at_zero[0]) if at_zero.size else None
-    at_zero = curve.approx_costs[curve.deltas == 0]
-    base_approx = float(at_zero[0]) if at_zero.size else None
     curve_header = ["delta", "represented", "exact_cost", "approx_cost",
                     "pct_change_exact", "pct_change_approx"]
-    curve_rows = []
-    for k, delta in enumerate(curve.deltas):
-        exact = float(curve.exact_costs[k])
-        approx = float(curve.approx_costs[k])
-        curve_rows.append(
-            [
-                int(delta),
-                int(delta) + scenario.n1,
-                exact,
-                approx,
-                100.0 * (exact - base_exact) / base_exact if base_exact else float("nan"),
-                100.0 * (approx - base_approx) / base_approx if base_approx else float("nan"),
-            ]
-        )
+    deltas = curve.deltas.astype(object)  # Python ints, written as plain digits
+    columns = [deltas, deltas + scenario.n1, curve.exact_costs, curve.approx_costs]
+    for costs in (curve.exact_costs, curve.approx_costs):
+        base = costs[curve.deltas == 0]
+        # no percent change without a delta = 0 baseline in the window
+        if base.size and base[0]:
+            columns.append(100.0 * (costs - base[0]) / base[0])
+        else:
+            columns.append(np.full(costs.size, np.nan))
+    curve_rows = np.column_stack(columns).tolist()
     comments = [
         f"# continuous_opt={_fmt(curve.continuous_opt)}"
         f" argmin_exact={curve.argmin_exact} argmin_approx={curve.argmin_approx}"

@@ -2,8 +2,11 @@
 
 A competition instance is a :class:`GameSpec`: ``n`` traders, fractional
 target quantities ``lambdas`` summing to one, and a permanent-impact
-(alpha-decay) parameter ``kappa``.  Equilibrium objects built from a spec
-are immutable and safe to share across threads.
+(alpha-decay) parameter ``kappa``.  An :class:`EquilibriumSolution` holds a
+solved spec as two coefficient arrays and the decay rate; ``_alpha`` and
+``_curve`` are the one copy each of the decay-rate and curve formulas, as
+numpy kernels over arrays.  Equilibrium objects are immutable (their arrays
+read-only) and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -49,14 +52,10 @@ class NonIntegerCount(GameSpecError):
 
 
 class DegenerateAlpha(ValueError):
-    """Closed forms are singular at alpha = 0 (n = 1 or kappa = 0).
+    """Cost formulas are singular at alpha = 0 (n = 1 or kappa = 0).
 
-    Callers must use the dedicated limit branch instead.
+    :func:`posgame.cost_breakdown` serves those specs by their limits.
     """
-
-
-class GridTooSmall(ValueError):
-    """Sampling grid needs at least two points."""
 
 
 class GridMismatch(ValueError):
@@ -157,40 +156,12 @@ def renormalize_lambdas(spec: GameSpec) -> GameSpec:
     )
 
 
-@dataclass(frozen=True)
-class Alpha:
-    """Decay rate of the aggregate strategy, kappa * (n - 1) / (n + 1)."""
-
-    value: float
-
-
-@dataclass(frozen=True)
-class ClosedFormStrategy:
-    """One trader's equilibrium curve a(t) = b (e^{kt} - 1) + d (1 - e^{-at}).
-
-    ``b`` and ``d`` are the curve coefficients, ``kappa`` and ``alpha`` the
-    exponential rates, ``lam`` the trader's target fraction.  ``alpha == 0``
-    marks the degenerate (single-trader or zero-impact) branch where the
-    curve is the straight line a(t) = t.
-    """
-
-    b: float
-    d: float
-    kappa: float
-    alpha: float
-    lam: float
-
-    def position(self, t):
-        """Cumulative position at scaled time t in [0, 1]."""
-        return _float_if_scalar(_curve(self.b, self.d, self.kappa, self.alpha, t, 0))
-
-    def velocity(self, t):
-        """Trading rate da/dt."""
-        return _float_if_scalar(_curve(self.b, self.d, self.kappa, self.alpha, t, 1))
-
-    def acceleration(self, t):
-        """Second derivative d2a/dt2."""
-        return _float_if_scalar(_curve(self.b, self.d, self.kappa, self.alpha, t, 2))
+def _alpha(n, kappa):
+    """Decay rate of the market strategy, kappa (n - 1) / (n + 1), for
+    scalars or arrays that broadcast.  It is 0 for kappa = 0, for n = 1 and
+    for a kappa so small that the product underflows; the closed forms are
+    singular there and :func:`posgame.solve` takes the straight line."""
+    return kappa * (n - 1) / (n + 1)
 
 
 def _curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
@@ -222,47 +193,31 @@ def _float_if_scalar(values):
 
 
 @dataclass(frozen=True)
-class SampledPath:
-    """A path sampled on a strictly increasing grid over [0, 1]."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise GridTooSmall(f"grid needs >= 2 points, got shape {grid.shape}")
-        if values.shape != grid.shape:
-            raise GridMismatch(f"values shape {values.shape} != grid shape {grid.shape}")
-        if grid[0] != 0.0 or grid[-1] != 1.0:
-            raise GridMismatch("grid must start at 0 and end at 1")
-        if np.any(np.diff(grid) <= 0.0):
-            raise GridMismatch("grid must be strictly increasing")
-        grid = grid.copy()
-        values = values.copy()
-        grid.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class EquilibriumSolution:
-    """All traders' closed-form strategies plus the aggregate market strategy.
+    """The closed-form equilibrium: trader i's strategy is
+    a_i(t) = b[i] (e^{kappa t} - 1) + d[i] (1 - e^{-alpha t}).
 
-    The market strategy m(t) = sum_i lambda_i a_i(t) has the closed form
-    (1 - e^{-alpha t}) / (1 - e^{-alpha}) and is concave (eager) whenever
-    alpha > 0; the degenerate branch alpha == 0 gives m(t) = t.
+    ``b`` and ``d`` are read-only float arrays of shape (n,) and ``alpha``
+    the decay rate, so the two coefficient arrays and one float describe
+    every trader.  The market strategy m(t) = sum_i lambda_i a_i(t) has the
+    closed form (1 - e^{-alpha t}) / (1 - e^{-alpha}) and is concave (eager)
+    whenever alpha > 0; the degenerate branch alpha == 0 gives the straight
+    line a_i(t) = m(t) = t.
     """
 
     spec: GameSpec
-    strategies: tuple[ClosedFormStrategy, ...]
-    alpha: Alpha
+    b: np.ndarray
+    d: np.ndarray
+    alpha: float
+
+    def __post_init__(self):
+        for name in ("b", "d"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
     def positions(self, t) -> np.ndarray:
-        """Every trader's position at time(s) t: shape (n,) + shape of t,
-        row i equal to ``strategies[i].position(t)``."""
+        """Every trader's position at time(s) t: shape (n,) + shape of t."""
         return self._curves(t, 0)
 
     def velocities(self, t) -> np.ndarray:
@@ -274,31 +229,29 @@ class EquilibriumSolution:
         return self._curves(t, 2)
 
     def _curves(self, t, order: int) -> np.ndarray:
-        # b and d come from the strategies, so a solution with modified
-        # coefficients samples what its strategies hold.
         t = np.asarray(t, dtype=float)
         column = (-1,) + (1,) * t.ndim
-        b = np.array([s.b for s in self.strategies]).reshape(column)
-        d = np.array([s.d for s in self.strategies]).reshape(column)
-        return _curve(b, d, self.spec.kappa, self.alpha.value, t, order)
+        return _curve(
+            self.b.reshape(column), self.d.reshape(column), self.spec.kappa, self.alpha, t, order
+        )
 
     def market(self, t):
         t = np.asarray(t, dtype=float)
-        a = self.alpha.value
+        a = self.alpha
         if a == 0.0:
             return _float_if_scalar(t.copy())
         return _float_if_scalar(np.expm1(-a * t) / np.expm1(-a))
 
     def market_velocity(self, t):
         t = np.asarray(t, dtype=float)
-        a = self.alpha.value
+        a = self.alpha
         if a == 0.0:
             return _float_if_scalar(np.ones_like(t))
         return _float_if_scalar(a * np.exp(-a * t) / (-np.expm1(-a)))
 
     def market_acceleration(self, t):
         t = np.asarray(t, dtype=float)
-        a = self.alpha.value
+        a = self.alpha
         if a == 0.0:
             return _float_if_scalar(np.zeros_like(t))
         return _float_if_scalar(-(a**2) * np.exp(-a * t) / (-np.expm1(-a)))

@@ -25,11 +25,11 @@ from .core import (
     CostBreakdown,
     DegenerateAlpha,
     GameSpec,
+    _alpha,
     _check_count,
     _check_kappa,
     validate_spec,
 )
-from .equilibrium import compute_alpha
 
 
 def group_cost(total, count, lam, kappa, decay=None):
@@ -44,7 +44,7 @@ def group_cost(total, count, lam, kappa, decay=None):
     arrays that broadcast together; the caller rules out the degenerate
     total = 1 and kappa = 0.
     """
-    alpha = kappa * (total - 1.0) / (total + 1.0) if decay is None else decay
+    alpha = _alpha(total, kappa) if decay is None else decay
     return (
         kappa * (lam * total - count) / (total * -np.expm1(-kappa))
         + alpha * count / (total * np.expm1(alpha))
@@ -69,7 +69,7 @@ def _shares(n: int, kappa: float, lam):
     form keeps an equal split at exactly 1/n.  1 - n e^alpha < 0 for every
     n >= 2 and alpha > 0, so the shares are well defined.
     """
-    alpha = compute_alpha(n, kappa).value
+    alpha = _alpha(n, kappa)
     t_slope = (n + 1) * math.expm1(alpha) / (-math.expm1(-kappa) * (1.0 - n * math.exp(alpha)))
     return 1.0 / n + t_slope * (1.0 / n - lam)
 

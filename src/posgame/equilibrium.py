@@ -10,8 +10,9 @@ With n >= 2 traders and kappa > 0 the unique equilibrium unit strategies are
 
 and the aggregate (market) strategy is m(t) = (1 - e^{-alpha t}) / (1 - e^{-alpha}).
 The degenerate cases kappa = 0 or n = 1 collapse to the risk-neutral straight
-line a_i(t) = m(t) = t and are handled by a dedicated limit branch rather than
-by nudging kappa, so both branches stay exactly testable.
+line a_i(t) = m(t) = t.  :func:`solve` takes that branch exactly where alpha
+evaluates to 0, rather than nudging kappa, so both branches stay exactly
+testable, and returns the coefficients as two arrays over all traders.
 
 Coefficients grow like 1/lambda_i; double precision keeps the curves accurate
 for lambda_i >= 1e-6.
@@ -21,88 +22,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    Alpha,
-    ClosedFormStrategy,
-    DegenerateAlpha,
-    EquilibriumSolution,
-    GameSpec,
-    GridTooSmall,
-    SampledPath,
-    _float_if_scalar,
-    validate_spec,
-)
-
-
-def compute_alpha(n: int, kappa: float) -> Alpha:
-    """Decay rate of the market strategy: kappa * (n - 1) / (n + 1)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if kappa < 0.0:
-        raise ValueError(f"need kappa >= 0, got {kappa}")
-    return Alpha(kappa * (n - 1) / (n + 1))
-
-
-def solve_equilibrium(spec: GameSpec) -> EquilibriumSolution:
-    """Construct the equilibrium strategies for a generic spec (n >= 2, kappa > 0).
-
-    Raises DegenerateAlpha when alpha = 0; use :func:`solve_equilibrium_limit`
-    for those specs.
-    """
-    validate_spec(spec)
-    alpha = compute_alpha(spec.n, spec.kappa)
-    if alpha.value == 0.0:
-        raise DegenerateAlpha(
-            f"alpha = 0 for n={spec.n}, kappa={spec.kappa}; use solve_equilibrium_limit"
-        )
-    n, kappa, a = spec.n, spec.kappa, alpha.value
-    ek = np.expm1(kappa)        # e^kappa - 1
-    ea = -np.expm1(-a)          # 1 - e^{-alpha}
-    strategies = tuple(
-        ClosedFormStrategy(
-            b=(lam * n - 1.0) / (lam * n * ek),
-            d=1.0 / (lam * n * ea),
-            kappa=kappa,
-            alpha=a,
-            lam=lam,
-        )
-        for lam in spec.lambdas
-    )
-    return EquilibriumSolution(spec=spec, strategies=strategies, alpha=alpha)
-
-
-def solve_equilibrium_limit(spec: GameSpec) -> EquilibriumSolution:
-    """Degenerate branch: kappa = 0 or n = 1, where every strategy is a(t) = t.
-
-    With kappa = 0 the traders decouple and each minimizes its own quadratic
-    rate cost; with a single trader the aggregate-cost minimizer applies.
-    Either way the optimal curve has zero acceleration.
-    """
-    validate_spec(spec)
-    if spec.kappa != 0.0 and spec.n != 1:
-        raise ValueError(
-            f"limit branch needs kappa = 0 or n = 1, got n={spec.n}, kappa={spec.kappa}"
-        )
-    strategies = tuple(
-        ClosedFormStrategy(b=0.0, d=0.0, kappa=spec.kappa, alpha=0.0, lam=lam)
-        for lam in spec.lambdas
-    )
-    return EquilibriumSolution(spec=spec, strategies=strategies, alpha=Alpha(0.0))
+from .core import EquilibriumSolution, GameSpec, _alpha, _float_if_scalar, validate_spec
 
 
 def solve(spec: GameSpec) -> EquilibriumSolution:
-    """Dispatch to the generic or the limit branch."""
-    if spec.kappa == 0.0 or spec.n == 1:
-        return solve_equilibrium_limit(spec)
-    return solve_equilibrium(spec)
+    """The closed-form equilibrium of ``spec`` (validated first), every trader at once.
 
-
-def sample_strategy(strategy: ClosedFormStrategy, n_points: int) -> SampledPath:
-    """Sample a strategy on a uniform grid of ``n_points`` over [0, 1]."""
-    if n_points < 2:
-        raise GridTooSmall(f"need at least 2 points, got {n_points}")
-    grid = np.linspace(0.0, 1.0, n_points)
-    return SampledPath(grid=grid, values=strategy.position(grid))
+    Where alpha = 0 (kappa = 0, n = 1, or kappa so small that alpha
+    underflows) the formulas are singular and every strategy is the straight
+    line a(t) = t, with b = d = 0: with kappa = 0 the traders decouple and
+    each minimizes its own quadratic rate cost; a single trader minimizes
+    the aggregate cost.  Either way the optimal curve has zero acceleration.
+    """
+    validate_spec(spec)
+    n, kappa = spec.n, spec.kappa
+    alpha = _alpha(n, kappa)
+    if alpha == 0.0:
+        return EquilibriumSolution(spec, b=np.zeros(n), d=np.zeros(n), alpha=0.0)
+    lam_n = spec.lambdas_array() * n
+    return EquilibriumSolution(
+        spec,
+        b=(lam_n - 1.0) / (lam_n * np.expm1(kappa)),
+        d=1.0 / (lam_n * -np.expm1(-alpha)),
+        alpha=alpha,
+    )
 
 
 def governing_residuals(solution: EquilibriumSolution, t):
@@ -124,5 +67,5 @@ def governing_residuals(solution: EquilibriumSolution, t):
     md = solution.market_velocity(t)
     r1 = solution.accelerations(t) - kappa * solution.velocities(t) + (mdd + kappa * md) / lam
     r2 = mdd + kappa * md - (2.0 * kappa / (n + 1)) * md
-    r3 = mdd + solution.alpha.value * md
+    r3 = mdd + solution.alpha * md
     return r1, _float_if_scalar(r2), _float_if_scalar(r3)

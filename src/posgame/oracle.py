@@ -44,7 +44,6 @@ from .core import (
     EquilibriumSolution,
     GameSpec,
     GridMismatch,
-    SampledPath,
     validate_spec,
 )
 from .equilibrium import solve
@@ -103,9 +102,6 @@ class DiscreteGame:
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "paths", paths)
 
-    def sampled_path(self, i: int) -> SampledPath:
-        return SampledPath(grid=self.grid, values=self.paths[i])
-
 
 def game_from_paths(spec: GameSpec, paths: np.ndarray) -> DiscreteGame:
     paths = np.asarray(paths, dtype=float)
@@ -156,8 +152,9 @@ def _best_response_rhs(game: DiscreteGame) -> np.ndarray:
     return (r[:, :-2] - 2.0 * r[:, 1:-1] + r[:, 2:]) + c * (r[:, 2:] - r[:, :-2])
 
 
-def best_response(game: DiscreteGame, i: int) -> SampledPath:
-    """Interior-point minimizer of trader i's discrete cost, others fixed.
+def best_response(game: DiscreteGame, i: int) -> np.ndarray:
+    """Minimizer of trader i's discrete cost with the others fixed: its path
+    on the game's grid, shape (N + 1,), pinned to 0 and 1 at the ends.
 
     Stationarity at interior node j reads
 
@@ -171,8 +168,7 @@ def best_response(game: DiscreteGame, i: int) -> SampledPath:
     rhs[-1] += 2.0 * lam  # a[N] = 1 moves to the right-hand side
     # SPD lower banded form: diagonal 4 lam, off-diagonal -2 lam.
     ab = np.repeat([[4.0 * lam], [-2.0 * lam]], game.n_steps - 1, axis=1)
-    values = np.concatenate(([0.0], solveh_banded(ab, rhs, lower=True), [1.0]))
-    return SampledPath(grid=game.grid, values=values)
+    return np.concatenate(([0.0], solveh_banded(ab, rhs, lower=True), [1.0]))
 
 
 def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:

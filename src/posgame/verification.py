@@ -2,7 +2,7 @@
 
 Each check pairs a measured quantity with its threshold so the CLI can emit
 one pass/fail line per check.  The ``bug_scale`` knob multiplies the D
-coefficient of every closed-form strategy before comparison; setting it to
+coefficients of the closed-form solution before comparison; setting it to
 1.01 demonstrates that the suite actually detects a wrong solution.
 """
 
@@ -62,10 +62,7 @@ def draw_lambdas(rng: np.random.Generator, n: int) -> tuple[float, ...]:
 
 def _buggy_solution(spec: GameSpec, bug_scale: float):
     sol = solve(spec)
-    if bug_scale == 1.0:
-        return sol
-    strategies = tuple(replace(s, d=s.d * bug_scale) for s in sol.strategies)
-    return replace(sol, strategies=strategies)
+    return replace(sol, d=sol.d * bug_scale)
 
 
 def simpson_cost(solution: EquilibriumSolution, intervals: int = 10_000) -> np.ndarray:
@@ -101,11 +98,16 @@ def run_verification(
 
     The fixed-point gap threshold is 5 / n_steps, loose against the
     second-order discretization error.  ``seed`` draws the target fractions
-    and the random deviation bumps.  ``draws`` must be at least 1, so that
-    a passing report always holds per-draw checks.
+    and the random deviation bumps.  ``draws`` must be at least 1 and both
+    value tuples non-empty, so that a passing report always holds per-draw
+    checks.
     """
     if draws < 1:
         raise ValueError(f"need draws >= 1, got {draws}")
+    if not n_values or not kappa_values:
+        raise ValueError(
+            f"need non-empty n_values and kappa_values, got {n_values} and {kappa_values}"
+        )
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     gap_threshold = 5.0 / n_steps

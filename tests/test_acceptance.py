@@ -63,8 +63,8 @@ def test_criterion_2_cost_formula_matches_quadrature():
         sol = pg.solve(spec)
         t = np.linspace(0.0, 1.0, 10_001)
         lambdas = spec.lambdas_array()
-        velocity = np.vstack([s.velocity(t) for s in sol.strategies])
-        m = lambdas @ np.vstack([s.position(t) for s in sol.strategies])
+        velocity = sol.velocities(t)
+        m = lambdas @ sol.positions(t)
         m_dot = lambdas @ velocity
         for i in range(spec.n):
             numeric = float(simpson((m_dot + spec.kappa * m) * lambdas[i] * velocity[i], x=t))
@@ -99,8 +99,8 @@ def test_criterion_4_market_wide_minimum():
         grid = np.linspace(0.0, 1.0, 10_001)
         start = game_from_paths(spec, (grid**2)[None, :])
         response = pg.best_response(start, 0)
-        worst_line = max(worst_line, float(np.max(np.abs(response.values - grid))))
-        optimal = game_from_paths(spec, response.values[None, :])
+        worst_line = max(worst_line, float(np.max(np.abs(response - grid))))
+        optimal = game_from_paths(spec, response[None, :])
         worst_cost = max(
             worst_cost, abs(pg.discrete_cost(optimal)[0] - pg.market_min_cost(kappa))
         )
@@ -247,7 +247,7 @@ def test_criterion_10_governing_equation_residuals():
         spec = pg.GameSpec(
             n=n, lambdas=draw_lambdas(rng, n), kappa=float(rng.uniform(0.05, 25.0))
         )
-        sol = pg.solve_equilibrium(spec)
+        sol = pg.solve(spec)
         residuals = pg.governing_residuals(sol, t)
         worst = max(worst, *(float(np.max(np.abs(r))) for r in residuals))
     assert worst < 1e-9
@@ -270,9 +270,9 @@ def test_figure_data_shape_and_sign_checks(tmp_path):
 
     # strategy shapes across impact levels: small trader most eager, overbuying
     for kappa in (1.0, 5.0, 10.0, 20.0):
-        sol = pg.solve_equilibrium(pg.GameSpec(3, (0.2, 0.3, 0.5), kappa))
+        sol = pg.solve(pg.GameSpec(3, (0.2, 0.3, 0.5), kappa))
         t = np.linspace(0.0, 1.0, 401)
-        curves = [s.position(t) for s in sol.strategies]
+        curves = sol.positions(t)
         assert curves[0][100] > curves[1][100] > curves[2][100]
         if kappa == 20.0:
             assert np.max(curves[0]) > 1.0

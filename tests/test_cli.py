@@ -137,6 +137,37 @@ class TestConfigErrors:
         out = str(tmp_path / "out")
         assert main(["equilibrium", "--config", cfg, "--out", out, "--renormalize-lambdas"]) == 0
 
+    @pytest.mark.parametrize(
+        "command,payload,key",
+        [
+            ("poa", {"sweep": {"n": [2, math.inf], "kappa": [1.0]}}, "sweep.n"),
+            ("poa", {"sweep": {"n": [math.nan], "kappa": [1.0]}}, "sweep.n"),
+            ("centralize", {"centralization": {"delta_range": [0, math.inf]}},
+             "centralization.delta_range"),
+            ("centralize", {"table": {"n": [math.inf]}}, "table.n"),
+            ("centralize", {"table": {"n1": [math.nan]}}, "table.n1"),
+            ("centralize", {"table": {"n1": [25]}}, "table.n1"),  # n2 = n - n1 < 1
+            ("centralize", {"table": {"n": [5, 6], "n1": [1, 5]}}, "table.n1"),
+            ("centralize", {"table": {"n1": [0, 3]}}, "table.n1"),
+            ("centralize", {"table": {"mode": "sampled", "draws": 0}}, "table.draws"),
+            ("centralize", {"table": {"mode": "sampled", "draws": -5}}, "table.draws"),
+        ],
+    )
+    def test_count_setting_is_config_error(self, tmp_path, capsys, command, payload, key):
+        # json.dumps writes NaN / Infinity, which Python's json.loads accepts
+        config = {
+            "game": {"n": 21, "kappa": 1.0},
+            "centralization": {"n1": 4, "lambda_firm": 0.4},
+            "table": {"kappa": [1.0], "rows": [0.40]},
+        }
+        for section, values in payload.items():
+            config[section] = {**config.get(section, {}), **values}
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path, "cfg.json", config),
+                     "--out", str(out)]) == 1
+        assert f"config error: config.{key}:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_both_symmetric_and_lambdas_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -262,8 +293,20 @@ class TestVerifyCommand:
             },
         )
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        captured = capsys.readouterr()
-        assert "FAIL" in captured.out
+        failed = {
+            line.split(":")[0].removeprefix("FAIL ")
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("FAIL ")
+        }
+        # a 1 % error in every D coefficient breaks the closed form's own
+        # identities; the oracle's grid gap and sum stay within their bounds
+        label = "[n=2 kappa=1 draw=0]"
+        assert failed == {
+            f"governing residuals {label}",
+            f"endpoint a_i(1)=1 {label}",
+            f"cost formula vs quadrature {label}",
+            f"deviation non-negativity {label}",
+        }
 
     @pytest.mark.parametrize(
         "key,value",
@@ -275,6 +318,8 @@ class TestVerifyCommand:
             ("n_steps", 1),
             ("draws", 0),
             ("draws", -1),
+            ("n", [math.inf]),
+            ("n", [math.nan]),
         ],
     )
     def test_singular_or_too_small_setting_is_config_error(self, tmp_path, capsys, key, value):
@@ -322,7 +367,7 @@ def test_twelve_significant_digit_formatting(tmp_path):
     sol = pg.solve(spec)
     t = np.linspace(0.0, 1.0, 101)
     mid = rows[50]
-    assert float(mid[1]) == pytest.approx(float(sol.strategies[0].position(t[50])), rel=1e-11)
+    assert float(mid[1]) == pytest.approx(float(sol.positions(t[50])[0]), rel=1e-11)
 
 
 def test_cli_import_loads_every_layer_but_not_scipy_integrate():
@@ -471,7 +516,7 @@ def test_csv_writer_matches_per_cell_formatting(tmp_path):
 
 def test_large_equilibrium_matches_per_cell_formatting(tmp_path):
     """A 2000-trader equilibrium with the benchmark's Dirichlet fractions is
-    byte-identical to sampling each strategy and formatting cell by cell."""
+    byte-identical to formatting the sampled curves cell by cell."""
     lambdas = WORKLOADS.large_n_lambdas(0)
     spec = pg.GameSpec(n=2000, lambdas=tuple(lambdas), kappa=5.0)
     cfg = write_config(
@@ -482,7 +527,7 @@ def test_large_equilibrium_matches_per_cell_formatting(tmp_path):
 
     sol = pg.solve(spec)
     t = np.linspace(0.0, 1.0, 201)
-    columns = [t] + [s.position(t) for s in sol.strategies] + [sol.market(t)]
+    columns = [t, *sol.positions(t), sol.market(t)]
     rows = [[col[k] for col in columns] for k in range(t.size)]
     breakdown = pg.cost_breakdown(spec)
     rows.append(["cost", *breakdown.per_trader, breakdown.aggregate])

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,36 +74,23 @@ def test_symmetric_constructor():
     pg.validate_spec(spec)
 
 
-class TestSampledPath:
-    def test_grid_must_cover_unit_interval(self):
-        with pytest.raises(pg.GridMismatch):
-            pg.SampledPath(grid=np.array([0.0, 0.5, 0.9]), values=np.zeros(3))
-
-    def test_grid_strictly_increasing(self):
-        with pytest.raises(pg.GridMismatch):
-            pg.SampledPath(grid=np.array([0.0, 0.5, 0.5, 1.0]), values=np.zeros(4))
-
-    def test_too_small(self):
-        with pytest.raises(pg.GridTooSmall):
-            pg.SampledPath(grid=np.array([0.0]), values=np.array([0.0]))
-
-    def test_immutable_after_construction(self):
-        path = pg.SampledPath(grid=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            path.values[0] = 5.0
-
-
 @settings(max_examples=30, deadline=None)
 @given(spec=game_specs())
 def test_solutions_satisfy_endpoint_and_aggregation_invariants(spec):
     sol = pg.solve(spec)
     t = np.linspace(0.0, 1.0, 1001)
-    weighted = sum(
-        lam * s.position(t) for lam, s in zip(spec.lambdas, sol.strategies)
-    )
+    weighted = spec.lambdas_array() @ sol.positions(t)
     assert np.max(np.abs(weighted - sol.market(t))) < 1e-9
-    for s in sol.strategies:
-        assert s.position(0.0) == 0.0
-        assert abs(s.position(1.0) - 1.0) < 1e-10
+    assert np.all(sol.positions(0.0) == 0.0)
+    assert np.max(np.abs(sol.positions(1.0) - 1.0)) < 1e-10
     assert sol.market(0.0) == 0.0
     assert abs(sol.market(1.0) - 1.0) < 1e-12
+
+
+def test_readme_quick_start_runs():
+    """Every ``python`` block of README.md runs against the current API."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

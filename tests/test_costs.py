@@ -15,8 +15,8 @@ def integral_cost(spec, i, intervals=10_000):
     sol = pg.solve(spec)
     t = np.linspace(0.0, 1.0, intervals + 1)
     lambdas = spec.lambdas_array()
-    velocity = np.vstack([s.velocity(t) for s in sol.strategies])
-    position = np.vstack([s.position(t) for s in sol.strategies])
+    velocity = sol.velocities(t)
+    position = sol.positions(t)
     m_dot = lambdas @ velocity
     m = lambdas @ position
     return float(simpson((m_dot + spec.kappa * m) * lambdas[i] * velocity[i], x=t))

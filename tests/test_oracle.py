@@ -50,14 +50,16 @@ class TestBestResponse:
     def test_single_trader_returns_straight_line(self):
         for kappa in (0.0, 1.0, 25.0):
             spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=kappa)
-            response = pg.best_response(curved_start(spec, 500), 0)
-            assert np.max(np.abs(response.values - response.grid)) < 1e-10
+            start = curved_start(spec, 500)
+            response = pg.best_response(start, 0)
+            assert response.shape == start.grid.shape
+            assert np.max(np.abs(response - start.grid)) < 1e-10
 
     def test_closed_form_is_a_fixed_point(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         game = pg.sampled_equilibrium(spec, 2000)
         response = pg.best_response(game, 0)
-        assert np.max(np.abs(response.values - game.paths[0])) < 1e-3
+        assert np.max(np.abs(response - game.paths[0])) < 1e-3
 
     def test_front_runs_an_eager_opponent(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=5.0)
@@ -66,7 +68,7 @@ class TestBestResponse:
         paths = np.vstack([grid, eager])
         response = pg.best_response(game_from_paths(spec, paths), 0)
         quarter = np.searchsorted(grid, 0.25)
-        assert response.values[quarter] > 0.25
+        assert response[quarter] > 0.25
 
 
 class TestNashFixedPoint:
@@ -96,7 +98,7 @@ class TestNashFixedPoint:
         fp = pg.nash_fixed_point(self.STRONG, 1000)
         for i in range(fp.spec.n):
             response = pg.best_response(fp, i)
-            assert np.max(np.abs(response.values - fp.paths[i])) <= 1e-8
+            assert np.max(np.abs(response - fp.paths[i])) <= 1e-8
 
     def test_fine_grid_best_responses_stay_consistent(self):
         # 1 +- c must be exact: a rounded coefficient leaves a row-sum error that
@@ -105,7 +107,7 @@ class TestNashFixedPoint:
         fp = pg.nash_fixed_point(spec, 10_000)
         for i in range(spec.n):
             response = pg.best_response(fp, i)
-            assert np.max(np.abs(response.values - fp.paths[i])) <= 5e-9
+            assert np.max(np.abs(response - fp.paths[i])) <= 5e-9
 
     def test_residual_flags_a_profile_off_the_nash_point(self):
         # the sampled closed form carries the O(h^2) discretization error
@@ -293,12 +295,6 @@ class TestDiscreteGameInvariants:
         with pytest.raises(pg.GridMismatch):
             pg.DiscreteGame(spec=spec, n_steps=10, grid=grid, paths=one_path)
 
-    def test_sampled_path_accessor(self):
-        spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        game = pg.sampled_equilibrium(spec, 50)
-        path = game.sampled_path(1)
-        assert path.values[0] == 0.0 and path.values[-1] == 1.0
-
 
 class TestDeferredScipy:
     # the benchmark's tracer patches these names on the module, and wraps
@@ -328,7 +324,12 @@ class TestDeferredScipy:
         )
 
 
-@pytest.mark.parametrize("draws", [0, -1])
-def test_run_verification_rejects_an_empty_suite(draws):
-    with pytest.raises(ValueError, match="draws"):
-        run_verification(n_values=(2,), kappa_values=(1.0,), draws=draws, n_steps=40)
+@pytest.mark.parametrize(
+    "setting",
+    [{"draws": 0}, {"draws": -1}, {"n_values": ()}, {"kappa_values": ()}],
+    ids=["0", "-1", "no-n", "no-kappa"],
+)
+def test_run_verification_rejects_an_empty_suite(setting):
+    kwargs = {"n_values": (2,), "kappa_values": (1.0,), "draws": 1, "n_steps": 40, **setting}
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        run_verification(**kwargs)
