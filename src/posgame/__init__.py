@@ -33,11 +33,9 @@ from .costs import (
     aggregate_cost,
     aggregate_cost_limit,
     cost_breakdown,
-    cost_share,
     group_cost,
     market_min_cost,
     price_of_anarchy,
-    trader_cost,
 )
 from .centralization import (
     FRACTION_BANDS,
@@ -46,16 +44,10 @@ from .centralization import (
     StrategicCurve,
     averaged_report,
     continuous_optimal_delta,
-    firm_cost_centralized,
-    firm_cost_no_centralization,
     limiting_costs,
     naive_centralization_report,
-    nonfirm_cost_centralized,
-    nonfirm_cost_no_centralization,
     optimal_representation,
     sampled_report,
-    strategic_cost,
-    strategic_cost_approx,
 )
 from .oracle import (
     DiscreteGame,
@@ -96,19 +88,14 @@ __all__ = [
     "best_response",
     "continuous_optimal_delta",
     "cost_breakdown",
-    "cost_share",
     "deviation_test",
     "discrete_cost",
-    "firm_cost_centralized",
-    "firm_cost_no_centralization",
     "governing_residuals",
     "group_cost",
     "limiting_costs",
     "market_min_cost",
     "naive_centralization_report",
     "nash_fixed_point",
-    "nonfirm_cost_centralized",
-    "nonfirm_cost_no_centralization",
     "optimal_representation",
     "price_of_anarchy",
     "renormalize_lambdas",
@@ -117,8 +104,5 @@ __all__ = [
     "solve",
     "standard_bumps",
     "stationarity_residual",
-    "strategic_cost",
-    "strategic_cost_approx",
-    "trader_cost",
     "validate_spec",
 ]

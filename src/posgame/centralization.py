@@ -7,6 +7,9 @@ count as ``n1 + delta``, turning it into an ``(n + delta)``-trader game while
 the firm's target fraction stays fixed.  Every cost here is a group aggregate
 built from the per-trader equilibrium cost formula, so the firm/non-firm
 split always partitions the corresponding aggregate cost exactly.
+:func:`naive_centralization_report` gives the four cost quadrants and
+:func:`optimal_representation` the strategic cost curve over a window of
+whole-number offsets delta, each as one broadcast of the cost kernel.
 
 The strategic cost curve E(delta) is minimized near the continuous optimum
 
@@ -97,9 +100,12 @@ class StrategicCurve:
 
     ``deltas`` holds the offsets, ``exact_costs`` the curve with the decay
     rate recomputed at each represented count, ``approx_costs`` the curve
-    with the decay rate frozen at kappa.  ``continuous_opt`` is
-    -n1 + sqrt(n2 (n2 + 1)); the integer argmin of the approximate curve is
-    one of its two neighbors.
+    with the decay rate frozen at kappa.  The exact entry at delta = 0 is
+    the independent-trading firm cost and the one at delta = 1 - n1 the
+    naive-centralization firm cost, bit for bit (same kernel, same inputs);
+    as delta grows the cost tends to kappa lambda_firm / (1 - e^{-kappa}).
+    ``continuous_opt`` is -n1 + sqrt(n2 (n2 + 1)); the integer argmin of the
+    approximate curve is one of its two neighbors.
     """
 
     deltas: np.ndarray
@@ -110,29 +116,10 @@ class StrategicCurve:
     continuous_opt: float
 
 
-def firm_cost_no_centralization(sc: CentralizationScenario) -> float:
-    """Aggregate cost of the n1 firm traders when everyone trades independently."""
-    return float(group_cost(sc.n, sc.n1, sc.lambda_firm, sc.kappa))
-
-
-def nonfirm_cost_no_centralization(sc: CentralizationScenario) -> float:
-    """Aggregate cost of the n2 outside traders without centralization."""
-    return float(group_cost(sc.n, sc.n2, sc.lambda_nonfirm, sc.kappa))
-
-
-def firm_cost_centralized(sc: CentralizationScenario) -> float:
-    """Firm cost after merging its flow into one trader of an (n2+1)-trader game."""
-    return float(group_cost(sc.n2 + 1, 1, sc.lambda_firm, sc.kappa))
-
-
-def nonfirm_cost_centralized(sc: CentralizationScenario) -> float:
-    """Outside traders' aggregate cost after the firm centralizes."""
-    return float(group_cost(sc.n2 + 1, sc.n2, sc.lambda_nonfirm, sc.kappa))
-
-
 def _report_columns(n1, n2, lambda_firm, kappa) -> tuple:
     """The seven :class:`CentralizationReport` fields, broadcast over
-    arrays of firm splits (the quadrant functions above, in one pass)."""
+    arrays of firm splits: firm and non-firm group costs in the n-trader
+    game, then in the (n2 + 1)-trader game where the firm is one trader."""
     f0 = group_cost(n1 + n2, n1, lambda_firm, kappa)
     nf0 = group_cost(n1 + n2, n2, 1.0 - lambda_firm, kappa)
     f1 = group_cost(n2 + 1, 1, lambda_firm, kappa)
@@ -154,34 +141,6 @@ def naive_centralization_report(sc: CentralizationScenario) -> CentralizationRep
     return CentralizationReport(*(float(c) for c in columns))
 
 
-def _check_delta(sc: CentralizationScenario, delta) -> None:
-    """Raise NonIntegerCount for a fractional delta and RepresentationTooSmall
-    when n1 + delta falls below one."""
-    _check_count("delta", delta)
-    if sc.n1 + delta < 1:
-        raise RepresentationTooSmall(f"n1 + delta = {sc.n1 + delta} must be at least 1")
-
-
-def strategic_cost(sc: CentralizationScenario, delta: int) -> float:
-    """Firm cost when centralizing and representing n1 + delta traders.
-
-    delta = 0 recovers the independent-trading firm cost exactly, and
-    delta = 1 - n1 recovers naive centralization exactly (same code path).
-    As delta -> infinity the cost tends to kappa lambda_firm / (1 - e^{-kappa}).
-    """
-    _check_delta(sc, delta)
-    return float(group_cost(sc.n + delta, sc.n1 + delta, sc.lambda_firm, sc.kappa))
-
-
-def strategic_cost_approx(sc: CentralizationScenario, delta: int) -> float:
-    """Frozen-decay approximation of :func:`strategic_cost` (accurate for
-    large represented counts, where the decay rate is close to kappa)."""
-    _check_delta(sc, delta)
-    return float(
-        group_cost(sc.n + delta, sc.n1 + delta, sc.lambda_firm, sc.kappa, decay=sc.kappa)
-    )
-
-
 def continuous_optimal_delta(sc: CentralizationScenario) -> float:
     """Continuous minimizer of the approximate curve: -n1 + sqrt(n2 (n2 + 1))."""
     return -sc.n1 + math.sqrt(sc.n2 * (sc.n2 + 1.0))
@@ -193,7 +152,9 @@ def optimal_representation(
     """Evaluate both strategic curves over a delta window and locate argmins.
 
     The default window runs from full consolidation (delta = 1 - n1) to well
-    past the continuous optimum.
+    past the continuous optimum.  An explicit ``(lo, hi)`` must hold whole
+    numbers (NonIntegerCount otherwise) with n1 + lo >= 1
+    (RepresentationTooSmall) and hi >= lo.
     """
     opt = continuous_optimal_delta(sc)
     if delta_range is None:
@@ -201,6 +162,7 @@ def optimal_representation(
         hi = max(math.ceil(opt) + 50, lo + 10)
     else:
         lo, hi = delta_range
+        _check_count("delta_range", (lo, hi))
         if sc.n1 + lo < 1:
             raise RepresentationTooSmall(
                 f"delta_range start {lo} gives n1 + delta = {sc.n1 + lo} < 1"

@@ -255,6 +255,9 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
             )
         if sc.table_draws < 1:
             raise ConfigError(f"config.table.draws: need >= 1, got {sc.table_draws}")
+        # the cost kernel is 0/0 at kappa = 0 and would write a nan row
+        if not all(0.0 < k < math.inf for k in sc.table_kappa):
+            raise ConfigError(f"config.table.kappa: need 0 < kappa < inf, got {sc.table_kappa}")
         if sc.table_mode not in ("quadrature", "sampled"):
             raise ConfigError(
                 f"config.table.mode: expected 'quadrature' or 'sampled', got {sc.table_mode!r}"
@@ -381,6 +384,8 @@ def cmd_centralize(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
     n = sc.require(sc.n, "config.game.n: required for centralize")
     kappa = sc.require(sc.kappa, "config.game.kappa: required for centralize")
     n1 = sc.require(sc.n1, "config.centralization: required for centralize")
+    if kappa == 0.0:  # the cost kernel is 0/0 there (equilibrium takes its limit)
+        raise ConfigError("config.game.kappa: centralize needs kappa > 0, got 0")
     if not 1 <= n1 < n:
         raise ConfigError(f"config.centralization.n1: need 1 <= n1 < n, got n1={n1}, n={n}")
     try:

@@ -59,7 +59,7 @@ class DegenerateAlpha(ValueError):
 
 
 class GridMismatch(ValueError):
-    """Paths in a discrete game do not share one grid."""
+    """Paths or bumps do not fit the oracle grid (shape or pinned endpoints)."""
 
 
 class BadBump(ValueError):

@@ -74,18 +74,6 @@ def _shares(n: int, kappa: float, lam):
     return 1.0 / n + t_slope * (1.0 / n - lam)
 
 
-def trader_cost(spec: GameSpec, i: int) -> float:
-    """Equilibrium implementation cost of trader i (0-based index).
-
-    The kappa -> 0 limit of the formula is lambda_i, and the n = 1 value is
-    1 + kappa/2; both degenerate cases raise DegenerateAlpha here and are
-    served by :func:`cost_breakdown`, which owns the continuity extension.
-    """
-    validate_spec(spec)
-    _require_generic(spec.n, spec.kappa)
-    return float(group_cost(spec.n, 1, spec.lambdas[i], spec.kappa))
-
-
 def aggregate_cost(n: int, kappa: float) -> float:
     """Total implementation cost over all traders; independent of the lambdas."""
     _require_generic(n, kappa)
@@ -123,20 +111,14 @@ def price_of_anarchy(n, kappa: float) -> float:
     return aggregate_cost(int(n), kappa) / market_min_cost(kappa)
 
 
-def cost_share(spec: GameSpec, i: int) -> float:
-    """Trader i's fraction of the aggregate cost; affine in lambda_i, so an
-    equal split pays exactly 1/n each and the shares always sum to one."""
-    validate_spec(spec)
-    _require_generic(spec.n, spec.kappa)
-    return _shares(spec.n, spec.kappa, spec.lambdas[i])
-
-
 def cost_breakdown(spec: GameSpec) -> CostBreakdown:
     """Per-trader costs, aggregate, shares and fair-share deviations.
 
-    Degenerate specs take the continuous limits of the closed forms:
-    kappa = 0 gives per-trader costs lambda_i (aggregate 1), and a single
-    trader pays the market-wide minimum 1 + kappa/2.
+    Degenerate specs take the continuous limits of the closed forms: a
+    single trader pays the market-wide minimum 1 + kappa/2, and wherever
+    alpha evaluates to 0 (kappa = 0, or a kappa so small that alpha
+    underflows; :func:`posgame.solve`'s rule) trader i pays lambda_i and the
+    aggregate is 1.
     """
     validate_spec(spec)
     if spec.n == 1:
@@ -147,7 +129,7 @@ def cost_breakdown(spec: GameSpec) -> CostBreakdown:
             shares=(1.0,),
             fair_share_deviation=(0.0,),
         )
-    if spec.kappa == 0.0:
+    if _alpha(spec.n, spec.kappa) == 0.0:
         return CostBreakdown(
             per_trader=spec.lambdas,
             aggregate=1.0,

@@ -4,11 +4,13 @@ The implementation-cost functional for trader i,
 
     Cost_i = integral of (m' + kappa m) lambda_i a_i' dt,   m = sum_j lambda_j a_j,
 
-is discretized on a uniform grid with forward differences for the rates and
-midpoint averaging for m on each interval.  The functional is then strictly
-convex in trader i's interior values (the permanent-impact self-term
-telescopes away, leaving the quadratic lambda_i^2 sum((a_i')^2) dt), so each
-best response is one symmetric positive-definite tridiagonal solve.
+is discretized on the uniform grid t_j = j / N, j = 0..N, with forward
+differences for the rates and midpoint averaging for m on each interval; a
+profile is a :class:`DiscreteGame`, an (n, N + 1) array of paths whose width
+gives N.  The functional is then strictly convex in trader i's interior
+values (the permanent-impact self-term telescopes away, leaving the
+quadratic lambda_i^2 sum((a_i')^2) dt), so each best response is one
+symmetric positive-definite tridiagonal solve.
 
 The discrete Nash point is the profile at which every trader's best-response
 rows hold at once.  With h = 1/N, c = kappa h / 2, the second difference
@@ -77,38 +79,25 @@ solveh_banded = _Deferred("solveh_banded")
 
 @dataclass(frozen=True)
 class DiscreteGame:
-    """Sampled strategy profile on a shared uniform grid with pinned endpoints."""
+    """Sampled strategy profile: ``paths[i]`` is trader i's path on the
+    uniform grid j / N, j = 0..N, pinned to 0 and 1 at the ends."""
 
     spec: GameSpec
-    n_steps: int
-    grid: np.ndarray
-    paths: np.ndarray  # shape (n, n_steps + 1)
+    paths: np.ndarray  # shape (n, N + 1)
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        paths = np.asarray(self.paths, dtype=float)
-        if grid.shape != (self.n_steps + 1,):
-            raise GridMismatch(f"grid shape {grid.shape} != ({self.n_steps + 1},)")
-        if paths.shape != (self.spec.n, self.n_steps + 1):
-            raise GridMismatch(
-                f"paths shape {paths.shape} != ({self.spec.n}, {self.n_steps + 1})"
-            )
+        paths = np.array(self.paths, dtype=float)
+        if paths.ndim != 2 or paths.shape[0] != self.spec.n or paths.shape[1] < 2:
+            raise GridMismatch(f"paths shape {paths.shape} is not ({self.spec.n}, N + 1), N >= 1")
         if np.any(paths[:, 0] != 0.0) or np.any(paths[:, -1] != 1.0):
             raise GridMismatch("path endpoints must be pinned to 0 and 1")
-        grid = grid.copy()
-        paths = paths.copy()
-        grid.flags.writeable = False
         paths.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "paths", paths)
 
-
-def game_from_paths(spec: GameSpec, paths: np.ndarray) -> DiscreteGame:
-    paths = np.asarray(paths, dtype=float)
-    n_steps = paths.shape[1] - 1
-    return DiscreteGame(
-        spec=spec, n_steps=n_steps, grid=np.linspace(0.0, 1.0, n_steps + 1), paths=paths
-    )
+    @property
+    def n_steps(self) -> int:
+        """N, the number of grid intervals."""
+        return self.paths.shape[1] - 1
 
 
 def sampled_equilibrium(
@@ -124,7 +113,7 @@ def sampled_equilibrium(
     paths = sol.positions(grid)
     paths[:, 0] = 0.0
     paths[:, -1] = 1.0
-    return DiscreteGame(spec=spec, n_steps=n_steps, grid=grid, paths=paths)
+    return DiscreteGame(spec, paths)
 
 
 def _cost_sum(m: np.ndarray, lam, a: np.ndarray, kappa: float, h: float) -> np.ndarray:
@@ -182,7 +171,6 @@ def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:
     validate_spec(spec)
     if n_steps < 2:
         raise ValueError(f"need n_steps >= 2, got {n_steps}")
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
     lambdas = spec.lambdas_array()
     n = spec.n
     # Round c and (n - 1) c so that 1 +- c and (n + 1) +- (n - 1) c are exact:
@@ -205,7 +193,7 @@ def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:
     paths = np.zeros((n, n_steps + 1))
     paths[:, -1] = 1.0
     paths[:, 1:-1] = solve_banded((1, 1), ab, rhs).T
-    return DiscreteGame(spec=spec, n_steps=n_steps, grid=grid, paths=paths)
+    return DiscreteGame(spec, paths)
 
 
 def stationarity_residual(game: DiscreteGame) -> np.ndarray:
@@ -242,8 +230,8 @@ def deviation_test(
     """
     bumps = np.asarray(bumps, dtype=float)
     base = base if base is not None else sampled_equilibrium(spec, bumps.shape[-1] - 1)
-    if bumps.ndim != 2 or bumps.shape[1] != base.grid.size:
-        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.grid.size})")
+    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
+        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
     if np.any(bumps[:, [0, -1]] != 0.0):
         raise BadBump("bump must vanish at both endpoints")
     lambdas = spec.lambdas_array()

@@ -66,9 +66,10 @@ def test_criterion_2_cost_formula_matches_quadrature():
         velocity = sol.velocities(t)
         m = lambdas @ sol.positions(t)
         m_dot = lambdas @ velocity
+        per_trader = pg.cost_breakdown(spec).per_trader
         for i in range(spec.n):
             numeric = float(simpson((m_dot + spec.kappa * m) * lambdas[i] * velocity[i], x=t))
-            formula = pg.trader_cost(spec, i)
+            formula = per_trader[i]
             rel = abs(formula - numeric) / max(abs(formula), 1e-9)
             worst = max(worst, rel)
     assert worst < 1e-6
@@ -82,7 +83,7 @@ def test_criterion_3_aggregate_cost_independent_of_split():
     for _ in range(1000):
         lam = tuple(float(x) for x in rng.dirichlet(np.ones(n)))
         spec = pg.GameSpec(n=n, lambdas=lam, kappa=kappa)
-        totals.append(math.fsum(pg.trader_cost(spec, i) for i in range(n)))
+        totals.append(math.fsum(pg.cost_breakdown(spec).per_trader))
     spread = max(totals) - min(totals)
     gap = abs(totals[0] - pg.aggregate_cost(n, kappa))
     assert spread < 1e-9
@@ -91,16 +92,14 @@ def test_criterion_3_aggregate_cost_independent_of_split():
 
 
 def test_criterion_4_market_wide_minimum():
-    from posgame.oracle import game_from_paths
-
     worst_line, worst_cost = 0.0, 0.0
     for kappa in (0.0, 1.0, 25.0):
         spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=kappa)
         grid = np.linspace(0.0, 1.0, 10_001)
-        start = game_from_paths(spec, (grid**2)[None, :])
+        start = pg.DiscreteGame(spec, (grid**2)[None, :])
         response = pg.best_response(start, 0)
         worst_line = max(worst_line, float(np.max(np.abs(response - grid))))
-        optimal = game_from_paths(spec, response[None, :])
+        optimal = pg.DiscreteGame(spec, response[None, :])
         worst_cost = max(
             worst_cost, abs(pg.discrete_cost(optimal)[0] - pg.market_min_cost(kappa))
         )
@@ -130,7 +129,7 @@ def test_criterion_6_cost_share_properties():
         n = int(rng.integers(2, 9))
         spec = pg.GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=float(rng.uniform(0.2, 25.0)))
         worst_sum = max(
-            worst_sum, abs(math.fsum(pg.cost_share(spec, i) for i in range(n)) - 1.0)
+            worst_sum, abs(math.fsum(pg.cost_breakdown(spec).shares) - 1.0)
         )
     assert worst_sum < 1e-9
 
@@ -140,7 +139,7 @@ def test_criterion_6_cost_share_properties():
         for lam1 in lams:
             rest = (1.0 - lam1) / (n - 1)
             spec = pg.GameSpec(n=n, lambdas=(lam1,) + (rest,) * (n - 1), kappa=kappa)
-            shares.append(pg.cost_share(spec, 0))
+            shares.append(pg.cost_breakdown(spec).shares[0])
         cross = (lams[2] - lams[0]) * (shares[1] - shares[0]) - (lams[1] - lams[0]) * (
             shares[2] - shares[0]
         )
@@ -149,7 +148,7 @@ def test_criterion_6_cost_share_properties():
 
     for n in (2, 4, 7):
         spec = pg.GameSpec.symmetric(n, 6.0)
-        assert all(pg.cost_share(spec, i) == 1.0 / n for i in range(n))
+        assert pg.cost_breakdown(spec).shares == (1.0 / n,) * n
     report(
         "6",
         f"share sums off by {worst_sum:.2e}, collinearity defect {worst_cross:.2e}, "
@@ -215,25 +214,20 @@ def test_criterion_9_identities():
         for kappa in (0.5, 1.0, 5.0, 25.0):
             for lam in (0.07, 0.4, 0.82):
                 sc = pg.CentralizationScenario(n1=n1, n2=n2, lambda_firm=lam, kappa=kappa)
+                rep = pg.naive_centralization_report(sc)
+                curve = pg.optimal_representation(sc, (1 - n1, 0))
                 worst_id = max(
                     worst_id,
-                    abs(pg.strategic_cost(sc, 0) - pg.firm_cost_no_centralization(sc)),
-                    abs(pg.strategic_cost(sc, 1 - n1) - pg.firm_cost_centralized(sc)),
+                    abs(curve.exact_costs[-1] - rep.firm_cost_no_central),
+                    abs(curve.exact_costs[0] - rep.firm_cost_central),
                 )
                 worst_part = max(
                     worst_part,
-                    abs(
-                        pg.firm_cost_no_centralization(sc)
-                        + pg.nonfirm_cost_no_centralization(sc)
-                        - pg.aggregate_cost(sc.n, kappa)
-                    ),
-                    abs(
-                        pg.firm_cost_centralized(sc)
-                        + pg.nonfirm_cost_centralized(sc)
-                        - pg.aggregate_cost(n2 + 1, kappa)
-                    ),
+                    abs(rep.total_no_central - pg.aggregate_cost(sc.n, kappa)),
+                    abs(rep.total_central - pg.aggregate_cost(n2 + 1, kappa)),
                 )
-    assert worst_id <= 1e-12
+    # the curve's ends and the report's firm quadrants are one kernel on the same inputs
+    assert worst_id == 0.0
     assert worst_part <= 1e-9
     report("9", f"curve identities off by {worst_id:.2e}, partitions off by {worst_part:.2e}")
 
@@ -279,9 +273,11 @@ def test_figure_data_shape_and_sign_checks(tmp_path):
 
     # strategic curves: splitting helps a minority firm, consolidation a majority
     minority = pg.CentralizationScenario(n1=1, n2=9, lambda_firm=0.1, kappa=1.0)
-    assert pg.strategic_cost(minority, 5) < pg.strategic_cost(minority, 0)
+    costs = pg.optimal_representation(minority, (0, 5)).exact_costs
+    assert costs[-1] < costs[0]
     majority = pg.CentralizationScenario(n1=10, n2=5, lambda_firm=0.66, kappa=1.0)
-    assert pg.strategic_cost(majority, -4) < pg.strategic_cost(majority, 0)
+    costs = pg.optimal_representation(majority, (-4, 0)).exact_costs
+    assert costs[0] < costs[-1]
 
     # the CLI emits the corresponding plot-data CSVs
     cfg = tmp_path / "fig.json"

@@ -10,6 +10,11 @@ def scenario(n1=4, n2=8, lam=0.4, kappa=5.0):
     return pg.CentralizationScenario(n1=n1, n2=n2, lambda_firm=lam, kappa=kappa)
 
 
+def exact_cost(sc, delta):
+    """The exact strategic curve at one offset: a one-entry window."""
+    return float(pg.optimal_representation(sc, (delta, delta)).exact_costs[0])
+
+
 class TestScenarioValidation:
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -42,11 +47,14 @@ class TestScenarioValidation:
 
     def test_delta_must_be_whole(self):
         sc = scenario()
-        for call in (pg.strategic_cost, pg.strategic_cost_approx):
-            for delta in (0.5, math.nan):
-                with pytest.raises(pg.NonIntegerCount):
-                    call(sc, delta)
-        assert pg.strategic_cost(sc, 2.0) == pg.strategic_cost(sc, 2)
+        for delta_range in ((0.5, 3.5), (0, 2.5), (math.nan, 3), (0, math.inf), (-math.inf, 3)):
+            with pytest.raises(pg.NonIntegerCount):
+                pg.optimal_representation(sc, delta_range)
+        by_float = pg.optimal_representation(sc, (2.0, 5.0))
+        by_int = pg.optimal_representation(sc, (2, 5))
+        assert np.array_equal(by_float.deltas, by_int.deltas)
+        assert np.array_equal(by_float.exact_costs, by_int.exact_costs)
+        assert np.array_equal(by_float.approx_costs, by_int.approx_costs)
 
     def test_report_grids_validate_every_split(self):
         with pytest.raises(ValueError):
@@ -65,14 +73,16 @@ class TestPartitions:
     @pytest.mark.parametrize("n1,n2,lam", [(1, 1, 0.5), (4, 8, 0.4), (15, 6, 0.82), (2, 30, 0.07)])
     def test_no_centralization_partitions_aggregate(self, kappa, n1, n2, lam):
         sc = scenario(n1, n2, lam, kappa)
-        total = pg.firm_cost_no_centralization(sc) + pg.nonfirm_cost_no_centralization(sc)
+        rep = pg.naive_centralization_report(sc)
+        total = rep.firm_cost_no_central + rep.nonfirm_cost_no_central
         assert total == pytest.approx(pg.aggregate_cost(sc.n, kappa), abs=1e-9)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0, 5.0, 25.0])
     @pytest.mark.parametrize("n1,n2,lam", [(1, 1, 0.5), (4, 8, 0.4), (15, 6, 0.82), (2, 30, 0.07)])
     def test_centralized_partitions_smaller_aggregate(self, kappa, n1, n2, lam):
         sc = scenario(n1, n2, lam, kappa)
-        total = pg.firm_cost_centralized(sc) + pg.nonfirm_cost_centralized(sc)
+        rep = pg.naive_centralization_report(sc)
+        total = rep.firm_cost_central + rep.nonfirm_cost_central
         assert total == pytest.approx(pg.aggregate_cost(n2 + 1, kappa), abs=1e-9)
 
     def test_total_cost_decreases_when_firm_has_two_or_more(self):
@@ -86,36 +96,38 @@ class TestReferenceValues:
     # is the band mean shown to two decimals, so point checks use the mean.
     def test_minority_firm_moderate_impact(self):
         sc = pg.CentralizationScenario(n1=4, n2=17, lambda_firm=0.40, kappa=5.0)
-        assert pg.firm_cost_no_centralization(sc) == pytest.approx(1.97, rel=0.03)
+        rep = pg.naive_centralization_report(sc)
+        assert rep.firm_cost_no_central == pytest.approx(1.97, rel=0.03)
 
     def test_minority_firm_high_impact_nonfirm(self):
         sc = pg.CentralizationScenario(n1=4, n2=17, lambda_firm=0.075, kappa=25.0)
-        assert pg.nonfirm_cost_no_centralization(sc) == pytest.approx(22.20, rel=0.03)
-        assert pg.firm_cost_centralized(sc) == pytest.approx(1.80, rel=0.03)
-        assert pg.nonfirm_cost_centralized(sc) == pytest.approx(21.88, rel=0.03)
+        rep = pg.naive_centralization_report(sc)
+        assert rep.nonfirm_cost_no_central == pytest.approx(22.20, rel=0.03)
+        assert rep.firm_cost_central == pytest.approx(1.80, rel=0.03)
+        assert rep.nonfirm_cost_central == pytest.approx(21.88, rel=0.03)
 
     def test_firm_cost_splits_are_interchangeable(self):
         # the per-trader cost is affine in the target fraction, so any split
         # of the firm total across its traders sums to the same group cost
         sc = scenario(n1=4, n2=8, lam=0.5, kappa=1.0)
-        grouped = pg.firm_cost_no_centralization(sc)
+        grouped = pg.naive_centralization_report(sc).firm_cost_no_central
         for split in ((0.125,) * 4, (0.2, 0.15, 0.1, 0.05), (0.34, 0.1, 0.03, 0.03)):
             rest = (0.5 / 8,) * 8
             spec = pg.GameSpec(n=12, lambdas=split + rest, kappa=1.0)
-            total = sum(pg.trader_cost(spec, i) for i in range(4))
+            total = sum(pg.cost_breakdown(spec).per_trader[:4])
             assert total == pytest.approx(grouped, abs=1e-12)
 
     def test_centralized_firm_equals_single_new_trader(self):
         sc = scenario(n1=4, n2=8, lam=0.4, kappa=5.0)
         rest = (0.6 / 8,) * 8
         spec = pg.GameSpec(n=9, lambdas=(0.4,) + rest, kappa=5.0)
-        assert pg.firm_cost_centralized(sc) == pytest.approx(
-            pg.trader_cost(spec, 0), abs=1e-12
+        assert pg.naive_centralization_report(sc).firm_cost_central == pytest.approx(
+            pg.cost_breakdown(spec).per_trader[0], abs=1e-12
         )
 
     def test_vanishing_nonfirm_fraction_can_profit(self):
         sc = pg.CentralizationScenario(n1=2, n2=2, lambda_firm=1.0 - 1e-6, kappa=5.0)
-        assert pg.nonfirm_cost_no_centralization(sc) < 0.0
+        assert pg.naive_centralization_report(sc).nonfirm_cost_no_central < 0.0
 
 
 class TestNaiveReport:
@@ -138,19 +150,23 @@ class TestNaiveReport:
 
 
 class TestStrategicCost:
+    # the curve and the report evaluate the same kernel on the same inputs
     def test_zero_delta_reproduces_independent_trading(self):
         sc = scenario(n1=3, n2=9, lam=0.3, kappa=7.0)
-        assert abs(pg.strategic_cost(sc, 0) - pg.firm_cost_no_centralization(sc)) <= 1e-12
+        curve = pg.optimal_representation(sc, (1 - sc.n1, 5))
+        rep = pg.naive_centralization_report(sc)
+        assert curve.exact_costs[curve.deltas == 0][0] == rep.firm_cost_no_central
 
     def test_full_consolidation_reproduces_naive_centralization(self):
         sc = scenario(n1=3, n2=9, lam=0.3, kappa=7.0)
-        assert abs(pg.strategic_cost(sc, 1 - sc.n1) - pg.firm_cost_centralized(sc)) <= 1e-12
+        curve = pg.optimal_representation(sc, (1 - sc.n1, 5))
+        assert curve.exact_costs[0] == pg.naive_centralization_report(sc).firm_cost_central
 
     def test_limit_for_large_delta(self):
         sc = scenario(n1=3, n2=8, lam=0.5, kappa=1.0)
         firm_limit, nonfirm_limit = pg.limiting_costs(sc)
         assert firm_limit == pytest.approx(0.5 / -math.expm1(-1.0), abs=1e-12)
-        assert pg.strategic_cost(sc, 10**6) == pytest.approx(firm_limit, abs=1e-3)
+        assert exact_cost(sc, 10**6) == pytest.approx(firm_limit, abs=1e-3)
         assert firm_limit + nonfirm_limit == pytest.approx(
             pg.aggregate_cost_limit(sc.kappa), abs=1e-12
         )
@@ -163,10 +179,10 @@ class TestStrategicCost:
 
     def test_representation_floor(self):
         sc = scenario(n1=3, n2=9)
-        with pytest.raises(pg.RepresentationTooSmall):
-            pg.strategic_cost(sc, -3)
-        with pytest.raises(pg.RepresentationTooSmall):
-            pg.strategic_cost_approx(sc, -10)
+        for delta in (-3, -10):
+            with pytest.raises(pg.RepresentationTooSmall):
+                pg.optimal_representation(sc, (delta, delta))
+        assert exact_cost(sc, -2) == pg.naive_centralization_report(sc).firm_cost_central
 
 
 class TestOptimalRepresentation:
@@ -193,13 +209,13 @@ class TestOptimalRepresentation:
 
     def test_minority_firm_gains_by_splitting(self):
         sc = scenario(n1=1, n2=9, lam=0.1, kappa=1.0)
-        base = pg.strategic_cost(sc, 0)
-        assert all(pg.strategic_cost(sc, d) < base for d in range(1, 9))
+        costs = pg.optimal_representation(sc, (0, 8)).exact_costs
+        assert np.all(costs[1:] < costs[0])
 
     def test_majority_firm_gains_by_consolidating(self):
         sc = scenario(n1=10, n2=5, lam=0.666, kappa=1.0)
         assert pg.continuous_optimal_delta(sc) < 0.0
-        assert pg.strategic_cost(sc, -4) < pg.strategic_cost(sc, 0)
+        assert exact_cost(sc, -4) < exact_cost(sc, 0)
 
     def test_explicit_range_validation(self):
         sc = scenario(n1=3, n2=9)
@@ -233,7 +249,7 @@ class TestAveragedReports:
         det = pg.averaged_report(1.0, band, n_values=(21,), n1_values=(4,))
         sc = pg.CentralizationScenario(n1=4, n2=17, lambda_firm=0.40, kappa=1.0)
         assert det.firm_cost_no_central == pytest.approx(
-            pg.firm_cost_no_centralization(sc), abs=1e-9
+            pg.naive_centralization_report(sc).firm_cost_no_central, abs=1e-9
         )
 
 

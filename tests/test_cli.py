@@ -63,7 +63,8 @@ class TestEquilibriumCommand:
         _, _, rows = read_csv(tmp_path / "out" / "equilibrium.csv")
         cost_row = next(r for r in rows if r[0] == "cost")
         share_row = next(r for r in rows if r[0] == "share")
-        assert float(cost_row[1]) == pytest.approx(pg.trader_cost(pg.GameSpec(2, (0.5, 0.5), 1.0), 0), rel=1e-10)
+        breakdown = pg.cost_breakdown(pg.GameSpec(2, (0.5, 0.5), 1.0))
+        assert float(cost_row[1]) == pytest.approx(breakdown.per_trader[0], rel=1e-10)
         assert float(share_row[1]) == pytest.approx(0.5, abs=1e-12)
         assert float(cost_row[3]) == pytest.approx(pg.aggregate_cost(2, 1.0), rel=1e-10)
 
@@ -151,6 +152,9 @@ class TestConfigErrors:
             ("centralize", {"table": {"n1": [0, 3]}}, "table.n1"),
             ("centralize", {"table": {"mode": "sampled", "draws": 0}}, "table.draws"),
             ("centralize", {"table": {"mode": "sampled", "draws": -5}}, "table.draws"),
+            ("centralize", {"table": {"kappa": [0]}}, "table.kappa"),
+            ("centralize", {"table": {"kappa": [1.0, -2.0]}}, "table.kappa"),
+            ("centralize", {"game": {"kappa": 0.0}}, "game.kappa"),
         ],
     )
     def test_count_setting_is_config_error(self, tmp_path, capsys, command, payload, key):
@@ -211,6 +215,16 @@ class TestCostsCommand:
         assert float(rows[0][dev]) < 0.0
         assert float(rows[1][dev]) == 0.0
         assert float(rows[2][dev]) > 0.0
+
+
+    def test_underflowing_alpha_row_takes_the_zero_kappa_limit(self, tmp_path):
+        # alpha = 5e-324 / 3 rounds to 0: trader 1 pays and bears lambda1, aggregate 1
+        cfg = write_config(
+            tmp_path, "cfg.json", {"sweep": {"n": [2], "kappa": [5e-324], "lambda1": [0.3]}}
+        )
+        assert main(["costs", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        _, _, rows = read_csv(tmp_path / "out" / "costs.csv")
+        assert rows == [["2", "4.94065645841e-324", "0.3", "0.3", "0.3", "0", "1"]]
 
 
 class TestCentralizeCommand:

@@ -7,6 +7,7 @@ from scipy.integrate import simpson
 
 import posgame as pg
 from conftest import game_specs
+from posgame.costs import _shares
 
 
 def integral_cost(spec, i, intervals=10_000):
@@ -28,26 +29,20 @@ class TestTraderCost:
         alpha = kappa * (n - 1) / (n + 1)
         expected = alpha / (n * math.expm1(alpha)) + kappa / (n + 1)
         spec = pg.GameSpec.symmetric(n, kappa)
-        for i in range(n):
-            assert pg.trader_cost(spec, i) == pytest.approx(expected, abs=1e-15)
+        for cost in pg.cost_breakdown(spec).per_trader:
+            assert cost == pytest.approx(expected, abs=1e-15)
 
     def test_two_trader_unit_kappa_value(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        cost = pg.trader_cost(spec, 0)
+        cost = pg.cost_breakdown(spec).per_trader[0]
         assert cost == pytest.approx(0.7546, abs=1e-4)
         assert cost == pytest.approx(integral_cost(spec, 0), rel=1e-6)
 
     def test_dominant_trader_pays_more_than_the_total(self):
-        spec = pg.GameSpec(n=2, lambdas=(0.99, 0.01), kappa=10.0)
-        assert pg.trader_cost(spec, 0) > pg.aggregate_cost(2, 10.0)
+        costs = pg.cost_breakdown(pg.GameSpec(n=2, lambdas=(0.99, 0.01), kappa=10.0)).per_trader
+        assert costs[0] > pg.aggregate_cost(2, 10.0)
         # the counterpart earns a profit
-        assert pg.trader_cost(spec, 1) < 0.0
-
-    def test_degenerate_cases_raise(self):
-        with pytest.raises(pg.DegenerateAlpha):
-            pg.trader_cost(pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=0.0), 0)
-        with pytest.raises(pg.DegenerateAlpha):
-            pg.trader_cost(pg.GameSpec(n=1, lambdas=(1.0,), kappa=1.0), 0)
+        assert costs[1] < 0.0
 
 
 class TestAggregateCost:
@@ -58,7 +53,7 @@ class TestAggregateCost:
 
     def test_matches_sum_of_trader_costs(self):
         spec = pg.GameSpec(n=3, lambdas=(0.6, 0.3, 0.1), kappa=7.0)
-        total = sum(pg.trader_cost(spec, i) for i in range(3))
+        total = sum(pg.cost_breakdown(spec).per_trader)
         assert total == pytest.approx(pg.aggregate_cost(3, 7.0), abs=1e-12)
 
     def test_matches_market_integral(self):
@@ -115,13 +110,11 @@ class TestPriceOfAnarchy:
 
 class TestCostShare:
     def test_equal_split_shares_are_exact(self):
-        spec = pg.GameSpec.symmetric(4, 9.0)
-        for i in range(4):
-            assert pg.cost_share(spec, i) == 0.25
+        assert pg.cost_breakdown(pg.GameSpec.symmetric(4, 9.0)).shares == (0.25,) * 4
 
     def test_shares_sum_to_one(self):
         spec = pg.GameSpec(n=3, lambdas=(0.6, 0.3, 0.1), kappa=2.5)
-        assert sum(pg.cost_share(spec, i) for i in range(3)) == pytest.approx(1.0, abs=1e-12)
+        assert sum(pg.cost_breakdown(spec).shares) == pytest.approx(1.0, abs=1e-12)
 
     def test_affine_in_lambda(self):
         n, kappa = 5, 8.0
@@ -129,7 +122,7 @@ class TestCostShare:
         for lam1 in (0.1, 0.45, 0.8):
             rest = (1.0 - lam1) / (n - 1)
             spec = pg.GameSpec(n=n, lambdas=(lam1,) + (rest,) * (n - 1), kappa=kappa)
-            shares.append(pg.cost_share(spec, 0))
+            shares.append(pg.cost_breakdown(spec).shares[0])
         lams = (0.1, 0.45, 0.8)
         cross = (lams[2] - lams[0]) * (shares[1] - shares[0]) - (
             lams[1] - lams[0]
@@ -138,15 +131,14 @@ class TestCostShare:
 
     def test_dominant_trader_share_deviation(self):
         spec = pg.GameSpec(n=2, lambdas=(0.99, 0.01), kappa=10.0)
-        assert pg.cost_share(spec, 0) - 0.99 > 0.20
+        assert pg.cost_breakdown(spec).shares[0] - 0.99 > 0.20
 
     def test_matches_cost_ratio(self):
         spec = pg.GameSpec(n=4, lambdas=(0.4, 0.3, 0.2, 0.1), kappa=6.0)
         agg = pg.aggregate_cost(4, 6.0)
+        bd = pg.cost_breakdown(spec)
         for i in range(4):
-            assert pg.cost_share(spec, i) == pytest.approx(
-                pg.trader_cost(spec, i) / agg, abs=1e-12
-            )
+            assert bd.shares[i] == pytest.approx(bd.per_trader[i] / agg, abs=1e-12)
 
 
 class TestCostBreakdown:
@@ -163,6 +155,16 @@ class TestCostBreakdown:
         assert bd.aggregate == 1.0
         assert bd.per_trader == (0.5, 0.3, 0.2)
         assert bd.shares == (0.5, 0.3, 0.2)
+
+    @pytest.mark.parametrize("n,kappa", [(2, 5e-324), (3, 5e-324)])
+    def test_underflowing_alpha_takes_the_zero_kappa_limit(self, n, kappa):
+        # alpha = kappa (n - 1) / (n + 1) rounds to 0 here, as in solve's dispatch
+        spec = pg.GameSpec(n=n, lambdas=(0.3,) + (0.7 / (n - 1),) * (n - 1), kappa=kappa)
+        bd = pg.cost_breakdown(spec)
+        assert bd.per_trader == spec.lambdas
+        assert bd.shares == spec.lambdas
+        assert bd.aggregate == 1.0
+        assert bd.fair_share_deviation == (0.0,) * n
 
     def test_single_trader_limit(self):
         bd = pg.cost_breakdown(pg.GameSpec(n=1, lambdas=(1.0,), kappa=3.0))
@@ -191,8 +193,10 @@ class TestCostBreakdown:
         bd = pg.cost_breakdown(spec)
         assert len(bd.per_trader) == len(bd.shares) == 4000
         for i in rng.choice(4000, size=25, replace=False):
-            assert bd.per_trader[i] == pytest.approx(pg.trader_cost(spec, int(i)), rel=1e-12)
-            assert bd.shares[i] == pytest.approx(pg.cost_share(spec, int(i)), rel=1e-12)
+            lam = spec.lambdas[int(i)]
+            # the breakdown broadcasts the same per-trader kernels: equal bit for bit
+            assert bd.per_trader[i] == pg.group_cost(4000, 1, lam, 5.0)
+            assert bd.shares[i] == _shares(4000, 5.0, lam)
         assert math.fsum(bd.shares) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(bd.per_trader) == pytest.approx(bd.aggregate, abs=1e-12)
 
@@ -200,8 +204,9 @@ class TestCostBreakdown:
 class TestGroupCost:
     def test_special_cases_are_the_public_costs(self):
         spec = pg.GameSpec(n=4, lambdas=(0.4, 0.3, 0.2, 0.1), kappa=6.0)
+        per_trader = pg.cost_breakdown(spec).per_trader
         for i in range(4):
-            assert pg.group_cost(4, 1, spec.lambdas[i], 6.0) == pg.trader_cost(spec, i)
+            assert pg.group_cost(4, 1, spec.lambdas[i], 6.0) == per_trader[i]
         assert pg.group_cost(4, 4, 1.0, 6.0) == pg.aggregate_cost(4, 6.0)
 
     def test_broadcasts_like_scalar_calls(self):
@@ -222,7 +227,8 @@ class TestGroupCost:
 
     def test_frozen_decay_is_the_approximate_strategic_cost(self):
         sc = pg.CentralizationScenario(n1=4, n2=8, lambda_firm=0.4, kappa=5.0)
-        assert pg.group_cost(12 + 3, 4 + 3, 0.4, 5.0, decay=5.0) == pg.strategic_cost_approx(sc, 3)
+        curve = pg.optimal_representation(sc, (3, 3))
+        assert pg.group_cost(12 + 3, 4 + 3, 0.4, 5.0, decay=5.0) == curve.approx_costs[0]
 
 
 class TestNonFiniteKappa:
@@ -231,8 +237,6 @@ class TestNonFiniteKappa:
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=kappa)
         for call in (
             lambda: pg.cost_breakdown(spec),
-            lambda: pg.trader_cost(spec, 0),
-            lambda: pg.cost_share(spec, 0),
             lambda: pg.aggregate_cost(3, kappa),
             lambda: pg.price_of_anarchy(3, kappa),
         ):
@@ -247,7 +251,7 @@ def test_aggregate_cost_is_independent_of_target_split():
     for _ in range(200):
         lam = rng.dirichlet(np.ones(n))
         spec = pg.GameSpec(n=n, lambdas=tuple(lam), kappa=kappa)
-        totals.append(math.fsum(pg.trader_cost(spec, i) for i in range(n)))
+        totals.append(math.fsum(pg.cost_breakdown(spec).per_trader))
     assert max(totals) - min(totals) < 1e-9
     assert totals[0] == pytest.approx(pg.aggregate_cost(n, kappa), abs=1e-9)
 
@@ -255,8 +259,9 @@ def test_aggregate_cost_is_independent_of_target_split():
 @settings(max_examples=20, deadline=None)
 @given(spec=game_specs(max_n=6, max_kappa=15.0))
 def test_cost_formula_matches_quadrature(spec):
+    per_trader = pg.cost_breakdown(spec).per_trader
     for i in range(spec.n):
-        formula = pg.trader_cost(spec, i)
+        formula = per_trader[i]
         numeric = integral_cost(spec, i)
         assert formula == pytest.approx(numeric, rel=1e-6, abs=1e-9)
 
@@ -295,10 +300,11 @@ def test_simpson_cost_gives_every_traders_cost():
 
     spec = pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=6.0)
     quadrature = simpson_cost(pg.solve(spec))
+    per_trader = pg.cost_breakdown(spec).per_trader
     assert quadrature.shape == (4,)
     for i in range(4):
         assert quadrature[i] == pytest.approx(integral_cost(spec, i), rel=1e-13)
-        assert quadrature[i] == pytest.approx(pg.trader_cost(spec, i), rel=1e-6)
+        assert quadrature[i] == pytest.approx(per_trader[i], rel=1e-6)
     coarse = simpson_cost(pg.solve(spec), intervals=10)
     for i in range(4):
         assert coarse[i] == pytest.approx(integral_cost(spec, i, intervals=10), rel=1e-13)

@@ -6,14 +6,13 @@ import pytest
 
 import posgame as pg
 import posgame.oracle as oracle
-from posgame.oracle import game_from_paths
 from posgame.verification import run_verification
 
 
 def curved_start(spec, n_steps):
     grid = np.linspace(0.0, 1.0, n_steps + 1)
     paths = np.tile(grid**2, (spec.n, 1))
-    return game_from_paths(spec, paths)
+    return pg.DiscreteGame(spec, paths)
 
 
 class TestDiscreteCost:
@@ -21,7 +20,7 @@ class TestDiscreteCost:
         # midpoint averaging integrates the linear aggregate exactly
         spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=1.0)
         grid = np.linspace(0.0, 1.0, 101)
-        game = game_from_paths(spec, grid[None, :])
+        game = pg.DiscreteGame(spec, grid[None, :])
         assert pg.discrete_cost(game).shape == (1,)
         assert pg.discrete_cost(game)[0] == pytest.approx(1.5, abs=1e-12)
 
@@ -32,28 +31,30 @@ class TestDiscreteCost:
         for _ in range(5):
             paths = np.vstack([np.sort(rng.uniform(size=199)) for _ in range(3)])
             paths = np.hstack([np.zeros((3, 1)), paths, np.ones((3, 1))])
-            game = game_from_paths(spec, paths)
+            game = pg.DiscreteGame(spec, paths)
             total = sum(pg.discrete_cost(game))
             assert total >= 1.0 - 1e-12
-        straight = game_from_paths(spec, np.tile(grid, (3, 1)))
+        straight = pg.DiscreteGame(spec, np.tile(grid, (3, 1)))
         total = sum(pg.discrete_cost(straight))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_converges_to_closed_form_cost(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         costs = pg.discrete_cost(pg.sampled_equilibrium(spec, 10_000))
+        per_trader = pg.cost_breakdown(spec).per_trader
         for i in range(2):
-            assert costs[i] == pytest.approx(pg.trader_cost(spec, i), abs=1e-4)
+            assert costs[i] == pytest.approx(per_trader[i], abs=1e-4)
 
 
 class TestBestResponse:
     def test_single_trader_returns_straight_line(self):
+        grid = np.linspace(0.0, 1.0, 501)
         for kappa in (0.0, 1.0, 25.0):
             spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=kappa)
             start = curved_start(spec, 500)
             response = pg.best_response(start, 0)
-            assert response.shape == start.grid.shape
-            assert np.max(np.abs(response - start.grid)) < 1e-10
+            assert response.shape == grid.shape
+            assert np.max(np.abs(response - grid)) < 1e-10
 
     def test_closed_form_is_a_fixed_point(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
@@ -66,7 +67,7 @@ class TestBestResponse:
         grid = np.linspace(0.0, 1.0, 801)
         eager = 1.0 - (1.0 - grid) ** 3
         paths = np.vstack([grid, eager])
-        response = pg.best_response(game_from_paths(spec, paths), 0)
+        response = pg.best_response(pg.DiscreteGame(spec, paths), 0)
         quarter = np.searchsorted(grid, 0.25)
         assert response[quarter] > 0.25
 
@@ -117,7 +118,8 @@ class TestNashFixedPoint:
     def test_zero_kappa_gives_straight_lines(self):
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=0.0)
         fp = pg.nash_fixed_point(spec, 500)
-        np.testing.assert_allclose(fp.paths, np.tile(fp.grid, (3, 1)), atol=1e-12)
+        grid = np.linspace(0.0, 1.0, 501)
+        np.testing.assert_allclose(fp.paths, np.tile(grid, (3, 1)), atol=1e-12)
 
     def test_total_discrete_cost_matches_aggregate(self):
         spec = pg.GameSpec(n=3, lambdas=(0.25, 0.35, 0.4), kappa=5.0)
@@ -145,7 +147,8 @@ def test_market_path_grid_doubling():
     gaps = []
     for n_steps in (500, 1000, 2000):
         fp = pg.nash_fixed_point(spec, n_steps)
-        gaps.append(float(np.max(np.abs(spec.lambdas_array() @ fp.paths - market(fp.grid)))))
+        grid = np.linspace(0.0, 1.0, n_steps + 1)
+        gaps.append(float(np.max(np.abs(spec.lambdas_array() @ fp.paths - market(grid)))))
     ratios = [gaps[k] / gaps[k + 1] for k in range(2)]
     # the summed stationarity rows are a second-order scheme for m'' + alpha m' = 0
     assert all(3.2 < r < 4.8 for r in ratios)
@@ -235,7 +238,7 @@ class TestAllTraderKernelsMatchSingleTraderRoute:
         for game in (
             pg.nash_fixed_point(spec, 400),
             pg.sampled_equilibrium(spec, 257),
-            game_from_paths(spec, rough),
+            pg.DiscreteGame(spec, rough),
         ):
             costs = pg.discrete_cost(game)
             assert costs.shape == (spec.n,)
@@ -254,7 +257,7 @@ class TestAllTraderKernelsMatchSingleTraderRoute:
             for k, bump in enumerate(bumps):
                 perturbed = base.paths.copy()
                 perturbed[i] = perturbed[i] + eps * bump
-                game = pg.DiscreteGame(spec=spec, n_steps=n_steps, grid=base.grid, paths=perturbed)
+                game = pg.DiscreteGame(spec, perturbed)
                 assert changes[i, k] == _single_trader_cost(game, i) - base_cost
         assert np.array_equal(pg.deviation_test(spec, bumps, eps=eps), changes)
 
@@ -283,17 +286,30 @@ def test_standard_bumps_match_one_draw_per_bump():
 class TestDiscreteGameInvariants:
     def test_endpoints_must_be_pinned(self):
         spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=1.0)
-        grid = np.linspace(0.0, 1.0, 11)
-        bad = np.linspace(0.1, 1.0, 11)[None, :]
-        with pytest.raises(pg.GridMismatch):
-            pg.DiscreteGame(spec=spec, n_steps=10, grid=grid, paths=bad)
+        for bad in (np.linspace(0.1, 1.0, 11), np.linspace(0.0, 0.9, 11)):
+            with pytest.raises(pg.GridMismatch):
+                pg.DiscreteGame(spec, bad[None, :])
 
     def test_shape_checked_against_spec(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         grid = np.linspace(0.0, 1.0, 11)
-        one_path = np.linspace(0.0, 1.0, 11)[None, :]
-        with pytest.raises(pg.GridMismatch):
-            pg.DiscreteGame(spec=spec, n_steps=10, grid=grid, paths=one_path)
+        for bad in (grid[None, :], np.tile(grid, (3, 1)), grid, np.tile(grid, (2, 1, 1)),
+                    np.zeros((2, 0)), np.zeros((2, 1))):
+            with pytest.raises(pg.GridMismatch):
+                pg.DiscreteGame(spec, bad)
+
+    def test_n_steps_is_read_off_the_paths(self):
+        spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
+        paths = np.tile(np.linspace(0.0, 1.0, 11), (2, 1))
+        game = pg.DiscreteGame(spec, paths)
+        assert game.n_steps == 10
+        assert pg.nash_fixed_point(spec, 40).n_steps == 40
+        assert pg.sampled_equilibrium(spec, 7).n_steps == 7
+        # the game keeps its own read-only copy
+        paths[0, 5] = 9.0
+        assert game.paths[0, 5] == 0.5 and not game.paths.flags.writeable
+        with pytest.raises(AttributeError):
+            game.n_steps = 20
 
 
 class TestDeferredScipy:
