@@ -52,6 +52,7 @@ from .centralization import (
 from .oracle import (
     DiscreteGame,
     best_response,
+    deviation_expansion,
     deviation_test,
     discrete_cost,
     nash_fixed_point,
@@ -88,6 +89,7 @@ __all__ = [
     "best_response",
     "continuous_optimal_delta",
     "cost_breakdown",
+    "deviation_expansion",
     "deviation_test",
     "discrete_cost",
     "governing_residuals",

@@ -75,8 +75,14 @@ def _shares(n: int, kappa: float, lam):
 
 
 def aggregate_cost(n: int, kappa: float) -> float:
-    """Total implementation cost over all traders; independent of the lambdas."""
+    """Total implementation cost over all traders; independent of the lambdas.
+
+    Wherever alpha evaluates to 0 (a kappa so small that alpha underflows)
+    it takes the kappa -> 0 limit 1, as :func:`cost_breakdown` does.
+    """
     _require_generic(n, kappa)
+    if _alpha(n, kappa) == 0.0:
+        return 1.0
     return float(group_cost(n, n, 1.0, kappa))
 
 

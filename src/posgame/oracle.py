@@ -30,6 +30,13 @@ Both systems are nonsingular for every c >= 0, and the per-trader solutions
 reproduce m as their lambda-weighted sum, so the profile satisfies each
 trader's own best-response rows exactly, to rounding.
 
+Trader i's cost is bilinear in m and a_i, and moving a_i alone by eps b
+moves m by eps lambda_i b, so the cost change along a deviation is an exact
+quadratic in eps whose coefficients are cost sums of the base paths and the
+bump.  :func:`deviation_expansion` prices every trader's deviations that way,
+from the cost functional alone; :func:`deviation_test` re-prices each
+perturbed profile and is its direct reference.
+
 Everything here deliberately avoids the closed-form solution: the only
 shared inputs are the cost functional and the boundary conditions.
 """
@@ -116,13 +123,19 @@ def sampled_equilibrium(
     return DiscreteGame(spec, paths)
 
 
+def _pressure(x: np.ndarray, kappa: float, h: float) -> np.ndarray:
+    """Per-interval price pressure of a path along the last axis: its
+    forward-difference rate plus kappa times its midpoint level.  Linear in
+    ``x``; leading axes broadcast."""
+    return np.diff(x) / h + kappa * 0.5 * (x[..., :-1] + x[..., 1:])
+
+
 def _cost_sum(m: np.ndarray, lam, a: np.ndarray, kappa: float, h: float) -> np.ndarray:
-    """The discrete cost sum over the last axis: per-interval price pressure
-    (forward-difference rate of the aggregate path ``m`` plus kappa times its
-    midpoint level) times ``lam`` times the own path's increments.  Leading
-    axes broadcast: one call prices every trader or every profile of a stack."""
-    pressure = np.diff(m) / h + kappa * 0.5 * (m[..., :-1] + m[..., 1:])
-    return np.sum(pressure * lam * np.diff(a), axis=-1)
+    """The discrete cost sum over the last axis: the price pressure of the
+    aggregate path ``m`` times ``lam`` times the own path's increments.
+    Leading axes broadcast: one call prices every trader or every profile of
+    a stack."""
+    return np.sum(_pressure(m, kappa, h) * lam * np.diff(a), axis=-1)
 
 
 def discrete_cost(game: DiscreteGame) -> np.ndarray:
@@ -244,6 +257,44 @@ def deviation_test(
         costs = _cost_sum(lambdas @ stack, lambdas[i], stack[:, i], kappa, h)
         changes[i] = costs - base_costs[i]
     return changes
+
+
+def deviation_expansion(
+    spec: GameSpec,
+    bumps: np.ndarray,
+    eps: float,
+    base: DiscreteGame | None = None,
+) -> np.ndarray:
+    """:func:`deviation_test`'s cost changes, shape (n, K), from the exact
+    expansion of the discrete cost in the own path.
+
+    With p(x) the price pressure of :func:`_cost_sum` (linear in x), moving
+    trader i alone by eps * b moves the market by eps * lambda_i * b, so its
+    cost changes by exactly
+
+        eps lambda_i [sum p(m) db + lambda_i sum p(b) da_i]
+            + eps^2 lambda_i^2 sum p(b) db,
+
+    d the increments along the grid.  The sums over every trader and bump
+    are one (K, N) @ (N, n) product plus two length-K sums, so time and
+    memory grow like (n + K) N, where :func:`deviation_test`'s stacks grow
+    like n^2 K N.  Arguments and errors are :func:`deviation_test`'s.
+    """
+    bumps = np.asarray(bumps, dtype=float)
+    base = base if base is not None else sampled_equilibrium(spec, bumps.shape[-1] - 1)
+    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
+        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
+    if np.any(bumps[:, [0, -1]] != 0.0):
+        raise BadBump("bump must vanish at both endpoints")
+    lambdas = spec.lambdas_array()
+    kappa, h = spec.kappa, 1.0 / base.n_steps
+    bump_pressure = _pressure(bumps, kappa, h)
+    bump_steps = np.diff(bumps)
+    market_term = bump_steps @ _pressure(lambdas @ base.paths, kappa, h)  # (K,)
+    own_term = bump_pressure @ np.diff(base.paths).T  # (K, n)
+    curvature = np.sum(bump_pressure * bump_steps, axis=-1)  # (K,)
+    lam = lambdas[:, None]
+    return eps * lam * (market_term + lam * own_term.T) + eps**2 * lam**2 * curvature
 
 
 def standard_bumps(

@@ -16,7 +16,7 @@ from .core import EquilibriumSolution, GameSpec
 from .costs import aggregate_cost, group_cost
 from .equilibrium import governing_residuals, solve
 from .oracle import (
-    deviation_test,
+    deviation_expansion,
     discrete_cost,
     nash_fixed_point,
     sampled_equilibrium,
@@ -166,7 +166,7 @@ def run_verification(
                     )
                 )
 
-                worst_dev = float(np.min(deviation_test(spec, bumps, eps=0.01, base=cf)))
+                worst_dev = float(np.min(deviation_expansion(spec, bumps, eps=0.01, base=cf)))
                 checks.append(
                     Check(
                         name=f"deviation non-negativity [{label}]",

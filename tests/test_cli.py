@@ -279,6 +279,18 @@ class TestPoaCommand:
         big = next(r for r in rows if r[0] == "25" and float(r[1]) == 25.0)
         assert 40.0 <= float(big[pct]) <= 55.0
 
+    def test_underflowing_alpha_rows_take_the_zero_kappa_limit(self, tmp_path):
+        # alpha rounds to 0 at n = 2 and 3: aggregate 1, no increase, ratio 1
+        cfg = write_config(
+            tmp_path, "cfg.json", {"sweep": {"n": [2, 3], "kappa": [5e-324]}}
+        )
+        assert main(["poa", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        _, _, rows = read_csv(tmp_path / "out" / "poa.csv")
+        assert rows == [
+            ["2", "4.94065645841e-324", "1", "0", "1"],
+            ["3", "4.94065645841e-324", "1", "0", "1"],
+        ]
+
 
 class TestVerifyCommand:
     def test_small_suite_passes(self, tmp_path, capsys):

@@ -80,6 +80,13 @@ class TestAggregateCost:
         assert pg.aggregate_cost_limit(0.0) == 1.0
         assert pg.aggregate_cost(5, 1e-10) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_underflowing_alpha_takes_the_zero_kappa_limit(self, n):
+        # alpha = kappa (n - 1) / (n + 1) rounds to 0, as in cost_breakdown's rule
+        kappa = 5e-324
+        assert pg.aggregate_cost(n, kappa) == 1.0
+        assert pg.price_of_anarchy(n, kappa) == 1.0 / (1.0 + kappa / 2.0)
+
 
 class TestMarketMinCost:
     @pytest.mark.parametrize("kappa,expected", [(1.0, 1.5), (0.0, 1.0), (25.0, 13.5)])

@@ -1,12 +1,13 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import posgame as pg
 import posgame.oracle as oracle
-from posgame.verification import run_verification
+from posgame.verification import draw_lambdas, run_verification
 
 
 def curved_start(spec, n_steps):
@@ -262,6 +263,92 @@ class TestAllTraderKernelsMatchSingleTraderRoute:
         assert np.array_equal(pg.deviation_test(spec, bumps, eps=eps), changes)
 
 
+# Largest |deviation_expansion - deviation_test| measured over the cases below
+# is 9.9e-14 (the 27 default verify draws, N = 2000; 3.3e-15 over the CASES at
+# N = 300): the direct route's cancellation of two O(1) costs, about half of
+# it the expansion's own rounding.
+EXPANSION_ABS = 2e-13
+
+
+def default_verify_draws():
+    """The 27 specs and the bumps of run_verification's default suite."""
+    rng = np.random.default_rng(0)
+    specs = [
+        pg.GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa)
+        for n in (2, 3, 5)
+        for kappa in (1.0, 5.0, 25.0)
+        for _ in range(3)
+    ]
+    return specs, pg.standard_bumps(2000, seed=0)
+
+
+class TestDeviationExpansion:
+    @pytest.mark.parametrize(
+        "spec", TestAllTraderKernelsMatchSingleTraderRoute.CASES,
+        ids=lambda s: f"n{s.n}-k{s.kappa:g}",
+    )
+    def test_matches_the_direct_route(self, spec):
+        bumps = pg.standard_bumps(300, seed=3)
+        for signed in (bumps, -bumps):
+            direct = pg.deviation_test(spec, signed, eps=0.01)
+            expansion = pg.deviation_expansion(spec, signed, eps=0.01)
+            assert expansion.shape == (spec.n, len(bumps))
+            assert np.max(np.abs(expansion - direct)) <= EXPANSION_ABS
+
+    def test_matches_the_direct_route_on_the_default_verify_draws(self):
+        specs, bumps = default_verify_draws()
+        assert len(specs) == 27
+        for spec in specs:
+            base = pg.sampled_equilibrium(spec, 2000)
+            for signed in (bumps, -bumps):
+                direct = pg.deviation_test(spec, signed, eps=0.01, base=base)
+                expansion = pg.deviation_expansion(spec, signed, eps=0.01, base=base)
+                assert np.max(np.abs(expansion - direct)) <= EXPANSION_ABS
+
+    def test_zero_bump_changes_nothing(self):
+        spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
+        changes = pg.deviation_expansion(spec, np.zeros((1, 201)), eps=0.01)
+        assert changes.shape == (2, 1)
+        assert np.all(changes == 0.0)
+
+    def test_rejects_what_the_direct_route_rejects(self):
+        spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
+        base = pg.sampled_equilibrium(spec, 100)
+        cases = [
+            (pg.BadBump, np.linspace(0.0, 1.0, 101)[None], None),
+            (pg.GridMismatch, pg.standard_bumps(50), base),
+            (pg.GridMismatch, pg.standard_bumps(100)[0], base),
+            (pg.GridMismatch, pg.standard_bumps(100)[0], None),
+        ]
+        for error, bumps, at in cases:
+            for route in (pg.deviation_test, pg.deviation_expansion):
+                with pytest.raises(error):
+                    route(spec, bumps, eps=0.01, base=at)
+
+    def test_memory_is_linear_in_the_trader_count(self):
+        # the direct route would hold a (K, n, N + 1) stack: 160 MB here
+        n, n_steps = 1000, 2000
+        spec = pg.GameSpec(
+            n=n, lambdas=draw_lambdas(np.random.default_rng(0), n), kappa=25.0
+        )
+        bumps = pg.standard_bumps(n_steps)
+        assert len(bumps) == 10
+        base = pg.sampled_equilibrium(spec, n_steps)
+        bound = 3 * n * (n_steps + 1) * 8  # three profiles' worth of floats
+        tracemalloc.start()
+        try:
+            given = pg.deviation_expansion(spec, bumps, eps=0.01, base=base)
+            peak_given = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sampled = pg.deviation_expansion(spec, bumps, eps=0.01)
+            peak_sampled = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: 16.5 MB with the base given, 32.5 MB sampling it, bound 48 MB
+        assert peak_given < bound and peak_sampled < bound
+        assert np.array_equal(given, sampled)
+
+
 def test_standard_bumps_match_one_draw_per_bump():
     def one_at_a_time(n_steps, modes, n_random, seed):
         grid = np.linspace(0.0, 1.0, n_steps + 1)
@@ -349,3 +436,24 @@ def test_run_verification_rejects_an_empty_suite(setting):
     kwargs = {"n_values": (2,), "kappa_values": (1.0,), "draws": 1, "n_steps": 40, **setting}
     with pytest.raises(ValueError, match=next(iter(setting))):
         run_verification(**kwargs)
+
+
+def test_verification_at_a_thousand_traders():
+    # deviation_test would build a (10, 1000, 2001) stack per trader here
+    kwargs = {"n_values": (1000,), "kappa_values": (25.0,), "draws": 1, "n_steps": 2000}
+    report = run_verification(**kwargs)
+    assert report.passed, [c.name for c in report.checks if not c.passed]
+    assert not run_verification(**kwargs, bug_scale=1.01).passed
+
+
+def test_verification_does_not_take_the_direct_route(monkeypatch):
+    import posgame.verification as verification
+
+    def direct_route(*args, **kwargs):
+        raise AssertionError("verification called deviation_test")
+
+    monkeypatch.setattr(oracle, "deviation_test", direct_route)
+    monkeypatch.setattr(verification, "deviation_test", direct_route, raising=False)
+    report = run_verification(n_values=(2, 3), kappa_values=(5.0,), draws=1, n_steps=200)
+    assert report.passed
+    assert any(c.name.startswith("deviation non-negativity") for c in report.checks)
