@@ -7,6 +7,7 @@ import pytest
 
 import posgame as pg
 import posgame.oracle as oracle
+import posgame.verification as verification
 from posgame.verification import draw_lambdas, run_verification
 
 
@@ -265,8 +266,9 @@ class TestAllTraderKernelsMatchSingleTraderRoute:
 
 # Largest |deviation_expansion - deviation_test| measured over the cases below
 # is 9.9e-14 (the 27 default verify draws, N = 2000; 3.3e-15 over the CASES at
-# N = 300): the direct route's cancellation of two O(1) costs, about half of
-# it the expansion's own rounding.
+# N = 300).  Both routes round: against a long-double evaluation of the same
+# expansion the direct route is off by up to 8.2e-14 on those draws, the
+# expansion by up to 4.9e-14.
 EXPANSION_ABS = 2e-13
 
 
@@ -447,8 +449,6 @@ def test_verification_at_a_thousand_traders():
 
 
 def test_verification_does_not_take_the_direct_route(monkeypatch):
-    import posgame.verification as verification
-
     def direct_route(*args, **kwargs):
         raise AssertionError("verification called deviation_test")
 
