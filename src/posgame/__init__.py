@@ -47,7 +47,6 @@ from .centralization import (
     limiting_costs,
     naive_centralization_report,
     optimal_representation,
-    sampled_report,
 )
 from .oracle import (
     DiscreteGame,
@@ -102,7 +101,6 @@ __all__ = [
     "price_of_anarchy",
     "renormalize_lambdas",
     "sampled_equilibrium",
-    "sampled_report",
     "solve",
     "standard_bumps",
     "stationarity_residual",

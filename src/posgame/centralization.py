@@ -201,14 +201,6 @@ FRACTION_BANDS: dict[float, tuple[float, float]] = {
 }
 
 
-def _mean_report(n1, n2, lambda_firm, kappa, weights) -> CentralizationReport:
-    """Weighted mean of the naive report over arrays of firm splits."""
-    _check_split(n1, n2, lambda_firm, kappa)
-    columns = _report_columns(n1, n2, lambda_firm, kappa)
-    total = weights.sum()
-    return CentralizationReport(*(float(np.dot(weights, c) / total) for c in columns))
-
-
 @cache
 def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
     """64-point Gauss-Legendre nodes and weights on [-1, 1], computed once
@@ -236,25 +228,9 @@ def averaged_report(
     nodes, weights = _gauss_legendre_64()
     lams = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
     n, n1, lam = np.meshgrid(n_values, n1_values, lams, indexing="ij")
-    w = np.broadcast_to(weights, lam.shape)
-    return _mean_report(n1.ravel(), (n - n1).ravel(), lam.ravel(), kappa, w.ravel())
-
-
-def sampled_report(
-    kappa: float,
-    lambda_band: tuple[float, float],
-    n_values: tuple[int, ...] = (20, 21, 22),
-    n1_values: tuple[int, ...] = (3, 4, 5),
-    draws: int = 2000,
-    rng: np.random.Generator | None = None,
-) -> CentralizationReport:
-    """Seeded-RNG variant of :func:`averaged_report` drawing (n, n1, fraction)
-    uniformly; provided for fidelity to randomized reference runs."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    lo, hi = lambda_band
-    samples = np.empty((3, draws))
-    for k in range(draws):  # one draw at a time keeps the generator's stream order
-        samples[:, k] = rng.choice(n_values), rng.choice(n1_values), rng.uniform(lo, hi)
-    n, n1, lam = samples
-    return _mean_report(n1, n - n1, lam, kappa, np.ones(draws))
+    n1, n2, lam = n1.ravel(), (n - n1).ravel(), lam.ravel()
+    _check_split(n1, n2, lam, kappa)
+    w = np.broadcast_to(weights, n.shape).ravel()
+    total = w.sum()
+    columns = _report_columns(n1, n2, lam, kappa)
+    return CentralizationReport(*(float(np.dot(w, c) / total) for c in columns))

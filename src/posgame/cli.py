@@ -11,11 +11,14 @@ One strict JSON schema drives all subcommands (sections: game, grid,
 centralization, sweep, table, verify, output); each command reads the
 sections it needs, so a single scenario file can serve several commands.
 Unknown keys anywhere are rejected with their path.  Every CSV starts with a
-comment line carrying the tool version and a hash of the effective config,
-so identical config + seed reproduce byte-identical files.  Cells are
-written by one rule: strings verbatim, integers as plain digits, every other
-number as ``%.12g`` (12 significant digits, locale-independent; nan and inf
-as ``nan``, ``inf``, ``-inf``).
+comment line carrying the tool version and a hash of the effective config
+and seed, so identical config + seed reproduce byte-identical files.  The
+seed (``output.seed``, or ``--seed``) draws only ``verify``'s target
+fractions and deviation bumps; the other commands' rows depend on the config
+alone, and the averaged centralization table is a deterministic quadrature.
+Cells are written by one rule: strings verbatim, integers as plain digits,
+every other number as ``%.12g`` (12 significant digits, locale-independent;
+nan and inf as ``nan``, ``inf``, ``-inf``).
 Exit codes: 0 success, 1 config error (a game the library rejects, such as
 a non-finite kappa, counts as one), 2 verification failure.
 """
@@ -39,7 +42,6 @@ from .centralization import (
     averaged_report,
     naive_centralization_report,
     optimal_representation,
-    sampled_report,
 )
 from .core import GameSpec, GameSpecError, renormalize_lambdas, validate_spec
 from .costs import aggregate_cost, cost_breakdown, price_of_anarchy
@@ -135,7 +137,10 @@ def _int_list(section: _Section, key: str, required=False) -> list[int] | None:
 
 @dataclass
 class Scenario:
-    """Validated scenario config; sections absent from the file are None."""
+    """Validated scenario config; sections absent from the file are None.
+
+    ``seed`` is the effective seed: ``output.seed``, or ``--seed`` if given.
+    """
 
     n: int | None = None
     kappa: float | None = None
@@ -151,8 +156,6 @@ class Scenario:
     table_rows: list[float] | None = None
     table_n: tuple[int, ...] = (20, 21, 22)
     table_n1: tuple[int, ...] = (3, 4, 5)
-    table_mode: str = "quadrature"
-    table_draws: int = 2000
     verify_n: tuple[int, ...] = (2, 3, 5)
     verify_kappa: tuple[float, ...] = (1.0, 5.0, 25.0)
     verify_draws: int = 1
@@ -198,14 +201,14 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
         if sc.kappa < 0.0:
             raise ConfigError(f"config.game.kappa: must be non-negative, got {sc.kappa}")
         if symmetric or lambdas is not None:
-            spec = (
-                GameSpec.symmetric(sc.n, sc.kappa)
-                if symmetric
-                else GameSpec(n=sc.n, lambdas=tuple(lambdas), kappa=sc.kappa)
-            )
-            if renormalize:
-                spec = renormalize_lambdas(spec)
             try:
+                spec = (
+                    GameSpec.symmetric(sc.n, sc.kappa)
+                    if symmetric
+                    else GameSpec(n=sc.n, lambdas=tuple(lambdas), kappa=sc.kappa)
+                )
+                if renormalize:
+                    spec = renormalize_lambdas(spec)
                 sc.spec = validate_spec(spec)
             except GameSpecError as exc:
                 raise ConfigError(f"config.game: {exc}") from exc
@@ -241,8 +244,6 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
         sc.table_rows = _number_list(table, "rows", required=True)
         n_values = _int_list(table, "n")
         n1_values = _int_list(table, "n1")
-        sc.table_mode = table.take("mode", str, default="quadrature")
-        sc.table_draws = table.take("draws", int, default=2000)
         table.finish()
         if n_values:
             sc.table_n = tuple(n_values)
@@ -253,15 +254,9 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
                 f"config.table.n1: need 1 <= n1 < n for every pair, got n1={sc.table_n1}, "
                 f"n={sc.table_n}"
             )
-        if sc.table_draws < 1:
-            raise ConfigError(f"config.table.draws: need >= 1, got {sc.table_draws}")
         # the cost kernel is 0/0 at kappa = 0 and would write a nan row
         if not all(0.0 < k < math.inf for k in sc.table_kappa):
             raise ConfigError(f"config.table.kappa: need 0 < kappa < inf, got {sc.table_kappa}")
-        if sc.table_mode not in ("quadrature", "sampled"):
-            raise ConfigError(
-                f"config.table.mode: expected 'quadrature' or 'sampled', got {sc.table_mode!r}"
-            )
         for label in sc.table_rows:
             if label not in FRACTION_BANDS:
                 raise ConfigError(
@@ -294,11 +289,8 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
     output = root.take_section("output")
     if output is not None:
         sc.directory = output.take("directory", str, default=".")
-        fmt = output.take("format", str, default="csv")
         sc.seed = output.take("seed", int, default=0)
         output.finish()
-        if fmt != "csv":
-            raise ConfigError(f"config.output.format: only 'csv' is supported, got {fmt!r}")
         if sc.seed < 0:
             raise ConfigError("config.output.seed: must be non-negative")
 
@@ -334,7 +326,7 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
     return path
 
 
-def cmd_equilibrium(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
+def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     spec = sc.require(
         sc.spec, "config.game: 'lambdas' or 'symmetric' is required for equilibrium"
     )
@@ -349,7 +341,7 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
     return 0
 
 
-def cmd_costs(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
+def cmd_costs(sc: Scenario, out_dir: Path, meta: str) -> int:
     n_values = sc.require(sc.sweep_n, "config.sweep.n: required for costs")
     kappa_values = sc.require(sc.sweep_kappa, "config.sweep.kappa: required for costs")
     lambda1_values = sc.require(sc.sweep_lambda1, "config.sweep.lambda1: required for costs")
@@ -380,7 +372,7 @@ def cmd_costs(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
     return 0
 
 
-def cmd_centralize(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
+def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
     n = sc.require(sc.n, "config.game.n: required for centralize")
     kappa = sc.require(sc.kappa, "config.game.kappa: required for centralize")
     n1 = sc.require(sc.n1, "config.centralization: required for centralize")
@@ -439,15 +431,10 @@ def cmd_centralize(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
             "firm_no_central", "firm_central", "nonfirm_no_central", "nonfirm_central",
         ]
         table_rows = []
-        gen = np.random.default_rng(seed)
         for kap in sc.table_kappa:
             for label in sc.table_rows:
                 band = FRACTION_BANDS[label]
-                if sc.table_mode == "quadrature":
-                    mean = averaged_report(kap, band, n_values=sc.table_n, n1_values=sc.table_n1)
-                else:
-                    mean = sampled_report(kap, band, n_values=sc.table_n,
-                                          n1_values=sc.table_n1, draws=sc.table_draws, rng=gen)
+                mean = averaged_report(kap, band, n_values=sc.table_n, n1_values=sc.table_n1)
                 table_rows.append(
                     [
                         label, float(np.mean(sc.table_n1)), kap,
@@ -460,7 +447,7 @@ def cmd_centralize(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
     return 0
 
 
-def cmd_poa(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
+def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
     n_values = sc.require(sc.sweep_n, "config.sweep.n: required for poa")
     kappa_values = sc.require(sc.sweep_kappa, "config.sweep.kappa: required for poa")
     header = ["n", "kappa", "aggregate_cost", "pct_increase_vs_n2", "poa_ratio"]
@@ -482,13 +469,13 @@ def cmd_poa(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
     return 0
 
 
-def cmd_verify(sc: Scenario, out_dir: Path, seed: int, meta: str) -> int:
+def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
     report = run_verification(
         n_values=sc.verify_n,
         kappa_values=sc.verify_kappa,
         draws=sc.verify_draws,
         n_steps=sc.verify_n_steps,
-        seed=seed,
+        seed=sc.seed,
         bug_scale=1.01 if sc.inject_bug else 1.0,
     )
 
@@ -540,15 +527,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config(args.config)
         scenario = parse_scenario(config, renormalize=args.renormalize_lambdas)
-        seed = args.seed if args.seed is not None else scenario.seed
-        if seed < 0:
+        if args.seed is not None:
+            scenario.seed = args.seed
+        if scenario.seed < 0:
             raise ConfigError("seed must be non-negative")
         out_dir = Path(args.out) if args.out is not None else Path(scenario.directory)
         meta = (
             f"# posgame {__version__} command={args.command} "
-            f"config_sha256={_config_hash(config, seed)}"
+            f"config_sha256={_config_hash(config, scenario.seed)}"
         )
-        return _COMMANDS[args.command](scenario, out_dir, seed, meta)
+        return _COMMANDS[args.command](scenario, out_dir, meta)
     except (ConfigError, GameSpecError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -85,6 +85,9 @@ class GameSpec:
 
     @classmethod
     def symmetric(cls, n: int, kappa: float) -> "GameSpec":
+        """``n`` traders with equal fractions; EmptyGame if n < 1."""
+        if n < 1:
+            raise EmptyGame(f"need at least one trader, got n={n}")
         return cls(n=n, lambdas=(1.0 / n,) * n, kappa=kappa)
 
     def lambdas_array(self) -> np.ndarray:

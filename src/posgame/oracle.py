@@ -225,6 +225,21 @@ def stationarity_residual(game: DiscreteGame) -> np.ndarray:
     return np.max(np.abs(resid), axis=1) / scale
 
 
+def _deviation_inputs(
+    spec: GameSpec, bumps, base: DiscreteGame | None
+) -> tuple[np.ndarray, DiscreteGame]:
+    """The bumps as a float array and the base profile (the sampled closed
+    form by default), checked to share one grid: GridMismatch otherwise, and
+    BadBump for a bump that does not vanish at both endpoints."""
+    bumps = np.asarray(bumps, dtype=float)
+    base = base if base is not None else sampled_equilibrium(spec, bumps.shape[-1] - 1)
+    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
+        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
+    if np.any(bumps[:, [0, -1]] != 0.0):
+        raise BadBump("bump must vanish at both endpoints")
+    return bumps, base
+
+
 def deviation_test(
     spec: GameSpec,
     bumps: np.ndarray,
@@ -241,12 +256,7 @@ def deviation_test(
     stationary at its minimum.  Each trader's K perturbed profiles are priced
     as one (K, n, N + 1) stack.
     """
-    bumps = np.asarray(bumps, dtype=float)
-    base = base if base is not None else sampled_equilibrium(spec, bumps.shape[-1] - 1)
-    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
-        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
-    if np.any(bumps[:, [0, -1]] != 0.0):
-        raise BadBump("bump must vanish at both endpoints")
+    bumps, base = _deviation_inputs(spec, bumps, base)
     lambdas = spec.lambdas_array()
     kappa, h = spec.kappa, 1.0 / base.n_steps
     base_costs = _cost_sum(lambdas @ base.paths, lambdas[:, None], base.paths, kappa, h)
@@ -280,12 +290,7 @@ def deviation_expansion(
     memory grow like (n + K) N, where :func:`deviation_test`'s stacks grow
     like n^2 K N.  Arguments and errors are :func:`deviation_test`'s.
     """
-    bumps = np.asarray(bumps, dtype=float)
-    base = base if base is not None else sampled_equilibrium(spec, bumps.shape[-1] - 1)
-    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
-        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
-    if np.any(bumps[:, [0, -1]] != 0.0):
-        raise BadBump("bump must vanish at both endpoints")
+    bumps, base = _deviation_inputs(spec, bumps, base)
     lambdas = spec.lambdas_array()
     kappa, h = spec.kappa, 1.0 / base.n_steps
     bump_pressure = _pressure(bumps, kappa, h)

@@ -52,6 +52,16 @@ class VerificationReport:
         return out
 
 
+def _at_most(name: str, value: float, threshold: float, detail: str = "") -> Check:
+    """A check that passes when ``value`` is at most ``threshold``."""
+    return Check(name, value, threshold, value <= threshold, detail)
+
+
+def _at_least(name: str, value: float, threshold: float, detail: str = "") -> Check:
+    """A check that passes when ``value`` is at least ``threshold``."""
+    return Check(name, value, threshold, value >= threshold, detail)
+
+
 def draw_lambdas(rng: np.random.Generator, n: int) -> tuple[float, ...]:
     """Seeded simplex draw kept away from the boundary (lambda_i >= 0.1/n),
     so fixed tolerances apply uniformly across draws."""
@@ -123,99 +133,47 @@ def run_verification(
                 sol = _buggy_solution(spec, bug_scale)
                 cf = sampled_equilibrium(spec, n_steps, solution=sol)
                 gap = float(np.max(np.abs(fp.paths - cf.paths)))
-                checks.append(
-                    Check(
-                        name=f"fixed-point gap [{label}]",
-                        value=gap,
-                        threshold=gap_threshold,
-                        passed=gap <= gap_threshold,
-                    )
-                )
+                checks.append(_at_most(f"fixed-point gap [{label}]", gap, gap_threshold))
 
                 res = max(
                     float(np.max(np.abs(r)))
                     for r in governing_residuals(sol, np.linspace(0.0, 1.0, 101))
                 )
-                checks.append(
-                    Check(
-                        name=f"governing residuals [{label}]",
-                        value=res,
-                        threshold=1e-9,
-                        passed=res <= 1e-9,
-                    )
-                )
+                checks.append(_at_most(f"governing residuals [{label}]", res, 1e-9))
 
                 end_err = float(np.max(np.abs(sol.positions(1.0) - 1.0)))
-                checks.append(
-                    Check(
-                        name=f"endpoint a_i(1)=1 [{label}]",
-                        value=end_err,
-                        threshold=1e-10,
-                        passed=end_err <= 1e-10,
-                    )
-                )
+                checks.append(_at_most(f"endpoint a_i(1)=1 [{label}]", end_err, 1e-10))
 
                 costs = group_cost(n, 1, spec.lambdas_array(), kappa)
                 rel = float(np.max(np.abs(costs - simpson_cost(sol)) / np.abs(costs)))
-                checks.append(
-                    Check(
-                        name=f"cost formula vs quadrature [{label}]",
-                        value=rel,
-                        threshold=1e-6,
-                        passed=rel <= 1e-6,
-                    )
-                )
+                checks.append(_at_most(f"cost formula vs quadrature [{label}]", rel, 1e-6))
 
                 worst_dev = float(np.min(deviation_expansion(spec, bumps, eps=0.01, base=cf)))
                 checks.append(
-                    Check(
-                        name=f"deviation non-negativity [{label}]",
-                        value=worst_dev,
-                        threshold=-1e-9,
-                        passed=worst_dev >= -1e-9,
-                    )
+                    _at_least(f"deviation non-negativity [{label}]", worst_dev, -1e-9)
                 )
 
                 total_discrete = float(sum(discrete_cost(fp)))
                 agg_err = abs(total_discrete - aggregate_cost(n, kappa))
-                checks.append(
-                    Check(
-                        name=f"aggregate vs oracle sum [{label}]",
-                        value=agg_err,
-                        threshold=1e-3,
-                        passed=agg_err <= 1e-3,
-                    )
-                )
+                checks.append(_at_most(f"aggregate vs oracle sum [{label}]", agg_err, 1e-3))
 
     checks.append(convergence_order_check())
     return VerificationReport(checks=tuple(checks))
 
 
-def convergence_order_check(
-    n: int = 2,
-    kappa: float = 5.0,
-    lambdas: tuple[float, ...] = (0.3, 0.7),
-    steps: tuple[int, ...] = (500, 1000, 2000),
-) -> Check:
-    """Gap to the closed form under grid doubling.
+def convergence_order_check() -> Check:
+    """Gap to the closed form under grid doubling, on a two-trader game.
 
     The midpoint-averaged discretization is second-order: the measured gap
     ratio per doubling is ~4.  The check requires at least first-order decay
     (every ratio >= 1.7) and reports the measured ratios.
     """
-    spec = GameSpec(n=n, lambdas=lambdas, kappa=kappa)
+    spec = GameSpec(n=2, lambdas=(0.3, 0.7), kappa=5.0)
     gaps = []
-    for n_steps in steps:
+    for n_steps in (500, 1000, 2000):
         fp = nash_fixed_point(spec, n_steps=n_steps)
         cf = sampled_equilibrium(spec, n_steps)
         gaps.append(float(np.max(np.abs(fp.paths - cf.paths))))
     ratios = [gaps[k] / gaps[k + 1] for k in range(len(gaps) - 1)]
-    worst = min(ratios)
     detail = "ratios " + ", ".join(f"{r:.2f}" for r in ratios)
-    return Check(
-        name="convergence order under grid doubling",
-        value=worst,
-        threshold=1.7,
-        passed=worst >= 1.7,
-        detail=detail,
-    )
+    return _at_least("convergence order under grid doubling", min(ratios), 1.7, detail)

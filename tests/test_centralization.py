@@ -60,7 +60,7 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             pg.averaged_report(1.0, (0.3, 0.5), n_values=(5,), n1_values=(4, 5))
         with pytest.raises(ValueError):
-            pg.sampled_report(1.0, (0.5, 1.5), draws=50)
+            pg.averaged_report(1.0, (0.5, 1.5))
 
     def test_nonfirm_fraction_complements(self):
         sc = scenario(lam=0.3)
@@ -238,9 +238,14 @@ class TestAveragedReports:
         band = pg.FRACTION_BANDS[0.40]
         det = pg.averaged_report(5.0, band)
         rng = np.random.default_rng(123)
-        mc = pg.sampled_report(5.0, band, draws=4000, rng=rng)
-        assert mc.pct_change_firm == pytest.approx(det.pct_change_firm, abs=0.2)
-        assert mc.firm_cost_no_central == pytest.approx(det.firm_cost_no_central, rel=0.02)
+        # 4000 uniform scenario draws over the default grid, in n, n1, fraction order
+        points = [
+            (int(rng.choice((20, 21, 22))), int(rng.choice((3, 4, 5))), rng.uniform(*band))
+            for _ in range(4000)
+        ]
+        mc = per_scenario_mean(5.0, points, [1.0] * 4000)
+        assert mc["pct_change_firm"] == pytest.approx(det.pct_change_firm, abs=0.2)
+        assert mc["firm_cost_no_central"] == pytest.approx(det.firm_cost_no_central, rel=0.02)
 
     def test_cost_columns_sit_at_band_mean(self):
         # cost columns are affine in the fraction, so the band average equals
@@ -291,22 +296,3 @@ class TestBroadcastReportsMatchPerScenarioLoop:
             got = pg.averaged_report(kappa, band, n_values=n_values, n1_values=n1_values)
             for name in REPORT_FIELDS:
                 assert getattr(got, name) == pytest.approx(expected[name], rel=1e-12)
-
-    @pytest.mark.parametrize("kappa", [0.5, 5.0, 25.0])
-    @pytest.mark.parametrize("grid", GRIDS)
-    def test_sampled_report(self, kappa, grid):
-        n_values, n1_values = grid
-        band = pg.FRACTION_BANDS[0.15]
-        rng = np.random.default_rng(7)
-        # the draw order per scenario is n, n1, fraction
-        points = [
-            (int(rng.choice(n_values)), int(rng.choice(n1_values)), float(rng.uniform(*band)))
-            for _ in range(500)
-        ]
-        expected = per_scenario_mean(kappa, points, [1.0] * 500)
-        got = pg.sampled_report(
-            kappa, band, n_values=n_values, n1_values=n1_values, draws=500,
-            rng=np.random.default_rng(7),
-        )
-        for name in REPORT_FIELDS:
-            assert getattr(got, name) == pytest.approx(expected[name], rel=1e-12)

@@ -92,19 +92,6 @@ class TestDeterminism:
             tmp_path / "b" / "equilibrium.csv"
         ).read_bytes()
 
-    def test_sampled_table_deterministic_under_seed(self, tmp_path):
-        payload = {
-            "game": {"n": 21, "kappa": 1.0},
-            "centralization": {"n1": 4, "lambda_firm": 0.4},
-            "table": {"kappa": [1], "rows": [0.40], "mode": "sampled", "draws": 200},
-        }
-        cfg = write_config(tmp_path, "cfg.json", payload)
-        main(["centralize", "--config", cfg, "--out", str(tmp_path / "a"), "--seed", "9"])
-        main(["centralize", "--config", cfg, "--out", str(tmp_path / "b"), "--seed", "9"])
-        assert (tmp_path / "a" / "centralize_table.csv").read_bytes() == (
-            tmp_path / "b" / "centralize_table.csv"
-        ).read_bytes()
-
 
 class TestConfigErrors:
     def test_unknown_key_rejected_with_path(self, tmp_path, capsys):
@@ -150,11 +137,12 @@ class TestConfigErrors:
             ("centralize", {"table": {"n1": [25]}}, "table.n1"),  # n2 = n - n1 < 1
             ("centralize", {"table": {"n": [5, 6], "n1": [1, 5]}}, "table.n1"),
             ("centralize", {"table": {"n1": [0, 3]}}, "table.n1"),
-            ("centralize", {"table": {"mode": "sampled", "draws": 0}}, "table.draws"),
-            ("centralize", {"table": {"mode": "sampled", "draws": -5}}, "table.draws"),
+            ("centralize", {"table": {"n": [20.5, 21]}}, "table.n"),
+            ("costs", {"sweep": {"n": [2.5]}}, "sweep.n"),
             ("centralize", {"table": {"kappa": [0]}}, "table.kappa"),
             ("centralize", {"table": {"kappa": [1.0, -2.0]}}, "table.kappa"),
             ("centralize", {"game": {"kappa": 0.0}}, "game.kappa"),
+            ("equilibrium", {"game": {"n": 0, "symmetric": True}}, "game"),
         ],
     )
     def test_count_setting_is_config_error(self, tmp_path, capsys, command, payload, key):
@@ -170,6 +158,25 @@ class TestConfigErrors:
         assert main([command, "--config", write_config(tmp_path, "cfg.json", config),
                      "--out", str(out)]) == 1
         assert f"config error: config.{key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("table", "mode", "quadrature"), ("table", "draws", 2000), ("output", "format", "csv")],
+    )
+    def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, section, key, value):
+        # the averaged table has one method and CSV is the only format, so no
+        # key selects either, whatever its value
+        config = {
+            "game": {"n": 21, "kappa": 1.0},
+            "centralization": {"n1": 4, "lambda_firm": 0.4},
+            "table": {"kappa": [1.0], "rows": [0.40]},
+        }
+        config[section] = {**config.get(section, {}), key: value}
+        out = tmp_path / "out"
+        assert main(["centralize", "--config", write_config(tmp_path, "cfg.json", config),
+                     "--out", str(out)]) == 1
+        assert f"config error: config.{section}: unknown keys: {key}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_both_symmetric_and_lambdas_rejected(self, tmp_path):
@@ -434,7 +441,7 @@ def test_non_verify_commands_run_without_scipy(tmp_path):
         "grid": {"n_points": 11},
         "centralization": {"n1": 2, "lambda_firm": 0.4, "delta_range": [-1, 5]},
         "sweep": {"n": [2, 5], "kappa": [1.0], "lambda1": [0.3]},
-        "table": {"kappa": [1.0], "rows": [0.40], "draws": 20},
+        "table": {"kappa": [1.0], "rows": [0.40]},
     }
     cfg = write_config(tmp_path, "cfg.json", payload)
     out = str(tmp_path / "out")

@@ -47,6 +47,11 @@ class TestValidateSpec:
         with pytest.raises(pg.EmptyGame):
             pg.validate_spec(pg.GameSpec(n=0, lambdas=(), kappa=1.0))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_symmetric_game_without_traders(self, n):
+        with pytest.raises(pg.EmptyGame):
+            pg.GameSpec.symmetric(n, 1.0)
+
     def test_count_mismatch(self):
         with pytest.raises(pg.LambdaCountMismatch):
             pg.validate_spec(pg.GameSpec(n=3, lambdas=(0.5, 0.5), kappa=1.0))
