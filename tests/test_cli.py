@@ -162,7 +162,13 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize(
         "section,key,value",
-        [("table", "mode", "quadrature"), ("table", "draws", 2000), ("output", "format", "csv")],
+        [
+            ("table", "mode", "quadrature"),
+            ("table", "draws", 0),
+            ("table", "draws", -5),
+            ("table", "draws", 2000),
+            ("output", "format", "csv"),
+        ],
     )
     def test_removed_settings_are_unknown_keys(self, tmp_path, capsys, section, key, value):
         # the averaged table has one method and CSV is the only format, so no
