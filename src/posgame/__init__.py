@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .core import (
     BadBump,
     CostBreakdown,
-    DegenerateAlpha,
     EmptyGame,
     EquilibriumSolution,
     GameSpec,
@@ -52,7 +51,6 @@ from .oracle import (
     DiscreteGame,
     best_response,
     deviation_expansion,
-    deviation_test,
     discrete_cost,
     nash_fixed_point,
     sampled_equilibrium,
@@ -66,7 +64,6 @@ __all__ = [
     "CentralizationReport",
     "CentralizationScenario",
     "CostBreakdown",
-    "DegenerateAlpha",
     "DiscreteGame",
     "EmptyGame",
     "EquilibriumSolution",
@@ -89,7 +86,6 @@ __all__ = [
     "continuous_optimal_delta",
     "cost_breakdown",
     "deviation_expansion",
-    "deviation_test",
     "discrete_cost",
     "governing_residuals",
     "group_cost",

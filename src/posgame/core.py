@@ -3,20 +3,26 @@
 A competition instance is a :class:`GameSpec`: ``n`` traders, fractional
 target quantities ``lambdas`` summing to one, and a permanent-impact
 (alpha-decay) parameter ``kappa``.  An :class:`EquilibriumSolution` holds a
-solved spec as two coefficient arrays and the decay rate; ``_alpha`` and
-``_curve`` are the one copy each of the decay-rate and curve formulas, as
-numpy kernels over arrays.  Equilibrium objects are immutable (their arrays
-read-only) and safe to share across threads.
+solved spec as two coefficient arrays; ``_alpha`` and ``_curve`` are the one
+copy each of the decay-rate and curve formulas, as numpy kernels over
+arrays, and ``_KAPPA_FLOOR`` is the one kappa -> 0 rule.  Equilibrium
+objects are immutable (their arrays read-only) and safe to share across
+threads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 LAMBDA_SUM_TOL = 1e-12
+
+# A kappa below the smallest normal double counts as 0: products with such a
+# kappa lose digits, while the kappa -> 0 limit is exact to double precision.
+_KAPPA_FLOOR = sys.float_info.min
 
 
 class GameSpecError(ValueError):
@@ -51,13 +57,6 @@ class NonIntegerCount(GameSpecError):
     """A trader count (or a change of one) is NaN, infinite or fractional."""
 
 
-class DegenerateAlpha(ValueError):
-    """Cost formulas are singular at alpha = 0 (n = 1 or kappa = 0).
-
-    :func:`posgame.cost_breakdown` serves those specs by their limits.
-    """
-
-
 class GridMismatch(ValueError):
     """Paths or bumps do not fit the oracle grid (shape or pinned endpoints)."""
 
@@ -85,9 +84,12 @@ class GameSpec:
 
     @classmethod
     def symmetric(cls, n: int, kappa: float) -> "GameSpec":
-        """``n`` traders with equal fractions; EmptyGame if n < 1."""
+        """``n`` traders with equal fractions; NonIntegerCount unless n is a
+        whole number, EmptyGame if n < 1."""
+        _check_count("n", n)
         if n < 1:
             raise EmptyGame(f"need at least one trader, got n={n}")
+        n = int(n)
         return cls(n=n, lambdas=(1.0 / n,) * n, kappa=kappa)
 
     def lambdas_array(self) -> np.ndarray:
@@ -159,11 +161,13 @@ def renormalize_lambdas(spec: GameSpec) -> GameSpec:
     )
 
 
-def _alpha(n, kappa):
-    """Decay rate of the market strategy, kappa (n - 1) / (n + 1), for
-    scalars or arrays that broadcast.  It is 0 for kappa = 0, for n = 1 and
-    for a kappa so small that the product underflows; the closed forms are
-    singular there and :func:`posgame.solve` takes the straight line."""
+def _alpha(n, kappa: float):
+    """Decay rate of the market strategy, kappa (n - 1) / (n + 1), for a
+    scalar kappa and a count ``n`` that may be an array.  It is 0 for n = 1
+    and for every kappa below ``_KAPPA_FLOOR``; the closed forms are singular
+    there and :func:`posgame.solve` takes the straight line."""
+    if kappa < _KAPPA_FLOOR:
+        return 0.0 * n
     return kappa * (n - 1) / (n + 1)
 
 
@@ -200,10 +204,10 @@ class EquilibriumSolution:
     """The closed-form equilibrium: trader i's strategy is
     a_i(t) = b[i] (e^{kappa t} - 1) + d[i] (1 - e^{-alpha t}).
 
-    ``b`` and ``d`` are read-only float arrays of shape (n,) and ``alpha``
-    the decay rate, so the two coefficient arrays and one float describe
-    every trader.  The market strategy m(t) = sum_i lambda_i a_i(t) has the
-    closed form (1 - e^{-alpha t}) / (1 - e^{-alpha}) and is concave (eager)
+    ``b`` and ``d`` are read-only float arrays of shape (n,), so the two
+    coefficient arrays describe every trader; ``alpha`` is read off the
+    spec.  The market strategy m(t) = sum_i lambda_i a_i(t) has the closed
+    form (1 - e^{-alpha t}) / (1 - e^{-alpha}) and is concave (eager)
     whenever alpha > 0; the degenerate branch alpha == 0 gives the straight
     line a_i(t) = m(t) = t.
     """
@@ -211,13 +215,17 @@ class EquilibriumSolution:
     spec: GameSpec
     b: np.ndarray
     d: np.ndarray
-    alpha: float
 
     def __post_init__(self):
         for name in ("b", "d"):
             values = np.array(getattr(self, name), dtype=float)
             values.flags.writeable = False
             object.__setattr__(self, name, values)
+
+    @property
+    def alpha(self) -> float:
+        """The decay rate of the spec, by the one rule of :func:`_alpha`."""
+        return _alpha(self.spec.n, self.spec.kappa)
 
     def positions(self, t) -> np.ndarray:
         """Every trader's position at time(s) t: shape (n,) + shape of t."""

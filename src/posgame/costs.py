@@ -22,8 +22,9 @@ import math
 import numpy as np
 
 from .core import (
+    _KAPPA_FLOOR,
     CostBreakdown,
-    DegenerateAlpha,
+    EmptyGame,
     GameSpec,
     _alpha,
     _check_count,
@@ -40,10 +41,14 @@ def group_cost(total, count, lam, kappa, decay=None):
     the whole market ``count=total, lam=1``, and the centralization analytics
     pass firm and non-firm groups.  ``decay`` is the market decay rate,
     alpha = kappa (total - 1) / (total + 1) by default; the frozen-decay
-    approximation passes ``decay=kappa``.  Arguments are scalars or numpy
-    arrays that broadcast together; the caller rules out the degenerate
-    total = 1 and kappa = 0.
+    approximation passes ``decay=kappa``.  ``kappa`` is a scalar; the other
+    arguments are scalars or numpy arrays that broadcast together.  A kappa
+    below the smallest normal double counts as 0 (:func:`_alpha`'s rule),
+    and there each group pays its fraction ``lam``, the kappa -> 0 limit.
+    The caller rules out the degenerate total = 1.
     """
+    if kappa < _KAPPA_FLOOR:
+        return lam + np.zeros(np.broadcast_shapes(np.shape(total), np.shape(count)))
     alpha = _alpha(total, kappa) if decay is None else decay
     return (
         kappa * (lam * total - count) / (total * -np.expm1(-kappa))
@@ -52,23 +57,16 @@ def group_cost(total, count, lam, kappa, decay=None):
     )
 
 
-def _require_generic(n: int, kappa: float) -> None:
-    """Raise DegenerateAlpha where the closed forms are singular and
-    NonFiniteKappa for NaN or infinite kappa."""
-    if n < 2 or kappa <= 0.0:
-        raise DegenerateAlpha(
-            f"cost formulas need n >= 2 and kappa > 0, got n={n}, kappa={kappa}"
-        )
-    _check_kappa(kappa)
-
-
 def _shares(n: int, kappa: float, lam):
     """Cost shares 1/n + T (1/n - lam), affine in the target fraction(s) lam.
 
     T = (n + 1)(e^alpha - 1) / ((1 - e^{-kappa})(1 - n e^alpha)); the affine
     form keeps an equal split at exactly 1/n.  1 - n e^alpha < 0 for every
-    n >= 2 and alpha > 0, so the shares are well defined.
+    n >= 2 and alpha > 0, so the shares are well defined.  T tends to -1 as
+    kappa -> 0, so below the kappa floor the shares are the fractions lam.
     """
+    if kappa < _KAPPA_FLOOR:
+        return lam
     alpha = _alpha(n, kappa)
     t_slope = (n + 1) * math.expm1(alpha) / (-math.expm1(-kappa) * (1.0 - n * math.exp(alpha)))
     return 1.0 / n + t_slope * (1.0 / n - lam)
@@ -77,19 +75,21 @@ def _shares(n: int, kappa: float, lam):
 def aggregate_cost(n: int, kappa: float) -> float:
     """Total implementation cost over all traders; independent of the lambdas.
 
-    Wherever alpha evaluates to 0 (a kappa so small that alpha underflows)
-    it takes the kappa -> 0 limit 1, as :func:`cost_breakdown` does.
+    A single trader pays the market-wide minimum 1 + kappa/2, and below the
+    kappa floor of :func:`group_cost` the aggregate is the kappa -> 0 limit 1.
     """
-    _require_generic(n, kappa)
-    if _alpha(n, kappa) == 0.0:
-        return 1.0
+    _check_kappa(kappa)
+    if n < 1:
+        raise EmptyGame(f"need at least one trader, got n={n}")
+    if n == 1:
+        return market_min_cost(kappa)
     return float(group_cost(n, n, 1.0, kappa))
 
 
 def aggregate_cost_limit(kappa: float) -> float:
     """Aggregate cost in the many-trader limit: kappa / (1 - e^{-kappa})."""
     _check_kappa(kappa)
-    if kappa == 0.0:
+    if kappa < _KAPPA_FLOOR:
         return 1.0
     return kappa / -math.expm1(-kappa)
 
@@ -109,8 +109,6 @@ def price_of_anarchy(n, kappa: float) -> float:
     (NonIntegerCount otherwise).
     """
     _check_kappa(kappa)
-    if kappa == 0.0:
-        raise ValueError(f"need kappa > 0, got {kappa}")
     if n == math.inf:
         return aggregate_cost_limit(kappa) / market_min_cost(kappa)
     _check_count("n", n)
@@ -121,32 +119,25 @@ def cost_breakdown(spec: GameSpec) -> CostBreakdown:
     """Per-trader costs, aggregate, shares and fair-share deviations.
 
     Degenerate specs take the continuous limits of the closed forms: a
-    single trader pays the market-wide minimum 1 + kappa/2, and wherever
-    alpha evaluates to 0 (kappa = 0, or a kappa so small that alpha
-    underflows; :func:`posgame.solve`'s rule) trader i pays lambda_i and the
-    aggregate is 1.
+    single trader pays the market-wide minimum 1 + kappa/2, and below the
+    kappa floor (kappa counts as 0; :func:`posgame.solve`'s rule) trader i
+    pays lambda_i and the aggregate is 1.
     """
     validate_spec(spec)
-    if spec.n == 1:
-        total = market_min_cost(spec.kappa)
+    n, kappa = spec.n, spec.kappa
+    aggregate = aggregate_cost(n, kappa)
+    if n == 1:
         return CostBreakdown(
-            per_trader=(total,),
-            aggregate=total,
+            per_trader=(aggregate,),
+            aggregate=aggregate,
             shares=(1.0,),
             fair_share_deviation=(0.0,),
         )
-    if _alpha(spec.n, spec.kappa) == 0.0:
-        return CostBreakdown(
-            per_trader=spec.lambdas,
-            aggregate=1.0,
-            shares=spec.lambdas,
-            fair_share_deviation=(0.0,) * spec.n,
-        )
-    n, kappa, lam = spec.n, spec.kappa, spec.lambdas_array()
+    lam = spec.lambdas_array()
     shares = _shares(n, kappa, lam)
     return CostBreakdown(
         per_trader=tuple(group_cost(n, 1, lam, kappa).tolist()),
-        aggregate=aggregate_cost(n, kappa),
+        aggregate=aggregate,
         shares=tuple(shares.tolist()),
         fair_share_deviation=tuple((shares - lam).tolist()),
     )

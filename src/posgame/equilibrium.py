@@ -11,8 +11,9 @@ With n >= 2 traders and kappa > 0 the unique equilibrium unit strategies are
 and the aggregate (market) strategy is m(t) = (1 - e^{-alpha t}) / (1 - e^{-alpha}).
 The degenerate cases kappa = 0 or n = 1 collapse to the risk-neutral straight
 line a_i(t) = m(t) = t.  :func:`solve` takes that branch exactly where alpha
-evaluates to 0, rather than nudging kappa, so both branches stay exactly
-testable, and returns the coefficients as two arrays over all traders.
+is 0 (n = 1, or kappa below the smallest normal double, which counts as 0),
+rather than nudging kappa, so both branches stay exactly testable, and
+returns the coefficients as two arrays over all traders.
 
 Coefficients grow like 1/lambda_i; double precision keeps the curves accurate
 for lambda_i >= 1e-6.
@@ -28,23 +29,22 @@ from .core import EquilibriumSolution, GameSpec, _alpha, _float_if_scalar, valid
 def solve(spec: GameSpec) -> EquilibriumSolution:
     """The closed-form equilibrium of ``spec`` (validated first), every trader at once.
 
-    Where alpha = 0 (kappa = 0, n = 1, or kappa so small that alpha
-    underflows) the formulas are singular and every strategy is the straight
-    line a(t) = t, with b = d = 0: with kappa = 0 the traders decouple and
-    each minimizes its own quadratic rate cost; a single trader minimizes
-    the aggregate cost.  Either way the optimal curve has zero acceleration.
+    Where alpha = 0 (n = 1, or kappa below the smallest normal double
+    2.2e-308, which counts as 0) the formulas are singular and every
+    strategy is the straight line a(t) = t, with b = d = 0: with kappa = 0
+    the traders decouple and each minimizes its own quadratic rate cost; a
+    single trader minimizes the aggregate cost.  Either way the optimal curve has zero acceleration.
     """
     validate_spec(spec)
     n, kappa = spec.n, spec.kappa
     alpha = _alpha(n, kappa)
     if alpha == 0.0:
-        return EquilibriumSolution(spec, b=np.zeros(n), d=np.zeros(n), alpha=0.0)
+        return EquilibriumSolution(spec, b=np.zeros(n), d=np.zeros(n))
     lam_n = spec.lambdas_array() * n
     return EquilibriumSolution(
         spec,
         b=(lam_n - 1.0) / (lam_n * np.expm1(kappa)),
         d=1.0 / (lam_n * -np.expm1(-alpha)),
-        alpha=alpha,
     )
 
 

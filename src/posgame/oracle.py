@@ -34,8 +34,7 @@ Trader i's cost is bilinear in m and a_i, and moving a_i alone by eps b
 moves m by eps lambda_i b, so the cost change along a deviation is an exact
 quadratic in eps whose coefficients are cost sums of the base paths and the
 bump.  :func:`deviation_expansion` prices every trader's deviations that way,
-from the cost functional alone; :func:`deviation_test` re-prices each
-perturbed profile and is its direct reference.
+from the cost functional alone.
 
 Everything here deliberately avoids the closed-form solution: the only
 shared inputs are the cost functional and the boundary conditions.
@@ -225,22 +224,7 @@ def stationarity_residual(game: DiscreteGame) -> np.ndarray:
     return np.max(np.abs(resid), axis=1) / scale
 
 
-def _deviation_inputs(
-    spec: GameSpec, bumps, base: DiscreteGame | None
-) -> tuple[np.ndarray, DiscreteGame]:
-    """The bumps as a float array and the base profile (the sampled closed
-    form by default), checked to share one grid: GridMismatch otherwise, and
-    BadBump for a bump that does not vanish at both endpoints."""
-    bumps = np.asarray(bumps, dtype=float)
-    base = base if base is not None else sampled_equilibrium(spec, bumps.shape[-1] - 1)
-    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
-        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
-    if np.any(bumps[:, [0, -1]] != 0.0):
-        raise BadBump("bump must vanish at both endpoints")
-    return bumps, base
-
-
-def deviation_test(
+def deviation_expansion(
     spec: GameSpec,
     bumps: np.ndarray,
     eps: float,
@@ -249,48 +233,31 @@ def deviation_test(
     """Cost changes when each trader alone deviates by eps * bump, shape (n, K).
 
     ``bumps`` holds K endpoint-vanishing directions on the oracle grid, shape
-    (K, N + 1).  All traders sit at the sampled closed-form equilibrium (or
-    at ``base``); entry (i, k) is trader i's discrete cost with its path
-    moved to a_i + eps * bumps[k] minus its cost at the base, non-negative
-    (to rounding) because the discrete cost is convex in the own path and
-    stationary at its minimum.  Each trader's K perturbed profiles are priced
-    as one (K, n, N + 1) stack.
-    """
-    bumps, base = _deviation_inputs(spec, bumps, base)
-    lambdas = spec.lambdas_array()
-    kappa, h = spec.kappa, 1.0 / base.n_steps
-    base_costs = _cost_sum(lambdas @ base.paths, lambdas[:, None], base.paths, kappa, h)
-    changes = np.empty((spec.n, len(bumps)))
-    for i in range(spec.n):
-        stack = np.repeat(base.paths[None], len(bumps), axis=0)
-        stack[:, i] += eps * bumps
-        costs = _cost_sum(lambdas @ stack, lambdas[i], stack[:, i], kappa, h)
-        changes[i] = costs - base_costs[i]
-    return changes
+    (K, N + 1): GridMismatch if they do not fit the grid and BadBump if one
+    does not vanish at both endpoints.  All traders sit at the sampled
+    closed-form equilibrium (or at ``base``); entry (i, k) is trader i's
+    discrete cost with its path moved to a_i + eps * bumps[k] minus its cost
+    at the base, non-negative (to rounding) because the discrete cost is
+    convex in the own path and stationary at its minimum.
 
-
-def deviation_expansion(
-    spec: GameSpec,
-    bumps: np.ndarray,
-    eps: float,
-    base: DiscreteGame | None = None,
-) -> np.ndarray:
-    """:func:`deviation_test`'s cost changes, shape (n, K), from the exact
-    expansion of the discrete cost in the own path.
-
-    With p(x) the price pressure of :func:`_cost_sum` (linear in x), moving
-    trader i alone by eps * b moves the market by eps * lambda_i * b, so its
-    cost changes by exactly
+    The change comes from the exact expansion of the discrete cost in the
+    own path.  With p(x) the price pressure of :func:`_cost_sum` (linear in
+    x), moving trader i alone by eps * b moves the market by
+    eps * lambda_i * b, so its cost changes by exactly
 
         eps lambda_i [sum p(m) db + lambda_i sum p(b) da_i]
             + eps^2 lambda_i^2 sum p(b) db,
 
     d the increments along the grid.  The sums over every trader and bump
-    are one (K, N) @ (N, n) product plus two length-K sums, so time and
-    memory grow like (n + K) N, where :func:`deviation_test`'s stacks grow
-    like n^2 K N.  Arguments and errors are :func:`deviation_test`'s.
+    are one (K, N) @ (N, n) product plus two length-K sums, so memory grows
+    like (n + K) N and no perturbed profile is built.
     """
-    bumps, base = _deviation_inputs(spec, bumps, base)
+    bumps = np.asarray(bumps, dtype=float)
+    base = base if base is not None else sampled_equilibrium(spec, bumps.shape[-1] - 1)
+    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
+        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
+    if np.any(bumps[:, [0, -1]] != 0.0):
+        raise BadBump("bump must vanish at both endpoints")
     lambdas = spec.lambdas_array()
     kappa, h = spec.kappa, 1.0 / base.n_steps
     bump_pressure = _pressure(bumps, kappa, h)

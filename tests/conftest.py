@@ -1,15 +1,21 @@
 import math
+import sys
 
 from hypothesis import strategies as st
 
 from posgame import GameSpec
 
+# kappa = 0 and subnormal kappas down to the smallest, up to the largest
+# (2.2e-308 (1 - 2^-52)): below the smallest normal double kappa counts as 0
+BELOW_KAPPA_FLOOR = (0.0, 5e-324, 1e-310, sys.float_info.min * (1.0 - 2.0**-52))
+
 
 @st.composite
-def game_specs(draw, min_n=2, max_n=10, min_kappa=1e-3, max_kappa=25.0):
+def game_specs(draw, min_n=2, max_n=10, min_kappa=1e-3, max_kappa=25.0, kappas=None):
     """Random valid competition instances with targets away from the simplex
     boundary (closed-form coefficients scale like 1/lambda_i, so boundary
-    draws would need looser tolerances)."""
+    draws would need looser tolerances).  ``kappas`` replaces the uniform
+    kappa draw on [min_kappa, max_kappa] with another strategy."""
     n = draw(st.integers(min_n, max_n))
     weights = draw(
         st.lists(
@@ -20,5 +26,7 @@ def game_specs(draw, min_n=2, max_n=10, min_kappa=1e-3, max_kappa=25.0):
     )
     total = math.fsum(weights)
     lambdas = tuple(w / total for w in weights)
-    kappa = draw(st.floats(min_kappa, max_kappa, allow_nan=False, allow_infinity=False))
+    if kappas is None:
+        kappas = st.floats(min_kappa, max_kappa, allow_nan=False, allow_infinity=False)
+    kappa = draw(kappas)
     return GameSpec(n=n, lambdas=lambdas, kappa=kappa)

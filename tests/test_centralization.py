@@ -177,6 +177,20 @@ class TestStrategicCost:
         assert firm_limit == pytest.approx(0.25, abs=1e-12)
         assert nonfirm_limit == pytest.approx(0.75, abs=1e-12)
 
+    @pytest.mark.parametrize("kappa", [0.0, 5e-324])
+    def test_zero_kappa_costs_are_the_fractions(self, kappa):
+        sc = scenario(n1=4, n2=8, lam=0.4, kappa=kappa)
+        rep = pg.naive_centralization_report(sc)
+        assert (rep.firm_cost_no_central, rep.firm_cost_central) == (0.4, 0.4)
+        assert (rep.nonfirm_cost_no_central, rep.nonfirm_cost_central) == (0.6, 0.6)
+        assert (rep.pct_change_firm, rep.pct_change_nonfirm, rep.pct_change_total) == (0, 0, 0)
+        curve = pg.optimal_representation(sc, (-3, 10))
+        assert np.all(curve.exact_costs == 0.4) and np.all(curve.approx_costs == 0.4)
+        mean = pg.averaged_report(kappa, (0.3, 0.5))
+        assert mean.firm_cost_no_central == pytest.approx(0.4, rel=1e-15)
+        assert mean.nonfirm_cost_central == pytest.approx(0.6, rel=1e-15)
+        assert (mean.pct_change_firm, mean.pct_change_nonfirm, mean.pct_change_total) == (0, 0, 0)
+
     def test_representation_floor(self):
         sc = scenario(n1=3, n2=9)
         for delta in (-3, -10):

@@ -139,9 +139,9 @@ class TestConfigErrors:
             ("centralize", {"table": {"n1": [0, 3]}}, "table.n1"),
             ("centralize", {"table": {"n": [20.5, 21]}}, "table.n"),
             ("costs", {"sweep": {"n": [2.5]}}, "sweep.n"),
-            ("centralize", {"table": {"kappa": [0]}}, "table.kappa"),
+            ("centralize", {"table": {"kappa": [math.inf]}}, "table.kappa"),
             ("centralize", {"table": {"kappa": [1.0, -2.0]}}, "table.kappa"),
-            ("centralize", {"game": {"kappa": 0.0}}, "game.kappa"),
+            ("centralize", {"game": {"kappa": -1.0}}, "game.kappa"),
             ("equilibrium", {"game": {"n": 0, "symmetric": True}}, "game"),
         ],
     )
@@ -231,7 +231,7 @@ class TestCostsCommand:
 
 
     def test_underflowing_alpha_row_takes_the_zero_kappa_limit(self, tmp_path):
-        # alpha = 5e-324 / 3 rounds to 0: trader 1 pays and bears lambda1, aggregate 1
+        # 5e-324 counts as 0: trader 1 pays and bears lambda1, aggregate 1
         cfg = write_config(
             tmp_path, "cfg.json", {"sweep": {"n": [2], "kappa": [5e-324], "lambda1": [0.3]}}
         )
@@ -259,6 +259,28 @@ class TestCentralizeCommand:
         by_delta = {int(r[delta_col]): float(r[pct_col]) for r in rows}
         assert by_delta[0] == 0.0
         assert all(by_delta[d] < 0.0 for d in range(1, 9))
+
+    def test_subnormal_kappa_writes_the_zero_kappa_limit(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "game": {"n": 12, "kappa": 5e-324},
+                "centralization": {"n1": 4, "lambda_firm": 0.4},
+                "table": {"kappa": [0], "rows": [0.40]},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["centralize", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out / "centralize_report.csv")
+        row = dict(zip(header, rows[0]))
+        assert row["firm_no_central"] == row["firm_central"] == "0.4"
+        assert row["pct_change_firm"] == row["pct_change_nonfirm"] == row["pct_change_total"] == "0"
+        _, header, rows = read_csv(out / "centralize_table.csv")
+        row = dict(zip(header, rows[0]))
+        assert row["kappa"] == "0"
+        assert row["pct_change_firm"] == row["pct_change_nonfirm"] == row["pct_change_total"] == "0"
+        assert float(row["firm_no_central"]) == pytest.approx(0.4, rel=1e-15)
 
     def test_table_rows_need_known_bands(self, tmp_path, capsys):
         cfg = write_config(
@@ -293,7 +315,7 @@ class TestPoaCommand:
         assert 40.0 <= float(big[pct]) <= 55.0
 
     def test_underflowing_alpha_rows_take_the_zero_kappa_limit(self, tmp_path):
-        # alpha rounds to 0 at n = 2 and 3: aggregate 1, no increase, ratio 1
+        # kappa below the floor counts as 0: aggregate 1, no increase, ratio 1
         cfg = write_config(
             tmp_path, "cfg.json", {"sweep": {"n": [2, 3], "kappa": [5e-324]}}
         )
@@ -303,6 +325,19 @@ class TestPoaCommand:
             ["2", "4.94065645841e-324", "1", "0", "1"],
             ["3", "4.94065645841e-324", "1", "0", "1"],
         ]
+
+    def test_zero_kappa_rows_are_the_limit(self, tmp_path):
+        cfg = write_config(tmp_path, "cfg.json", {"sweep": {"n": [2, 3, 50], "kappa": [0]}})
+        assert main(["poa", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        _, _, rows = read_csv(tmp_path / "out" / "poa.csv")
+        assert rows == [[n, "0", "1", "0", "1"] for n in ("2", "3", "50")]
+
+    def test_negative_kappa_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {"sweep": {"n": [2, 3], "kappa": [-1.0]}})
+        out = tmp_path / "out"
+        assert main(["poa", "--config", cfg, "--out", str(out)]) == 1
+        assert "must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestVerifyCommand:

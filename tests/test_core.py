@@ -77,6 +77,8 @@ def test_symmetric_constructor():
     assert spec.n == 5
     assert all(lam == 0.2 for lam in spec.lambdas)
     pg.validate_spec(spec)
+    with pytest.raises(pg.NonIntegerCount):
+        pg.GameSpec.symmetric(2.5, 1.0)
 
 
 @settings(max_examples=30, deadline=None)

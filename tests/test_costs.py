@@ -1,12 +1,14 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import posgame as pg
-from conftest import game_specs
+from conftest import BELOW_KAPPA_FLOOR, game_specs
 from posgame.costs import _shares
 
 
@@ -74,18 +76,24 @@ class TestAggregateCost:
             values = [pg.aggregate_cost(n, kappa) for n in range(2, 51)]
             assert all(a < b for a, b in zip(values, values[1:]))
 
-    def test_zero_kappa_raises_with_unit_limit(self):
-        with pytest.raises(pg.DegenerateAlpha):
-            pg.aggregate_cost(3, 0.0)
+    def test_zero_kappa_is_the_unit_limit(self):
+        assert pg.aggregate_cost(3, 0.0) == 1.0
+        assert pg.aggregate_cost(1, 0.0) == 1.0
         assert pg.aggregate_cost_limit(0.0) == 1.0
+        for n in (2, 3, 50, math.inf):
+            assert pg.price_of_anarchy(n, 0.0) == 1.0
         assert pg.aggregate_cost(5, 1e-10) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_underflowing_alpha_takes_the_zero_kappa_limit(self, n):
-        # alpha = kappa (n - 1) / (n + 1) rounds to 0, as in cost_breakdown's rule
+        # below the smallest normal double kappa counts as 0, as in cost_breakdown
         kappa = 5e-324
         assert pg.aggregate_cost(n, kappa) == 1.0
         assert pg.price_of_anarchy(n, kappa) == 1.0 / (1.0 + kappa / 2.0)
+
+    def test_no_trader_is_an_empty_game(self):
+        with pytest.raises(pg.EmptyGame):
+            pg.aggregate_cost(0, 1.0)
 
 
 class TestMarketMinCost:
@@ -165,7 +173,7 @@ class TestCostBreakdown:
 
     @pytest.mark.parametrize("n,kappa", [(2, 5e-324), (3, 5e-324)])
     def test_underflowing_alpha_takes_the_zero_kappa_limit(self, n, kappa):
-        # alpha = kappa (n - 1) / (n + 1) rounds to 0 here, as in solve's dispatch
+        # below the smallest normal double kappa counts as 0, as in solve
         spec = pg.GameSpec(n=n, lambdas=(0.3,) + (0.7 / (n - 1),) * (n - 1), kappa=kappa)
         bd = pg.cost_breakdown(spec)
         assert bd.per_trader == spec.lambdas
@@ -173,9 +181,18 @@ class TestCostBreakdown:
         assert bd.aggregate == 1.0
         assert bd.fair_share_deviation == (0.0,) * n
 
+    @pytest.mark.parametrize("kappa", [1e-320, 1e-310])
+    def test_subnormal_kappa_is_the_zero_kappa_limit(self, kappa):
+        # alpha does not underflow here, but every product with kappa loses digits
+        bd = pg.cost_breakdown(pg.GameSpec(n=2, lambdas=(0.2, 0.8), kappa=kappa))
+        assert bd.per_trader == (0.2, 0.8)
+        assert bd.shares == (0.2, 0.8)
+        assert bd.aggregate == 1.0
+
     def test_single_trader_limit(self):
         bd = pg.cost_breakdown(pg.GameSpec(n=1, lambdas=(1.0,), kappa=3.0))
         assert bd.aggregate == pg.market_min_cost(3.0)
+        assert pg.aggregate_cost(1, 3.0) == bd.aggregate
         assert bd.shares == (1.0,)
 
     @settings(max_examples=30, deadline=None)
@@ -206,6 +223,26 @@ class TestCostBreakdown:
             assert bd.shares[i] == _shares(4000, 5.0, lam)
         assert math.fsum(bd.shares) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(bd.per_trader) == pytest.approx(bd.aggregate, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=game_specs(kappas=st.sampled_from(BELOW_KAPPA_FLOOR) | st.floats(1e-3, 25.0)))
+def test_kappa_floor_and_cost_identities(spec):
+    bd = pg.cost_breakdown(spec)
+    if spec.kappa in BELOW_KAPPA_FLOOR:
+        sol = pg.solve(spec)
+        t = np.linspace(0.0, 1.0, 11)
+        assert np.all(sol.b == 0.0) and np.all(sol.d == 0.0)
+        assert np.array_equal(sol.positions(t), np.tile(t, (spec.n, 1)))
+        assert bd == pg.cost_breakdown(dataclasses.replace(spec, kappa=0.0))
+    assert math.fsum(bd.per_trader) == pytest.approx(bd.aggregate, abs=1e-9)
+    n1 = spec.n // 2
+    sc = pg.CentralizationScenario(
+        n1=n1, n2=spec.n - n1, lambda_firm=math.fsum(spec.lambdas[:n1]), kappa=spec.kappa
+    )
+    rep = pg.naive_centralization_report(sc)
+    assert rep.total_no_central == pytest.approx(pg.aggregate_cost(sc.n, sc.kappa), abs=1e-9)
+    assert rep.total_central == pytest.approx(pg.aggregate_cost(sc.n2 + 1, sc.kappa), abs=1e-9)
 
 
 class TestGroupCost:

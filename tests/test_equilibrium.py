@@ -74,6 +74,16 @@ class TestLimitBranch:
         np.testing.assert_array_equal(sol.positions(t)[0], t)
         np.testing.assert_array_equal(sol.market(t), t)
 
+    @pytest.mark.parametrize("kappa", [1e-310, 1e-320])
+    def test_subnormal_kappa_gives_straight_lines(self, kappa):
+        # below the smallest normal double kappa counts as 0
+        sol = pg.solve(pg.GameSpec(n=2, lambdas=(0.2, 0.8), kappa=kappa))
+        t = np.linspace(0.0, 1.0, 50)
+        assert sol.alpha == 0.0
+        assert np.all(sol.b == 0.0) and np.all(sol.d == 0.0)
+        for row in sol.positions(t):
+            np.testing.assert_array_equal(row, t)
+
     def test_tiny_kappa_is_continuous_with_the_limit(self):
         sol = pg.solve(pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1e-9))
         t = np.linspace(0.0, 1.0, 1001)
