@@ -25,7 +25,6 @@ from .core import (
     NonPositiveLambda,
     RepresentationTooSmall,
     renormalize_lambdas,
-    validate_spec,
 )
 from .equilibrium import governing_residuals, solve
 from .costs import (
@@ -100,5 +99,4 @@ __all__ = [
     "solve",
     "standard_bumps",
     "stationarity_residual",
-    "validate_spec",
 ]

@@ -43,8 +43,8 @@ from .centralization import (
     naive_centralization_report,
     optimal_representation,
 )
-from .core import GameSpec, GameSpecError, renormalize_lambdas, validate_spec
-from .costs import aggregate_cost, cost_breakdown, price_of_anarchy
+from .core import GameSpec, GameSpecError, renormalize_lambdas
+from .costs import aggregate_cost, cost_breakdown, market_min_cost
 from .equilibrium import solve
 from .verification import run_verification
 
@@ -202,14 +202,11 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
             raise ConfigError(f"config.game.kappa: must be non-negative, got {sc.kappa}")
         if symmetric or lambdas is not None:
             try:
-                spec = (
-                    GameSpec.symmetric(sc.n, sc.kappa)
-                    if symmetric
-                    else GameSpec(n=sc.n, lambdas=tuple(lambdas), kappa=sc.kappa)
-                )
+                if symmetric:
+                    lambdas = GameSpec.symmetric(sc.n, sc.kappa).lambdas
                 if renormalize:
-                    spec = renormalize_lambdas(spec)
-                sc.spec = validate_spec(spec)
+                    lambdas = renormalize_lambdas(lambdas)
+                sc.spec = GameSpec(n=sc.n, lambdas=tuple(lambdas), kappa=sc.kappa)
             except GameSpecError as exc:
                 raise ConfigError(f"config.game: {exc}") from exc
 
@@ -457,9 +454,7 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
             if n < 2:
                 raise ConfigError("config.sweep.n: need n >= 2")
             agg = aggregate_cost(n, kappa)
-            rows.append(
-                [n, kappa, agg, 100.0 * (agg - base) / base, price_of_anarchy(n, kappa)]
-            )
+            rows.append([n, kappa, agg, 100.0 * (agg - base) / base, agg / market_min_cost(kappa)])
     _write_csv(out_dir, "poa.csv", header, rows, meta)
     return 0
 

@@ -13,16 +13,18 @@ threads.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 LAMBDA_SUM_TOL = 1e-12
 
-# A kappa below the smallest normal double counts as 0: products with such a
-# kappa lose digits, while the kappa -> 0 limit is exact to double precision.
-_KAPPA_FLOOR = sys.float_info.min
+# A kappa below 1e-300 counts as 0.  From the floor up, lambda_i n alpha stays
+# a normal double for every documented lambda_i >= 1e-6 and n >= 2, so the
+# coefficient 1 / (lambda_i n (1 - e^{-alpha})) stays finite; just above the
+# smallest normal double (2.2e-308) it overflows.  Below the floor the
+# kappa -> 0 limit is exact to double precision, as it is up to about 1e-16.
+_KAPPA_FLOOR = 1e-300
 
 
 class GameSpecError(ValueError):
@@ -82,6 +84,31 @@ class GameSpec:
     lambdas: tuple[float, ...]
     kappa: float
 
+    def __post_init__(self):
+        """Check every invariant, so that no invalid spec exists.
+
+        Raises:
+            EmptyGame: n < 1 or no target quantities.
+            LambdaCountMismatch: len(lambdas) != n.
+            NonPositiveLambda: some lambda_i <= 0.
+            LambdaSumMismatch: |sum(lambdas) - 1| > 1e-12.
+            NegativeKappa: kappa < 0.
+            NonFiniteKappa: kappa is NaN or +inf.
+        """
+        if self.n < 1 or len(self.lambdas) == 0:
+            raise EmptyGame(f"need at least one trader, got n={self.n}")
+        if len(self.lambdas) != self.n:
+            raise LambdaCountMismatch(
+                f"got {len(self.lambdas)} target quantities for n={self.n} traders"
+            )
+        for i, lam in enumerate(self.lambdas):
+            if not lam > 0.0:
+                raise NonPositiveLambda(f"lambda_{i + 1} = {lam} must be positive")
+        total = math.fsum(self.lambdas)
+        if abs(total - 1.0) > LAMBDA_SUM_TOL:
+            raise LambdaSumMismatch(f"sum of lambdas is {total!r}, expected 1")
+        _check_kappa(self.kappa)
+
     @classmethod
     def symmetric(cls, n: int, kappa: float) -> "GameSpec":
         """``n`` traders with equal fractions; NonIntegerCount unless n is a
@@ -94,33 +121,6 @@ class GameSpec:
 
     def lambdas_array(self) -> np.ndarray:
         return np.asarray(self.lambdas, dtype=float)
-
-
-def validate_spec(spec: GameSpec) -> GameSpec:
-    """Check all :class:`GameSpec` invariants, returning the spec unchanged.
-
-    Raises:
-        EmptyGame: n < 1 or no target quantities.
-        LambdaCountMismatch: len(lambdas) != n.
-        NonPositiveLambda: some lambda_i <= 0.
-        LambdaSumMismatch: |sum(lambdas) - 1| > 1e-12.
-        NegativeKappa: kappa < 0.
-        NonFiniteKappa: kappa is NaN or +inf.
-    """
-    if spec.n < 1 or len(spec.lambdas) == 0:
-        raise EmptyGame(f"need at least one trader, got n={spec.n}")
-    if len(spec.lambdas) != spec.n:
-        raise LambdaCountMismatch(
-            f"got {len(spec.lambdas)} target quantities for n={spec.n} traders"
-        )
-    for i, lam in enumerate(spec.lambdas):
-        if not lam > 0.0:
-            raise NonPositiveLambda(f"lambda_{i + 1} = {lam} must be positive")
-    total = math.fsum(spec.lambdas)
-    if abs(total - 1.0) > LAMBDA_SUM_TOL:
-        raise LambdaSumMismatch(f"sum of lambdas is {total!r}, expected 1")
-    _check_kappa(spec.kappa)
-    return spec
 
 
 def _check_kappa(kappa: float) -> None:
@@ -143,22 +143,17 @@ def _check_count(name: str, value) -> None:
         raise NonIntegerCount(f"{name} = {value.flat[np.argmax(bad)]} must be a whole number")
 
 
-def renormalize_lambdas(spec: GameSpec) -> GameSpec:
-    """Rescale target fractions to sum to one.
+def renormalize_lambdas(lambdas) -> tuple[float, ...]:
+    """Target fractions rescaled to sum to one.
 
-    Never applied implicitly: inputs that fail the sum check are rejected
-    unless the caller explicitly asks for renormalization.
+    Never applied implicitly: a :class:`GameSpec` whose fractions fail the
+    sum check is rejected, so a caller that wants them rescaled passes them
+    through here before building the spec.
     """
-    if spec.n < 1 or len(spec.lambdas) != spec.n:
-        validate_spec(spec)  # raise the structural error
-    total = math.fsum(spec.lambdas)
+    total = math.fsum(lambdas)
     if total <= 0.0:
         raise NonPositiveLambda("cannot renormalize a non-positive total")
-    return GameSpec(
-        n=spec.n,
-        lambdas=tuple(lam / total for lam in spec.lambdas),
-        kappa=spec.kappa,
-    )
+    return tuple(lam / total for lam in lambdas)
 
 
 def _alpha(n, kappa: float):
@@ -279,4 +274,4 @@ class CostBreakdown:
     per_trader: tuple[float, ...]
     aggregate: float
     shares: tuple[float, ...]
-    fair_share_deviation: tuple[float, ...] = field(default=())
+    fair_share_deviation: tuple[float, ...]

@@ -29,7 +29,6 @@ from .core import (
     _alpha,
     _check_count,
     _check_kappa,
-    validate_spec,
 )
 
 
@@ -43,7 +42,7 @@ def group_cost(total, count, lam, kappa, decay=None):
     alpha = kappa (total - 1) / (total + 1) by default; the frozen-decay
     approximation passes ``decay=kappa``.  ``kappa`` is a scalar; the other
     arguments are scalars or numpy arrays that broadcast together.  A kappa
-    below the smallest normal double counts as 0 (:func:`_alpha`'s rule),
+    below the floor 1e-300 counts as 0 (:func:`_alpha`'s rule),
     and there each group pays its fraction ``lam``, the kappa -> 0 limit.
     The caller rules out the degenerate total = 1.
     """
@@ -123,7 +122,6 @@ def cost_breakdown(spec: GameSpec) -> CostBreakdown:
     kappa floor (kappa counts as 0; :func:`posgame.solve`'s rule) trader i
     pays lambda_i and the aggregate is 1.
     """
-    validate_spec(spec)
     n, kappa = spec.n, spec.kappa
     aggregate = aggregate_cost(n, kappa)
     if n == 1:

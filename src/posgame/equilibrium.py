@@ -11,9 +11,9 @@ With n >= 2 traders and kappa > 0 the unique equilibrium unit strategies are
 and the aggregate (market) strategy is m(t) = (1 - e^{-alpha t}) / (1 - e^{-alpha}).
 The degenerate cases kappa = 0 or n = 1 collapse to the risk-neutral straight
 line a_i(t) = m(t) = t.  :func:`solve` takes that branch exactly where alpha
-is 0 (n = 1, or kappa below the smallest normal double, which counts as 0),
-rather than nudging kappa, so both branches stay exactly testable, and
-returns the coefficients as two arrays over all traders.
+is 0 (n = 1, or kappa below the floor 1e-300, which counts as 0), rather
+than nudging kappa, so both branches stay exactly testable, and returns the
+coefficients as two arrays over all traders.
 
 Coefficients grow like 1/lambda_i; double precision keeps the curves accurate
 for lambda_i >= 1e-6.
@@ -23,19 +23,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EquilibriumSolution, GameSpec, _alpha, _float_if_scalar, validate_spec
+from .core import EquilibriumSolution, GameSpec, _alpha, _float_if_scalar
 
 
 def solve(spec: GameSpec) -> EquilibriumSolution:
-    """The closed-form equilibrium of ``spec`` (validated first), every trader at once.
+    """The closed-form equilibrium of ``spec``, every trader at once.
 
-    Where alpha = 0 (n = 1, or kappa below the smallest normal double
-    2.2e-308, which counts as 0) the formulas are singular and every
-    strategy is the straight line a(t) = t, with b = d = 0: with kappa = 0
-    the traders decouple and each minimizes its own quadratic rate cost; a
-    single trader minimizes the aggregate cost.  Either way the optimal curve has zero acceleration.
+    Where alpha = 0 (n = 1, or kappa below the floor 1e-300, which counts
+    as 0) the formulas are singular and every strategy is the straight line
+    a(t) = t, with b = d = 0: with kappa = 0 the traders decouple and each
+    minimizes its own quadratic rate cost; a single trader minimizes the
+    aggregate cost.  Either way the optimal curve has zero acceleration.
     """
-    validate_spec(spec)
     n, kappa = spec.n, spec.kappa
     alpha = _alpha(n, kappa)
     if alpha == 0.0:

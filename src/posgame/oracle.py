@@ -52,7 +52,6 @@ from .core import (
     EquilibriumSolution,
     GameSpec,
     GridMismatch,
-    validate_spec,
 )
 from .equilibrium import solve
 
@@ -180,7 +179,6 @@ def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:
     docstring).  The paths match the sampled closed forms to the
     second-order discretization error.
     """
-    validate_spec(spec)
     if n_steps < 2:
         raise ValueError(f"need n_steps >= 2, got {n_steps}")
     lambdas = spec.lambdas_array()

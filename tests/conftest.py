@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from posgame import GameSpec
 
-# kappa = 0 and subnormal kappas down to the smallest, up to the largest
-# (2.2e-308 (1 - 2^-52)): below the smallest normal double kappa counts as 0
-BELOW_KAPPA_FLOOR = (0.0, 5e-324, 1e-310, sys.float_info.min * (1.0 - 2.0**-52))
+# kappas that count as 0 (below the floor 1e-300): kappa = 0, subnormals from
+# the smallest up to the largest (2.2e-308 (1 - 2^-52)), and normal doubles
+# just above 2.2e-308, where the closed-form coefficients would overflow
+BELOW_KAPPA_FLOOR = (0.0, 5e-324, 1e-310, sys.float_info.min * (1.0 - 2.0**-52), 3e-308, 1e-303)
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -11,41 +12,47 @@ from conftest import game_specs
 
 
 class TestValidateSpec:
+    """A GameSpec checks itself when it is built: every invalid instance
+    raises its typed error from the constructor."""
+
     def test_symmetric_two_trader_valid(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        assert pg.validate_spec(spec) is spec
+        assert spec.lambdas == (0.5, 0.5)
 
     def test_lambda_sum_mismatch(self):
         with pytest.raises(pg.LambdaSumMismatch):
-            pg.validate_spec(pg.GameSpec(n=2, lambdas=(0.7, 0.4), kappa=1.0))
+            pg.GameSpec(n=2, lambdas=(0.7, 0.4), kappa=1.0)
+        valid = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
+        with pytest.raises(pg.LambdaSumMismatch):
+            dataclasses.replace(valid, lambdas=(0.7, 0.4))
 
     def test_three_trader_high_kappa_valid(self):
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=25.0)
-        assert pg.validate_spec(spec) is spec
+        assert spec.kappa == 25.0
 
     def test_non_positive_lambda(self):
         with pytest.raises(pg.NonPositiveLambda):
-            pg.validate_spec(pg.GameSpec(n=2, lambdas=(1.0, 0.0), kappa=1.0))
+            pg.GameSpec(n=2, lambdas=(1.0, 0.0), kappa=1.0)
         with pytest.raises(pg.NonPositiveLambda):
-            pg.validate_spec(pg.GameSpec(n=2, lambdas=(1.5, -0.5), kappa=1.0))
+            pg.GameSpec(n=2, lambdas=(1.5, -0.5), kappa=1.0)
 
     def test_negative_kappa(self):
         with pytest.raises(pg.NegativeKappa):
-            pg.validate_spec(pg.GameSpec(n=1, lambdas=(1.0,), kappa=-0.1))
+            pg.GameSpec(n=1, lambdas=(1.0,), kappa=-0.1)
 
     @pytest.mark.parametrize("kappa", [math.nan, math.inf])
     def test_non_finite_kappa(self, kappa):
         with pytest.raises(pg.NonFiniteKappa):
-            pg.validate_spec(pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=kappa))
+            pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=kappa)
         assert issubclass(pg.NonFiniteKappa, pg.GameSpecError)
 
     def test_negative_infinite_kappa_is_negative(self):
         with pytest.raises(pg.NegativeKappa):
-            pg.validate_spec(pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=-math.inf))
+            pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=-math.inf)
 
     def test_empty_game(self):
         with pytest.raises(pg.EmptyGame):
-            pg.validate_spec(pg.GameSpec(n=0, lambdas=(), kappa=1.0))
+            pg.GameSpec(n=0, lambdas=(), kappa=1.0)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_symmetric_game_without_traders(self, n):
@@ -54,29 +61,31 @@ class TestValidateSpec:
 
     def test_count_mismatch(self):
         with pytest.raises(pg.LambdaCountMismatch):
-            pg.validate_spec(pg.GameSpec(n=3, lambdas=(0.5, 0.5), kappa=1.0))
+            pg.GameSpec(n=3, lambdas=(0.5, 0.5), kappa=1.0)
 
     def test_sum_tolerance_is_tight(self):
         # within 1e-12 passes, above it fails
-        pg.validate_spec(pg.GameSpec(n=2, lambdas=(0.5, 0.5 + 5e-13), kappa=1.0))
+        pg.GameSpec(n=2, lambdas=(0.5, 0.5 + 5e-13), kappa=1.0)
         with pytest.raises(pg.LambdaSumMismatch):
-            pg.validate_spec(pg.GameSpec(n=2, lambdas=(0.5, 0.5 + 5e-12), kappa=1.0))
+            pg.GameSpec(n=2, lambdas=(0.5, 0.5 + 5e-12), kappa=1.0)
 
 
 def test_renormalize_is_explicit_only():
-    skewed = pg.GameSpec(n=2, lambdas=(0.7, 0.4), kappa=1.0)
+    skewed = (0.7, 0.4)
     with pytest.raises(pg.LambdaSumMismatch):
-        pg.validate_spec(skewed)
+        pg.GameSpec(n=2, lambdas=skewed, kappa=1.0)
     fixed = pg.renormalize_lambdas(skewed)
-    assert math.fsum(fixed.lambdas) == pytest.approx(1.0, abs=1e-15)
-    assert fixed.lambdas[0] == pytest.approx(0.7 / 1.1)
+    assert math.fsum(fixed) == pytest.approx(1.0, abs=1e-15)
+    assert fixed[0] == pytest.approx(0.7 / 1.1)
+    assert pg.GameSpec(n=2, lambdas=fixed, kappa=1.0).lambdas == fixed
+    with pytest.raises(pg.NonPositiveLambda):
+        pg.renormalize_lambdas((0.5, -0.5))
 
 
 def test_symmetric_constructor():
     spec = pg.GameSpec.symmetric(5, 2.0)
     assert spec.n == 5
     assert all(lam == 0.2 for lam in spec.lambdas)
-    pg.validate_spec(spec)
     with pytest.raises(pg.NonIntegerCount):
         pg.GameSpec.symmetric(2.5, 1.0)
 

@@ -212,8 +212,8 @@ class TestCostBreakdown:
 
     def test_large_n_matches_per_trader_functions(self):
         rng = np.random.default_rng(5)
-        raw = pg.GameSpec(n=4000, lambdas=tuple(rng.dirichlet(np.ones(4000))), kappa=5.0)
-        spec = pg.renormalize_lambdas(raw)
+        lambdas = pg.renormalize_lambdas(rng.dirichlet(np.ones(4000)))
+        spec = pg.GameSpec(n=4000, lambdas=lambdas, kappa=5.0)
         bd = pg.cost_breakdown(spec)
         assert len(bd.per_trader) == len(bd.shares) == 4000
         for i in rng.choice(4000, size=25, replace=False):
@@ -278,9 +278,8 @@ class TestGroupCost:
 class TestNonFiniteKappa:
     @pytest.mark.parametrize("kappa", [math.nan, math.inf])
     def test_rejected_by_every_cost(self, kappa):
-        spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=kappa)
         for call in (
-            lambda: pg.cost_breakdown(spec),
+            lambda: pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=kappa),
             lambda: pg.aggregate_cost(3, kappa),
             lambda: pg.price_of_anarchy(3, kappa),
         ):
