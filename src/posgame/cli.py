@@ -281,6 +281,11 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
             raise ConfigError(f"config.verify.kappa: need 0 < kappa < inf, got {sc.verify_kappa}")
         if sc.verify_n_steps < 2:
             raise ConfigError(f"config.verify.n_steps: need >= 2, got {sc.verify_n_steps}")
+        if 2 * sc.verify_n_steps <= max(sc.verify_kappa):
+            raise ConfigError(
+                "config.verify.n_steps: need n_steps > max(kappa) / 2, at least "
+                f"{math.floor(0.5 * max(sc.verify_kappa)) + 1}, got {sc.verify_n_steps}"
+            )
         if sc.verify_draws < 1:
             raise ConfigError(f"config.verify.draws: need >= 1, got {sc.verify_draws}")
 

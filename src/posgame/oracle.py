@@ -20,15 +20,41 @@ D1 x[j] = x[j+1] - x[j-1], trader i's rows read
     lambda_i (D2 - c D1) a_i = -(D2 + c D1) m.
 
 Summing them over i (the left sides add up to (D2 - c D1) m) leaves a
-single tridiagonal equation for the market path,
+single equation for the market path,
 
-    (n + 1) D2 m + (n - 1) c D1 m = 0,   m(0) = 0,   m(1) = sum_i lambda_i,
+    (n + 1) D2 m + (n - 1) c D1 m = 0,   m(0) = 0,   m(1) = M = sum_i lambda_i.
 
-and, given m, every trader solves the same tridiagonal matrix (D2 - c D1)
-with its own right-hand side.  So the Nash point costs two banded solves.
-Both systems are nonsingular for every c >= 0, and the per-trader solutions
-reproduce m as their lambda-weighted sum, so the profile satisfies each
-trader's own best-response rows exactly, to rounding.
+Both are linear recurrences with constant coefficients, so their solutions
+are sums of powers of the roots of their characteristic polynomials, and no
+linear system is solved.  With q = (n - 1) c, the market's polynomial
+(n + 1 + q) x^2 - 2 (n + 1) x + (n + 1 - q) has the roots 1 and
+rho = (n + 1 - q) / (n + 1 + q), so
+
+    m = M u,   u[j] = (rho^j - 1) / (rho^N - 1),
+
+u being the unit path through 1 and rho^j, pinned to 0 and 1.  The
+polynomial of trader i's left side, (1 - c) x^2 - 2 x + (1 + c), has the
+roots 1 and sigma = (1 + c) / (1 - c), with the unit path
+v[j] = (sigma^j - 1) / (sigma^N - 1).  On rho^j the left side and the
+right-hand side's operator act as multiplication by P-(rho) / rho and
+P+(rho) / rho, P-+(x) = (x - 1)^2 -+ c (x^2 - 1), whose ratio at this rho
+is (q - c (n + 1)) / (q + c (n + 1)) = -1/n.  Adding v's multiple that pins
+a_i[N] = 1 to the particular solution gives
+
+    a_i = v - M / (n lambda_i) (v - u),
+
+whose lambda-weighted sum over the traders is m.
+
+So 1, rho and sigma come from the discrete rows alone, never from the
+continuous closed form, and a_i[0] = 0 and a_i[N] = 1 hold exactly.
+Written as u = expm1(j ln rho) / expm1(N ln rho) (rho < 1) and
+v = sigma^(j - N) expm1(-j ln sigma) / expm1(-N ln sigma) (sigma > 1), no
+term overflows at any kappa; at c = 0 both unit paths are the straight line
+j / N, and at q = 0 (n = 1) u is.  sigma is positive only while c < 1, so
+the grid needs N > kappa / 2.  The cost is O(n N).
+:func:`stationarity_residual` is the run-time certificate: it evaluates
+every trader's best-response rows on the computed profile directly, and it
+reads at rounding level exactly at the Nash point.
 
 Trader i's cost is bilinear in m and a_i, and moving a_i alone by eps b
 moves m by eps lambda_i b, so the cost change along a deviation is an exact
@@ -43,6 +69,7 @@ shared inputs are the cost functional and the boundary conditions.
 from __future__ import annotations
 
 import importlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +87,9 @@ class _Deferred:
     """A scipy.linalg routine imported on its first call, not with this module.
 
     scipy.linalg takes about 0.26 s and 25 MiB to import (2-vCPU Xeon,
-    scipy 1.17), and only the oracle's solves use it, so every other command
-    runs on numpy alone.  Each call forwards its arguments unchanged to the
-    real routine.
+    scipy 1.17), and only :func:`best_response` uses it, so every command,
+    ``verify`` included, runs on numpy alone.  Each call forwards its
+    arguments unchanged to the real routine.
     """
 
     def __init__(self, name: str):
@@ -78,7 +105,6 @@ class _Deferred:
         return f"<scipy.linalg.{self._name}, imported on first call>"
 
 
-solve_banded = _Deferred("solve_banded")
 solveh_banded = _Deferred("solveh_banded")
 
 
@@ -171,38 +197,56 @@ def best_response(game: DiscreteGame, i: int) -> np.ndarray:
     return np.concatenate(([0.0], solveh_banded(ab, rhs, lower=True), [1.0]))
 
 
+def _check_grid(kappa: float, n_steps: int) -> None:
+    """GridMismatch unless n_steps > kappa / 2, the grids on which the Nash
+    rows' root sigma = (1 + c) / (1 - c) is positive (c = kappa / (2 N) < 1)."""
+    if 2 * n_steps <= kappa:
+        raise GridMismatch(
+            f"n_steps={n_steps} is too coarse for kappa={kappa:g}: "
+            f"need n_steps > kappa / 2, at least {math.floor(0.5 * kappa) + 1}"
+        )
+
+
+def _unit_path(log_root: float, n_steps: int) -> np.ndarray:
+    """x[j] = (r^j - 1) / (r^N - 1), j = 0..N, with r = exp(log_root): the
+    path through the constants and r^j pinned to x[0] = 0 and x[N] = 1, and
+    the straight line j / N at r = 1.  Powers of r are taken relative to the
+    end where they are largest, so no term overflows."""
+    j = np.arange(n_steps + 1.0)
+    if log_root == 0.0:
+        return j / n_steps
+    if log_root < 0.0:
+        return np.expm1(j * log_root) / np.expm1(n_steps * log_root)
+    scale = np.exp((j - n_steps) * log_root)
+    return scale * (np.expm1(-j * log_root) / np.expm1(-n_steps * log_root))
+
+
 def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:
     """Discrete Nash point: every trader's best-response rows hold at once.
 
-    One banded solve of the summed rows gives the market path m, a second
-    one with a right-hand side per trader gives every path (see the module
-    docstring).  The paths match the sampled closed forms to the
-    second-order discretization error.
+    The market path and every trader's path are the explicit solutions of
+    the summed and the per-trader rows (see the module docstring).  The
+    paths match the sampled closed forms to the second-order discretization
+    error.  Raises GridMismatch unless n_steps > kappa / 2: on coarser grids
+    the rows' root sigma is not positive.
     """
     if n_steps < 2:
         raise ValueError(f"need n_steps >= 2, got {n_steps}")
+    _check_grid(spec.kappa, n_steps)
     lambdas = spec.lambdas_array()
     n = spec.n
-    # Round c and (n - 1) c so that 1 +- c and (n + 1) +- (n - 1) c are exact:
-    # each row then annihilates constants exactly, as D2 and D1 do.  A rounded
-    # row sum acts as a zeroth-order term that the O(N^2) condition number of
-    # D2 amplifies, costing about 1e-9 in the paths at N = 2000.
-    c = (1.0 + 0.5 * spec.kappa / n_steps) - 1.0
-    q = ((n + 1) + (n - 1) * c) - (n + 1)
-    # solve_banded's (1, 1) layout: super-, main and sub-diagonal rows.
-    ab = np.repeat([[(n + 1) + q], [-2.0 * (n + 1)], [(n + 1) - q]], n_steps - 1, axis=1)
-    m_end = lambdas.sum()
-    rhs = np.zeros(n_steps - 1)
-    rhs[-1] = -((n + 1) + q) * m_end  # m[N] moves to the right-hand side
-    m = np.concatenate(([0.0], solve_banded((1, 1), ab, rhs), [m_end]))
-
-    pressure = (m[:-2] - 2.0 * m[1:-1] + m[2:]) + c * (m[2:] - m[:-2])
-    rhs = np.multiply.outer(pressure, -1.0 / lambdas)
-    rhs[-1] -= 1.0 - c  # a_i[N] = 1 moves to the right-hand side
-    ab = np.repeat([[1.0 - c], [-2.0], [1.0 + c]], n_steps - 1, axis=1)
-    paths = np.zeros((n, n_steps + 1))
-    paths[:, -1] = 1.0
-    paths[:, 1:-1] = solve_banded((1, 1), ab, rhs).T
+    # c is rounded so that 1 +- c are exact, as a banded solve of the same
+    # rows needs, and so that it is 0 (straight lines) where kappa / (2 N)
+    # is below half an ulp of 1; it stays below 1 where kappa / (2 N) rounds
+    # up to it.  q = (n - 1) c is left unrounded, so the summed rows stay the
+    # sum of the traders' rows: a q rounded to a multiple of ulp(n + 1)
+    # amplifies the rounding of v - u in the traders' sum up to tenfold.
+    c = min((1.0 + 0.5 * spec.kappa / n_steps) - 1.0, 1.0 - 2.0**-52)
+    q = (n - 1) * c
+    market = _unit_path(math.log1p(-2.0 * q / ((n + 1) + q)), n_steps)  # ln rho
+    own = _unit_path(math.log1p(2.0 * c / (1.0 - c)), n_steps)  # ln sigma
+    paths = np.multiply.outer(-lambdas.sum() / (n * lambdas), own - market)
+    paths += own
     return DiscreteGame(spec, paths)
 
 

@@ -16,6 +16,7 @@ from .core import EquilibriumSolution, GameSpec
 from .costs import aggregate_cost, group_cost
 from .equilibrium import governing_residuals, solve
 from .oracle import (
+    _check_grid,
     deviation_expansion,
     discrete_cost,
     nash_fixed_point,
@@ -110,7 +111,8 @@ def run_verification(
     second-order discretization error.  ``seed`` draws the target fractions
     and the random deviation bumps.  ``draws`` must be at least 1 and both
     value tuples non-empty, so that a passing report always holds per-draw
-    checks.
+    checks.  GridMismatch, before any check runs, unless
+    n_steps > max(kappa_values) / 2, the grids the oracle solves on.
     """
     if draws < 1:
         raise ValueError(f"need draws >= 1, got {draws}")
@@ -118,6 +120,7 @@ def run_verification(
         raise ValueError(
             f"need non-empty n_values and kappa_values, got {n_values} and {kappa_values}"
         )
+    _check_grid(max(kappa_values), n_steps)
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     gap_threshold = 5.0 / n_steps

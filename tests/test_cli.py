@@ -403,6 +403,26 @@ class TestVerifyCommand:
         assert f"config error: config.verify.{key}:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "n_steps,kappa,smallest",
+        [(12, [25.0], 13), (12, [1.0, 24.0], 13), (1000, [2000.0], 1001)],
+        ids=["below", "at-kappa-over-2", "at-kappa-over-2-large"],
+    )
+    def test_grid_too_coarse_for_kappa_is_config_error(
+        self, tmp_path, capsys, n_steps, kappa, smallest
+    ):
+        # the oracle needs n_steps > kappa / 2 (c = kappa / (2 n_steps) < 1)
+        payload = {"verify": {"n": [2], "kappa": kappa, "draws": 1, "n_steps": n_steps}}
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "config error: config.verify.n_steps:" in err
+        assert f"at least {smallest}," in err
+        assert not out.exists()
+        payload["verify"]["n_steps"] = smallest
+        assert cli.parse_scenario(payload).verify_n_steps == smallest
+
 
 def test_one_scenario_config_drives_every_command(tmp_path):
     # sections irrelevant to a command are validated but ignored
@@ -495,9 +515,18 @@ def test_non_verify_commands_run_without_scipy(tmp_path):
     assert (tmp_path / "out" / "poa.csv").exists()
 
 
-def test_first_oracle_solve_loads_scipy_linalg():
-    code = "import posgame as pg\npg.nash_fixed_point(pg.GameSpec.symmetric(2, 1.0), 10)"
-    assert "scipy.linalg" in loaded_modules_after(code)
+def test_oracle_solve_and_verify_load_no_scipy(tmp_path):
+    # the Nash point is explicit, so only best_response would load scipy
+    cfg = write_config(tmp_path, "cfg.json", {"verify": {"n": [2], "kappa": [5.0], "n_steps": 200}})
+    out = str(tmp_path / "out")
+    code = (
+        "import posgame as pg\n"
+        "from posgame.cli import main\n"
+        "pg.nash_fixed_point(pg.GameSpec(3, (0.2, 0.3, 0.5), 25.0), 100)\n"
+        f"assert main(['verify', '--config', {cfg!r}, '--out', {out!r}]) == 0"
+    )
+    assert not any(is_scipy(m) for m in loaded_modules_after(code))
+    assert (tmp_path / "out" / "verify_report.csv").exists()
 
 
 class TestNonFiniteKappa:

@@ -4,9 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posgame as pg
 import posgame.oracle as oracle
+import posgame.verification as verification
+from conftest import game_specs
 from posgame.verification import draw_lambdas, run_verification
 
 
@@ -133,8 +137,9 @@ class TestNashFixedPoint:
             assert np.max(np.abs(response - fp.paths[i])) <= 1e-8
 
     def test_fine_grid_best_responses_stay_consistent(self):
-        # 1 +- c must be exact: a rounded coefficient leaves a row-sum error that
-        # D2's O(N^2) condition number turns into ~2e-8 here; exact ones give ~6e-10
+        # D2's O(N^2) condition number magnifies any error in the Nash rows: a
+        # banded solve reads ~6e-10 here (~2e-8 with 1 +- c rounded), the
+        # explicit form ~4e-11
         spec = pg.GameSpec(n=5, lambdas=(0.02, 0.08, 0.2, 0.3, 0.4), kappa=1.0)
         fp = pg.nash_fixed_point(spec, 10_000)
         for i in range(spec.n):
@@ -157,6 +162,133 @@ class TestNashFixedPoint:
         fp = pg.nash_fixed_point(spec, 10_000)
         total = sum(pg.discrete_cost(fp))
         assert total == pytest.approx(pg.aggregate_cost(3, 5.0), abs=1e-3)
+
+
+def lapack_tridiagonal(sub, diag, sup, rhs):
+    """scipy's banded LU solve of sub x[j-1] + diag x[j] + sup x[j+1] = rhs[j]."""
+    from scipy.linalg import solve_banded
+
+    return solve_banded((1, 1), np.repeat([[sup], [diag], [sub]], len(rhs), axis=1), rhs)
+
+
+def thomas_tridiagonal(sub, diag, sup, rhs):
+    """The same rows by elimination without pivoting, in rhs's dtype.  Every
+    system here is diagonally dominant (|diag| = |sub| + |sup|), so the
+    elimination is stable."""
+    sweep = np.empty(len(rhs), rhs.dtype)
+    x = np.array(rhs)
+    sweep[0], x[0] = sup / diag, rhs[0] / diag
+    for j in range(1, len(rhs)):
+        pivot = diag - sub * sweep[j - 1]
+        sweep[j], x[j] = sup / pivot, (rhs[j] - sub * x[j - 1]) / pivot
+    for j in range(len(rhs) - 2, -1, -1):
+        x[j] -= sweep[j] * x[j + 1]
+    return x
+
+
+def banded_nash_point(spec, n_steps, tridiagonal, dtype=np.float64):
+    """The discrete Nash point as two tridiagonal solves in ``dtype``: the
+    summed rows (n + 1) D2 m + q D1 m = 0 for the market path, then every
+    trader's rows lambda_i (D2 - c D1) a_i = -(D2 + c D1) m, with the rounded
+    c of ``nash_fixed_point``.  q = (n - 1) c is rounded so that
+    (n + 1) +- q are exact in ``dtype``, which keeps a double-precision solve
+    accurate at N = 2000 (these are the rows of the banded solve the explicit
+    form replaced); in long double it is exact.  Returns the (n, N + 1) paths."""
+    n = spec.n
+    c = dtype(min((1.0 + 0.5 * spec.kappa / n_steps) - 1.0, 1.0 - 2.0**-52))
+    q = ((n + 1) + (n - 1) * c) - (n + 1)
+    lambdas = spec.lambdas_array().astype(dtype)
+    rhs = np.zeros(n_steps - 1, dtype)
+    rhs[-1] = -((n + 1) + q) * lambdas.sum()  # m[N] moves to the right-hand side
+    m = np.zeros(n_steps + 1, dtype)
+    m[1:-1] = tridiagonal((n + 1) - q, dtype(-2 * (n + 1)), (n + 1) + q, rhs)
+    m[-1] = lambdas.sum()
+    pressure = (m[:-2] - 2 * m[1:-1] + m[2:]) + c * (m[2:] - m[:-2])
+    rhs = np.multiply.outer(pressure, -1 / lambdas)
+    rhs[-1] -= 1 - c  # a_i[N] = 1 moves to the right-hand side
+    paths = np.zeros((n, n_steps + 1), dtype)
+    paths[:, 1:-1] = tridiagonal(1 + c, dtype(-2), 1 - c, rhs).T
+    paths[:, -1] = 1
+    return paths
+
+
+def reference_cases():
+    """The 27 default verify draws on their grid, plus kappa from 1e-9 to 700
+    on N = 2000 and on the coarsest grid the oracle accepts (c just below 1
+    for kappa >= 2)."""
+    cases = [(spec, 2000) for spec in default_verify_draws()[0]]
+    rng = np.random.default_rng(7)
+    for kappa in (1e-9, 1e-3, 1.0, 25.0, 700.0):
+        for n in (2, 5):
+            spec = pg.GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa)
+            cases += [(spec, 2000), (spec, max(2, math.floor(kappa / 2) + 1))]
+    return cases
+
+
+class TestExplicitNashPoint:
+    def test_matches_lapack_and_a_long_double_solve_of_the_same_rows(self):
+        eps = np.finfo(float).eps
+        for spec, n_steps in reference_cases():
+            explicit = pg.nash_fixed_point(spec, n_steps)
+            lapack = pg.DiscreteGame(spec, banded_nash_point(spec, n_steps, lapack_tridiagonal))
+            exact = banded_nash_point(spec, n_steps, thomas_tridiagonal, np.longdouble)
+            err = float(np.max(np.abs(explicit.paths - exact)))
+            lapack_err = float(np.max(np.abs(lapack.paths - exact)))
+            assert err <= min(lapack_err, 1e-13), (spec, n_steps)
+            # LAPACK's own error reaches 2.2e-11 on these cases
+            assert np.max(np.abs(explicit.paths - lapack.paths)) <= 5e-11
+            # never worse than LAPACK's residual by more than one rounding
+            residual = np.max(pg.stationarity_residual(explicit))
+            assert residual <= np.max(pg.stationarity_residual(lapack)) + eps, (spec, n_steps)
+
+    def test_thousands_of_traders_solve_their_rows_to_rounding(self):
+        # LAPACK's two banded solves leave a residual of 1.3e-10 here
+        spec = pg.GameSpec(2000, draw_lambdas(np.random.default_rng(0), 2000), 25.0)
+        assert np.max(pg.stationarity_residual(pg.nash_fixed_point(spec, 2000))) <= 1e-11
+
+    @pytest.mark.parametrize("n_steps", [2, 10, 1000])
+    def test_kappa_at_twice_the_grid_is_a_grid_mismatch(self, n_steps):
+        # c = kappa / (2 N) = 1 makes the rows' root sigma = (1 + c) / (1 - c) infinite
+        spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=2.0 * n_steps)
+        with pytest.raises(pg.GridMismatch, match=f"at least {n_steps + 1}$"):
+            pg.nash_fixed_point(spec, n_steps)
+        assert np.max(pg.stationarity_residual(pg.nash_fixed_point(spec, n_steps + 1))) <= 1e-12
+
+    def test_kappa_just_below_twice_the_grid_solves(self):
+        # kappa / (2 N) = 1 - 2^-53 rounds c up to 1; the oracle keeps c below it
+        spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=2.0 * math.nextafter(1023.0, 0.0))
+        assert (1.0 + 0.5 * spec.kappa / 1023) - 1.0 == 1.0
+        assert np.max(pg.stationarity_residual(pg.nash_fixed_point(spec, 1023))) <= 1e-12
+
+
+@st.composite
+def nash_grids(draw):
+    """A grid of 2..4000 intervals and a game of 1..50 traders with
+    c = kappa / (2 N) < 1, kappa down to the subnormals."""
+    n_steps = draw(st.integers(2, 4000))
+    kappas = st.one_of(
+        st.floats(0.0, 2.0 * n_steps, exclude_max=True), st.floats(0.0, 1e-12)
+    )
+    return draw(game_specs(min_n=1, max_n=50, kappas=kappas)), n_steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=nash_grids())
+def test_nash_point_is_finite_pinned_and_stationary(case):
+    spec, n_steps = case
+    paths = pg.nash_fixed_point(spec, n_steps).paths
+    assert np.all(np.isfinite(paths))
+    assert np.all(paths[:, 0] == 0.0) and np.all(paths[:, -1] == 1.0)
+    assert np.max(pg.stationarity_residual(pg.DiscreteGame(spec, paths))) <= 1e-12
+
+
+def test_run_verification_rejects_a_grid_too_coarse_for_kappa(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the grid is checked before any check runs")
+
+    monkeypatch.setattr(verification, "nash_fixed_point", unreachable)
+    with pytest.raises(pg.GridMismatch, match="kappa=25: .* at least 13$"):
+        run_verification(n_values=(2,), kappa_values=(1.0, 25.0), draws=1, n_steps=12)
 
 
 def test_grid_doubling_convergence_order():
@@ -431,21 +563,12 @@ class TestDiscreteGameInvariants:
 
 
 class TestDeferredScipy:
-    # the benchmark's tracer patches these names on the module, and wraps
+    # the benchmark's tracer patches this name on the module, and wraps
     # every plain public function of it as a span
-    @pytest.mark.parametrize("name", ["solve_banded", "solveh_banded"])
+    @pytest.mark.parametrize("name", ["solveh_banded"])
     def test_module_level_names_are_not_plain_functions(self, name):
         assert name in vars(oracle)
         assert not inspect.isfunction(vars(oracle)[name])
-
-    def test_solve_banded_matches_scipy_bit_for_bit(self):
-        from scipy.linalg import solve_banded
-
-        rng = np.random.default_rng(3)
-        ab = rng.uniform(-1.0, 1.0, (3, 9))
-        ab[1] += 4.0
-        rhs = rng.uniform(-1.0, 1.0, (9, 2))
-        assert np.array_equal(oracle.solve_banded((1, 1), ab, rhs), solve_banded((1, 1), ab, rhs))
 
     def test_solveh_banded_matches_scipy_bit_for_bit(self):
         from scipy.linalg import solveh_banded
