@@ -275,11 +275,10 @@ def nash_grids(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=nash_grids())
 def test_nash_point_is_finite_pinned_and_stationary(case):
-    spec, n_steps = case
-    paths = pg.nash_fixed_point(spec, n_steps).paths
-    assert np.all(np.isfinite(paths))
-    assert np.all(paths[:, 0] == 0.0) and np.all(paths[:, -1] == 1.0)
-    assert np.max(pg.stationarity_residual(pg.DiscreteGame(spec, paths))) <= 1e-12
+    game = pg.nash_fixed_point(*case)
+    assert np.all(np.isfinite(game.paths))
+    assert np.all(game.paths[:, 0] == 0.0) and np.all(game.paths[:, -1] == 1.0)
+    assert np.max(pg.stationarity_residual(game)) <= 1e-12
 
 
 def test_run_verification_rejects_a_grid_too_coarse_for_kappa(monkeypatch):
