@@ -54,19 +54,38 @@ class CentralizationScenario:
 
 def _check_split(n1, n2, lambda_firm, kappa) -> None:
     """Raise ValueError unless every firm split is valid; counts and
-    fractions may be arrays of splits.  Counts that are not whole numbers
-    raise NonIntegerCount."""
-    n1, n2, lam = np.broadcast_arrays(n1, n2, lambda_firm)
+    fractions may be arrays of splits."""
+    _check_counts(n1, n2)
+    lam = np.asarray(lambda_firm)
+    bad = ~((0.0 < lam) & (lam < 1.0))
+    if bad.any():
+        raise ValueError(f"need 0 < lambda_firm < 1, got {lam.flat[np.argmax(bad)]}")
+    _check_kappa(kappa)
+
+
+def _check_counts(n1, n2) -> None:
+    """Raise ValueError unless every firm has n1 >= 1 traders and n2 >= 1
+    outside it, and NonIntegerCount unless the counts are whole numbers;
+    n1 and n2 may be arrays that broadcast together."""
+    n1, n2 = np.broadcast_arrays(n1, n2)
     bad = (n1 < 1) | (n2 < 1)
     if bad.any():
         k = np.argmax(bad)
         raise ValueError(f"need n1 >= 1 and n2 >= 1, got n1={n1.flat[k]}, n2={n2.flat[k]}")
     _check_count("n1", n1)
     _check_count("n2", n2)
-    bad = ~((0.0 < lam) & (lam < 1.0))
-    if bad.any():
-        raise ValueError(f"need 0 < lambda_firm < 1, got {lam.flat[np.argmax(bad)]}")
-    _check_kappa(kappa)
+
+
+def _check_window(n1: int, delta_range) -> None:
+    """Raise unless ``delta_range`` is a pair (lo, hi) of whole numbers
+    (NonIntegerCount otherwise) with n1 + lo >= 1 (RepresentationTooSmall)
+    and hi >= lo."""
+    lo, hi = delta_range
+    _check_count("delta_range", (lo, hi))
+    if n1 + lo < 1:
+        raise RepresentationTooSmall(f"delta_range start {lo} gives n1 + delta = {n1 + lo} < 1")
+    if hi < lo:
+        raise ValueError(f"empty delta_range {delta_range}")
 
 
 @dataclass(frozen=True)
@@ -161,14 +180,8 @@ def optimal_representation(
         lo = 1 - sc.n1
         hi = max(math.ceil(opt) + 50, lo + 10)
     else:
+        _check_window(sc.n1, delta_range)
         lo, hi = delta_range
-        _check_count("delta_range", (lo, hi))
-        if sc.n1 + lo < 1:
-            raise RepresentationTooSmall(
-                f"delta_range start {lo} gives n1 + delta = {sc.n1 + lo} < 1"
-            )
-        if hi < lo:
-            raise ValueError(f"empty delta_range {delta_range}")
     deltas = np.arange(lo, hi + 1, dtype=int)
     exact = group_cost(sc.n + deltas, sc.n1 + deltas, sc.lambda_firm, sc.kappa)
     approx = group_cost(sc.n + deltas, sc.n1 + deltas, sc.lambda_firm, sc.kappa, decay=sc.kappa)

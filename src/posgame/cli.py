@@ -10,7 +10,10 @@ Usage:
 One strict JSON schema drives all subcommands (sections: game, grid,
 centralization, sweep, table, verify, output); each command reads the
 sections it needs, so a single scenario file can serve several commands.
-Unknown keys anywhere are rejected with their path.  Every CSV starts with a
+Every command checks every section before it computes, each value once and
+by the library's own rule where there is one, so an invalid value fails
+every command, also those that never read its section.  Unknown keys and
+invalid values anywhere are rejected with their path.  Every CSV starts with a
 comment line carrying the tool version and a hash of the effective config
 and seed, so identical config + seed reproduce byte-identical files.  The
 seed (``output.seed``, or ``--seed``) draws only ``verify``'s target
@@ -28,7 +31,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,18 +41,29 @@ from . import __version__
 from .centralization import (
     FRACTION_BANDS,
     CentralizationScenario,
+    _check_counts,
+    _check_window,
     averaged_report,
     naive_centralization_report,
     optimal_representation,
 )
-from .core import GameSpec, GameSpecError, renormalize_lambdas
-from .costs import aggregate_cost, cost_breakdown, market_min_cost
+from .core import GameSpec, _check_count, _check_kappa, renormalize_lambdas
+from .costs import _shares, aggregate_cost, cost_breakdown, group_cost, market_min_cost
 from .equilibrium import solve
+from .oracle import _check_grid
 from .verification import run_verification
 
 
 class ConfigError(Exception):
     """Configuration problem; reported with the offending key path."""
+
+
+def _checked(path: str, rule, *args):
+    """``rule(*args)``, with the ValueError it raises reported at ``path``."""
+    try:
+        return rule(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,7 +126,9 @@ class _Section:
             raise ConfigError(f"{self.path}: unknown keys: {unknown}")
 
 
-def _number_list(section: _Section, key: str, required=False) -> list[float] | None:
+def _number_list(section: _Section, key: str, required=False, each=None) -> list[float] | None:
+    """The list of numbers at ``key``; ``each(value)``, if given, checks
+    every entry."""
     raw = section.take(key, list, required=required, default=None)
     if raw is None:
         return None
@@ -122,6 +137,8 @@ def _number_list(section: _Section, key: str, required=False) -> list[float] | N
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{section.path}.{key}[{k}]: expected a number")
         out.append(float(v))
+        if each is not None:
+            _checked(f"{section.path}.{key}", each, out[-1])
     return out
 
 
@@ -129,9 +146,7 @@ def _int_list(section: _Section, key: str, required=False) -> list[int] | None:
     values = _number_list(section, key, required=required)
     if values is None:
         return None
-    for v in values:
-        if not math.isfinite(v) or v != int(v):
-            raise ConfigError(f"{section.path}.{key}: expected integers, got {v}")
+    _checked(f"{section.path}.{key}", _check_count, key, values)
     return [int(v) for v in values]
 
 
@@ -142,12 +157,9 @@ class Scenario:
     ``seed`` is the effective seed: ``output.seed``, or ``--seed`` if given.
     """
 
-    n: int | None = None
-    kappa: float | None = None
     spec: GameSpec | None = None
     n_points: int = 101
-    n1: int | None = None
-    lambda_firm: float | None = None
+    central: CentralizationScenario | None = None
     delta_range: tuple[int, int] | None = None
     sweep_n: list[int] | None = None
     sweep_kappa: list[float] | None = None
@@ -185,59 +197,71 @@ def _load_config(path: str) -> dict:
 
 
 def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
-    """Validate the whole config tree, regardless of which command runs."""
+    """Validate the whole config tree, regardless of which command runs.
+
+    Each value is checked once, here, by the library's own rule where it
+    has one (see :func:`_checked`), so the commands only compute.
+    """
     root = _Section(config, "config")
     sc = Scenario()
 
     game = root.take_section("game")
     if game is not None:
-        sc.n = game.take("n", int, required=True)
-        sc.kappa = game.take("kappa", float, required=True)
+        n = game.take("n", int, required=True)
+        kappa = game.take("kappa", float, required=True)
         symmetric = game.take("symmetric", bool, default=False)
         lambdas = _number_list(game, "lambdas")
         game.finish()
         if symmetric and lambdas is not None:
             raise ConfigError("config.game: give either 'symmetric' or 'lambdas', not both")
-        if sc.kappa < 0.0:
-            raise ConfigError(f"config.game.kappa: must be non-negative, got {sc.kappa}")
-        if symmetric or lambdas is not None:
-            try:
-                if symmetric:
-                    lambdas = GameSpec.symmetric(sc.n, sc.kappa).lambdas
-                if renormalize:
-                    lambdas = renormalize_lambdas(lambdas)
-                sc.spec = GameSpec(n=sc.n, lambdas=tuple(lambdas), kappa=sc.kappa)
-            except GameSpecError as exc:
-                raise ConfigError(f"config.game: {exc}") from exc
+        _checked("config.game.kappa", _check_kappa, kappa)
+        if symmetric:
+            lambdas = _checked("config.game", GameSpec.symmetric, n, kappa).lambdas
+        if lambdas is not None:
+            if renormalize:
+                lambdas = _checked("config.game", renormalize_lambdas, lambdas)
+            sc.spec = _checked("config.game", GameSpec, n, tuple(lambdas), kappa)
 
     grid = root.take_section("grid")
     if grid is not None:
-        sc.n_points = grid.take("n_points", int, default=101)
+        sc.n_points = grid.take("n_points", int, default=sc.n_points)
         grid.finish()
         if sc.n_points < 2:
             raise ConfigError("config.grid.n_points: must be at least 2")
 
     central = root.take_section("centralization")
     if central is not None:
-        sc.n1 = central.take("n1", int, required=True)
-        sc.lambda_firm = central.take("lambda_firm", float, required=True)
-        rng = _int_list(central, "delta_range")
+        n1 = central.take("n1", int, required=True)
+        lambda_firm = central.take("lambda_firm", float, required=True)
+        window = _int_list(central, "delta_range")
         central.finish()
-        if rng is not None:
-            if len(rng) != 2:
-                raise ConfigError("config.centralization.delta_range: expected [lo, hi]")
-            sc.delta_range = (rng[0], rng[1])
+        if game is None:
+            raise ConfigError("config.game: required with config.centralization (n and kappa)")
+        _checked("config.centralization.n1", _check_counts, n1, n - n1)
+        sc.central = _checked(
+            "config.centralization.lambda_firm",
+            CentralizationScenario, n1, n - n1, lambda_firm, kappa,
+        )
+        if window is not None:
+            _checked("config.centralization.delta_range", _check_window, n1, window)
+            sc.delta_range = tuple(window)
 
     sweep = root.take_section("sweep")
     if sweep is not None:
         sc.sweep_n = _int_list(sweep, "n")
-        sc.sweep_kappa = _number_list(sweep, "kappa")
+        sc.sweep_kappa = _number_list(sweep, "kappa", each=_check_kappa)
         sc.sweep_lambda1 = _number_list(sweep, "lambda1")
         sweep.finish()
+        # trader 1 holds lambda1 and at least one other trader the rest
+        if sc.sweep_n and min(sc.sweep_n) < 2:
+            raise ConfigError(f"config.sweep.n: need every n >= 2, got {sc.sweep_n}")
+        for lam1 in sc.sweep_lambda1 or ():
+            if not 0.0 < lam1 < 1.0:
+                raise ConfigError(f"config.sweep.lambda1: {lam1} not in (0, 1)")
 
     table = root.take_section("table")
     if table is not None:
-        sc.table_kappa = _number_list(table, "kappa", required=True)
+        sc.table_kappa = _number_list(table, "kappa", required=True, each=_check_kappa)
         sc.table_rows = _number_list(table, "rows", required=True)
         n_values = _int_list(table, "n")
         n1_values = _int_list(table, "n1")
@@ -246,13 +270,8 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
             sc.table_n = tuple(n_values)
         if n1_values:
             sc.table_n1 = tuple(n1_values)
-        if min(sc.table_n1) < 1 or max(sc.table_n1) >= min(sc.table_n):
-            raise ConfigError(
-                f"config.table.n1: need 1 <= n1 < n for every pair, got n1={sc.table_n1}, "
-                f"n={sc.table_n}"
-            )
-        if not all(0.0 <= k < math.inf for k in sc.table_kappa):
-            raise ConfigError(f"config.table.kappa: need 0 <= kappa < inf, got {sc.table_kappa}")
+        n2_values = np.subtract.outer(sc.table_n, sc.table_n1)
+        _checked("config.table.n1", _check_counts, sc.table_n1, n2_values)
         for label in sc.table_rows:
             if label not in FRACTION_BANDS:
                 raise ConfigError(
@@ -263,10 +282,10 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
     verify = root.take_section("verify")
     if verify is not None:
         n_values = _int_list(verify, "n")
-        kappa_values = _number_list(verify, "kappa")
-        sc.verify_draws = verify.take("draws", int, default=1)
-        sc.verify_n_steps = verify.take("n_steps", int, default=2000)
-        sc.inject_bug = verify.take("inject_bug", bool, default=False)
+        kappa_values = _number_list(verify, "kappa", each=_check_kappa)
+        sc.verify_draws = verify.take("draws", int, default=sc.verify_draws)
+        sc.verify_n_steps = verify.take("n_steps", int, default=sc.verify_n_steps)
+        sc.inject_bug = verify.take("inject_bug", bool, default=sc.inject_bug)
         verify.finish()
         if n_values:
             sc.verify_n = tuple(n_values)
@@ -277,22 +296,18 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
         # scales d) could not make it fail
         if min(sc.verify_n) < 2:
             raise ConfigError(f"config.verify.n: need every n >= 2, got {sc.verify_n}")
-        if not all(0.0 < k < math.inf for k in sc.verify_kappa):
-            raise ConfigError(f"config.verify.kappa: need 0 < kappa < inf, got {sc.verify_kappa}")
+        if 0.0 in sc.verify_kappa:
+            raise ConfigError(f"config.verify.kappa: need every kappa > 0, got {sc.verify_kappa}")
         if sc.verify_n_steps < 2:
             raise ConfigError(f"config.verify.n_steps: need >= 2, got {sc.verify_n_steps}")
-        if 2 * sc.verify_n_steps <= max(sc.verify_kappa):
-            raise ConfigError(
-                "config.verify.n_steps: need n_steps > max(kappa) / 2, at least "
-                f"{math.floor(0.5 * max(sc.verify_kappa)) + 1}, got {sc.verify_n_steps}"
-            )
+        _checked("config.verify.n_steps", _check_grid, max(sc.verify_kappa), sc.verify_n_steps)
         if sc.verify_draws < 1:
             raise ConfigError(f"config.verify.draws: need >= 1, got {sc.verify_draws}")
 
     output = root.take_section("output")
     if output is not None:
-        sc.directory = output.take("directory", str, default=".")
-        sc.seed = output.take("seed", int, default=0)
+        sc.directory = output.take("directory", str, default=sc.directory)
+        sc.seed = output.take("seed", int, default=sc.seed)
         output.finish()
         if sc.seed < 0:
             raise ConfigError("config.output.seed: must be non-negative")
@@ -349,45 +364,24 @@ def cmd_costs(sc: Scenario, out_dir: Path, meta: str) -> int:
     kappa_values = sc.require(sc.sweep_kappa, "config.sweep.kappa: required for costs")
     lambda1_values = sc.require(sc.sweep_lambda1, "config.sweep.lambda1: required for costs")
     header = ["n", "kappa", "lambda1", "cost", "share", "fair_share_deviation", "aggregate"]
+    lam1 = np.array(lambda1_values)
     rows = []
     for n in n_values:
-        if n < 2:
-            raise ConfigError("config.sweep.n: cost sweeps need n >= 2")
         for kappa in kappa_values:
-            for lam1 in lambda1_values:
-                if not 0.0 < lam1 < 1.0:
-                    raise ConfigError(f"config.sweep.lambda1: {lam1} not in (0, 1)")
-                rest = (1.0 - lam1) / (n - 1)
-                spec = GameSpec(n=n, lambdas=(lam1,) + (rest,) * (n - 1), kappa=kappa)
-                breakdown = cost_breakdown(spec)
-                rows.append(
-                    [
-                        n,
-                        kappa,
-                        lam1,
-                        breakdown.per_trader[0],
-                        breakdown.shares[0],
-                        breakdown.fair_share_deviation[0],
-                        breakdown.aggregate,
-                    ]
-                )
+            # trader 1's entries of cost_breakdown, for every lambda1 at once
+            shares = _shares(n, kappa, lam1)
+            columns = (group_cost(n, 1, lam1, kappa), shares, shares - lam1)
+            aggregate = aggregate_cost(n, kappa)
+            rows += [
+                [n, kappa, *cells, aggregate]
+                for cells in zip(lambda1_values, *(c.tolist() for c in columns))
+            ]
     _write_csv(out_dir, "costs.csv", header, rows, meta)
     return 0
 
 
 def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
-    n = sc.require(sc.n, "config.game.n: required for centralize")
-    kappa = sc.require(sc.kappa, "config.game.kappa: required for centralize")
-    n1 = sc.require(sc.n1, "config.centralization: required for centralize")
-    if not 1 <= n1 < n:
-        raise ConfigError(f"config.centralization.n1: need 1 <= n1 < n, got n1={n1}, n={n}")
-    try:
-        scenario = CentralizationScenario(
-            n1=n1, n2=n - n1, lambda_firm=sc.lambda_firm, kappa=kappa
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.centralization: {exc}") from exc
-
+    scenario = sc.require(sc.central, "config.centralization: required for centralize")
     rep = naive_centralization_report(scenario)
     header = [
         "n", "n1", "n2", "kappa", "lambda_firm",
@@ -402,10 +396,7 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
     ]
     _write_csv(out_dir, "centralize_report.csv", header, [row], meta)
 
-    try:
-        curve = optimal_representation(scenario, delta_range=sc.delta_range)
-    except ValueError as exc:
-        raise ConfigError(f"config.centralization.delta_range: {exc}") from exc
+    curve = optimal_representation(scenario, delta_range=sc.delta_range)
     curve_header = ["delta", "represented", "exact_cost", "approx_cost",
                     "pct_change_exact", "pct_change_approx"]
     deltas = curve.deltas.astype(object)  # Python ints, written as plain digits
@@ -452,14 +443,17 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
     n_values = sc.require(sc.sweep_n, "config.sweep.n: required for poa")
     kappa_values = sc.require(sc.sweep_kappa, "config.sweep.kappa: required for poa")
     header = ["n", "kappa", "aggregate_cost", "pct_increase_vs_n2", "poa_ratio"]
+    ns = np.array(n_values, dtype=float)
     rows = []
     for kappa in kappa_values:
         base = aggregate_cost(2, kappa)
-        for n in n_values:
-            if n < 2:
-                raise ConfigError("config.sweep.n: need n >= 2")
-            agg = aggregate_cost(n, kappa)
-            rows.append([n, kappa, agg, 100.0 * (agg - base) / base, agg / market_min_cost(kappa)])
+        least = market_min_cost(kappa)
+        # aggregate_cost's n >= 2 branch, for every n at once
+        aggregates = group_cost(ns, ns, 1.0, kappa).tolist()
+        rows += [
+            [n, kappa, agg, 100.0 * (agg - base) / base, agg / least]
+            for n, agg in zip(n_values, aggregates)
+        ]
     _write_csv(out_dir, "poa.csv", header, rows, meta)
     return 0
 
@@ -523,16 +517,16 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         scenario = parse_scenario(config, renormalize=args.renormalize_lambdas)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
             scenario.seed = args.seed
-        if scenario.seed < 0:
-            raise ConfigError("seed must be non-negative")
         out_dir = Path(args.out) if args.out is not None else Path(scenario.directory)
         meta = (
             f"# posgame {__version__} command={args.command} "
             f"config_sha256={_config_hash(config, scenario.seed)}"
         )
         return _COMMANDS[args.command](scenario, out_dir, meta)
-    except (ConfigError, GameSpecError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 

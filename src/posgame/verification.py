@@ -98,10 +98,10 @@ def simpson_cost(solution: EquilibriumSolution, intervals: int = 10_000) -> np.n
 
 
 def run_verification(
-    n_values: tuple[int, ...] = (2, 3, 5),
-    kappa_values: tuple[float, ...] = (1.0, 5.0, 25.0),
-    draws: int = 3,
-    n_steps: int = 2000,
+    n_values: tuple[int, ...],
+    kappa_values: tuple[float, ...],
+    draws: int,
+    n_steps: int,
     seed: int = 0,
     bug_scale: float = 1.0,
 ) -> VerificationReport:

@@ -185,6 +185,47 @@ class TestConfigErrors:
         assert f"config error: config.{section}: unknown keys: {key}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "sections,key",
+        [
+            ({"sweep": {"n": [1], "kappa": [1.0], "lambda1": [0.2]}}, "sweep.n"),
+            ({"sweep": {"n": [2], "kappa": [-1.0], "lambda1": [0.2]}}, "sweep.kappa"),
+            ({"sweep": {"n": [2], "kappa": [math.nan], "lambda1": [0.2]}}, "sweep.kappa"),
+            ({"sweep": {"n": [2], "kappa": [1.0], "lambda1": [1.5]}}, "sweep.lambda1"),
+            ({"centralization": {"n1": 4, "lambda_firm": 7}}, "centralization.lambda_firm"),
+            ({"centralization": {"n1": 12, "lambda_firm": 0.4}}, "centralization.n1"),
+            ({"centralization": {"n1": 4, "lambda_firm": 0.4, "delta_range": [-4, 20]}},
+             "centralization.delta_range"),
+            ({"centralization": {"n1": 4, "lambda_firm": 0.4, "delta_range": [5, 4]}},
+             "centralization.delta_range"),
+            ({"game": {"n": 12, "kappa": math.nan}}, "game.kappa"),
+            ({"game": None}, "game"),
+        ],
+        ids=["sweep.n=1", "sweep.kappa=-1", "sweep.kappa=nan", "sweep.lambda1=1.5",
+             "lambda_firm=7", "n1=n", "delta_range-below-1-n1", "delta_range-empty",
+             "game.kappa=nan-without-lambdas", "centralization-without-game"],
+    )
+    def test_invalid_setting_fails_every_command(self, tmp_path, capsys, sections, key):
+        # every section is checked at parse, including those a command never reads
+        config = {
+            "game": {"n": 12, "lambdas": [0.4] + [0.6 / 11] * 11, "kappa": 5.0},
+            "centralization": {"n1": 4, "lambda_firm": 0.4, "delta_range": [-3, 20]},
+            "sweep": {"n": [2, 5], "kappa": [1.0], "lambda1": [0.2]},
+            "table": {"kappa": [1.0], "rows": [0.40]},
+            "verify": {"n": [2], "kappa": [1.0], "n_steps": 300},
+        }
+        for section, values in sections.items():
+            if values is None:
+                del config[section]
+            else:
+                config[section] = values
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "out"
+        for command in ("equilibrium", "costs", "centralize", "poa", "verify"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 1, command
+            assert f"config error: config.{key}:" in capsys.readouterr().err, command
+            assert not out.exists(), command
+
     def test_both_symmetric_and_lambdas_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -418,7 +459,7 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "config error: config.verify.n_steps:" in err
-        assert f"at least {smallest}," in err
+        assert f"at least {smallest}\n" in err
         assert not out.exists()
         payload["verify"]["n_steps"] = smallest
         assert cli.parse_scenario(payload).verify_n_steps == smallest
