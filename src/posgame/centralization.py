@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
-from .core import RepresentationTooSmall, _check_count, _check_kappa
+from .core import RepresentationTooSmall, _check_count, _check_kappa, _gauss_legendre_64
 from .costs import aggregate_cost_limit, group_cost
 
 
@@ -212,15 +211,6 @@ FRACTION_BANDS: dict[float, tuple[float, float]] = {
     0.62: (0.50, 0.75),
     0.82: (0.75, 0.90),
 }
-
-
-@cache
-def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
-    """64-point Gauss-Legendre nodes and weights on [-1, 1], computed once
-    and shared read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 def averaged_report(

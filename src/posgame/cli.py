@@ -47,7 +47,7 @@ from .centralization import (
     naive_centralization_report,
     optimal_representation,
 )
-from .core import GameSpec, _check_count, _check_kappa, renormalize_lambdas
+from .core import GameSpec, _check_count, _check_kappa, _check_traders, renormalize_lambdas
 from .costs import _shares, aggregate_cost, cost_breakdown, group_cost, market_min_cost
 from .equilibrium import solve
 from .oracle import _check_grid
@@ -221,6 +221,8 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
             if renormalize:
                 lambdas = _checked("config.game", renormalize_lambdas, lambdas)
             sc.spec = _checked("config.game", GameSpec, n, tuple(lambdas), kappa)
+        else:  # no GameSpec is built to check n
+            _checked("config.game.n", _check_traders, n)
 
     grid = root.take_section("grid")
     if grid is not None:
@@ -298,8 +300,6 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
             raise ConfigError(f"config.verify.n: need every n >= 2, got {sc.verify_n}")
         if 0.0 in sc.verify_kappa:
             raise ConfigError(f"config.verify.kappa: need every kappa > 0, got {sc.verify_kappa}")
-        if sc.verify_n_steps < 2:
-            raise ConfigError(f"config.verify.n_steps: need >= 2, got {sc.verify_n_steps}")
         _checked("config.verify.n_steps", _check_grid, max(sc.verify_kappa), sc.verify_n_steps)
         if sc.verify_draws < 1:
             raise ConfigError(f"config.verify.draws: need >= 1, got {sc.verify_draws}")

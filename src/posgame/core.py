@@ -5,7 +5,8 @@ target quantities ``lambdas`` summing to one, and a permanent-impact
 (alpha-decay) parameter ``kappa``.  An :class:`EquilibriumSolution` holds a
 solved spec as two coefficient arrays; ``_alpha`` and ``_curve`` are the one
 copy each of the decay-rate and curve formulas, as numpy kernels over
-arrays, and ``_KAPPA_FLOOR`` is the one kappa -> 0 rule.  Equilibrium
+arrays, ``_KAPPA_FLOOR`` is the one kappa -> 0 rule and
+``_gauss_legendre_64`` the one quadrature rule.  Equilibrium
 objects are immutable (their arrays read-only) and safe to share across
 threads.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -32,7 +34,7 @@ class GameSpecError(ValueError):
 
 
 class EmptyGame(GameSpecError):
-    """Trader count below one or no target quantities."""
+    """Trader count below one."""
 
 
 class LambdaCountMismatch(GameSpecError):
@@ -88,15 +90,14 @@ class GameSpec:
         """Check every invariant, so that no invalid spec exists.
 
         Raises:
-            EmptyGame: n < 1 or no target quantities.
+            EmptyGame: n < 1.
             LambdaCountMismatch: len(lambdas) != n.
             NonPositiveLambda: some lambda_i <= 0.
             LambdaSumMismatch: |sum(lambdas) - 1| > 1e-12.
             NegativeKappa: kappa < 0.
             NonFiniteKappa: kappa is NaN or +inf.
         """
-        if self.n < 1 or len(self.lambdas) == 0:
-            raise EmptyGame(f"need at least one trader, got n={self.n}")
+        _check_traders(self.n)
         if len(self.lambdas) != self.n:
             raise LambdaCountMismatch(
                 f"got {len(self.lambdas)} target quantities for n={self.n} traders"
@@ -114,8 +115,7 @@ class GameSpec:
         """``n`` traders with equal fractions; NonIntegerCount unless n is a
         whole number, EmptyGame if n < 1."""
         _check_count("n", n)
-        if n < 1:
-            raise EmptyGame(f"need at least one trader, got n={n}")
+        _check_traders(n)
         n = int(n)
         return cls(n=n, lambdas=(1.0 / n,) * n, kappa=kappa)
 
@@ -129,6 +129,12 @@ def _check_kappa(kappa: float) -> None:
         raise NegativeKappa(f"kappa = {kappa} must be non-negative")
     if not math.isfinite(kappa):
         raise NonFiniteKappa(f"kappa = {kappa} must be finite")
+
+
+def _check_traders(n) -> None:
+    """Raise EmptyGame unless there is at least one trader (n >= 1)."""
+    if n < 1:
+        raise EmptyGame(f"need at least one trader, got n={n}")
 
 
 def _check_count(name: str, value) -> None:
@@ -187,6 +193,15 @@ def _curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
     if order == 1:
         return kappa * b * np.exp(kappa * t) + alpha * d * np.exp(-alpha * t)
     return kappa**2 * b * np.exp(kappa * t) - alpha**2 * d * np.exp(-alpha * t)
+
+
+@cache
+def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
+    """64-point Gauss-Legendre nodes and weights on [-1, 1], computed once
+    and shared read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _float_if_scalar(values):

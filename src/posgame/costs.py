@@ -24,11 +24,11 @@ import numpy as np
 from .core import (
     _KAPPA_FLOOR,
     CostBreakdown,
-    EmptyGame,
     GameSpec,
     _alpha,
     _check_count,
     _check_kappa,
+    _check_traders,
 )
 
 
@@ -78,8 +78,7 @@ def aggregate_cost(n: int, kappa: float) -> float:
     kappa floor of :func:`group_cost` the aggregate is the kappa -> 0 limit 1.
     """
     _check_kappa(kappa)
-    if n < 1:
-        raise EmptyGame(f"need at least one trader, got n={n}")
+    _check_traders(n)
     if n == 1:
         return market_min_cost(kappa)
     return float(group_cost(n, n, 1.0, kappa))

@@ -117,13 +117,27 @@ class DiscreteGame:
     paths: np.ndarray  # shape (n, N + 1)
 
     def __post_init__(self):
-        paths = np.array(self.paths, dtype=float)
+        # a copy, so that the caller's array is never frozen behind its back
+        object.__setattr__(self, "paths", np.array(self.paths, dtype=float))
+        self._check_and_freeze()
+
+    @classmethod
+    def _adopt(cls, spec: GameSpec, paths: np.ndarray) -> "DiscreteGame":
+        """The game on ``paths``, a fresh float array that no caller holds,
+        kept as it is instead of copied: the oracle's own results."""
+        game = cls.__new__(cls)
+        object.__setattr__(game, "spec", spec)
+        object.__setattr__(game, "paths", paths)
+        game._check_and_freeze()
+        return game
+
+    def _check_and_freeze(self) -> None:
+        paths = self.paths
         if paths.ndim != 2 or paths.shape[0] != self.spec.n or paths.shape[1] < 2:
             raise GridMismatch(f"paths shape {paths.shape} is not ({self.spec.n}, N + 1), N >= 1")
         if np.any(paths[:, 0] != 0.0) or np.any(paths[:, -1] != 1.0):
             raise GridMismatch("path endpoints must be pinned to 0 and 1")
         paths.flags.writeable = False
-        object.__setattr__(self, "paths", paths)
 
     @property
     def n_steps(self) -> int:
@@ -144,7 +158,7 @@ def sampled_equilibrium(
     paths = sol.positions(grid)
     paths[:, 0] = 0.0
     paths[:, -1] = 1.0
-    return DiscreteGame(spec, paths)
+    return DiscreteGame._adopt(spec, paths)
 
 
 def _pressure(x: np.ndarray, kappa: float, h: float) -> np.ndarray:
@@ -198,8 +212,12 @@ def best_response(game: DiscreteGame, i: int) -> np.ndarray:
 
 
 def _check_grid(kappa: float, n_steps: int) -> None:
-    """GridMismatch unless n_steps > kappa / 2, the grids on which the Nash
-    rows' root sigma = (1 + c) / (1 - c) is positive (c = kappa / (2 N) < 1)."""
+    """ValueError unless n_steps >= 2, so that every trader has an interior
+    node, then GridMismatch unless n_steps > kappa / 2, the grids on which
+    the Nash rows' root sigma = (1 + c) / (1 - c) is positive
+    (c = kappa / (2 N) < 1)."""
+    if n_steps < 2:
+        raise ValueError(f"need n_steps >= 2, got {n_steps}")
     if 2 * n_steps <= kappa:
         raise GridMismatch(
             f"n_steps={n_steps} is too coarse for kappa={kappa:g}: "
@@ -227,11 +245,10 @@ def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:
     The market path and every trader's path are the explicit solutions of
     the summed and the per-trader rows (see the module docstring).  The
     paths match the sampled closed forms to the second-order discretization
-    error.  Raises GridMismatch unless n_steps > kappa / 2: on coarser grids
-    the rows' root sigma is not positive.
+    error.  Raises ValueError unless n_steps >= 2 and GridMismatch unless
+    n_steps > kappa / 2: on coarser grids the rows' root sigma is not
+    positive.
     """
-    if n_steps < 2:
-        raise ValueError(f"need n_steps >= 2, got {n_steps}")
     _check_grid(spec.kappa, n_steps)
     lambdas = spec.lambdas_array()
     n = spec.n
@@ -247,7 +264,7 @@ def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:
     own = _unit_path(math.log1p(2.0 * c / (1.0 - c)), n_steps)  # ln sigma
     paths = np.multiply.outer(-lambdas.sum() / (n * lambdas), own - market)
     paths += own
-    return DiscreteGame(spec, paths)
+    return DiscreteGame._adopt(spec, paths)
 
 
 def stationarity_residual(game: DiscreteGame) -> np.ndarray:

@@ -199,11 +199,13 @@ class TestConfigErrors:
             ({"centralization": {"n1": 4, "lambda_firm": 0.4, "delta_range": [5, 4]}},
              "centralization.delta_range"),
             ({"game": {"n": 12, "kappa": math.nan}}, "game.kappa"),
+            ({"game": {"n": 0, "kappa": 1.0}}, "game.n"),
             ({"game": None}, "game"),
         ],
         ids=["sweep.n=1", "sweep.kappa=-1", "sweep.kappa=nan", "sweep.lambda1=1.5",
              "lambda_firm=7", "n1=n", "delta_range-below-1-n1", "delta_range-empty",
-             "game.kappa=nan-without-lambdas", "centralization-without-game"],
+             "game.kappa=nan-without-lambdas", "game.n=0-without-lambdas",
+             "centralization-without-game"],
     )
     def test_invalid_setting_fails_every_command(self, tmp_path, capsys, sections, key):
         # every section is checked at parse, including those a command never reads
@@ -505,21 +507,6 @@ def test_twelve_significant_digit_formatting(tmp_path):
     assert float(mid[1]) == pytest.approx(float(sol.positions(t[50])[0]), rel=1e-11)
 
 
-def test_cli_import_loads_every_layer_but_not_scipy_integrate():
-    # a fresh interpreter, so modules other tests imported do not count
-    src = str(Path(pg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = (
-        "import json, sys, posgame.cli\n"
-        "print(json.dumps(sorted(sys.modules)))"
-    )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = set(json.loads(proc.stdout))
-    layers = ("core", "equilibrium", "costs", "centralization", "oracle", "verification", "cli")
-    assert {f"posgame.{layer}" for layer in layers} <= loaded
-    assert not any(m.startswith("scipy.integrate") for m in loaded)
-
-
 def loaded_modules_after(code):
     """Names in sys.modules after running ``code`` in a fresh interpreter."""
     src = str(Path(pg.__file__).resolve().parents[1])
@@ -534,7 +521,11 @@ def is_scipy(module):
 
 
 def test_cli_import_loads_no_scipy():
-    assert not any(is_scipy(m) for m in loaded_modules_after("import posgame.cli"))
+    # a fresh interpreter, so modules other tests imported do not count
+    loaded = loaded_modules_after("import posgame.cli")
+    layers = ("core", "equilibrium", "costs", "centralization", "oracle", "verification", "cli")
+    assert {f"posgame.{layer}" for layer in layers} <= loaded
+    assert not any(is_scipy(m) for m in loaded)
 
 
 def test_non_verify_commands_run_without_scipy(tmp_path):

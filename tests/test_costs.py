@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.integrate import simpson
 import posgame as pg
 from conftest import BELOW_KAPPA_FLOOR, game_specs
 from posgame.costs import _shares
+from posgame.verification import _buggy_solution, _cost_check, draw_lambdas, quadrature_cost
 
 
 def integral_cost(spec, i, intervals=10_000):
@@ -338,18 +340,60 @@ class TestTypedDomainErrors:
         assert pg.price_of_anarchy(math.inf, 1.0) < 2.0
 
 
-def test_simpson_cost_gives_every_traders_cost():
-    from posgame.verification import simpson_cost
+def test_quadrature_cost_gives_every_traders_cost():
+    # Gauss-Legendre reads at rounding level: 4.9e-15 against the formula at
+    # kappa = 6 (one panel) and 2.2e-14 at kappa = 100 (two panels).  At
+    # kappa = 6 the 10,000-interval Simpson reference is at rounding level too
+    # (8.7e-15 apart; at kappa = 100 it is 2.5e-10 off), so 1e-13 leaves a
+    # margin of ten and still pins both.
+    for kappa in (100.0, 6.0):
+        spec = pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=kappa)
+        quadrature = quadrature_cost(pg.solve(spec))
+        assert quadrature.shape == (4,)
+        assert quadrature == pytest.approx(pg.cost_breakdown(spec).per_trader, rel=1e-13)
+    reference = [integral_cost(spec, i) for i in range(4)]
+    assert quadrature == pytest.approx(reference, rel=1e-13)
 
-    spec = pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=6.0)
-    quadrature = simpson_cost(pg.solve(spec))
-    per_trader = pg.cost_breakdown(spec).per_trader
-    assert quadrature.shape == (4,)
-    for i in range(4):
-        assert quadrature[i] == pytest.approx(integral_cost(spec, i), rel=1e-13)
-        assert quadrature[i] == pytest.approx(per_trader[i], rel=1e-6)
-    coarse = simpson_cost(pg.solve(spec), intervals=10)
-    for i in range(4):
-        assert coarse[i] == pytest.approx(integral_cost(spec, i, intervals=10), rel=1e-13)
-    with pytest.raises(ValueError):
-        simpson_cost(pg.solve(spec), intervals=9)
+
+def floored_spec(n, kappa, lam_min=1e-6):
+    """One trader at the documented floor lambda_min, the others equal."""
+    lambdas = pg.renormalize_lambdas([lam_min] + [(1.0 - lam_min) / (n - 1)] * (n - 1))
+    return pg.GameSpec(n=n, lambdas=lambdas, kappa=kappa)
+
+
+@pytest.mark.parametrize("n", [5, 1000])
+def test_cost_row_holds_at_large_kappa_and_fails_the_bug(n):
+    # kappa = 700 takes 11 panels; one panel read 8.3e-2 at n = 1000, and
+    # 10,000-interval Simpson 3.0e-3
+    spec = floored_spec(n, 700.0)
+    row = _cost_check(pg.solve(spec), "kappa=700")
+    assert row.passed, row
+    assert not _cost_check(_buggy_solution(spec, 1.01), "kappa=700").passed
+
+
+def test_cost_row_fails_the_bug_on_every_default_draw():
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 5):
+        for kappa in (1.0, 5.0, 25.0):
+            for _ in range(3):
+                spec = pg.GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa)
+                assert _cost_check(pg.solve(spec), "").value < 1e-12
+                assert _cost_check(_buggy_solution(spec, 1.01), "").value > 1e-2
+
+
+def test_cost_row_memory_is_linear_in_traders_and_panels():
+    # 10,001-point Simpson held (n, 10_001) arrays: a 458 MiB peak here
+    n, kappa = 2000, 25.0
+    spec = pg.GameSpec(n=n, lambdas=draw_lambdas(np.random.default_rng(0), n), kappa=kappa)
+    sol = pg.solve(spec)
+    panels = 1  # ceil(25 / 64)
+    bound = 4 * n * 64 * panels * 8  # four (n, 64 P) arrays of floats
+    tracemalloc.start()
+    try:
+        row = _cost_check(sol, "n=2000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured: 2.1 MiB, bound 3.9 MiB
+    assert peak < bound
+    assert row.passed, row

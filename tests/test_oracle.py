@@ -246,6 +246,19 @@ class TestExplicitNashPoint:
         spec = pg.GameSpec(2000, draw_lambdas(np.random.default_rng(0), 2000), 25.0)
         assert np.max(pg.stationarity_residual(pg.nash_fixed_point(spec, 2000))) <= 1e-11
 
+    def test_result_is_kept_not_copied(self):
+        # copying the (n, N + 1) result into the game doubled the peak: 61 MiB here
+        spec = pg.GameSpec(2000, draw_lambdas(np.random.default_rng(0), 2000), 25.0)
+        tracemalloc.start()
+        try:
+            game = pg.nash_fixed_point(spec, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # measured: 30.7 MiB for a 30.5 MiB result
+        assert peak < 1.5 * game.paths.nbytes
+        assert not game.paths.flags.writeable
+
     @pytest.mark.parametrize("n_steps", [2, 10, 1000])
     def test_kappa_at_twice_the_grid_is_a_grid_mismatch(self, n_steps):
         # c = kappa / (2 N) = 1 makes the rows' root sigma = (1 + c) / (1 - c) infinite
