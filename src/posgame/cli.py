@@ -51,7 +51,7 @@ from .core import GameSpec, _check_count, _check_kappa, _check_traders, renormal
 from .costs import _shares, aggregate_cost, cost_breakdown, group_cost, market_min_cost
 from .equilibrium import solve
 from .oracle import _check_grid
-from .verification import run_verification
+from .verification import _check_draws, _check_suite_kappa, _check_suite_n, run_verification
 
 
 class ConfigError(Exception):
@@ -284,7 +284,7 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
     verify = root.take_section("verify")
     if verify is not None:
         n_values = _int_list(verify, "n")
-        kappa_values = _number_list(verify, "kappa", each=_check_kappa)
+        kappa_values = _number_list(verify, "kappa")
         sc.verify_draws = verify.take("draws", int, default=sc.verify_draws)
         sc.verify_n_steps = verify.take("n_steps", int, default=sc.verify_n_steps)
         sc.inject_bug = verify.take("inject_bug", bool, default=sc.inject_bug)
@@ -293,16 +293,10 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
             sc.verify_n = tuple(n_values)
         if kappa_values:
             sc.verify_kappa = tuple(kappa_values)
-        # at n = 1 and kappa = 0 every strategy is the straight line, b = d = 0:
-        # the suite would exercise no closed form, and inject_bug (which
-        # scales d) could not make it fail
-        if min(sc.verify_n) < 2:
-            raise ConfigError(f"config.verify.n: need every n >= 2, got {sc.verify_n}")
-        if 0.0 in sc.verify_kappa:
-            raise ConfigError(f"config.verify.kappa: need every kappa > 0, got {sc.verify_kappa}")
+        _checked("config.verify.n", _check_suite_n, sc.verify_n)
+        _checked("config.verify.kappa", _check_suite_kappa, sc.verify_kappa)
         _checked("config.verify.n_steps", _check_grid, max(sc.verify_kappa), sc.verify_n_steps)
-        if sc.verify_draws < 1:
-            raise ConfigError(f"config.verify.draws: need >= 1, got {sc.verify_draws}")
+        _checked("config.verify.draws", _check_draws, sc.verify_draws)
 
     output = root.take_section("output")
     if output is not None:
@@ -465,7 +459,7 @@ def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
         draws=sc.verify_draws,
         n_steps=sc.verify_n_steps,
         seed=sc.seed,
-        bug_scale=1.01 if sc.inject_bug else 1.0,
+        inject_bug=sc.inject_bug,
     )
 
     header = ["check", "measured", "threshold", "status", "detail"]

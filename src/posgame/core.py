@@ -257,25 +257,20 @@ class EquilibriumSolution:
         )
 
     def market(self, t):
-        t = np.asarray(t, dtype=float)
-        a = self.alpha
-        if a == 0.0:
-            return _float_if_scalar(t.copy())
-        return _float_if_scalar(np.expm1(-a * t) / np.expm1(-a))
+        return self._market(t, 0)
 
     def market_velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        a = self.alpha
-        if a == 0.0:
-            return _float_if_scalar(np.ones_like(t))
-        return _float_if_scalar(a * np.exp(-a * t) / (-np.expm1(-a)))
+        return self._market(t, 1)
 
     def market_acceleration(self, t):
-        t = np.asarray(t, dtype=float)
+        return self._market(t, 2)
+
+    def _market(self, t, order: int):
+        # the curve with b = 0, d = 1 / (1 - e^{-alpha}) and kappa = 0: the
+        # spec's kappa makes 0 * expm1(kappa t) NaN from kappa = 710 on
         a = self.alpha
-        if a == 0.0:
-            return _float_if_scalar(np.zeros_like(t))
-        return _float_if_scalar(-(a**2) * np.exp(-a * t) / (-np.expm1(-a)))
+        d = 1.0 / -math.expm1(-a) if a else 0.0
+        return _float_if_scalar(_curve(0.0, d, 0.0, a, t, order))
 
 
 @dataclass(frozen=True)

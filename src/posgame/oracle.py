@@ -63,7 +63,10 @@ bump.  :func:`deviation_expansion` prices every trader's deviations that way,
 from the cost functional alone.
 
 Everything here deliberately avoids the closed-form solution: the only
-shared inputs are the cost functional and the boundary conditions.
+shared inputs are the cost functional and the boundary conditions.  The
+module imports no solver; :func:`sampled_equilibrium` samples a solution
+that its caller solved, and every function reads the spec off the game or
+solution it is given.
 """
 
 from __future__ import annotations
@@ -74,13 +77,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BadBump,
-    EquilibriumSolution,
-    GameSpec,
-    GridMismatch,
-)
-from .equilibrium import solve
+from .core import BadBump, EquilibriumSolution, GameSpec, GridMismatch
 
 
 class _Deferred:
@@ -145,20 +142,13 @@ class DiscreteGame:
         return self.paths.shape[1] - 1
 
 
-def sampled_equilibrium(
-    spec: GameSpec, n_steps: int, solution: EquilibriumSolution | None = None
-) -> DiscreteGame:
-    """Closed-form strategies sampled on the oracle grid (for comparisons).
-
-    ``solution`` defaults to ``solve(spec)``; pass one to sample a modified
-    solution instead.
-    """
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
-    sol = solution if solution is not None else solve(spec)
-    paths = sol.positions(grid)
+def sampled_equilibrium(solution: EquilibriumSolution, n_steps: int) -> DiscreteGame:
+    """``solution``'s strategies sampled on the oracle grid of ``n_steps``
+    intervals, as a game of ``solution.spec`` (for comparisons)."""
+    paths = solution.positions(np.linspace(0.0, 1.0, n_steps + 1))
     paths[:, 0] = 0.0
     paths[:, -1] = 1.0
-    return DiscreteGame._adopt(spec, paths)
+    return DiscreteGame._adopt(solution.spec, paths)
 
 
 def _pressure(x: np.ndarray, kappa: float, h: float) -> np.ndarray:
@@ -283,21 +273,16 @@ def stationarity_residual(game: DiscreteGame) -> np.ndarray:
     return np.max(np.abs(resid), axis=1) / scale
 
 
-def deviation_expansion(
-    spec: GameSpec,
-    bumps: np.ndarray,
-    eps: float,
-    base: DiscreteGame | None = None,
-) -> np.ndarray:
+def deviation_expansion(base: DiscreteGame, bumps: np.ndarray, eps: float) -> np.ndarray:
     """Cost changes when each trader alone deviates by eps * bump, shape (n, K).
 
-    ``bumps`` holds K endpoint-vanishing directions on the oracle grid, shape
+    ``bumps`` holds K endpoint-vanishing directions on ``base``'s grid, shape
     (K, N + 1): GridMismatch if they do not fit the grid and BadBump if one
-    does not vanish at both endpoints.  All traders sit at the sampled
-    closed-form equilibrium (or at ``base``); entry (i, k) is trader i's
-    discrete cost with its path moved to a_i + eps * bumps[k] minus its cost
-    at the base, non-negative (to rounding) because the discrete cost is
-    convex in the own path and stationary at its minimum.
+    does not vanish at both endpoints.  All traders sit at ``base``, whose
+    spec gives lambda and kappa; entry (i, k) is trader i's discrete cost
+    with its path moved to a_i + eps * bumps[k] minus its cost at the base,
+    non-negative (to rounding) at an equilibrium because the discrete cost
+    is convex in the own path and stationary at its minimum.
 
     The change comes from the exact expansion of the discrete cost in the
     own path.  With p(x) the price pressure of :func:`_cost_sum` (linear in
@@ -312,13 +297,12 @@ def deviation_expansion(
     like (n + K) N and no perturbed profile is built.
     """
     bumps = np.asarray(bumps, dtype=float)
-    base = base if base is not None else sampled_equilibrium(spec, bumps.shape[-1] - 1)
     if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
         raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
     if np.any(bumps[:, [0, -1]] != 0.0):
         raise BadBump("bump must vanish at both endpoints")
-    lambdas = spec.lambdas_array()
-    kappa, h = spec.kappa, 1.0 / base.n_steps
+    lambdas = base.spec.lambdas_array()
+    kappa, h = base.spec.kappa, 1.0 / base.n_steps
     bump_pressure = _pressure(bumps, kappa, h)
     bump_steps = np.diff(bumps)
     market_term = bump_steps @ _pressure(lambdas @ base.paths, kappa, h)  # (K,)

@@ -4,10 +4,11 @@ Each check pairs a measured quantity with its threshold so the CLI can emit
 one pass/fail line per check.  The cost row ("cost formula vs quadrature")
 holds the per-trader cost formula to :func:`quadrature_cost`, composite
 64-point Gauss-Legendre quadrature of the cost integrand on the closed-form
-curves, with the package's one set of nodes.  The ``bug_scale`` knob
-multiplies the D coefficients of the closed-form solution before
-comparison; setting it to 1.01 demonstrates that the suite actually
-detects a wrong solution.
+curves, with the package's one set of nodes.  ``inject_bug`` scales every
+trader's d coefficient of the closed-form solution by 1.01 before the
+comparison, which demonstrates that the suite detects a wrong solution.
+The suite's rules on its settings are written here once, and the CLI
+reports them at their config keys.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EquilibriumSolution, GameSpec, _gauss_legendre_64
+from .core import _KAPPA_FLOOR, EquilibriumSolution, GameSpec, _check_kappa, _gauss_legendre_64
 from .costs import aggregate_cost, group_cost
 from .equilibrium import governing_residuals, solve
 from .oracle import (
@@ -76,9 +77,32 @@ def draw_lambdas(rng: np.random.Generator, n: int) -> tuple[float, ...]:
     return tuple(float(x) for x in lam)
 
 
-def _buggy_solution(spec: GameSpec, bug_scale: float):
-    sol = solve(spec)
-    return replace(sol, d=sol.d * bug_scale)
+def _check_suite_n(n_values) -> None:
+    """ValueError unless ``n_values`` is non-empty and every n >= 2: at n = 1
+    every strategy is the straight line (b = d = 0), which an injected bug
+    (it scales d) cannot move, and the cost row reads 0 / 0."""
+    if not n_values or min(n_values) < 2:
+        raise ValueError(f"need a non-empty n_values with every n >= 2, got {n_values}")
+
+
+def _check_suite_kappa(kappa_values) -> None:
+    """ValueError unless ``kappa_values`` is non-empty and every kappa is
+    finite and at least 1e-300: a smaller kappa counts as 0, where every
+    strategy is the straight line too."""
+    for kappa in kappa_values:
+        _check_kappa(kappa)
+    if not kappa_values or min(kappa_values) < _KAPPA_FLOOR:
+        raise ValueError(
+            f"need a non-empty kappa_values with every kappa >= {_KAPPA_FLOOR:g}, "
+            f"got {kappa_values}"
+        )
+
+
+def _check_draws(draws: int) -> None:
+    """ValueError unless draws >= 1, so that a passing report always holds
+    per-draw checks."""
+    if draws < 1:
+        raise ValueError(f"need draws >= 1, got {draws}")
 
 
 def quadrature_cost(solution: EquilibriumSolution) -> np.ndarray:
@@ -122,24 +146,22 @@ def run_verification(
     draws: int,
     n_steps: int,
     seed: int = 0,
-    bug_scale: float = 1.0,
+    inject_bug: bool = False,
 ) -> VerificationReport:
     """Run the full suite over a (n, kappa) grid with seeded target draws.
 
     The fixed-point gap threshold is 5 / n_steps, loose against the
     second-order discretization error.  ``seed`` draws the target fractions
-    and the random deviation bumps.  ``draws`` must be at least 1 and both
-    value tuples non-empty, so that a passing report always holds per-draw
-    checks.  Before any check runs: ValueError unless n_steps >= 2, and
-    GridMismatch unless n_steps > max(kappa_values) / 2, the grids the
+    and the random deviation bumps; ``inject_bug`` checks a closed form
+    whose d coefficients are 1 % off, which the suite must fail.  Before any
+    check runs, ValueError unless every n >= 2, every kappa is finite and at
+    least 1e-300, both value tuples are non-empty, draws >= 1 and n_steps >= 2,
+    and GridMismatch unless n_steps > max(kappa_values) / 2, the grids the
     oracle solves on.
     """
-    if draws < 1:
-        raise ValueError(f"need draws >= 1, got {draws}")
-    if not n_values or not kappa_values:
-        raise ValueError(
-            f"need non-empty n_values and kappa_values, got {n_values} and {kappa_values}"
-        )
+    _check_suite_n(n_values)
+    _check_suite_kappa(kappa_values)
+    _check_draws(draws)
     _check_grid(max(kappa_values), n_steps)
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
@@ -153,8 +175,10 @@ def run_verification(
                 label = f"n={n} kappa={kappa:g} draw={rep}"
 
                 fp = nash_fixed_point(spec, n_steps=n_steps)
-                sol = _buggy_solution(spec, bug_scale)
-                cf = sampled_equilibrium(spec, n_steps, solution=sol)
+                sol = solve(spec)
+                if inject_bug:
+                    sol = replace(sol, d=sol.d * 1.01)
+                cf = sampled_equilibrium(sol, n_steps)
                 gap = float(np.max(np.abs(fp.paths - cf.paths)))
                 checks.append(_at_most(f"fixed-point gap [{label}]", gap, gap_threshold))
 
@@ -169,7 +193,7 @@ def run_verification(
 
                 checks.append(_cost_check(sol, label))
 
-                worst_dev = float(np.min(deviation_expansion(spec, bumps, eps=0.01, base=cf)))
+                worst_dev = float(np.min(deviation_expansion(cf, bumps, eps=0.01)))
                 checks.append(
                     _at_least(f"deviation non-negativity [{label}]", worst_dev, -1e-9)
                 )
@@ -189,11 +213,11 @@ def convergence_order_check() -> Check:
     ratio per doubling is ~4.  The check requires at least first-order decay
     (every ratio >= 1.7) and reports the measured ratios.
     """
-    spec = GameSpec(n=2, lambdas=(0.3, 0.7), kappa=5.0)
+    solution = solve(GameSpec(n=2, lambdas=(0.3, 0.7), kappa=5.0))
     gaps = []
     for n_steps in (500, 1000, 2000):
-        fp = nash_fixed_point(spec, n_steps=n_steps)
-        cf = sampled_equilibrium(spec, n_steps)
+        fp = nash_fixed_point(solution.spec, n_steps=n_steps)
+        cf = sampled_equilibrium(solution, n_steps)
         gaps.append(float(np.max(np.abs(fp.paths - cf.paths))))
     ratios = [gaps[k] / gaps[k + 1] for k in range(len(gaps) - 1)]
     detail = "ratios " + ", ".join(f"{r:.2f}" for r in ratios)

@@ -49,7 +49,7 @@ def test_criterion_1_closed_form_matches_oracle():
     worst = 0.0
     for spec in sweep_specs():
         fp = pg.nash_fixed_point(spec, n_steps=2000)
-        cf = pg.sampled_equilibrium(spec, 2000)
+        cf = pg.sampled_equilibrium(pg.solve(spec), 2000)
         worst = max(worst, float(np.max(np.abs(fp.paths - cf.paths))))
     elapsed = time.monotonic() - start
     assert worst < 2e-3

@@ -11,7 +11,7 @@ from scipy.integrate import simpson
 import posgame as pg
 from conftest import BELOW_KAPPA_FLOOR, game_specs
 from posgame.costs import _shares
-from posgame.verification import _buggy_solution, _cost_check, draw_lambdas, quadrature_cost
+from posgame.verification import _cost_check, draw_lambdas, quadrature_cost
 
 
 def integral_cost(spec, i, intervals=10_000):
@@ -355,6 +355,12 @@ def test_quadrature_cost_gives_every_traders_cost():
     assert quadrature == pytest.approx(reference, rel=1e-13)
 
 
+def buggy_solution(spec):
+    """The closed form with every d coefficient 1 % off, as verify's inject_bug."""
+    sol = pg.solve(spec)
+    return dataclasses.replace(sol, d=sol.d * 1.01)
+
+
 def floored_spec(n, kappa, lam_min=1e-6):
     """One trader at the documented floor lambda_min, the others equal."""
     lambdas = pg.renormalize_lambdas([lam_min] + [(1.0 - lam_min) / (n - 1)] * (n - 1))
@@ -368,7 +374,7 @@ def test_cost_row_holds_at_large_kappa_and_fails_the_bug(n):
     spec = floored_spec(n, 700.0)
     row = _cost_check(pg.solve(spec), "kappa=700")
     assert row.passed, row
-    assert not _cost_check(_buggy_solution(spec, 1.01), "kappa=700").passed
+    assert not _cost_check(buggy_solution(spec), "kappa=700").passed
 
 
 def test_cost_row_fails_the_bug_on_every_default_draw():
@@ -378,7 +384,7 @@ def test_cost_row_fails_the_bug_on_every_default_draw():
             for _ in range(3):
                 spec = pg.GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa)
                 assert _cost_check(pg.solve(spec), "").value < 1e-12
-                assert _cost_check(_buggy_solution(spec, 1.01), "").value > 1e-2
+                assert _cost_check(buggy_solution(spec), "").value > 1e-2
 
 
 def test_cost_row_memory_is_linear_in_traders_and_panels():

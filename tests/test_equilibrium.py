@@ -183,6 +183,16 @@ def test_market_is_strictly_concave_for_positive_alpha():
     assert np.all(sol.market(t[1:-1]) > t[1:-1])
 
 
+def test_market_curves_stay_finite_where_e_kappa_overflows():
+    # e^kappa overflows from kappa = 710 on, and the traders' positions read
+    # NaN there; the market curve has no e^{kappa t} term
+    with np.errstate(over="ignore"):
+        sol = pg.solve(pg.GameSpec(n=2, lambdas=(0.3, 0.7), kappa=720.0))
+    t = np.linspace(0.0, 1.0, 101)
+    for curve in (sol.market, sol.market_velocity, sol.market_acceleration):
+        assert np.all(np.isfinite(curve(t)))
+
+
 @settings(max_examples=25, deadline=None)
 @given(spec=game_specs())
 def test_residuals_vanish_for_random_specs(spec):

@@ -14,24 +14,24 @@ from conftest import game_specs
 from posgame.verification import draw_lambdas, run_verification
 
 
-def deviation_test(spec, bumps, eps, base=None):
+def deviation_test(base, bumps, eps):
     """Cost changes when each trader alone deviates by eps * bump, shape (n, K),
     from re-pricing every perturbed profile: the direct reference that
     ``deviation_expansion`` is held to.
 
-    ``bumps`` holds K endpoint-vanishing directions on the oracle grid, shape
-    (K, N + 1).  All traders sit at the sampled closed-form equilibrium (or
-    at ``base``); entry (i, k) is trader i's discrete cost with its path
-    moved to a_i + eps * bumps[k] minus its cost at the base.  Each trader's
-    K perturbed profiles are priced as one (K, n, N + 1) stack, so time and
-    memory grow like n^2 K N.  Raises what ``deviation_expansion`` raises.
+    ``bumps`` holds K endpoint-vanishing directions on ``base``'s grid, shape
+    (K, N + 1).  All traders sit at ``base``; entry (i, k) is trader i's
+    discrete cost with its path moved to a_i + eps * bumps[k] minus its cost
+    at the base.  Each trader's K perturbed profiles are priced as one
+    (K, n, N + 1) stack, so time and memory grow like n^2 K N.  Raises what
+    ``deviation_expansion`` raises.
     """
     bumps = np.asarray(bumps, dtype=float)
-    base = base if base is not None else pg.sampled_equilibrium(spec, bumps.shape[-1] - 1)
     if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
         raise pg.GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
     if np.any(bumps[:, [0, -1]] != 0.0):
         raise pg.BadBump("bump must vanish at both endpoints")
+    spec = base.spec
     lambdas = spec.lambdas_array()
     kappa, h = spec.kappa, 1.0 / base.n_steps
     base_costs = oracle._cost_sum(lambdas @ base.paths, lambdas[:, None], base.paths, kappa, h)
@@ -75,7 +75,7 @@ class TestDiscreteCost:
 
     def test_converges_to_closed_form_cost(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        costs = pg.discrete_cost(pg.sampled_equilibrium(spec, 10_000))
+        costs = pg.discrete_cost(pg.sampled_equilibrium(pg.solve(spec), 10_000))
         per_trader = pg.cost_breakdown(spec).per_trader
         for i in range(2):
             assert costs[i] == pytest.approx(per_trader[i], abs=1e-4)
@@ -93,7 +93,7 @@ class TestBestResponse:
 
     def test_closed_form_is_a_fixed_point(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        game = pg.sampled_equilibrium(spec, 2000)
+        game = pg.sampled_equilibrium(pg.solve(spec), 2000)
         response = pg.best_response(game, 0)
         assert np.max(np.abs(response - game.paths[0])) < 1e-3
 
@@ -113,13 +113,13 @@ class TestNashFixedPoint:
     def test_two_trader_gap(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         fp = pg.nash_fixed_point(spec, 2000)
-        cf = pg.sampled_equilibrium(spec, 2000)
+        cf = pg.sampled_equilibrium(pg.solve(spec), 2000)
         assert np.max(np.abs(fp.paths - cf.paths)) < 1e-3
 
     def test_three_trader_gap_and_concavity(self):
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=5.0)
         fp = pg.nash_fixed_point(spec, 2000)
-        cf = pg.sampled_equilibrium(spec, 2000)
+        cf = pg.sampled_equilibrium(pg.solve(spec), 2000)
         assert np.max(np.abs(fp.paths - cf.paths)) < 2e-3
         market = spec.lambdas_array() @ fp.paths
         assert np.all(np.diff(market, 2) < 1e-9)
@@ -127,7 +127,7 @@ class TestNashFixedPoint:
     def test_strong_coupling_solves_every_best_response(self):
         fp = pg.nash_fixed_point(self.STRONG, 1000)
         assert np.all(pg.stationarity_residual(fp) <= 1e-10)
-        cf = pg.sampled_equilibrium(self.STRONG, 1000)
+        cf = pg.sampled_equilibrium(pg.solve(self.STRONG), 1000)
         assert np.max(np.abs(fp.paths - cf.paths)) < 2e-3
 
     def test_each_best_response_reproduces_the_solution(self):
@@ -148,7 +148,7 @@ class TestNashFixedPoint:
 
     def test_residual_flags_a_profile_off_the_nash_point(self):
         # the sampled closed form carries the O(h^2) discretization error
-        cf = pg.sampled_equilibrium(self.STRONG, 1000)
+        cf = pg.sampled_equilibrium(pg.solve(self.STRONG), 1000)
         assert np.max(pg.stationarity_residual(cf)) > 1e-10
 
     def test_zero_kappa_gives_straight_lines(self):
@@ -304,11 +304,11 @@ def test_run_verification_rejects_a_grid_too_coarse_for_kappa(monkeypatch):
 
 
 def test_grid_doubling_convergence_order():
-    spec = pg.GameSpec(n=2, lambdas=(0.3, 0.7), kappa=5.0)
+    solution = pg.solve(pg.GameSpec(n=2, lambdas=(0.3, 0.7), kappa=5.0))
     gaps = []
     for n_steps in (250, 500, 1000):
-        fp = pg.nash_fixed_point(spec, n_steps)
-        cf = pg.sampled_equilibrium(spec, n_steps)
+        fp = pg.nash_fixed_point(solution.spec, n_steps)
+        cf = pg.sampled_equilibrium(solution, n_steps)
         gaps.append(float(np.max(np.abs(fp.paths - cf.paths))))
     ratios = [gaps[k] / gaps[k + 1] for k in range(2)]
     # midpoint averaging makes the stationarity system second order: the gap
@@ -332,39 +332,43 @@ def test_market_path_grid_doubling():
 class TestDeviation:
     def test_zero_bump_changes_nothing(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        changes = deviation_test(spec, np.zeros((1, 201)), eps=0.01)
+        base = pg.sampled_equilibrium(pg.solve(spec), 200)
+        changes = deviation_test(base, np.zeros((1, 201)), eps=0.01)
         assert changes.shape == (2, 1)
         assert np.all(changes == 0.0)
 
     def test_smooth_bump_costs_order_eps_squared(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
+        base = pg.sampled_equilibrium(pg.solve(spec), 400)
         grid = np.linspace(0.0, 1.0, 401)
         bump = np.sin(np.pi * grid)
         bump[0] = bump[-1] = 0.0
-        small = deviation_test(spec, bump[None], eps=0.01)[0, 0]
-        large = deviation_test(spec, bump[None], eps=0.02)[0, 0]
+        small = deviation_test(base, bump[None], eps=0.01)[0, 0]
+        large = deviation_test(base, bump[None], eps=0.02)[0, 0]
         assert small > 0.0
         assert large / small == pytest.approx(4.0, rel=0.05)
 
     def test_sign_flip_also_costs(self):
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=5.0)
+        base = pg.sampled_equilibrium(pg.solve(spec), 300)
         bumps = pg.standard_bumps(300, seed=2)
-        assert np.all(deviation_test(spec, bumps, eps=0.01) >= -1e-9)
-        assert np.all(deviation_test(spec, -bumps, eps=0.01) >= -1e-9)
+        assert np.all(deviation_test(base, bumps, eps=0.01) >= -1e-9)
+        assert np.all(deviation_test(base, -bumps, eps=0.01) >= -1e-9)
 
     def test_rejects_nonvanishing_bump(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
+        base = pg.sampled_equilibrium(pg.solve(spec), 100)
         grid = np.linspace(0.0, 1.0, 101)
         with pytest.raises(pg.BadBump):
-            deviation_test(spec, grid[None], eps=0.01)
+            deviation_test(base, grid[None], eps=0.01)
 
     def test_rejects_bumps_off_the_oracle_grid(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        base = pg.sampled_equilibrium(spec, 100)
+        base = pg.sampled_equilibrium(pg.solve(spec), 100)
         with pytest.raises(pg.GridMismatch):
-            deviation_test(spec, pg.standard_bumps(50), eps=0.01, base=base)
+            deviation_test(base, pg.standard_bumps(50), eps=0.01)
         with pytest.raises(pg.GridMismatch):
-            deviation_test(spec, pg.standard_bumps(100)[0], eps=0.01, base=base)
+            deviation_test(base, pg.standard_bumps(100)[0], eps=0.01)
 
     def test_hundred_random_bumps_never_profit(self):
         n_steps = 500
@@ -375,7 +379,7 @@ class TestDeviation:
             pg.GameSpec(n=5, lambdas=(0.1, 0.15, 0.2, 0.25, 0.3), kappa=25.0),
         ]
         for spec in configs:
-            base = pg.sampled_equilibrium(spec, n_steps)
+            base = pg.sampled_equilibrium(pg.solve(spec), n_steps)
             bumps = np.empty((100, n_steps + 1))
             for k in range(100):  # the bump and its trader index interleave in the stream
                 values = rng.standard_normal(n_steps + 1)
@@ -383,7 +387,7 @@ class TestDeviation:
                 bumps[k] = values / np.max(np.abs(values))
                 rng.integers(spec.n)
             # every trader against every bump, not only the drawn trader
-            assert np.all(deviation_test(spec, bumps, eps=0.01, base=base) >= -1e-9)
+            assert np.all(deviation_test(base, bumps, eps=0.01) >= -1e-9)
 
 
 def _single_trader_cost(game, i):
@@ -412,7 +416,7 @@ class TestAllTraderKernelsMatchSingleTraderRoute:
         rough = np.hstack([np.zeros((spec.n, 1)), rough / rough[:, -1:]])
         for game in (
             pg.nash_fixed_point(spec, 400),
-            pg.sampled_equilibrium(spec, 257),
+            pg.sampled_equilibrium(pg.solve(spec), 257),
             pg.DiscreteGame(spec, rough),
         ):
             costs = pg.discrete_cost(game)
@@ -423,9 +427,9 @@ class TestAllTraderKernelsMatchSingleTraderRoute:
     @pytest.mark.parametrize("spec", CASES, ids=lambda s: f"n{s.n}-k{s.kappa:g}")
     def test_deviation_test(self, spec):
         n_steps, eps = 300, 0.01
-        base = pg.sampled_equilibrium(spec, n_steps)
+        base = pg.sampled_equilibrium(pg.solve(spec), n_steps)
         bumps = pg.standard_bumps(n_steps, seed=3)
-        changes = deviation_test(spec, bumps, eps=eps, base=base)
+        changes = deviation_test(base, bumps, eps=eps)
         assert changes.shape == (spec.n, len(bumps))
         for i in range(spec.n):
             base_cost = _single_trader_cost(base, i)
@@ -434,7 +438,6 @@ class TestAllTraderKernelsMatchSingleTraderRoute:
                 perturbed[i] = perturbed[i] + eps * bump
                 game = pg.DiscreteGame(spec, perturbed)
                 assert changes[i, k] == _single_trader_cost(game, i) - base_cost
-        assert np.array_equal(deviation_test(spec, bumps, eps=eps), changes)
 
 
 # Largest |deviation_expansion - deviation_test| measured over the cases below
@@ -463,10 +466,11 @@ class TestDeviationExpansion:
         ids=lambda s: f"n{s.n}-k{s.kappa:g}",
     )
     def test_matches_the_direct_route(self, spec):
+        base = pg.sampled_equilibrium(pg.solve(spec), 300)
         bumps = pg.standard_bumps(300, seed=3)
         for signed in (bumps, -bumps):
-            direct = deviation_test(spec, signed, eps=0.01)
-            expansion = pg.deviation_expansion(spec, signed, eps=0.01)
+            direct = deviation_test(base, signed, eps=0.01)
+            expansion = pg.deviation_expansion(base, signed, eps=0.01)
             assert expansion.shape == (spec.n, len(bumps))
             assert np.max(np.abs(expansion - direct)) <= EXPANSION_ABS
 
@@ -474,31 +478,31 @@ class TestDeviationExpansion:
         specs, bumps = default_verify_draws()
         assert len(specs) == 27
         for spec in specs:
-            base = pg.sampled_equilibrium(spec, 2000)
+            base = pg.sampled_equilibrium(pg.solve(spec), 2000)
             for signed in (bumps, -bumps):
-                direct = deviation_test(spec, signed, eps=0.01, base=base)
-                expansion = pg.deviation_expansion(spec, signed, eps=0.01, base=base)
+                direct = deviation_test(base, signed, eps=0.01)
+                expansion = pg.deviation_expansion(base, signed, eps=0.01)
                 assert np.max(np.abs(expansion - direct)) <= EXPANSION_ABS
 
     def test_zero_bump_changes_nothing(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        changes = pg.deviation_expansion(spec, np.zeros((1, 201)), eps=0.01)
+        base = pg.sampled_equilibrium(pg.solve(spec), 200)
+        changes = pg.deviation_expansion(base, np.zeros((1, 201)), eps=0.01)
         assert changes.shape == (2, 1)
         assert np.all(changes == 0.0)
 
     def test_rejects_what_the_direct_route_rejects(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        base = pg.sampled_equilibrium(spec, 100)
+        base = pg.sampled_equilibrium(pg.solve(spec), 100)
         cases = [
-            (pg.BadBump, np.linspace(0.0, 1.0, 101)[None], None),
-            (pg.GridMismatch, pg.standard_bumps(50), base),
-            (pg.GridMismatch, pg.standard_bumps(100)[0], base),
-            (pg.GridMismatch, pg.standard_bumps(100)[0], None),
+            (pg.BadBump, np.linspace(0.0, 1.0, 101)[None]),
+            (pg.GridMismatch, pg.standard_bumps(50)),
+            (pg.GridMismatch, pg.standard_bumps(100)[0]),
         ]
-        for error, bumps, at in cases:
+        for error, bumps in cases:
             for route in (deviation_test, pg.deviation_expansion):
                 with pytest.raises(error):
-                    route(spec, bumps, eps=0.01, base=at)
+                    route(base, bumps, eps=0.01)
 
     def test_memory_is_linear_in_the_trader_count(self):
         # the direct route would hold a (K, n, N + 1) stack: 160 MB here
@@ -508,14 +512,16 @@ class TestDeviationExpansion:
         )
         bumps = pg.standard_bumps(n_steps)
         assert len(bumps) == 10
-        base = pg.sampled_equilibrium(spec, n_steps)
+        solution = pg.solve(spec)
+        base = pg.sampled_equilibrium(solution, n_steps)
         bound = 3 * n * (n_steps + 1) * 8  # three profiles' worth of floats
         tracemalloc.start()
         try:
-            given = pg.deviation_expansion(spec, bumps, eps=0.01, base=base)
+            given = pg.deviation_expansion(base, bumps, eps=0.01)
             peak_given = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            sampled = pg.deviation_expansion(spec, bumps, eps=0.01)
+            game = pg.sampled_equilibrium(solution, n_steps)
+            sampled = pg.deviation_expansion(game, bumps, eps=0.01)
             peak_sampled = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -566,7 +572,7 @@ class TestDiscreteGameInvariants:
         game = pg.DiscreteGame(spec, paths)
         assert game.n_steps == 10
         assert pg.nash_fixed_point(spec, 40).n_steps == 40
-        assert pg.sampled_equilibrium(spec, 7).n_steps == 7
+        assert pg.sampled_equilibrium(pg.solve(spec), 7).n_steps == 7
         # the game keeps its own read-only copy
         paths[0, 5] = 9.0
         assert game.paths[0, 5] == 0.5 and not game.paths.flags.writeable
@@ -593,10 +599,19 @@ class TestDeferredScipy:
         )
 
 
+def test_oracle_holds_no_closed_form_solver():
+    # the oracle shares only the cost functional and the boundary conditions
+    # with the closed forms: it samples a solution, it never solves one
+    assert "solve" not in vars(oracle)
+
+
 @pytest.mark.parametrize(
     "setting",
-    [{"draws": 0}, {"draws": -1}, {"n_values": ()}, {"kappa_values": ()}],
-    ids=["0", "-1", "no-n", "no-kappa"],
+    [
+        {"draws": 0}, {"draws": -1}, {"n_values": ()}, {"kappa_values": ()},
+        {"n_values": (1,)}, {"kappa_values": (0.0,)}, {"kappa_values": (1e-301,)},
+    ],
+    ids=["0", "-1", "no-n", "no-kappa", "n-1", "kappa-0", "kappa-below-floor"],
 )
 def test_run_verification_rejects_an_empty_suite(setting):
     kwargs = {"n_values": (2,), "kappa_values": (1.0,), "draws": 1, "n_steps": 40, **setting}
@@ -609,4 +624,4 @@ def test_verification_at_a_thousand_traders():
     kwargs = {"n_values": (1000,), "kappa_values": (25.0,), "draws": 1, "n_steps": 2000}
     report = run_verification(**kwargs)
     assert report.passed, [c.name for c in report.checks if not c.passed]
-    assert not run_verification(**kwargs, bug_scale=1.01).passed
+    assert not run_verification(**kwargs, inject_bug=True).passed
