@@ -73,11 +73,12 @@ from __future__ import annotations
 
 import importlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadBump, EquilibriumSolution, GameSpec, GridMismatch
+from .core import BadBump, EquilibriumSolution, GameSpec, GridMismatch, NonIntegerCount
 
 
 class _Deferred:
@@ -144,7 +145,9 @@ class DiscreteGame:
 
 def sampled_equilibrium(solution: EquilibriumSolution, n_steps: int) -> DiscreteGame:
     """``solution``'s strategies sampled on the oracle grid of ``n_steps``
-    intervals, as a game of ``solution.spec`` (for comparisons)."""
+    intervals, as a game of ``solution.spec`` (for comparisons).
+    NonIntegerCount unless ``n_steps`` is an integer."""
+    _check_steps(n_steps)
     paths = solution.positions(np.linspace(0.0, 1.0, n_steps + 1))
     paths[:, 0] = 0.0
     paths[:, -1] = 1.0
@@ -201,11 +204,20 @@ def best_response(game: DiscreteGame, i: int) -> np.ndarray:
     return np.concatenate(([0.0], solveh_banded(ab, rhs, lower=True), [1.0]))
 
 
+def _check_steps(n_steps) -> None:
+    """NonIntegerCount unless ``n_steps`` is an integer other than a bool: a
+    float, even a whole one, does not size a grid."""
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
+        raise NonIntegerCount(f"n_steps = {n_steps!r} must be an integer")
+
+
 def _check_grid(kappa: float, n_steps: int) -> None:
-    """ValueError unless n_steps >= 2, so that every trader has an interior
-    node, then GridMismatch unless n_steps > kappa / 2, the grids on which
+    """NonIntegerCount unless n_steps is an integer, then ValueError unless
+    n_steps >= 2, so that every trader has an interior node, then
+    GridMismatch unless n_steps > kappa / 2, the grids on which
     the Nash rows' root sigma = (1 + c) / (1 - c) is positive
     (c = kappa / (2 N) < 1)."""
+    _check_steps(n_steps)
     if n_steps < 2:
         raise ValueError(f"need n_steps >= 2, got {n_steps}")
     if 2 * n_steps <= kappa:
@@ -235,9 +247,9 @@ def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:
     The market path and every trader's path are the explicit solutions of
     the summed and the per-trader rows (see the module docstring).  The
     paths match the sampled closed forms to the second-order discretization
-    error.  Raises ValueError unless n_steps >= 2 and GridMismatch unless
-    n_steps > kappa / 2: on coarser grids the rows' root sigma is not
-    positive.
+    error.  Raises NonIntegerCount unless n_steps is an integer, ValueError
+    unless n_steps >= 2 and GridMismatch unless n_steps > kappa / 2: on
+    coarser grids the rows' root sigma is not positive.
     """
     _check_grid(spec.kappa, n_steps)
     lambdas = spec.lambdas_array()
@@ -273,6 +285,47 @@ def stationarity_residual(game: DiscreteGame) -> np.ndarray:
     return np.max(np.abs(resid), axis=1) / scale
 
 
+def _bump_steps(bumps, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """``bumps`` as a float (K, width) array and its increments, shape
+    (K, width - 1): GridMismatch unless the shape fits and BadBump unless
+    every bump vanishes at both endpoints."""
+    bumps = np.asarray(bumps, dtype=float)
+    if bumps.ndim != 2 or bumps.shape[1] != width:
+        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {width})")
+    if np.any(bumps[:, [0, -1]] != 0.0):
+        raise BadBump("bump must vanish at both endpoints")
+    return bumps, np.diff(bumps)
+
+
+def _bump_terms(
+    bumps: np.ndarray, steps: np.ndarray, kappa: float, h: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bumps' price pressure p(b), shape (K, N), and curvatures
+    sum p(b) db, shape (K,), at ``kappa`` on the grid of step ``h``: the
+    terms of :func:`deviation_expansion` that no base enters.  ``steps`` is
+    ``np.diff(bumps)``.  The pressure is built in place in :func:`_pressure`'s
+    order of operations, so it holds the same bits."""
+    pressure = steps / h
+    pressure += kappa * 0.5 * (bumps[:, :-1] + bumps[:, 1:])
+    return pressure, np.sum(pressure * steps, axis=-1)
+
+
+def _expansion(
+    base: DiscreteGame, steps: np.ndarray, pressure: np.ndarray, curvature: np.ndarray,
+    eps: float,
+) -> np.ndarray:
+    """:func:`deviation_expansion` on ``base`` from the bump terms of
+    :func:`_bump_steps` and :func:`_bump_terms`, which must be built on
+    ``base``'s grid and at its kappa: a (K, N) @ (N, n) and a (K, N) @ (N,)
+    product."""
+    lambdas = base.spec.lambdas_array()
+    market = _pressure(lambdas @ base.paths, base.spec.kappa, 1.0 / base.n_steps)
+    market_term = steps @ market  # (K,)
+    own_term = pressure @ np.diff(base.paths).T  # (K, n)
+    lam = lambdas[:, None]
+    return eps * lam * (market_term + lam * own_term.T) + eps**2 * lam**2 * curvature
+
+
 def deviation_expansion(base: DiscreteGame, bumps: np.ndarray, eps: float) -> np.ndarray:
     """Cost changes when each trader alone deviates by eps * bump, shape (n, K).
 
@@ -292,24 +345,16 @@ def deviation_expansion(base: DiscreteGame, bumps: np.ndarray, eps: float) -> np
         eps lambda_i [sum p(m) db + lambda_i sum p(b) da_i]
             + eps^2 lambda_i^2 sum p(b) db,
 
-    d the increments along the grid.  The sums over every trader and bump
-    are one (K, N) @ (N, n) product plus two length-K sums, so memory grows
-    like (n + K) N and no perturbed profile is built.
+    d the increments along the grid.  The bump terms db, p(b) and
+    sum p(b) db depend on the bumps, kappa and N alone; the base enters
+    through one (K, N) @ (N, n) and one (K, N) @ (N,) product, so memory
+    grows like (n + K) N and no perturbed profile is built.  A caller that
+    prices many bases on one grid (``run_verification``) builds the bump
+    terms once per kappa and pays only the two products per base.
     """
-    bumps = np.asarray(bumps, dtype=float)
-    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
-        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
-    if np.any(bumps[:, [0, -1]] != 0.0):
-        raise BadBump("bump must vanish at both endpoints")
-    lambdas = base.spec.lambdas_array()
-    kappa, h = base.spec.kappa, 1.0 / base.n_steps
-    bump_pressure = _pressure(bumps, kappa, h)
-    bump_steps = np.diff(bumps)
-    market_term = bump_steps @ _pressure(lambdas @ base.paths, kappa, h)  # (K,)
-    own_term = bump_pressure @ np.diff(base.paths).T  # (K, n)
-    curvature = np.sum(bump_pressure * bump_steps, axis=-1)  # (K,)
-    lam = lambdas[:, None]
-    return eps * lam * (market_term + lam * own_term.T) + eps**2 * lam**2 * curvature
+    bumps, steps = _bump_steps(bumps, base.paths.shape[1])
+    pressure, curvature = _bump_terms(bumps, steps, base.spec.kappa, 1.0 / base.n_steps)
+    return _expansion(base, steps, pressure, curvature, eps)
 
 
 def standard_bumps(
@@ -317,7 +362,9 @@ def standard_bumps(
 ) -> np.ndarray:
     """Deviation directions, shape (modes + n_random, n_steps + 1): sine
     modes k = 1..modes plus seeded random endpoint-vanishing vectors scaled
-    into [-1, 1] (smooth and rough perturbations)."""
+    into [-1, 1] (smooth and rough perturbations).  NonIntegerCount unless
+    ``n_steps`` is an integer."""
+    _check_steps(n_steps)
     grid = np.linspace(0.0, 1.0, n_steps + 1)
     sines = np.sin(np.multiply.outer(np.arange(1, modes + 1) * np.pi, grid))
     rough = np.random.default_rng(seed).standard_normal((n_random, n_steps + 1))

@@ -22,8 +22,9 @@ from .core import _KAPPA_FLOOR, EquilibriumSolution, GameSpec, _check_kappa, _ga
 from .costs import aggregate_cost, group_cost
 from .equilibrium import governing_residuals, solve
 from .oracle import (
+    _bump_terms,
     _check_grid,
-    deviation_expansion,
+    _expansion,
     discrete_cost,
     nash_fixed_point,
     sampled_equilibrium,
@@ -154,10 +155,17 @@ def run_verification(
     second-order discretization error.  ``seed`` draws the target fractions
     and the random deviation bumps; ``inject_bug`` checks a closed form
     whose d coefficients are 1 % off, which the suite must fail.  Before any
-    check runs, ValueError unless every n >= 2, every kappa is finite and at
-    least 1e-300, both value tuples are non-empty, draws >= 1 and n_steps >= 2,
-    and GridMismatch unless n_steps > max(kappa_values) / 2, the grids the
-    oracle solves on.
+    check runs, NonIntegerCount unless n_steps is an integer, ValueError
+    unless every n >= 2, every kappa is finite and at least 1e-300, both
+    value tuples are non-empty, draws >= 1 and n_steps >= 2, and GridMismatch
+    unless n_steps > max(kappa_values) / 2, the grids the oracle solves on.
+
+    The deviation row prices each draw as ``deviation_expansion`` does, from
+    bump terms that depend only on the bumps, kappa and N: they are built
+    once per run, the increments once and the (K, N) pressure once per
+    distinct kappa, so the run holds 1 + len(set(kappa_values)) arrays of
+    shape (K, N), and a draw costs a (K, N) @ (N, n) and a (K, N) @ (N,)
+    product.
     """
     _check_suite_n(n_values)
     _check_suite_kappa(kappa_values)
@@ -167,6 +175,8 @@ def run_verification(
     checks: list[Check] = []
     gap_threshold = 5.0 / n_steps
     bumps = standard_bumps(n_steps, seed=seed)
+    steps = np.diff(bumps)
+    bump_terms = {kappa: _bump_terms(bumps, steps, kappa, 1.0 / n_steps) for kappa in kappa_values}
 
     for n in n_values:
         for kappa in kappa_values:
@@ -193,7 +203,8 @@ def run_verification(
 
                 checks.append(_cost_check(sol, label))
 
-                worst_dev = float(np.min(deviation_expansion(cf, bumps, eps=0.01)))
+                deviations = _expansion(cf, steps, *bump_terms[kappa], eps=0.01)
+                worst_dev = float(np.min(deviations))
                 checks.append(
                     _at_least(f"deviation non-negativity [{label}]", worst_dev, -1e-9)
                 )

@@ -616,6 +616,26 @@ def test_figure_csvs_match_committed_reference(tmp_path, workload, op):
         assert produced == ref.read_text().splitlines()[1:], ref.name
 
 
+VERIFY_REFERENCE = Path(__file__).resolve().parent / "reference" / "verify"
+
+
+def test_verify_csv_matches_committed_reference(tmp_path, capsys):
+    """The verify report of the benchmark's verify config stays
+    byte-identical to the committed reference below the first line."""
+    config = {
+        "verify": {"n": [2, 3, 5], "kappa": [1, 5, 25], "draws": 3, "n_steps": 2000},
+        "output": {"seed": 20240901},
+    }
+    cfg = write_config(tmp_path, "cfg.json", config)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "20240901"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    produced = (out / "verify_report.csv").read_text().splitlines()
+    reference = (VERIFY_REFERENCE / "verify_report.csv").read_text().splitlines()
+    assert len(produced) == 3 * 3 * 3 * 6 + 3  # header, column names, convergence row
+    assert produced[1:] == reference[1:]
+
+
 def per_cell_lines(rows):
     """CSV lines as the writer formerly built them, one formatting call per
     cell; kept here as the reference for the row-at-a-time writer."""

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -301,6 +302,23 @@ def test_run_verification_rejects_a_grid_too_coarse_for_kappa(monkeypatch):
     monkeypatch.setattr(verification, "nash_fixed_point", unreachable)
     with pytest.raises(pg.GridMismatch, match="kappa=25: .* at least 13$"):
         run_verification(n_values=(2,), kappa_values=(1.0, 25.0), draws=1, n_steps=12)
+
+
+@pytest.mark.parametrize("n_steps", [10.5, 10.0, np.float64(10.0), True, "10"])
+@pytest.mark.parametrize(
+    "entry", ["nash_fixed_point", "sampled_equilibrium", "standard_bumps", "run_verification"]
+)
+def test_a_non_integer_step_count_is_rejected_at_every_entry_point(entry, n_steps):
+    spec = pg.GameSpec(n=2, lambdas=(0.4, 0.6), kappa=1.0)
+    calls = {
+        "nash_fixed_point": lambda steps: pg.nash_fixed_point(spec, steps),
+        "sampled_equilibrium": lambda steps: pg.sampled_equilibrium(pg.solve(spec), steps),
+        "standard_bumps": lambda steps: pg.standard_bumps(steps),
+        "run_verification": lambda steps: run_verification((2,), (1.0,), 1, steps),
+    }
+    with pytest.raises(pg.NonIntegerCount, match="n_steps = .* must be an integer"):
+        calls[entry](n_steps)
+    calls[entry](np.int64(10))  # numpy integers size a grid
 
 
 def test_grid_doubling_convergence_order():
@@ -617,6 +635,31 @@ def test_run_verification_rejects_an_empty_suite(setting):
     kwargs = {"n_values": (2,), "kappa_values": (1.0,), "draws": 1, "n_steps": 40, **setting}
     with pytest.raises(ValueError, match=next(iter(setting))):
         run_verification(**kwargs)
+
+
+@pytest.mark.parametrize("inject_bug", [False, True], ids=["correct", "injected-bug"])
+def test_verify_deviation_rows_read_the_public_route(inject_bug):
+    # the run builds the bump terms once per kappa; every row must still read
+    # exactly what deviation_expansion reads on that draw, so a pressure
+    # paired with another kappa's draws shows
+    n_values, kappa_values, draws, n_steps, seed = (2, 5), (1.0, 25.0, 300.0), 2, 1000, 7
+    report = run_verification(
+        n_values, kappa_values, draws, n_steps, seed=seed, inject_bug=inject_bug
+    )
+    rows = {c.name: c.value for c in report.checks if c.name.startswith("deviation")}
+    rng = np.random.default_rng(seed)
+    bumps = pg.standard_bumps(n_steps, seed=seed)
+    expected = {}
+    for n in n_values:
+        for kappa in kappa_values:
+            for rep in range(draws):
+                solution = pg.solve(pg.GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa))
+                if inject_bug:
+                    solution = dataclasses.replace(solution, d=solution.d * 1.01)
+                base = pg.sampled_equilibrium(solution, n_steps)
+                name = f"deviation non-negativity [n={n} kappa={kappa:g} draw={rep}]"
+                expected[name] = float(np.min(pg.deviation_expansion(base, bumps, eps=0.01)))
+    assert rows == expected
 
 
 def test_verification_at_a_thousand_traders():
