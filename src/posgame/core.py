@@ -58,7 +58,8 @@ class NonFiniteKappa(GameSpecError):
 
 
 class NonIntegerCount(GameSpecError):
-    """A trader count (or a change of one) is NaN, infinite or fractional."""
+    """A trader count (or a change of one) is NaN, infinite or fractional,
+    or an oracle grid's step count is not an integer."""
 
 
 class GridMismatch(ValueError):

@@ -285,18 +285,6 @@ def stationarity_residual(game: DiscreteGame) -> np.ndarray:
     return np.max(np.abs(resid), axis=1) / scale
 
 
-def _bump_steps(bumps, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """``bumps`` as a float (K, width) array and its increments, shape
-    (K, width - 1): GridMismatch unless the shape fits and BadBump unless
-    every bump vanishes at both endpoints."""
-    bumps = np.asarray(bumps, dtype=float)
-    if bumps.ndim != 2 or bumps.shape[1] != width:
-        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {width})")
-    if np.any(bumps[:, [0, -1]] != 0.0):
-        raise BadBump("bump must vanish at both endpoints")
-    return bumps, np.diff(bumps)
-
-
 def _bump_terms(
     bumps: np.ndarray, steps: np.ndarray, kappa: float, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -311,13 +299,16 @@ def _bump_terms(
 
 
 def _expansion(
-    base: DiscreteGame, steps: np.ndarray, pressure: np.ndarray, curvature: np.ndarray,
+    base: DiscreteGame,
+    steps: np.ndarray,
+    pressure: np.ndarray,
+    curvature: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """:func:`deviation_expansion` on ``base`` from the bump terms of
-    :func:`_bump_steps` and :func:`_bump_terms`, which must be built on
-    ``base``'s grid and at its kappa: a (K, N) @ (N, n) and a (K, N) @ (N,)
-    product."""
+    """:func:`deviation_expansion` on ``base`` from the bump increments
+    ``steps`` and the :func:`_bump_terms` ``pressure`` and ``curvature``,
+    which must be built on ``base``'s grid and at its kappa: a
+    (K, N) @ (N, n) and a (K, N) @ (N,) product."""
     lambdas = base.spec.lambdas_array()
     market = _pressure(lambdas @ base.paths, base.spec.kappa, 1.0 / base.n_steps)
     market_term = steps @ market  # (K,)
@@ -352,7 +343,12 @@ def deviation_expansion(base: DiscreteGame, bumps: np.ndarray, eps: float) -> np
     prices many bases on one grid (``run_verification``) builds the bump
     terms once per kappa and pays only the two products per base.
     """
-    bumps, steps = _bump_steps(bumps, base.paths.shape[1])
+    bumps = np.asarray(bumps, dtype=float)
+    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
+        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
+    if np.any(bumps[:, [0, -1]] != 0.0):
+        raise BadBump("bump must vanish at both endpoints")
+    steps = np.diff(bumps)
     pressure, curvature = _bump_terms(bumps, steps, base.spec.kappa, 1.0 / base.n_steps)
     return _expansion(base, steps, pressure, curvature, eps)
 
