@@ -177,6 +177,7 @@ def run_verification(
     bumps = standard_bumps(n_steps, seed=seed)
     steps = np.diff(bumps)
     bump_terms = {kappa: _bump_terms(bumps, steps, kappa, 1.0 / n_steps) for kappa in kappa_values}
+    del bumps  # a draw reads only the increments and its kappa's terms
 
     for n in n_values:
         for kappa in kappa_values:
