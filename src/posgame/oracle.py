@@ -146,8 +146,9 @@ class DiscreteGame:
 def sampled_equilibrium(solution: EquilibriumSolution, n_steps: int) -> DiscreteGame:
     """``solution``'s strategies sampled on the oracle grid of ``n_steps``
     intervals, as a game of ``solution.spec`` (for comparisons).
-    NonIntegerCount unless ``n_steps`` is an integer."""
-    _check_steps(n_steps)
+    NonIntegerCount unless ``n_steps`` is an integer, ValueError unless it is
+    at least 1."""
+    _check_size("n_steps", n_steps, 1)
     paths = solution.positions(np.linspace(0.0, 1.0, n_steps + 1))
     paths[:, 0] = 0.0
     paths[:, -1] = 1.0
@@ -204,11 +205,14 @@ def best_response(game: DiscreteGame, i: int) -> np.ndarray:
     return np.concatenate(([0.0], solveh_banded(ab, rhs, lower=True), [1.0]))
 
 
-def _check_steps(n_steps) -> None:
-    """NonIntegerCount unless ``n_steps`` is an integer other than a bool: a
-    float, even a whole one, does not size a grid."""
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral):
-        raise NonIntegerCount(f"n_steps = {n_steps!r} must be an integer")
+def _check_size(name: str, value, least: int) -> None:
+    """NonIntegerCount unless ``value`` is an integer other than a bool (a
+    float, even a whole one, sizes no grid or bump set), then ValueError
+    unless ``value >= least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise NonIntegerCount(f"{name} = {value!r} must be an integer")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
 
 
 def _check_grid(kappa: float, n_steps: int) -> None:
@@ -217,9 +221,7 @@ def _check_grid(kappa: float, n_steps: int) -> None:
     GridMismatch unless n_steps > kappa / 2, the grids on which
     the Nash rows' root sigma = (1 + c) / (1 - c) is positive
     (c = kappa / (2 N) < 1)."""
-    _check_steps(n_steps)
-    if n_steps < 2:
-        raise ValueError(f"need n_steps >= 2, got {n_steps}")
+    _check_size("n_steps", n_steps, 2)
     if 2 * n_steps <= kappa:
         raise GridMismatch(
             f"n_steps={n_steps} is too coarse for kappa={kappa:g}: "
@@ -359,8 +361,14 @@ def standard_bumps(
     """Deviation directions, shape (modes + n_random, n_steps + 1): sine
     modes k = 1..modes plus seeded random endpoint-vanishing vectors scaled
     into [-1, 1] (smooth and rough perturbations).  NonIntegerCount unless
-    ``n_steps`` is an integer."""
-    _check_steps(n_steps)
+    ``n_steps``, ``modes`` and ``n_random`` are integers, ValueError unless
+    ``n_steps >= 1``, ``modes >= 0``, ``n_random >= 0`` and there is at least
+    one bump."""
+    _check_size("n_steps", n_steps, 1)
+    _check_size("modes", modes, 0)
+    _check_size("n_random", n_random, 0)
+    if modes + n_random == 0:
+        raise ValueError("need at least one bump: modes + n_random >= 1")
     grid = np.linspace(0.0, 1.0, n_steps + 1)
     sines = np.sin(np.multiply.outer(np.arange(1, modes + 1) * np.pi, grid))
     rough = np.random.default_rng(seed).standard_normal((n_random, n_steps + 1))

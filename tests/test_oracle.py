@@ -321,6 +321,35 @@ def test_a_non_integer_step_count_is_rejected_at_every_entry_point(entry, n_step
     calls[entry](np.int64(10))  # numpy integers size a grid
 
 
+SOLUTION = pg.solve(pg.GameSpec(n=2, lambdas=(0.4, 0.6), kappa=1.0))
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: pg.standard_bumps(0), ValueError, "need n_steps >= 1, got 0"),
+        (lambda: pg.standard_bumps(-2), ValueError, "need n_steps >= 1, got -2"),
+        (lambda: pg.standard_bumps(5, -1), ValueError, "need modes >= 0, got -1"),
+        (lambda: pg.standard_bumps(5, 2, -1), ValueError, "need n_random >= 0, got -1"),
+        (lambda: pg.standard_bumps(5, 0, 0), ValueError, "at least one bump"),
+        (lambda: pg.standard_bumps(5, 2.0), pg.NonIntegerCount, "modes = 2.0 must be"),
+        (lambda: pg.standard_bumps(5, 2, True), pg.NonIntegerCount, "n_random = True must be"),
+        (lambda: pg.sampled_equilibrium(SOLUTION, 0), ValueError, "need n_steps >= 1, got 0"),
+        (lambda: pg.sampled_equilibrium(SOLUTION, -3), ValueError, "need n_steps >= 1, got -3"),
+    ],
+    ids=["bumps-n0", "bumps-n-2", "modes-1", "random-1", "no-bump", "modes-float",
+         "random-bool", "sampled-n0", "sampled-n-3"],
+)
+def test_counts_that_make_no_grid_or_no_bump_set_are_rejected(call, error, message):
+    with pytest.raises(error, match=message) as raised:
+        call()
+    assert type(raised.value) is error  # not a GridMismatch about path shapes
+    # the smallest valid counts still work
+    assert pg.standard_bumps(1).shape == (10, 2)
+    assert pg.standard_bumps(5, 0, 1).shape == (1, 6)
+    assert pg.sampled_equilibrium(SOLUTION, 1).n_steps == 1
+
+
 def test_grid_doubling_convergence_order():
     solution = pg.solve(pg.GameSpec(n=2, lambdas=(0.3, 0.7), kappa=5.0))
     gaps = []
