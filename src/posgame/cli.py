@@ -21,7 +21,10 @@ fractions and deviation bumps; the other commands' rows depend on the config
 alone, and the averaged centralization table is a deterministic quadrature.
 Cells are written by one rule: strings verbatim, integers as plain digits,
 every other number as ``%.12g`` (12 significant digits, locale-independent;
-nan and inf as ``nan``, ``inf``, ``-inf``).
+nan and inf as ``nan``, ``inf``, ``-inf``).  A block of float rows (the
+equilibrium curves) goes through a numpy kernel whose every cell is
+byte-identical to ``%.12g`` (``_g12``); Python's ``%`` formats the other
+rows and every cell the kernel cannot certify.
 Exit codes: 0 success, 1 config error (a game the library rejects, such as
 a non-finite kappa, counts as one), 2 verification failure.
 """
@@ -38,6 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._g12 import format_rows
 from .centralization import (
     FRACTION_BANDS,
     CentralizationScenario,
@@ -322,19 +326,27 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
     """Write comment lines, the header and ``rows`` as one CSV file.
 
     Each row is formatted by a single ``%`` on a line format built once per
-    distinct tuple of cell types (see :func:`_cell_format`).
+    distinct tuple of cell types (see :func:`_cell_format`).  A 2-D float64
+    array among ``rows`` stands for its rows; they are written chunk by chunk
+    by :func:`posgame._g12.format_rows`, byte-identical to ``%.12g`` per cell.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    lines = [meta, *(extra_comments or ()), ",".join(header)]
+    lines = [f"{line}\n" for line in (meta, *(extra_comments or ()), ",".join(header))]
     formats = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        fmt = formats.get(kinds)
-        if fmt is None:
-            fmt = formats[kinds] = ",".join(map(_cell_format, kinds))
-        lines.append(fmt % tuple(row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as file:
+        for row in rows:
+            if isinstance(row, np.ndarray) and row.ndim == 2:
+                file.write("".join(lines))
+                lines = []
+                file.writelines(format_rows(row))
+                continue
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
+            lines.append(fmt % tuple(row))
+        file.write("".join(lines))
     return path
 
 
@@ -345,10 +357,12 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     sol = solve(spec)
     t = np.linspace(0.0, 1.0, sc.n_points)
     header = ["t"] + [f"a_{i + 1}" for i in range(spec.n)] + ["m"]
-    rows = np.column_stack([t, sol.positions(t).T, sol.market(t)]).tolist()
     breakdown = cost_breakdown(spec)
-    rows.append(["cost", *breakdown.per_trader, breakdown.aggregate])
-    rows.append(["share", *breakdown.shares, 1.0])
+    rows = [
+        np.column_stack([t, sol.positions(t).T, sol.market(t)]),
+        ["cost", *breakdown.per_trader, breakdown.aggregate],
+        ["share", *breakdown.shares, 1.0],
+    ]
     _write_csv(out_dir, "equilibrium.csv", header, rows, meta)
     return 0
 

@@ -4,12 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import posgame as pg
+import posgame._g12 as _g12
 import posgame.cli as cli
 from posgame.cli import main
 
@@ -669,13 +674,14 @@ def test_csv_writer_matches_per_cell_formatting(tmp_path):
     assert path.read_text() == "\n".join(expected) + "\n"
 
 
-def test_large_equilibrium_matches_per_cell_formatting(tmp_path):
-    """A 2000-trader equilibrium with the benchmark's Dirichlet fractions is
+@pytest.mark.parametrize("n,kappa", [(2000, 5.0), (300, 300.0)], ids=["n2000-kappa5", "n300-kappa300"])
+def test_large_equilibrium_matches_per_cell_formatting(tmp_path, n, kappa):
+    """A large equilibrium with the benchmark's Dirichlet fractions is
     byte-identical to formatting the sampled curves cell by cell."""
-    lambdas = WORKLOADS.large_n_lambdas(0)
-    spec = pg.GameSpec(n=2000, lambdas=tuple(lambdas), kappa=5.0)
+    lambdas = WORKLOADS.large_n_lambdas(0, n)
+    spec = pg.GameSpec(n=n, lambdas=tuple(lambdas), kappa=kappa)
     cfg = write_config(
-        tmp_path, "cfg.json", {"game": {"n": 2000, "lambdas": lambdas, "kappa": 5.0},
+        tmp_path, "cfg.json", {"game": {"n": n, "lambdas": lambdas, "kappa": kappa},
                                "grid": {"n_points": 201}},
     )
     assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -687,6 +693,86 @@ def test_large_equilibrium_matches_per_cell_formatting(tmp_path):
     breakdown = pg.cost_breakdown(spec)
     rows.append(["cost", *breakdown.per_trader, breakdown.aggregate])
     rows.append(["share", *breakdown.shares, 1.0])
-    header = ",".join(["t"] + [f"a_{i + 1}" for i in range(2000)] + ["m"])
+    header = ",".join(["t"] + [f"a_{i + 1}" for i in range(n)] + ["m"])
     produced = (tmp_path / "out" / "equilibrium.csv").read_text().splitlines()[1:]
     assert produced == [header, *per_cell_lines(rows)]
+
+
+def large_n_curves():
+    """The float block of the benchmark's 2000-trader equilibrium.csv."""
+    spec = pg.GameSpec(n=2000, lambdas=tuple(WORKLOADS.large_n_lambdas(0)), kappa=5.0)
+    solution = pg.solve(spec)
+    t = np.linspace(0.0, 1.0, 201)
+    return np.column_stack([t, solution.positions(t).T, solution.market(t)])
+
+
+def assert_lines_match_printf(block):
+    """format_rows(block) is, line by line, the ``%.12g`` of every cell."""
+    fmt = ",".join(["%.12g"] * block.shape[1])
+    expected = [fmt % tuple(row) + "\n" for row in block.tolist()]
+    assert "".join(_g12.format_rows(block)).splitlines(keepends=True) == expected
+
+
+CHUNK = _g12.CHUNK_CELLS
+BLOCK_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(2, CHUNK + 100)),  # up to a row wider than a chunk
+    st.tuples(st.integers(2, 3 * CHUNK + 7), st.just(1)),  # rows past a chunk's end
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=arrays(np.float64, BLOCK_SHAPES, elements=st.floats(width=64), fill=st.floats()))
+def test_float_block_matches_printf(block):
+    # st.floats() draws nan, both infinities, subnormals and -0.0
+    assert_lines_match_printf(block)
+
+
+def test_float_block_matches_printf_at_powers_of_ten_ties_and_switch_points():
+    powers = [float(f"1e{k}") for k in range(-323, 309)]
+    neighbours = [np.nextafter(p, side) for p in powers for side in (0.0, math.inf)]
+    # 13-digit decimal ties: exact in binary from 1e-1 up, otherwise the
+    # nearest double, just off the tie, whose product by 10**k may land on it
+    ties = [float(f"{digits}e{p}") for digits in (1234567890125, 9999999999995, 1000000000005)
+            for p in range(-17, 1)] + [1000000000015.0, 100000000000.5, 12345678901.25]
+    switches = [1e-5, 9.99999999999995e-5, 1e-4, 99999999999.95, 999999999999.5, 1e12,
+                5e-324, sys.float_info.max, 0.0]
+    values = np.array(powers + neighbours + ties + switches)
+    values = np.concatenate([values, -values])
+    assert_lines_match_printf(values[:, None])
+    # the same cells as rows of three: every chunk ends mid-table
+    assert_lines_match_printf(values[: values.size // 3 * 3].reshape(-1, 3))
+    # one row wider than a chunk
+    assert_lines_match_printf(np.resize(values, (1, CHUNK + 5)))
+
+
+def test_float_block_formats_almost_every_large_n_cell_itself():
+    """Under 1 % of the large_n block's cells take the ``%`` fallback."""
+    block = large_n_curves()
+    _, _, certified = _g12._round12(block)
+    assert np.count_nonzero(~certified) < 0.01 * block.size
+
+
+def test_equilibrium_csv_is_written_in_bounded_memory(tmp_path, monkeypatch):
+    """Writing the 2000-trader equilibrium.csv peaks below the file's size:
+    the float block is streamed in chunks, not built as one list of lines."""
+    peaks = []
+    write = cli._write_csv
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return write(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write_csv", traced)
+    lambdas = WORKLOADS.large_n_lambdas(0)
+    cfg = write_config(
+        tmp_path, "cfg.json", {"game": {"n": 2000, "lambdas": lambdas, "kappa": 5.0},
+                               "grid": {"n_points": 201}},
+    )
+    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(peaks) == 1
+    assert peaks[0] < (tmp_path / "out" / "equilibrium.csv").stat().st_size
