@@ -5,8 +5,8 @@ cells, so memory stays bounded by the chunk, not the array.  Each cell is
 rounded to 12 significant digits with numpy (:func:`_round12`); a cell whose
 rounding the kernel can certify and whose ``%g`` form is fixed notation is
 spelt out from 4-digit ASCII words, every other cell (nan, inf, scientific
-notation, near-ties) by Python's own ``'%.12g' % x``, which stays the
-reference.
+notation, a scaled value that is exactly a half-integer) by Python's own
+``'%.12g' % x``, which stays the reference.
 
 Certification (see :func:`_round12`).  Let e be a guess of the decimal
 exponent clipped to [-5, 11], k = 11 - e in [0, 16], so 10**k is an exact

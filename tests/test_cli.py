@@ -674,7 +674,9 @@ def test_csv_writer_matches_per_cell_formatting(tmp_path):
     assert path.read_text() == "\n".join(expected) + "\n"
 
 
-@pytest.mark.parametrize("n,kappa", [(2000, 5.0), (300, 300.0)], ids=["n2000-kappa5", "n300-kappa300"])
+@pytest.mark.parametrize(
+    "n,kappa", [(2000, 5.0), (300, 300.0)], ids=["n2000-kappa5", "n300-kappa300"]
+)
 def test_large_equilibrium_matches_per_cell_formatting(tmp_path, n, kappa):
     """A large equilibrium with the benchmark's Dirichlet fractions is
     byte-identical to formatting the sampled curves cell by cell."""
@@ -696,14 +698,6 @@ def test_large_equilibrium_matches_per_cell_formatting(tmp_path, n, kappa):
     header = ",".join(["t"] + [f"a_{i + 1}" for i in range(n)] + ["m"])
     produced = (tmp_path / "out" / "equilibrium.csv").read_text().splitlines()[1:]
     assert produced == [header, *per_cell_lines(rows)]
-
-
-def large_n_curves():
-    """The float block of the benchmark's 2000-trader equilibrium.csv."""
-    spec = pg.GameSpec(n=2000, lambdas=tuple(WORKLOADS.large_n_lambdas(0)), kappa=5.0)
-    solution = pg.solve(spec)
-    t = np.linspace(0.0, 1.0, 201)
-    return np.column_stack([t, solution.positions(t).T, solution.market(t)])
 
 
 def assert_lines_match_printf(block):
@@ -747,8 +741,12 @@ def test_float_block_matches_printf_at_powers_of_ten_ties_and_switch_points():
 
 
 def test_float_block_formats_almost_every_large_n_cell_itself():
-    """Under 1 % of the large_n block's cells take the ``%`` fallback."""
-    block = large_n_curves()
+    """Under 1 % of the cells of the benchmark's 2000-trader curves take the
+    ``%`` fallback."""
+    spec = pg.GameSpec(n=2000, lambdas=tuple(WORKLOADS.large_n_lambdas(0)), kappa=5.0)
+    solution = pg.solve(spec)
+    t = np.linspace(0.0, 1.0, 201)
+    block = np.column_stack([t, solution.positions(t).T, solution.market(t)])
     _, _, certified = _g12._round12(block)
     assert np.count_nonzero(~certified) < 0.01 * block.size
 
