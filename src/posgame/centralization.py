@@ -123,7 +123,8 @@ class StrategicCurve:
     naive-centralization firm cost, bit for bit (same kernel, same inputs);
     as delta grows the cost tends to kappa lambda_firm / (1 - e^{-kappa}).
     ``continuous_opt`` is -n1 + sqrt(n2 (n2 + 1)); the integer argmin of the
-    approximate curve is one of its two neighbors.
+    approximate curve is one of its two neighbors.  The three arrays are
+    read-only copies, so the argmins always describe them.
     """
 
     deltas: np.ndarray
@@ -132,6 +133,12 @@ class StrategicCurve:
     argmin_exact: int
     argmin_approx: int
     continuous_opt: float
+
+    def __post_init__(self):
+        for name in ("deltas", "exact_costs", "approx_costs"):
+            values = np.array(getattr(self, name))
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 def _report_columns(n1, n2, lambda_firm, kappa) -> tuple:

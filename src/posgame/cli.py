@@ -51,11 +51,13 @@ from .centralization import (
     naive_centralization_report,
     optimal_representation,
 )
-from .core import GameSpec, _check_count, _check_kappa, _check_traders, renormalize_lambdas
+from .core import (
+    GameSpec, _check_count, _check_kappa, _check_size, _check_traders, renormalize_lambdas
+)
 from .costs import _shares, aggregate_cost, cost_breakdown, group_cost, market_min_cost
 from .equilibrium import solve
 from .oracle import _check_grid
-from .verification import _check_draws, _check_suite_kappa, _check_suite_n, run_verification
+from .verification import _check_suite_kappa, _check_suite_n, run_verification
 
 
 class ConfigError(Exception):
@@ -112,10 +114,9 @@ class _Section:
             value = float(value)
         if kind in (int, float) and isinstance(value, bool):
             raise ConfigError(f"{self.path}.{key}: expected a number, got a boolean")
-        if kind is not None and not isinstance(value, kind):
+        if not isinstance(value, kind):
             raise ConfigError(
-                f"{self.path}.{key}: expected {getattr(kind, '__name__', kind)}, "
-                f"got {type(value).__name__}"
+                f"{self.path}.{key}: expected {kind.__name__}, got {type(value).__name__}"
             )
         return value
 
@@ -232,8 +233,7 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
     if grid is not None:
         sc.n_points = grid.take("n_points", int, default=sc.n_points)
         grid.finish()
-        if sc.n_points < 2:
-            raise ConfigError("config.grid.n_points: must be at least 2")
+        _checked("config.grid.n_points", _check_size, "n_points", sc.n_points, 2)
 
     central = root.take_section("centralization")
     if central is not None:
@@ -259,8 +259,8 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
         sc.sweep_lambda1 = _number_list(sweep, "lambda1")
         sweep.finish()
         # trader 1 holds lambda1 and at least one other trader the rest
-        if sc.sweep_n and min(sc.sweep_n) < 2:
-            raise ConfigError(f"config.sweep.n: need every n >= 2, got {sc.sweep_n}")
+        for n in sc.sweep_n or ():
+            _checked("config.sweep.n", _check_size, "n", n, 2)
         for lam1 in sc.sweep_lambda1 or ():
             if not 0.0 < lam1 < 1.0:
                 raise ConfigError(f"config.sweep.lambda1: {lam1} not in (0, 1)")
@@ -300,15 +300,14 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
         _checked("config.verify.n", _check_suite_n, sc.verify_n)
         _checked("config.verify.kappa", _check_suite_kappa, sc.verify_kappa)
         _checked("config.verify.n_steps", _check_grid, max(sc.verify_kappa), sc.verify_n_steps)
-        _checked("config.verify.draws", _check_draws, sc.verify_draws)
+        _checked("config.verify.draws", _check_size, "draws", sc.verify_draws, 1)
 
     output = root.take_section("output")
     if output is not None:
         sc.directory = output.take("directory", str, default=sc.directory)
         sc.seed = output.take("seed", int, default=sc.seed)
         output.finish()
-        if sc.seed < 0:
-            raise ConfigError("config.output.seed: must be non-negative")
+        _checked("config.output.seed", _check_size, "seed", sc.seed, 0)
 
     root.finish()
     return sc
@@ -525,8 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         scenario = parse_scenario(config, renormalize=args.renormalize_lambdas)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed: must be non-negative, got {args.seed}")
+            _checked("--seed", _check_size, "seed", args.seed, 0)
             scenario.seed = args.seed
         out_dir = Path(args.out) if args.out is not None else Path(scenario.directory)
         meta = (

@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache
 
@@ -59,7 +60,7 @@ class NonFiniteKappa(GameSpecError):
 
 class NonIntegerCount(GameSpecError):
     """A trader count (or a change of one) is NaN, infinite or fractional,
-    or an oracle grid's step count is not an integer."""
+    or a size (a grid's step count, a draw count, a seed) is no integer."""
 
 
 class GridMismatch(ValueError):
@@ -148,6 +149,17 @@ def _check_count(name: str, value) -> None:
     bad = ~(np.isfinite(as_float) & (as_float == np.round(as_float)))
     if bad.any():
         raise NonIntegerCount(f"{name} = {value.flat[np.argmax(bad)]} must be a whole number")
+
+
+def _check_size(name: str, value, least: int) -> None:
+    """NonIntegerCount unless ``value`` is an integer other than a bool (a
+    float, even a whole one, sizes no grid, draw set or seed), then
+    ValueError unless ``value >= least``.  The one rule for sizes; trader
+    counts take :func:`_check_count`, which accepts whole floats."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise NonIntegerCount(f"{name} = {value!r} must be an integer")
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
 
 
 def renormalize_lambdas(lambdas) -> tuple[float, ...]:

@@ -73,12 +73,11 @@ from __future__ import annotations
 
 import importlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadBump, EquilibriumSolution, GameSpec, GridMismatch, NonIntegerCount
+from .core import BadBump, EquilibriumSolution, GameSpec, GridMismatch, _check_size
 
 
 class _Deferred:
@@ -205,16 +204,6 @@ def best_response(game: DiscreteGame, i: int) -> np.ndarray:
     return np.concatenate(([0.0], solveh_banded(ab, rhs, lower=True), [1.0]))
 
 
-def _check_size(name: str, value, least: int) -> None:
-    """NonIntegerCount unless ``value`` is an integer other than a bool (a
-    float, even a whole one, sizes no grid or bump set), then ValueError
-    unless ``value >= least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise NonIntegerCount(f"{name} = {value!r} must be an integer")
-    if value < least:
-        raise ValueError(f"need {name} >= {least}, got {value}")
-
-
 def _check_grid(kappa: float, n_steps: int) -> None:
     """NonIntegerCount unless n_steps is an integer, then ValueError unless
     n_steps >= 2, so that every trader has an interior node, then
@@ -293,10 +282,8 @@ def _bump_terms(
     """The bumps' price pressure p(b), shape (K, N), and curvatures
     sum p(b) db, shape (K,), at ``kappa`` on the grid of step ``h``: the
     terms of :func:`deviation_expansion` that no base enters.  ``steps`` is
-    ``np.diff(bumps)``.  The pressure is built in place in :func:`_pressure`'s
-    order of operations, so it holds the same bits."""
-    pressure = steps / h
-    pressure += kappa * 0.5 * (bumps[:, :-1] + bumps[:, 1:])
+    ``np.diff(bumps)``."""
+    pressure = _pressure(bumps, kappa, h)
     return pressure, np.sum(pressure * steps, axis=-1)
 
 
@@ -355,24 +342,17 @@ def deviation_expansion(base: DiscreteGame, bumps: np.ndarray, eps: float) -> np
     return _expansion(base, steps, pressure, curvature, eps)
 
 
-def standard_bumps(
-    n_steps: int, modes: int = 5, n_random: int = 5, seed: int = 0
-) -> np.ndarray:
-    """Deviation directions, shape (modes + n_random, n_steps + 1): sine
-    modes k = 1..modes plus seeded random endpoint-vanishing vectors scaled
-    into [-1, 1] (smooth and rough perturbations).  NonIntegerCount unless
-    ``n_steps``, ``modes`` and ``n_random`` are integers, ValueError unless
-    ``n_steps >= 1``, ``modes >= 0``, ``n_random >= 0`` and there is at least
-    one bump."""
+def standard_bumps(n_steps: int, seed: int = 0) -> np.ndarray:
+    """Deviation directions, shape (10, n_steps + 1): the smooth sine modes
+    k = 1..5 and 5 rough seeded random vectors scaled into [-1, 1], all
+    vanishing at both ends.  NonIntegerCount unless ``n_steps`` and ``seed``
+    are integers, ValueError unless ``n_steps >= 1`` and ``seed >= 0``."""
     _check_size("n_steps", n_steps, 1)
-    _check_size("modes", modes, 0)
-    _check_size("n_random", n_random, 0)
-    if modes + n_random == 0:
-        raise ValueError("need at least one bump: modes + n_random >= 1")
+    _check_size("seed", seed, 0)
     grid = np.linspace(0.0, 1.0, n_steps + 1)
-    sines = np.sin(np.multiply.outer(np.arange(1, modes + 1) * np.pi, grid))
-    rough = np.random.default_rng(seed).standard_normal((n_random, n_steps + 1))
+    sines = np.sin(np.multiply.outer(np.arange(1, 6) * np.pi, grid))
+    rough = np.random.default_rng(seed).standard_normal((5, n_steps + 1))
     bumps = np.concatenate((sines, rough))
     bumps[:, [0, -1]] = 0.0
-    bumps[modes:] /= np.maximum(1.0, np.max(np.abs(bumps[modes:]), axis=1, keepdims=True))
+    bumps[5:] /= np.maximum(1.0, np.max(np.abs(bumps[5:]), axis=1, keepdims=True))
     return bumps

@@ -18,7 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import _KAPPA_FLOOR, EquilibriumSolution, GameSpec, _check_kappa, _gauss_legendre_64
+from .core import (
+    _KAPPA_FLOOR, EquilibriumSolution, GameSpec, _check_kappa, _check_size, _gauss_legendre_64
+)
 from .costs import aggregate_cost, group_cost
 from .equilibrium import governing_residuals, solve
 from .oracle import (
@@ -79,11 +81,14 @@ def draw_lambdas(rng: np.random.Generator, n: int) -> tuple[float, ...]:
 
 
 def _check_suite_n(n_values) -> None:
-    """ValueError unless ``n_values`` is non-empty and every n >= 2: at n = 1
-    every strategy is the straight line (b = d = 0), which an injected bug
-    (it scales d) cannot move, and the cost row reads 0 / 0."""
-    if not n_values or min(n_values) < 2:
-        raise ValueError(f"need a non-empty n_values with every n >= 2, got {n_values}")
+    """ValueError unless ``n_values`` is non-empty, then the size rule on
+    every entry: an integer n >= 2.  At n = 1 every strategy is the straight
+    line (b = d = 0), which an injected bug (it scales d) cannot move, and
+    the cost row reads 0 / 0."""
+    if not n_values:
+        raise ValueError(f"need a non-empty n_values, got {n_values}")
+    for k, n in enumerate(n_values):
+        _check_size(f"n_values[{k}]", n, 2)
 
 
 def _check_suite_kappa(kappa_values) -> None:
@@ -97,13 +102,6 @@ def _check_suite_kappa(kappa_values) -> None:
             f"need a non-empty kappa_values with every kappa >= {_KAPPA_FLOOR:g}, "
             f"got {kappa_values}"
         )
-
-
-def _check_draws(draws: int) -> None:
-    """ValueError unless draws >= 1, so that a passing report always holds
-    per-draw checks."""
-    if draws < 1:
-        raise ValueError(f"need draws >= 1, got {draws}")
 
 
 def quadrature_cost(solution: EquilibriumSolution) -> np.ndarray:
@@ -155,10 +153,12 @@ def run_verification(
     second-order discretization error.  ``seed`` draws the target fractions
     and the random deviation bumps; ``inject_bug`` checks a closed form
     whose d coefficients are 1 % off, which the suite must fail.  Before any
-    check runs, NonIntegerCount unless n_steps is an integer, ValueError
-    unless every n >= 2, every kappa is finite and at least 1e-300, both
-    value tuples are non-empty, draws >= 1 and n_steps >= 2, and GridMismatch
-    unless n_steps > max(kappa_values) / 2, the grids the oracle solves on.
+    check runs, NonIntegerCount unless every n, ``draws``, ``seed`` and
+    ``n_steps`` is an integer (not a bool or a float), ValueError unless
+    every n >= 2, every kappa is finite and at least 1e-300, both value
+    tuples are non-empty, draws >= 1 (so that a passing report holds
+    per-draw checks), seed >= 0 and n_steps >= 2, and GridMismatch unless
+    n_steps > max(kappa_values) / 2, the grids the oracle solves on.
 
     The deviation row prices each draw as ``deviation_expansion`` does, from
     bump terms that depend only on the bumps, kappa and N: they are built
@@ -169,7 +169,8 @@ def run_verification(
     """
     _check_suite_n(n_values)
     _check_suite_kappa(kappa_values)
-    _check_draws(draws)
+    _check_size("draws", draws, 1)
+    _check_size("seed", seed, 0)
     _check_grid(max(kappa_values), n_steps)
     rng = np.random.default_rng(seed)
     checks: list[Check] = []

@@ -246,6 +246,22 @@ class TestOptimalRepresentation:
         k = int(np.argmin(curve.approx_costs))
         assert curve.argmin_approx == curve.deltas[k]
 
+    def test_curve_arrays_are_read_only_copies(self):
+        sc = scenario()
+        curve = pg.optimal_representation(sc, (-2, 12))
+        for name in ("deltas", "exact_costs", "approx_costs"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(curve, name)[0] = -1
+        # so the argmins keep describing the costs they were read from
+        assert curve.argmin_exact == curve.deltas[int(np.argmin(curve.exact_costs))]
+        deltas = np.arange(3)
+        costs = np.array([3.0, 1.0, 2.0])
+        built = pg.StrategicCurve(deltas, costs, costs, 1, 1, 1.0)
+        deltas[1] = 7
+        costs[1] = 9.0
+        assert built.deltas.tolist() == [0, 1, 2]
+        assert built.exact_costs.tolist() == built.approx_costs.tolist() == [3.0, 1.0, 2.0]
+
 
 class TestAveragedReports:
     def test_quadrature_and_sampling_agree(self):

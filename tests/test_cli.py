@@ -34,6 +34,10 @@ def read_csv(path):
     return comments, header, rows
 
 
+GAME = {"n": 3, "lambdas": [0.2, 0.3, 0.5], "kappa": 1.0}
+SWEEP = {"n": [2], "kappa": [1.0], "lambda1": [0.2]}
+
+
 class TestEquilibriumCommand:
     def test_symmetric_columns_identical(self, tmp_path):
         cfg = write_config(
@@ -233,6 +237,92 @@ class TestConfigErrors:
             assert f"config error: config.{key}:" in capsys.readouterr().err, command
             assert not out.exists(), command
 
+    @pytest.mark.parametrize(
+        "command,config,args,message",
+        [
+            ("equilibrium", [GAME], [], "{cfg}: top level must be an object"),
+            ("equilibrium", {"game": GAME, "grid": 5}, [], "config.grid: expected an object"),
+            ("poa", {"sweep": [2, 3]}, [], "config.sweep: expected an object"),
+            ("equilibrium", {"game": {"symmetric": True, "kappa": 1.0}}, [],
+             "config.game.n: missing required key"),
+            ("centralize", {"game": GAME, "centralization": {"n1": 1}}, [],
+             "config.centralization.lambda_firm: missing required key"),
+            ("centralize", {"game": GAME, "table": {"kappa": [1.0]}}, [],
+             "config.table.rows: missing required key"),
+            ("equilibrium", {"game": {**GAME, "n": True}}, [],
+             "config.game.n: expected a number, got a boolean"),
+            ("verify", {"verify": {"draws": True}}, [],
+             "config.verify.draws: expected a number, got a boolean"),
+            ("equilibrium", {"game": {**GAME, "kappa": "1"}}, [],
+             "config.game.kappa: expected float, got str"),
+            ("equilibrium", {"game": GAME, "grid": {"n_points": 2.5}}, [],
+             "config.grid.n_points: expected int, got float"),
+            ("equilibrium", {"game": {**GAME, "symmetric": 1}}, [],
+             "config.game.symmetric: expected bool, got int"),
+            ("equilibrium", {"game": GAME, "output": {"directory": 3}}, [],
+             "config.output.directory: expected str, got int"),
+            ("poa", {"sweep": {"n": 2, "kappa": [1.0]}}, [],
+             "config.sweep.n: expected list, got int"),
+            ("poa", {"sweep": {"n": [2, "3"], "kappa": [1.0]}}, [],
+             "config.sweep.n[1]: expected a number"),
+            ("poa", {"sweep": {"n": [2], "kappa": [True]}}, [],
+             "config.sweep.kappa[0]: expected a number"),
+            ("equilibrium", {"game": {"n": 3, "kappa": 1.0}}, [],
+             "config.game: 'lambdas' or 'symmetric' is required for equilibrium"),
+            ("equilibrium", {"sweep": SWEEP}, [],
+             "config.game: 'lambdas' or 'symmetric' is required for equilibrium"),
+            ("costs", {"game": GAME}, [], "config.sweep.n: required for costs"),
+            ("costs", {"sweep": {"n": [2], "kappa": [1.0]}}, [],
+             "config.sweep.lambda1: required for costs"),
+            ("poa", {"sweep": {"n": [2]}}, [], "config.sweep.kappa: required for poa"),
+            ("centralize", {"game": GAME}, [], "config.centralization: required for centralize"),
+            ("equilibrium", {"game": GAME, "grid": {"n_points": 1}}, [],
+             "config.grid.n_points: need n_points >= 2, got 1"),
+            ("poa", {"sweep": {"n": [3, 1], "kappa": [1.0]}}, [],
+             "config.sweep.n: need n >= 2, got 1"),
+            ("equilibrium", {"game": GAME, "output": {"seed": -1}}, [],
+             "config.output.seed: need seed >= 0, got -1"),
+            ("equilibrium", {"game": GAME}, ["--seed", "-1"], "--seed: need seed >= 0, got -1"),
+        ],
+        ids=["top-level-list", "section-number", "section-list", "game.n-missing",
+             "lambda_firm-missing", "table.rows-missing", "game.n-bool", "draws-bool",
+             "kappa-str", "n_points-float", "symmetric-int", "directory-int", "sweep.n-int",
+             "sweep.n-entry-str", "sweep.kappa-entry-bool", "equilibrium-without-lambdas",
+             "equilibrium-without-game", "costs-without-sweep", "costs-without-lambda1",
+             "poa-without-kappa", "centralize-without-section", "n_points=1", "sweep.n=1",
+             "output.seed=-1", "--seed=-1"],
+    )
+    def test_config_shape_error_names_its_path(
+        self, tmp_path, capsys, command, config, args, message
+    ):
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), *args]) == 1
+        assert f"config error: {message.format(cfg=cfg)}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["equilibrium"], "the following arguments are required: --config"),
+            (["plot", "--config", "{cfg}"], "argument command: invalid choice: 'plot'"),
+            (["equilibrium", "--config", "{cfg}", "--seed", "1.5"],
+             "argument --seed: invalid int value: '1.5'"),
+            (["equilibrium", "--config", "{cfg}", "--colour"], "unrecognized arguments: --colour"),
+        ],
+        ids=["no-config", "unknown-command", "seed-float", "unknown-flag"],
+    )
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv, message):
+        cfg = write_config(tmp_path, "cfg.json", {"game": GAME})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exited:
+            main([arg.format(cfg=cfg) for arg in argv] + ["--out", str(out)])
+        assert exited.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: posgame")
+        assert f"posgame: error: {message}" in err
+        assert not out.exists()
+
     def test_both_symmetric_and_lambdas_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -307,6 +397,26 @@ class TestCentralizeCommand:
         by_delta = {int(r[delta_col]): float(r[pct_col]) for r in rows}
         assert by_delta[0] == 0.0
         assert all(by_delta[d] < 0.0 for d in range(1, 9))
+
+    def test_window_without_zero_has_nan_percent_columns(self, tmp_path):
+        # the percent changes are taken against delta = 0, which [2, 6] leaves out
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "game": {"n": 10, "kappa": 1.0},
+                "centralization": {"n1": 1, "lambda_firm": 0.1, "delta_range": [2, 6]},
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["centralize", "--config", cfg, "--out", str(out)]) == 0
+        _, header, rows = read_csv(out / "centralize_curve.csv")
+        assert [int(r[header.index("delta")]) for r in rows] == [2, 3, 4, 5, 6]
+        for row in rows:
+            cells = dict(zip(header, row))
+            assert cells["pct_change_exact"] == cells["pct_change_approx"] == "nan"
+            assert math.isfinite(float(cells["exact_cost"]))
+            assert math.isfinite(float(cells["approx_cost"]))
 
     def test_subnormal_kappa_writes_the_zero_kappa_limit(self, tmp_path):
         cfg = write_config(

@@ -304,6 +304,36 @@ def test_run_verification_rejects_a_grid_too_coarse_for_kappa(monkeypatch):
         run_verification(n_values=(2,), kappa_values=(1.0, 25.0), draws=1, n_steps=12)
 
 
+@pytest.mark.parametrize(
+    "setting,error,message",
+    [
+        ({"draws": 2.5}, pg.NonIntegerCount, "draws = 2.5 must be an integer"),
+        ({"draws": True}, pg.NonIntegerCount, "draws = True must be an integer"),
+        ({"draws": 0}, ValueError, "need draws >= 1, got 0"),
+        ({"n_values": (2.0,)}, pg.NonIntegerCount, r"n_values\[0\] = 2.0 must be an integer"),
+        ({"n_values": (3, 1)}, ValueError, r"need n_values\[1\] >= 2, got 1"),
+        ({"n_values": ()}, ValueError, "need a non-empty n_values"),
+        ({"seed": 1.5}, pg.NonIntegerCount, "seed = 1.5 must be an integer"),
+        ({"seed": True}, pg.NonIntegerCount, "seed = True must be an integer"),
+        ({"seed": -1}, ValueError, "need seed >= 0, got -1"),
+    ],
+    ids=["draws=2.5", "draws=True", "draws=0", "n=2.0", "n=1", "n-empty",
+         "seed=1.5", "seed=True", "seed=-1"],
+)
+def test_run_verification_checks_its_sizes_before_the_oracle_runs(
+    monkeypatch, setting, error, message
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the settings are checked before the oracle runs")
+
+    for name in ("nash_fixed_point", "standard_bumps", "_bump_terms", "solve"):
+        monkeypatch.setattr(verification, name, unreachable)
+    settings = {"n_values": (2,), "kappa_values": (1.0,), "draws": 1, "n_steps": 40, **setting}
+    with pytest.raises(error, match=message) as raised:
+        run_verification(**settings)
+    assert type(raised.value) is error
+
+
 @pytest.mark.parametrize("n_steps", [10.5, 10.0, np.float64(10.0), True, "10"])
 @pytest.mark.parametrize(
     "entry", ["nash_fixed_point", "sampled_equilibrium", "standard_bumps", "run_verification"]
@@ -329,16 +359,14 @@ SOLUTION = pg.solve(pg.GameSpec(n=2, lambdas=(0.4, 0.6), kappa=1.0))
     [
         (lambda: pg.standard_bumps(0), ValueError, "need n_steps >= 1, got 0"),
         (lambda: pg.standard_bumps(-2), ValueError, "need n_steps >= 1, got -2"),
-        (lambda: pg.standard_bumps(5, -1), ValueError, "need modes >= 0, got -1"),
-        (lambda: pg.standard_bumps(5, 2, -1), ValueError, "need n_random >= 0, got -1"),
-        (lambda: pg.standard_bumps(5, 0, 0), ValueError, "at least one bump"),
-        (lambda: pg.standard_bumps(5, 2.0), pg.NonIntegerCount, "modes = 2.0 must be"),
-        (lambda: pg.standard_bumps(5, 2, True), pg.NonIntegerCount, "n_random = True must be"),
+        (lambda: pg.standard_bumps(5, seed=-1), ValueError, "need seed >= 0, got -1"),
+        (lambda: pg.standard_bumps(5, seed=1.5), pg.NonIntegerCount, "seed = 1.5 must be"),
+        (lambda: pg.standard_bumps(5, seed=True), pg.NonIntegerCount, "seed = True must be"),
         (lambda: pg.sampled_equilibrium(SOLUTION, 0), ValueError, "need n_steps >= 1, got 0"),
         (lambda: pg.sampled_equilibrium(SOLUTION, -3), ValueError, "need n_steps >= 1, got -3"),
     ],
-    ids=["bumps-n0", "bumps-n-2", "modes-1", "random-1", "no-bump", "modes-float",
-         "random-bool", "sampled-n0", "sampled-n-3"],
+    ids=["bumps-n0", "bumps-n-2", "bumps-seed-1", "bumps-seed-float", "bumps-seed-bool",
+         "sampled-n0", "sampled-n-3"],
 )
 def test_counts_that_make_no_grid_or_no_bump_set_are_rejected(call, error, message):
     with pytest.raises(error, match=message) as raised:
@@ -346,7 +374,6 @@ def test_counts_that_make_no_grid_or_no_bump_set_are_rejected(call, error, messa
     assert type(raised.value) is error  # not a GridMismatch about path shapes
     # the smallest valid counts still work
     assert pg.standard_bumps(1).shape == (10, 2)
-    assert pg.standard_bumps(5, 0, 1).shape == (1, 6)
     assert pg.sampled_equilibrium(SOLUTION, 1).n_steps == 1
 
 
@@ -578,24 +605,24 @@ class TestDeviationExpansion:
 
 
 def test_standard_bumps_match_one_draw_per_bump():
-    def one_at_a_time(n_steps, modes, n_random, seed):
+    def one_at_a_time(n_steps, seed):
         grid = np.linspace(0.0, 1.0, n_steps + 1)
         rows = []
-        for k in range(1, modes + 1):
+        for k in range(1, 6):
             values = np.sin(k * np.pi * grid)
             values[0] = values[-1] = 0.0
             rows.append(values)
         rng = np.random.default_rng(seed)
-        for _ in range(n_random):
+        for _ in range(5):
             values = rng.standard_normal(n_steps + 1)
             values[0] = values[-1] = 0.0
             rows.append(values / max(1.0, float(np.max(np.abs(values)))))
         return np.array(rows)
 
-    for n_steps, modes, n_random, seed in ((2000, 5, 5, 20240901), (7, 3, 2, 0), (500, 0, 4, 9)):
-        bumps = pg.standard_bumps(n_steps, modes, n_random, seed)
-        assert bumps.shape == (modes + n_random, n_steps + 1)
-        assert np.array_equal(bumps, one_at_a_time(n_steps, modes, n_random, seed))
+    for n_steps, seed in ((2000, 20240901), (7, 0), (500, 9), (1, 3)):
+        bumps = pg.standard_bumps(n_steps, seed)
+        assert bumps.shape == (10, n_steps + 1)
+        assert np.array_equal(bumps, one_at_a_time(n_steps, seed))
 
 
 class TestDiscreteGameInvariants:
