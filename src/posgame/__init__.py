@@ -17,6 +17,7 @@ from .core import (
     GameSpec,
     GameSpecError,
     GridMismatch,
+    KappaTooLarge,
     LambdaCountMismatch,
     LambdaSumMismatch,
     NegativeKappa,
@@ -70,6 +71,7 @@ __all__ = [
     "GameSpec",
     "GameSpecError",
     "GridMismatch",
+    "KappaTooLarge",
     "LambdaCountMismatch",
     "LambdaSumMismatch",
     "NegativeKappa",

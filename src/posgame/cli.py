@@ -52,7 +52,8 @@ from .centralization import (
     optimal_representation,
 )
 from .core import (
-    GameSpec, _check_count, _check_kappa, _check_size, _check_traders, renormalize_lambdas
+    GameSpec, KappaTooLarge, _check_count, _check_kappa, _check_size, _check_traders,
+    renormalize_lambdas,
 )
 from .costs import _shares, aggregate_cost, cost_breakdown, group_cost, market_min_cost
 from .equilibrium import solve
@@ -132,11 +133,13 @@ class _Section:
 
 
 def _number_list(section: _Section, key: str, required=False, each=None) -> list[float] | None:
-    """The list of numbers at ``key``; ``each(value)``, if given, checks
-    every entry."""
+    """The non-empty list of numbers at ``key``; ``each(value)``, if given,
+    checks every entry."""
     raw = section.take(key, list, required=required, default=None)
     if raw is None:
         return None
+    if not raw:
+        raise ConfigError(f"{section.path}.{key}: expected a non-empty list")
     out = []
     for k, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -187,15 +190,30 @@ class Scenario:
         return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's key-value pairs as a dict; ValueError at a repeated key."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {json.dumps(key)}")
+        data[key] = value
+    return data
+
+
+_JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = _JSON.decode(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # a repeated key, or an integer literal too long to convert
+        raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return data
@@ -272,9 +290,9 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
         n_values = _int_list(table, "n")
         n1_values = _int_list(table, "n1")
         table.finish()
-        if n_values:
+        if n_values is not None:
             sc.table_n = tuple(n_values)
-        if n1_values:
+        if n1_values is not None:
             sc.table_n1 = tuple(n1_values)
         n2_values = np.subtract.outer(sc.table_n, sc.table_n1)
         _checked("config.table.n1", _check_counts, sc.table_n1, n2_values)
@@ -293,9 +311,9 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
         sc.verify_n_steps = verify.take("n_steps", int, default=sc.verify_n_steps)
         sc.inject_bug = verify.take("inject_bug", bool, default=sc.inject_bug)
         verify.finish()
-        if n_values:
+        if n_values is not None:
             sc.verify_n = tuple(n_values)
-        if kappa_values:
+        if kappa_values is not None:
             sc.verify_kappa = tuple(kappa_values)
         _checked("config.verify.n", _check_suite_n, sc.verify_n)
         _checked("config.verify.kappa", _check_suite_kappa, sc.verify_kappa)
@@ -353,7 +371,7 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     spec = sc.require(
         sc.spec, "config.game: 'lambdas' or 'symmetric' is required for equilibrium"
     )
-    sol = solve(spec)
+    sol = _checked("config.game.kappa", solve, spec)
     t = np.linspace(0.0, 1.0, sc.n_points)
     header = ["t"] + [f"a_{i + 1}" for i in range(spec.n)] + ["m"]
     breakdown = cost_breakdown(spec)
@@ -466,14 +484,17 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
 
 
 def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
-    report = run_verification(
-        n_values=sc.verify_n,
-        kappa_values=sc.verify_kappa,
-        draws=sc.verify_draws,
-        n_steps=sc.verify_n_steps,
-        seed=sc.seed,
-        inject_bug=sc.inject_bug,
-    )
+    try:
+        report = run_verification(
+            n_values=sc.verify_n,
+            kappa_values=sc.verify_kappa,
+            draws=sc.verify_draws,
+            n_steps=sc.verify_n_steps,
+            seed=sc.seed,
+            inject_bug=sc.inject_bug,
+        )
+    except KappaTooLarge as exc:  # a drawn game the closed form cannot solve
+        raise ConfigError(f"config.verify.kappa: {exc}") from exc
 
     header = ["check", "measured", "threshold", "status", "detail"]
     rows = [

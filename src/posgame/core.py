@@ -58,6 +58,10 @@ class NonFiniteKappa(GameSpecError):
     """Impact parameter is NaN or infinite."""
 
 
+class KappaTooLarge(GameSpecError):
+    """Impact parameter so large that a closed-form coefficient overflows."""
+
+
 class NonIntegerCount(GameSpecError):
     """A trader count (or a change of one) is NaN, infinite or fractional,
     or a size (a grid's step count, a draw count, a seed) is no integer."""

@@ -16,14 +16,20 @@ than nudging kappa, so both branches stay exactly testable, and returns the
 coefficients as two arrays over all traders.
 
 Coefficients grow like 1/lambda_i; double precision keeps the curves accurate
-for lambda_i >= 1e-6.
+for lambda_i >= 1e-6.  B_i's denominator lambda_i n (e^kappa - 1) overflows
+once kappa > ln(DBL_MAX / (lambda_i n)), about 709.78 - ln(lambda_i n); B_i
+would then read 0 and the curves be wrong, so :func:`solve` raises
+KappaTooLarge there instead.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 
-from .core import EquilibriumSolution, GameSpec, _alpha, _float_if_scalar
+from .core import EquilibriumSolution, GameSpec, KappaTooLarge, _alpha, _float_if_scalar
 
 
 def solve(spec: GameSpec) -> EquilibriumSolution:
@@ -34,15 +40,26 @@ def solve(spec: GameSpec) -> EquilibriumSolution:
     a(t) = t, with b = d = 0: with kappa = 0 the traders decouple and each
     minimizes its own quadratic rate cost; a single trader minimizes the
     aggregate cost.  Either way the optimal curve has zero acceleration.
+
+    Raises KappaTooLarge where lambda_i n (e^kappa - 1) overflows for some
+    trader, which holds from kappa = 709.79 on for every game.
     """
     n, kappa = spec.n, spec.kappa
     alpha = _alpha(n, kappa)
     if alpha == 0.0:
         return EquilibriumSolution(spec, b=np.zeros(n), d=np.zeros(n))
     lam_n = spec.lambdas_array() * n
+    with np.errstate(over="ignore"):
+        growth = lam_n * np.expm1(kappa)
+    if not np.isfinite(growth).all():
+        bound = math.log(sys.float_info.max / lam_n.max())
+        raise KappaTooLarge(
+            f"kappa = {kappa} is too large: lambda_i n (e^kappa - 1) overflows; "
+            f"this game's limit is about kappa = {bound:.6g}"
+        )
     return EquilibriumSolution(
         spec,
-        b=(lam_n - 1.0) / (lam_n * np.expm1(kappa)),
+        b=(lam_n - 1.0) / growth,
         d=1.0 / (lam_n * -np.expm1(-alpha)),
     )
 

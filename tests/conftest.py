@@ -1,9 +1,22 @@
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from posgame import GameSpec
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def load_bench(name):
+    """bench/<name>.py as a module (bench/ is no package); the file is only read."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 # kappas that count as 0 (below the floor 1e-300): kappa = 0, subnormals from
 # the smallest up to the largest (2.2e-308 (1 - 2^-52)), and normal doubles

@@ -8,25 +8,14 @@ reference or closed form, a non-zero exit) fails here first.  The files
 under bench/ are only read; the outputs go to a temporary directory.
 """
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 import posgame.cli as cli
+from conftest import load_bench
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-workloads, checks, worker = (_load(name) for name in ("workloads", "checks", "worker"))
+workloads, checks, worker = (load_bench(name) for name in ("workloads", "checks", "worker"))
 
 
 @pytest.mark.parametrize("workload", ["verify", "figures", "large_n"])

@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import math
 import os
@@ -16,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 import posgame as pg
 import posgame._g12 as _g12
 import posgame.cli as cli
+from conftest import load_bench
 from posgame.cli import main
 
 
@@ -210,11 +210,26 @@ class TestConfigErrors:
             ({"game": {"n": 12, "kappa": math.nan}}, "game.kappa"),
             ({"game": {"n": 0, "kappa": 1.0}}, "game.n"),
             ({"game": None}, "game"),
+            # an empty list is no request for the defaults
+            ({"game": {"n": 12, "lambdas": [], "kappa": 5.0}}, "game.lambdas"),
+            ({"centralization": {"n1": 4, "lambda_firm": 0.4, "delta_range": []}},
+             "centralization.delta_range"),
+            ({"sweep": {"n": [], "kappa": [1.0], "lambda1": [0.2]}}, "sweep.n"),
+            ({"sweep": {"n": [2], "kappa": [], "lambda1": [0.2]}}, "sweep.kappa"),
+            ({"sweep": {"n": [2], "kappa": [1.0], "lambda1": []}}, "sweep.lambda1"),
+            ({"table": {"kappa": [], "rows": [0.40]}}, "table.kappa"),
+            ({"table": {"kappa": [1.0], "rows": []}}, "table.rows"),
+            ({"table": {"kappa": [1.0], "rows": [0.40], "n": []}}, "table.n"),
+            ({"table": {"kappa": [1.0], "rows": [0.40], "n1": []}}, "table.n1"),
+            ({"verify": {"n": [], "kappa": [1.0], "n_steps": 300}}, "verify.n"),
+            ({"verify": {"n": [2], "kappa": [], "n_steps": 300}}, "verify.kappa"),
         ],
         ids=["sweep.n=1", "sweep.kappa=-1", "sweep.kappa=nan", "sweep.lambda1=1.5",
              "lambda_firm=7", "n1=n", "delta_range-below-1-n1", "delta_range-empty",
              "game.kappa=nan-without-lambdas", "game.n=0-without-lambdas",
-             "centralization-without-game"],
+             "centralization-without-game", "game.lambdas=[]", "delta_range=[]",
+             "sweep.n=[]", "sweep.kappa=[]", "sweep.lambda1=[]", "table.kappa=[]",
+             "table.rows=[]", "table.n=[]", "table.n1=[]", "verify.n=[]", "verify.kappa=[]"],
     )
     def test_invalid_setting_fails_every_command(self, tmp_path, capsys, sections, key):
         # every section is checked at parse, including those a command never reads
@@ -236,6 +251,32 @@ class TestConfigErrors:
             assert main([command, "--config", cfg, "--out", str(out)]) == 1, command
             assert f"config error: config.{key}:" in capsys.readouterr().err, command
             assert not out.exists(), command
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [
+            ('{"sweep": {"n": [2], "kappa": [1], "kappa": [5]}}', "kappa"),
+            ('{"sweep": {"n": [2], "kappa": [1]}, "sweep": {"n": [3], "kappa": [5]}}', "sweep"),
+        ],
+        ids=["in-a-section", "at-the-top-level"],
+    )
+    def test_duplicate_key_is_config_error(self, tmp_path, capsys, text, key):
+        # json.loads alone keeps the last value silently
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert main(["poa", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f'config error: {cfg}: duplicate key "{key}"\n'
+        assert not out.exists()
+
+    def test_overlong_integer_literal_is_config_error(self, tmp_path, capsys):
+        # Python refuses to convert integer strings of more than 4300 digits
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"game": {"n": ' + "1" * 5000 + ', "kappa": 1.0}}')
+        out = tmp_path / "out"
+        assert main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: {cfg}: Exceeds the limit")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command,config,args,message",
@@ -697,31 +738,63 @@ class TestNonFiniteKappa:
         assert not out.exists() or not any(out.iterdir())
 
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-REFERENCE = BENCH / "reference"
-
-
-def _bench_workloads():
-    """The benchmark's workload definitions, loaded from bench/workloads.py."""
-    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _bench_workloads()
-REFERENCE_OPS = [("figures", op) for op in WORKLOADS.figures_ops(0)] + [
-    ("large_n", op) for op in WORKLOADS.large_n_ops(0) if op["out"] == "costs"
-]
-
-
 @pytest.mark.parametrize(
-    "workload,op", REFERENCE_OPS, ids=[f"{w}/{op['out']}" for w, op in REFERENCE_OPS]
+    "command,config,message",
+    [
+        ("equilibrium", {"game": {"n": 3, "lambdas": [0.2, 0.3, 0.5], "kappa": 709.5}},
+         "config.game.kappa: kappa = 709.5 is too large"),
+        ("verify", {"verify": {"n": [3], "kappa": [720], "draws": 1, "n_steps": 400}},
+         "config.verify.kappa: kappa = 720.0 is too large"),
+    ],
+    ids=["equilibrium", "verify"],
 )
+def test_kappa_the_closed_form_cannot_solve_is_config_error(
+    tmp_path, capsys, command, config, message
+):
+    # lambda_i n (e^kappa - 1) overflows; equilibrium once wrote b = 0 curves
+    # (a_3(1) = 0.667) with exit 0
+    cfg = write_config(tmp_path, "cfg.json", config)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE = ROOT / "bench" / "reference"
+WORKLOADS = load_bench("workloads")
+LARGE_N_OPS = [op for op in WORKLOADS.large_n_ops(0) if op["out"] == "costs"]
+
+
+def run_script(name, out):
+    """``python scripts/<name> OUT`` from the repository root with
+    ``PYTHONPATH=src``, as the README documents it."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, f"scripts/{name}", str(out)],
+        cwd=ROOT, env=env, capture_output=True, text=True, check=True,
+    )
+
+
+def test_figure_script_writes_the_committed_references(tmp_path):
+    """The figure script writes the benchmark's figures workload, and every
+    file stays byte-identical to its committed reference, header included."""
+    out = tmp_path / "out"
+    run_script("make_figure_data.py", out)
+    references = sorted(p.relative_to(REFERENCE / "figures")
+                        for p in (REFERENCE / "figures").rglob("*.csv"))
+    assert len(references) == 23
+    assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == references
+    for ref in references:
+        assert (out / ref).read_bytes() == (REFERENCE / "figures" / ref).read_bytes(), ref
+
+
+@pytest.mark.parametrize("workload,op", [("large_n", op) for op in LARGE_N_OPS],
+                         ids=[f"large_n/{op['out']}" for op in LARGE_N_OPS])
 def test_figure_csvs_match_committed_reference(tmp_path, workload, op):
-    """Every figure-data CSV and the large cost sweep stay byte-identical to
-    the committed references below the first line (which carries the version
-    and config hash)."""
+    """The large cost sweep stays byte-identical to the committed reference
+    below the first line (which carries the version and config hash)."""
     cfg = write_config(tmp_path, "cfg.json", op["config"])
     assert main([op["command"], "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     references = sorted((REFERENCE / workload / op["out"]).glob("*.csv"))
@@ -731,24 +804,20 @@ def test_figure_csvs_match_committed_reference(tmp_path, workload, op):
         assert produced == ref.read_text().splitlines()[1:], ref.name
 
 
-VERIFY_REFERENCE = Path(__file__).resolve().parent / "reference" / "verify"
+VERIFY_REFERENCE = ROOT / "tests" / "reference" / "verify"
 
 
-def test_verify_csv_matches_committed_reference(tmp_path, capsys):
-    """The verify report of the benchmark's verify config stays
-    byte-identical to the committed reference below the first line."""
-    config = {
-        "verify": {"n": [2, 3, 5], "kappa": [1, 5, 25], "draws": 3, "n_steps": 2000},
-        "output": {"seed": 20240901},
-    }
-    cfg = write_config(tmp_path, "cfg.json", config)
+def test_verify_csv_matches_committed_reference(tmp_path):
+    """The verification script writes the benchmark's verify workload, and
+    its report stays byte-identical to the committed reference."""
     out = tmp_path / "out"
-    assert main(["verify", "--config", cfg, "--out", str(out), "--seed", "20240901"]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    proc = run_script("run_verification.py", out)
+    assert "FAIL" not in proc.stdout
+    assert sorted(p.name for p in out.iterdir()) == ["verify_report.csv"]
     produced = (out / "verify_report.csv").read_text().splitlines()
     reference = (VERIFY_REFERENCE / "verify_report.csv").read_text().splitlines()
     assert len(produced) == 3 * 3 * 3 * 6 + 3  # header, column names, convergence row
-    assert produced[1:] == reference[1:]
+    assert produced == reference
 
 
 def per_cell_lines(rows):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -184,13 +185,50 @@ def test_market_is_strictly_concave_for_positive_alpha():
 
 
 def test_market_curves_stay_finite_where_e_kappa_overflows():
-    # e^kappa overflows from kappa = 710 on, and the traders' positions read
-    # NaN there; the market curve has no e^{kappa t} term
-    with np.errstate(over="ignore"):
-        sol = pg.solve(pg.GameSpec(n=2, lambdas=(0.3, 0.7), kappa=720.0))
+    # e^kappa overflows from kappa = 710 on, where solve raises KappaTooLarge;
+    # the market curve has no e^{kappa t} term, so it stays finite on any
+    # solution of such a game
+    spec = pg.GameSpec(n=2, lambdas=(0.3, 0.7), kappa=720.0)
+    sol = pg.EquilibriumSolution(spec, b=np.zeros(2), d=np.zeros(2))
     t = np.linspace(0.0, 1.0, 101)
     for curve in (sol.market, sol.market_velocity, sol.market_acceleration):
         assert np.all(np.isfinite(curve(t)))
+
+
+def _one_large_trader(n, lam):
+    return (lam,) + ((1.0 - lam) / (n - 1),) * (n - 1)
+
+
+@pytest.mark.parametrize("kappa", [709.0, 709.5, 709.78, 720.0, 1000.0])
+@pytest.mark.parametrize(
+    "lambdas",
+    [(0.2, 0.3, 0.5), (0.01, 0.99), (0.5, 0.5), _one_large_trader(10, 0.22),
+     _one_large_trader(40, 0.5)],
+    ids=["n3-max1.5", "n2-max1.98", "n2-max1", "n10-max2.2", "n40-max20"],
+)
+def test_large_kappa_raises_or_solves_accurately(kappa, lambdas):
+    # lambda_i n (e^kappa - 1) overflows exactly where
+    # kappa + ln(max lambda_i n) > ln(DBL_MAX); no case lies within 1e-3 of it
+    spec = pg.GameSpec(n=len(lambdas), lambdas=lambdas, kappa=kappa)
+    headroom = math.log(sys.float_info.max) - kappa - math.log(max(lambdas) * len(lambdas))
+    assert abs(headroom) > 1e-3
+    if headroom < 0.0:
+        with pytest.raises(pg.KappaTooLarge, match=f"kappa = {kappa} is too large"):
+            pg.solve(spec)
+        return
+    positions = pg.solve(spec).positions(np.linspace(0.0, 1.0, 101))
+    assert np.all(np.isfinite(positions))
+    assert np.max(np.abs(positions[:, -1] - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("kappa", [1.0, 25.0, 300.0, 700.0])
+def test_kappa_up_to_700_solves_with_lambda_n_up_to_ten_thousand(kappa):
+    # 10^4 (e^700 - 1) = 1.0e308 < DBL_MAX = 1.8e308
+    n = 20_000
+    spec = pg.GameSpec(n=n, lambdas=_one_large_trader(n, 0.5), kappa=kappa)
+    positions = pg.solve(spec).positions(np.linspace(0.0, 1.0, 11))
+    assert np.all(np.isfinite(positions))
+    assert np.max(np.abs(positions[:, -1] - 1.0)) <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
