@@ -222,7 +222,7 @@ FRACTION_BANDS: dict[float, tuple[float, float]] = {
 
 def averaged_report(
     kappa: float,
-    lambda_band: tuple[float, float],
+    lambda_band: tuple[float, float] | np.ndarray,
     n_values: tuple[int, ...] = (20, 21, 22),
     n1_values: tuple[int, ...] = (3, 4, 5),
 ) -> CentralizationReport:
@@ -232,15 +232,16 @@ def averaged_report(
     band of firm fractions, integrated by 64-point Gauss-Legendre quadrature
     so no RNG is involved.  Cost columns are affine in the firm fraction, so
     they equal the point value at the band mean; the percent columns are not,
-    and the band average is what tabulated values reflect.
+    and the band average is what tabulated values reflect.  An (m, 2) array
+    of bands gives (m,) array fields, row k bit for bit band k's report.
     """
-    lo, hi = lambda_band
+    lo, hi = np.moveaxis(np.asarray(lambda_band, dtype=float)[..., None], -2, 0)
     nodes, weights = _gauss_legendre_64()
-    lams = 0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
-    n, n1, lam = np.meshgrid(n_values, n1_values, lams, indexing="ij")
-    n1, n2, lam = n1.ravel(), (n - n1).ravel(), lam.ravel()
-    _check_split(n1, n2, lam, kappa)
-    w = np.broadcast_to(weights, n.shape).ravel()
+    lam = (0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes)[..., None, :]
+    n, n1 = (a.reshape(-1, 1) for a in np.meshgrid(n_values, n1_values, indexing="ij"))
+    _check_split(n1, n - n1, lam, kappa)
+    w = np.broadcast_to(weights, (n.size, weights.size)).ravel()
     total = w.sum()
-    columns = _report_columns(n1, n2, lam, kappa)
-    return CentralizationReport(*(float(np.dot(w, c) / total) for c in columns))
+    columns = (c.reshape(-1, w.size) for c in _report_columns(n1, n - n1, lam, kappa))
+    means = (np.array([np.dot(w, r) for r in c]).reshape(lo.shape[:-1]) / total for c in columns)
+    return CentralizationReport(*(m if m.ndim else float(m) for m in means))

@@ -36,6 +36,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -447,19 +448,16 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
             "pct_change_firm", "pct_change_nonfirm", "pct_change_total",
             "firm_no_central", "firm_central", "nonfirm_no_central", "nonfirm_central",
         ]
+        bands = [FRACTION_BANDS[label] for label in sc.table_rows]
+        n1_mean = float(np.mean(sc.table_n1))
         table_rows = []
-        for kap in sc.table_kappa:
-            for label in sc.table_rows:
-                band = FRACTION_BANDS[label]
-                mean = averaged_report(kap, band, n_values=sc.table_n, n1_values=sc.table_n1)
-                table_rows.append(
-                    [
-                        label, float(np.mean(sc.table_n1)), kap,
-                        mean.pct_change_firm, mean.pct_change_nonfirm, mean.pct_change_total,
-                        mean.firm_cost_no_central, mean.firm_cost_central,
-                        mean.nonfirm_cost_no_central, mean.nonfirm_cost_central,
-                    ]
-                )
+        for kap in sc.table_kappa:  # one report per kappa, one row per band
+            rep = averaged_report(kap, bands, n_values=sc.table_n, n1_values=sc.table_n1)
+            columns = (rep.pct_change_firm, rep.pct_change_nonfirm, rep.pct_change_total,
+                       rep.firm_cost_no_central, rep.firm_cost_central,
+                       rep.nonfirm_cost_no_central, rep.nonfirm_cost_central)
+            table_rows += [[label, n1_mean, kap, *cells]
+                           for label, *cells in zip(sc.table_rows, *(c.tolist() for c in columns))]
         _write_csv(out_dir, "centralize_table.csv", table_header, table_rows, meta)
     return 0
 
@@ -521,7 +519,8 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@cache
+def _parser() -> _Parser:  # built once per process
     parser = _Parser(
         prog="posgame",
         description="Equilibrium position-building analysis: strategies, costs, "
@@ -539,7 +538,11 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="rescale game.lambdas to sum to one instead of rejecting them",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         config = _load_config(args.config)

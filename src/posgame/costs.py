@@ -31,6 +31,8 @@ from .core import (
     _check_traders,
 )
 
+_EXP_KAPPA = 600.0  # n e^kappa overflows only above it, or for more than 1e47 traders
+
 
 def group_cost(total, count, lam, kappa, decay=None):
     """Aggregate equilibrium cost of ``count`` of ``total`` traders who hold
@@ -49,9 +51,14 @@ def group_cost(total, count, lam, kappa, decay=None):
     if kappa < _KAPPA_FLOOR:
         return lam + np.zeros(np.broadcast_shapes(np.shape(total), np.shape(count)))
     alpha = _alpha(total, kappa) if decay is None else decay
+    if kappa > _EXP_KAPPA:  # total (e^alpha - 1) may overflow to inf, where the term is 0
+        with np.errstate(over="ignore"):
+            grown = total * np.expm1(alpha)
+    else:
+        grown = total * np.expm1(alpha)
     return (
         kappa * (lam * total - count) / (total * -np.expm1(-kappa))
-        + alpha * count / (total * np.expm1(alpha))
+        + alpha * count / grown
         + count * kappa / (total + 1.0)
     )
 
@@ -62,12 +69,16 @@ def _shares(n: int, kappa: float, lam):
     T = (n + 1)(e^alpha - 1) / ((1 - e^{-kappa})(1 - n e^alpha)); the affine
     form keeps an equal split at exactly 1/n.  1 - n e^alpha < 0 for every
     n >= 2 and alpha > 0, so the shares are well defined.  T tends to -1 as
-    kappa -> 0, so below the kappa floor the shares are the fractions lam.
+    kappa -> 0, so below the kappa floor the shares are the fractions lam, and
+    to -(n + 1) / (n (1 - e^{-kappa})) as kappa grows, where e^alpha overflows.
     """
     if kappa < _KAPPA_FLOOR:
         return lam
     alpha = _alpha(n, kappa)
-    t_slope = (n + 1) * math.expm1(alpha) / (-math.expm1(-kappa) * (1.0 - n * math.exp(alpha)))
+    if kappa <= _EXP_KAPPA:
+        t_slope = (n + 1) * math.expm1(alpha) / (-math.expm1(-kappa) * (1.0 - n * math.exp(alpha)))
+    else:  # numerator and denominator times e^-alpha, as e^alpha may overflow
+        t_slope = (n + 1) * -math.expm1(-alpha) / (-math.expm1(-kappa) * (math.exp(-alpha) - n))
     return 1.0 / n + t_slope * (1.0 / n - lam)
 
 

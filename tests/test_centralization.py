@@ -326,3 +326,22 @@ class TestBroadcastReportsMatchPerScenarioLoop:
             got = pg.averaged_report(kappa, band, n_values=n_values, n1_values=n1_values)
             for name in REPORT_FIELDS:
                 assert getattr(got, name) == pytest.approx(expected[name], rel=1e-12)
+
+
+class TestBandArrayReport:
+    @pytest.mark.parametrize("kappa", [0.0, 5e-324, 1.0, 5.0, 25.0])
+    @pytest.mark.parametrize("n1_values", [(3, 4, 5), (14, 15, 16)])
+    def test_each_row_is_the_one_band_report_bit_for_bit(self, kappa, n1_values):
+        bands = list(pg.FRACTION_BANDS.values())
+        table = pg.averaged_report(kappa, bands, n1_values=n1_values)
+        for k, band in enumerate(bands):
+            one = pg.averaged_report(kappa, band, n1_values=n1_values)
+            for name in REPORT_FIELDS:
+                column = getattr(table, name)
+                assert column.shape == (len(bands),)
+                assert type(getattr(one, name)) is float
+                assert column[k] == getattr(one, name), (name, band)
+
+    def test_every_band_is_checked(self):
+        with pytest.raises(ValueError, match="lambda_firm"):
+            pg.averaged_report(1.0, [(0.3, 0.5), (0.5, 1.5)])

@@ -418,6 +418,16 @@ class TestCostsCommand:
         _, _, rows = read_csv(tmp_path / "out" / "costs.csv")
         assert rows == [["2", "4.94065645841e-324", "0.3", "0.3", "0.3", "0", "1"]]
 
+    @pytest.mark.parametrize("kappa", [737, 800, 1e4])
+    def test_shares_are_finite_where_e_alpha_overflows(self, tmp_path, kappa):
+        cfg = write_config(
+            tmp_path, "cfg.json", {"sweep": {"n": [50], "kappa": [kappa], "lambda1": [0.3]}}
+        )
+        assert main(["costs", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        _, header, rows = read_csv(tmp_path / "out" / "costs.csv")
+        share = float(rows[0][header.index("share")])
+        assert math.isfinite(share) and share == pytest.approx(0.3056, rel=1e-9)
+
 
 class TestCentralizeCommand:
     def test_report_curve_and_argmin_comment(self, tmp_path):
@@ -764,6 +774,35 @@ ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "bench" / "reference"
 WORKLOADS = load_bench("workloads")
 LARGE_N_OPS = [op for op in WORKLOADS.large_n_ops(0) if op["out"] == "costs"]
+
+
+def test_table_prices_every_band_of_a_kappa_in_one_broadcast(tmp_path, monkeypatch):
+    """One report broadcast for the naive report, then one per table kappa."""
+    (op,) = [op for op in WORKLOADS.figures_ops(0) if op["out"] == "tables/minority"]
+    calls = []
+    columns = pg.centralization._report_columns
+
+    def counted(*args):
+        calls.append(args)
+        return columns(*args)
+
+    monkeypatch.setattr(pg.centralization, "_report_columns", counted)
+    cfg = write_config(tmp_path, "cfg.json", op["config"])
+    assert main([op["command"], "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1 + len(op["config"]["table"]["kappa"])
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    cfg = write_config(tmp_path, "cfg.json", {"sweep": SWEEP})
+    good = ["costs", "--config", cfg, "--out", str(tmp_path / "out")]
+    assert main(good) == 0
+    parser = cli._parser()
+    with pytest.raises(SystemExit) as exited:
+        main(["costs", "--config", cfg, "--colour"])
+    assert exited.value.code == 1
+    assert "unrecognized arguments: --colour" in capsys.readouterr().err
+    assert main(good) == 0
+    assert cli._parser() is parser
 
 
 def run_script(name, out):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,24 @@ class TestCostShare:
         bd = pg.cost_breakdown(spec)
         for i in range(4):
             assert bd.shares[i] == pytest.approx(bd.per_trader[i] / agg, abs=1e-12)
+
+
+    @pytest.mark.parametrize("kappa", [737.0, 800.0, 1e4])
+    def test_shares_stay_finite_where_e_alpha_overflows(self, kappa):
+        # alpha = 708.1 at kappa 737: (n + 1)(e^alpha - 1) overflows, and from
+        # 709.78 on e^alpha itself; T tends to -(n + 1) / (n (1 - e^-kappa))
+        n = 50
+        lam = np.linspace(1.0, 3.0, n)
+        spec = pg.GameSpec(n=n, lambdas=tuple(lam / lam.sum()), kappa=kappa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bd = pg.cost_breakdown(spec)
+        shares = np.array(bd.shares)
+        assert np.isfinite(shares).all() and np.isfinite(bd.per_trader).all()
+        assert math.fsum(shares) == pytest.approx(1.0, abs=1e-12)
+        t_limit = -(n + 1) / (n * -math.expm1(-kappa))
+        limit = 1.0 / n + t_limit * (1.0 / n - np.array(spec.lambdas))
+        assert shares == pytest.approx(limit, rel=1e-12, abs=1e-15)
 
 
 class TestCostBreakdown:
