@@ -35,6 +35,7 @@ import argparse
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -71,6 +72,16 @@ def _checked(path: str, rule, *args):
     try:
         return rule(*args)
     except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _kappa_reported_at(path: str):
+    """Report a KappaTooLarge raised in the block as a config error at
+    ``path``: a kappa that every rule admits but the formulas cannot price."""
+    try:
+        yield
+    except KappaTooLarge as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -392,23 +403,40 @@ def cmd_costs(sc: Scenario, out_dir: Path, meta: str) -> int:
     header = ["n", "kappa", "lambda1", "cost", "share", "fair_share_deviation", "aggregate"]
     lam1 = np.array(lambda1_values)
     rows = []
-    for n in n_values:
-        for kappa in kappa_values:
-            # trader 1's entries of cost_breakdown, for every lambda1 at once
-            shares = _shares(n, kappa, lam1)
-            columns = (group_cost(n, 1, lam1, kappa), shares, shares - lam1)
-            aggregate = aggregate_cost(n, kappa)
-            rows += [
-                [n, kappa, *cells, aggregate]
-                for cells in zip(lambda1_values, *(c.tolist() for c in columns))
-            ]
+    with _kappa_reported_at("config.sweep.kappa"):
+        for n in n_values:
+            for kappa in kappa_values:
+                # trader 1's entries of cost_breakdown, for every lambda1 at once
+                shares = _shares(n, kappa, lam1)
+                columns = (group_cost(n, 1, lam1, kappa), shares, shares - lam1)
+                aggregate = aggregate_cost(n, kappa)
+                rows += [
+                    [n, kappa, *cells, aggregate]
+                    for cells in zip(lambda1_values, *(c.tolist() for c in columns))
+                ]
     _write_csv(out_dir, "costs.csv", header, rows, meta)
     return 0
 
 
 def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
     scenario = sc.require(sc.central, "config.centralization: required for centralize")
-    rep = naive_centralization_report(scenario)
+    with _kappa_reported_at("config.game.kappa"):
+        rep = naive_centralization_report(scenario)
+        curve = optimal_representation(scenario, delta_range=sc.delta_range)
+    if sc.table_kappa is not None:  # every row is priced before any file is written
+        bands = [FRACTION_BANDS[label] for label in sc.table_rows]
+        n1_mean = float(np.mean(sc.table_n1))
+        table_rows = []
+        with _kappa_reported_at("config.table.kappa"):
+            for kap in sc.table_kappa:  # one report per kappa, one row per band
+                table = averaged_report(kap, bands, n_values=sc.table_n, n1_values=sc.table_n1)
+                columns = (table.pct_change_firm, table.pct_change_nonfirm,
+                           table.pct_change_total, table.firm_cost_no_central,
+                           table.firm_cost_central, table.nonfirm_cost_no_central,
+                           table.nonfirm_cost_central)
+                table_rows += [[label, n1_mean, kap, *cells] for label, *cells
+                               in zip(sc.table_rows, *(c.tolist() for c in columns))]
+
     header = [
         "n", "n1", "n2", "kappa", "lambda_firm",
         "firm_no_central", "nonfirm_no_central", "firm_central", "nonfirm_central",
@@ -422,7 +450,6 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
     ]
     _write_csv(out_dir, "centralize_report.csv", header, [row], meta)
 
-    curve = optimal_representation(scenario, delta_range=sc.delta_range)
     curve_header = ["delta", "represented", "exact_cost", "approx_cost",
                     "pct_change_exact", "pct_change_approx"]
     deltas = curve.deltas.astype(object)  # Python ints, written as plain digits
@@ -448,16 +475,6 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
             "pct_change_firm", "pct_change_nonfirm", "pct_change_total",
             "firm_no_central", "firm_central", "nonfirm_no_central", "nonfirm_central",
         ]
-        bands = [FRACTION_BANDS[label] for label in sc.table_rows]
-        n1_mean = float(np.mean(sc.table_n1))
-        table_rows = []
-        for kap in sc.table_kappa:  # one report per kappa, one row per band
-            rep = averaged_report(kap, bands, n_values=sc.table_n, n1_values=sc.table_n1)
-            columns = (rep.pct_change_firm, rep.pct_change_nonfirm, rep.pct_change_total,
-                       rep.firm_cost_no_central, rep.firm_cost_central,
-                       rep.nonfirm_cost_no_central, rep.nonfirm_cost_central)
-            table_rows += [[label, n1_mean, kap, *cells]
-                           for label, *cells in zip(sc.table_rows, *(c.tolist() for c in columns))]
         _write_csv(out_dir, "centralize_table.csv", table_header, table_rows, meta)
     return 0
 
@@ -468,21 +485,22 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
     header = ["n", "kappa", "aggregate_cost", "pct_increase_vs_n2", "poa_ratio"]
     ns = np.array(n_values, dtype=float)
     rows = []
-    for kappa in kappa_values:
-        base = aggregate_cost(2, kappa)
-        least = market_min_cost(kappa)
-        # aggregate_cost's n >= 2 branch, for every n at once
-        aggregates = group_cost(ns, ns, 1.0, kappa).tolist()
-        rows += [
-            [n, kappa, agg, 100.0 * (agg - base) / base, agg / least]
-            for n, agg in zip(n_values, aggregates)
-        ]
+    with _kappa_reported_at("config.sweep.kappa"):
+        for kappa in kappa_values:
+            base = aggregate_cost(2, kappa)
+            least = market_min_cost(kappa)
+            # aggregate_cost's n >= 2 branch, for every n at once
+            aggregates = group_cost(ns, ns, 1.0, kappa).tolist()
+            rows += [
+                [n, kappa, agg, 100.0 * (agg - base) / base, agg / least]
+                for n, agg in zip(n_values, aggregates)
+            ]
     _write_csv(out_dir, "poa.csv", header, rows, meta)
     return 0
 
 
 def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
-    try:
+    with _kappa_reported_at("config.verify.kappa"):  # a drawn game solve rejects
         report = run_verification(
             n_values=sc.verify_n,
             kappa_values=sc.verify_kappa,
@@ -491,8 +509,6 @@ def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
             seed=sc.seed,
             inject_bug=sc.inject_bug,
         )
-    except KappaTooLarge as exc:  # a drawn game the closed form cannot solve
-        raise ConfigError(f"config.verify.kappa: {exc}") from exc
 
     header = ["check", "measured", "threshold", "status", "detail"]
     rows = [

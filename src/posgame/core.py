@@ -3,11 +3,11 @@
 A competition instance is a :class:`GameSpec`: ``n`` traders, fractional
 target quantities ``lambdas`` summing to one, and a permanent-impact
 (alpha-decay) parameter ``kappa``.  An :class:`EquilibriumSolution` holds a
-solved spec as two coefficient arrays; ``_alpha`` and ``_curve`` are the one
-copy each of the decay-rate and curve formulas, as numpy kernels over
-arrays, ``_KAPPA_FLOOR`` is the one kappa -> 0 rule and
-``_gauss_legendre_64`` the one quadrature rule.  Equilibrium
-objects are immutable (their arrays read-only) and safe to share across
+solved spec as two coefficient arrays; ``_alpha``, ``_curve`` and
+``_market_curve`` are the one copy each of the decay-rate, curve and market
+curve formulas, as numpy kernels over arrays, ``_KAPPA_FLOOR`` is the one
+kappa -> 0 rule and ``_gauss_legendre_64`` the one quadrature rule.
+Equilibrium objects are immutable (their arrays read-only) and safe to share across
 threads.
 """
 
@@ -212,6 +212,15 @@ def _curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
     return kappa**2 * b * np.exp(kappa * t) - alpha**2 * d * np.exp(-alpha * t)
 
 
+def _market_curve(alpha: float, t, order: int) -> np.ndarray:
+    """The ``order``-th time derivative of the market strategy
+    (1 - e^{-alpha t}) / (1 - e^{-alpha}), an array shaped like ``t``: the
+    curve with b = 0, d = 1 / (1 - e^{-alpha}) and kappa = 0 (a spec's kappa
+    would make 0 * expm1(kappa t) NaN from kappa = 710 on)."""
+    d = 1.0 / -math.expm1(-alpha) if alpha else 0.0
+    return _curve(0.0, d, 0.0, alpha, t, order)
+
+
 @cache
 def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
     """64-point Gauss-Legendre nodes and weights on [-1, 1], computed once
@@ -283,11 +292,7 @@ class EquilibriumSolution:
         return self._market(t, 2)
 
     def _market(self, t, order: int):
-        # the curve with b = 0, d = 1 / (1 - e^{-alpha}) and kappa = 0: the
-        # spec's kappa makes 0 * expm1(kappa t) NaN from kappa = 710 on
-        a = self.alpha
-        d = 1.0 / -math.expm1(-a) if a else 0.0
-        return _float_if_scalar(_curve(0.0, d, 0.0, a, t, order))
+        return _float_if_scalar(_market_curve(self.alpha, t, order))
 
 
 @dataclass(frozen=True)

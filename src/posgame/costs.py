@@ -25,6 +25,7 @@ from .core import (
     _KAPPA_FLOOR,
     CostBreakdown,
     GameSpec,
+    KappaTooLarge,
     _alpha,
     _check_count,
     _check_kappa,
@@ -46,19 +47,34 @@ def group_cost(total, count, lam, kappa, decay=None):
     arguments are scalars or numpy arrays that broadcast together.  A kappa
     below the floor 1e-300 counts as 0 (:func:`_alpha`'s rule),
     and there each group pays its fraction ``lam``, the kappa -> 0 limit.
-    The caller rules out the degenerate total = 1.
+    The caller rules out the degenerate total = 1.  Raises KappaTooLarge
+    where kappa is so close to DBL_MAX that a product of kappa and a count
+    overflows (kappa near 1e308 for a dozen traders); that check is one
+    comparison below kappa = 600.
     """
     if kappa < _KAPPA_FLOOR:
         return lam + np.zeros(np.broadcast_shapes(np.shape(total), np.shape(count)))
+    if kappa <= _EXP_KAPPA:
+        return _group_cost(total, count, lam, kappa, decay)
+    # total (e^alpha - 1) may overflow to inf, where its term is 0; near
+    # DBL_MAX kappa (total - 1), kappa (lam total - count) or count kappa
+    # overflows too, and then the cost is no longer finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        cost = _group_cost(total, count, lam, kappa, decay)
+    if not np.isfinite(cost).all():
+        raise KappaTooLarge(
+            f"kappa = {kappa} is too large: a product of kappa and a trader count "
+            f"overflows in the cost formula"
+        )
+    return cost
+
+
+def _group_cost(total, count, lam, kappa, decay):
+    """The formula of :func:`group_cost` for kappa at or above the floor."""
     alpha = _alpha(total, kappa) if decay is None else decay
-    if kappa > _EXP_KAPPA:  # total (e^alpha - 1) may overflow to inf, where the term is 0
-        with np.errstate(over="ignore"):
-            grown = total * np.expm1(alpha)
-    else:
-        grown = total * np.expm1(alpha)
     return (
         kappa * (lam * total - count) / (total * -np.expm1(-kappa))
-        + alpha * count / grown
+        + alpha * count / (total * np.expm1(alpha))
         + count * kappa / (total + 1.0)
     )
 

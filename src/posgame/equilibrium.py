@@ -29,7 +29,9 @@ import sys
 
 import numpy as np
 
-from .core import EquilibriumSolution, GameSpec, KappaTooLarge, _alpha, _float_if_scalar
+from .core import (
+    EquilibriumSolution, GameSpec, KappaTooLarge, _alpha, _curve, _float_if_scalar, _market_curve
+)
 
 
 def solve(spec: GameSpec) -> EquilibriumSolution:
@@ -77,11 +79,29 @@ def governing_residuals(solution: EquilibriumSolution, t):
     lambda_i = 0 is r1[i] - r2 / lambda_i.  Derivatives are analytic.
     """
     t = np.asarray(t, dtype=float)
-    n, kappa = solution.spec.n, solution.spec.kappa
-    lam = solution.spec.lambdas_array().reshape((-1,) + (1,) * t.ndim)
-    mdd = solution.market_acceleration(t)
-    md = solution.market_velocity(t)
-    r1 = solution.accelerations(t) - kappa * solution.velocities(t) + (mdd + kappa * md) / lam
-    r2 = mdd + kappa * md - (2.0 * kappa / (n + 1)) * md
-    r3 = mdd + solution.alpha * md
+    spec, alpha = solution.spec, solution.alpha
+    pressure, r2, r3 = _market_residuals(spec.n, spec.kappa, alpha, t)
+    column = (-1,) + (1,) * t.ndim
+    b, d, lam = (x.reshape(column) for x in (solution.b, solution.d, spec.lambdas_array()))
+    r1 = _trader_residuals(b, d, lam, spec.kappa, alpha, t, pressure)
     return r1, _float_if_scalar(r2), _float_if_scalar(r3)
+
+
+def _market_residuals(n, kappa: float, alpha: float, t: np.ndarray) -> tuple:
+    """The market's terms of :func:`governing_residuals` at the times ``t``,
+    each shaped like ``t``: m'' + kappa m' (r1's market part before the
+    division by lambda_i), r2 and r3.  They depend on n and kappa alone, so
+    one call serves every draw of a game size."""
+    mdd = _market_curve(alpha, t, 2)
+    md = _market_curve(alpha, t, 1)
+    pressure = mdd + kappa * md
+    return pressure, pressure - (2.0 * kappa / (n + 1)) * md, mdd + alpha * md
+
+
+def _trader_residuals(b, d, lam, kappa: float, alpha: float, t, pressure) -> np.ndarray:
+    """r1 of :func:`governing_residuals` for coefficients ``b``, ``d`` and
+    target fractions ``lam`` that broadcast against ``t`` (an (n, 1) column
+    gives every trader, a (D, n, 1) stack every trader of D games), with
+    ``pressure`` the market part of :func:`_market_residuals`."""
+    accel = _curve(b, d, kappa, alpha, t, 2)
+    return accel - kappa * _curve(b, d, kappa, alpha, t, 1) + pressure / lam

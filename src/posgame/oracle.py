@@ -51,7 +51,12 @@ Written as u = expm1(j ln rho) / expm1(N ln rho) (rho < 1) and
 v = sigma^(j - N) expm1(-j ln sigma) / expm1(-N ln sigma) (sigma > 1), no
 term overflows at any kappa; at c = 0 both unit paths are the straight line
 j / N, and at q = 0 (n = 1) u is.  sigma is positive only while c < 1, so
-the grid needs N > kappa / 2.  The cost is O(n N).
+the grid needs N > kappa / 2.  The cost is O(n N).  The profile has rank 2
+in (trader, time): :func:`_nash_factors` returns the unit paths v and u,
+which depend on n, kappa and N alone, and :func:`_nash_profile` turns any
+stack of target fractions into its traders' paths, so ``run_verification``
+builds the factors once per (n, kappa) cell and prices the cell's draws as
+one stack.
 :func:`stationarity_residual` is the run-time certificate: it evaluates
 every trader's best-response rows on the computed profile directly, and it
 reads at rounding level exactly at the Nash point.
@@ -77,7 +82,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadBump, EquilibriumSolution, GameSpec, GridMismatch, _check_size
+from .core import BadBump, EquilibriumSolution, GameSpec, GridMismatch, _check_size, _curve
 
 
 class _Deferred:
@@ -132,8 +137,7 @@ class DiscreteGame:
         paths = self.paths
         if paths.ndim != 2 or paths.shape[0] != self.spec.n or paths.shape[1] < 2:
             raise GridMismatch(f"paths shape {paths.shape} is not ({self.spec.n}, N + 1), N >= 1")
-        if np.any(paths[:, 0] != 0.0) or np.any(paths[:, -1] != 1.0):
-            raise GridMismatch("path endpoints must be pinned to 0 and 1")
+        _check_pinned(paths)
         paths.flags.writeable = False
 
     @property
@@ -142,16 +146,33 @@ class DiscreteGame:
         return self.paths.shape[1] - 1
 
 
+def _check_pinned(paths: np.ndarray) -> None:
+    """GridMismatch unless every path along the last axis of ``paths``
+    starts at 0 and ends at 1; leading axes hold traders and games."""
+    if np.any(paths[..., 0] != 0.0) or np.any(paths[..., -1] != 1.0):
+        raise GridMismatch("path endpoints must be pinned to 0 and 1")
+
+
 def sampled_equilibrium(solution: EquilibriumSolution, n_steps: int) -> DiscreteGame:
     """``solution``'s strategies sampled on the oracle grid of ``n_steps``
     intervals, as a game of ``solution.spec`` (for comparisons).
     NonIntegerCount unless ``n_steps`` is an integer, ValueError unless it is
     at least 1."""
     _check_size("n_steps", n_steps, 1)
-    paths = solution.positions(np.linspace(0.0, 1.0, n_steps + 1))
-    paths[:, 0] = 0.0
-    paths[:, -1] = 1.0
+    b, d = solution.b[:, None], solution.d[:, None]
+    paths = _sampled_paths(b, d, solution.spec.kappa, solution.alpha, n_steps)
     return DiscreteGame._adopt(solution.spec, paths)
+
+
+def _sampled_paths(b, d, kappa: float, alpha: float, n_steps: int) -> np.ndarray:
+    """The curves of coefficients ``b`` and ``d`` on the grid of ``n_steps``
+    intervals, shape (..., N + 1), with the ends pinned to 0 and 1 as the
+    oracle's are: an (n, 1) column gives one game, a (D, n, 1) stack D
+    games on one grid."""
+    paths = _curve(b, d, kappa, alpha, np.linspace(0.0, 1.0, n_steps + 1), 0)
+    paths[..., 0] = 0.0
+    paths[..., -1] = 1.0
+    return paths
 
 
 def _pressure(x: np.ndarray, kappa: float, h: float) -> np.ndarray:
@@ -171,9 +192,15 @@ def _cost_sum(m: np.ndarray, lam, a: np.ndarray, kappa: float, h: float) -> np.n
 
 def discrete_cost(game: DiscreteGame) -> np.ndarray:
     """Discretized implementation cost of every trader, shape (n,)."""
-    lambdas = game.spec.lambdas_array()
-    m = lambdas @ game.paths
-    return _cost_sum(m, lambdas[:, None], game.paths, game.spec.kappa, 1.0 / game.n_steps)
+    return _discrete_costs(game.paths, game.spec.lambdas_array(), game.spec.kappa)
+
+
+def _discrete_costs(paths: np.ndarray, lambdas: np.ndarray, kappa: float) -> np.ndarray:
+    """:func:`discrete_cost` of the profiles ``paths``, shape (..., n, N + 1),
+    with target fractions ``lambdas``, shape (..., n): one cost per trader,
+    shape (..., n).  A stack of D games on one grid is priced at once."""
+    m = lambdas[..., None, :] @ paths
+    return _cost_sum(m, lambdas[..., None], paths, kappa, 1.0 / (paths.shape[-1] - 1))
 
 
 def _best_response_rhs(game: DiscreteGame) -> np.ndarray:
@@ -243,21 +270,37 @@ def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:
     coarser grids the rows' root sigma is not positive.
     """
     _check_grid(spec.kappa, n_steps)
-    lambdas = spec.lambdas_array()
-    n = spec.n
+    own, market = _nash_factors(spec.n, spec.kappa, n_steps)
+    return DiscreteGame._adopt(spec, _nash_profile(spec.lambdas_array(), own, market))
+
+
+def _nash_factors(n: int, kappa: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two unit paths of the n-trader Nash point at ``kappa`` on the grid
+    of ``n_steps`` intervals, shape (N + 1,) each: ``own`` through sigma^j
+    and ``market`` through rho^j (see the module docstring).  They depend on
+    n, kappa and N alone; :func:`_nash_profile` builds the traders' paths
+    from them.  The caller checks the grid (:func:`_check_grid`)."""
     # c is rounded so that 1 +- c are exact, as a banded solve of the same
     # rows needs, and so that it is 0 (straight lines) where kappa / (2 N)
     # is below half an ulp of 1; it stays below 1 where kappa / (2 N) rounds
     # up to it.  q = (n - 1) c is left unrounded, so the summed rows stay the
     # sum of the traders' rows: a q rounded to a multiple of ulp(n + 1)
     # amplifies the rounding of v - u in the traders' sum up to tenfold.
-    c = min((1.0 + 0.5 * spec.kappa / n_steps) - 1.0, 1.0 - 2.0**-52)
+    c = min((1.0 + 0.5 * kappa / n_steps) - 1.0, 1.0 - 2.0**-52)
     q = (n - 1) * c
     market = _unit_path(math.log1p(-2.0 * q / ((n + 1) + q)), n_steps)  # ln rho
     own = _unit_path(math.log1p(2.0 * c / (1.0 - c)), n_steps)  # ln sigma
-    paths = np.multiply.outer(-lambdas.sum() / (n * lambdas), own - market)
+    return own, market
+
+
+def _nash_profile(lambdas: np.ndarray, own: np.ndarray, market: np.ndarray) -> np.ndarray:
+    """The Nash paths a_i = v - M / (n lambda_i) (v - u) of target fractions
+    ``lambdas``, shape (..., n), from the :func:`_nash_factors` v = ``own``
+    and u = ``market``: shape (..., n, N + 1), a stack of D games at once."""
+    coef = -lambdas.sum(axis=-1, keepdims=True) / (lambdas.shape[-1] * lambdas)
+    paths = coef[..., None] * (own - market)
     paths += own
-    return DiscreteGame._adopt(spec, paths)
+    return paths
 
 
 def stationarity_residual(game: DiscreteGame) -> np.ndarray:
@@ -288,22 +331,26 @@ def _bump_terms(
 
 
 def _expansion(
-    base: DiscreteGame,
+    paths: np.ndarray,
+    lambdas: np.ndarray,
+    kappa: float,
     steps: np.ndarray,
     pressure: np.ndarray,
     curvature: np.ndarray,
     eps: float,
 ) -> np.ndarray:
-    """:func:`deviation_expansion` on ``base`` from the bump increments
-    ``steps`` and the :func:`_bump_terms` ``pressure`` and ``curvature``,
-    which must be built on ``base``'s grid and at its kappa: a
-    (K, N) @ (N, n) and a (K, N) @ (N,) product."""
-    lambdas = base.spec.lambdas_array()
-    market = _pressure(lambdas @ base.paths, base.spec.kappa, 1.0 / base.n_steps)
-    market_term = steps @ market  # (K,)
-    own_term = pressure @ np.diff(base.paths).T  # (K, n)
-    lam = lambdas[:, None]
-    return eps * lam * (market_term + lam * own_term.T) + eps**2 * lam**2 * curvature
+    """:func:`deviation_expansion` on the profiles ``paths``, shape
+    (..., n, N + 1), with target fractions ``lambdas``, shape (..., n), from
+    the bump increments ``steps`` and the :func:`_bump_terms` ``pressure``
+    and ``curvature``, which must be built on the profiles' grid and at
+    ``kappa``: shape (..., n, K).  Each profile costs a (K, N) @ (N, n) and
+    a (K, N) @ (N, 1) product; a stack of profiles makes them as one batched
+    matmul each, which keeps every profile's bits."""
+    market = _pressure(lambdas[..., None, :] @ paths, kappa, 1.0 / (paths.shape[-1] - 1))
+    market_term = np.swapaxes(steps @ np.swapaxes(market, -1, -2), -1, -2)  # (..., 1, K)
+    own_term = np.swapaxes(pressure @ np.swapaxes(np.diff(paths), -1, -2), -1, -2)
+    lam = lambdas[..., None]
+    return eps * lam * (market_term + lam * own_term) + eps**2 * lam**2 * curvature
 
 
 def deviation_expansion(base: DiscreteGame, bumps: np.ndarray, eps: float) -> np.ndarray:
@@ -338,8 +385,9 @@ def deviation_expansion(base: DiscreteGame, bumps: np.ndarray, eps: float) -> np
     if np.any(bumps[:, [0, -1]] != 0.0):
         raise BadBump("bump must vanish at both endpoints")
     steps = np.diff(bumps)
-    pressure, curvature = _bump_terms(bumps, steps, base.spec.kappa, 1.0 / base.n_steps)
-    return _expansion(base, steps, pressure, curvature, eps)
+    kappa = base.spec.kappa
+    terms = _bump_terms(bumps, steps, kappa, 1.0 / base.n_steps)
+    return _expansion(base.paths, base.spec.lambdas_array(), kappa, steps, *terms, eps)
 
 
 def standard_bumps(n_steps: int, seed: int = 0) -> np.ndarray:

@@ -14,24 +14,24 @@ reports them at their config keys.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    _KAPPA_FLOOR, EquilibriumSolution, GameSpec, _check_kappa, _check_size, _gauss_legendre_64
+    _KAPPA_FLOOR, EquilibriumSolution, GameSpec, _alpha, _check_kappa, _check_size, _curve,
+    _gauss_legendre_64,
 )
 from .costs import aggregate_cost, group_cost
-from .equilibrium import governing_residuals, solve
+from .equilibrium import _market_residuals, _trader_residuals, solve
 from .oracle import (
-    _bump_terms,
-    _check_grid,
-    _expansion,
-    discrete_cost,
-    nash_fixed_point,
-    sampled_equilibrium,
-    standard_bumps,
+    _bump_terms, _check_grid, _check_pinned, _discrete_costs, _expansion, _nash_factors,
+    _nash_profile, _sampled_paths, nash_fixed_point, sampled_equilibrium, standard_bumps,
 )
+
+# A stack of draws holds at most this many path cells, draws * n * (N + 1),
+# as _g12.CHUNK_CELLS bounds a CSV chunk: 1 MiB per (D, n, N + 1) array.
+_STACK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -120,23 +120,47 @@ def quadrature_cost(solution: EquilibriumSolution) -> np.ndarray:
     where the curves are finite, and memory is a few (n, 64 P) arrays.
     """
     spec = solution.spec
+    return _quadrature_costs(
+        spec.lambdas_array(), solution.b, solution.d, spec.kappa, solution.alpha
+    )
+
+
+def _quadrature_costs(lambdas, b, d, kappa: float, alpha: float) -> np.ndarray:
+    """:func:`quadrature_cost` of the curves with coefficients ``b`` and
+    ``d`` and target fractions ``lambdas``, each of shape (..., n): one cost
+    per trader, shape (..., n).  A stack of D games of one size and kappa is
+    priced with (D, 1, n) @ (D, n, T) and (D, n, T) @ (D, T, 1) products,
+    which keep every game's bits."""
     nodes, weights = _gauss_legendre_64()
-    panels = max(1, math.ceil(spec.kappa / 64.0))
+    panels = max(1, math.ceil(kappa / 64.0))
     t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) / panels).ravel()
-    lambdas = spec.lambdas_array()
-    m = lambdas @ solution.positions(t)
-    velocities = solution.velocities(t)
-    pressure = lambdas @ velocities + spec.kappa * m
-    return lambdas * (velocities @ (pressure * np.tile(weights, panels))) / (2.0 * panels)
+    row, b, d = lambdas[..., None, :], b[..., None], d[..., None]
+    m = row @ _curve(b, d, kappa, alpha, t, 0)
+    velocities = _curve(b, d, kappa, alpha, t, 1)
+    pressure = row @ velocities + kappa * m  # (..., 1, T)
+    weighted = np.swapaxes(pressure * np.tile(weights, panels), -1, -2)
+    return lambdas * (velocities @ weighted)[..., 0] / (2.0 * panels)
+
+
+def _cost_checks(labels, lambdas, b, d, kappa: float, alpha: float) -> list[Check]:
+    """The cost row of each game of a stack, labelled by ``labels``: the
+    worst trader's relative gap between the cost formula and
+    :func:`_quadrature_costs` on the curves of coefficients ``b`` and ``d``,
+    which share the shape (D, n) with the target fractions ``lambdas``."""
+    costs = group_cost(lambdas.shape[-1], 1, lambdas, kappa)
+    quadrature = _quadrature_costs(lambdas, b, d, kappa, alpha)
+    gaps = np.max(np.abs(costs - quadrature) / np.abs(costs), axis=-1)
+    return [
+        _at_most(f"cost formula vs quadrature [{label}]", float(gap), 1e-6)
+        for label, gap in zip(labels, gaps)
+    ]
 
 
 def _cost_check(solution: EquilibriumSolution, label: str) -> Check:
-    """The cost row: the worst trader's relative gap between the cost
-    formula and :func:`quadrature_cost` on ``solution``'s curves."""
+    """The cost row on ``solution``'s curves: :func:`_cost_checks` of one game."""
     spec = solution.spec
-    costs = group_cost(spec.n, 1, spec.lambdas_array(), spec.kappa)
-    rel = float(np.max(np.abs(costs - quadrature_cost(solution)) / np.abs(costs)))
-    return _at_most(f"cost formula vs quadrature [{label}]", rel, 1e-6)
+    lambdas, b, d = (x[None] for x in (spec.lambdas_array(), solution.b, solution.d))
+    return _cost_checks([label], lambdas, b, d, spec.kappa, solution.alpha)[0]
 
 
 def run_verification(
@@ -160,12 +184,16 @@ def run_verification(
     per-draw checks), seed >= 0 and n_steps >= 2, and GridMismatch unless
     n_steps > max(kappa_values) / 2, the grids the oracle solves on.
 
-    The deviation row prices each draw as ``deviation_expansion`` does, from
-    bump terms that depend only on the bumps, kappa and N: they are built
-    once per run, the increments once and the (K, N) pressure once per
-    distinct kappa, so the run holds 1 + len(set(kappa_values)) arrays of
-    shape (K, N), and a draw costs a (K, N) @ (N, n) and a (K, N) @ (N,)
-    product.
+    Cost.  The bump increments are built once per run and the deviation
+    row's (K, N) bump pressure once per distinct kappa; the oracle's unit
+    paths (``_nash_factors``), the market's residuals r2 and r3 and the
+    aggregate cost once per (n, kappa) cell.  Each draw is still its own
+    :class:`GameSpec`, solved by ``solve`` (KappaTooLarge where the closed
+    form overflows), but a cell's draws are priced as one stack on a
+    leading axis, every product a batched matmul, so each row keeps the
+    bits of the public routes on its draw.  A stack holds at most
+    ``_STACK_CELLS`` path cells (draws * n * (N + 1)): memory grows like
+    n N, not draws n N, and a larger game runs one draw at a time.
     """
     _check_suite_n(n_values)
     _check_suite_kappa(kappa_values)
@@ -179,41 +207,66 @@ def run_verification(
     steps = np.diff(bumps)
     bump_terms = {kappa: _bump_terms(bumps, steps, kappa, 1.0 / n_steps) for kappa in kappa_values}
     del bumps  # a draw reads only the increments and its kappa's terms
+    t = np.linspace(0.0, 1.0, 101)
 
     for n in n_values:
+        stack = max(1, _STACK_CELLS // (n * (n_steps + 1)))
         for kappa in kappa_values:
-            for rep in range(draws):
-                spec = GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa)
-                label = f"n={n} kappa={kappa:g} draw={rep}"
-
-                fp = nash_fixed_point(spec, n_steps=n_steps)
-                sol = solve(spec)
+            own, market = _nash_factors(n, kappa, n_steps)
+            alpha = _alpha(n, kappa)
+            pressure, r2, r3 = _market_residuals(n, kappa, alpha, t)
+            market_res = (float(np.max(np.abs(r2))), float(np.max(np.abs(r3))))
+            aggregate = aggregate_cost(n, kappa)
+            for first in range(0, draws, stack):
+                labels = [
+                    f"n={n} kappa={kappa:g} draw={rep}"
+                    for rep in range(first, min(draws, first + stack))
+                ]
+                sols = [
+                    solve(GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa))
+                    for _ in labels
+                ]
+                lam = np.array([sol.spec.lambdas for sol in sols])  # (D, n)
+                b = np.array([sol.b for sol in sols])
+                d = np.array([sol.d for sol in sols])
                 if inject_bug:
-                    sol = replace(sol, d=sol.d * 1.01)
-                cf = sampled_equilibrium(sol, n_steps)
-                gap = float(np.max(np.abs(fp.paths - cf.paths)))
-                checks.append(_at_most(f"fixed-point gap [{label}]", gap, gap_threshold))
+                    d = d * 1.01
+                b_col, d_col = b[..., None], d[..., None]  # (D, n, 1), against time
 
-                res = max(
-                    float(np.max(np.abs(r)))
-                    for r in governing_residuals(sol, np.linspace(0.0, 1.0, 101))
-                )
-                checks.append(_at_most(f"governing residuals [{label}]", res, 1e-9))
+                # r1 and cf are dropped once read: at most two (D, n, N + 1)
+                # stacks and their temporaries are held at once
+                r1 = _trader_residuals(b_col, d_col, lam[..., None], kappa, alpha, t, pressure)
+                residuals = np.max(np.abs(r1), axis=(-2, -1))
+                del r1
+                end_errs = np.max(np.abs(_curve(b, d, kappa, alpha, 1.0, 0) - 1.0), axis=-1)
+                cost_rows = _cost_checks(labels, lam, b, d, kappa, alpha)
+                cf = _sampled_paths(b_col, d_col, kappa, alpha, n_steps)
+                _check_pinned(cf)
+                deviations = _expansion(cf, lam, kappa, steps, *bump_terms[kappa], eps=0.01)
+                worst_devs = np.min(deviations, axis=(-2, -1))
+                fp = _nash_profile(lam, own, market)  # (D, n, N + 1)
+                _check_pinned(fp)
+                cf -= fp
+                gaps = np.max(np.abs(cf, out=cf), axis=(-2, -1))
+                del cf
+                discrete = _discrete_costs(fp, lam, kappa)
 
-                end_err = float(np.max(np.abs(sol.positions(1.0) - 1.0)))
-                checks.append(_at_most(f"endpoint a_i(1)=1 [{label}]", end_err, 1e-10))
-
-                checks.append(_cost_check(sol, label))
-
-                deviations = _expansion(cf, steps, *bump_terms[kappa], eps=0.01)
-                worst_dev = float(np.min(deviations))
-                checks.append(
-                    _at_least(f"deviation non-negativity [{label}]", worst_dev, -1e-9)
-                )
-
-                total_discrete = float(sum(discrete_cost(fp)))
-                agg_err = abs(total_discrete - aggregate_cost(n, kappa))
-                checks.append(_at_most(f"aggregate vs oracle sum [{label}]", agg_err, 1e-3))
+                for k, label in enumerate(labels):
+                    agg_err = abs(float(sum(discrete[k])) - aggregate)
+                    checks += [
+                        _at_most(f"fixed-point gap [{label}]", float(gaps[k]), gap_threshold),
+                        _at_most(
+                            f"governing residuals [{label}]",
+                            max(float(residuals[k]), *market_res),
+                            1e-9,
+                        ),
+                        _at_most(f"endpoint a_i(1)=1 [{label}]", float(end_errs[k]), 1e-10),
+                        cost_rows[k],
+                        _at_least(
+                            f"deviation non-negativity [{label}]", float(worst_devs[k]), -1e-9
+                        ),
+                        _at_most(f"aggregate vs oracle sum [{label}]", agg_err, 1e-3),
+                    ]
 
     checks.append(convergence_order_check())
     return VerificationReport(checks=tuple(checks))

@@ -770,6 +770,56 @@ def test_kappa_the_closed_form_cannot_solve_is_config_error(
     assert not out.exists()
 
 
+def near_dbl_max(kappa, key="game"):
+    """One config for centralize, costs and poa at ``kappa``; ``key`` names
+    the section whose kappa is ``kappa`` (the other kappas are 1)."""
+    kappas = {name: kappa if name == key else 1.0 for name in ("game", "sweep", "table")}
+    return {
+        "game": {"n": 12, "kappa": kappas["game"]},
+        "centralization": {"n1": 4, "lambda_firm": 0.4},
+        "sweep": {"n": [12, 50], "kappa": [kappas["sweep"]], "lambda1": [0.2]},
+        "table": {"kappa": [1.0, kappas["table"]], "rows": [0.40]},
+    }
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kappa", [1e307, 1e308, sys.float_info.max])
+@pytest.mark.parametrize(
+    "command,key", [("centralize", "game"), ("centralize", "table"), ("costs", "sweep"),
+                    ("poa", "sweep")]
+)
+def test_kappa_near_dbl_max_is_config_error(tmp_path, capsys, command, key, kappa):
+    # kappa (n - 1), kappa (lambda n - count) or count kappa overflows: the
+    # three commands wrote all-nan cost cells with exit 0; centralize's table
+    # fails before the report and the curve are written
+    cfg = write_config(tmp_path, "cfg.json", near_dbl_max(kappa, key))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    message = f"config error: config.{key}.kappa: kappa = {kappa} is too large"
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_kappa_1e300_keeps_its_rows(tmp_path):
+    config = near_dbl_max(1e300)
+    config["game"]["kappa"] = config["sweep"]["kappa"][0] = 1e300
+    config["sweep"]["n"] = [12]
+    cfg = write_config(tmp_path, "cfg.json", config)
+    out = tmp_path / "out"
+    for command in ("centralize", "costs", "poa"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    expected = {
+        "costs.csv": "12,1e+300,0.2,1.9358974359e+299,0.209722222222,0.00972222222222,"
+        "9.23076923077e+299",
+        "poa.csv": "12,1e+300,9.23076923077e+299,38.4615384615,1.84615384615",
+        "centralize_report.csv": "12,4,8,1e+300,0.4,3.74358974359e+299,5.48717948718e+299,"
+        "3.88888888889e+299,5.11111111111e+299,3.88127853881,-6.85358255452,-2.5",
+    }
+    for name, row in expected.items():
+        assert (out / name).read_text().splitlines()[2:] == [row], name
+
+
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "bench" / "reference"
 WORKLOADS = load_bench("workloads")

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 
@@ -11,7 +13,7 @@ from scipy.integrate import simpson
 
 import posgame as pg
 from conftest import BELOW_KAPPA_FLOOR, game_specs
-from posgame.costs import _shares
+from posgame.costs import _shares, group_cost
 from posgame.verification import _cost_check, draw_lambdas, quadrature_cost
 
 
@@ -175,6 +177,29 @@ class TestCostShare:
         t_limit = -(n + 1) / (n * -math.expm1(-kappa))
         limit = 1.0 / n + t_limit * (1.0 / n - np.array(spec.lambdas))
         assert shares == pytest.approx(limit, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kappa,total,count,lam,finite",
+    [
+        (1e307, 12, 1, 0.2, True),  # kappa (total - 1) = 1.1e308
+        (1e307, 12, 12, 1.0, True),
+        (1e307, np.arange(2.0, 51.0), np.arange(2.0, 51.0), 1.0, False),  # 4.9e308 at 50
+        (1e308, 12, 1, 0.2, False),
+        (1e308, 2, 2, 1.0, False),  # count kappa = 2e308
+        (sys.float_info.max, 2, 1, 0.5, True),  # every product stays at most kappa
+        (sys.float_info.max, 12, 1, 0.2, False),
+    ],
+)
+def test_group_cost_near_dbl_max_raises_kappa_too_large(kappa, total, count, lam, finite):
+    if not finite:
+        with pytest.raises(pg.KappaTooLarge, match=re.escape(f"kappa = {kappa} is too large")):
+            group_cost(total, count, lam, kappa)
+        return
+    # e^alpha overflows, so the middle term is 0 and the cost is linear in kappa
+    expected = kappa * (lam * total - count) / total + count * kappa / (total + 1.0)
+    assert group_cost(total, count, lam, kappa) == pytest.approx(expected, rel=1e-15)
 
 
 class TestCostBreakdown:

@@ -12,7 +12,8 @@ import posgame as pg
 import posgame.oracle as oracle
 import posgame.verification as verification
 from conftest import game_specs
-from posgame.verification import draw_lambdas, run_verification
+from posgame.costs import group_cost
+from posgame.verification import Check, draw_lambdas, quadrature_cost, run_verification
 
 
 def deviation_test(base, bumps, eps):
@@ -299,7 +300,8 @@ def test_run_verification_rejects_a_grid_too_coarse_for_kappa(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the grid is checked before any check runs")
 
-    monkeypatch.setattr(verification, "nash_fixed_point", unreachable)
+    for name in ("nash_fixed_point", "_nash_factors", "_nash_profile"):
+        monkeypatch.setattr(verification, name, unreachable)
     with pytest.raises(pg.GridMismatch, match="kappa=25: .* at least 13$"):
         run_verification(n_values=(2,), kappa_values=(1.0, 25.0), draws=1, n_steps=12)
 
@@ -326,7 +328,10 @@ def test_run_verification_checks_its_sizes_before_the_oracle_runs(
     def unreachable(*args, **kwargs):
         raise AssertionError("the settings are checked before the oracle runs")
 
-    for name in ("nash_fixed_point", "standard_bumps", "_bump_terms", "solve"):
+    for name in (
+        "nash_fixed_point", "_nash_factors", "_nash_profile", "standard_bumps", "_bump_terms",
+        "solve",
+    ):
         monkeypatch.setattr(verification, name, unreachable)
     settings = {"n_values": (2,), "kappa_values": (1.0,), "draws": 1, "n_steps": 40, **setting}
     with pytest.raises(error, match=message) as raised:
@@ -724,3 +729,86 @@ def test_verification_at_a_thousand_traders():
     report = run_verification(**kwargs)
     assert report.passed, [c.name for c in report.checks if not c.passed]
     assert not run_verification(**kwargs, inject_bug=True).passed
+
+
+def per_draw_checks(n_values, kappa_values, draws, n_steps, seed, inject_bug):
+    """``run_verification``'s checks built one draw at a time from the public
+    routes, as the suite built them before it priced a cell's draws as one
+    stack: the reference the stacked route is held to, bit for bit."""
+    rng = np.random.default_rng(seed)
+    bumps = pg.standard_bumps(n_steps, seed=seed)
+    gap_threshold = 5.0 / n_steps
+    checks = []
+    for n in n_values:
+        for kappa in kappa_values:
+            for rep in range(draws):
+                spec = pg.GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa)
+                label = f"n={n} kappa={kappa:g} draw={rep}"
+                fp = pg.nash_fixed_point(spec, n_steps)
+                sol = pg.solve(spec)
+                if inject_bug:
+                    sol = dataclasses.replace(sol, d=sol.d * 1.01)
+                cf = pg.sampled_equilibrium(sol, n_steps)
+                gap = float(np.max(np.abs(fp.paths - cf.paths)))
+                t = np.linspace(0.0, 1.0, 101)
+                res = max(float(np.max(np.abs(r))) for r in pg.governing_residuals(sol, t))
+                end_err = float(np.max(np.abs(sol.positions(1.0) - 1.0)))
+                costs = group_cost(n, 1, spec.lambdas_array(), kappa)
+                rel = float(np.max(np.abs(costs - quadrature_cost(sol)) / np.abs(costs)))
+                worst = float(np.min(pg.deviation_expansion(cf, bumps, eps=0.01)))
+                agg = abs(float(sum(pg.discrete_cost(fp))) - pg.aggregate_cost(n, kappa))
+                rows = [
+                    ("fixed-point gap", gap, gap_threshold),
+                    ("governing residuals", res, 1e-9),
+                    ("endpoint a_i(1)=1", end_err, 1e-10),
+                    ("cost formula vs quadrature", rel, 1e-6),
+                    ("deviation non-negativity", worst, -1e-9),
+                    ("aggregate vs oracle sum", agg, 1e-3),
+                ]
+                for name, value, threshold in rows:
+                    at_least = name.startswith("deviation")
+                    passed = value >= threshold if at_least else value <= threshold
+                    checks.append(Check(f"{name} [{label}]", value, threshold, passed))
+    checks.append(verification.convergence_order_check())
+    return tuple(checks)
+
+
+@pytest.mark.parametrize("inject_bug", [False, True], ids=["correct", "injected-bug"])
+@pytest.mark.parametrize("draws", [1, 4])
+def test_stacked_draws_match_the_per_draw_routes_bit_for_bit(draws, inject_bug):
+    # kappa = 300 and 700 integrate over 5 and 11 quadrature panels; at
+    # n = 40 a stack holds 3 draws of N = 1000, so draws = 4 takes two stacks
+    settings = ((2, 7, 40), (1e-300, 1.0, 25.0, 300.0, 700.0), draws, 1000, 11, inject_bug)
+    report = run_verification(*settings)
+    assert report.checks == per_draw_checks(*settings)
+    assert all(type(c.value) is float for c in report.checks)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 2000])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 25.0, 700.0])
+def test_nash_point_keeps_its_bits_through_the_factors(n, kappa):
+    # the one-expression Nash point that _nash_factors and _nash_profile split
+    spec = pg.GameSpec(n, draw_lambdas(np.random.default_rng(n), n), kappa)
+    n_steps = 2000
+    c = min((1.0 + 0.5 * kappa / n_steps) - 1.0, 1.0 - 2.0**-52)
+    q = (n - 1) * c
+    market = oracle._unit_path(math.log1p(-2.0 * q / ((n + 1) + q)), n_steps)
+    own = oracle._unit_path(math.log1p(2.0 * c / (1.0 - c)), n_steps)
+    lambdas = spec.lambdas_array()
+    expected = np.multiply.outer(-lambdas.sum() / (n * lambdas), own - market)
+    expected += own
+    assert np.array_equal(pg.nash_fixed_point(spec, n_steps).paths, expected)
+
+
+def test_run_verification_memory_does_not_grow_with_draws():
+    # a (1000, 2001) profile is 16 MiB, more than a stack holds: each draw
+    # runs alone, so a second draw must not raise the peak
+    peaks = []
+    for draws in (1, 2):
+        tracemalloc.start()
+        try:
+            run_verification((1000,), (25.0,), draws, 2000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
