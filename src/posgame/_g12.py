@@ -1,41 +1,49 @@
 """CSV lines of a 2-D float64 array, each cell byte-identical to ``'%.12g' % x``.
 
-The array is formatted in chunks of whole rows of about ``CHUNK_CELLS``
-cells, so memory stays bounded by the chunk, not the array.  Each cell is
-rounded to 12 significant digits with numpy (:func:`_round12`); a cell whose
-rounding the kernel can certify and whose ``%g`` form is fixed notation is
-spelt out from 4-digit ASCII words, every other cell (nan, inf, scientific
-notation, a scaled value that is exactly a half-integer) by Python's own
-``'%.12g' % x``, which stays the reference.
+The array is formatted in chunks of whole rows of at most ``CHUNK_CELLS``
+cells (one row, if a row is wider), so memory stays bounded by the chunk,
+not the array.  Each cell is rounded to 12 significant digits with numpy
+(:func:`_round12`); a cell whose rounding the kernel can certify is spelt
+out from 4-digit ASCII words, every other cell (nan, inf, scientific
+notation, a scaled value that is exactly a half-integer, nearly every
+magnitude of 10**11 or more) by Python's own ``'%.12g' % x``, which stays
+the reference.
 
 Certification (see :func:`_round12`).  Let e be a guess of the decimal
-exponent clipped to [-5, 11], k = 11 - e in [0, 16], so 10**k is an exact
+exponent clipped to [-4, 10], k = 11 - e in [1, 15], so 10**k is an exact
 double, and y = fl(|x| * 10**k) the correctly rounded product of the exact
 value Y = |x| * 10**k.  Two facts about y below 10**12 + 0.5 < 2**40: doubles
 there are spaced at most 2**-13 apart, so |y - Y| <= 2**-14; and every
 half-integer is a double, so, rounding being monotone, y and Y lie on the
 same side of each half-integer unless y is one.  A cell is certified when
 
-    (1) 10**11 - 0.04 <= y < 10**12 + 0.5,
-    (2) y is not a half-integer,
-    (3) the final e below lies in [-4, 11].
+    (1) 10**11 - 0.04 <= y < 10**12 + 0.5, and
+    (2) y is not a half-integer.
 
-By (2) Y rounds to the same integer N0 = rint(y) as y, and is no tie; by
-(1) 10**11 <= N0 <= 10**12.  Then, whichever e the guess gave:
+By (2) Y rounds to the same integer N = rint(y) as y, and is no tie; by
+(1) 10**11 <= N <= 10**12.  Then, whichever e the guess gave:
 
-- 10**11 <= Y < 10**12: |x| has exponent e and rounds to N0 * 10**(e - 11);
-- Y < 10**11: N0 = 10**11 and, by (1) and the spacing, Y > 10**11 - 0.041,
+- 10**11 <= Y < 10**12: |x| has exponent e and rounds to N * 10**-k;
+- Y < 10**11: N = 10**11 and, by (1) and the spacing, Y > 10**11 - 0.041,
   so |x| has exponent e - 1 and its 12 digits, 10 Y in (10**12 - 0.41,
-  10**12), round up to 10**e = N0 * 10**(e - 11);
-- Y >= 10**12: N0 = 10**12 and Y < N0 + 0.5, so |x| has exponent e + 1 and
-  Y / 10 < 10**11 + 0.05 rounds to 10**(e + 1) = N0 * 10**(e - 11).
+  10**12), round up to 10**e = N * 10**-k;
+- Y >= 10**12: N = 10**12 and Y < N + 0.5, so |x| has exponent e + 1 and
+  Y / 10 < 10**11 + 0.05 rounds to 10**(e + 1) = N * 10**-k.
 
-Setting N = 10**11, e = e + 1 where N0 = 10**12 gives 10**11 <= N < 10**12
-and the correctly rounded value N * 10**(e - 11), whose exponent e is the
-one ``%g`` tests: fixed notation exactly when -4 <= e < 12, condition (3).
-The guess (a floor of ``log10``) only makes certification likely; the
-result never depends on its accuracy.  Zeros of either sign are certified
-apart.
+So the correctly rounded value is N * 10**-k, whose exponent, e or e + 1,
+lies in [-4, 11]: ``%g`` writes it in fixed notation, its integer part
+floor(N / 10**k) and its fraction the rest.  The guess (a floor of
+``log10``) only makes certification likely; the result never depends on its
+accuracy.  Zeros of either sign are certified apart.
+
+Chunk size.  A chunk's largest buffer is its cell array, one byte per minus
+sign, dot and comma slot and four per 4-digit word: at most 1 + 3 * 4 + 1 +
+4 * 4 + 1 = 31 bytes a cell (a negative cell, integer parts up to 12 digits,
+fractions down to 15 digits); its bytes copy is as large and the text no
+larger, and every numeric array holds 8 bytes a cell.  At 4,096 cells that
+is under 2**17 bytes, glibc's default threshold for serving an allocation
+from its own mapping, so formatting a large table reuses heap memory chunk
+after chunk instead of mapping and faulting in fresh pages for each.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-CHUNK_CELLS = 8192
+CHUNK_CELLS = 4096
 
 
 # One word per 4 decimal digits, in four variants of 10,000 entries each:
@@ -71,74 +79,103 @@ def _word_table() -> np.ndarray:
     return table
 
 
-# one character and three NULs each; _HOLE marks a cell left to ``%``
-_MINUS, _DOT, _COMMA, _NEWLINE, _HOLE = np.frombuffer(
-    b"-\0\0\0.\0\0\0,\0\0\0\n\0\0\0\x01\0\0\0", dtype=np.uint32
-)
-_POW10_FLOAT = np.array([10**k for k in range(17)], dtype=np.float64)  # exact
-_POW10_INT = np.array([10**k for k in range(17)], dtype=np.int64)
+_MINUS, _DOT, _COMMA, _NEWLINE, _HOLE = b"-.,\n\x01"
+_POW10 = np.array([10.0**k for k in range(17)])  # exact
+_WORD_POWERS = np.array([10**12, 10**8, 10**4, 1])[:, None]
+_INT_VARIANTS = np.array([_LEAD, _LEAD, _UNIT])[:, None]
+_FRACTION_SCALE = _POW10[16 - np.arange(16)]  # k -> 10**(16 - k)
 
 
 def _round12(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every cell's 12 significant digits as (N, e, ok): the integer N in
-    [10**11, 10**12) and the exponent e with |x| rounding to N * 10**(e - 11),
-    and where that is certified and ``%g`` writes fixed notation (see the
-    module docstring).  Zeros are ok with N = 0; e is 0 for zeros and N and
-    e are 0 where not ok."""
-    ax = np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.fmin(np.fmax(np.floor(np.log10(ax)), -5.0), 11.0).astype(np.int64)
-        y = ax * _POW10_FLOAT[11 - e]
-        n0 = np.rint(y)
-        top = n0 == 1e12
-        e += top
-        ok = (y >= 1e11 - 0.04) & (y < 1e12 + 0.5) & (np.abs(y - n0) != 0.5)
-    ok &= (e >= -4) & (e <= 11)
-    e = np.where(ok, e, 0)
-    ok |= x == 0.0
-    n = np.where(ok, np.where(top, 1e11, n0), 0.0).astype(np.int64)
-    return n, e, ok
+    """Every cell's 12 significant digits as (N, k, ok): the integer N in
+    [10**11, 10**12], a float, and k in [1, 15] with |x| rounding to
+    N * 10**-k, and where that is certified (see the module docstring).
+    Zeros are ok with N = 0; N is arbitrary where not ok."""
+    y = np.abs(x)
+    with np.errstate(all="ignore"):  # log10(0); nan and inf, cast and subtracted
+        k = np.log10(y)
+        np.subtract(11.0, k, out=k)
+        np.ceil(k, out=k)  # 11 - floor(log10|x|)
+        k = k.astype(np.intp)
+        np.minimum(k, 15, out=k)
+        np.maximum(k, 1, out=k)
+        np.multiply(y, _POW10.take(k), out=y)
+        n = np.rint(y)
+        ok = y >= 1e11 - 0.04
+        ok |= y == 0.0
+        ok &= y < 1e12 + 0.5
+        np.subtract(y, n, out=y)
+        np.abs(y, out=y)
+        ok &= y != 0.5
+    return n, k, ok
+
+
+def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The bytes of every cell of ``x`` as a (cells, width) uint8 array, NUL
+    where a byte is dropped, and the mask of the cells left to ``%`` (None
+    if there is none).  Such a cell's bytes are NUL but a 0x01 placeholder
+    before its comma or newline."""
+    n, k, ok = _round12(x.ravel())
+    holes = None if ok.all() else ~ok
+    if holes is not None:
+        n[holes] = 0.0
+    # Integer part and fraction, exactly: n / 10**k <= 10**(12 - k) is
+    # rounded by under 10**-k / 2, the least gap between a non-integer
+    # quotient and the next integer, so its floor is exact; the rest, under
+    # 10**k, times 10**(16 - k) is an integer under 10**16 whose odd part,
+    # under 2**k * 5**16, fits the 53-bit significand.
+    scale = _POW10.take(k)
+    whole = np.floor(n / scale)
+    np.multiply(whole, scale, out=scale)
+    np.subtract(n, scale, out=n)
+    np.multiply(n, _FRACTION_SCALE.take(k), out=n)
+    fraction = n.astype(np.int64)  # 16 digits, under 10**16
+    # Only the words some cell of the chunk needs get a slot: the integer
+    # part has up to 12 digits, the fraction up to k.
+    int_words = (len(str(int(whole.max()))) + 3) // 4
+    frac_words = (int(k.max()) + 3) // 4
+    minus = np.signbit(x.ravel())
+    has_minus = bool(minus.any())
+    width = has_minus + 4 * int_words + 1 + 4 * frac_words + 1
+    cells = np.empty((n.size, width), dtype=np.uint8)
+    if has_minus:
+        np.multiply(minus.view(np.uint8), _MINUS, out=cells[:, 0])
+    at = has_minus + 4 * int_words
+    powers = _WORD_POWERS[-int_words:]
+    prefix = whole.astype(np.int64) // powers  # the digits down to each word
+    # leading zeros are silent, but a lone integer part 0 is "0"
+    _put_words(cells, int(has_minus), prefix, (prefix < 10_000) * _INT_VARIANTS[-int_words:])
+    np.multiply((fraction > 0).view(np.uint8), _DOT, out=cells[:, at])
+    powers = _WORD_POWERS[:frac_words]
+    prefix = fraction // powers
+    # no digit below: the word is cut at its last non-zero digit
+    _put_words(cells, at + 1, prefix, (prefix * powers == fraction) * _TRAIL)
+    cells[:, -1] = _COMMA
+    cells.reshape(x.shape + (width,))[:, -1, -1] = _NEWLINE
+    if holes is not None:
+        cells[holes, :-1] = 0
+        cells[holes, -2] = _HOLE
+    return cells, holes
+
+
+def _put_words(cells: np.ndarray, at: int, prefix: np.ndarray, variant: np.ndarray) -> None:
+    """Write the 4-digit words of ``prefix``, a (words, cells) array of each
+    cell's digits down to each word, most significant first, into the cell
+    bytes from ``at`` on, each word in its table variant ``variant``."""
+    prefix[1:] -= prefix[:-1] * 10_000  # each word's own 4 digits
+    prefix += variant
+    words = _word_table().take(prefix, mode="clip")
+    cells[:, at:at + 4 * len(prefix)].view(np.uint32)[...] = words.T
 
 
 def _chunk_text(x: np.ndarray) -> str:
     """The CSV lines of the rows of ``x``, each ending in a newline."""
-    words = _word_table()
-    n, e, ok = _round12(x)
-    scale = _POW10_INT[11 - e]
-    whole = n // scale
-    frac = (n - whole * scale) * _POW10_INT[e + 5]  # the fraction's 16 digits
-    # Only the words some cell of the chunk needs get a column: e bounds
-    # the integer digits (e + 1) and the fraction digits (11 - e).
-    columns = []
-    minus = np.signbit(x) & ok
-    if minus.any():
-        columns.append(minus * _MINUS)
-    rest = whole
-    for k in reversed(range(max(1, (int(e.max()) + 4) // 4))):
-        unit = 10 ** (4 * k)
-        group = rest // unit
-        rest = rest - group * unit
-        # a placeholder cell keeps its zero integer part silent
-        short = _LEAD if k else np.where(ok, _UNIT, _LEAD)
-        columns.append(words[np.where(whole >= unit * 10**4, _FULL, short) + group])
-    columns.append(np.where(ok, (frac > 0) * _DOT, _HOLE))
-    rest = frac
-    for j in range((14 - int(e.min())) // 4):
-        unit = 10 ** (12 - 4 * j)
-        group = rest // unit
-        rest = rest - group * unit
-        # a word is cut at its last non-zero digit when no digit follows it
-        columns.append(words[np.where(rest > 0, _FULL, _TRAIL) + group])
-    cells = np.empty(x.shape + (len(columns) + 1,), dtype=np.uint32)
-    for k, column in enumerate(columns):
-        cells[..., k] = column
-    cells[..., -1] = _COMMA
-    cells[:, -1, -1] = _NEWLINE
+    cells, holes = _cells(x)
     text = cells.tobytes().translate(None, b"\0").decode("ascii")
-    if ok.all():
+    if holes is None:
         return text
     pieces, start = [], 0
-    for value in x[~ok].tolist():  # row-major, the order of the placeholders
+    for value in x.ravel()[holes].tolist():  # row-major, the order of the placeholders
         hole = text.find("\x01", start)
         pieces += (text[start:hole], "%.12g" % value)
         start = hole + 1
@@ -146,9 +183,15 @@ def _chunk_text(x: np.ndarray) -> str:
     return "".join(pieces)
 
 
+def chunk_rows(width: int) -> int:
+    """Rows per chunk of a block ``width`` cells wide: as many whole rows as
+    fit in ``CHUNK_CELLS`` cells, and at least one."""
+    return max(1, CHUNK_CELLS // width)
+
+
 def format_rows(block: np.ndarray) -> Iterator[str]:
     """The CSV lines of a 2-D float64 array, chunk by chunk, each line ending
     in a newline and each cell byte-identical to ``'%.12g' % x``."""
-    step = max(1, CHUNK_CELLS // block.shape[1])
+    step = chunk_rows(block.shape[1])
     for start in range(0, block.shape[0], step):
         yield _chunk_text(block[start:start + step])

@@ -21,8 +21,9 @@ fractions and deviation bumps; the other commands' rows depend on the config
 alone, and the averaged centralization table is a deterministic quadrature.
 Cells are written by one rule: strings verbatim, integers as plain digits,
 every other number as ``%.12g`` (12 significant digits, locale-independent;
-nan and inf as ``nan``, ``inf``, ``-inf``).  A block of float rows (the
-equilibrium curves) goes through a numpy kernel whose every cell is
+nan and inf as ``nan``, ``inf``, ``-inf``).  Rows of floats in bulk (the
+equilibrium curves, streamed a chunk of time rows at a time, and their cost
+and share rows) go through a numpy kernel whose every cell is
 byte-identical to ``%.12g`` (``_g12``); Python's ``%`` formats the other
 rows and every cell the kernel cannot certify.
 Exit codes: 0 success, 1 config error (a game the library rejects, such as
@@ -34,16 +35,18 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._g12 import format_rows
+from ._g12 import chunk_rows, format_rows
 from .centralization import (
     FRACTION_BANDS,
     CentralizationScenario,
@@ -54,7 +57,7 @@ from .centralization import (
     optimal_representation,
 )
 from .core import (
-    GameSpec, KappaTooLarge, _check_count, _check_kappa, _check_size, _check_traders,
+    GameSpec, KappaTooLarge, _check_count, _check_kappa, _check_size, _check_traders, _curve,
     renormalize_lambdas,
 )
 from .costs import _shares, aggregate_cost, cost_breakdown, group_cost, market_min_cost
@@ -355,9 +358,12 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
     """Write comment lines, the header and ``rows`` as one CSV file.
 
     Each row is formatted by a single ``%`` on a line format built once per
-    distinct tuple of cell types (see :func:`_cell_format`).  A 2-D float64
-    array among ``rows`` stands for its rows; they are written chunk by chunk
-    by :func:`posgame._g12.format_rows`, byte-identical to ``%.12g`` per cell.
+    distinct tuple of cell types (see :func:`_cell_format`).  Float cells in
+    bulk go through :func:`posgame._g12.format_rows` instead, byte-identical
+    to ``%.12g`` per cell: a 2-D float64 array among ``rows`` stands for its
+    rows, and a pair (labels, 2-D float64 array) for the array's rows, each
+    after its label.  ``rows`` may be an iterator, so a caller can stream a
+    large table a chunk of rows at a time.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -370,6 +376,11 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
                 lines = []
                 file.writelines(format_rows(row))
                 continue
+            if isinstance(row[-1], np.ndarray):
+                labels, block = row
+                text = "".join(format_rows(block))
+                lines += map("{},{}".format, labels, text.splitlines(keepends=True))
+                continue
             kinds = tuple(map(type, row))
             fmt = formats.get(kinds)
             if fmt is None:
@@ -379,19 +390,33 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
     return path
 
 
+def _curve_rows(solution, n_points: int):
+    """equilibrium.csv's float rows (t, a_1 .. a_n, m) on ``n_points`` equal
+    steps of [0, 1], as blocks of the rows of one ``_g12`` chunk: memory
+    stays bounded by the chunk, however many points there are."""
+    t = np.linspace(0.0, 1.0, n_points)
+    width = solution.spec.n + 2
+    step = chunk_rows(width)
+    for start in range(0, n_points, step):
+        times = t[start:start + step]
+        block = np.empty((times.size, width))
+        block[:, 0] = times
+        # time along the rows, traders along the columns
+        block[:, 1:-1] = _curve(solution.b, solution.d, solution.spec.kappa, solution.alpha,
+                                times[:, None], 0)
+        block[:, -1] = solution.market(times)
+        yield block
+
+
 def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     spec = sc.require(
         sc.spec, "config.game: 'lambdas' or 'symmetric' is required for equilibrium"
     )
     sol = _checked("config.game.kappa", solve, spec)
-    t = np.linspace(0.0, 1.0, sc.n_points)
     header = ["t"] + [f"a_{i + 1}" for i in range(spec.n)] + ["m"]
     breakdown = cost_breakdown(spec)
-    rows = [
-        np.column_stack([t, sol.positions(t).T, sol.market(t)]),
-        ["cost", *breakdown.per_trader, breakdown.aggregate],
-        ["share", *breakdown.shares, 1.0],
-    ]
+    totals = np.array([[*breakdown.per_trader, breakdown.aggregate], [*breakdown.shares, 1.0]])
+    rows = chain(_curve_rows(sol, sc.n_points), [(("cost", "share"), totals)])
     _write_csv(out_dir, "equilibrium.csv", header, rows, meta)
     return 0
 
@@ -479,6 +504,15 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
     return 0
 
 
+def _percent_increase(value: float, base: float) -> float:
+    """100 (value - base) / base; past DBL_MAX / 100 the gap is divided
+    before it is scaled, so a finite percentage stays finite."""
+    scaled = 100.0 * (value - base)
+    if math.isinf(scaled):
+        return 100.0 * ((value - base) / base)
+    return scaled / base
+
+
 def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
     n_values = sc.require(sc.sweep_n, "config.sweep.n: required for poa")
     kappa_values = sc.require(sc.sweep_kappa, "config.sweep.kappa: required for poa")
@@ -492,7 +526,7 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
             # aggregate_cost's n >= 2 branch, for every n at once
             aggregates = group_cost(ns, ns, 1.0, kappa).tolist()
             rows += [
-                [n, kappa, agg, 100.0 * (agg - base) / base, agg / least]
+                [n, kappa, agg, _percent_increase(agg, base), agg / least]
                 for n, agg in zip(n_values, aggregates)
             ]
     _write_csv(out_dir, "poa.csv", header, rows, meta)

@@ -29,8 +29,10 @@ from .oracle import (
     _nash_profile, _sampled_paths, nash_fixed_point, sampled_equilibrium, standard_bumps,
 )
 
-# A stack of draws holds at most this many path cells, draws * n * (N + 1),
-# as _g12.CHUNK_CELLS bounds a CSV chunk: 1 MiB per (D, n, N + 1) array.
+# A stack of draws holds at most this many path cells, draws * n * (N + 1):
+# 1 MiB per (D, n, N + 1) array, however many draws a cell has.  (A CSV
+# chunk, _g12.CHUNK_CELLS, is bounded much tighter, to stay off glibc's mmap
+# path; a stack is built once per (n, kappa) cell, not once per chunk.)
 _STACK_CELLS = 1 << 17
 
 

@@ -820,6 +820,17 @@ def test_kappa_1e300_keeps_its_rows(tmp_path):
         assert (out / name).read_text().splitlines()[2:] == [row], name
 
 
+@pytest.mark.filterwarnings("error")
+def test_poa_percent_stays_finite_past_overflow(tmp_path):
+    # 100 (agg - base) overflows at kappa = 1e307; the gap is divided first
+    # there, and the row reads as at kappa = 1e300
+    cfg = write_config(tmp_path, "cfg.json", {"sweep": {"n": [12], "kappa": [1e307]}})
+    out = tmp_path / "out"
+    assert main(["poa", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "poa.csv").read_text().splitlines()[2:]
+    assert rows == ["12,1e+307,9.23076923077e+306,38.4615384615,1.84615384615"]
+
+
 ROOT = Path(__file__).resolve().parents[1]
 REFERENCE = ROOT / "bench" / "reference"
 WORKLOADS = load_bench("workloads")
@@ -1042,3 +1053,92 @@ def test_equilibrium_csv_is_written_in_bounded_memory(tmp_path, monkeypatch):
     assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(peaks) == 1
     assert peaks[0] < (tmp_path / "out" / "equilibrium.csv").stat().st_size
+
+
+def chunk_edge_cases():
+    """(n, n_points): for n = 1, 2 and 2000 traders, the smallest grid, the
+    grids one row short of a chunk, of exactly one chunk and one row past
+    it, and 2001 points."""
+    for n in (1, 2, 2000):
+        rows = _g12.chunk_rows(n + 2)
+        for n_points in sorted({2, max(2, rows - 1), rows, rows + 1, 2001}):
+            yield n, n_points
+
+
+@pytest.mark.parametrize("kappa", [0.0, 5e-324, 5.0, 700.0],
+                         ids=["kappa0", "subnormal", "kappa5", "kappa700"])
+@pytest.mark.parametrize("n,n_points", list(chunk_edge_cases()))
+def test_streamed_equilibrium_matches_the_whole_block_at_chunk_edges(tmp_path, n, n_points,
+                                                                     kappa):
+    """equilibrium.csv, streamed a chunk of time rows at a time, is
+    byte-identical to the whole (n_points, n + 2) block built at once and
+    formatted cell by cell, on both curve branches (kappa 0 and a kappa
+    below the floor take the straight line)."""
+    lambdas = {1: [1.0], 2: [0.3, 0.7]}.get(n) or WORKLOADS.large_n_lambdas(0, n)
+    spec = pg.GameSpec(n=n, lambdas=tuple(lambdas), kappa=kappa)
+    cfg = write_config(
+        tmp_path, "cfg.json", {"game": {"n": n, "lambdas": lambdas, "kappa": kappa},
+                               "grid": {"n_points": n_points}},
+    )
+    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    sol = pg.solve(spec)
+    t = np.linspace(0.0, 1.0, n_points)
+    rows = np.column_stack([t, sol.positions(t).T, sol.market(t)]).tolist()
+    breakdown = pg.cost_breakdown(spec)
+    rows.append(["cost", *breakdown.per_trader, breakdown.aggregate])
+    rows.append(["share", *breakdown.shares, 1.0])
+    produced = (tmp_path / "out" / "equilibrium.csv").read_text().splitlines()[2:]
+    assert produced == per_cell_lines(rows)
+
+
+def test_labelled_float_rows_match_per_cell_formatting(tmp_path):
+    """A (labels, 2-D float array) row is each label, then ``%.12g`` per cell
+    of its row, also for the cells the kernel leaves to ``%``."""
+    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]
+    values = np.concatenate([special, np.random.default_rng(3).standard_normal(5000)])
+    block = np.array([values, values[::-1]])
+    rows = [(("cost", "share"), block), (["tail"], block[:1, :7]), ["tail", 2, 0.5]]
+    path = cli._write_csv(tmp_path, "labelled.csv", ["h"], rows, "# meta")
+    expected = per_cell_lines([["cost", *block[0]], ["share", *block[1]], ["tail", *block[0, :7]],
+                               ["tail", 2, 0.5]])
+    assert path.read_text() == "\n".join(["# meta", "h", *expected]) + "\n"
+
+
+def test_equilibrium_memory_does_not_grow_with_n_points(tmp_path):
+    """The whole 2000-trader equilibrium command, config parsing and costs
+    included, peaks no higher at 2001 time points than at 201 (give or take
+    a quarter): the curves are streamed a chunk of time rows at a time."""
+    lambdas = WORKLOADS.large_n_lambdas(0)
+    peaks = {}
+    for n_points in (201, 201, 2001):  # the first run warms the word table up
+        cfg = write_config(
+            tmp_path, "cfg.json", {"game": {"n": 2000, "lambdas": lambdas, "kappa": 5.0},
+                                   "grid": {"n_points": n_points}},
+        )
+        tracemalloc.start()
+        try:
+            assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            peaks[n_points] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[2001] <= 1.25 * peaks[201]
+
+
+def test_float_block_chunk_buffers_stay_under_the_mmap_threshold():
+    """The widest chunk the kernel lays out, CHUNK_CELLS negative and
+    positive cells with three integer words and four fraction words, needs
+    no buffer of 2**17 bytes (glibc's default mmap threshold) or more.  Its
+    cell array is its largest buffer: the bytes copy is as large, the text
+    no larger, and every numeric array holds 8 bytes a cell."""
+    exponents = np.arange(-4, 12)  # every exponent %g writes in fixed notation
+    magnitudes = 1.234567890123456 * 10.0 ** exponents
+    cycle = np.concatenate([magnitudes, -magnitudes])
+    block = np.resize(cycle, (64, _g12.CHUNK_CELLS // 64))
+    assert _g12.chunk_rows(block.shape[1]) == block.shape[0]  # one chunk
+    cells, _ = _g12._cells(block)
+    # a minus slot, 3 integer words, a dot, 4 fraction words and a comma
+    assert cells.shape == (_g12.CHUNK_CELLS, 1 + 3 * 4 + 1 + 4 * 4 + 1)
+    assert cells.nbytes < 2**17
+    assert 8 * _g12.CHUNK_CELLS < 2**17
+    assert_lines_match_printf(block)
