@@ -26,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RepresentationTooSmall, _check_count, _check_kappa, _gauss_legendre_64
+from .core import (
+    RepresentationTooSmall, _check_count, _check_kappa, _gauss_legendre_64, _percent_change
+)
 from .costs import aggregate_cost_limit, group_cost
 
 
@@ -91,7 +93,7 @@ def _check_window(n1: int, delta_range) -> None:
 class CentralizationReport:
     """The four cost quadrants plus percent changes (in percent, not fractions).
 
-    Percent changes are 100 * (central - no_central) / no_central, computed
+    Percent changes are 100 * ((central - no_central) / no_central), computed
     for the firm, the non-firm aggregate, and the total.
     """
 
@@ -149,15 +151,8 @@ def _report_columns(n1, n2, lambda_firm, kappa) -> tuple:
     nf0 = group_cost(n1 + n2, n2, 1.0 - lambda_firm, kappa)
     f1 = group_cost(n2 + 1, 1, lambda_firm, kappa)
     nf1 = group_cost(n2 + 1, n2, 1.0 - lambda_firm, kappa)
-    return (
-        f0,
-        nf0,
-        f1,
-        nf1,
-        100.0 * (f1 - f0) / f0,
-        100.0 * (nf1 - nf0) / nf0,
-        100.0 * ((f1 + nf1) - (f0 + nf0)) / (f0 + nf0),
-    )
+    return (f0, nf0, f1, nf1, _percent_change(f1, f0), _percent_change(nf1, nf0),
+            _percent_change(f1 + nf1, f0 + nf0))
 
 
 def naive_centralization_report(sc: CentralizationScenario) -> CentralizationReport:
@@ -219,12 +214,16 @@ FRACTION_BANDS: dict[float, tuple[float, float]] = {
     0.82: (0.75, 0.90),
 }
 
+# The (n, n1) grid an averaged table runs over unless it is given one.
+TABLE_N = (20, 21, 22)
+TABLE_N1 = (3, 4, 5)
+
 
 def averaged_report(
     kappa: float,
     lambda_band: tuple[float, float] | np.ndarray,
-    n_values: tuple[int, ...] = (20, 21, 22),
-    n1_values: tuple[int, ...] = (3, 4, 5),
+    n_values: tuple[int, ...] = TABLE_N,
+    n1_values: tuple[int, ...] = TABLE_N1,
 ) -> CentralizationReport:
     """Deterministic scenario-grid average of centralization outcomes.
 

@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -49,6 +48,8 @@ from . import __version__
 from ._g12 import chunk_rows, format_rows
 from .centralization import (
     FRACTION_BANDS,
+    TABLE_N,
+    TABLE_N1,
     CentralizationScenario,
     _check_counts,
     _check_window,
@@ -58,7 +59,7 @@ from .centralization import (
 )
 from .core import (
     GameSpec, KappaTooLarge, _check_count, _check_kappa, _check_size, _check_traders, _curve,
-    renormalize_lambdas,
+    _percent_change, renormalize_lambdas,
 )
 from .costs import _shares, aggregate_cost, cost_breakdown, group_cost, market_min_cost
 from .equilibrium import solve
@@ -189,8 +190,8 @@ class Scenario:
     sweep_lambda1: list[float] | None = None
     table_kappa: list[float] | None = None
     table_rows: list[float] | None = None
-    table_n: tuple[int, ...] = (20, 21, 22)
-    table_n1: tuple[int, ...] = (3, 4, 5)
+    table_n: tuple[int, ...] = TABLE_N
+    table_n1: tuple[int, ...] = TABLE_N1
     verify_n: tuple[int, ...] = (2, 3, 5)
     verify_kappa: tuple[float, ...] = (1.0, 5.0, 25.0)
     verify_draws: int = 1
@@ -477,16 +478,16 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
 
     curve_header = ["delta", "represented", "exact_cost", "approx_cost",
                     "pct_change_exact", "pct_change_approx"]
-    deltas = curve.deltas.astype(object)  # Python ints, written as plain digits
-    columns = [deltas, deltas + scenario.n1, curve.exact_costs, curve.approx_costs]
+    # .tolist() keeps the deltas Python ints, written as plain digits
+    columns = [curve.deltas, curve.deltas + scenario.n1, curve.exact_costs, curve.approx_costs]
     for costs in (curve.exact_costs, curve.approx_costs):
         base = costs[curve.deltas == 0]
         # no percent change without a delta = 0 baseline in the window
         if base.size and base[0]:
-            columns.append(100.0 * (costs - base[0]) / base[0])
+            columns.append(_percent_change(costs, base[0]))
         else:
             columns.append(np.full(costs.size, np.nan))
-    curve_rows = np.column_stack(columns).tolist()
+    curve_rows = list(zip(*(c.tolist() for c in columns)))
     comments = [
         f"# continuous_opt={_fmt(curve.continuous_opt)}"
         f" argmin_exact={curve.argmin_exact} argmin_approx={curve.argmin_approx}"
@@ -504,15 +505,6 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
     return 0
 
 
-def _percent_increase(value: float, base: float) -> float:
-    """100 (value - base) / base; past DBL_MAX / 100 the gap is divided
-    before it is scaled, so a finite percentage stays finite."""
-    scaled = 100.0 * (value - base)
-    if math.isinf(scaled):
-        return 100.0 * ((value - base) / base)
-    return scaled / base
-
-
 def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
     n_values = sc.require(sc.sweep_n, "config.sweep.n: required for poa")
     kappa_values = sc.require(sc.sweep_kappa, "config.sweep.kappa: required for poa")
@@ -524,17 +516,17 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
             base = aggregate_cost(2, kappa)
             least = market_min_cost(kappa)
             # aggregate_cost's n >= 2 branch, for every n at once
-            aggregates = group_cost(ns, ns, 1.0, kappa).tolist()
+            aggregates = group_cost(ns, ns, 1.0, kappa)
+            columns = (aggregates, _percent_change(aggregates, base), aggregates / least)
             rows += [
-                [n, kappa, agg, _percent_increase(agg, base), agg / least]
-                for n, agg in zip(n_values, aggregates)
+                [n, kappa, *cells] for n, *cells in zip(n_values, *(c.tolist() for c in columns))
             ]
     _write_csv(out_dir, "poa.csv", header, rows, meta)
     return 0
 
 
 def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
-    with _kappa_reported_at("config.verify.kappa"):  # a drawn game solve rejects
+    with _kappa_reported_at("config.verify.kappa"):  # a drawn game the closed form rejects
         report = run_verification(
             n_values=sc.verify_n,
             kappa_values=sc.verify_kappa,

@@ -5,8 +5,9 @@ target quantities ``lambdas`` summing to one, and a permanent-impact
 (alpha-decay) parameter ``kappa``.  An :class:`EquilibriumSolution` holds a
 solved spec as two coefficient arrays; ``_alpha``, ``_curve`` and
 ``_market_curve`` are the one copy each of the decay-rate, curve and market
-curve formulas, as numpy kernels over arrays, ``_KAPPA_FLOOR`` is the one
-kappa -> 0 rule and ``_gauss_legendre_64`` the one quadrature rule.
+curve formulas, as numpy kernels over arrays, ``_percent_change`` the one
+percent-change rule, ``_KAPPA_FLOOR`` the one kappa -> 0 rule and
+``_gauss_legendre_64`` the one quadrature rule.
 Equilibrium objects are immutable (their arrays read-only) and safe to share across
 threads.
 """
@@ -219,6 +220,13 @@ def _market_curve(alpha: float, t, order: int) -> np.ndarray:
     would make 0 * expm1(kappa t) NaN from kappa = 710 on)."""
     d = 1.0 / -math.expm1(-alpha) if alpha else 0.0
     return _curve(0.0, d, 0.0, alpha, t, order)
+
+
+def _percent_change(value, base):
+    """100 (value - base) / base, for scalars or arrays that broadcast.  The
+    gap is divided before it is scaled, so a percentage that is finite stays
+    finite where 100 (value - base) would overflow."""
+    return 100.0 * ((value - base) / base)
 
 
 @cache

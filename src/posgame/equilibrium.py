@@ -50,7 +50,16 @@ def solve(spec: GameSpec) -> EquilibriumSolution:
     alpha = _alpha(n, kappa)
     if alpha == 0.0:
         return EquilibriumSolution(spec, b=np.zeros(n), d=np.zeros(n))
-    lam_n = spec.lambdas_array() * n
+    b, d = _coefficients(spec.lambdas_array(), kappa, alpha)
+    return EquilibriumSolution(spec, b=b, d=d)
+
+
+def _coefficients(lambdas, kappa: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """B_i and D_i of the target fractions ``lambdas``, shape (..., n) (a
+    (D, n) stack gives D games of one size and kappa), for alpha > 0: two
+    arrays shaped like ``lambdas``, each entry the bits of its game's
+    :func:`solve`.  KappaTooLarge where lambda_i n (e^kappa - 1) overflows."""
+    lam_n = lambdas * lambdas.shape[-1]
     with np.errstate(over="ignore"):
         growth = lam_n * np.expm1(kappa)
     if not np.isfinite(growth).all():
@@ -59,11 +68,7 @@ def solve(spec: GameSpec) -> EquilibriumSolution:
             f"kappa = {kappa} is too large: lambda_i n (e^kappa - 1) overflows; "
             f"this game's limit is about kappa = {bound:.6g}"
         )
-    return EquilibriumSolution(
-        spec,
-        b=(lam_n - 1.0) / growth,
-        d=1.0 / (lam_n * -np.expm1(-alpha)),
-    )
+    return (lam_n - 1.0) / growth, 1.0 / (lam_n * -np.expm1(-alpha))
 
 
 def governing_residuals(solution: EquilibriumSolution, t):

@@ -23,7 +23,7 @@ from .core import (
     _gauss_legendre_64,
 )
 from .costs import aggregate_cost, group_cost
-from .equilibrium import _market_residuals, _trader_residuals, solve
+from .equilibrium import _coefficients, _market_residuals, _trader_residuals, solve
 from .oracle import (
     _bump_terms, _check_grid, _check_pinned, _discrete_costs, _expansion, _nash_factors,
     _nash_profile, _sampled_paths, nash_fixed_point, sampled_equilibrium, standard_bumps,
@@ -158,13 +158,6 @@ def _cost_checks(labels, lambdas, b, d, kappa: float, alpha: float) -> list[Chec
     ]
 
 
-def _cost_check(solution: EquilibriumSolution, label: str) -> Check:
-    """The cost row on ``solution``'s curves: :func:`_cost_checks` of one game."""
-    spec = solution.spec
-    lambdas, b, d = (x[None] for x in (spec.lambdas_array(), solution.b, solution.d))
-    return _cost_checks([label], lambdas, b, d, spec.kappa, solution.alpha)[0]
-
-
 def run_verification(
     n_values: tuple[int, ...],
     kappa_values: tuple[float, ...],
@@ -189,10 +182,11 @@ def run_verification(
     Cost.  The bump increments are built once per run and the deviation
     row's (K, N) bump pressure once per distinct kappa; the oracle's unit
     paths (``_nash_factors``), the market's residuals r2 and r3 and the
-    aggregate cost once per (n, kappa) cell.  Each draw is still its own
-    :class:`GameSpec`, solved by ``solve`` (KappaTooLarge where the closed
-    form overflows), but a cell's draws are priced as one stack on a
-    leading axis, every product a batched matmul, so each row keeps the
+    aggregate cost once per (n, kappa) cell.  A cell's draws are one
+    (D, n) stack of target fractions, whose coefficients come from
+    ``solve``'s own kernel in one call (KappaTooLarge where the closed form
+    overflows); no draw builds a :class:`GameSpec`.  The stack is priced on
+    its leading axis, every product a batched matmul, so each row keeps the
     bits of the public routes on its draw.  A stack holds at most
     ``_STACK_CELLS`` path cells (draws * n * (N + 1)): memory grows like
     n N, not draws n N, and a larger game runs one draw at a time.
@@ -224,13 +218,8 @@ def run_verification(
                     f"n={n} kappa={kappa:g} draw={rep}"
                     for rep in range(first, min(draws, first + stack))
                 ]
-                sols = [
-                    solve(GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa))
-                    for _ in labels
-                ]
-                lam = np.array([sol.spec.lambdas for sol in sols])  # (D, n)
-                b = np.array([sol.b for sol in sols])
-                d = np.array([sol.d for sol in sols])
+                lam = np.array([draw_lambdas(rng, n) for _ in labels])  # (D, n)
+                b, d = _coefficients(lam, kappa, alpha)
                 if inject_bug:
                     d = d * 1.01
                 b_col, d_col = b[..., None], d[..., None]  # (D, n, 1), against time

@@ -1,14 +1,18 @@
 import dataclasses
 import math
 import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import posgame as pg
 from conftest import game_specs
+from posgame.core import _percent_change
 
 
 class TestValidateSpec:
@@ -110,3 +114,22 @@ def test_readme_quick_start_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=positive_floats, base=positive_floats)
+def test_percent_change_is_finite_wherever_the_percentage_is(value, base):
+    # costs are positive, so value - base never overflows, and the two
+    # roundings (each at most 2^-53 relative) keep an exact percentage below
+    # DBL_MAX (1 - 2^-50) finite
+    percent = _percent_change(value, base)
+    exact = 100 * (Fraction(value) - Fraction(base)) / Fraction(base)
+    if abs(exact) <= sys.float_info.max * (1 - 2.0**-50):
+        assert math.isfinite(percent)
+    scaled = 100.0 * (value - base)
+    old = scaled / base  # the order that scales before it divides
+    if sys.float_info.min <= abs(scaled) and math.isfinite(old):
+        assert abs(percent - old) <= 2 * np.spacing(abs(old))

@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 import posgame as pg
 from conftest import BELOW_KAPPA_FLOOR, game_specs
 from posgame.costs import _shares, group_cost
-from posgame.verification import _cost_check, draw_lambdas, quadrature_cost
+from posgame.verification import _cost_checks, draw_lambdas, quadrature_cost
 
 
 def integral_cost(spec, i, intervals=10_000):
@@ -405,6 +405,13 @@ def buggy_solution(spec):
     return dataclasses.replace(sol, d=sol.d * 1.01)
 
 
+def cost_row(solution, label=""):
+    """verify's cost row on one solution's curves: a one-game stack."""
+    spec = solution.spec
+    lambdas, b, d = (x[None] for x in (spec.lambdas_array(), solution.b, solution.d))
+    return _cost_checks([label], lambdas, b, d, spec.kappa, solution.alpha)[0]
+
+
 def floored_spec(n, kappa, lam_min=1e-6):
     """One trader at the documented floor lambda_min, the others equal."""
     lambdas = pg.renormalize_lambdas([lam_min] + [(1.0 - lam_min) / (n - 1)] * (n - 1))
@@ -416,9 +423,9 @@ def test_cost_row_holds_at_large_kappa_and_fails_the_bug(n):
     # kappa = 700 takes 11 panels; one panel read 8.3e-2 at n = 1000, and
     # 10,000-interval Simpson 3.0e-3
     spec = floored_spec(n, 700.0)
-    row = _cost_check(pg.solve(spec), "kappa=700")
+    row = cost_row(pg.solve(spec), "kappa=700")
     assert row.passed, row
-    assert not _cost_check(buggy_solution(spec), "kappa=700").passed
+    assert not cost_row(buggy_solution(spec), "kappa=700").passed
 
 
 def test_cost_row_fails_the_bug_on_every_default_draw():
@@ -427,8 +434,8 @@ def test_cost_row_fails_the_bug_on_every_default_draw():
         for kappa in (1.0, 5.0, 25.0):
             for _ in range(3):
                 spec = pg.GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa)
-                assert _cost_check(pg.solve(spec), "").value < 1e-12
-                assert _cost_check(buggy_solution(spec), "").value > 1e-2
+                assert cost_row(pg.solve(spec)).value < 1e-12
+                assert cost_row(buggy_solution(spec)).value > 1e-2
 
 
 def test_cost_row_memory_is_linear_in_traders_and_panels():
@@ -440,7 +447,7 @@ def test_cost_row_memory_is_linear_in_traders_and_panels():
     bound = 4 * n * 64 * panels * 8  # four (n, 64 P) arrays of floats
     tracemalloc.start()
     try:
-        row = _cost_check(sol, "n=2000")
+        row = cost_row(sol, "n=2000")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 import posgame as pg
 from conftest import game_specs
 from posgame.core import _alpha
+from posgame.equilibrium import _coefficients
+from posgame.verification import draw_lambdas
 
 
 def trader_curve(sol, i, t, order):
@@ -229,6 +231,30 @@ def test_kappa_up_to_700_solves_with_lambda_n_up_to_ten_thousand(kappa):
     positions = pg.solve(spec).positions(np.linspace(0.0, 1.0, 11))
     assert np.all(np.isfinite(positions))
     assert np.max(np.abs(positions[:, -1] - 1.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 5, 1000])
+@pytest.mark.parametrize("kappa", [1e-300, 1.0, 25.0, 700.0])
+def test_coefficients_of_a_stack_are_solve_row_by_row(n, kappa):
+    rng = np.random.default_rng(n)
+    lambdas = np.array([draw_lambdas(rng, n) for _ in range(3)])  # (D, n)
+    b, d = _coefficients(lambdas, kappa, _alpha(n, kappa))
+    assert b.shape == d.shape == lambdas.shape
+    for row, b_row, d_row in zip(lambdas, b, d):
+        sol = pg.solve(pg.GameSpec(n, tuple(row.tolist()), kappa))
+        assert np.array_equal(b_row, sol.b) and np.array_equal(d_row, sol.d)
+
+
+def test_coefficients_raise_where_one_row_of_a_stack_overflows():
+    # lambda n = 1.5 puts the limit at 709.78 - ln 1.5 = 709.38, below 709.5;
+    # lambda n = 1 keeps the other row inside it
+    kappa, overflowing = 709.5, (0.2, 0.3, 0.5)
+    with pytest.raises(pg.KappaTooLarge) as expected:
+        pg.solve(pg.GameSpec(3, overflowing, kappa))
+    lambdas = np.array([(1 / 3, 1 / 3, 1 / 3), overflowing])
+    with pytest.raises(pg.KappaTooLarge) as raised:
+        _coefficients(lambdas, kappa, _alpha(3, kappa))
+    assert str(raised.value) == str(expected.value)
 
 
 @settings(max_examples=25, deadline=None)

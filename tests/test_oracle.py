@@ -330,7 +330,7 @@ def test_run_verification_checks_its_sizes_before_the_oracle_runs(
 
     for name in (
         "nash_fixed_point", "_nash_factors", "_nash_profile", "standard_bumps", "_bump_terms",
-        "solve",
+        "solve", "_coefficients",
     ):
         monkeypatch.setattr(verification, name, unreachable)
     settings = {"n_values": (2,), "kappa_values": (1.0,), "draws": 1, "n_steps": 40, **setting}
@@ -812,3 +812,23 @@ def test_run_verification_memory_does_not_grow_with_draws():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_run_verification_solves_only_its_convergence_row(monkeypatch):
+    # the 27 drawn games of the bench verify config are priced from their
+    # (D, n) stacks of fractions: no draw builds a GameSpec, calls solve or
+    # holds an EquilibriumSolution; the convergence row's one game does
+    built = {"solve": 0, "GameSpec": 0, "EquilibriumSolution": 0}
+
+    def counted(name, route):
+        def wrapper(*args, **kwargs):
+            built[name] += 1
+            return route(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(verification, "solve", counted("solve", verification.solve))
+    for cls in (pg.GameSpec, pg.EquilibriumSolution):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    report = run_verification((2, 3, 5), (1.0, 5.0, 25.0), draws=3, n_steps=2000)
+    assert len(report.checks) == 27 * 6 + 1 and report.passed
+    assert built == {"solve": 1, "GameSpec": 1, "EquilibriumSolution": 1}
