@@ -78,10 +78,13 @@ def _check_counts(n1, n2) -> None:
 
 
 def _check_window(n1: int, delta_range) -> None:
-    """Raise unless ``delta_range`` is a pair (lo, hi) of whole numbers
-    (NonIntegerCount otherwise) with n1 + lo >= 1 (RepresentationTooSmall)
-    and hi >= lo."""
-    lo, hi = delta_range
+    """Raise unless ``delta_range`` is a pair (lo, hi) (ValueError otherwise)
+    of whole numbers (NonIntegerCount otherwise) with n1 + lo >= 1
+    (RepresentationTooSmall) and hi >= lo."""
+    try:
+        lo, hi = delta_range
+    except (TypeError, ValueError):  # not an iterable of two items
+        raise ValueError(f"need a delta_range pair (lo, hi), got {delta_range!r}") from None
     _check_count("delta_range", (lo, hi))
     if n1 + lo < 1:
         raise RepresentationTooSmall(f"delta_range start {lo} gives n1 + delta = {n1 + lo} < 1")
@@ -172,9 +175,9 @@ def optimal_representation(
     """Evaluate both strategic curves over a delta window and locate argmins.
 
     The default window runs from full consolidation (delta = 1 - n1) to well
-    past the continuous optimum.  An explicit ``(lo, hi)`` must hold whole
-    numbers (NonIntegerCount otherwise) with n1 + lo >= 1
-    (RepresentationTooSmall) and hi >= lo.
+    past the continuous optimum.  An explicit ``(lo, hi)`` must be a pair
+    (ValueError otherwise) of whole numbers (NonIntegerCount otherwise) with
+    n1 + lo >= 1 (RepresentationTooSmall) and hi >= lo.
     """
     opt = continuous_optimal_delta(sc)
     if delta_range is None:

@@ -413,7 +413,8 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     spec = sc.require(
         sc.spec, "config.game: 'lambdas' or 'symmetric' is required for equilibrium"
     )
-    sol = _checked("config.game.kappa", solve, spec)
+    with _kappa_reported_at("config.game.kappa"):
+        sol = solve(spec)
     header = ["t"] + [f"a_{i + 1}" for i in range(spec.n)] + ["m"]
     breakdown = cost_breakdown(spec)
     totals = np.array([[*breakdown.per_trader, breakdown.aggregate], [*breakdown.shares, 1.0]])
@@ -537,10 +538,7 @@ def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
         )
 
     header = ["check", "measured", "threshold", "status", "detail"]
-    rows = [
-        [c.name, c.value, c.threshold, "PASS" if c.passed else "FAIL", c.detail]
-        for c in report.checks
-    ]
+    rows = [[c.name, c.value, c.threshold, c.status, c.detail] for c in report.checks]
     _write_csv(out_dir, "verify_report.csv", header, rows, meta)
     for line in report.lines():
         print(line)

@@ -1,14 +1,12 @@
 """End-to-end verification: closed forms versus the discretized oracle.
 
-Each check pairs a measured quantity with its threshold so the CLI can emit
-one pass/fail line per check.  The cost row ("cost formula vs quadrature")
-holds the per-trader cost formula to :func:`quadrature_cost`, composite
-64-point Gauss-Legendre quadrature of the cost integrand on the closed-form
-curves, with the package's one set of nodes.  ``inject_bug`` scales every
-trader's d coefficient of the closed-form solution by 1.01 before the
-comparison, which demonstrates that the suite detects a wrong solution.
-The suite's rules on its settings are written here once, and the CLI
-reports them at their config keys.
+Each check pairs a measured quantity with its threshold and the rule that
+compares them, so the CLI can emit one pass/fail line per check.  The cost
+row holds the per-trader cost formula to :func:`quadrature_cost`.
+``inject_bug`` scales every trader's d coefficient of the closed-form
+solution by 1.01 before the comparison, which demonstrates that the suite
+detects a wrong solution.  The suite's rules on its settings are written
+here once, and the CLI reports them at their config keys.
 """
 
 from __future__ import annotations
@@ -44,6 +42,11 @@ class Check:
     passed: bool
     detail: str = ""
 
+    @property
+    def status(self) -> str:
+        """PASS or FAIL, as the report's lines and CSV spell the outcome."""
+        return "PASS" if self.passed else "FAIL"
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -54,14 +57,11 @@ class VerificationReport:
         return all(c.passed for c in self.checks)
 
     def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "PASS" if c.passed else "FAIL"
-            extra = f" ({c.detail})" if c.detail else ""
-            out.append(
-                f"{status} {c.name}: measured {c.value:.3e} vs threshold {c.threshold:.3e}{extra}"
-            )
-        return out
+        return [
+            f"{c.status} {c.name}: measured {c.value:.3e} vs threshold {c.threshold:.3e}"
+            + (f" ({c.detail})" if c.detail else "")
+            for c in self.checks
+        ]
 
 
 def _at_most(name: str, value: float, threshold: float, detail: str = "") -> Check:
@@ -144,18 +144,14 @@ def _quadrature_costs(lambdas, b, d, kappa: float, alpha: float) -> np.ndarray:
     return lambdas * (velocities @ weighted)[..., 0] / (2.0 * panels)
 
 
-def _cost_checks(labels, lambdas, b, d, kappa: float, alpha: float) -> list[Check]:
-    """The cost row of each game of a stack, labelled by ``labels``: the
-    worst trader's relative gap between the cost formula and
-    :func:`_quadrature_costs` on the curves of coefficients ``b`` and ``d``,
-    which share the shape (D, n) with the target fractions ``lambdas``."""
+def _cost_gaps(lambdas, b, d, kappa: float, alpha: float) -> np.ndarray:
+    """The cost row's reading of each game of a stack, shape (D,): the worst
+    trader's relative gap between the cost formula and :func:`_quadrature_costs`
+    on the curves of target fractions ``lambdas`` and coefficients ``b`` and
+    ``d``, each of shape (D, n)."""
     costs = group_cost(lambdas.shape[-1], 1, lambdas, kappa)
     quadrature = _quadrature_costs(lambdas, b, d, kappa, alpha)
-    gaps = np.max(np.abs(costs - quadrature) / np.abs(costs), axis=-1)
-    return [
-        _at_most(f"cost formula vs quadrature [{label}]", float(gap), 1e-6)
-        for label, gap in zip(labels, gaps)
-    ]
+    return np.max(np.abs(costs - quadrature) / np.abs(costs), axis=-1)
 
 
 def run_verification(
@@ -168,28 +164,37 @@ def run_verification(
 ) -> VerificationReport:
     """Run the full suite over a (n, kappa) grid with seeded target draws.
 
-    The fixed-point gap threshold is 5 / n_steps, loose against the
-    second-order discretization error.  ``seed`` draws the target fractions
-    and the random deviation bumps; ``inject_bug`` checks a closed form
-    whose d coefficients are 1 % off, which the suite must fail.  Before any
-    check runs, NonIntegerCount unless every n, ``draws``, ``seed`` and
-    ``n_steps`` is an integer (not a bool or a float), ValueError unless
-    every n >= 2, every kappa is finite and at least 1e-300, both value
-    tuples are non-empty, draws >= 1 (so that a passing report holds
-    per-draw checks), seed >= 0 and n_steps >= 2, and GridMismatch unless
-    n_steps > max(kappa_values) / 2, the grids the oracle solves on.
+    Every draw gets six rows, in this order, each a reading and its rule:
 
-    Cost.  The bump increments are built once per run and the deviation
-    row's (K, N) bump pressure once per distinct kappa; the oracle's unit
-    paths (``_nash_factors``), the market's residuals r2 and r3 and the
-    aggregate cost once per (n, kappa) cell.  A cell's draws are one
-    (D, n) stack of target fractions, whose coefficients come from
-    ``solve``'s own kernel in one call (KappaTooLarge where the closed form
-    overflows); no draw builds a :class:`GameSpec`.  The stack is priced on
-    its leading axis, every product a batched matmul, so each row keeps the
-    bits of the public routes on its draw.  A stack holds at most
-    ``_STACK_CELLS`` path cells (draws * n * (N + 1)): memory grows like
-    n N, not draws n N, and a larger game runs one draw at a time.
+    - fixed-point gap: max |closed form - oracle Nash profile| on the grid
+      <= 5 / n_steps, loose against the second-order discretization error;
+    - governing residuals: the traders' and the market's on 101 times <= 1e-9;
+    - endpoint a_i(1)=1: max |a_i(1) - 1| <= 1e-10;
+    - cost formula vs quadrature: the worst trader's relative gap to
+      :func:`quadrature_cost` <= 1e-6;
+    - deviation non-negativity: the least cost change of the oracle's
+      bumped deviations >= -1e-9;
+    - aggregate vs oracle sum: |oracle cost sum - aggregate cost| <= 1e-3.
+
+    The report ends with :func:`convergence_order_check`.  ``seed`` draws the
+    target fractions and the random deviation bumps; ``inject_bug`` checks a
+    closed form whose d coefficients are 1 % off, which the suite must fail.
+    Before any check runs, NonIntegerCount unless every n, ``draws``,
+    ``seed`` and ``n_steps`` is an integer (not a bool or a float),
+    ValueError unless every n >= 2, every kappa is finite and at least
+    1e-300, both value tuples are non-empty, draws >= 1 (so that a passing
+    report holds per-draw checks), seed >= 0 and n_steps >= 2, and
+    GridMismatch unless n_steps > max(kappa_values) / 2, the grids the
+    oracle solves on.
+
+    Cost.  The bump increments are built once per run, each kappa's bump
+    pressure once, and the oracle's unit paths, the market's residuals and
+    the aggregate cost once per (n, kappa) cell.  A cell's draws are one
+    (D, n) stack, its coefficients from ``solve``'s kernel in one call
+    (KappaTooLarge where the closed form overflows), every product a batched
+    matmul that keeps the public routes' bits on each draw.  A stack holds
+    at most ``_STACK_CELLS`` path cells (draws * n * (N + 1)): memory grows
+    like n N, not draws n N.
     """
     _check_suite_n(n_values)
     _check_suite_kappa(kappa_values)
@@ -198,7 +203,6 @@ def run_verification(
     _check_grid(max(kappa_values), n_steps)
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
-    gap_threshold = 5.0 / n_steps
     bumps = standard_bumps(n_steps, seed=seed)
     steps = np.diff(bumps)
     bump_terms = {kappa: _bump_terms(bumps, steps, kappa, 1.0 / n_steps) for kappa in kappa_values}
@@ -211,13 +215,11 @@ def run_verification(
             own, market = _nash_factors(n, kappa, n_steps)
             alpha = _alpha(n, kappa)
             pressure, r2, r3 = _market_residuals(n, kappa, alpha, t)
-            market_res = (float(np.max(np.abs(r2))), float(np.max(np.abs(r3))))
+            market_res = max(np.max(np.abs(r2)), np.max(np.abs(r3)))
             aggregate = aggregate_cost(n, kappa)
             for first in range(0, draws, stack):
-                labels = [
-                    f"n={n} kappa={kappa:g} draw={rep}"
-                    for rep in range(first, min(draws, first + stack))
-                ]
+                labels = [f"n={n} kappa={kappa:g} draw={rep}"
+                          for rep in range(first, min(draws, first + stack))]
                 lam = np.array([draw_lambdas(rng, n) for _ in labels])  # (D, n)
                 b, d = _coefficients(lam, kappa, alpha)
                 if inject_bug:
@@ -227,37 +229,32 @@ def run_verification(
                 # r1 and cf are dropped once read: at most two (D, n, N + 1)
                 # stacks and their temporaries are held at once
                 r1 = _trader_residuals(b_col, d_col, lam[..., None], kappa, alpha, t, pressure)
-                residuals = np.max(np.abs(r1), axis=(-2, -1))
+                residuals = np.maximum(np.max(np.abs(r1), axis=(-2, -1)), market_res)
                 del r1
                 end_errs = np.max(np.abs(_curve(b, d, kappa, alpha, 1.0, 0) - 1.0), axis=-1)
-                cost_rows = _cost_checks(labels, lam, b, d, kappa, alpha)
                 cf = _sampled_paths(b_col, d_col, kappa, alpha, n_steps)
-                _check_pinned(cf)
                 deviations = _expansion(cf, lam, kappa, steps, *bump_terms[kappa], eps=0.01)
-                worst_devs = np.min(deviations, axis=(-2, -1))
                 fp = _nash_profile(lam, own, market)  # (D, n, N + 1)
                 _check_pinned(fp)
                 cf -= fp
                 gaps = np.max(np.abs(cf, out=cf), axis=(-2, -1))
                 del cf
-                discrete = _discrete_costs(fp, lam, kappa)
+                # summed in trader order: np.sum pairs terms and moves the last digits
+                oracle_sums = np.cumsum(_discrete_costs(fp, lam, kappa), axis=-1)[:, -1]
 
-                for k, label in enumerate(labels):
-                    agg_err = abs(float(sum(discrete[k])) - aggregate)
-                    checks += [
-                        _at_most(f"fixed-point gap [{label}]", float(gaps[k]), gap_threshold),
-                        _at_most(
-                            f"governing residuals [{label}]",
-                            max(float(residuals[k]), *market_res),
-                            1e-9,
-                        ),
-                        _at_most(f"endpoint a_i(1)=1 [{label}]", float(end_errs[k]), 1e-10),
-                        cost_rows[k],
-                        _at_least(
-                            f"deviation non-negativity [{label}]", float(worst_devs[k]), -1e-9
-                        ),
-                        _at_most(f"aggregate vs oracle sum [{label}]", agg_err, 1e-3),
-                    ]
+                rows = (  # (name, rule, (D,) readings, threshold), in report order
+                    ("fixed-point gap", _at_most, gaps, 5.0 / n_steps),
+                    ("governing residuals", _at_most, residuals, 1e-9),
+                    ("endpoint a_i(1)=1", _at_most, end_errs, 1e-10),
+                    ("cost formula vs quadrature", _at_most,
+                     _cost_gaps(lam, b, d, kappa, alpha), 1e-6),
+                    ("deviation non-negativity", _at_least,
+                     np.min(deviations, axis=(-2, -1)), -1e-9),
+                    ("aggregate vs oracle sum", _at_most, np.abs(oracle_sums - aggregate), 1e-3),
+                )
+                checks += [rule(f"{name} [{label}]", float(readings[k]), threshold)
+                           for k, label in enumerate(labels)
+                           for name, rule, readings, threshold in rows]
 
     checks.append(convergence_order_check())
     return VerificationReport(checks=tuple(checks))

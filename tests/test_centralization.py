@@ -238,6 +238,12 @@ class TestOptimalRepresentation:
         with pytest.raises(ValueError):
             pg.optimal_representation(sc, delta_range=(4, 2))
 
+    @pytest.mark.parametrize("delta_range", [(0, 1, 2), (5,), (), 5], ids=str)
+    def test_window_must_be_a_pair(self, delta_range):
+        # unpacked blindly, these read "too many" or "not enough values to unpack"
+        with pytest.raises(ValueError, match=r"need a delta_range pair \(lo, hi\), got "):
+            pg.optimal_representation(scenario(n1=3, n2=9), delta_range=delta_range)
+
     def test_curve_arrays_align(self):
         sc = scenario(n1=2, n2=6, lam=0.3, kappa=2.0)
         curve = pg.optimal_representation(sc, delta_range=(-1, 12))

@@ -17,6 +17,7 @@ import posgame._g12 as _g12
 import posgame.cli as cli
 from conftest import load_bench
 from posgame.cli import main
+from posgame.verification import run_verification
 
 
 def write_config(tmp_path, name, payload):
@@ -167,6 +168,19 @@ class TestConfigErrors:
         assert main([command, "--config", write_config(tmp_path, "cfg.json", config),
                      "--out", str(out)]) == 1
         assert f"config error: config.{key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("window", [[0, 1, 2], [5]])
+    def test_delta_range_must_be_a_pair(self, tmp_path, capsys, window):
+        config = {"game": {"n": 21, "kappa": 1.0},
+                  "centralization": {"n1": 4, "lambda_firm": 0.4, "delta_range": window}}
+        out = tmp_path / "out"
+        assert main(["centralize", "--config", write_config(tmp_path, "cfg.json", config),
+                     "--out", str(out)]) == 1
+        message = f"need a delta_range pair (lo, hi), got {window}\n"
+        assert f"config error: config.centralization.delta_range: {message}" in (
+            capsys.readouterr().err
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -590,6 +604,41 @@ class TestVerifyCommand:
             f"cost formula vs quadrature {label}",
             f"deviation non-negativity {label}",
         }
+
+    def test_every_row_keeps_its_pass_rule(self, tmp_path, monkeypatch):
+        # the benchmark's verify config with the injected bug: rows pass and fail
+        config = WORKLOADS.verify_ops(0)[0]["config"]
+        config["verify"]["inject_bug"] = True
+        reports = []
+
+        def run_and_keep(**settings):
+            reports.append(run_verification(**settings))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "run_verification", run_and_keep)
+        out = tmp_path / "out"
+        assert main(["verify", "--config", write_config(tmp_path, "cfg.json", config),
+                     "--out", str(out)]) == 2
+        checks = reports[0].checks
+        names = ["fixed-point gap", "governing residuals", "endpoint a_i(1)=1",
+                 "cost formula vs quadrature", "deviation non-negativity",
+                 "aggregate vs oracle sum"]
+        assert len(checks) == 3 * 3 * 3 * len(names) + 1
+        for first in range(0, len(checks) - 1, len(names)):
+            label = checks[first].name.removeprefix(names[0])
+            assert [c.name for c in checks[first:first + len(names)]] == [
+                name + label for name in names
+            ]
+        assert checks[-1].name == "convergence order under grid doubling"
+        at_least = ("deviation non-negativity", "convergence order")
+        for c in checks:
+            holds = c.value >= c.threshold if c.name.startswith(at_least) else (
+                c.value <= c.threshold
+            )
+            assert c.passed == holds, c
+        assert {c.status for c in checks} == {"PASS", "FAIL"}
+        _, _, rows = read_csv(out / "verify_report.csv")
+        assert [row[3] for row in rows] == [c.status for c in checks]
 
     @pytest.mark.parametrize(
         "key,value",

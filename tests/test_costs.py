@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 import posgame as pg
 from conftest import BELOW_KAPPA_FLOOR, game_specs
 from posgame.costs import _shares, group_cost
-from posgame.verification import _cost_checks, draw_lambdas, quadrature_cost
+from posgame.verification import _at_most, _cost_gaps, draw_lambdas, quadrature_cost
 
 
 def integral_cost(spec, i, intervals=10_000):
@@ -409,7 +409,8 @@ def cost_row(solution, label=""):
     """verify's cost row on one solution's curves: a one-game stack."""
     spec = solution.spec
     lambdas, b, d = (x[None] for x in (spec.lambdas_array(), solution.b, solution.d))
-    return _cost_checks([label], lambdas, b, d, spec.kappa, solution.alpha)[0]
+    gap = _cost_gaps(lambdas, b, d, spec.kappa, solution.alpha)[0]
+    return _at_most(f"cost formula vs quadrature [{label}]", float(gap), 1e-6)
 
 
 def floored_spec(n, kappa, lam_min=1e-6):
