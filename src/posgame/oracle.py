@@ -84,6 +84,14 @@ import numpy as np
 
 from .core import BadBump, EquilibriumSolution, GameSpec, GridMismatch, _check_size, _curve
 
+# A block of paths holds at most this many cells, 1 MiB of float64:
+# _sampled_paths fills its result a block of rows at a time, and verify builds
+# each stack of draws (draws * n * (N + 1) cells) to this size, so memory grows
+# like n N, not draws n N.  (A CSV chunk, _g12.CHUNK_CELLS, is bounded much
+# tighter, to stay off glibc's mmap path; a block is built once per call or
+# per (n, kappa) cell, not once per chunk.)
+_STACK_CELLS = 1 << 17
+
 
 class _Deferred:
     """A scipy.linalg routine imported on its first call, not with this module.
@@ -167,9 +175,17 @@ def sampled_equilibrium(solution: EquilibriumSolution, n_steps: int) -> Discrete
 def _sampled_paths(b, d, kappa: float, alpha: float, n_steps: int) -> np.ndarray:
     """The curves of coefficients ``b`` and ``d`` on the grid of ``n_steps``
     intervals, shape (..., N + 1), with the ends pinned to 0 and 1 as the
-    oracle's are: an (n, 1) column gives one game, a (D, n, 1) stack D
-    games on one grid."""
-    paths = _curve(b, d, kappa, alpha, np.linspace(0.0, 1.0, n_steps + 1), 0)
+    oracle's are: (n, 1) columns give one game, (D, n, 1) stacks D games on
+    one grid.  The result is filled a block of rows at a time, each of at
+    most ``_STACK_CELLS`` cells, so ``_curve``'s two products never reach
+    the result's size; each cell keeps its bits."""
+    t = np.linspace(0.0, 1.0, n_steps + 1)
+    paths = np.empty(np.shape(b)[:-1] + t.shape)
+    rows, b, d = paths.reshape(-1, t.size), np.reshape(b, (-1, 1)), np.reshape(d, (-1, 1))
+    block = max(1, _STACK_CELLS // t.size)
+    for first in range(0, len(rows), block):
+        part = slice(first, first + block)
+        rows[part] = _curve(b[part], d[part], kappa, alpha, t, 0)
     paths[..., 0] = 0.0
     paths[..., -1] = 1.0
     return paths

@@ -23,15 +23,10 @@ from .core import (
 from .costs import aggregate_cost, group_cost
 from .equilibrium import _coefficients, _market_residuals, _trader_residuals, solve
 from .oracle import (
-    _bump_terms, _check_grid, _check_pinned, _discrete_costs, _expansion, _nash_factors,
-    _nash_profile, _sampled_paths, nash_fixed_point, sampled_equilibrium, standard_bumps,
+    _STACK_CELLS, _bump_terms, _check_grid, _check_pinned, _discrete_costs, _expansion,
+    _nash_factors, _nash_profile, _sampled_paths, nash_fixed_point, sampled_equilibrium,
+    standard_bumps,
 )
-
-# A stack of draws holds at most this many path cells, draws * n * (N + 1):
-# 1 MiB per (D, n, N + 1) array, however many draws a cell has.  (A CSV
-# chunk, _g12.CHUNK_CELLS, is bounded much tighter, to stay off glibc's mmap
-# path; a stack is built once per (n, kappa) cell, not once per chunk.)
-_STACK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)

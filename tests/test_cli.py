@@ -293,6 +293,35 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command,payload,key",
+        [
+            ("equilibrium", lambda big: {"game": {"n": 3, "symmetric": True, "kappa": big}},
+             "config.game.kappa"),
+            ("centralize", lambda big: {"game": {"n": 12, "kappa": 1.0},
+                                        "centralization": {"n1": 4, "lambda_firm": big}},
+             "config.centralization.lambda_firm"),
+            ("poa", lambda big: {"sweep": {"n": [2], "kappa": [1.0, big]}}, "config.sweep.kappa[1]"),
+            ("poa", lambda big: {"sweep": {"n": [big], "kappa": [1.0]}}, "config.sweep.n[0]"),
+            ("centralize", lambda big: {"game": {"n": 12, "kappa": 1.0},
+                                        "centralization": {"n1": 4, "lambda_firm": 0.4},
+                                        "table": {"kappa": [1.0], "rows": [0.4], "n1": [big]}},
+             "config.table.n1[0]"),
+            ("equilibrium", lambda big: {"game": {"n": big, "symmetric": True, "kappa": 1.0}},
+             "config.game: n"),
+        ],
+    )
+    def test_integer_beyond_every_float_is_config_error(
+        self, tmp_path, capsys, command, payload, key
+    ):
+        # 401 digits parse as a Python int, but float() of it overflowed in a traceback
+        cfg = write_config(tmp_path, "cfg.json", payload(int("1" * 401)))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {key}: int too large to convert to float\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command,config,args,message",
         [
             ("equilibrium", [GAME], [], "{cfg}: top level must be an object"),
@@ -735,12 +764,17 @@ def is_scipy(module):
     return module == "scipy" or module.startswith("scipy.")
 
 
+def is_numpy_polynomial(module):
+    # the quadrature rule is a fixed table, so nothing needs leggauss
+    return module == "numpy.polynomial" or module.startswith("numpy.polynomial.")
+
+
 def test_cli_import_loads_no_scipy():
     # a fresh interpreter, so modules other tests imported do not count
     loaded = loaded_modules_after("import posgame.cli")
     layers = ("core", "equilibrium", "costs", "centralization", "oracle", "verification", "cli")
     assert {f"posgame.{layer}" for layer in layers} <= loaded
-    assert not any(is_scipy(m) for m in loaded)
+    assert not any(is_scipy(m) or is_numpy_polynomial(m) for m in loaded)
 
 
 def test_non_verify_commands_run_without_scipy(tmp_path):
@@ -758,7 +792,7 @@ def test_non_verify_commands_run_without_scipy(tmp_path):
         "for command in ('equilibrium', 'costs', 'centralize', 'poa'):\n"
         f"    assert main([command, '--config', {cfg!r}, '--out', {out!r}]) == 0, command"
     )
-    assert not any(is_scipy(m) for m in loaded_modules_after(code))
+    assert not any(is_scipy(m) or is_numpy_polynomial(m) for m in loaded_modules_after(code))
     assert (tmp_path / "out" / "poa.csv").exists()
 
 
@@ -772,7 +806,7 @@ def test_oracle_solve_and_verify_load_no_scipy(tmp_path):
         "pg.nash_fixed_point(pg.GameSpec(3, (0.2, 0.3, 0.5), 25.0), 100)\n"
         f"assert main(['verify', '--config', {cfg!r}, '--out', {out!r}]) == 0"
     )
-    assert not any(is_scipy(m) for m in loaded_modules_after(code))
+    assert not any(is_scipy(m) or is_numpy_polynomial(m) for m in loaded_modules_after(code))
     assert (tmp_path / "out" / "verify_report.csv").exists()
 
 

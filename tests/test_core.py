@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import posgame as pg
 from conftest import game_specs
-from posgame.core import _percent_change
+from posgame.core import _gauss_legendre_64, _percent_change
 
 
 class TestValidateSpec:
@@ -94,6 +94,11 @@ def test_symmetric_constructor():
         pg.GameSpec.symmetric(2.5, 1.0)
 
 
+def test_count_beyond_every_float_is_a_spec_error():
+    with pytest.raises(pg.GameSpecError, match="^n: int too large to convert to float$"):
+        pg.GameSpec.symmetric(10**400, 1.0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(spec=game_specs())
 def test_solutions_satisfy_endpoint_and_aggregation_invariants(spec):
@@ -114,6 +119,20 @@ def test_readme_quick_start_runs():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_gauss_legendre_table_is_leggauss_bit_for_bit():
+    nodes, weights = _gauss_legendre_64()
+    expected_nodes, expected_weights = np.polynomial.legendre.leggauss(64)
+    assert np.array_equal(nodes, expected_nodes)
+    assert np.array_equal(weights, expected_weights)
+    # odd nodes and even weights, to the bit, and shared read-only
+    assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+    assert not nodes.flags.writeable and not weights.flags.writeable
+    # exact for every polynomial of degree at most 2 * 64 - 1
+    for k in range(128):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(np.dot(weights, nodes**k) - exact) <= 1e-14, k
 
 
 positive_floats = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)

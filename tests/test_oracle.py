@@ -12,6 +12,7 @@ import posgame as pg
 import posgame.oracle as oracle
 import posgame.verification as verification
 from conftest import game_specs
+from posgame.core import _curve
 from posgame.costs import group_cost
 from posgame.verification import Check, draw_lambdas, quadrature_cost, run_verification
 
@@ -260,6 +261,24 @@ class TestExplicitNashPoint:
         # measured: 30.7 MiB for a 30.5 MiB result
         assert peak < 1.5 * game.paths.nbytes
         assert not game.paths.flags.writeable
+
+    def test_sampled_paths_fill_their_result_in_bounded_blocks(self):
+        # one _curve call over every row held its two full (n, N + 1)
+        # products beside the result: a 61 MiB peak for a 30.5 MiB result
+        spec = pg.GameSpec(2000, draw_lambdas(np.random.default_rng(0), 2000), 25.0)
+        sol = pg.solve(spec)
+        b, d = sol.b[:, None], sol.d[:, None]
+        expected = _curve(b, d, spec.kappa, sol.alpha, np.linspace(0.0, 1.0, 2001), 0)
+        expected[:, 0], expected[:, -1] = 0.0, 1.0
+        tracemalloc.start()
+        try:
+            paths = oracle._sampled_paths(b, d, spec.kappa, sol.alpha, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(paths, expected)
+        # measured: 32.7 MiB for a 30.5 MiB result
+        assert peak <= 1.25 * paths.nbytes
 
     @pytest.mark.parametrize("n_steps", [2, 10, 1000])
     def test_kappa_at_twice_the_grid_is_a_grid_mismatch(self, n_steps):
