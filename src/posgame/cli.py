@@ -112,15 +112,6 @@ def _fmt(x) -> str:
     return _cell_format(type(x)) % (x,)
 
 
-def _to_float(value, path: str) -> float:
-    """``float(value)``; a ConfigError at ``path`` for an integer beyond the
-    largest double."""
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
 class _Section:
     """Strict view over one mapping in the config tree."""
 
@@ -137,7 +128,10 @@ class _Section:
             return default
         value = self._data.pop(key)
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = _to_float(value, f"{self.path}.{key}")
+            try:
+                value = float(value)
+            except OverflowError as exc:  # an integer beyond the largest double
+                raise ConfigError(f"{self.path}.{key}: {exc}") from None
         if kind in (int, float) and isinstance(value, bool):
             raise ConfigError(f"{self.path}.{key}: expected a number, got a boolean")
         if not isinstance(value, kind):
@@ -169,7 +163,10 @@ def _number_list(section: _Section, key: str, required=False, each=None) -> list
     for k, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{section.path}.{key}[{k}]: expected a number")
-        out.append(_to_float(v, f"{section.path}.{key}[{k}]"))
+        try:
+            out.append(float(v))
+        except OverflowError as exc:  # an integer beyond the largest double
+            raise ConfigError(f"{section.path}.{key}[{k}]: {exc}") from None
         if each is not None:
             _checked(f"{section.path}.{key}", each, out[-1])
     return out

@@ -176,16 +176,19 @@ def _sampled_paths(b, d, kappa: float, alpha: float, n_steps: int) -> np.ndarray
     """The curves of coefficients ``b`` and ``d`` on the grid of ``n_steps``
     intervals, shape (..., N + 1), with the ends pinned to 0 and 1 as the
     oracle's are: (n, 1) columns give one game, (D, n, 1) stacks D games on
-    one grid.  The result is filled a block of rows at a time, each of at
-    most ``_STACK_CELLS`` cells, so ``_curve``'s two products never reach
-    the result's size; each cell keeps its bits."""
+    one grid.  Beyond ``_STACK_CELLS`` cells the result is filled a block
+    of rows of at most that many cells at a time, so ``_curve``'s two
+    products never reach the result's size; each cell keeps its bits."""
     t = np.linspace(0.0, 1.0, n_steps + 1)
-    paths = np.empty(np.shape(b)[:-1] + t.shape)
-    rows, b, d = paths.reshape(-1, t.size), np.reshape(b, (-1, 1)), np.reshape(d, (-1, 1))
     block = max(1, _STACK_CELLS // t.size)
-    for first in range(0, len(rows), block):
-        part = slice(first, first + block)
-        rows[part] = _curve(b[part], d[part], kappa, alpha, t, 0)
+    if np.size(b) <= block:  # one block: _curve's own result, no fresh copy
+        paths = _curve(b, d, kappa, alpha, t, 0)
+    else:
+        paths = np.empty(np.shape(b)[:-1] + t.shape)
+        rows, b, d = paths.reshape(-1, t.size), np.reshape(b, (-1, 1)), np.reshape(d, (-1, 1))
+        for first in range(0, len(rows), block):
+            part = slice(first, first + block)
+            rows[part] = _curve(b[part], d[part], kappa, alpha, t, 0)
     paths[..., 0] = 0.0
     paths[..., -1] = 1.0
     return paths
