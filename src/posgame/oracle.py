@@ -84,12 +84,12 @@ import numpy as np
 
 from .core import BadBump, EquilibriumSolution, GameSpec, GridMismatch, _check_size, _curve
 
-# A block of paths holds at most this many cells, 1 MiB of float64:
-# _sampled_paths fills its result a block of rows at a time, and verify builds
-# each stack of draws (draws * n * (N + 1) cells) to this size, so memory grows
-# like n N, not draws n N.  (A CSV chunk, _g12.CHUNK_CELLS, is bounded much
-# tighter, to stay off glibc's mmap path; a block is built once per call or
-# per (n, kappa) cell, not once per chunk.)
+# A block of paths holds at most this many cells, 1 MiB of float64: verify
+# builds each stack of draws (draws * n * (N + 1) cells) to this size, so its
+# memory grows like n N, not draws n N, and _sampled_paths fills a larger
+# result a block of rows at a time, so its temporaries stay one block each.
+# (_g12.CHUNK_CELLS is much smaller, to keep each CSV chunk, built once per
+# chunk of a file, off glibc's mmap path.)
 _STACK_CELLS = 1 << 17
 
 
