@@ -1,4 +1,5 @@
-"""CSV lines of a 2-D float64 array, each cell byte-identical to ``'%.12g' % x``.
+"""CSV lines of a 2-D float64 array as ASCII bytes, each cell byte-identical
+to ``'%.12g' % x``.
 
 The array is formatted in chunks of whole rows of at most ``CHUNK_CELLS``
 cells (one row, if a row is wider), so memory stays bounded by the chunk,
@@ -6,8 +7,9 @@ not the array.  Each cell is rounded to 12 significant digits with numpy
 (:func:`_round12`); a cell whose rounding the kernel can certify is spelt
 out from 4-digit ASCII words, every other cell (nan, inf, scientific
 notation, a scaled value that is exactly a half-integer, nearly every
-magnitude of 10**11 or more) by Python's own ``'%.12g' % x``, which stays
-the reference.
+magnitude of 10**11 or more) by Python's own ``b'%.12g' % x``, which stays
+the reference.  A chunk is laid out as bytes and never decoded: a caller
+writes it to a binary file as it is.
 
 Certification (see :func:`_round12`).  Let e be a guess of the decimal
 exponent clipped to [-4, 10], k = 11 - e in [1, 15], so 10**k is an exact
@@ -39,11 +41,13 @@ accuracy.  Zeros of either sign are certified apart.
 Chunk size.  A chunk's largest buffer is its cell array, one byte per minus
 sign, dot and comma slot and four per 4-digit word: at most 1 + 3 * 4 + 1 +
 4 * 4 + 1 = 31 bytes a cell (a negative cell, integer parts up to 12 digits,
-fractions down to 15 digits); its bytes copy is as large and the text no
-larger, and every numeric array holds 8 bytes a cell.  At 4,096 cells that
-is under 2**17 bytes, glibc's default threshold for serving an allocation
-from its own mapping, so formatting a large table reuses heap memory chunk
-after chunk instead of mapping and faulting in fresh pages for each.
+fractions down to 15 digits); its bytes copy is as large, the compacted
+bytes no larger, and every numeric array holds at most 8 bytes a cell: the
+digits are split into one (cells,) int64 array per 4-digit word.  At 4,096
+cells that is under 2**17 bytes, glibc's default threshold for serving an
+allocation from its own mapping, so formatting a large table reuses heap
+memory chunk after chunk instead of mapping and faulting in fresh pages for
+each.
 """
 
 from __future__ import annotations
@@ -81,9 +85,6 @@ def _word_table() -> np.ndarray:
 
 _MINUS, _DOT, _COMMA, _NEWLINE, _HOLE = b"-.,\n\x01"
 _POW10 = np.array([10.0**k for k in range(17)])  # exact
-_WORD_POWERS = np.array([10**12, 10**8, 10**4, 1])[:, None]
-_INT_VARIANTS = np.array([_LEAD, _LEAD, _UNIT])[:, None]
-_FRACTION_SCALE = _POW10[16 - np.arange(16)]  # k -> 10**(16 - k)
 
 
 def _round12(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -119,21 +120,23 @@ def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     holes = None if ok.all() else ~ok
     if holes is not None:
         n[holes] = 0.0
+    # Only the words some cell of the chunk needs get a slot: the fraction
+    # has up to k digits, the integer part up to 12.
+    frac_words = (int(k.max()) + 3) // 4
     # Integer part and fraction, exactly: n / 10**k <= 10**(12 - k) is
     # rounded by under 10**-k / 2, the least gap between a non-integer
     # quotient and the next integer, so its floor is exact; the rest, under
-    # 10**k, times 10**(16 - k) is an integer under 10**16 whose odd part,
-    # under 2**k * 5**16, fits the 53-bit significand.
+    # 10**k, times 10**(4 * frac_words - k) is an integer under 10**16 whose
+    # odd part, under 2**k * 5**16, fits the 53-bit significand.
     scale = _POW10.take(k)
     whole = np.floor(n / scale)
     np.multiply(whole, scale, out=scale)
     np.subtract(n, scale, out=n)
-    np.multiply(n, _FRACTION_SCALE.take(k), out=n)
-    fraction = n.astype(np.int64)  # 16 digits, under 10**16
-    # Only the words some cell of the chunk needs get a slot: the integer
-    # part has up to 12 digits, the fraction up to k.
+    np.subtract(4 * frac_words, k, out=k)
+    np.multiply(n, _POW10.take(k), out=n)
+    fraction = n.astype(np.int64)  # 4 * frac_words digits
+    whole = whole.astype(np.int64)
     int_words = (len(str(int(whole.max()))) + 3) // 4
-    frac_words = (int(k.max()) + 3) // 4
     minus = np.signbit(x.ravel())
     has_minus = bool(minus.any())
     width = has_minus + 4 * int_words + 1 + 4 * frac_words + 1
@@ -141,15 +144,9 @@ def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     if has_minus:
         np.multiply(minus.view(np.uint8), _MINUS, out=cells[:, 0])
     at = has_minus + 4 * int_words
-    powers = _WORD_POWERS[-int_words:]
-    prefix = whole.astype(np.int64) // powers  # the digits down to each word
-    # leading zeros are silent, but a lone integer part 0 is "0"
-    _put_words(cells, int(has_minus), prefix, (prefix < 10_000) * _INT_VARIANTS[-int_words:])
+    _put_integer(cells, int(has_minus), whole, int_words)
     np.multiply((fraction > 0).view(np.uint8), _DOT, out=cells[:, at])
-    powers = _WORD_POWERS[:frac_words]
-    prefix = fraction // powers
-    # no digit below: the word is cut at its last non-zero digit
-    _put_words(cells, at + 1, prefix, (prefix * powers == fraction) * _TRAIL)
+    _put_fraction(cells, at + 1, fraction, frac_words)
     cells[:, -1] = _COMMA
     cells.reshape(x.shape + (width,))[:, -1, -1] = _NEWLINE
     if holes is not None:
@@ -158,29 +155,49 @@ def _cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     return cells, holes
 
 
-def _put_words(cells: np.ndarray, at: int, prefix: np.ndarray, variant: np.ndarray) -> None:
-    """Write the 4-digit words of ``prefix``, a (words, cells) array of each
-    cell's digits down to each word, most significant first, into the cell
-    bytes from ``at`` on, each word in its table variant ``variant``."""
-    prefix[1:] -= prefix[:-1] * 10_000  # each word's own 4 digits
-    prefix += variant
-    words = _word_table().take(prefix, mode="clip")
-    cells[:, at:at + 4 * len(prefix)].view(np.uint32)[...] = words.T
+def _words(value: np.ndarray, count: int) -> Iterator[tuple[int, np.ndarray, np.ndarray | None]]:
+    """(j, word, above) for the ``count`` 4-digit words of ``value``, an
+    int64 array, last word first: word j's own digits and the digits above
+    it (None for the first word, which has none).  Each word is split off by
+    a division by the scalar 10,000, one (cells,) array at a time."""
+    for j in range(count - 1, 0, -1):
+        above = value // 10_000
+        yield j, value - above * 10_000, above
+        value = above
+    yield 0, value, None
 
 
-def _chunk_text(x: np.ndarray) -> str:
-    """The CSV lines of the rows of ``x``, each ending in a newline."""
+def _put_integer(cells: np.ndarray, at: int, whole: np.ndarray, count: int) -> None:
+    """Write the ``count`` words of the integer parts ``whole`` into the cell
+    bytes from ``at`` on: leading zeros are silent, but a lone 0 is "0"."""
+    table, slots = _word_table(), cells[:, at:at + 4 * count].view(np.uint32)
+    for j, word, above in _words(whole, count):
+        silent = _UNIT if j == count - 1 else _LEAD  # where no digit is above
+        slots[:, j] = table.take(word + (silent if above is None else (above == 0) * silent))
+
+
+def _put_fraction(cells: np.ndarray, at: int, fraction: np.ndarray, count: int) -> None:
+    """Write the ``count`` words of the fractions' digits ``fraction`` into
+    the cell bytes from ``at`` on: a word is cut at its last non-zero digit
+    exactly when every later word is zero."""
+    table, slots = _word_table(), cells[:, at:at + 4 * count].view(np.uint32)
+    clear = True  # where every later word is zero
+    for j, word, _ in _words(fraction, count):
+        slots[:, j] = table.take(word + clear * _TRAIL)
+        if j:
+            clear = clear & (word == 0)
+
+
+def _chunk_bytes(x: np.ndarray) -> bytes:
+    """The CSV lines of the rows of ``x`` as ASCII bytes, each line ending in
+    a newline."""
     cells, holes = _cells(x)
-    text = cells.tobytes().translate(None, b"\0").decode("ascii")
+    data = cells.tobytes().translate(None, b"\0")
     if holes is None:
-        return text
-    pieces, start = [], 0
-    for value in x.ravel()[holes].tolist():  # row-major, the order of the placeholders
-        hole = text.find("\x01", start)
-        pieces += (text[start:hole], "%.12g" % value)
-        start = hole + 1
-    pieces.append(text[start:])
-    return "".join(pieces)
+        return data
+    # the kernel writes no "%": each placeholder becomes one "%.12g", filled
+    # in row-major order, the order of the placeholders
+    return data.replace(b"\x01", b"%.12g") % tuple(x.ravel()[holes].tolist())
 
 
 def chunk_rows(width: int) -> int:
@@ -189,9 +206,10 @@ def chunk_rows(width: int) -> int:
     return max(1, CHUNK_CELLS // width)
 
 
-def format_rows(block: np.ndarray) -> Iterator[str]:
-    """The CSV lines of a 2-D float64 array, chunk by chunk, each line ending
-    in a newline and each cell byte-identical to ``'%.12g' % x``."""
+def format_rows(block: np.ndarray) -> Iterator[bytes]:
+    """The CSV lines of a 2-D float64 array as ASCII bytes, chunk by chunk,
+    each line ending in a newline and each cell byte-identical to
+    ``b'%.12g' % x``."""
     step = chunk_rows(block.shape[1])
     for start in range(0, block.shape[0], step):
-        yield _chunk_text(block[start:start + step])
+        yield _chunk_bytes(block[start:start + step])

@@ -25,7 +25,10 @@ nan and inf as ``nan``, ``inf``, ``-inf``).  Rows of floats in bulk (the
 equilibrium curves, streamed a chunk of time rows at a time, and their cost
 and share rows) go through a numpy kernel whose every cell is
 byte-identical to ``%.12g`` (``_g12``); Python's ``%`` formats the other
-rows and every cell the kernel cannot certify.
+rows and every cell the kernel cannot certify.  The kernel lays out ASCII
+bytes, which are written as they are: every CSV is opened in binary mode and
+its other lines are encoded as UTF-8, so no byte depends on the locale.
+Configs are read as UTF-8, JSON's encoding, in any locale.
 Exit codes: 0 success, 1 config error (a game the library rejects, such as
 a non-finite kappa, counts as one), 2 verification failure.
 """
@@ -159,6 +162,11 @@ def _number_list(section: _Section, key: str, required=False, each=None) -> list
         return None
     if not raw:
         raise ConfigError(f"{section.path}.{key}: expected a non-empty list")
+    if set(map(type, raw)) == {float}:  # plain floats: no conversion, no step per entry
+        if each is not None:
+            for v in raw:
+                _checked(f"{section.path}.{key}", each, v)
+        return list(raw)
     out = []
     for k, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -227,11 +235,13 @@ _JSON = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        data = _JSON.decode(text)
+    try:  # JSON is UTF-8 (RFC 8259), whatever the locale
+        data = _JSON.decode(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except ValueError as exc:  # a repeated key, or an integer literal too long to convert
@@ -370,22 +380,24 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
     to ``%.12g`` per cell: a 2-D float64 array among ``rows`` stands for its
     rows, and a pair (labels, 2-D float64 array) for the array's rows, each
     after its label.  ``rows`` may be an iterator, so a caller can stream a
-    large table a chunk of rows at a time.
+    large table a chunk of rows at a time.  The file is written in binary
+    mode: the kernel's bytes as they are, the other lines encoded as UTF-8
+    once per run of them, so no byte depends on the locale.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     lines = [f"{line}\n" for line in (meta, *(extra_comments or ()), ",".join(header))]
     formats = {}
-    with path.open("w") as file:
+    with path.open("wb") as file:
         for row in rows:
             if isinstance(row, np.ndarray) and row.ndim == 2:
-                file.write("".join(lines))
+                file.write("".join(lines).encode())
                 lines = []
                 file.writelines(format_rows(row))
                 continue
             if isinstance(row[-1], np.ndarray):
                 labels, block = row
-                text = "".join(format_rows(block))
+                text = b"".join(format_rows(block)).decode("ascii")
                 lines += map("{},{}".format, labels, text.splitlines(keepends=True))
                 continue
             kinds = tuple(map(type, row))
@@ -393,15 +405,18 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
             if fmt is None:
                 fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
             lines.append(fmt % tuple(row))
-        file.write("".join(lines))
+        file.write("".join(lines).encode())
     return path
 
 
 def _curve_rows(solution, n_points: int):
     """equilibrium.csv's float rows (t, a_1 .. a_n, m) on ``n_points`` equal
     steps of [0, 1], as blocks of the rows of one ``_g12`` chunk: memory
-    stays bounded by the chunk, however many points there are."""
+    stays bounded by the chunk, however many points there are.  The market
+    curve, one value per point, is evaluated once and sliced per chunk; it
+    is elementwise, so each cell is the one a chunk would compute."""
     t = np.linspace(0.0, 1.0, n_points)
+    market = solution.market(t)
     width = solution.spec.n + 2
     step = chunk_rows(width)
     for start in range(0, n_points, step):
@@ -411,7 +426,7 @@ def _curve_rows(solution, n_points: int):
         # time along the rows, traders along the columns
         block[:, 1:-1] = _curve(solution.b, solution.d, solution.spec.kappa, solution.alpha,
                                 times[:, None], 0)
-        block[:, -1] = solution.market(times)
+        block[:, -1] = market[start:start + step]
         yield block
 
 

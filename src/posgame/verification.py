@@ -69,12 +69,17 @@ def _at_least(name: str, value: float, threshold: float, detail: str = "") -> Ch
     return Check(name, value, threshold, value >= threshold, detail)
 
 
+def draw_lambda_stack(rng: np.random.Generator, n: int, draws: int) -> np.ndarray:
+    """``draws`` seeded simplex draws as a (draws, n) array, kept away from
+    the boundary (lambda_i >= 0.1/n), so fixed tolerances apply uniformly
+    across draws.  One Dirichlet call gives the bits of ``draws`` calls of
+    :func:`draw_lambdas` and leaves ``rng`` in the same state."""
+    return 0.9 * rng.dirichlet(np.ones(n), size=draws) + 0.1 / n
+
+
 def draw_lambdas(rng: np.random.Generator, n: int) -> tuple[float, ...]:
-    """Seeded simplex draw kept away from the boundary (lambda_i >= 0.1/n),
-    so fixed tolerances apply uniformly across draws."""
-    raw = rng.dirichlet(np.ones(n))
-    lam = 0.9 * raw + 0.1 / n
-    return tuple(float(x) for x in lam)
+    """One draw of :func:`draw_lambda_stack`, as a tuple."""
+    return tuple(draw_lambda_stack(rng, n, 1)[0].tolist())
 
 
 def _check_suite_n(n_values) -> None:
@@ -215,7 +220,7 @@ def run_verification(
             for first in range(0, draws, stack):
                 labels = [f"n={n} kappa={kappa:g} draw={rep}"
                           for rep in range(first, min(draws, first + stack))]
-                lam = np.array([draw_lambdas(rng, n) for _ in labels])  # (D, n)
+                lam = draw_lambda_stack(rng, n, len(labels))  # (D, n)
                 b, d = _coefficients(lam, kappa, alpha)
                 if inject_bug:
                     d = d * 1.01

@@ -292,6 +292,32 @@ class TestConfigErrors:
         assert capsys.readouterr().err.startswith(f"config error: {cfg}: Exceeds the limit")
         assert not out.exists()
 
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"game": {"n": 2, "lambdas": [0.5, 0.5], "kappa": "\xff"}}')
+        out = tmp_path / "out"
+        assert main(["equilibrium", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {cfg}: 'utf-8' codec can't decode byte 0xff")
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_config_is_read_as_utf8_in_any_locale(self, tmp_path, capsys):
+        """A UTF-8 config reads the same under the C locale, with Python's
+        UTF-8 mode and locale coercion off, as in this process."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes('{"game": {"n": 2, "lambdas": [0.5, 0.5], "kappa": "é"}}'.encode())
+        argv = ["equilibrium", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: config.game.kappa: expected float, got str\n"
+        src = str(Path(pg.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "posgame.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (1, err)
+
     @pytest.mark.parametrize(
         "command,payload,key",
         [
@@ -1066,7 +1092,7 @@ def assert_lines_match_printf(block):
     """format_rows(block) is, line by line, the ``%.12g`` of every cell."""
     fmt = ",".join(["%.12g"] * block.shape[1])
     expected = [fmt % tuple(row) + "\n" for row in block.tolist()]
-    assert "".join(_g12.format_rows(block)).splitlines(keepends=True) == expected
+    assert b"".join(_g12.format_rows(block)).decode().splitlines(keepends=True) == expected
 
 
 CHUNK = _g12.CHUNK_CELLS
@@ -1212,8 +1238,9 @@ def test_float_block_chunk_buffers_stay_under_the_mmap_threshold():
     """The widest chunk the kernel lays out, CHUNK_CELLS negative and
     positive cells with three integer words and four fraction words, needs
     no buffer of 2**17 bytes (glibc's default mmap threshold) or more.  Its
-    cell array is its largest buffer: the bytes copy is as large, the text
-    no larger, and every numeric array holds 8 bytes a cell."""
+    cell array is its largest buffer: the bytes copy is as large, the
+    compacted bytes no larger, and every numeric array, one per 4-digit
+    word, holds 8 bytes a cell."""
     exponents = np.arange(-4, 12)  # every exponent %g writes in fixed notation
     magnitudes = 1.234567890123456 * 10.0 ** exponents
     cycle = np.concatenate([magnitudes, -magnitudes])
@@ -1224,4 +1251,45 @@ def test_float_block_chunk_buffers_stay_under_the_mmap_threshold():
     assert cells.shape == (_g12.CHUNK_CELLS, 1 + 3 * 4 + 1 + 4 * 4 + 1)
     assert cells.nbytes < 2**17
     assert 8 * _g12.CHUNK_CELLS < 2**17
+    # all the chunk's buffers at once: 649.7 KiB when the words of a number
+    # were one (words, cells) array, 465.8 KiB with an array per word
+    tracemalloc.start()
+    try:
+        _g12._chunk_bytes(block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 650 * 1024
     assert_lines_match_printf(block)
+
+
+def word_boundary_values():
+    """Cells whose digits end just before, on and just after each 4-digit
+    word boundary: for every k from 1 to 15 (10**-k the place of a cell's
+    12th significant digit), the last non-zero digit at each place that k
+    allows, after digits that are all non-zero or all zero but the first;
+    and integer parts at the edges of one, two and three words, bare and
+    with fractions ending at the same boundaries.  Both signs, and -0.0."""
+    places = (1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 15)
+    values = []
+    for k in range(1, 16):
+        for place in places:
+            zeros = k - place  # trailing zeros of the 12 digits
+            if place <= k and zeros < 12:
+                for fill in "20":
+                    digits = "1" + fill * (10 - zeros) + "7" if zeros < 11 else "7"
+                    values.append(float(f"{digits}{'0' * zeros}e-{k}"))
+    for whole in (9999, 10**4, 99999999, 10**8, 10**11):
+        values.append(float(whole))
+        values += [float(f"{whole}.{'0' * (place - 1)}7") for place in places
+                   if len(str(whole)) + place <= 12]
+    values = np.array(values)
+    return np.concatenate([values, -values, [-0.0]])
+
+
+def test_float_block_matches_printf_at_word_boundaries():
+    values = word_boundary_values()
+    assert values.size <= CHUNK
+    assert_lines_match_printf(values[None, :])  # one chunk
+    for value in values:  # one chunk each, with only the words the value needs
+        assert_lines_match_printf(np.array([[value]]))

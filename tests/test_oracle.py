@@ -14,7 +14,13 @@ import posgame.verification as verification
 from conftest import game_specs
 from posgame.core import _curve
 from posgame.costs import group_cost
-from posgame.verification import Check, draw_lambdas, quadrature_cost, run_verification
+from posgame.verification import (
+    Check,
+    draw_lambda_stack,
+    draw_lambdas,
+    quadrature_cost,
+    run_verification,
+)
 
 
 def deviation_test(base, bumps, eps):
@@ -647,6 +653,20 @@ def test_standard_bumps_match_one_draw_per_bump():
         bumps = pg.standard_bumps(n_steps, seed)
         assert bumps.shape == (10, n_steps + 1)
         assert np.array_equal(bumps, one_at_a_time(n_steps, seed))
+
+
+def test_lambda_stack_matches_one_draw_at_a_time():
+    """One Dirichlet call of D rows gives the bits of D one-row draws, and
+    leaves the generator where they leave it."""
+    for seed in range(10):
+        for n in (2, 3, 5, 17, 300):
+            for draws in (1, 3, 4):
+                one_by_one, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+                rows = [0.9 * one_by_one.dirichlet(np.ones(n)) + 0.1 / n for _ in range(draws)]
+                assert np.array_equal(draw_lambda_stack(stacked, n, draws), np.array(rows))
+                assert stacked.bit_generator.state == one_by_one.bit_generator.state
+        one = draw_lambda_stack(np.random.default_rng(seed), 5, 1)[0]
+        assert draw_lambdas(np.random.default_rng(seed), 5) == tuple(one)
 
 
 class TestDiscreteGameInvariants:
