@@ -22,6 +22,7 @@ traders, independent of both kappa and the firm's target fraction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,8 @@ def _check_counts(n1, n2) -> None:
 def _check_window(n1: int, delta_range) -> None:
     """Raise unless ``delta_range`` is a pair (lo, hi) (ValueError otherwise)
     of whole numbers (NonIntegerCount otherwise) with n1 + lo >= 1
-    (RepresentationTooSmall) and hi >= lo."""
+    (RepresentationTooSmall), hi >= lo and at most sys.maxsize deltas in
+    the window, the most an array holds (ValueError otherwise)."""
     try:
         lo, hi = delta_range
     except (TypeError, ValueError):  # not an iterable of two items
@@ -90,6 +92,8 @@ def _check_window(n1: int, delta_range) -> None:
         raise RepresentationTooSmall(f"delta_range start {lo} gives n1 + delta = {n1 + lo} < 1")
     if hi < lo:
         raise ValueError(f"empty delta_range {delta_range}")
+    if hi - lo >= sys.maxsize:
+        raise ValueError(f"delta_range {delta_range} holds more than {sys.maxsize} deltas")
 
 
 @dataclass(frozen=True)

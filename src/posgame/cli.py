@@ -21,13 +21,15 @@ fractions and deviation bumps; the other commands' rows depend on the config
 alone, and the averaged centralization table is a deterministic quadrature.
 Cells are written by one rule: strings verbatim, integers as plain digits,
 every other number as ``%.12g`` (12 significant digits, locale-independent;
-nan and inf as ``nan``, ``inf``, ``-inf``).  Rows of floats in bulk (the
-equilibrium curves, streamed a chunk of time rows at a time, and their cost
-and share rows) go through a numpy kernel whose every cell is
-byte-identical to ``%.12g`` (``_g12``); Python's ``%`` formats the other
-rows and every cell the kernel cannot certify.  The kernel lays out ASCII
-bytes, which are written as they are: every CSV is opened in binary mode and
-its other lines are encoded as UTF-8, so no byte depends on the locale.
+nan and inf as ``nan``, ``inf``, ``-inf``).  The equilibrium command formats
+its floats in bulk itself, with a numpy kernel whose every cell is
+byte-identical to ``%.12g`` (``_g12``): the curves a chunk of time rows at a
+time, and the cost and share rows as one block, whose two lines it puts
+after their labels.  The kernel lays out ASCII bytes, and ``_write_csv``
+writes bytes rows as they are; it formats every other row with Python's
+``%``, as the kernel does every cell it cannot certify.  Every CSV is opened
+in binary mode and its other lines are encoded as UTF-8, so no byte depends
+on the locale.
 Configs are read as UTF-8, JSON's encoding, in any locale.
 Exit codes: 0 success, 1 config error (a game the library rejects, such as
 a non-finite kappa, counts as one), 2 verification failure.
@@ -75,10 +77,11 @@ class ConfigError(Exception):
 
 
 def _checked(path: str, rule, *args):
-    """``rule(*args)``, with the ValueError it raises reported at ``path``."""
+    """``rule(*args)``, with the ValueError it raises reported at ``path``,
+    and the OverflowError of an integer beyond the largest double too."""
     try:
         return rule(*args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -131,10 +134,7 @@ class _Section:
             return default
         value = self._data.pop(key)
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            try:
-                value = float(value)
-            except OverflowError as exc:  # an integer beyond the largest double
-                raise ConfigError(f"{self.path}.{key}: {exc}") from None
+            value = _checked(f"{self.path}.{key}", float, value)
         if kind in (int, float) and isinstance(value, bool):
             raise ConfigError(f"{self.path}.{key}: expected a number, got a boolean")
         if not isinstance(value, kind):
@@ -171,17 +171,14 @@ def _number_list(section: _Section, key: str, required=False, each=None) -> list
     for k, v in enumerate(raw):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise ConfigError(f"{section.path}.{key}[{k}]: expected a number")
-        try:
-            out.append(float(v))
-        except OverflowError as exc:  # an integer beyond the largest double
-            raise ConfigError(f"{section.path}.{key}[{k}]: {exc}") from None
+        out.append(_checked(f"{section.path}.{key}[{k}]", float, v))
         if each is not None:
             _checked(f"{section.path}.{key}", each, out[-1])
     return out
 
 
-def _int_list(section: _Section, key: str, required=False) -> list[int] | None:
-    values = _number_list(section, key, required=required)
+def _int_list(section: _Section, key: str) -> list[int] | None:
+    values = _number_list(section, key)
     if values is None:
         return None
     _checked(f"{section.path}.{key}", _check_count, key, values)
@@ -240,11 +237,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:  # JSON is UTF-8 (RFC 8259), whatever the locale
         data = _JSON.decode(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:  # a repeated key, or an integer literal too long to convert
+    except ValueError as exc:  # not UTF-8, a repeated key, or an integer literal too long
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -283,7 +278,7 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
     if grid is not None:
         sc.n_points = grid.take("n_points", int, default=sc.n_points)
         grid.finish()
-        _checked("config.grid.n_points", _check_size, "n_points", sc.n_points, 2)
+        _checked("config.grid.n_points", _check_size, "n_points", sc.n_points, 2, sys.maxsize)
 
     central = root.take_section("centralization")
     if central is not None:
@@ -374,15 +369,13 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
                extra_comments: list[str] | None = None) -> Path:
     """Write comment lines, the header and ``rows`` as one CSV file.
 
-    Each row is formatted by a single ``%`` on a line format built once per
-    distinct tuple of cell types (see :func:`_cell_format`).  Float cells in
-    bulk go through :func:`posgame._g12.format_rows` instead, byte-identical
-    to ``%.12g`` per cell: a 2-D float64 array among ``rows`` stands for its
-    rows, and a pair (labels, 2-D float64 array) for the array's rows, each
-    after its label.  ``rows`` may be an iterator, so a caller can stream a
-    large table a chunk of rows at a time.  The file is written in binary
-    mode: the kernel's bytes as they are, the other lines encoded as UTF-8
-    once per run of them, so no byte depends on the locale.
+    A ``bytes`` row is one or more finished lines, written as they are (the
+    equilibrium command's kernel output).  Any other row is a sequence of
+    cells, formatted by a single ``%`` on a line format built once per
+    distinct tuple of cell types (see :func:`_cell_format`) and encoded as
+    UTF-8 once per run of such rows, so no byte depends on the locale.
+    ``rows`` may be an iterator, so a caller can stream a large table a chunk
+    of rows at a time.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
@@ -390,15 +383,10 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
     formats = {}
     with path.open("wb") as file:
         for row in rows:
-            if isinstance(row, np.ndarray) and row.ndim == 2:
+            if isinstance(row, bytes):
                 file.write("".join(lines).encode())
                 lines = []
-                file.writelines(format_rows(row))
-                continue
-            if isinstance(row[-1], np.ndarray):
-                labels, block = row
-                text = b"".join(format_rows(block)).decode("ascii")
-                lines += map("{},{}".format, labels, text.splitlines(keepends=True))
+                file.write(row)
                 continue
             kinds = tuple(map(type, row))
             fmt = formats.get(kinds)
@@ -410,11 +398,12 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
 
 
 def _curve_rows(solution, n_points: int):
-    """equilibrium.csv's float rows (t, a_1 .. a_n, m) on ``n_points`` equal
-    steps of [0, 1], as blocks of the rows of one ``_g12`` chunk: memory
-    stays bounded by the chunk, however many points there are.  The market
-    curve, one value per point, is evaluated once and sliced per chunk; it
-    is elementwise, so each cell is the one a chunk would compute."""
+    """equilibrium.csv's float lines (t, a_1 .. a_n, m) on ``n_points`` equal
+    steps of [0, 1], as the ``_g12`` kernel's bytes, one chunk of time rows
+    at a time: the (n, n_points) curves are never built.  The time grid and
+    the market curve, one value each per point (16 bytes a point), are held
+    whole; the market curve is elementwise, so each cell is the one a chunk
+    would compute."""
     t = np.linspace(0.0, 1.0, n_points)
     market = solution.market(t)
     width = solution.spec.n + 2
@@ -427,7 +416,7 @@ def _curve_rows(solution, n_points: int):
         block[:, 1:-1] = _curve(solution.b, solution.d, solution.spec.kappa, solution.alpha,
                                 times[:, None], 0)
         block[:, -1] = market[start:start + step]
-        yield block
+        yield from format_rows(block)
 
 
 def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
@@ -439,7 +428,8 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     header = ["t"] + [f"a_{i + 1}" for i in range(spec.n)] + ["m"]
     breakdown = cost_breakdown(spec)
     totals = np.array([[*breakdown.per_trader, breakdown.aggregate], [*breakdown.shares, 1.0]])
-    rows = chain(_curve_rows(sol, sc.n_points), [(("cost", "share"), totals)])
+    cost, share = b"".join(format_rows(totals)).splitlines(keepends=True)
+    rows = chain(_curve_rows(sol, sc.n_points), [b"cost," + cost, b"share," + share])
     _write_csv(out_dir, "equilibrium.csv", header, rows, meta)
     return 0
 

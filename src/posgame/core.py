@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -97,6 +98,7 @@ class GameSpec:
         """Check every invariant, so that no invalid spec exists.
 
         Raises:
+            NonIntegerCount: n is a bool or no integer.
             EmptyGame: n < 1.
             LambdaCountMismatch: len(lambdas) != n.
             NonPositiveLambda: some lambda_i <= 0.
@@ -104,6 +106,7 @@ class GameSpec:
             NegativeKappa: kappa < 0.
             NonFiniteKappa: kappa is NaN or +inf.
         """
+        _check_integer("n", self.n)
         _check_traders(self.n)
         if len(self.lambdas) != self.n:
             raise LambdaCountMismatch(
@@ -120,10 +123,12 @@ class GameSpec:
     @classmethod
     def symmetric(cls, n: int, kappa: float) -> "GameSpec":
         """``n`` traders with equal fractions; NonIntegerCount unless n is a
-        whole number, EmptyGame if n < 1."""
+        whole number, EmptyGame if n < 1, ValueError if n > sys.maxsize (no
+        tuple holds more fractions)."""
         _check_count("n", n)
         _check_traders(n)
         n = int(n)
+        _check_size("n", n, 1, sys.maxsize)
         return cls(n=n, lambdas=(1.0 / n,) * n, kappa=kappa)
 
     def lambdas_array(self) -> np.ndarray:
@@ -160,15 +165,24 @@ def _check_count(name: str, value) -> None:
         raise NonIntegerCount(f"{name} = {value.flat[np.argmax(bad)]} must be a whole number")
 
 
-def _check_size(name: str, value, least: int) -> None:
-    """NonIntegerCount unless ``value`` is an integer other than a bool (a
-    float, even a whole one, sizes no grid, draw set or seed), then
-    ValueError unless ``value >= least``.  The one rule for sizes; trader
-    counts take :func:`_check_count`, which accepts whole floats."""
+def _check_integer(name: str, value) -> None:
+    """NonIntegerCount unless ``value`` is an integer other than a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise NonIntegerCount(f"{name} = {value!r} must be an integer")
+
+
+def _check_size(name: str, value, least: int, most: int | None = None) -> None:
+    """NonIntegerCount unless ``value`` is an integer other than a bool (a
+    float, even a whole one, sizes no grid, draw set or seed), then
+    ValueError unless ``value >= least`` and, if given, ``value <= most``.
+    The one rule for sizes; trader counts take :func:`_check_count`, which
+    accepts whole floats.  A size that sets an array's length takes
+    ``most``: no array is longer than ``sys.maxsize``."""
+    _check_integer(name, value)
     if value < least:
         raise ValueError(f"need {name} >= {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"need {name} <= {most}, got {value}")
 
 
 def renormalize_lambdas(lambdas) -> tuple[float, ...]:

@@ -78,6 +78,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,11 +253,11 @@ def best_response(game: DiscreteGame, i: int) -> np.ndarray:
 
 def _check_grid(kappa: float, n_steps: int) -> None:
     """NonIntegerCount unless n_steps is an integer, then ValueError unless
-    n_steps >= 2, so that every trader has an interior node, then
-    GridMismatch unless n_steps > kappa / 2, the grids on which
-    the Nash rows' root sigma = (1 + c) / (1 - c) is positive
-    (c = kappa / (2 N) < 1)."""
-    _check_size("n_steps", n_steps, 2)
+    n_steps >= 2, so that every trader has an interior node, and the grid's
+    n_steps + 1 nodes fit an array, then GridMismatch unless
+    n_steps > kappa / 2, the grids on which the Nash rows' root
+    sigma = (1 + c) / (1 - c) is positive (c = kappa / (2 N) < 1)."""
+    _check_size("n_steps", n_steps, 2, sys.maxsize - 1)
     if 2 * n_steps <= kappa:
         raise GridMismatch(
             f"n_steps={n_steps} is too coarse for kappa={kappa:g}: "

@@ -12,6 +12,7 @@ here once, and the CLI reports them at their config keys.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,13 +85,13 @@ def draw_lambdas(rng: np.random.Generator, n: int) -> tuple[float, ...]:
 
 def _check_suite_n(n_values) -> None:
     """ValueError unless ``n_values`` is non-empty, then the size rule on
-    every entry: an integer n >= 2.  At n = 1 every strategy is the straight
+    every entry: an integer 2 <= n <= sys.maxsize.  At n = 1 every strategy is the straight
     line (b = d = 0), which an injected bug (it scales d) cannot move, and
     the cost row reads 0 / 0."""
     if not n_values:
         raise ValueError(f"need a non-empty n_values, got {n_values}")
     for k, n in enumerate(n_values):
-        _check_size(f"n_values[{k}]", n, 2)
+        _check_size(f"n_values[{k}]", n, 2, sys.maxsize)
 
 
 def _check_suite_kappa(kappa_values) -> None:

@@ -348,6 +348,32 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command,payload,key",
+        [
+            ("equilibrium", lambda big: {"game": GAME, "grid": {"n_points": big}},
+             "config.grid.n_points"),
+            ("verify", lambda big: {"verify": {"n_steps": big}}, "config.verify.n_steps"),
+            ("verify", lambda big: {"verify": {"n": [2, big]}}, "config.verify.n"),
+            ("centralize", lambda big: {"game": {"n": 12, "kappa": 1.0},
+                                        "centralization": {"n1": 4, "lambda_firm": 0.4,
+                                                           "delta_range": [0, big]}},
+             "config.centralization.delta_range"),
+            ("equilibrium", lambda big: {"game": {"n": big, "symmetric": True, "kappa": 1.0}},
+             "config.game"),
+        ],
+    )
+    def test_length_beyond_every_array_is_config_error(
+        self, tmp_path, capsys, command, payload, key
+    ):
+        # 10^30 fits a double but sizes an array longer than numpy can index
+        cfg = write_config(tmp_path, "cfg.json", payload(10**30))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command,config,args,message",
         [
             ("equilibrium", [GAME], [], "{cfg}: top level must be an object"),
@@ -1056,10 +1082,15 @@ def test_csv_writer_matches_per_cell_formatting(tmp_path):
         magnitudes = 10.0 ** rng.uniform(-300, 300, 50)
         rows.append((rng.choice([-1.0, 1.0], 50) * magnitudes).tolist())
         rows.append(list(rng.standard_normal(50)))  # np.float64 cells
-    path = cli._write_csv(tmp_path, "mixed.csv", ["h1", "h2"], rows, "# meta",
+    # bytes rows, each one or more finished lines, go out as they are, in order
+    kernel = b"".join(_g12.format_rows(np.array([special, special[::-1]])))
+    written = [*rows[:2], b"cost,1.5\n", *rows[2:4], kernel, b"a\nb\n", *rows[4:], b"end\n"]
+    expected = []
+    for row in written:
+        expected += row.decode().splitlines() if isinstance(row, bytes) else per_cell_lines([row])
+    path = cli._write_csv(tmp_path, "mixed.csv", ["h1", "h2"], iter(written), "# meta",
                           extra_comments=["# extra"])
-    expected = ["# meta", "# extra", "h1,h2", *per_cell_lines(rows)]
-    assert path.read_text() == "\n".join(expected) + "\n"
+    assert path.read_text() == "\n".join(["# meta", "# extra", "h1,h2", *expected]) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -1199,19 +1230,6 @@ def test_streamed_equilibrium_matches_the_whole_block_at_chunk_edges(tmp_path, n
     rows.append(["share", *breakdown.shares, 1.0])
     produced = (tmp_path / "out" / "equilibrium.csv").read_text().splitlines()[2:]
     assert produced == per_cell_lines(rows)
-
-
-def test_labelled_float_rows_match_per_cell_formatting(tmp_path):
-    """A (labels, 2-D float array) row is each label, then ``%.12g`` per cell
-    of its row, also for the cells the kernel leaves to ``%``."""
-    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300, -1e-300, 0.1, 1 / 3]
-    values = np.concatenate([special, np.random.default_rng(3).standard_normal(5000)])
-    block = np.array([values, values[::-1]])
-    rows = [(("cost", "share"), block), (["tail"], block[:1, :7]), ["tail", 2, 0.5]]
-    path = cli._write_csv(tmp_path, "labelled.csv", ["h"], rows, "# meta")
-    expected = per_cell_lines([["cost", *block[0]], ["share", *block[1]], ["tail", *block[0, :7]],
-                               ["tail", 2, 0.5]])
-    assert path.read_text() == "\n".join(["# meta", "h", *expected]) + "\n"
 
 
 def test_equilibrium_memory_does_not_grow_with_n_points(tmp_path):

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 
 import posgame as pg
 from conftest import game_specs
-from posgame.core import _gauss_legendre_64, _percent_change
+from posgame.centralization import _check_window
+from posgame.core import _check_size, _gauss_legendre_64, _percent_change
+from posgame.oracle import _check_grid
+from posgame.verification import _check_suite_n
 
 
 class TestValidateSpec:
@@ -58,6 +61,20 @@ class TestValidateSpec:
         with pytest.raises(pg.EmptyGame):
             pg.GameSpec(n=0, lambdas=(), kappa=1.0)
 
+    @pytest.mark.parametrize(
+        "n,lambdas",
+        [(2.0, (0.5, 0.5)), (True, (1.0,)), (np.float64(1.0), (1.0,)), (0.0, ()),
+         (2.5, (0.5, 0.5))],
+    )
+    def test_trader_count_must_be_an_integer(self, n, lambdas):
+        # a whole float or a bool is no count: solve sizes its arrays with n
+        with pytest.raises(pg.NonIntegerCount, match="^n = .* must be an integer$"):
+            pg.GameSpec(n=n, lambdas=lambdas, kappa=1.0)
+
+    def test_numpy_integer_counts_stay_valid(self):
+        assert pg.GameSpec(n=np.int64(2), lambdas=(0.5, 0.5), kappa=1.0).n == 2
+        assert type(pg.GameSpec.symmetric(2.0, 1.0).n) is int
+
     @pytest.mark.parametrize("n", [0, -1])
     def test_symmetric_game_without_traders(self, n):
         with pytest.raises(pg.EmptyGame):
@@ -97,6 +114,28 @@ def test_symmetric_constructor():
 def test_count_beyond_every_float_is_a_spec_error():
     with pytest.raises(pg.GameSpecError, match="^n: int too large to convert to float$"):
         pg.GameSpec.symmetric(10**400, 1.0)
+
+
+def test_array_lengths_stop_at_the_largest_index():
+    """Each size that sets an array's length admits the longest array numpy
+    could index (sys.maxsize entries) and rejects one entry more, before
+    anything is allocated."""
+    longest = sys.maxsize
+    _check_size("n_points", longest, 2, longest)
+    _check_grid(1.0, longest - 1)  # n_steps + 1 grid nodes
+    _check_suite_n([2, longest])
+    _check_window(4, (-3, longest - 4))  # hi - lo + 1 deltas
+    too_long = [
+        lambda: _check_size("n_points", longest + 1, 2, longest),
+        lambda: _check_grid(1.0, longest),
+        lambda: _check_suite_n([2, longest + 1]),
+        lambda: _check_window(4, (-3, longest - 3)),
+        lambda: pg.GameSpec.symmetric(longest + 1, 1.0),
+        lambda: pg.GameSpec.symmetric(1e30, 1.0),
+    ]
+    for rule in too_long:
+        with pytest.raises(ValueError, match=f"{longest}"):
+            rule()
 
 
 @settings(max_examples=30, deadline=None)
