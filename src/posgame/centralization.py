@@ -190,7 +190,10 @@ def optimal_representation(
     else:
         _check_window(sc.n1, delta_range)
         lo, hi = delta_range
-    deltas = np.arange(lo, hi + 1, dtype=int)
+    # sized from the exact count: arange's float length wraps to 0 within
+    # 512 of sys.maxsize, which a window's exact ends can reach
+    deltas = np.empty(int(hi - lo) + 1, dtype=int)
+    deltas[:] = np.arange(lo, hi + 1, dtype=int)
     exact = group_cost(sc.n + deltas, sc.n1 + deltas, sc.lambda_firm, sc.kappa)
     approx = group_cost(sc.n + deltas, sc.n1 + deltas, sc.lambda_firm, sc.kappa, decay=sc.kappa)
     return StrategicCurve(

@@ -95,6 +95,21 @@ def _kappa_reported_at(path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+@contextmanager
+def _size_reported_at(path: str):
+    """Report a MemoryError, or numpy's "array is too big" ValueError, raised
+    in the block as a config error at ``path``: a size that every rule
+    admits but whose array does not fit in memory."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(f"{path}: {exc or 'out of memory'}") from exc
+    except ValueError as exc:
+        if not str(exc).startswith("array is too big"):
+            raise
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 class _Parser(argparse.ArgumentParser):
     """Exit 1 on usage errors; exit 2 is reserved for numeric failures."""
 
@@ -178,11 +193,16 @@ def _number_list(section: _Section, key: str, required=False, each=None) -> list
 
 
 def _int_list(section: _Section, key: str) -> list[int] | None:
+    """The non-empty list of whole numbers at ``key``, as ints.  Every entry
+    passes :func:`_number_list`'s checks, so one beyond every double is still
+    an error, but an integer entry is kept as parsed, not read back through
+    its float: an n above 2^53 stays exact."""
+    parsed = section._data.get(key)  # _number_list takes the key
     values = _number_list(section, key)
     if values is None:
         return None
     _checked(f"{section.path}.{key}", _check_count, key, values)
-    return [int(v) for v in values]
+    return [v if isinstance(v, int) else int(v) for v in parsed]
 
 
 @dataclass
@@ -375,40 +395,43 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
     distinct tuple of cell types (see :func:`_cell_format`) and encoded as
     UTF-8 once per run of such rows, so no byte depends on the locale.
     ``rows`` may be an iterator, so a caller can stream a large table a chunk
-    of rows at a time.
+    of rows at a time; if it raises, the partial file is removed.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     lines = [f"{line}\n" for line in (meta, *(extra_comments or ()), ",".join(header))]
     formats = {}
-    with path.open("wb") as file:
-        for row in rows:
-            if isinstance(row, bytes):
-                file.write("".join(lines).encode())
-                lines = []
-                file.write(row)
-                continue
-            kinds = tuple(map(type, row))
-            fmt = formats.get(kinds)
-            if fmt is None:
-                fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
-            lines.append(fmt % tuple(row))
-        file.write("".join(lines).encode())
+    file = path.open("wb")
+    try:
+        with file:
+            for row in rows:
+                if isinstance(row, bytes):
+                    file.write("".join(lines).encode())
+                    lines = []
+                    file.write(row)
+                    continue
+                kinds = tuple(map(type, row))
+                fmt = formats.get(kinds)
+                if fmt is None:
+                    fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
+                lines.append(fmt % tuple(row))
+            file.write("".join(lines).encode())
+    except BaseException:
+        path.unlink()
+        raise
     return path
 
 
-def _curve_rows(solution, n_points: int):
-    """equilibrium.csv's float lines (t, a_1 .. a_n, m) on ``n_points`` equal
-    steps of [0, 1], as the ``_g12`` kernel's bytes, one chunk of time rows
-    at a time: the (n, n_points) curves are never built.  The time grid and
-    the market curve, one value each per point (16 bytes a point), are held
-    whole; the market curve is elementwise, so each cell is the one a chunk
-    would compute."""
-    t = np.linspace(0.0, 1.0, n_points)
-    market = solution.market(t)
+def _curve_rows(solution, t, market):
+    """equilibrium.csv's float lines (t, a_1 .. a_n, m) at the times ``t``,
+    with ``market`` the market curve there, as the ``_g12`` kernel's bytes,
+    one chunk of time rows at a time: the (n, len(t)) curves are never
+    built.  The time grid and the market curve, one value each per point
+    (16 bytes a point), are held whole; the market curve is elementwise, so
+    each cell is the one a chunk would compute."""
     width = solution.spec.n + 2
     step = chunk_rows(width)
-    for start in range(0, n_points, step):
+    for start in range(0, t.size, step):
         times = t[start:start + step]
         block = np.empty((times.size, width))
         block[:, 0] = times
@@ -425,11 +448,14 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     )
     with _kappa_reported_at("config.game.kappa"):
         sol = solve(spec)
+    with _size_reported_at("config.grid.n_points"):  # before any file is opened
+        t = np.linspace(0.0, 1.0, sc.n_points)
+        market = sol.market(t)
     header = ["t"] + [f"a_{i + 1}" for i in range(spec.n)] + ["m"]
     breakdown = cost_breakdown(spec)
     totals = np.array([[*breakdown.per_trader, breakdown.aggregate], [*breakdown.shares, 1.0]])
     cost, share = b"".join(format_rows(totals)).splitlines(keepends=True)
-    rows = chain(_curve_rows(sol, sc.n_points), [b"cost," + cost, b"share," + share])
+    rows = chain(_curve_rows(sol, t, market), [b"cost," + cost, b"share," + share])
     _write_csv(out_dir, "equilibrium.csv", header, rows, meta)
     return 0
 
@@ -458,9 +484,11 @@ def cmd_costs(sc: Scenario, out_dir: Path, meta: str) -> int:
 
 def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
     scenario = sc.require(sc.central, "config.centralization: required for centralize")
+    window_key = "delta_range" if sc.delta_range is not None else "n1"  # what sizes the window
     with _kappa_reported_at("config.game.kappa"):
         rep = naive_centralization_report(scenario)
-        curve = optimal_representation(scenario, delta_range=sc.delta_range)
+        with _size_reported_at(f"config.centralization.{window_key}"):
+            curve = optimal_representation(scenario, delta_range=sc.delta_range)
     if sc.table_kappa is not None:  # every row is priced before any file is written
         bands = [FRACTION_BANDS[label] for label in sc.table_rows]
         n1_mean = float(np.mean(sc.table_n1))

@@ -224,8 +224,10 @@ def _curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
         if order == 0:
             return np.broadcast_to(t, shape).copy()
         return np.full(shape, 1.0 if order == 1 else 0.0)
-    if order == 0:
-        return b * np.expm1(kappa * t) - d * np.expm1(-alpha * t)
+    if order == 0:  # the decay term is subtracted in place: one temporary, not two
+        curve = b * np.expm1(kappa * t)
+        curve -= d * np.expm1(-alpha * t)
+        return curve
     if order == 1:
         return kappa * b * np.exp(kappa * t) + alpha * d * np.exp(-alpha * t)
     return kappa**2 * b * np.exp(kappa * t) - alpha**2 * d * np.exp(-alpha * t)

@@ -198,16 +198,25 @@ def _sampled_paths(b, d, kappa: float, alpha: float, n_steps: int) -> np.ndarray
 def _pressure(x: np.ndarray, kappa: float, h: float) -> np.ndarray:
     """Per-interval price pressure of a path along the last axis: its
     forward-difference rate plus kappa times its midpoint level.  Linear in
-    ``x``; leading axes broadcast."""
-    return np.diff(x) / h + kappa * 0.5 * (x[..., :-1] + x[..., 1:])
+    ``x``; leading axes broadcast.  Besides the result only the midpoint
+    sums are made."""
+    pressure = x[..., 1:] - x[..., :-1]
+    pressure /= h
+    level = x[..., :-1] + x[..., 1:]
+    level *= kappa * 0.5
+    pressure += level
+    return pressure
 
 
 def _cost_sum(m: np.ndarray, lam, a: np.ndarray, kappa: float, h: float) -> np.ndarray:
     """The discrete cost sum over the last axis: the price pressure of the
     aggregate path ``m`` times ``lam`` times the own path's increments.
-    Leading axes broadcast: one call prices every trader or every profile of
-    a stack."""
-    return np.sum(_pressure(m, kappa, h) * lam * np.diff(a), axis=-1)
+    Leading axes broadcast into the own path ``a``'s shape: one call prices
+    every trader or every profile of a stack.  The increments are weighted
+    in place, so besides them only the pressure times ``lam`` is made."""
+    terms = a[..., 1:] - a[..., :-1]
+    terms *= _pressure(m, kappa, h) * lam
+    return terms.sum(axis=-1)
 
 
 def discrete_cost(game: DiscreteGame) -> np.ndarray:
@@ -345,9 +354,9 @@ def _bump_terms(
     """The bumps' price pressure p(b), shape (K, N), and curvatures
     sum p(b) db, shape (K,), at ``kappa`` on the grid of step ``h``: the
     terms of :func:`deviation_expansion` that no base enters.  ``steps`` is
-    ``np.diff(bumps)``."""
+    the bumps' increments along the grid."""
     pressure = _pressure(bumps, kappa, h)
-    return pressure, np.sum(pressure * steps, axis=-1)
+    return pressure, (pressure * steps).sum(axis=-1)
 
 
 def _expansion(
@@ -368,7 +377,8 @@ def _expansion(
     matmul each, which keeps every profile's bits."""
     market = _pressure(lambdas[..., None, :] @ paths, kappa, 1.0 / (paths.shape[-1] - 1))
     market_term = np.swapaxes(steps @ np.swapaxes(market, -1, -2), -1, -2)  # (..., 1, K)
-    own_term = np.swapaxes(pressure @ np.swapaxes(np.diff(paths), -1, -2), -1, -2)
+    increments = np.swapaxes(paths[..., 1:] - paths[..., :-1], -1, -2)
+    own_term = np.swapaxes(pressure @ increments, -1, -2)
     lam = lambdas[..., None]
     return eps * lam * (market_term + lam * own_term) + eps**2 * lam**2 * curvature
 
@@ -404,7 +414,7 @@ def deviation_expansion(base: DiscreteGame, bumps: np.ndarray, eps: float) -> np
         raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
     if np.any(bumps[:, [0, -1]] != 0.0):
         raise BadBump("bump must vanish at both endpoints")
-    steps = np.diff(bumps)
+    steps = bumps[:, 1:] - bumps[:, :-1]
     kappa = base.spec.kappa
     terms = _bump_terms(bumps, steps, kappa, 1.0 / base.n_steps)
     return _expansion(base.paths, base.spec.lambdas_array(), kappa, steps, *terms, eps)
@@ -417,10 +427,12 @@ def standard_bumps(n_steps: int, seed: int = 0) -> np.ndarray:
     are integers, ValueError unless ``n_steps >= 1`` and ``seed >= 0``."""
     _check_size("n_steps", n_steps, 1)
     _check_size("seed", seed, 0)
+    bumps = np.empty((10, n_steps + 1))  # each kind is built in its rows
+    sines, rough = bumps[:5], bumps[5:]
     grid = np.linspace(0.0, 1.0, n_steps + 1)
-    sines = np.sin(np.multiply.outer(np.arange(1, 6) * np.pi, grid))
-    rough = np.random.default_rng(seed).standard_normal((5, n_steps + 1))
-    bumps = np.concatenate((sines, rough))
-    bumps[:, [0, -1]] = 0.0
-    bumps[5:] /= np.maximum(1.0, np.max(np.abs(bumps[5:]), axis=1, keepdims=True))
+    np.sin(np.multiply.outer(np.arange(1, 6) * np.pi, grid, out=sines), out=sines)
+    np.random.default_rng(seed).standard_normal(out=rough)
+    bumps[:, 0] = bumps[:, -1] = 0.0
+    # max |x| of a row, read as its max and its negated min, with no |x| array
+    rough /= np.maximum(1.0, np.maximum(rough.max(axis=1), -rough.min(axis=1)))[:, None]
     return bumps

@@ -374,6 +374,54 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "command,payload,message",
+        [
+            # 2^62 points pass the size rule, but numpy refuses their 2^65
+            # bytes at once, before anything is allocated
+            ("equilibrium", {"game": GAME, "grid": {"n_points": 2**62}},
+             "config.grid.n_points: array is too big"),
+            # an exact window of sys.maxsize deltas passes its rule, but no
+            # array of that many integers fits in memory
+            ("centralize", {"game": {"n": 12, "kappa": 1.0},
+                            "centralization": {"n1": 4, "lambda_firm": 0.4,
+                                               "delta_range": [-3, sys.maxsize - 4]}},
+             "config.centralization.delta_range: array is too big"),
+            # the default window spans n1 deltas: 7.2e18 bytes, more than a
+            # 64-bit process can map, so malloc fails at once
+            ("centralize", {"game": {"n": 10**18, "kappa": 1.0},
+                            "centralization": {"n1": 10**17, "lambda_firm": 0.4}},
+             "config.centralization.n1: Unable to allocate"),
+        ],
+        ids=["n_points=2^62", "delta_range-of-maxsize", "default-window-of-n1"],
+    )
+    def test_size_beyond_memory_is_config_error(self, tmp_path, capsys, command, payload,
+                                                message):
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_integer_lists_are_read_as_integers(self, tmp_path, capsys):
+        # 2^53 + 1 is the first integer that a double rounds (to 2^53)
+        big = 2**53 + 1
+        cfg = write_config(tmp_path, "cfg.json", {"sweep": {"n": [big, 3.0], "kappa": [1.0]}})
+        out = tmp_path / "out"
+        assert main(["poa", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "poa.csv").read_text().splitlines()[2:]
+        assert [row.split(",")[0] for row in rows] == [str(big), "3"]
+        # a window is checked at its exact ends: through doubles it read [2^53, 2^53]
+        cfg = write_config(tmp_path, "cfg.json", {
+            "game": {"n": 12, "kappa": 1.0},
+            "centralization": {"n1": 4, "lambda_firm": 0.4, "delta_range": [big, big - 1]},
+        })
+        assert main(["centralize", "--config", cfg, "--out", str(tmp_path / "window")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: config.centralization.delta_range: empty delta_range [{big}, {big - 1}]\n"
+        )
+
+    @pytest.mark.parametrize(
         "command,config,args,message",
         [
             ("equilibrium", [GAME], [], "{cfg}: top level must be an object"),
@@ -1093,6 +1141,17 @@ def test_csv_writer_matches_per_cell_formatting(tmp_path):
     assert path.read_text() == "\n".join(["# meta", "# extra", "h1,h2", *expected]) + "\n"
 
 
+def test_csv_writer_removes_its_partial_file_when_the_rows_raise(tmp_path):
+    def rows():
+        yield [1, 2.5]
+        yield b"3,4\n"
+        raise MemoryError  # as a streamed chunk that fails to allocate would
+
+    with pytest.raises(MemoryError):
+        cli._write_csv(tmp_path, "partial.csv", ["a", "b"], rows(), "# meta")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "n,kappa", [(2000, 5.0), (300, 300.0)], ids=["n2000-kappa5", "n300-kappa300"]
 )
@@ -1119,10 +1178,16 @@ def test_large_equilibrium_matches_per_cell_formatting(tmp_path, n, kappa):
     assert produced == [header, *per_cell_lines(rows)]
 
 
+def printf_lines(block):
+    """The CSV lines of a 2-D float block, the ``%.12g`` of every cell, with
+    one ``%`` per row on a prebuilt format."""
+    fmt = ",".join(["%.12g"] * block.shape[1])
+    return [fmt % tuple(row) for row in block.tolist()]
+
+
 def assert_lines_match_printf(block):
     """format_rows(block) is, line by line, the ``%.12g`` of every cell."""
-    fmt = ",".join(["%.12g"] * block.shape[1])
-    expected = [fmt % tuple(row) + "\n" for row in block.tolist()]
+    expected = [line + "\n" for line in printf_lines(block)]
     assert b"".join(_g12.format_rows(block)).decode().splitlines(keepends=True) == expected
 
 
@@ -1212,8 +1277,9 @@ def test_streamed_equilibrium_matches_the_whole_block_at_chunk_edges(tmp_path, n
                                                                      kappa):
     """equilibrium.csv, streamed a chunk of time rows at a time, is
     byte-identical to the whole (n_points, n + 2) block built at once and
-    formatted cell by cell, on both curve branches (kappa 0 and a kappa
-    below the floor take the straight line)."""
+    formatted by printf, on both curve branches (kappa 0 and a kappa below
+    the floor take the straight line); the cost and share rows are
+    formatted cell by cell."""
     lambdas = {1: [1.0], 2: [0.3, 0.7]}.get(n) or WORKLOADS.large_n_lambdas(0, n)
     spec = pg.GameSpec(n=n, lambdas=tuple(lambdas), kappa=kappa)
     cfg = write_config(
@@ -1224,12 +1290,12 @@ def test_streamed_equilibrium_matches_the_whole_block_at_chunk_edges(tmp_path, n
 
     sol = pg.solve(spec)
     t = np.linspace(0.0, 1.0, n_points)
-    rows = np.column_stack([t, sol.positions(t).T, sol.market(t)]).tolist()
     breakdown = pg.cost_breakdown(spec)
-    rows.append(["cost", *breakdown.per_trader, breakdown.aggregate])
-    rows.append(["share", *breakdown.shares, 1.0])
+    expected = printf_lines(np.column_stack([t, sol.positions(t).T, sol.market(t)]))
+    expected += per_cell_lines([["cost", *breakdown.per_trader, breakdown.aggregate],
+                                ["share", *breakdown.shares, 1.0]])
     produced = (tmp_path / "out" / "equilibrium.csv").read_text().splitlines()[2:]
-    assert produced == per_cell_lines(rows)
+    assert produced == expected
 
 
 def test_equilibrium_memory_does_not_grow_with_n_points(tmp_path):

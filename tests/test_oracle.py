@@ -14,6 +14,7 @@ import posgame.verification as verification
 from conftest import game_specs
 from posgame.core import _curve
 from posgame.costs import group_cost
+from posgame.equilibrium import _coefficients
 from posgame.verification import (
     Check,
     draw_lambda_stack,
@@ -837,6 +838,79 @@ def test_nash_point_keeps_its_bits_through_the_factors(n, kappa):
     expected = np.multiply.outer(-lambdas.sum() / (n * lambdas), own - market)
     expected += own
     assert np.array_equal(pg.nash_fixed_point(spec, n_steps).paths, expected)
+
+
+def plain_pressure(x, kappa, h):
+    return np.diff(x) / h + kappa * 0.5 * (x[..., :-1] + x[..., 1:])
+
+
+def lean_kernel_cases():
+    """(lambdas, b, d, kappa, alpha) for one game, shape (n,), and for a
+    stack of D games, shape (D, n): at kappa = 0 (straight lines), a small and
+    a large kappa, and a 40-trader stack whose sampled paths take
+    ``_sampled_paths``' blocked route at N = 2000."""
+    rng = np.random.default_rng(31)
+    for n, draws, kappa in ((3, None, 0.0), (2, None, 1.0), (5, 3, 25.0), (4, 2, 0.0),
+                            (40, 3, 5.0)):
+        lam = draw_lambda_stack(rng, n, draws or 1)
+        lam = lam if draws else lam[0]
+        if kappa == 0.0:
+            yield lam, np.zeros_like(lam), np.zeros_like(lam), kappa, 0.0
+        else:
+            alpha = kappa * (n - 1) / (n + 1)
+            yield lam, *_coefficients(lam, kappa, alpha), kappa, alpha
+
+
+@pytest.mark.parametrize("n_steps", [2000, 13])
+def test_lean_kernels_keep_the_bits_of_their_plain_expressions(n_steps):
+    # every kernel verify calls works in place or through out=; each must
+    # still give the bits of the expression it was written as
+    h = 1.0 / n_steps
+    t = np.linspace(0.0, 1.0, n_steps + 1)
+    bumps = pg.standard_bumps(n_steps, seed=5)
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
+    plain_bumps = np.concatenate((np.sin(np.multiply.outer(np.arange(1, 6) * np.pi, grid)),
+                                  np.random.default_rng(5).standard_normal((5, n_steps + 1))))
+    plain_bumps[:, [0, -1]] = 0.0
+    plain_bumps[5:] /= np.maximum(1.0, np.max(np.abs(plain_bumps[5:]), axis=1, keepdims=True))
+    assert np.array_equal(bumps, plain_bumps)
+    steps = np.diff(bumps)
+    blocked = False
+    for lam, b, d, kappa, alpha in lean_kernel_cases():
+        b_col, d_col = b[..., None], d[..., None]
+        if alpha == 0.0:
+            plain_cf = np.broadcast_to(t, b_col.shape[:-1] + t.shape).copy()
+        else:
+            plain_cf = b_col * np.expm1(kappa * t) - d_col * np.expm1(-alpha * t)
+        plain_cf[..., 0], plain_cf[..., -1] = 0.0, 1.0
+        cf = oracle._sampled_paths(b_col, d_col, kappa, alpha, n_steps)
+        assert np.array_equal(cf, plain_cf)
+        blocked |= b.size * (n_steps + 1) > oracle._STACK_CELLS
+
+        own, market = oracle._nash_factors(lam.shape[-1], kappa, n_steps)
+        coef = -lam.sum(axis=-1, keepdims=True) / (lam.shape[-1] * lam)
+        fp = oracle._nash_profile(lam, own, market)
+        assert np.array_equal(fp, coef[..., None] * (own - market) + own)
+
+        for x in (fp, fp[..., 0, :], bumps):
+            assert np.array_equal(oracle._pressure(x, kappa, h), plain_pressure(x, kappa, h))
+        m = lam[..., None, :] @ fp
+        plain_costs = np.sum(plain_pressure(m, kappa, h) * lam[..., None] * np.diff(fp), axis=-1)
+        assert np.array_equal(oracle._discrete_costs(fp, lam, kappa), plain_costs)
+
+        pressure, curvature = oracle._bump_terms(bumps, steps, kappa, h)
+        plain_pressure_b = plain_pressure(bumps, kappa, h)
+        assert np.array_equal(pressure, plain_pressure_b)
+        assert np.array_equal(curvature, np.sum(plain_pressure_b * steps, axis=-1))
+        market_p = plain_pressure(lam[..., None, :] @ cf, kappa, h)
+        market_term = np.swapaxes(steps @ np.swapaxes(market_p, -1, -2), -1, -2)
+        own_term = np.swapaxes(pressure @ np.swapaxes(np.diff(cf), -1, -2), -1, -2)
+        w = lam[..., None]
+        plain_expansion = 0.01 * w * (market_term + w * own_term) + 0.01**2 * w**2 * curvature
+        assert np.array_equal(
+            oracle._expansion(cf, lam, kappa, steps, pressure, curvature, 0.01), plain_expansion
+        )
+    assert blocked == (n_steps == 2000)
 
 
 def test_run_verification_memory_does_not_grow_with_draws():
