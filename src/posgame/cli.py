@@ -448,13 +448,13 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     )
     with _kappa_reported_at("config.game.kappa"):
         sol = solve(spec)
-    with _size_reported_at("config.grid.n_points"):  # before any file is opened
-        t = np.linspace(0.0, 1.0, sc.n_points)
-        market = sol.market(t)
     header = ["t"] + [f"a_{i + 1}" for i in range(spec.n)] + ["m"]
     breakdown = cost_breakdown(spec)
     totals = np.array([[*breakdown.per_trader, breakdown.aggregate], [*breakdown.shares, 1.0]])
     cost, share = b"".join(format_rows(totals)).splitlines(keepends=True)
+    with _size_reported_at("config.grid.n_points"):  # before any file is opened
+        t = np.linspace(0.0, 1.0, sc.n_points)
+        market = sol.market(t)
     rows = chain(_curve_rows(sol, t, market), [b"cost," + cost, b"share," + share])
     _write_csv(out_dir, "equilibrium.csv", header, rows, meta)
     return 0
