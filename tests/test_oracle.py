@@ -868,8 +868,7 @@ def test_lean_kernels_keep_the_bits_of_their_plain_expressions(n_steps):
     h = 1.0 / n_steps
     t = np.linspace(0.0, 1.0, n_steps + 1)
     bumps = pg.standard_bumps(n_steps, seed=5)
-    grid = np.linspace(0.0, 1.0, n_steps + 1)
-    plain_bumps = np.concatenate((np.sin(np.multiply.outer(np.arange(1, 6) * np.pi, grid)),
+    plain_bumps = np.concatenate((np.sin(np.multiply.outer(np.arange(1, 6) * np.pi, t)),
                                   np.random.default_rng(5).standard_normal((5, n_steps + 1))))
     plain_bumps[:, [0, -1]] = 0.0
     plain_bumps[5:] /= np.maximum(1.0, np.max(np.abs(plain_bumps[5:]), axis=1, keepdims=True))
