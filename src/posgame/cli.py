@@ -7,8 +7,8 @@ Usage:
     posgame poa         --config cfg.json ...
     posgame verify      --config cfg.json ...
 
-One strict JSON schema drives all subcommands (sections: game, grid,
-centralization, sweep, table, verify, output); each command reads the
+One strict JSON schema, ``_SCHEMA``, drives all subcommands (sections: game,
+grid, centralization, sweep, table, verify, output); each command reads the
 sections it needs, so a single scenario file can serve several commands.
 Every command checks every section before it computes, each value once and
 by the library's own rule where there is one, so an invalid value fails
@@ -133,103 +133,104 @@ def _fmt(x) -> str:
     return _cell_format(type(x)) % (x,)
 
 
-class _Section:
-    """Strict view over one mapping in the config tree."""
+REQUIRED = object()  # a schema default: the key has none and must be given
+_NUMBERS = "number list"  # a non-empty JSON list of numbers, read as floats
+_INTEGERS = "integer list"  # one of whole numbers, each JSON integer kept as parsed
 
-    def __init__(self, data, path: str):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{path}: expected an object")
-        self._data = dict(data)
-        self.path = path
+# section -> key -> (kind, default), each in the order it is read.  A default
+# of None leaves the key unset: the commands that need it say so.
+_SCHEMA = {
+    "game": {"n": (int, REQUIRED), "kappa": (float, REQUIRED), "symmetric": (bool, False),
+             "lambdas": (_NUMBERS, None)},
+    "grid": {"n_points": (int, 101)},
+    "centralization": {"n1": (int, REQUIRED), "lambda_firm": (float, REQUIRED),
+                       "delta_range": (_INTEGERS, None)},
+    "sweep": {"n": (_INTEGERS, None), "kappa": (_NUMBERS, None), "lambda1": (_NUMBERS, None)},
+    "table": {"kappa": (_NUMBERS, REQUIRED), "rows": (_NUMBERS, REQUIRED),
+              "n": (_INTEGERS, TABLE_N), "n1": (_INTEGERS, TABLE_N1)},
+    "verify": {"n": (_INTEGERS, (2, 3, 5)), "kappa": (_NUMBERS, (1.0, 5.0, 25.0)),
+               "draws": (int, 1), "n_steps": (int, 2000), "inject_bug": (bool, False)},
+    "output": {"directory": (str, "."), "seed": (int, 0)},
+}
 
-    def take(self, key, kind, required=False, default=None):
-        if key not in self._data:
-            if required:
-                raise ConfigError(f"{self.path}.{key}: missing required key")
-            return default
-        value = self._data.pop(key)
-        if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = _checked(f"{self.path}.{key}", float, value)
+
+def _value(path: str, kind, value):
+    """The config value at ``path`` read as ``kind``, one of ``_SCHEMA``'s.
+    A bool is no number; an int read as a float, and every list entry, must
+    fit a double.  An integer list needs whole numbers and keeps each JSON
+    integer as parsed, so an n above 2^53 stays exact."""
+    if kind not in (_NUMBERS, _INTEGERS):
         if kind in (int, float) and isinstance(value, bool):
-            raise ConfigError(f"{self.path}.{key}: expected a number, got a boolean")
+            raise ConfigError(f"{path}: expected a number, got a boolean")
+        if kind is float and isinstance(value, int):
+            return _checked(path, float, value)
         if not isinstance(value, kind):
-            raise ConfigError(
-                f"{self.path}.{key}: expected {kind.__name__}, got {type(value).__name__}"
-            )
+            raise ConfigError(f"{path}: expected {kind.__name__}, got {type(value).__name__}")
         return value
-
-    def take_section(self, key):
-        if key not in self._data:
-            return None
-        return _Section(self._data.pop(key), f"{self.path}.{key}")
-
-    def finish(self):
-        if self._data:
-            unknown = ", ".join(sorted(self._data))
-            raise ConfigError(f"{self.path}: unknown keys: {unknown}")
-
-
-def _number_list(section: _Section, key: str, required=False, each=None) -> list[float] | None:
-    """The non-empty list of numbers at ``key``; ``each(value)``, if given,
-    checks every entry."""
-    raw = section.take(key, list, required=required, default=None)
-    if raw is None:
-        return None
-    if not raw:
-        raise ConfigError(f"{section.path}.{key}: expected a non-empty list")
-    if set(map(type, raw)) == {float}:  # plain floats: no conversion, no step per entry
-        if each is not None:
-            for v in raw:
-                _checked(f"{section.path}.{key}", each, v)
-        return list(raw)
-    out = []
-    for k, v in enumerate(raw):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{section.path}.{key}[{k}]: expected a number")
-        out.append(_checked(f"{section.path}.{key}[{k}]", float, v))
-        if each is not None:
-            _checked(f"{section.path}.{key}", each, out[-1])
-    return out
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected list, got {type(value).__name__}")
+    if not value:
+        raise ConfigError(f"{path}: expected a non-empty list")
+    if set(map(type, value)) == {float}:  # plain floats: no conversion, no step per entry
+        numbers = list(value)
+    else:
+        numbers = []
+        for k, v in enumerate(value):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ConfigError(f"{path}[{k}]: expected a number")
+            numbers.append(_checked(f"{path}[{k}]", float, v))
+    if kind is _NUMBERS:
+        return numbers
+    _checked(path, _check_count, path.rpartition(".")[2], numbers)
+    return [v if isinstance(v, int) else int(v) for v in value]
 
 
-def _int_list(section: _Section, key: str) -> list[int] | None:
-    """The non-empty list of whole numbers at ``key``, as ints.  Every entry
-    passes :func:`_number_list`'s checks, so one beyond every double is still
-    an error, but an integer entry is kept as parsed, not read back through
-    its float: an n above 2^53 stays exact."""
-    parsed = section._data.get(key)  # _number_list takes the key
-    values = _number_list(section, key)
-    if values is None:
-        return None
-    _checked(f"{section.path}.{key}", _check_count, key, values)
-    return [v if isinstance(v, int) else int(v) for v in parsed]
+def _unknown_keys(data: dict, known, path: str) -> None:
+    """ConfigError at ``path`` naming every key of ``data`` not in ``known``."""
+    unknown = data.keys() - known
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys: {', '.join(sorted(unknown))}")
+
+
+def _section(config: dict, name: str) -> dict:
+    """Section ``name`` of ``config`` by its ``_SCHEMA`` rows: each key given
+    is read as its kind (see :func:`_value`), in the table's order, then
+    unknown keys are rejected, then each key left out takes its default.  A
+    section left out reads as its defaults, with None for a REQUIRED key."""
+    rows = _SCHEMA[name]
+    if name not in config:
+        return {key: None if default is REQUIRED else default for key, (_, default) in rows.items()}
+    path, data = f"config.{name}", config[name]
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object")
+    values = {key: _value(f"{path}.{key}", kind, data[key])
+              for key, (kind, _) in rows.items() if key in data}
+    _unknown_keys(data, rows, path)
+    for key, (_, default) in rows.items():
+        if key not in values:
+            if default is REQUIRED:
+                raise ConfigError(f"{path}.{key}: missing required key")
+            values[key] = default
+    return values
 
 
 @dataclass
 class Scenario:
-    """Validated scenario config; sections absent from the file are None.
+    """Validated scenario config: every section as :func:`_section` reads it,
+    so a setting is found by its key (``sc.verify["n_steps"]``), and the
+    game and the centralization scenario that the library builds from them,
+    None without their sections.  ``output["seed"]`` is the effective seed:
+    ``output.seed``, or ``--seed`` if given."""
 
-    ``seed`` is the effective seed: ``output.seed``, or ``--seed`` if given.
-    """
-
-    spec: GameSpec | None = None
-    n_points: int = 101
-    central: CentralizationScenario | None = None
-    delta_range: tuple[int, int] | None = None
-    sweep_n: list[int] | None = None
-    sweep_kappa: list[float] | None = None
-    sweep_lambda1: list[float] | None = None
-    table_kappa: list[float] | None = None
-    table_rows: list[float] | None = None
-    table_n: tuple[int, ...] = TABLE_N
-    table_n1: tuple[int, ...] = TABLE_N1
-    verify_n: tuple[int, ...] = (2, 3, 5)
-    verify_kappa: tuple[float, ...] = (1.0, 5.0, 25.0)
-    verify_draws: int = 1
-    verify_n_steps: int = 2000
-    inject_bug: bool = False
-    directory: str = "."
-    seed: int = 0
+    spec: GameSpec | None
+    central: CentralizationScenario | None
+    game: dict
+    grid: dict
+    centralization: dict
+    sweep: dict
+    table: dict
+    verify: dict
+    output: dict
 
     def require(self, value, message: str):
         if value is None:
@@ -267,115 +268,81 @@ def _load_config(path: str) -> dict:
 
 
 def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
-    """Validate the whole config tree, regardless of which command runs.
-
-    Each value is checked once, here, by the library's own rule where it
-    has one (see :func:`_checked`), so the commands only compute.
-    """
-    root = _Section(config, "config")
-    sc = Scenario()
-
-    game = root.take_section("game")
-    if game is not None:
-        n = game.take("n", int, required=True)
-        kappa = game.take("kappa", float, required=True)
-        symmetric = game.take("symmetric", bool, default=False)
-        lambdas = _number_list(game, "lambdas")
-        game.finish()
-        if symmetric and lambdas is not None:
+    """Validate the whole config tree, regardless of which command runs:
+    each section as :func:`_section` reads it, in ``_SCHEMA``'s order, then
+    by the rules that span its keys or that the library owns (see
+    :func:`_checked`), so the commands only compute; unknown sections last."""
+    spec = central = None
+    game = _section(config, "game")
+    n, kappa, lambdas = game["n"], game["kappa"], game["lambdas"]
+    if "game" in config:
+        if game["symmetric"] and lambdas is not None:
             raise ConfigError("config.game: give either 'symmetric' or 'lambdas', not both")
         _checked("config.game.kappa", _check_kappa, kappa)
-        if symmetric:
+        if game["symmetric"]:
             lambdas = _checked("config.game", GameSpec.symmetric, n, kappa).lambdas
         if lambdas is not None:
             if renormalize:
                 lambdas = _checked("config.game", renormalize_lambdas, lambdas)
-            sc.spec = _checked("config.game", GameSpec, n, tuple(lambdas), kappa)
+            spec = _checked("config.game", GameSpec, n, tuple(lambdas), kappa)
         else:  # no GameSpec is built to check n
             _checked("config.game.n", _check_traders, n)
 
-    grid = root.take_section("grid")
-    if grid is not None:
-        sc.n_points = grid.take("n_points", int, default=sc.n_points)
-        grid.finish()
-        _checked("config.grid.n_points", _check_size, "n_points", sc.n_points, 2, sys.maxsize)
+    grid = _section(config, "grid")
+    if "grid" in config:
+        # np.linspace sizes its grid through a double, which rounds a length
+        # within 512 of 2^63 up to 2^63, longer than any array
+        _checked("config.grid.n_points", _check_size, "n_points", grid["n_points"], 2,
+                 sys.maxsize - 512)
 
-    central = root.take_section("centralization")
-    if central is not None:
-        n1 = central.take("n1", int, required=True)
-        lambda_firm = central.take("lambda_firm", float, required=True)
-        window = _int_list(central, "delta_range")
-        central.finish()
-        if game is None:
+    centralization = _section(config, "centralization")
+    if "centralization" in config:
+        if "game" not in config:
             raise ConfigError("config.game: required with config.centralization (n and kappa)")
+        n1, window = centralization["n1"], centralization["delta_range"]
         _checked("config.centralization.n1", _check_counts, n1, n - n1)
-        sc.central = _checked(
-            "config.centralization.lambda_firm",
-            CentralizationScenario, n1, n - n1, lambda_firm, kappa,
-        )
+        central = _checked("config.centralization.lambda_firm", CentralizationScenario,
+                           n1, n - n1, centralization["lambda_firm"], kappa)
         if window is not None:
             _checked("config.centralization.delta_range", _check_window, n1, window)
-            sc.delta_range = tuple(window)
 
-    sweep = root.take_section("sweep")
-    if sweep is not None:
-        sc.sweep_n = _int_list(sweep, "n")
-        sc.sweep_kappa = _number_list(sweep, "kappa", each=_check_kappa)
-        sc.sweep_lambda1 = _number_list(sweep, "lambda1")
-        sweep.finish()
-        # trader 1 holds lambda1 and at least one other trader the rest
-        for n in sc.sweep_n or ():
-            _checked("config.sweep.n", _check_size, "n", n, 2)
-        for lam1 in sc.sweep_lambda1 or ():
-            if not 0.0 < lam1 < 1.0:
-                raise ConfigError(f"config.sweep.lambda1: {lam1} not in (0, 1)")
+    sweep = _section(config, "sweep")
+    # trader 1 holds lambda1 and at least one other trader the rest
+    for value in sweep["n"] or ():
+        _checked("config.sweep.n", _check_size, "n", value, 2)
+    for value in sweep["kappa"] or ():
+        _checked("config.sweep.kappa", _check_kappa, value)
+    for value in sweep["lambda1"] or ():
+        if not 0.0 < value < 1.0:
+            raise ConfigError(f"config.sweep.lambda1: {value} not in (0, 1)")
 
-    table = root.take_section("table")
-    if table is not None:
-        sc.table_kappa = _number_list(table, "kappa", required=True, each=_check_kappa)
-        sc.table_rows = _number_list(table, "rows", required=True)
-        n_values = _int_list(table, "n")
-        n1_values = _int_list(table, "n1")
-        table.finish()
-        if n_values is not None:
-            sc.table_n = tuple(n_values)
-        if n1_values is not None:
-            sc.table_n1 = tuple(n1_values)
-        n2_values = np.subtract.outer(sc.table_n, sc.table_n1)
-        _checked("config.table.n1", _check_counts, sc.table_n1, n2_values)
-        for label in sc.table_rows:
+    table = _section(config, "table")
+    if "table" in config:
+        for value in table["kappa"]:
+            _checked("config.table.kappa", _check_kappa, value)
+        n2_values = np.subtract.outer(table["n"], table["n1"])
+        _checked("config.table.n1", _check_counts, table["n1"], n2_values)
+        for label in table["rows"]:
             if label not in FRACTION_BANDS:
                 raise ConfigError(
                     f"config.table.rows: {label} has no fraction band; known rows: "
                     + ", ".join(_fmt(k) for k in sorted(FRACTION_BANDS))
                 )
 
-    verify = root.take_section("verify")
-    if verify is not None:
-        n_values = _int_list(verify, "n")
-        kappa_values = _number_list(verify, "kappa")
-        sc.verify_draws = verify.take("draws", int, default=sc.verify_draws)
-        sc.verify_n_steps = verify.take("n_steps", int, default=sc.verify_n_steps)
-        sc.inject_bug = verify.take("inject_bug", bool, default=sc.inject_bug)
-        verify.finish()
-        if n_values is not None:
-            sc.verify_n = tuple(n_values)
-        if kappa_values is not None:
-            sc.verify_kappa = tuple(kappa_values)
-        _checked("config.verify.n", _check_suite_n, sc.verify_n)
-        _checked("config.verify.kappa", _check_suite_kappa, sc.verify_kappa)
-        _checked("config.verify.n_steps", _check_grid, max(sc.verify_kappa), sc.verify_n_steps)
-        _checked("config.verify.draws", _check_size, "draws", sc.verify_draws, 1)
+    verify = _section(config, "verify")
+    verify["n"], verify["kappa"] = tuple(verify["n"]), tuple(verify["kappa"])
+    if "verify" in config:
+        _checked("config.verify.n", _check_suite_n, verify["n"])
+        _checked("config.verify.kappa", _check_suite_kappa, verify["kappa"])
+        _checked("config.verify.n_steps", _check_grid, max(verify["kappa"]), verify["n_steps"])
+        _checked("config.verify.draws", _check_size, "draws", verify["draws"], 1)
 
-    output = root.take_section("output")
-    if output is not None:
-        sc.directory = output.take("directory", str, default=sc.directory)
-        sc.seed = output.take("seed", int, default=sc.seed)
-        output.finish()
-        _checked("config.output.seed", _check_size, "seed", sc.seed, 0)
+    output = _section(config, "output")
+    if "output" in config:
+        _checked("config.output.seed", _check_size, "seed", output["seed"], 0)
 
-    root.finish()
-    return sc
+    _unknown_keys(config, _SCHEMA, "config")
+    return Scenario(spec, central, game, grid, centralization, sweep, table, verify, output)
 
 
 def _config_hash(config: dict, seed: int) -> str:
@@ -397,11 +364,14 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
     ``rows`` may be an iterator, so a caller can stream a large table a chunk
     of rows at a time; if it raises, the partial file is removed.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        file = path.open("wb")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {out_dir}: {exc}") from exc
     lines = [f"{line}\n" for line in (meta, *(extra_comments or ()), ",".join(header))]
     formats = {}
-    file = path.open("wb")
     try:
         with file:
             for row in rows:
@@ -453,7 +423,7 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     totals = np.array([[*breakdown.per_trader, breakdown.aggregate], [*breakdown.shares, 1.0]])
     cost, share = b"".join(format_rows(totals)).splitlines(keepends=True)
     with _size_reported_at("config.grid.n_points"):  # before any file is opened
-        t = np.linspace(0.0, 1.0, sc.n_points)
+        t = np.linspace(0.0, 1.0, sc.grid["n_points"])
         market = sol.market(t)
     rows = chain(_curve_rows(sol, t, market), [b"cost," + cost, b"share," + share])
     _write_csv(out_dir, "equilibrium.csv", header, rows, meta)
@@ -461,9 +431,9 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
 
 
 def cmd_costs(sc: Scenario, out_dir: Path, meta: str) -> int:
-    n_values = sc.require(sc.sweep_n, "config.sweep.n: required for costs")
-    kappa_values = sc.require(sc.sweep_kappa, "config.sweep.kappa: required for costs")
-    lambda1_values = sc.require(sc.sweep_lambda1, "config.sweep.lambda1: required for costs")
+    n_values = sc.require(sc.sweep["n"], "config.sweep.n: required for costs")
+    kappa_values = sc.require(sc.sweep["kappa"], "config.sweep.kappa: required for costs")
+    lambda1_values = sc.require(sc.sweep["lambda1"], "config.sweep.lambda1: required for costs")
     header = ["n", "kappa", "lambda1", "cost", "share", "fair_share_deviation", "aggregate"]
     lam1 = np.array(lambda1_values)
     rows = []
@@ -484,24 +454,26 @@ def cmd_costs(sc: Scenario, out_dir: Path, meta: str) -> int:
 
 def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
     scenario = sc.require(sc.central, "config.centralization: required for centralize")
-    window_key = "delta_range" if sc.delta_range is not None else "n1"  # what sizes the window
+    window = sc.centralization["delta_range"]
+    window_key = "delta_range" if window is not None else "n1"  # what sizes the window
     with _kappa_reported_at("config.game.kappa"):
         rep = naive_centralization_report(scenario)
         with _size_reported_at(f"config.centralization.{window_key}"):
-            curve = optimal_representation(scenario, delta_range=sc.delta_range)
-    if sc.table_kappa is not None:  # every row is priced before any file is written
-        bands = [FRACTION_BANDS[label] for label in sc.table_rows]
-        n1_mean = float(np.mean(sc.table_n1))
+            curve = optimal_representation(scenario, delta_range=window)
+    if sc.table["kappa"] is not None:  # every row is priced before any file is written
+        bands = [FRACTION_BANDS[label] for label in sc.table["rows"]]
+        n1_mean = float(np.mean(sc.table["n1"]))
         table_rows = []
         with _kappa_reported_at("config.table.kappa"):
-            for kap in sc.table_kappa:  # one report per kappa, one row per band
-                table = averaged_report(kap, bands, n_values=sc.table_n, n1_values=sc.table_n1)
+            for kap in sc.table["kappa"]:  # one report per kappa, one row per band
+                table = averaged_report(kap, bands, n_values=sc.table["n"],
+                                        n1_values=sc.table["n1"])
                 columns = (table.pct_change_firm, table.pct_change_nonfirm,
                            table.pct_change_total, table.firm_cost_no_central,
                            table.firm_cost_central, table.nonfirm_cost_no_central,
                            table.nonfirm_cost_central)
                 table_rows += [[label, n1_mean, kap, *cells] for label, *cells
-                               in zip(sc.table_rows, *(c.tolist() for c in columns))]
+                               in zip(sc.table["rows"], *(c.tolist() for c in columns))]
 
     header = [
         "n", "n1", "n2", "kappa", "lambda_firm",
@@ -535,7 +507,7 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
     _write_csv(out_dir, "centralize_curve.csv", curve_header, curve_rows, meta,
                extra_comments=comments)
 
-    if sc.table_kappa is not None:
+    if sc.table["kappa"] is not None:
         table_header = [
             "lambda_row", "n1_mean", "kappa",
             "pct_change_firm", "pct_change_nonfirm", "pct_change_total",
@@ -546,8 +518,8 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
 
 
 def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
-    n_values = sc.require(sc.sweep_n, "config.sweep.n: required for poa")
-    kappa_values = sc.require(sc.sweep_kappa, "config.sweep.kappa: required for poa")
+    n_values = sc.require(sc.sweep["n"], "config.sweep.n: required for poa")
+    kappa_values = sc.require(sc.sweep["kappa"], "config.sweep.kappa: required for poa")
     header = ["n", "kappa", "aggregate_cost", "pct_increase_vs_n2", "poa_ratio"]
     ns = np.array(n_values, dtype=float)
     rows = []
@@ -568,12 +540,12 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
 def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
     with _kappa_reported_at("config.verify.kappa"):  # a drawn game the closed form rejects
         report = run_verification(
-            n_values=sc.verify_n,
-            kappa_values=sc.verify_kappa,
-            draws=sc.verify_draws,
-            n_steps=sc.verify_n_steps,
-            seed=sc.seed,
-            inject_bug=sc.inject_bug,
+            n_values=sc.verify["n"],
+            kappa_values=sc.verify["kappa"],
+            draws=sc.verify["draws"],
+            n_steps=sc.verify["n_steps"],
+            seed=sc.output["seed"],
+            inject_bug=sc.verify["inject_bug"],
         )
 
     header = ["check", "measured", "threshold", "status", "detail"]
@@ -609,7 +581,7 @@ def _parser() -> _Parser:  # built once per process
     parser.add_argument("--config", required=True, help="JSON scenario config")
     parser.add_argument(
         "--out", default=None,
-        help="output directory (default: config's output.directory or '.')",
+        help="output directory (default: config's output.directory)",
     )
     parser.add_argument("--seed", type=int, default=None, help="override output.seed")
     parser.add_argument(
@@ -628,11 +600,11 @@ def main(argv: list[str] | None = None) -> int:
         scenario = parse_scenario(config, renormalize=args.renormalize_lambdas)
         if args.seed is not None:
             _checked("--seed", _check_size, "seed", args.seed, 0)
-            scenario.seed = args.seed
-        out_dir = Path(args.out) if args.out is not None else Path(scenario.directory)
+            scenario.output["seed"] = args.seed
+        out_dir = Path(args.out) if args.out is not None else Path(scenario.output["directory"])
         meta = (
             f"# posgame {__version__} command={args.command} "
-            f"config_sha256={_config_hash(config, scenario.seed)}"
+            f"config_sha256={_config_hash(config, scenario.output['seed'])}"
         )
         return _COMMANDS[args.command](scenario, out_dir, meta)
     except ConfigError as exc:

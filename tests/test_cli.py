@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -403,6 +404,55 @@ class TestConfigErrors:
         assert err.startswith(f"config error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("sub,reason", [("", "File exists"), ("sub", "Not a directory")],
+                             ids=["a-file", "below-a-file"])
+    def test_output_directory_that_cannot_be_made_is_config_error(self, tmp_path, capsys,
+                                                                  sub, reason):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / sub if sub else blocker
+        cfg = write_config(tmp_path, "cfg.json", {"game": GAME})
+        assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write output {out}: [Errno ")
+        assert f"] {reason}: " in err and err.count("\n") == 1
+        assert blocker.read_text() == ""
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            # sections in _SCHEMA's order: a rule of an earlier section first
+            ({"game": {"n": 2, "kappa": -1.0}, "output": {"seed": -1}},
+             "config.game.kappa: kappa = -1.0 must be non-negative"),
+            ({"game": {"n": 2, "kappa": -1.0}, "grid": {"n_points": "x"}},
+             "config.game.kappa: kappa = -1.0 must be non-negative"),
+            # unknown sections last
+            ({"gmae": {}, "output": {"seed": -1}}, "config.output.seed: need seed >= 0, got -1"),
+            # within a section: key kinds, then unknown keys, then missing keys, then rules
+            ({"game": {"n": 2, "kappa": "x", "typo": 1}},
+             "config.game.kappa: expected float, got str"),
+            ({"game": {"kappa": "x"}}, "config.game.kappa: expected float, got str"),
+            ({"game": {"kappa": 1.0, "typo": 1}}, "config.game: unknown keys: typo"),
+            ({"game": {"n": 2, "kappa": -1.0, "typo": 1}}, "config.game: unknown keys: typo"),
+            ({"sweep": {"kappa": [-1.0], "lambda1": ["x"]}},
+             "config.sweep.lambda1[0]: expected a number"),
+            ({"sweep": {"kappa": [-1.0, "x"]}}, "config.sweep.kappa[1]: expected a number"),
+            ({"table": {"kappa": [-1.0], "rows": [0.4], "typo": 1}},
+             "config.table: unknown keys: typo"),
+            # rules in key order
+            ({"sweep": {"n": [1], "kappa": [-1.0]}}, "config.sweep.n: need n >= 2, got 1"),
+        ],
+        ids=["rule-before-a-later-rule", "rule-before-a-later-kind", "unknown-section-last",
+             "kind-before-unknown-key", "kind-before-missing-key", "unknown-before-missing-key",
+             "unknown-key-before-rule", "kind-before-rule", "later-entry-kind-before-rule",
+             "table-unknown-key-before-rule", "rules-in-key-order"],
+    )
+    def test_config_is_read_in_schema_order(self, tmp_path, capsys, config, message):
+        # two errors each: the one reported shows which check runs first
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert main(["poa", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_integer_lists_are_read_as_integers(self, tmp_path, capsys):
         # 2^53 + 1 is the first integer that a double rounds (to 2^53)
         big = 2**53 + 1
@@ -462,6 +512,13 @@ class TestConfigErrors:
             ("centralize", {"game": GAME}, [], "config.centralization: required for centralize"),
             ("equilibrium", {"game": GAME, "grid": {"n_points": 1}}, [],
              "config.grid.n_points: need n_points >= 2, got 1"),
+            # np.linspace sizes its grid through float(n_points), which rounds
+            # these up to 2^63: its length wrapped to 0, an IndexError
+            ("equilibrium", {"game": GAME, "grid": {"n_points": sys.maxsize}}, [],
+             f"config.grid.n_points: need n_points <= {sys.maxsize - 512}, got {sys.maxsize}"),
+            ("equilibrium", {"game": GAME, "grid": {"n_points": sys.maxsize - 511}}, [],
+             f"config.grid.n_points: need n_points <= {sys.maxsize - 512},"
+             f" got {sys.maxsize - 511}"),
             ("poa", {"sweep": {"n": [3, 1], "kappa": [1.0]}}, [],
              "config.sweep.n: need n >= 2, got 1"),
             ("equilibrium", {"game": GAME, "output": {"seed": -1}}, [],
@@ -473,7 +530,8 @@ class TestConfigErrors:
              "kappa-str", "n_points-float", "symmetric-int", "directory-int", "sweep.n-int",
              "sweep.n-entry-str", "sweep.kappa-entry-bool", "equilibrium-without-lambdas",
              "equilibrium-without-game", "costs-without-sweep", "costs-without-lambda1",
-             "poa-without-kappa", "centralize-without-section", "n_points=1", "sweep.n=1",
+             "poa-without-kappa", "centralize-without-section", "n_points=1", "n_points=maxsize",
+             "n_points=maxsize-511", "sweep.n=1",
              "output.seed=-1", "--seed=-1"],
     )
     def test_config_shape_error_names_its_path(
@@ -808,7 +866,24 @@ class TestVerifyCommand:
         assert f"at least {smallest}\n" in err
         assert not out.exists()
         payload["verify"]["n_steps"] = smallest
-        assert cli.parse_scenario(payload).verify_n_steps == smallest
+        assert cli.parse_scenario(payload).verify["n_steps"] == smallest
+
+
+def test_readme_config_table_is_the_schema():
+    """README's table of config keys lists every ``_SCHEMA`` row, in order,
+    with its kind and its default."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+\.\w+)` \| ([\w ]+) \| (.+) \|$", readme, re.MULTILINE)
+
+    def default(value):
+        if value is cli.REQUIRED:
+            return "required"
+        return "none" if value is None else f"`{json.dumps(value)}`"
+
+    assert rows == [
+        (f"{section}.{key}", getattr(kind, "__name__", kind), default(value))
+        for section, keys in cli._SCHEMA.items() for key, (kind, value) in keys.items()
+    ]
 
 
 def test_one_scenario_config_drives_every_command(tmp_path):
