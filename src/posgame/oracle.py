@@ -71,7 +71,7 @@ Everything here deliberately avoids the closed-form solution: the only
 shared inputs are the cost functional and the boundary conditions.  The
 module imports no solver; :func:`sampled_equilibrium` samples a solution
 that its caller solved, and every function reads the spec off the game or
-solution it is given.
+solution it is given, or takes lambda and kappa beside the paths.
 """
 
 from __future__ import annotations
@@ -143,11 +143,8 @@ class DiscreteGame:
         return game
 
     def _check_and_freeze(self) -> None:
-        paths = self.paths
-        if paths.ndim != 2 or paths.shape[0] != self.spec.n or paths.shape[1] < 2:
-            raise GridMismatch(f"paths shape {paths.shape} is not ({self.spec.n}, N + 1), N >= 1")
-        _check_pinned(paths)
-        paths.flags.writeable = False
+        _check_paths(self.paths, (self.spec.n,))
+        self.paths.flags.writeable = False
 
     @property
     def n_steps(self) -> int:
@@ -155,9 +152,11 @@ class DiscreteGame:
         return self.paths.shape[1] - 1
 
 
-def _check_pinned(paths: np.ndarray) -> None:
-    """GridMismatch unless every path along the last axis of ``paths``
-    starts at 0 and ends at 1; leading axes hold traders and games."""
+def _check_paths(paths: np.ndarray, shape: tuple) -> None:
+    """GridMismatch unless ``paths`` has shape ``shape + (N + 1,)``, N >= 1,
+    ``shape`` the target fractions', and every path runs from 0 to 1."""
+    if not shape or paths.shape[:-1] != shape or paths.shape[-1] < 2:
+        raise GridMismatch(f"paths shape {paths.shape} is not {shape} + (N + 1,), N >= 1")
     if np.any(paths[..., 0] != 0.0) or np.any(paths[..., -1] != 1.0):
         raise GridMismatch("path endpoints must be pinned to 0 and 1")
 
@@ -219,15 +218,14 @@ def _cost_sum(m: np.ndarray, lam, a: np.ndarray, kappa: float, h: float) -> np.n
     return terms.sum(axis=-1)
 
 
-def discrete_cost(game: DiscreteGame) -> np.ndarray:
-    """Discretized implementation cost of every trader, shape (n,)."""
-    return _discrete_costs(game.paths, game.spec.lambdas_array(), game.spec.kappa)
-
-
-def _discrete_costs(paths: np.ndarray, lambdas: np.ndarray, kappa: float) -> np.ndarray:
-    """:func:`discrete_cost` of the profiles ``paths``, shape (..., n, N + 1),
-    with target fractions ``lambdas``, shape (..., n): one cost per trader,
-    shape (..., n).  A stack of D games on one grid is priced at once."""
+def discrete_cost(paths, lambdas, kappa: float) -> np.ndarray:
+    """Discretized implementation cost of every trader of the profiles
+    ``paths``, shape (..., n, N + 1), with target fractions ``lambdas``,
+    shape (..., n): one cost per trader, shape (..., n), so a stack prices D
+    games on one grid at once.  GridMismatch unless the paths fit as a
+    DiscreteGame's do."""
+    paths, lambdas = np.asarray(paths, dtype=float), np.asarray(lambdas, dtype=float)
+    _check_paths(paths, lambdas.shape)
     m = lambdas[..., None, :] @ paths
     return _cost_sum(m, lambdas[..., None], paths, kappa, 1.0 / (paths.shape[-1] - 1))
 

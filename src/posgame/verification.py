@@ -18,15 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    _KAPPA_FLOOR, EquilibriumSolution, GameSpec, _alpha, _check_kappa, _check_size, _curve,
-    _gauss_legendre_64,
+    _KAPPA_FLOOR, GameSpec, _alpha, _check_kappa, _check_size, _curve, _gauss_legendre_64,
 )
 from .costs import aggregate_cost, group_cost
-from .equilibrium import _coefficients, _market_residuals, _trader_residuals, solve
+from .equilibrium import _coefficients, governing_residuals, solve
 from .oracle import (
-    _STACK_CELLS, _bump_terms, _check_grid, _check_pinned, _discrete_costs, _expansion,
-    _nash_factors, _nash_profile, _sampled_paths, nash_fixed_point, sampled_equilibrium,
-    standard_bumps,
+    _STACK_CELLS, _bump_terms, _check_grid, _expansion, _nash_factors, _nash_profile,
+    _sampled_paths, discrete_cost, nash_fixed_point, sampled_equilibrium, standard_bumps,
 )
 
 
@@ -73,14 +71,9 @@ def _at_least(name: str, value: float, threshold: float, detail: str = "") -> Ch
 def draw_lambda_stack(rng: np.random.Generator, n: int, draws: int) -> np.ndarray:
     """``draws`` seeded simplex draws as a (draws, n) array, kept away from
     the boundary (lambda_i >= 0.1/n), so fixed tolerances apply uniformly
-    across draws.  One Dirichlet call gives the bits of ``draws`` calls of
-    :func:`draw_lambdas` and leaves ``rng`` in the same state."""
+    across draws.  One Dirichlet call gives the bits of ``draws`` one-row
+    calls and leaves ``rng`` in the same state."""
     return 0.9 * rng.dirichlet(np.ones(n), size=draws) + 0.1 / n
-
-
-def draw_lambdas(rng: np.random.Generator, n: int) -> tuple[float, ...]:
-    """One draw of :func:`draw_lambda_stack`, as a tuple."""
-    return tuple(draw_lambda_stack(rng, n, 1)[0].tolist())
 
 
 def _check_suite_n(n_values) -> None:
@@ -107,11 +100,11 @@ def _check_suite_kappa(kappa_values) -> None:
         )
 
 
-def quadrature_cost(solution: EquilibriumSolution) -> np.ndarray:
+def quadrature_cost(lambdas, b, d, kappa: float) -> np.ndarray:
     """Every trader's cost by quadrature of the cost integrand
-    (m' + kappa m) lambda_i a_i' on the solution's curves, with analytic
-    rates; independent of the cost formula being checked.  Returns one cost
-    per trader.
+    (m' + kappa m) lambda_i a_i' on the curves of :func:`governing_residuals`
+    (its arguments, its checks), shape (..., n), with analytic rates;
+    independent of the cost formula being checked.
 
     The rule is composite 64-point Gauss-Legendre on
     P = max(1, ceil(kappa / 64)) equal panels of [0, 1], so kappa / P <= 64.
@@ -120,20 +113,15 @@ def quadrature_cost(solution: EquilibriumSolution) -> np.ndarray:
     at the rounding floor (about 4e-9 there) up to kappa / P = 275, 2.4e-8
     at 300 and 9.7e-7 at 350, so the rule keeps a factor of four below where
     the error leaves the floor.  P is at most 12 for every kappa < 710,
-    where the curves are finite, and memory is a few (n, 64 P) arrays.
+    where the curves are finite, and memory is a few (..., n, 64 P) arrays.
+    A stack's batched products keep every game's bits.
     """
-    spec = solution.spec
-    return _quadrature_costs(
-        spec.lambdas_array(), solution.b, solution.d, spec.kappa, solution.alpha
-    )
-
-
-def _quadrature_costs(lambdas, b, d, kappa: float, alpha: float) -> np.ndarray:
-    """:func:`quadrature_cost` of the curves with coefficients ``b`` and
-    ``d`` and target fractions ``lambdas``, each of shape (..., n): one cost
-    per trader, shape (..., n).  A stack of D games of one size and kappa is
-    priced with (D, 1, n) @ (D, n, T) and (D, n, T) @ (D, T, 1) products,
-    which keep every game's bits."""
+    lambdas, b, d = (np.asarray(x, dtype=float) for x in (lambdas, b, d))
+    if lambdas.ndim == 0 or lambdas.shape[-1] == 0 or not lambdas.shape == b.shape == d.shape:
+        raise ValueError(f"lambdas, b and d must share one shape (..., n), n >= 1; got "
+                         f"{lambdas.shape}, {b.shape} and {d.shape}")
+    _check_kappa(kappa)
+    alpha = _alpha(lambdas.shape[-1], kappa)
     nodes, weights = _gauss_legendre_64()
     panels = max(1, math.ceil(kappa / 64.0))
     t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) / panels).ravel()
@@ -143,16 +131,6 @@ def _quadrature_costs(lambdas, b, d, kappa: float, alpha: float) -> np.ndarray:
     pressure = row @ velocities + kappa * m  # (..., 1, T)
     weighted = np.swapaxes(pressure * np.tile(weights, panels), -1, -2)
     return lambdas * (velocities @ weighted)[..., 0] / (2.0 * panels)
-
-
-def _cost_gaps(lambdas, b, d, kappa: float, alpha: float) -> np.ndarray:
-    """The cost row's reading of each game of a stack, shape (D,): the worst
-    trader's relative gap between the cost formula and :func:`_quadrature_costs`
-    on the curves of target fractions ``lambdas`` and coefficients ``b`` and
-    ``d``, each of shape (D, n)."""
-    costs = group_cost(lambdas.shape[-1], 1, lambdas, kappa)
-    quadrature = _quadrature_costs(lambdas, b, d, kappa, alpha)
-    return np.max(np.abs(costs - quadrature) / np.abs(costs), axis=-1)
 
 
 def run_verification(
@@ -189,11 +167,12 @@ def run_verification(
     oracle solves on.
 
     Cost.  The bump increments are built once per run, each kappa's bump
-    pressure once, and the oracle's unit paths, the market's residuals and
-    the aggregate cost once per (n, kappa) cell.  A cell's draws are one
-    (D, n) stack, its coefficients from ``solve``'s kernel in one call
-    (KappaTooLarge where the closed form overflows), every product a batched
-    matmul that keeps the public routes' bits on each draw.  A stack holds
+    pressure once, and the oracle's unit paths and the aggregate cost once
+    per (n, kappa) cell.  A cell's draws are one (D, n) stack, its
+    coefficients from ``solve``'s kernel in one call (KappaTooLarge where the
+    closed form overflows), its residuals and costs from one call each of the
+    public functions, every product a batched matmul that keeps the bits of
+    each draw's own call.  A stack holds
     at most ``_STACK_CELLS`` path cells (draws * n * (N + 1)): memory grows
     like n N, not draws n N.  The kernels work in place or through
     ``out=``, so at most three arrays of a stack's size are held at once:
@@ -223,8 +202,6 @@ def run_verification(
         for kappa in kappa_values:
             own, market = _nash_factors(n, kappa, n_steps)
             alpha = _alpha(n, kappa)
-            pressure, r2, r3 = _market_residuals(n, kappa, alpha, t)
-            market_res = max(np.max(np.abs(r2)), np.max(np.abs(r3)))
             aggregate = aggregate_cost(n, kappa)
             for first in range(0, draws, stack):
                 labels = [f"n={n} kappa={kappa:g} draw={rep}"
@@ -233,29 +210,29 @@ def run_verification(
                 b, d = _coefficients(lam, kappa, alpha)
                 if inject_bug:
                     d = d * 1.01
-                b_col, d_col = b[..., None], d[..., None]  # (D, n, 1), against time
 
-                r1 = _trader_residuals(b_col, d_col, lam[..., None], kappa, alpha, t, pressure)
+                r1, r2, r3 = governing_residuals(lam, b, d, kappa, t)  # r1: (D, n, 101)
+                market_res = max(np.max(np.abs(r2)), np.max(np.abs(r3)))
                 residuals = np.maximum(np.abs(r1, out=r1).max(axis=(-2, -1)), market_res)
                 end_errs = np.abs(_curve(b, d, kappa, alpha, 1.0, 0) - 1.0).max(axis=-1)
                 # cf is dropped once its gap is read, fp once the next stack's
                 # replaces it (see the Cost paragraph)
-                cf = _sampled_paths(b_col, d_col, kappa, alpha, n_steps)
+                cf = _sampled_paths(b[..., None], d[..., None], kappa, alpha, n_steps)
                 deviations = _expansion(cf, lam, kappa, steps, *bump_terms[kappa], eps=0.01)
                 fp = _nash_profile(lam, own, market)  # (D, n, N + 1)
-                _check_pinned(fp)
                 cf -= fp
                 gaps = np.abs(cf, out=cf).max(axis=(-2, -1))
                 del cf
                 # summed in trader order: np.sum pairs terms and moves the last digits
-                oracle_sums = np.add.accumulate(_discrete_costs(fp, lam, kappa), axis=-1)[:, -1]
+                oracle_sums = np.add.accumulate(discrete_cost(fp, lam, kappa), axis=-1)[:, -1]
+                costs = group_cost(n, 1, lam, kappa)
+                cost_gaps = np.abs(costs - quadrature_cost(lam, b, d, kappa)) / np.abs(costs)
 
                 rows = (  # (name, rule, (D,) readings, threshold), in report order
                     ("fixed-point gap", _at_most, gaps, 5.0 / n_steps),
                     ("governing residuals", _at_most, residuals, 1e-9),
                     ("endpoint a_i(1)=1", _at_most, end_errs, 1e-10),
-                    ("cost formula vs quadrature", _at_most,
-                     _cost_gaps(lam, b, d, kappa, alpha), 1e-6),
+                    ("cost formula vs quadrature", _at_most, cost_gaps.max(axis=-1), 1e-6),
                     ("deviation non-negativity", _at_least,
                      deviations.min(axis=(-2, -1)), -1e-9),
                     ("aggregate vs oracle sum", _at_most, np.abs(oracle_sums - aggregate), 1e-3),

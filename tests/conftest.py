@@ -5,7 +5,9 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+import posgame as pg
 from posgame import GameSpec
+from posgame.verification import draw_lambda_stack, quadrature_cost
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -16,6 +18,29 @@ def load_bench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def draw_lambdas(rng, n):
+    """One game's target fractions: a one-row ``draw_lambda_stack``, as a tuple."""
+    return tuple(draw_lambda_stack(rng, n, 1)[0].tolist())
+
+
+# The per-game calls of the stacked public checks, as README gives them
+def residuals_of(sol, t):
+    """``pg.governing_residuals`` on one solution's curves."""
+    spec = sol.spec
+    return pg.governing_residuals(spec.lambdas_array(), sol.b, sol.d, spec.kappa, t)
+
+
+def quadrature_of(sol):
+    """``quadrature_cost`` of one solution's curves, one cost per trader."""
+    spec = sol.spec
+    return quadrature_cost(spec.lambdas_array(), sol.b, sol.d, spec.kappa)
+
+
+def game_costs(game):
+    """``pg.discrete_cost`` of one ``DiscreteGame``, one cost per trader."""
+    return pg.discrete_cost(game.paths, game.spec.lambdas_array(), game.spec.kappa)
 
 
 # kappas that count as 0 (below the floor 1e-300): kappa = 0, subnormals from

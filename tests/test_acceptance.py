@@ -12,8 +12,9 @@ import pytest
 from scipy.integrate import simpson
 
 import posgame as pg
+from conftest import draw_lambdas, game_costs, residuals_of
 from posgame.cli import main as cli_main
-from posgame.verification import draw_lambdas, run_verification
+from posgame.verification import run_verification
 
 SEED = 20240901
 
@@ -101,7 +102,7 @@ def test_criterion_4_market_wide_minimum():
         worst_line = max(worst_line, float(np.max(np.abs(response - grid))))
         optimal = pg.DiscreteGame(spec, response[None, :])
         worst_cost = max(
-            worst_cost, abs(pg.discrete_cost(optimal)[0] - pg.market_min_cost(kappa))
+            worst_cost, abs(game_costs(optimal)[0] - pg.market_min_cost(kappa))
         )
     assert worst_line < 1e-10
     assert worst_cost < 1e-4
@@ -242,7 +243,7 @@ def test_criterion_10_governing_equation_residuals():
             n=n, lambdas=draw_lambdas(rng, n), kappa=float(rng.uniform(0.05, 25.0))
         )
         sol = pg.solve(spec)
-        residuals = pg.governing_residuals(sol, t)
+        residuals = residuals_of(sol, t)
         worst = max(worst, *(float(np.max(np.abs(r))) for r in residuals))
     assert worst < 1e-9
     report("10", f"three governing equations, 50 specs x 101 points, worst |residual| {worst:.2e}")

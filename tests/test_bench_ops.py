@@ -11,13 +11,18 @@ read; the outputs go to a temporary directory.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
+import posgame as pg
 import posgame.cli as cli
+import posgame.verification as verification
 from conftest import load_bench
 
-workloads, checks, worker = (load_bench(name) for name in ("workloads", "checks", "worker"))
+workloads, checks, worker, tracing = (
+    load_bench(name) for name in ("workloads", "checks", "worker", "tracing")
+)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -28,3 +33,28 @@ def test_every_benchmark_operation_passes_its_checks(tmp_path, workload, seed):
     for op in plan["ops"]:
         result = worker.run_op(cli.main, op, out_root)
         assert checks.check_op(workload, op, out_root, result) == [], op["out"]
+
+
+def test_the_tracer_sees_verify_call_the_public_checks():
+    """bench/tracing.py wraps public names only, so verify's residual, cost
+    and oracle-cost rows show in its spans when they call the public
+    functions: one call each per stack, 9 stacks on the bench verify config
+    (3 n x 3 kappa, 3 draws a stack)."""
+    (op,) = workloads.verify_ops(0)
+    cfg = op["config"]["verify"]
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        verification.run_verification(tuple(cfg["n"]), tuple(map(float, cfg["kappa"])),
+                                      cfg["draws"], cfg["n_steps"], seed=op["seed"])
+    finally:
+        restore()
+    spans, _ = tracer.take()
+    calls = Counter(span[0] for span in spans)
+    assert calls["verification.run_verification"] == 1
+    assert calls["equilibrium.governing_residuals"] == 9
+    assert calls["oracle.discrete_cost"] == 9
+    assert calls["verification.quadrature_cost"] == 9
+    # the package is as it was
+    assert not hasattr(verification.governing_residuals, "__wrapped__")
+    assert not hasattr(pg.EquilibriumSolution.positions, "__wrapped__")

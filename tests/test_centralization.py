@@ -131,6 +131,14 @@ class TestReferenceValues:
 
 
 class TestNaiveReport:
+    def test_zero_base_cost_raises_instead_of_an_infinite_percent(self):
+        # the cost formula cancels to exactly 0 for the firm at this split
+        # (its true cost is about 2.5e-39): no percent change has a value
+        sc = pg.CentralizationScenario(n1=6, n2=18, lambda_firm=0.01, kappa=100.0)
+        with pytest.raises(pg.ZeroBaseCost, match="non-zero base cost, got exactly 0"):
+            pg.naive_centralization_report(sc)
+        assert issubclass(pg.ZeroBaseCost, pg.GameSpecError)
+
     def test_percent_changes_match_quadrants(self):
         sc = scenario()
         rep = pg.naive_centralization_report(sc)

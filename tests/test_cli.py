@@ -670,6 +670,38 @@ class TestCentralizeCommand:
             assert math.isfinite(float(cells["exact_cost"]))
             assert math.isfinite(float(cells["approx_cost"]))
 
+    def test_zero_base_cost_is_a_config_error_before_any_file(self, tmp_path, capsys):
+        # the firm's cost formula cancels to exactly 0 here: its percent
+        # change, and every curve percent against delta = 0, has no value
+        # (this wrote inf and 69 nan cells with exit 0 and a RuntimeWarning)
+        central = {"n1": 6, "lambda_firm": 0.01}
+        for extra in ({}, {"table": {"kappa": [1.0], "rows": [0.40]}}):
+            cfg = write_config(tmp_path, "cfg.json", {"game": {"n": 24, "kappa": 100},
+                                                      "centralization": central, **extra})
+            out = tmp_path / "out"
+            assert main(["centralize", "--config", cfg, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == ("config error: config.centralization.lambda_firm: a percent change "
+                           "needs a non-zero base cost, got exactly 0\n")
+            assert not out.exists()
+
+    def test_zero_base_cost_in_the_table_is_reported_at_its_rows(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # no shipped band prices a base of exactly 0, so one is raised where
+        # the table's reports are priced
+        def zero_base(*args, **kwargs):
+            raise pg.ZeroBaseCost("the base cost here is exactly 0")
+
+        monkeypatch.setattr(cli, "averaged_report", zero_base)
+        cfg = write_config(tmp_path, "cfg.json", {
+            "game": {"n": 10, "kappa": 1.0}, "centralization": {"n1": 2, "lambda_firm": 0.2},
+            "table": {"kappa": [1.0], "rows": [0.40]}})
+        out = tmp_path / "out"
+        assert main(["centralize", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: config.table.rows: the base cost here is exactly 0\n"
+        assert not out.exists()
+
     def test_subnormal_kappa_writes_the_zero_kappa_limit(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -1225,6 +1257,28 @@ def test_csv_writer_removes_its_partial_file_when_the_rows_raise(tmp_path):
     with pytest.raises(MemoryError):
         cli._write_csv(tmp_path, "partial.csv", ["a", "b"], rows(), "# meta")
     assert list(tmp_path.iterdir()) == []
+    # a file of that name from an earlier run keeps its bytes
+    earlier = tmp_path / "partial.csv"
+    earlier.write_bytes(b"# earlier\na,b\n1,2\n")
+    with pytest.raises(MemoryError):
+        cli._write_csv(tmp_path, "partial.csv", ["a", "b"], rows(), "# meta")
+    assert list(tmp_path.iterdir()) == [earlier]
+    assert earlier.read_bytes() == b"# earlier\na,b\n1,2\n"
+
+
+def test_csv_writer_replaces_a_file_whole_and_leaves_no_temporary(tmp_path):
+    earlier = tmp_path / "table.csv"
+    earlier.write_text("# earlier\n" + "x\n" * 100)
+    path = cli._write_csv(tmp_path, "table.csv", ["a", "b"], [[1, 2.5]], "# meta")
+    assert path == earlier and list(tmp_path.iterdir()) == [earlier]
+    assert earlier.read_text() == "# meta\na,b\n1,2.5\n"
+
+
+def test_csv_writer_reports_a_directory_at_its_name_as_config_error(tmp_path):
+    (tmp_path / "table.csv").mkdir()
+    with pytest.raises(cli.ConfigError, match="cannot write output .*table.csv"):
+        cli._write_csv(tmp_path, "table.csv", ["a"], [[1]], "# meta")
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import re
@@ -149,6 +150,28 @@ def test_solutions_satisfy_endpoint_and_aggregation_invariants(spec):
     assert np.max(np.abs(sol.positions(1.0) - 1.0)) < 1e-10
     assert sol.market(0.0) == 0.0
     assert abs(sol.market(1.0) - 1.0) < 1e-12
+
+
+def test_percent_change_of_a_zero_base_raises():
+    with pytest.raises(pg.ZeroBaseCost):
+        _percent_change(1.0, 0.0)
+    with pytest.raises(pg.ZeroBaseCost):  # one zero among the bases is enough
+        _percent_change(np.ones(3), np.array([1.0, -0.0, 2.0]))
+    assert _percent_change(np.ones(2), np.array([0.5, 2.0])).tolist() == [100.0, -50.0]
+
+
+def test_few_private_names_cross_module_boundaries():
+    """Ratchet: the ``_``-prefixed names (dunders aside) that one src/posgame
+    module imports from another.  Each is a kernel or rule that a library
+    user cannot reach by its public name; the count may fall, not grow."""
+    package = Path(pg.__file__).resolve().parent
+    imported = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported += [f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
+                             if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert len(imported) <= 41, "\n".join(imported)
 
 
 def test_readme_quick_start_runs():

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import posgame as pg
-from conftest import BELOW_KAPPA_FLOOR, game_specs
+from conftest import BELOW_KAPPA_FLOOR, draw_lambdas, game_specs, quadrature_of
 from posgame.costs import _shares, group_cost
-from posgame.verification import _at_most, _cost_gaps, draw_lambdas, quadrature_cost
+from posgame.verification import _at_most
 
 
 def integral_cost(spec, i, intervals=10_000):
@@ -392,7 +392,7 @@ def test_quadrature_cost_gives_every_traders_cost():
     # margin of ten and still pins both.
     for kappa in (100.0, 6.0):
         spec = pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=kappa)
-        quadrature = quadrature_cost(pg.solve(spec))
+        quadrature = quadrature_of(pg.solve(spec))
         assert quadrature.shape == (4,)
         assert quadrature == pytest.approx(pg.cost_breakdown(spec).per_trader, rel=1e-13)
     reference = [integral_cost(spec, i) for i in range(4)]
@@ -406,10 +406,11 @@ def buggy_solution(spec):
 
 
 def cost_row(solution, label=""):
-    """verify's cost row on one solution's curves: a one-game stack."""
+    """verify's cost row on one solution's curves: the worst trader's
+    relative gap between the cost formula and the quadrature."""
     spec = solution.spec
-    lambdas, b, d = (x[None] for x in (spec.lambdas_array(), solution.b, solution.d))
-    gap = _cost_gaps(lambdas, b, d, spec.kappa, solution.alpha)[0]
+    costs = group_cost(spec.n, 1, spec.lambdas_array(), spec.kappa)
+    gap = np.max(np.abs(costs - quadrature_of(solution)) / np.abs(costs))
     return _at_most(f"cost formula vs quadrature [{label}]", float(gap), 1e-6)
 
 

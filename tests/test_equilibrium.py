@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 
 import posgame as pg
-from conftest import game_specs
+from conftest import draw_lambdas, game_specs, residuals_of
 from posgame.core import _alpha
 from posgame.equilibrium import _coefficients
-from posgame.verification import draw_lambdas
+from posgame.verification import draw_lambda_stack, quadrature_cost
 
 
 def trader_curve(sol, i, t, order):
@@ -125,27 +125,27 @@ class TestResiduals:
         # trader i's own stationarity equation is r1[i] - r2 / lambda_i
         sol = pg.solve(pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=5.0))
         for t in np.linspace(0.0, 1.0, 11):
-            r1, r2, _ = pg.governing_residuals(sol, t)
+            r1, r2, _ = residuals_of(sol, t)
             for i, lam in enumerate(sol.spec.lambdas):
                 assert abs(r1[i] - r2 / lam) < 1e-9
 
     def test_market_residual_vanishes(self):
         sol = pg.solve(pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=7.0))
         for t in np.linspace(0.0, 1.0, 11):
-            assert abs(pg.governing_residuals(sol, t)[2]) < 1e-9
+            assert abs(residuals_of(sol, t)[2]) < 1e-9
 
     def test_perturbed_coefficient_is_detected(self):
         from dataclasses import replace
 
         sol = pg.solve(pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0))
         perturbed = replace(sol, d=sol.d * [1.01, 1.0])
-        r1, r2, _ = pg.governing_residuals(perturbed, 0.0)
+        r1, r2, _ = residuals_of(perturbed, 0.0)
         assert abs(r1[0] - r2 / 0.5) > 1e-4
 
     def test_all_three_equations(self):
         sol = pg.solve(pg.GameSpec(n=5, lambdas=(0.1, 0.15, 0.2, 0.25, 0.3), kappa=12.0))
         for tk in np.linspace(0.0, 1.0, 101):
-            r1, r2, r3 = pg.governing_residuals(sol, tk)
+            r1, r2, r3 = residuals_of(sol, tk)
             assert np.all(np.abs(r1) < 1e-9)
             assert abs(r2) < 1e-9
             assert abs(r3) < 1e-9
@@ -153,15 +153,51 @@ class TestResiduals:
     def test_array_time_matches_scalar_calls(self):
         sol = pg.solve(pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=4.0))
         t = np.linspace(0.0, 1.0, 11)
-        r1, r2, r3 = pg.governing_residuals(sol, t)
+        r1, r2, r3 = residuals_of(sol, t)
         assert r1.shape == (3,) + t.shape
         assert r2.shape == r3.shape == t.shape
         for k, tk in enumerate(t):
-            s1, s2, s3 = pg.governing_residuals(sol, tk)
+            s1, s2, s3 = residuals_of(sol, tk)
             assert s1.shape == (3,)
             assert isinstance(s2, float) and isinstance(s3, float)
             np.testing.assert_allclose(r1[:, k], s1, rtol=0, atol=1e-12)
             np.testing.assert_allclose([r2[k], r3[k]], [s2, s3], rtol=0, atol=1e-12)
+
+    def test_a_stack_gives_each_games_own_bits(self):
+        # a (D, n) stack, the shape verify passes, reads like D calls of one game
+        lam = draw_lambda_stack(np.random.default_rng(3), 4, 3)
+        sols = [pg.solve(pg.GameSpec(4, tuple(row), 6.0)) for row in lam.tolist()]
+        b, d = np.array([s.b for s in sols]), np.array([s.d for s in sols])
+        t = np.linspace(0.0, 1.0, 11)
+        r1, r2, r3 = pg.governing_residuals(lam, b, d, 6.0, t)
+        assert r1.shape == (3, 4, 11) and r2.shape == r3.shape == t.shape
+        quadrature = quadrature_cost(lam, b, d, 6.0)
+        assert quadrature.shape == (3, 4)
+        for k, sol in enumerate(sols):
+            s1, s2, s3 = residuals_of(sol, t)
+            assert np.array_equal(r1[k], s1)
+            assert np.array_equal(r2, s2) and np.array_equal(r3, s3)
+            assert np.array_equal(quadrature[k], quadrature_cost(lam[k], b[k], d[k], 6.0))
+
+    @pytest.mark.parametrize("shapes", [((3,), (3,), (2,)), ((2, 3), (3,), (3,)),
+                                        ((), (), ()), ((0,), (0,), (0,))],
+                             ids=["ragged", "unstacked-b", "scalars", "no-traders"])
+    def test_arrays_of_other_shapes_are_rejected(self, shapes):
+        lam, b, d = (np.full(shape, 0.5) for shape in shapes)
+        with pytest.raises(ValueError, match="must share one shape"):
+            pg.governing_residuals(lam, b, d, 1.0, 0.5)
+        with pytest.raises(ValueError, match="must share one shape"):
+            quadrature_cost(lam, b, d, 1.0)
+
+    @pytest.mark.parametrize("kappa,error", [(-1.0, pg.NegativeKappa),
+                                             (math.inf, pg.NonFiniteKappa),
+                                             (math.nan, pg.NonFiniteKappa)])
+    def test_invalid_kappa_is_rejected(self, kappa, error):
+        lam = np.array([0.4, 0.6])
+        with pytest.raises(error):
+            pg.governing_residuals(lam, lam, lam, kappa, 0.5)
+        with pytest.raises(error):
+            quadrature_cost(lam, lam, lam, kappa)
 
     @pytest.mark.parametrize("kappa", [0.0, 4.0])
     def test_rows_equal_the_single_trader_formula(self, kappa):
@@ -171,7 +207,7 @@ class TestResiduals:
         bumped = replace(sol, d=sol.d * 1.01)
         t = np.linspace(0.0, 1.0, 101)
         for solution in (sol, bumped):
-            r1, r2, r3 = pg.governing_residuals(solution, t)
+            r1, r2, r3 = residuals_of(solution, t)
             for i in range(solution.spec.n):
                 e1, e2, e3 = _vector_residuals(solution, i, t)
                 assert np.array_equal(r1[i], e1)
@@ -327,6 +363,20 @@ class TestCurveMatrix:
         assert not np.array_equal(bumped.positions(self.T), sol.positions(self.T))
         with pytest.raises(ValueError):  # the coefficient arrays are read-only
             bumped.d[0] = 0.0
+
+    @pytest.mark.parametrize("kappa", [0.0, 7.0])
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 4)])
+    def test_fewer_times_than_traders_keep_every_cells_bits(self, kappa, shape):
+        # 60 traders and at most 12 times: the curves are computed time-major
+        # and returned transposed, each cell the per-trader curve's bits
+        n = 60
+        sol = pg.solve(pg.GameSpec(n, draw_lambdas(np.random.default_rng(n), n), kappa))
+        t = np.random.default_rng(1).uniform(size=shape)
+        for order, curves in enumerate((sol.positions(t), sol.velocities(t),
+                                        sol.accelerations(t))):
+            assert curves.shape == (n,) + shape
+            for i in range(n):
+                assert np.array_equal(curves[i], trader_curve(sol, i, t, order))
 
     def test_scalar_time_gives_one_value_per_trader(self):
         sol = pg.solve(pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=4.0))

@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 import posgame as pg
 import posgame.oracle as oracle
 import posgame.verification as verification
-from conftest import game_specs
+from conftest import draw_lambdas, game_costs, game_specs, quadrature_of, residuals_of
 from posgame.core import _curve
 from posgame.costs import group_cost
 from posgame.equilibrium import _coefficients
 from posgame.verification import (
     Check,
     draw_lambda_stack,
-    draw_lambdas,
-    quadrature_cost,
     run_verification,
 )
 
@@ -66,8 +64,8 @@ class TestDiscreteCost:
         spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=1.0)
         grid = np.linspace(0.0, 1.0, 101)
         game = pg.DiscreteGame(spec, grid[None, :])
-        assert pg.discrete_cost(game).shape == (1,)
-        assert pg.discrete_cost(game)[0] == pytest.approx(1.5, abs=1e-12)
+        assert game_costs(game).shape == (1,)
+        assert game_costs(game)[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_zero_kappa_total_bounded_below_by_one(self):
         rng = np.random.default_rng(5)
@@ -77,15 +75,30 @@ class TestDiscreteCost:
             paths = np.vstack([np.sort(rng.uniform(size=199)) for _ in range(3)])
             paths = np.hstack([np.zeros((3, 1)), paths, np.ones((3, 1))])
             game = pg.DiscreteGame(spec, paths)
-            total = sum(pg.discrete_cost(game))
+            total = sum(game_costs(game))
             assert total >= 1.0 - 1e-12
         straight = pg.DiscreteGame(spec, np.tile(grid, (3, 1)))
-        total = sum(pg.discrete_cost(straight))
+        total = sum(game_costs(straight))
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_shapes_and_pinned_ends_are_checked(self):
+        # the checks a DiscreteGame makes when it is built
+        paths = np.tile(np.linspace(0.0, 1.0, 11), (2, 1))
+        lam = np.array([0.4, 0.6])
+        assert pg.discrete_cost(paths, lam, 1.0).shape == (2,)
+        for bad_paths, bad_lam in ((paths, lam[:1]), (paths[0], lam), (paths[:, :1], lam),
+                                   (paths, 0.5), (paths[None], lam)):
+            with pytest.raises(pg.GridMismatch, match="is not"):
+                pg.discrete_cost(bad_paths, bad_lam, 1.0)
+        for end in (0, -1):
+            unpinned = paths.copy()
+            unpinned[1, end] = 0.5
+            with pytest.raises(pg.GridMismatch, match="pinned"):
+                pg.discrete_cost(unpinned, lam, 1.0)
 
     def test_converges_to_closed_form_cost(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        costs = pg.discrete_cost(pg.sampled_equilibrium(pg.solve(spec), 10_000))
+        costs = game_costs(pg.sampled_equilibrium(pg.solve(spec), 10_000))
         per_trader = pg.cost_breakdown(spec).per_trader
         for i in range(2):
             assert costs[i] == pytest.approx(per_trader[i], abs=1e-4)
@@ -170,7 +183,7 @@ class TestNashFixedPoint:
     def test_total_discrete_cost_matches_aggregate(self):
         spec = pg.GameSpec(n=3, lambdas=(0.25, 0.35, 0.4), kappa=5.0)
         fp = pg.nash_fixed_point(spec, 10_000)
-        total = sum(pg.discrete_cost(fp))
+        total = sum(game_costs(fp))
         assert total == pytest.approx(pg.aggregate_cost(3, 5.0), abs=1e-3)
 
 
@@ -524,7 +537,7 @@ class TestAllTraderKernelsMatchSingleTraderRoute:
             pg.sampled_equilibrium(pg.solve(spec), 257),
             pg.DiscreteGame(spec, rough),
         ):
-            costs = pg.discrete_cost(game)
+            costs = game_costs(game)
             assert costs.shape == (spec.n,)
             for i in range(spec.n):
                 assert costs[i] == _single_trader_cost(game, i)
@@ -791,12 +804,12 @@ def per_draw_checks(n_values, kappa_values, draws, n_steps, seed, inject_bug):
                 cf = pg.sampled_equilibrium(sol, n_steps)
                 gap = float(np.max(np.abs(fp.paths - cf.paths)))
                 t = np.linspace(0.0, 1.0, 101)
-                res = max(float(np.max(np.abs(r))) for r in pg.governing_residuals(sol, t))
+                res = max(float(np.max(np.abs(r))) for r in residuals_of(sol, t))
                 end_err = float(np.max(np.abs(sol.positions(1.0) - 1.0)))
                 costs = group_cost(n, 1, spec.lambdas_array(), kappa)
-                rel = float(np.max(np.abs(costs - quadrature_cost(sol)) / np.abs(costs)))
+                rel = float(np.max(np.abs(costs - quadrature_of(sol)) / np.abs(costs)))
                 worst = float(np.min(pg.deviation_expansion(cf, bumps, eps=0.01)))
-                agg = abs(float(sum(pg.discrete_cost(fp))) - pg.aggregate_cost(n, kappa))
+                agg = abs(float(sum(game_costs(fp))) - pg.aggregate_cost(n, kappa))
                 rows = [
                     ("fixed-point gap", gap, gap_threshold),
                     ("governing residuals", res, 1e-9),
@@ -895,7 +908,7 @@ def test_lean_kernels_keep_the_bits_of_their_plain_expressions(n_steps):
             assert np.array_equal(oracle._pressure(x, kappa, h), plain_pressure(x, kappa, h))
         m = lam[..., None, :] @ fp
         plain_costs = np.sum(plain_pressure(m, kappa, h) * lam[..., None] * np.diff(fp), axis=-1)
-        assert np.array_equal(oracle._discrete_costs(fp, lam, kappa), plain_costs)
+        assert np.array_equal(pg.discrete_cost(fp, lam, kappa), plain_costs)
 
         pressure, curvature = oracle._bump_terms(bumps, steps, kappa, h)
         plain_pressure_b = plain_pressure(bumps, kappa, h)
