@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    RepresentationTooSmall, _check_count, _check_kappa, _gauss_legendre_64, _percent_change
+    RepresentationTooSmall, _check_count, _check_kappa, _gauss_legendre_64, percent_change
 )
 from .costs import aggregate_cost_limit, group_cost
 
@@ -158,8 +158,8 @@ def _report_columns(n1, n2, lambda_firm, kappa) -> tuple:
     nf0 = group_cost(n1 + n2, n2, 1.0 - lambda_firm, kappa)
     f1 = group_cost(n2 + 1, 1, lambda_firm, kappa)
     nf1 = group_cost(n2 + 1, n2, 1.0 - lambda_firm, kappa)
-    return (f0, nf0, f1, nf1, _percent_change(f1, f0), _percent_change(nf1, nf0),
-            _percent_change(f1 + nf1, f0 + nf0))
+    return (f0, nf0, f1, nf1, percent_change(f1, f0), percent_change(nf1, nf0),
+            percent_change(f1 + nf1, f0 + nf0))
 
 
 def naive_centralization_report(sc: CentralizationScenario) -> CentralizationReport:

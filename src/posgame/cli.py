@@ -65,7 +65,7 @@ from .centralization import (
 )
 from .core import (
     GameSpec, KappaTooLarge, ZeroBaseCost, _check_count, _check_kappa, _check_size,
-    _check_traders, _percent_change, renormalize_lambdas,
+    _check_traders, percent_change, renormalize_lambdas,
 )
 from .costs import _shares, aggregate_cost, cost_breakdown, group_cost, market_min_cost
 from .equilibrium import solve
@@ -363,19 +363,15 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
     distinct tuple of cell types (see :func:`_cell_format`) and encoded as
     UTF-8 once per run of such rows, so no byte depends on the locale.
     ``rows`` may be an iterator, so a caller can stream a large table a chunk
-    of rows at a time; if it raises, the partial file is removed.  A file
-    already at the target is replaced whole, by a temporary sibling renamed
-    onto it, so it keeps its bytes on failure; a new file is written in
-    place, sparing the rename (20-30 us on ext4 on a 2-vCPU VM).
+    of rows at a time.  It is written to ``.<name>.<pid>.tmp`` and renamed
+    onto ``name`` once whole, so a file already there keeps its bytes if a
+    row raises, and the temporary is removed; the rename replaces a symlink
+    at ``name`` by a plain file, of the new file's mode and owner.
     """
-    path = temp = out_dir / name
+    path, temp = out_dir / name, out_dir / f".{name}.{os.getpid()}.tmp"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        try:
-            file = path.open("xb")
-        except FileExistsError:
-            temp = out_dir / f".{name}.{os.getpid()}.tmp"
-            file = temp.open("wb")
+        file = temp.open("wb")
     except OSError as exc:
         raise ConfigError(f"cannot write output {out_dir}: {exc}") from exc
     lines = [f"{line}\n" for line in (meta, *(extra_comments or ()), ",".join(header))]
@@ -394,8 +390,7 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
                     fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
                 lines.append(fmt % tuple(row))
             file.write("".join(lines).encode())
-        if temp != path:
-            temp.replace(path)
+        temp.replace(path)
     except BaseException as exc:
         temp.unlink(missing_ok=True)
         if isinstance(exc, OSError):  # a directory at the target's name, a full disk
@@ -478,7 +473,7 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
         for costs in (curve.exact_costs, curve.approx_costs):
             base = costs[curve.deltas == 0]
             # no percent change without a delta = 0 baseline in the window
-            columns.append(_percent_change(costs, base[0]) if base.size
+            columns.append(percent_change(costs, base[0]) if base.size
                            else np.full(costs.size, np.nan))
     curve_rows = list(zip(*(c.tolist() for c in columns)))
     if sc.table["kappa"] is not None:
@@ -541,7 +536,7 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
             least = market_min_cost(kappa)
             # aggregate_cost's n >= 2 branch, for every n at once
             aggregates = group_cost(ns, ns, 1.0, kappa)
-            columns = (aggregates, _percent_change(aggregates, base), aggregates / least)
+            columns = (aggregates, percent_change(aggregates, base), aggregates / least)
             rows += [
                 [n, kappa, *cells] for n, *cells in zip(n_values, *(c.tolist() for c in columns))
             ]

@@ -5,7 +5,7 @@ target quantities ``lambdas`` summing to one, and a permanent-impact
 (alpha-decay) parameter ``kappa``.  An :class:`EquilibriumSolution` holds a
 solved spec as two coefficient arrays; ``_alpha``, ``_curve`` and
 ``_market_curve`` are the one copy each of the decay-rate, curve and market
-curve formulas, as numpy kernels over arrays, ``_percent_change`` the one
+curve formulas, as numpy kernels over arrays, ``percent_change`` the one
 percent-change rule, ``_KAPPA_FLOOR`` the one kappa -> 0 rule and
 ``_gauss_legendre_64`` the one quadrature rule.
 Equilibrium objects are immutable (their arrays read-only) and safe to share across
@@ -246,11 +246,11 @@ def _market_curve(alpha: float, t, order: int) -> np.ndarray:
     return _curve(0.0, d, 0.0, alpha, t, order)
 
 
-def _percent_change(value, base):
-    """100 (value - base) / base, for scalars or arrays that broadcast.  The
-    gap is divided before it is scaled, so a percentage that is finite stays
-    finite where 100 (value - base) would overflow.  ZeroBaseCost, not
-    inf or nan, where a base is exactly 0."""
+def percent_change(value, base):
+    """100 (value - base) / base, for scalars or arrays that broadcast: every
+    percent column of the reports and the CLI.  The gap is divided before it
+    is scaled, so a percentage that is finite stays finite where
+    100 (value - base) would overflow.  ZeroBaseCost where a base is 0."""
     if np.count_nonzero(base) < np.size(base):  # 1 us; np.all takes 4-5 us
         raise ZeroBaseCost("a percent change needs a non-zero base cost, got exactly 0")
     return 100.0 * ((value - base) / base)

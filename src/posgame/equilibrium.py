@@ -72,6 +72,17 @@ def _coefficients(lambdas, kappa: float, alpha: float) -> tuple[np.ndarray, np.n
     return (lam_n - 1.0) / growth, 1.0 / (lam_n * -np.expm1(-alpha))
 
 
+def _check_curves(lambdas, b, d, kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``lambdas``, ``b`` and ``d`` as float arrays, checked as
+    :func:`governing_residuals` states."""
+    lambdas, b, d = (np.asarray(x, dtype=float) for x in (lambdas, b, d))
+    if lambdas.ndim == 0 or lambdas.shape[-1] == 0 or not lambdas.shape == b.shape == d.shape:
+        raise ValueError(f"lambdas, b and d must share one shape (..., n), n >= 1; got "
+                         f"{lambdas.shape}, {b.shape} and {d.shape}")
+    _check_kappa(kappa)
+    return lambdas, b, d
+
+
 def governing_residuals(lambdas, b, d, kappa: float, t):
     """Residuals of the three coupled stationarity equations at time(s) t on
     the curves of coefficients ``b``, ``d`` and target fractions ``lambdas``,
@@ -89,11 +100,7 @@ def governing_residuals(lambdas, b, d, kappa: float, t):
     ValueError unless the arrays share one shape, n >= 1; NegativeKappa or
     NonFiniteKappa for a kappa outside [0, inf).
     """
-    lambdas, b, d = (np.asarray(x, dtype=float) for x in (lambdas, b, d))
-    if lambdas.ndim == 0 or lambdas.shape[-1] == 0 or not lambdas.shape == b.shape == d.shape:
-        raise ValueError(f"lambdas, b and d must share one shape (..., n), n >= 1; got "
-                         f"{lambdas.shape}, {b.shape} and {d.shape}")
-    _check_kappa(kappa)
+    lambdas, b, d = _check_curves(lambdas, b, d, kappa)
     t = np.asarray(t, dtype=float)
     n = lambdas.shape[-1]
     alpha = _alpha(n, kappa)

@@ -83,7 +83,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BadBump, EquilibriumSolution, GameSpec, GridMismatch, _check_size, _curve
+from .core import (
+    BadBump, EquilibriumSolution, GameSpec, GridMismatch, _check_kappa, _check_size, _curve,
+)
 
 # A block of paths holds at most this many cells, 1 MiB of float64: verify
 # builds each stack of draws (draws * n * (N + 1) cells) to this size, so its
@@ -223,9 +225,10 @@ def discrete_cost(paths, lambdas, kappa: float) -> np.ndarray:
     ``paths``, shape (..., n, N + 1), with target fractions ``lambdas``,
     shape (..., n): one cost per trader, shape (..., n), so a stack prices D
     games on one grid at once.  GridMismatch unless the paths fit as a
-    DiscreteGame's do."""
+    DiscreteGame's do; NegativeKappa or NonFiniteKappa unless 0 <= kappa < inf."""
     paths, lambdas = np.asarray(paths, dtype=float), np.asarray(lambdas, dtype=float)
     _check_paths(paths, lambdas.shape)
+    _check_kappa(kappa)
     m = lambdas[..., None, :] @ paths
     return _cost_sum(m, lambdas[..., None], paths, kappa, 1.0 / (paths.shape[-1] - 1))
 

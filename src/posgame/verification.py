@@ -21,7 +21,7 @@ from .core import (
     _KAPPA_FLOOR, GameSpec, _alpha, _check_kappa, _check_size, _curve, _gauss_legendre_64,
 )
 from .costs import aggregate_cost, group_cost
-from .equilibrium import _coefficients, governing_residuals, solve
+from .equilibrium import _check_curves, _coefficients, governing_residuals, solve
 from .oracle import (
     _STACK_CELLS, _bump_terms, _check_grid, _expansion, _nash_factors, _nash_profile,
     _sampled_paths, discrete_cost, nash_fixed_point, sampled_equilibrium, standard_bumps,
@@ -116,11 +116,7 @@ def quadrature_cost(lambdas, b, d, kappa: float) -> np.ndarray:
     where the curves are finite, and memory is a few (..., n, 64 P) arrays.
     A stack's batched products keep every game's bits.
     """
-    lambdas, b, d = (np.asarray(x, dtype=float) for x in (lambdas, b, d))
-    if lambdas.ndim == 0 or lambdas.shape[-1] == 0 or not lambdas.shape == b.shape == d.shape:
-        raise ValueError(f"lambdas, b and d must share one shape (..., n), n >= 1; got "
-                         f"{lambdas.shape}, {b.shape} and {d.shape}")
-    _check_kappa(kappa)
+    lambdas, b, d = _check_curves(lambdas, b, d, kappa)
     alpha = _alpha(lambdas.shape[-1], kappa)
     nodes, weights = _gauss_legendre_64()
     panels = max(1, math.ceil(kappa / 64.0))

@@ -1267,11 +1267,25 @@ def test_csv_writer_removes_its_partial_file_when_the_rows_raise(tmp_path):
 
 
 def test_csv_writer_replaces_a_file_whole_and_leaves_no_temporary(tmp_path):
+    fresh = cli._write_csv(tmp_path, "fresh.csv", ["a"], [[1]], "# meta")
+    assert list(tmp_path.iterdir()) == [fresh]
+    fresh.unlink()
     earlier = tmp_path / "table.csv"
     earlier.write_text("# earlier\n" + "x\n" * 100)
     path = cli._write_csv(tmp_path, "table.csv", ["a", "b"], [[1, 2.5]], "# meta")
     assert path == earlier and list(tmp_path.iterdir()) == [earlier]
     assert earlier.read_text() == "# meta\na,b\n1,2.5\n"
+
+
+def test_csv_writer_replaces_a_symlink_and_keeps_its_target(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("# earlier\n")
+    (tmp_path / "out").mkdir()
+    link = tmp_path / "out" / "table.csv"
+    link.symlink_to(target)
+    cli._write_csv(tmp_path / "out", "table.csv", ["a"], [[1]], "# meta")
+    assert not link.is_symlink() and link.read_text() == "# meta\na\n1\n"
+    assert target.read_text() == "# earlier\n"
 
 
 def test_csv_writer_reports_a_directory_at_its_name_as_config_error(tmp_path):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import posgame as pg
 from conftest import game_specs
 from posgame.centralization import _check_window
-from posgame.core import _check_size, _gauss_legendre_64, _percent_change
+from posgame.core import _check_size, _gauss_legendre_64, percent_change
 from posgame.oracle import _check_grid
 from posgame.verification import _check_suite_n
 
@@ -154,10 +154,10 @@ def test_solutions_satisfy_endpoint_and_aggregation_invariants(spec):
 
 def test_percent_change_of_a_zero_base_raises():
     with pytest.raises(pg.ZeroBaseCost):
-        _percent_change(1.0, 0.0)
+        percent_change(1.0, 0.0)
     with pytest.raises(pg.ZeroBaseCost):  # one zero among the bases is enough
-        _percent_change(np.ones(3), np.array([1.0, -0.0, 2.0]))
-    assert _percent_change(np.ones(2), np.array([0.5, 2.0])).tolist() == [100.0, -50.0]
+        percent_change(np.ones(3), np.array([1.0, -0.0, 2.0]))
+    assert percent_change(np.ones(2), np.array([0.5, 2.0])).tolist() == [100.0, -50.0]
 
 
 def test_few_private_names_cross_module_boundaries():
@@ -206,7 +206,7 @@ def test_percent_change_is_finite_wherever_the_percentage_is(value, base):
     # costs are positive, so value - base never overflows, and the two
     # roundings (each at most 2^-53 relative) keep an exact percentage below
     # DBL_MAX (1 - 2^-50) finite
-    percent = _percent_change(value, base)
+    percent = percent_change(value, base)
     exact = 100 * (Fraction(value) - Fraction(base)) / Fraction(base)
     if abs(exact) <= sys.float_info.max * (1 - 2.0**-50):
         assert math.isfinite(percent)

@@ -95,6 +95,12 @@ class TestDiscreteCost:
             unpinned[1, end] = 0.5
             with pytest.raises(pg.GridMismatch, match="pinned"):
                 pg.discrete_cost(unpinned, lam, 1.0)
+        # and the kappa check a GameSpec makes
+        with pytest.raises(pg.NegativeKappa):
+            pg.discrete_cost(paths, lam, -5.0)
+        for kappa in (math.nan, math.inf):
+            with pytest.raises(pg.NonFiniteKappa):
+                pg.discrete_cost(paths, lam, kappa)
 
     def test_converges_to_closed_form_cost(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
