@@ -31,8 +31,8 @@ from .core import (
 from .equilibrium import governing_residuals, solve
 from .costs import (
     aggregate_cost,
-    aggregate_cost_limit,
     cost_breakdown,
+    cost_shares,
     group_cost,
     market_min_cost,
     price_of_anarchy,
@@ -83,11 +83,11 @@ __all__ = [
     "StrategicCurve",
     "ZeroBaseCost",
     "aggregate_cost",
-    "aggregate_cost_limit",
     "averaged_report",
     "best_response",
     "continuous_optimal_delta",
     "cost_breakdown",
+    "cost_shares",
     "deviation_expansion",
     "discrete_cost",
     "governing_residuals",

@@ -67,7 +67,7 @@ from .core import (
     GameSpec, KappaTooLarge, ZeroBaseCost, _check_count, _check_kappa, _check_size,
     _check_traders, percent_change, renormalize_lambdas,
 )
-from .costs import _shares, aggregate_cost, cost_breakdown, group_cost, market_min_cost
+from .costs import aggregate_cost, cost_breakdown, cost_shares, group_cost, price_of_anarchy
 from .equilibrium import solve
 from .oracle import _check_grid
 from .verification import _check_suite_kappa, _check_suite_n, run_verification
@@ -446,7 +446,7 @@ def cmd_costs(sc: Scenario, out_dir: Path, meta: str) -> int:
         for n in n_values:
             for kappa in kappa_values:
                 # trader 1's entries of cost_breakdown, for every lambda1 at once
-                shares = _shares(n, kappa, lam1)
+                shares = cost_shares(n, kappa, lam1)
                 columns = (group_cost(n, 1, lam1, kappa), shares, shares - lam1)
                 aggregate = aggregate_cost(n, kappa)
                 rows += [
@@ -532,11 +532,9 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
     rows = []
     with _reported_at("config.sweep.kappa", KappaTooLarge):
         for kappa in kappa_values:
-            base = aggregate_cost(2, kappa)
-            least = market_min_cost(kappa)
-            # aggregate_cost's n >= 2 branch, for every n at once
-            aggregates = group_cost(ns, ns, 1.0, kappa)
-            columns = (aggregates, percent_change(aggregates, base), aggregates / least)
+            aggregates = aggregate_cost(ns, kappa)
+            columns = (aggregates, percent_change(aggregates, aggregate_cost(2, kappa)),
+                       price_of_anarchy(ns, kappa))
             rows += [
                 [n, kappa, *cells] for n, *cells in zip(n_values, *(c.tolist() for c in columns))
             ]

@@ -148,25 +148,28 @@ def _check_kappa(kappa: float) -> None:
 
 
 def _check_traders(n) -> None:
-    """Raise EmptyGame unless there is at least one trader (n >= 1)."""
-    if n < 1:
-        raise EmptyGame(f"need at least one trader, got n={n}")
+    """Raise EmptyGame unless every count ``n`` (a number or array) is >= 1."""
+    few = np.less(n, 1)
+    if few.any():
+        raise EmptyGame(f"need at least one trader, got n={np.ravel(n)[np.argmax(few)]}")
 
 
 def _check_count(name: str, value) -> None:
     """Raise NonIntegerCount unless ``value`` (a number or an array of them)
-    holds only finite whole numbers, and GameSpecError for an integer beyond
-    the largest double."""
+    holds only finite whole numbers other than bools, and GameSpecError for
+    an integer beyond the largest double."""
     value = np.asarray(value)
-    if value.dtype.kind in "biu":
+    if value.dtype.kind == "b" and value.size:
+        raise NonIntegerCount(f"{name} = {value.flat[0]} must be a whole number, not a bool")
+    if value.dtype.kind in "iu":
         return
     try:
         as_float = value.astype(float)  # object arrays: ints beyond int64, fractions
     except OverflowError as exc:
         raise GameSpecError(f"{name}: {exc}") from None
-    bad = ~(np.isfinite(as_float) & (as_float == np.round(as_float)))
-    if bad.any():
-        raise NonIntegerCount(f"{name} = {value.flat[np.argmax(bad)]} must be a whole number")
+    whole = np.isfinite(as_float) & (as_float == np.rint(as_float))
+    if not whole.all():
+        raise NonIntegerCount(f"{name} = {value.flat[np.argmin(whole)]} must be a whole number")
 
 
 def _check_integer(name: str, value) -> None:

@@ -79,44 +79,61 @@ def _group_cost(total, count, lam, kappa, decay):
     )
 
 
-def _shares(n: int, kappa: float, lam):
-    """Cost shares 1/n + T (1/n - lam), affine in the target fraction(s) lam.
-
-    T = (n + 1)(e^alpha - 1) / ((1 - e^{-kappa})(1 - n e^alpha)); the affine
-    form keeps an equal split at exactly 1/n.  1 - n e^alpha < 0 for every
-    n >= 2 and alpha > 0, so the shares are well defined.  T tends to -1 as
-    kappa -> 0, so below the kappa floor the shares are the fractions lam, and
-    to -(n + 1) / (n (1 - e^{-kappa})) as kappa grows, where e^alpha overflows.
-    """
-    if kappa < _KAPPA_FLOOR:
-        return lam
-    alpha = _alpha(n, kappa)
-    if kappa <= _EXP_KAPPA:
-        t_slope = (n + 1) * math.expm1(alpha) / (-math.expm1(-kappa) * (1.0 - n * math.exp(alpha)))
-    else:  # numerator and denominator times e^-alpha, as e^alpha may overflow
-        t_slope = (n + 1) * -math.expm1(-alpha) / (-math.expm1(-kappa) * (math.exp(-alpha) - n))
-    return 1.0 / n + t_slope * (1.0 / n - lam)
-
-
-def aggregate_cost(n: int, kappa: float) -> float:
-    """Total implementation cost over all traders; independent of the lambdas.
-
-    A single trader pays the market-wide minimum 1 + kappa/2, and below the
-    kappa floor of :func:`group_cost` the aggregate is the kappa -> 0 limit 1.
-    """
-    _check_kappa(kappa)
+def _counts(n, limit: bool = False):
+    """Whole counts from 1 up (and ``math.inf`` where ``limit``): an array, or
+    a Python number for a scalar, which prices to the same bits without
+    numpy's per-array overhead; integers beyond int64 come back as doubles.
+    NonIntegerCount for a NaN, -inf, fractional or bool entry, EmptyGame below 1."""
+    n = np.asarray(n)
+    _check_count("n", n[n != math.inf] if limit else n)
     _check_traders(n)
-    if n == 1:
-        return market_min_cost(kappa)
-    return float(group_cost(n, n, 1.0, kappa))
+    n = n.astype(float) if n.dtype == object else n
+    return n if n.ndim else n.item()
 
 
-def aggregate_cost_limit(kappa: float) -> float:
-    """Aggregate cost in the many-trader limit: kappa / (1 - e^{-kappa})."""
+def aggregate_cost(n, kappa: float):
+    """Total implementation cost over all traders, independent of the lambdas,
+    for a count ``n`` from 1 up, ``math.inf`` or an array of them (a float for
+    a scalar).  One trader pays the market-wide minimum 1 + kappa/2; n = inf
+    is the many-trader limit kappa / (1 - e^{-kappa}); below the kappa floor
+    every aggregate is 1.  KappaTooLarge where :func:`group_cost` raises for
+    an entry from 2 up; entries 1 and inf never reach it."""
     _check_kappa(kappa)
+    n = _counts(n, limit=True)
+    limit = 1.0 if kappa < _KAPPA_FLOOR else kappa / -math.expm1(-kappa)
+    if np.ndim(n) == 0:
+        return market_min_cost(kappa) if n == 1 else limit if n == math.inf else float(
+            group_cost(n, n, 1.0, kappa))
+    cost = np.where(n == 1, market_min_cost(kappa), limit)
+    many = (n != 1) & (n != math.inf)
+    cost[many] = group_cost(n[many], n[many], 1.0, kappa)
+    return cost
+
+
+def cost_shares(n, kappa: float, lam):
+    """The share 1/n + T (1/n - lam) of the aggregate that a trader with
+    target fraction ``lam`` pays: 1 for n = 1, and for n >= 2
+    T = (n + 1)(e^alpha - 1) / ((1 - e^{-kappa})(1 - n e^alpha)) < 0, whose
+    affine form keeps an equal split at exactly 1/n.  ``n`` (finite counts as
+    for :func:`aggregate_cost`) and ``lam`` broadcast; a scalar pair gives a
+    float.  T tends to -1 as kappa -> 0, so below the kappa floor the shares
+    are the fractions lam, and to -(n + 1) / (n (1 - e^{-kappa})) as kappa
+    grows, where e^alpha overflows."""
+    _check_kappa(kappa)
+    n = _counts(n)
     if kappa < _KAPPA_FLOOR:
-        return 1.0
-    return kappa / -math.expm1(-kappa)
+        shares = lam
+    else:
+        # n = 1's 0 / 0 is replaced below; overflows to inf give T's limit
+        with np.errstate(all="ignore"):
+            alpha = _alpha(n, kappa)
+            if kappa <= _EXP_KAPPA:
+                t_slope = (n + 1) * np.expm1(alpha) / (-math.expm1(-kappa) * (1.0 - n * np.exp(alpha)))
+            else:  # numerator and denominator times e^-alpha, as e^alpha may overflow
+                t_slope = (n + 1) * -np.expm1(-alpha) / (-math.expm1(-kappa) * (np.exp(-alpha) - n))
+            shares = 1.0 / n + t_slope * (1.0 / n - lam)
+    shares = np.where(n == 1, 1.0, shares)
+    return shares if shares.ndim else float(shares)
 
 
 def market_min_cost(kappa: float) -> float:
@@ -125,42 +142,24 @@ def market_min_cost(kappa: float) -> float:
     return 1.0 + kappa / 2.0
 
 
-def price_of_anarchy(n, kappa: float) -> float:
-    """Ratio of the non-cooperative aggregate cost to the market-wide minimum.
-
-    ``n`` may be ``math.inf`` for the limiting ratio
-    (kappa / (1 - e^{-kappa})) / (1 + kappa/2), which approaches 2 from below
-    as kappa grows.  Any other ``n`` must be a whole number
-    (NonIntegerCount otherwise).
-    """
-    _check_kappa(kappa)
-    if n == math.inf:
-        return aggregate_cost_limit(kappa) / market_min_cost(kappa)
-    _check_count("n", n)
-    return aggregate_cost(int(n), kappa) / market_min_cost(kappa)
+def price_of_anarchy(n, kappa: float):
+    """Ratio of the non-cooperative aggregate cost to the market-wide minimum,
+    ``aggregate_cost(n, kappa) / market_min_cost(kappa)``; the limit n = inf
+    approaches 2 from below as kappa grows."""
+    return aggregate_cost(n, kappa) / market_min_cost(kappa)
 
 
 def cost_breakdown(spec: GameSpec) -> CostBreakdown:
-    """Per-trader costs, aggregate, shares and fair-share deviations.
-
-    Degenerate specs take the continuous limits of the closed forms: a
+    """Per-trader costs, aggregate, shares and fair-share deviations.  A
     single trader pays the market-wide minimum 1 + kappa/2, and below the
-    kappa floor (kappa counts as 0; :func:`posgame.solve`'s rule) trader i
-    pays lambda_i and the aggregate is 1.
-    """
+    kappa floor (:func:`posgame.solve`'s rule) trader i pays lambda_i and the
+    aggregate is 1."""
     n, kappa = spec.n, spec.kappa
     aggregate = aggregate_cost(n, kappa)
-    if n == 1:
-        return CostBreakdown(
-            per_trader=(aggregate,),
-            aggregate=aggregate,
-            shares=(1.0,),
-            fair_share_deviation=(0.0,),
-        )
     lam = spec.lambdas_array()
-    shares = _shares(n, kappa, lam)
+    shares = cost_shares(n, kappa, lam)
     return CostBreakdown(
-        per_trader=tuple(group_cost(n, 1, lam, kappa).tolist()),
+        per_trader=(aggregate,) if n == 1 else tuple(group_cost(n, 1, lam, kappa).tolist()),
         aggregate=aggregate,
         shares=tuple(shares.tolist()),
         fair_share_deviation=tuple((shares - lam).tolist()),

@@ -36,7 +36,7 @@ class TestScenarioValidation:
 
     @pytest.mark.parametrize(
         "counts", [dict(n1=2.5, n2=5), dict(n1=2, n2=5.5), dict(n1=math.nan, n2=5),
-                   dict(n1=2, n2=math.inf)]
+                   dict(n1=2, n2=math.inf), dict(n1=True, n2=3), dict(n1=2, n2=True)]
     )
     def test_counts_must_be_whole(self, counts):
         with pytest.raises(pg.NonIntegerCount):
@@ -176,7 +176,7 @@ class TestStrategicCost:
         assert firm_limit == pytest.approx(0.5 / -math.expm1(-1.0), abs=1e-12)
         assert exact_cost(sc, 10**6) == pytest.approx(firm_limit, abs=1e-3)
         assert firm_limit + nonfirm_limit == pytest.approx(
-            pg.aggregate_cost_limit(sc.kappa), abs=1e-12
+            pg.aggregate_cost(math.inf, sc.kappa), abs=1e-12
         )
 
     def test_zero_kappa_limits_are_the_fractions(self):

@@ -110,6 +110,9 @@ def test_symmetric_constructor():
     assert all(lam == 0.2 for lam in spec.lambdas)
     with pytest.raises(pg.NonIntegerCount):
         pg.GameSpec.symmetric(2.5, 1.0)
+    for n in (True, np.True_):  # a bool is no count, as for GameSpec itself
+        with pytest.raises(pg.NonIntegerCount, match="^n = True must be a whole number, not a bool$"):
+            pg.GameSpec.symmetric(n, 1.0)
 
 
 def test_count_beyond_every_float_is_a_spec_error():
@@ -171,7 +174,9 @@ def test_few_private_names_cross_module_boundaries():
             if isinstance(node, ast.ImportFrom) and node.level:
                 imported += [f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
                              if alias.name.startswith("_") and not alias.name.startswith("__")]
-    assert len(imported) <= 41, "\n".join(imported)
+    assert len(imported) <= 40, "\n".join(imported)
+    # the commands price costs through the public cost functions only
+    assert not [name for name in imported if name.startswith("cli <- costs.")]
 
 
 def test_readme_quick_start_runs():

@@ -13,7 +13,7 @@ from scipy.integrate import simpson
 
 import posgame as pg
 from conftest import BELOW_KAPPA_FLOOR, draw_lambdas, game_specs, quadrature_of
-from posgame.costs import _shares, group_cost
+from posgame.costs import group_cost
 from posgame.verification import _at_most
 
 
@@ -70,11 +70,10 @@ class TestAggregateCost:
         assert pg.aggregate_cost(3, 7.0) == pytest.approx(total, rel=1e-9)
 
     def test_many_trader_limit(self):
-        assert pg.aggregate_cost_limit(1.0) == pytest.approx(1.0 / -math.expm1(-1.0), abs=1e-15)
-        assert pg.aggregate_cost_limit(1.0) == pytest.approx(1.5820, abs=1e-4)
-        assert pg.aggregate_cost(10_000_000, 1.0) == pytest.approx(
-            pg.aggregate_cost_limit(1.0), rel=1e-6
-        )
+        limit = pg.aggregate_cost(math.inf, 1.0)
+        assert limit == pytest.approx(1.0 / -math.expm1(-1.0), abs=1e-15)
+        assert limit == pytest.approx(1.5820, abs=1e-4)
+        assert pg.aggregate_cost(10_000_000, 1.0) == pytest.approx(limit, rel=1e-6)
 
     def test_strictly_increasing_in_trader_count(self):
         for kappa in (0.5, 5.0, 25.0):
@@ -84,7 +83,7 @@ class TestAggregateCost:
     def test_zero_kappa_is_the_unit_limit(self):
         assert pg.aggregate_cost(3, 0.0) == 1.0
         assert pg.aggregate_cost(1, 0.0) == 1.0
-        assert pg.aggregate_cost_limit(0.0) == 1.0
+        assert pg.aggregate_cost(math.inf, 0.0) == 1.0
         for n in (2, 3, 50, math.inf):
             assert pg.price_of_anarchy(n, 0.0) == 1.0
         assert pg.aggregate_cost(5, 1e-10) == pytest.approx(1.0, abs=1e-9)
@@ -266,7 +265,7 @@ class TestCostBreakdown:
             lam = spec.lambdas[int(i)]
             # the breakdown broadcasts the same per-trader kernels: equal bit for bit
             assert bd.per_trader[i] == pg.group_cost(4000, 1, lam, 5.0)
-            assert bd.shares[i] == _shares(4000, 5.0, lam)
+            assert bd.shares[i] == pg.cost_shares(4000, 5.0, lam)
         assert math.fsum(bd.shares) == pytest.approx(1.0, abs=1e-12)
         assert math.fsum(bd.per_trader) == pytest.approx(bd.aggregate, abs=1e-12)
 
@@ -359,7 +358,7 @@ class TestTypedDomainErrors:
     @pytest.mark.parametrize("kappa", [math.nan, math.inf])
     def test_non_finite_kappa_in_the_limits(self, kappa):
         for call in (
-            lambda: pg.aggregate_cost_limit(kappa),
+            lambda: pg.aggregate_cost(math.inf, kappa),
             lambda: pg.market_min_cost(kappa),
             lambda: pg.price_of_anarchy(math.inf, kappa),
         ):
@@ -367,15 +366,37 @@ class TestTypedDomainErrors:
                 call()
 
     def test_negative_kappa_in_the_limits(self):
-        for call in (pg.aggregate_cost_limit, pg.market_min_cost):
+        for call in (lambda k: pg.aggregate_cost(math.inf, k), pg.market_min_cost):
             with pytest.raises(pg.NegativeKappa):
                 call(-1.0)
 
     @pytest.mark.parametrize("n", [math.nan, 2.5, -math.inf])
     def test_trader_count_must_be_whole(self, n):
-        with pytest.raises(pg.NonIntegerCount):
-            pg.price_of_anarchy(n, 1.0)
+        for call in (pg.aggregate_cost, pg.price_of_anarchy, lambda n, k: pg.cost_shares(n, k, 0.5)):
+            with pytest.raises(pg.NonIntegerCount):
+                call(n, 1.0)
+            with pytest.raises(pg.NonIntegerCount):  # one bad entry is enough
+                call(np.array([2.0, n]), 1.0)
         assert issubclass(pg.NonIntegerCount, pg.GameSpecError)
+
+    def test_shares_have_no_many_trader_limit(self):
+        with pytest.raises(pg.NonIntegerCount):
+            pg.cost_shares(math.inf, 1.0, 0.5)
+
+    @pytest.mark.parametrize("n", [True, np.True_, np.array([True, False])])
+    def test_bools_are_no_trader_counts(self, n):
+        for call in (
+            lambda: pg.aggregate_cost(n, 1.0),
+            lambda: pg.price_of_anarchy(n, 1.0),
+            lambda: pg.cost_shares(n, 1.0, 1.0),
+        ):
+            with pytest.raises(pg.NonIntegerCount, match="must be a whole number, not a bool"):
+                call()
+
+    def test_no_trader_is_an_empty_game_in_every_entry(self):
+        for call in (pg.aggregate_cost, pg.price_of_anarchy, lambda n, k: pg.cost_shares(n, k, 0.5)):
+            with pytest.raises(pg.EmptyGame, match="got n=0$"):
+                call(np.array([3, 0, 2]), 1.0)
 
     def test_whole_float_and_infinite_counts_stay_valid(self):
         assert pg.price_of_anarchy(3.0, 1.0) == pg.price_of_anarchy(3, 1.0)
@@ -456,3 +477,68 @@ def test_cost_row_memory_is_linear_in_traders_and_panels():
     # measured: 2.1 MiB, bound 3.9 MiB
     assert peak < bound
     assert row.passed, row
+
+
+ARRAY_COUNTS = (1, 2, 3, 50, 2000, float(2**53 + 1))
+
+
+def scalar_or_error(call, *args):
+    """The call's float, or the type of the GameSpecError it raises."""
+    try:
+        value = call(*args)
+    except pg.GameSpecError as exc:
+        return type(exc)
+    assert type(value) is float
+    return value
+
+
+@pytest.mark.parametrize("kappa", BELOW_KAPPA_FLOOR + (1.0, 25.0, 700.0, 1e307, sys.float_info.max))
+@pytest.mark.parametrize("name", ["aggregate_cost", "price_of_anarchy", "cost_shares"])
+def test_count_arrays_equal_scalar_calls_bit_for_bit(name, kappa):
+    """Every entry of an array call is its scalar call's float, and the array
+    call raises exactly when a scalar call does, with its error."""
+    if name == "cost_shares":
+        counts = ARRAY_COUNTS
+
+        def call(n, kappa):
+            return pg.cost_shares(n, kappa, 0.3)
+    else:
+        counts = ARRAY_COUNTS + (math.inf,)
+        call = getattr(pg, name)
+    expected = [scalar_or_error(call, n, kappa) for n in counts]
+    errors = {e for e in expected if isinstance(e, type)}
+    if errors:
+        with pytest.raises(tuple(errors)):
+            call(np.array(counts), kappa)
+    priced = [n for n, e in zip(counts, expected) if not isinstance(e, type)]
+    values = call(np.array(priced), kappa)
+    assert values.dtype == float and values.shape == (len(priced),)
+    assert values.tolist() == [e for e in expected if not isinstance(e, type)]
+    # a column of counts against a row of fractions: each cell its scalar call
+    if name == "cost_shares":
+        lam = np.array([1e-6, 0.3, 0.99])
+        grid = pg.cost_shares(np.array(priced)[:, None], kappa, lam)
+        assert grid.tolist() == [[pg.cost_shares(n, kappa, x) for x in lam] for n in priced]
+
+
+def test_only_counts_from_two_up_are_priced_by_the_group_formula():
+    # at kappa = 1e307 one and two traders are priced, fifty overflow; the
+    # one-trader entry is the market minimum, not the formula's 0 / 0
+    kappa = 1e307
+    assert pg.aggregate_cost(np.array([1, 2]), kappa).tolist() == [
+        pg.aggregate_cost(1, kappa), pg.aggregate_cost(2, kappa)]
+    assert pg.aggregate_cost(np.array([1, math.inf]), kappa).tolist() == [
+        pg.market_min_cost(kappa), kappa]
+    for n in (50, np.array([1, 50])):
+        with pytest.raises(pg.KappaTooLarge):
+            pg.aggregate_cost(n, kappa)
+    # at DBL_MAX even two traders overflow, but one and the limit stay finite
+    kappa = sys.float_info.max
+    assert pg.aggregate_cost(np.array([1, math.inf]), kappa).tolist() == [1.0 + kappa / 2, kappa]
+
+
+def test_one_trader_pays_the_whole_aggregate():
+    for kappa in (0.0, 1.0, 700.0):
+        assert pg.cost_shares(1, kappa, 1.0) == 1.0
+        assert pg.aggregate_cost(1, kappa) == pg.market_min_cost(kappa)
+        assert pg.price_of_anarchy(1, kappa) == 1.0
