@@ -154,20 +154,21 @@ def _check_traders(n) -> None:
         raise EmptyGame(f"need at least one trader, got n={np.ravel(n)[np.argmax(few)]}")
 
 
-def _check_count(name: str, value) -> None:
-    """Raise NonIntegerCount unless ``value`` (a number or an array of them)
-    holds only finite whole numbers other than bools, and GameSpecError for
-    an integer beyond the largest double."""
+def _check_count(name: str, value, limit: bool = False) -> None:
+    """Raise NonIntegerCount unless ``value`` (a number or an array of them) holds
+    only whole numbers other than bools, finite or +inf where ``limit``, and
+    GameSpecError for an integer beyond the largest double."""
+    # item by item, as numpy makes ints of a mixed list's bools
+    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+        raise NonIntegerCount(f"{name} = {value} must be a whole number, not a bool")
     value = np.asarray(value)
-    if value.dtype.kind == "b" and value.size:
-        raise NonIntegerCount(f"{name} = {value.flat[0]} must be a whole number, not a bool")
     if value.dtype.kind in "iu":
         return
     try:
         as_float = value.astype(float)  # object arrays: ints beyond int64, fractions
     except OverflowError as exc:
         raise GameSpecError(f"{name}: {exc}") from None
-    whole = np.isfinite(as_float) & (as_float == np.rint(as_float))
+    whole = np.isfinite(as_float) & (as_float == np.rint(as_float)) | limit & (as_float == math.inf)
     if not whole.all():
         raise NonIntegerCount(f"{name} = {value.flat[np.argmin(whole)]} must be a whole number")
 

@@ -79,46 +79,43 @@ def _group_cost(total, count, lam, kappa, decay):
     )
 
 
-def _counts(n, limit: bool = False):
-    """Whole counts from 1 up (and ``math.inf`` where ``limit``): an array, or
-    a Python number for a scalar, which prices to the same bits without
-    numpy's per-array overhead; integers beyond int64 come back as doubles.
-    NonIntegerCount for a NaN, -inf, fractional or bool entry, EmptyGame below 1."""
+def _counts(n, limit: bool = False) -> np.ndarray:
+    """Whole counts from 1 up (and +inf where ``limit``) as an array, ints beyond
+    int64 as doubles; NonIntegerCount or EmptyGame (below 1) otherwise."""
+    _check_count("n", n, limit)
     n = np.asarray(n)
-    _check_count("n", n[n != math.inf] if limit else n)
     _check_traders(n)
-    n = n.astype(float) if n.dtype == object else n
-    return n if n.ndim else n.item()
+    return n.astype(float) if n.dtype == object else n
+
+
+def _libm(f, x) -> np.ndarray:
+    """``f`` of :mod:`math` per entry of ``x``: libm's e^alpha, not numpy's (an ulp apart)."""
+    return np.asarray(np.frompyfunc(f, 1, 1)(x), dtype=float)
 
 
 def aggregate_cost(n, kappa: float):
-    """Total implementation cost over all traders, independent of the lambdas,
-    for a count ``n`` from 1 up, ``math.inf`` or an array of them (a float for
-    a scalar).  One trader pays the market-wide minimum 1 + kappa/2; n = inf
-    is the many-trader limit kappa / (1 - e^{-kappa}); below the kappa floor
-    every aggregate is 1.  KappaTooLarge where :func:`group_cost` raises for
-    an entry from 2 up; entries 1 and inf never reach it."""
+    """Total implementation cost over all traders, independent of the lambdas, for
+    a count ``n`` from 1 up, ``math.inf`` or an array of them (a float for a
+    scalar).  One trader pays the market minimum 1 + kappa/2 and n = inf is the
+    limit kappa / (1 - e^{-kappa}); below the kappa floor every aggregate is 1.
+    KappaTooLarge where :func:`group_cost` raises for an entry from 2 up."""
     _check_kappa(kappa)
     n = _counts(n, limit=True)
     limit = 1.0 if kappa < _KAPPA_FLOOR else kappa / -math.expm1(-kappa)
-    if np.ndim(n) == 0:
-        return market_min_cost(kappa) if n == 1 else limit if n == math.inf else float(
-            group_cost(n, n, 1.0, kappa))
     cost = np.where(n == 1, market_min_cost(kappa), limit)
     many = (n != 1) & (n != math.inf)
     cost[many] = group_cost(n[many], n[many], 1.0, kappa)
-    return cost
+    return cost if cost.ndim else float(cost)
 
 
 def cost_shares(n, kappa: float, lam):
-    """The share 1/n + T (1/n - lam) of the aggregate that a trader with
-    target fraction ``lam`` pays: 1 for n = 1, and for n >= 2
-    T = (n + 1)(e^alpha - 1) / ((1 - e^{-kappa})(1 - n e^alpha)) < 0, whose
-    affine form keeps an equal split at exactly 1/n.  ``n`` (finite counts as
-    for :func:`aggregate_cost`) and ``lam`` broadcast; a scalar pair gives a
-    float.  T tends to -1 as kappa -> 0, so below the kappa floor the shares
-    are the fractions lam, and to -(n + 1) / (n (1 - e^{-kappa})) as kappa
-    grows, where e^alpha overflows."""
+    """The share 1/n + T (1/n - lam) of the aggregate that a trader with target
+    fraction ``lam`` pays: 1 for n = 1, and for n >= 2 T = (n + 1)(e^alpha - 1)
+    / ((1 - e^{-kappa})(1 - n e^alpha)) < 0, whose affine form keeps an equal
+    split at exactly 1/n.  ``n`` (finite counts as for :func:`aggregate_cost`)
+    and ``lam`` broadcast; a scalar pair gives a float.  T tends to -1 as
+    kappa -> 0, so below the kappa floor the shares are the fractions lam, and
+    to -(n + 1) / (n (1 - e^{-kappa})) as kappa grows, where e^alpha overflows."""
     _check_kappa(kappa)
     n = _counts(n)
     if kappa < _KAPPA_FLOOR:
@@ -126,11 +123,13 @@ def cost_shares(n, kappa: float, lam):
     else:
         # n = 1's 0 / 0 is replaced below; overflows to inf give T's limit
         with np.errstate(all="ignore"):
-            alpha = _alpha(n, kappa)
+            alpha, scale = _alpha(n, kappa), -math.expm1(-kappa)
             if kappa <= _EXP_KAPPA:
-                t_slope = (n + 1) * np.expm1(alpha) / (-math.expm1(-kappa) * (1.0 - n * np.exp(alpha)))
+                growth, e_alpha = _libm(math.expm1, alpha), _libm(math.exp, alpha)
+                t_slope = (n + 1) * growth / (scale * (1.0 - n * e_alpha))
             else:  # numerator and denominator times e^-alpha, as e^alpha may overflow
-                t_slope = (n + 1) * -np.expm1(-alpha) / (-math.expm1(-kappa) * (np.exp(-alpha) - n))
+                decay, e_minus = _libm(math.expm1, -alpha), _libm(math.exp, -alpha)
+                t_slope = (n + 1) * -decay / (scale * (e_minus - n))
             shares = 1.0 / n + t_slope * (1.0 / n - lam)
     shares = np.where(n == 1, 1.0, shares)
     return shares if shares.ndim else float(shares)

@@ -383,7 +383,9 @@ class TestTypedDomainErrors:
         with pytest.raises(pg.NonIntegerCount):
             pg.cost_shares(math.inf, 1.0, 0.5)
 
-    @pytest.mark.parametrize("n", [True, np.True_, np.array([True, False])])
+    @pytest.mark.parametrize(
+        "n", [True, np.True_, np.array([True, False]), [True, 3], (2, np.True_), [[3], [False]]]
+    )
     def test_bools_are_no_trader_counts(self, n):
         for call in (
             lambda: pg.aggregate_cost(n, 1.0),
@@ -535,6 +537,18 @@ def test_only_counts_from_two_up_are_priced_by_the_group_formula():
     # at DBL_MAX even two traders overflow, but one and the limit stay finite
     kappa = sys.float_info.max
     assert pg.aggregate_cost(np.array([1, math.inf]), kappa).tolist() == [1.0 + kappa / 2, kappa]
+
+
+def test_shares_take_e_alpha_from_libm():
+    # numpy's vector exp and libm's differ by an ulp on some alphas (one of
+    # them on this grid); the shares keep libm's bits
+    for n in (2, 3, 42, 1000):
+        for kappa in (0.5, 1.0, 25.0):
+            alpha = kappa * (n - 1) / (n + 1)
+            t_slope = (n + 1) * math.expm1(alpha) / (
+                -math.expm1(-kappa) * (1.0 - n * math.exp(alpha)))
+            for lam in (1e-6, 0.5, 0.99):
+                assert pg.cost_shares(n, kappa, lam) == 1.0 / n + t_slope * (1.0 / n - lam)
 
 
 def test_one_trader_pays_the_whole_aggregate():
