@@ -155,11 +155,11 @@ def _check_traders(n) -> None:
 
 
 def _check_count(name: str, value, limit: bool = False) -> None:
-    """Raise NonIntegerCount unless ``value`` (a number or an array of them) holds
-    only whole numbers other than bools, finite or +inf where ``limit``, and
-    GameSpecError for an integer beyond the largest double."""
-    # item by item, as numpy makes ints of a mixed list's bools
-    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat):
+    """Raise NonIntegerCount unless ``value`` (a number or an array of them) holds only
+    whole numbers, finite or +inf where ``limit``, and no bool, not even in a list that
+    numpy makes ints of; GameSpecError for an integer beyond the largest double."""
+    items = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    if items.dtype.kind in "bO" and any(isinstance(v, (bool, np.bool_)) for v in items.flat):
         raise NonIntegerCount(f"{name} = {value} must be a whole number, not a bool")
     value = np.asarray(value)
     if value.dtype.kind in "iu":
