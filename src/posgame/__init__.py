@@ -44,7 +44,6 @@ from .centralization import (
     StrategicCurve,
     averaged_report,
     continuous_optimal_delta,
-    limiting_costs,
     naive_centralization_report,
     optimal_representation,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "discrete_cost",
     "governing_residuals",
     "group_cost",
-    "limiting_costs",
     "market_min_cost",
     "naive_centralization_report",
     "nash_fixed_point",

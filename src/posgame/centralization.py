@@ -30,7 +30,7 @@ import numpy as np
 from .core import (
     RepresentationTooSmall, _check_count, _check_kappa, _gauss_legendre_64, percent_change
 )
-from .costs import aggregate_cost, group_cost
+from .costs import group_cost
 
 
 @dataclass(frozen=True)
@@ -205,13 +205,6 @@ def optimal_representation(
         argmin_approx=int(deltas[int(np.argmin(approx))]),
         continuous_opt=opt,
     )
-
-
-def limiting_costs(sc: CentralizationScenario) -> tuple[float, float]:
-    """Limits of firm and non-firm costs as the represented count grows without
-    bound: each group pays its fraction of the many-trader aggregate."""
-    total = aggregate_cost(math.inf, sc.kappa)
-    return sc.lambda_firm * total, sc.lambda_nonfirm * total
 
 
 # Reference rows of averaged centralization outcomes are labelled by the mean

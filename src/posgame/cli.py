@@ -29,8 +29,10 @@ after their labels.  The kernel lays out ASCII bytes, and ``_write_csv``
 writes bytes rows as they are; it formats every other row with Python's
 ``%``, as the kernel does every cell it cannot certify.  Every CSV is opened
 in binary mode and its other lines are encoded as UTF-8, so no byte depends
-on the locale, and a failed command leaves any previous file as it was.
-Configs are read as UTF-8, JSON's encoding, in any locale.
+on the locale.  Configs are read as UTF-8, JSON's encoding, in any locale.
+Commands touch no file: ``main`` writes their tables, then prints their
+lines (see :func:`_write_csv`).  A failed command leaves its older files as
+they were, but a rename failing after another leaves the earlier ones new.
 Exit codes: 0 success, 1 config error (a game the library rejects, such as
 a non-finite kappa, counts as one), 2 verification failure.
 """
@@ -42,6 +44,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -353,50 +356,63 @@ def _config_hash(config: dict, seed: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _write_csv(out_dir: Path, name: str, header: list[str], rows, meta: str,
-               extra_comments: list[str] | None = None) -> Path:
-    """Write comment lines, the header and ``rows`` as one CSV file.
+# A command returns its tables, its stdout and stderr lines and its exit code; a
+# table is one CSV's name, header, rows and comment lines (see _write_csv).
+Table = namedtuple("Table", "name header rows comments", defaults=((),))
+Output = namedtuple("Output", "tables stdout stderr code", defaults=((), (), 0))
+
+
+def _write_csv(out_dir: Path, tables: list[Table], meta: str) -> list[Path]:
+    """Write each of ``tables`` as one CSV file in ``out_dir``: the ``meta``
+    line, the table's comment lines, its header and its rows.
 
     A ``bytes`` row is one or more finished lines, written as they are (the
     equilibrium command's kernel output).  Any other row is a sequence of
     cells, formatted by a single ``%`` on a line format built once per
     distinct tuple of cell types (see :func:`_cell_format`) and encoded as
     UTF-8 once per run of such rows, so no byte depends on the locale.
-    ``rows`` may be an iterator, so a caller can stream a large table a chunk
-    of rows at a time.  It is written to ``.<name>.<pid>.tmp`` and renamed
-    onto ``name`` once whole, so a file already there keeps its bytes if a
-    row raises, and the temporary is removed; the rename replaces a symlink
-    at ``name`` by a plain file, of the new file's mode and owner.
+    ``rows`` may be an iterator, so a command can stream a large table a
+    chunk of rows at a time, priced here.  Each table goes to
+    ``.<name>.<pid>.tmp``, and all are renamed onto their names once whole
+    and no name is a directory's; till then a failure removes every
+    temporary, and every older file keeps its bytes.  A rename replaces a
+    symlink at its name by a plain file, of the new file's mode and owner.
     """
-    path, temp = out_dir / name, out_dir / f".{name}.{os.getpid()}.tmp"
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        file = temp.open("wb")
     except OSError as exc:
         raise ConfigError(f"cannot write output {out_dir}: {exc}") from exc
-    lines = [f"{line}\n" for line in (meta, *(extra_comments or ()), ",".join(header))]
-    formats = {}
+    paths, temps = [out_dir / table.name for table in tables], []
     try:
-        with file:
-            for row in rows:
-                if isinstance(row, bytes):
-                    file.write("".join(lines).encode())
-                    lines = []
-                    file.write(row)
-                    continue
-                kinds = tuple(map(type, row))
-                fmt = formats.get(kinds)
-                if fmt is None:
-                    fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
-                lines.append(fmt % tuple(row))
-            file.write("".join(lines).encode())
-        temp.replace(path)
+        for path, (name, header, rows, comments) in zip(paths, tables):
+            temps.append(out_dir / f".{name}.{os.getpid()}.tmp")
+            lines = [f"{line}\n" for line in (meta, *comments, ",".join(header))]
+            formats = {}
+            with temps[-1].open("wb") as file:
+                for row in rows:
+                    if isinstance(row, bytes):
+                        file.write("".join(lines).encode())
+                        lines = []
+                        file.write(row)
+                        continue
+                    kinds = tuple(map(type, row))
+                    fmt = formats.get(kinds)
+                    if fmt is None:
+                        fmt = formats[kinds] = ",".join(map(_cell_format, kinds)) + "\n"
+                    lines.append(fmt % tuple(row))
+                file.write("".join(lines).encode())
+        for path in paths:  # a rename onto a directory fails: look before the first
+            if path.is_dir() and not path.is_symlink():
+                raise ConfigError(f"cannot write output {path}: a directory has its name")
+        for temp, path in zip(temps, paths):
+            temp.replace(path)
     except BaseException as exc:
-        temp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):  # a directory at the target's name, a full disk
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):  # a full disk, a directory made meanwhile
             raise ConfigError(f"cannot write output {path}: {exc}") from exc
         raise
-    return path
+    return paths
 
 
 def _curve_rows(solution, t, market):
@@ -417,7 +433,7 @@ def _curve_rows(solution, t, market):
         yield from format_rows(block)
 
 
-def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
+def cmd_equilibrium(sc: Scenario) -> Output:
     spec = sc.require(
         sc.spec, "config.game: 'lambdas' or 'symmetric' is required for equilibrium"
     )
@@ -427,15 +443,14 @@ def cmd_equilibrium(sc: Scenario, out_dir: Path, meta: str) -> int:
     breakdown = cost_breakdown(spec)
     totals = np.array([[*breakdown.per_trader, breakdown.aggregate], [*breakdown.shares, 1.0]])
     cost, share = b"".join(format_rows(totals)).splitlines(keepends=True)
-    with _size_reported_at("config.grid.n_points"):  # before any file is opened
+    with _size_reported_at("config.grid.n_points"):  # the curves are priced in the write
         t = np.linspace(0.0, 1.0, sc.grid["n_points"])
         market = sol.market(t)
     rows = chain(_curve_rows(sol, t, market), [b"cost," + cost, b"share," + share])
-    _write_csv(out_dir, "equilibrium.csv", header, rows, meta)
-    return 0
+    return Output([Table("equilibrium.csv", header, rows)])
 
 
-def cmd_costs(sc: Scenario, out_dir: Path, meta: str) -> int:
+def cmd_costs(sc: Scenario) -> Output:
     n_values = sc.require(sc.sweep["n"], "config.sweep.n: required for costs")
     kappa_values = sc.require(sc.sweep["kappa"], "config.sweep.kappa: required for costs")
     lambda1_values = sc.require(sc.sweep["lambda1"], "config.sweep.lambda1: required for costs")
@@ -453,15 +468,13 @@ def cmd_costs(sc: Scenario, out_dir: Path, meta: str) -> int:
                     [n, kappa, *cells, aggregate]
                     for cells in zip(lambda1_values, *(c.tolist() for c in columns))
                 ]
-    _write_csv(out_dir, "costs.csv", header, rows, meta)
-    return 0
+    return Output([Table("costs.csv", header, rows)])
 
 
-def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
+def cmd_centralize(sc: Scenario) -> Output:
     scenario = sc.require(sc.central, "config.centralization: required for centralize")
     window = sc.centralization["delta_range"]
     window_key = "delta_range" if window is not None else "n1"  # what sizes the window
-    # every row of every file is priced before any file is written
     with (_reported_at("config.game.kappa", KappaTooLarge),
           _reported_at("config.centralization.lambda_firm", ZeroBaseCost)):
         rep = naive_centralization_report(scenario)
@@ -475,7 +488,26 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
             # no percent change without a delta = 0 baseline in the window
             columns.append(percent_change(costs, base[0]) if base.size
                            else np.full(costs.size, np.nan))
-    curve_rows = list(zip(*(c.tolist() for c in columns)))
+
+    header = [
+        "n", "n1", "n2", "kappa", "lambda_firm",
+        "firm_no_central", "nonfirm_no_central", "firm_central", "nonfirm_central",
+        "pct_change_firm", "pct_change_nonfirm", "pct_change_total",
+    ]
+    row = [
+        scenario.n, scenario.n1, scenario.n2, scenario.kappa, scenario.lambda_firm,
+        rep.firm_cost_no_central, rep.nonfirm_cost_no_central,
+        rep.firm_cost_central, rep.nonfirm_cost_central,
+        rep.pct_change_firm, rep.pct_change_nonfirm, rep.pct_change_total,
+    ]
+    curve_header = ["delta", "represented", "exact_cost", "approx_cost",
+                    "pct_change_exact", "pct_change_approx"]
+    comments = (f"# continuous_opt={_fmt(curve.continuous_opt)}"
+                f" argmin_exact={curve.argmin_exact} argmin_approx={curve.argmin_approx}",)
+    tables = [Table("centralize_report.csv", header, [row]),
+              Table("centralize_curve.csv", curve_header,
+                    zip(*(c.tolist() for c in columns)), comments)]
+
     if sc.table["kappa"] is not None:
         bands = [FRACTION_BANDS[label] for label in sc.table["rows"]]
         n1_mean = float(np.mean(sc.table["n1"]))
@@ -491,40 +523,16 @@ def cmd_centralize(sc: Scenario, out_dir: Path, meta: str) -> int:
                            table.nonfirm_cost_central)
                 table_rows += [[label, n1_mean, kap, *cells] for label, *cells
                                in zip(sc.table["rows"], *(c.tolist() for c in columns))]
-
-    header = [
-        "n", "n1", "n2", "kappa", "lambda_firm",
-        "firm_no_central", "nonfirm_no_central", "firm_central", "nonfirm_central",
-        "pct_change_firm", "pct_change_nonfirm", "pct_change_total",
-    ]
-    row = [
-        scenario.n, scenario.n1, scenario.n2, scenario.kappa, scenario.lambda_firm,
-        rep.firm_cost_no_central, rep.nonfirm_cost_no_central,
-        rep.firm_cost_central, rep.nonfirm_cost_central,
-        rep.pct_change_firm, rep.pct_change_nonfirm, rep.pct_change_total,
-    ]
-    _write_csv(out_dir, "centralize_report.csv", header, [row], meta)
-
-    curve_header = ["delta", "represented", "exact_cost", "approx_cost",
-                    "pct_change_exact", "pct_change_approx"]
-    comments = [
-        f"# continuous_opt={_fmt(curve.continuous_opt)}"
-        f" argmin_exact={curve.argmin_exact} argmin_approx={curve.argmin_approx}"
-    ]
-    _write_csv(out_dir, "centralize_curve.csv", curve_header, curve_rows, meta,
-               extra_comments=comments)
-
-    if sc.table["kappa"] is not None:
         table_header = [
             "lambda_row", "n1_mean", "kappa",
             "pct_change_firm", "pct_change_nonfirm", "pct_change_total",
             "firm_no_central", "firm_central", "nonfirm_no_central", "nonfirm_central",
         ]
-        _write_csv(out_dir, "centralize_table.csv", table_header, table_rows, meta)
-    return 0
+        tables.append(Table("centralize_table.csv", table_header, table_rows))
+    return Output(tables)
 
 
-def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
+def cmd_poa(sc: Scenario) -> Output:
     n_values = sc.require(sc.sweep["n"], "config.sweep.n: required for poa")
     kappa_values = sc.require(sc.sweep["kappa"], "config.sweep.kappa: required for poa")
     header = ["n", "kappa", "aggregate_cost", "pct_increase_vs_n2", "poa_ratio"]
@@ -538,11 +546,10 @@ def cmd_poa(sc: Scenario, out_dir: Path, meta: str) -> int:
             rows += [
                 [n, kappa, *cells] for n, *cells in zip(n_values, *(c.tolist() for c in columns))
             ]
-    _write_csv(out_dir, "poa.csv", header, rows, meta)
-    return 0
+    return Output([Table("poa.csv", header, rows)])
 
 
-def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
+def cmd_verify(sc: Scenario) -> Output:
     with _reported_at("config.verify.kappa", KappaTooLarge):  # a drawn game the closed form rejects
         report = run_verification(
             n_values=sc.verify["n"],
@@ -555,15 +562,12 @@ def cmd_verify(sc: Scenario, out_dir: Path, meta: str) -> int:
 
     header = ["check", "measured", "threshold", "status", "detail"]
     rows = [[c.name, c.value, c.threshold, c.status, c.detail] for c in report.checks]
-    _write_csv(out_dir, "verify_report.csv", header, rows, meta)
-    for line in report.lines():
-        print(line)
+    tables = [Table("verify_report.csv", header, rows)]
     if not report.passed:
         n_failed = sum(not c.passed for c in report.checks)
-        print(f"verification FAILED: {n_failed}/{len(report.checks)} checks", file=sys.stderr)
-        return 2
-    print(f"verification passed: {len(report.checks)} checks")
-    return 0
+        return Output(tables, report.lines(),
+                      [f"verification FAILED: {n_failed}/{len(report.checks)} checks"], 2)
+    return Output(tables, [*report.lines(), f"verification passed: {len(report.checks)} checks"])
 
 
 _COMMANDS = {
@@ -611,10 +615,14 @@ def main(argv: list[str] | None = None) -> int:
             f"# posgame {__version__} command={args.command} "
             f"config_sha256={_config_hash(config, scenario.output['seed'])}"
         )
-        return _COMMANDS[args.command](scenario, out_dir, meta)
+        output = _COMMANDS[args.command](scenario)
+        _write_csv(out_dir, output.tables, meta)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    sys.stdout.writelines(f"{line}\n" for line in output.stdout)
+    sys.stderr.writelines(f"{line}\n" for line in output.stderr)
+    return output.code
 
 
 if __name__ == "__main__":

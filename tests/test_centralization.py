@@ -172,7 +172,9 @@ class TestStrategicCost:
 
     def test_limit_for_large_delta(self):
         sc = scenario(n1=3, n2=8, lam=0.5, kappa=1.0)
-        firm_limit, nonfirm_limit = pg.limiting_costs(sc)
+        # each group pays its fraction of the many-trader aggregate
+        total = pg.aggregate_cost(math.inf, sc.kappa)
+        firm_limit, nonfirm_limit = sc.lambda_firm * total, sc.lambda_nonfirm * total
         assert firm_limit == pytest.approx(0.5 / -math.expm1(-1.0), abs=1e-12)
         assert exact_cost(sc, 10**6) == pytest.approx(firm_limit, abs=1e-3)
         assert firm_limit + nonfirm_limit == pytest.approx(
@@ -181,7 +183,8 @@ class TestStrategicCost:
 
     def test_zero_kappa_limits_are_the_fractions(self):
         sc = scenario(n1=2, n2=2, lam=0.25, kappa=0.0)
-        firm_limit, nonfirm_limit = pg.limiting_costs(sc)
+        total = pg.aggregate_cost(math.inf, sc.kappa)
+        firm_limit, nonfirm_limit = sc.lambda_firm * total, sc.lambda_nonfirm * total
         assert firm_limit == pytest.approx(0.25, abs=1e-12)
         assert nonfirm_limit == pytest.approx(0.75, abs=1e-12)
 

@@ -702,6 +702,24 @@ class TestCentralizeCommand:
         assert err == "config error: config.table.rows: the base cost here is exactly 0\n"
         assert not out.exists()
 
+    def test_directory_at_a_later_name_keeps_every_older_file(self, tmp_path, capsys):
+        # the new report is whole before the curve's name is found taken, but
+        # no table is renamed: the directory keeps one run's files, not a mix
+        cfg = write_config(tmp_path, "cfg.json", {
+            "game": {"n": 10, "kappa": 1.0}, "centralization": {"n1": 2, "lambda_firm": 0.2}})
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "centralize_report.csv").write_bytes(b"# earlier run\n")
+        (out / "centralize_curve.csv").mkdir()
+        assert main(["centralize", "--config", cfg, "--out", str(out)]) == 1
+        assert (out / "centralize_report.csv").read_bytes() == b"# earlier run\n"
+        assert sorted(p.name for p in out.iterdir()) == ["centralize_curve.csv",
+                                                         "centralize_report.csv"]
+        assert list((out / "centralize_curve.csv").iterdir()) == []
+        assert capsys.readouterr().err == (f"config error: cannot write output "
+                                           f"{out / 'centralize_curve.csv'}: a directory has "
+                                           "its name\n")
+
     def test_subnormal_kappa_writes_the_zero_kappa_limit(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -918,18 +936,20 @@ def test_readme_config_table_is_the_schema():
     ]
 
 
+EVERY_SECTION = {
+    "game": {"n": 12, "lambdas": [0.4] + [0.6 / 11] * 11, "kappa": 5.0},
+    "grid": {"n_points": 21},
+    "centralization": {"n1": 4, "lambda_firm": 0.4, "delta_range": [-3, 20]},
+    "sweep": {"n": [2, 5], "kappa": [1.0, 10.0], "lambda1": [0.2, 0.8]},
+    "table": {"kappa": [1.0], "rows": [0.40]},
+    "verify": {"n": [2], "kappa": [1.0], "n_steps": 300},
+    "output": {"directory": "unused", "seed": 5},
+}
+
+
 def test_one_scenario_config_drives_every_command(tmp_path):
     # sections irrelevant to a command are validated but ignored
-    payload = {
-        "game": {"n": 12, "lambdas": [0.4] + [0.6 / 11] * 11, "kappa": 5.0},
-        "grid": {"n_points": 21},
-        "centralization": {"n1": 4, "lambda_firm": 0.4, "delta_range": [-3, 20]},
-        "sweep": {"n": [2, 5], "kappa": [1.0, 10.0], "lambda1": [0.2, 0.8]},
-        "table": {"kappa": [1.0], "rows": [0.40]},
-        "verify": {"n": [2], "kappa": [1.0], "n_steps": 300},
-        "output": {"directory": "unused", "seed": 5},
-    }
-    cfg = write_config(tmp_path, "all.json", payload)
+    cfg = write_config(tmp_path, "all.json", EVERY_SECTION)
     out = str(tmp_path / "out")
     for command in ("equilibrium", "costs", "centralize", "poa", "verify"):
         assert main([command, "--config", cfg, "--out", out]) == 0, command
@@ -943,6 +963,31 @@ def test_one_scenario_config_drives_every_command(tmp_path):
         "verify_report.csv",
     ):
         assert (tmp_path / "out" / name).exists(), name
+
+
+def test_commands_return_their_output_and_write_nothing(tmp_path, monkeypatch):
+    """A command is a function from the parsed scenario to its tables, lines
+    and exit code; only ``main`` writes, so a command makes no file, not
+    even in its output directory, also while its rows are read."""
+    monkeypatch.chdir(tmp_path)
+    scenario = cli.parse_scenario(EVERY_SECTION)
+    names = {}
+    for command, run in cli._COMMANDS.items():
+        output = run(scenario)
+        names[command] = [table.name for table in output.tables]
+        for table in output.tables:
+            assert list(table.rows), (command, table.name)  # equilibrium prices them here
+        assert output.code == 0 and not output.stderr, command
+        assert list(tmp_path.iterdir()) == [], command
+        if command == "verify":
+            assert output.stdout[-1].startswith("verification passed: ")
+        else:
+            assert not output.stdout, command
+    assert names == {
+        "equilibrium": ["equilibrium.csv"], "costs": ["costs.csv"],
+        "centralize": ["centralize_report.csv", "centralize_curve.csv", "centralize_table.csv"],
+        "poa": ["poa.csv"], "verify": ["verify_report.csv"],
+    }
 
 
 def test_twelve_significant_digit_formatting(tmp_path):
@@ -1243,8 +1288,9 @@ def test_csv_writer_matches_per_cell_formatting(tmp_path):
     expected = []
     for row in written:
         expected += row.decode().splitlines() if isinstance(row, bytes) else per_cell_lines([row])
-    path = cli._write_csv(tmp_path, "mixed.csv", ["h1", "h2"], iter(written), "# meta",
-                          extra_comments=["# extra"])
+    [path] = cli._write_csv(
+        tmp_path, [cli.Table("mixed.csv", ["h1", "h2"], iter(written), ["# extra"])], "# meta"
+    )
     assert path.read_text() == "\n".join(["# meta", "# extra", "h1,h2", *expected]) + "\n"
 
 
@@ -1254,25 +1300,30 @@ def test_csv_writer_removes_its_partial_file_when_the_rows_raise(tmp_path):
         yield b"3,4\n"
         raise MemoryError  # as a streamed chunk that fails to allocate would
 
+    def tables():  # a whole table, then one whose rows raise
+        return [cli.Table("whole.csv", ["a"], [[1]]), cli.Table("partial.csv", ["a", "b"], rows())]
+
     with pytest.raises(MemoryError):
-        cli._write_csv(tmp_path, "partial.csv", ["a", "b"], rows(), "# meta")
+        cli._write_csv(tmp_path, tables(), "# meta")
     assert list(tmp_path.iterdir()) == []
-    # a file of that name from an earlier run keeps its bytes
-    earlier = tmp_path / "partial.csv"
-    earlier.write_bytes(b"# earlier\na,b\n1,2\n")
+    # files of those names from an earlier run keep their bytes, the whole
+    # table's too: no table is renamed before every one is whole
+    earlier = {tmp_path / name: f"# earlier {name}\n".encode()
+               for name in ("whole.csv", "partial.csv")}
+    for path, data in earlier.items():
+        path.write_bytes(data)
     with pytest.raises(MemoryError):
-        cli._write_csv(tmp_path, "partial.csv", ["a", "b"], rows(), "# meta")
-    assert list(tmp_path.iterdir()) == [earlier]
-    assert earlier.read_bytes() == b"# earlier\na,b\n1,2\n"
+        cli._write_csv(tmp_path, tables(), "# meta")
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == earlier
 
 
 def test_csv_writer_replaces_a_file_whole_and_leaves_no_temporary(tmp_path):
-    fresh = cli._write_csv(tmp_path, "fresh.csv", ["a"], [[1]], "# meta")
+    [fresh] = cli._write_csv(tmp_path, [cli.Table("fresh.csv", ["a"], [[1]])], "# meta")
     assert list(tmp_path.iterdir()) == [fresh]
     fresh.unlink()
     earlier = tmp_path / "table.csv"
     earlier.write_text("# earlier\n" + "x\n" * 100)
-    path = cli._write_csv(tmp_path, "table.csv", ["a", "b"], [[1, 2.5]], "# meta")
+    [path] = cli._write_csv(tmp_path, [cli.Table("table.csv", ["a", "b"], [[1, 2.5]])], "# meta")
     assert path == earlier and list(tmp_path.iterdir()) == [earlier]
     assert earlier.read_text() == "# meta\na,b\n1,2.5\n"
 
@@ -1283,16 +1334,31 @@ def test_csv_writer_replaces_a_symlink_and_keeps_its_target(tmp_path):
     (tmp_path / "out").mkdir()
     link = tmp_path / "out" / "table.csv"
     link.symlink_to(target)
-    cli._write_csv(tmp_path / "out", "table.csv", ["a"], [[1]], "# meta")
+    # a symlink to a directory is replaced too: no directory has its name
+    (tmp_path / "folder").mkdir()
+    folder_link = tmp_path / "out" / "folder.csv"
+    folder_link.symlink_to(tmp_path / "folder")
+    tables = [cli.Table("table.csv", ["a"], [[1]]), cli.Table("folder.csv", ["b"], [[2]])]
+    cli._write_csv(tmp_path / "out", tables, "# meta")
     assert not link.is_symlink() and link.read_text() == "# meta\na\n1\n"
     assert target.read_text() == "# earlier\n"
+    assert not folder_link.is_symlink() and folder_link.read_text() == "# meta\nb\n2\n"
+    assert list((tmp_path / "folder").iterdir()) == []
 
 
 def test_csv_writer_reports_a_directory_at_its_name_as_config_error(tmp_path):
     (tmp_path / "table.csv").mkdir()
     with pytest.raises(cli.ConfigError, match="cannot write output .*table.csv"):
-        cli._write_csv(tmp_path, "table.csv", ["a"], [[1]], "# meta")
+        cli._write_csv(tmp_path, [cli.Table("table.csv", ["a"], [[1]])], "# meta")
     assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+    # a directory at a later table's name is found before the first rename
+    earlier = tmp_path / "first.csv"
+    earlier.write_bytes(b"# earlier\n")
+    tables = [cli.Table("first.csv", ["a"], [[1]]), cli.Table("table.csv", ["b"], [[2]])]
+    with pytest.raises(cli.ConfigError, match="cannot write output .*table.csv"):
+        cli._write_csv(tmp_path, tables, "# meta")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.csv", "table.csv"]
+    assert earlier.read_bytes() == b"# earlier\n"
 
 
 @pytest.mark.parametrize(

@@ -179,6 +179,22 @@ def test_few_private_names_cross_module_boundaries():
     assert not [name for name in imported if name.startswith("cli <- costs.")]
 
 
+def test_cli_writes_csvs_only_from_main():
+    """Ratchet: the commands return their tables and ``main`` writes them, so
+    cli.py names its CSV writer once, in one call in ``main``."""
+    tree = ast.parse((Path(pg.__file__).resolve().parent / "cli.py").read_text())
+
+    def writer_names(node):
+        return [name for name in ast.walk(node)
+                if isinstance(name, ast.Name) and name.id == "_write_csv"]
+
+    [main] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and node.name == "main"]
+    calls = [node.func for node in ast.walk(main) if isinstance(node, ast.Call)]
+    [name] = writer_names(tree)
+    assert name in writer_names(main) and name in calls
+
+
 def test_readme_quick_start_runs():
     """Every ``python`` block of README.md runs against the current API."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
