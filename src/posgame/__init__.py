@@ -9,12 +9,9 @@ discretized best-response oracle (:mod:`posgame.oracle`).
 
 __version__ = "0.1.0"
 
-from .core import (
+from .rules import (
     BadBump,
-    CostBreakdown,
     EmptyGame,
-    EquilibriumSolution,
-    GameSpec,
     GameSpecError,
     GridMismatch,
     KappaTooLarge,
@@ -26,8 +23,8 @@ from .core import (
     NonPositiveLambda,
     RepresentationTooSmall,
     ZeroBaseCost,
-    renormalize_lambdas,
 )
+from .core import CostBreakdown, EquilibriumSolution, GameSpec, renormalize_lambdas
 from .equilibrium import governing_residuals, solve
 from .costs import (
     aggregate_cost,

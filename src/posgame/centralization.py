@@ -22,15 +22,13 @@ traders, independent of both kappa and the firm's target fraction.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    RepresentationTooSmall, _check_count, _check_kappa, _gauss_legendre_64, percent_change
-)
+from .core import _gauss_legendre_64, percent_change
 from .costs import group_cost
+from .rules import check_counts, check_kappa, check_window
 
 
 @dataclass(frozen=True)
@@ -57,43 +55,12 @@ class CentralizationScenario:
 def _check_split(n1, n2, lambda_firm, kappa) -> None:
     """Raise ValueError unless every firm split is valid; counts and
     fractions may be arrays of splits."""
-    _check_counts(n1, n2)
+    check_counts(n1, n2)
     lam = np.asarray(lambda_firm)
     bad = ~((0.0 < lam) & (lam < 1.0))
     if bad.any():
         raise ValueError(f"need 0 < lambda_firm < 1, got {lam.flat[np.argmax(bad)]}")
-    _check_kappa(kappa)
-
-
-def _check_counts(n1, n2) -> None:
-    """Raise ValueError unless every firm has n1 >= 1 traders and n2 >= 1
-    outside it, and NonIntegerCount unless the counts are whole numbers;
-    n1 and n2 may be arrays that broadcast together."""
-    n1, n2 = np.broadcast_arrays(n1, n2)
-    bad = (n1 < 1) | (n2 < 1)
-    if bad.any():
-        k = np.argmax(bad)
-        raise ValueError(f"need n1 >= 1 and n2 >= 1, got n1={n1.flat[k]}, n2={n2.flat[k]}")
-    _check_count("n1", n1)
-    _check_count("n2", n2)
-
-
-def _check_window(n1: int, delta_range) -> None:
-    """Raise unless ``delta_range`` is a pair (lo, hi) (ValueError otherwise)
-    of whole numbers (NonIntegerCount otherwise) with n1 + lo >= 1
-    (RepresentationTooSmall), hi >= lo and at most sys.maxsize deltas in
-    the window, the most an array holds (ValueError otherwise)."""
-    try:
-        lo, hi = delta_range
-    except (TypeError, ValueError):  # not an iterable of two items
-        raise ValueError(f"need a delta_range pair (lo, hi), got {delta_range!r}") from None
-    _check_count("delta_range", (lo, hi))
-    if n1 + lo < 1:
-        raise RepresentationTooSmall(f"delta_range start {lo} gives n1 + delta = {n1 + lo} < 1")
-    if hi < lo:
-        raise ValueError(f"empty delta_range {delta_range}")
-    if hi - lo >= sys.maxsize:
-        raise ValueError(f"delta_range {delta_range} holds more than {sys.maxsize} deltas")
+    check_kappa(kappa)
 
 
 @dataclass(frozen=True)
@@ -189,7 +156,7 @@ def optimal_representation(
         lo = 1 - sc.n1
         hi = max(math.ceil(opt) + 50, lo + 10)
     else:
-        _check_window(sc.n1, delta_range)
+        check_window(sc.n1, delta_range)
         lo, hi = delta_range
     # sized from the exact count: arange's float length wraps to 0 within
     # 512 of sys.maxsize, which a window's exact ends can reach

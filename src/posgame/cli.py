@@ -11,14 +11,15 @@ One strict JSON schema, ``_SCHEMA``, drives all subcommands (sections: game,
 grid, centralization, sweep, table, verify, output); each command reads the
 sections it needs, so a single scenario file can serve several commands.
 Every command checks every section before it computes, each value once and
-by the library's own rule where there is one, so an invalid value fails
-every command, also those that never read its section.  Unknown keys and
-invalid values anywhere are rejected with their path.  Every CSV starts with a
-comment line carrying the tool version and a hash of the config as written
-(defaults not filled in) and the seed, so identical config + seed reproduce
-byte-identical files.  The seed (``output.seed``, or ``--seed``) draws only
-``verify``'s target fractions and deviation bumps; the other commands' rows
-depend on the config alone, and the averaged table is a fixed quadrature.
+by the library's own rule where there is one (:mod:`posgame.rules`), so an
+invalid value fails every command, also those that never read its section.
+Unknown keys and invalid values anywhere are rejected with their path.
+Every CSV starts with a comment line carrying the tool version and a hash of
+the config as written (defaults not filled in) and the seed, so identical
+config + seed reproduce byte-identical files.  The seed (``output.seed``, or
+``--seed``) draws only ``verify``'s target fractions and deviation bumps; the
+other commands' rows depend on the config alone, and the averaged table is a
+fixed quadrature.
 Cells are written by one rule: strings verbatim, integers as plain digits,
 every other number as ``%.12g`` (12 significant digits, locale-independent;
 nan and inf as ``nan``, ``inf``, ``-inf``).  The equilibrium command formats
@@ -60,20 +61,18 @@ from .centralization import (
     TABLE_N,
     TABLE_N1,
     CentralizationScenario,
-    _check_counts,
-    _check_window,
     averaged_report,
     naive_centralization_report,
     optimal_representation,
 )
-from .core import (
-    GameSpec, KappaTooLarge, ZeroBaseCost, _check_count, _check_kappa, _check_size,
-    _check_traders, percent_change, renormalize_lambdas,
-)
+from .core import GameSpec, percent_change, renormalize_lambdas
 from .costs import aggregate_cost, cost_breakdown, cost_shares, group_cost, price_of_anarchy
 from .equilibrium import solve
-from .oracle import _check_grid
-from .verification import _check_suite_kappa, _check_suite_n, run_verification
+from .rules import (
+    KappaTooLarge, ZeroBaseCost, check_count, check_counts, check_grid, check_kappa,
+    check_size, check_suite_kappa, check_suite_n, check_traders, check_window,
+)
+from .verification import run_verification
 
 
 class ConfigError(Exception):
@@ -185,7 +184,7 @@ def _value(path: str, kind, value):
             numbers.append(_checked(f"{path}[{k}]", float, v))
     if kind is _NUMBERS:
         return numbers
-    _checked(path, _check_count, path.rpartition(".")[2], numbers)
+    _checked(path, check_count, path.rpartition(".")[2], numbers)
     return [v if isinstance(v, int) else int(v) for v in value]
 
 
@@ -282,7 +281,7 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
     if "game" in config:
         if game["symmetric"] and lambdas is not None:
             raise ConfigError("config.game: give either 'symmetric' or 'lambdas', not both")
-        _checked("config.game.kappa", _check_kappa, kappa)
+        _checked("config.game.kappa", check_kappa, kappa)
         if game["symmetric"]:
             lambdas = _checked("config.game", GameSpec.symmetric, n, kappa).lambdas
         if lambdas is not None:
@@ -290,13 +289,13 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
                 lambdas = _checked("config.game", renormalize_lambdas, lambdas)
             spec = _checked("config.game", GameSpec, n, tuple(lambdas), kappa)
         else:  # no GameSpec is built to check n
-            _checked("config.game.n", _check_traders, n)
+            _checked("config.game.n", check_traders, n)
 
     grid = _section(config, "grid")
     if "grid" in config:
         # np.linspace sizes its grid through a double, which rounds a length
         # within 512 of 2^63 up to 2^63, longer than any array
-        _checked("config.grid.n_points", _check_size, "n_points", grid["n_points"], 2,
+        _checked("config.grid.n_points", check_size, "n_points", grid["n_points"], 2,
                  sys.maxsize - 512)
 
     centralization = _section(config, "centralization")
@@ -304,18 +303,18 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
         if "game" not in config:
             raise ConfigError("config.game: required with config.centralization (n and kappa)")
         n1, window = centralization["n1"], centralization["delta_range"]
-        _checked("config.centralization.n1", _check_counts, n1, n - n1)
+        _checked("config.centralization.n1", check_counts, n1, n - n1)
         central = _checked("config.centralization.lambda_firm", CentralizationScenario,
                            n1, n - n1, centralization["lambda_firm"], kappa)
         if window is not None:
-            _checked("config.centralization.delta_range", _check_window, n1, window)
+            _checked("config.centralization.delta_range", check_window, n1, window)
 
     sweep = _section(config, "sweep")
     # trader 1 holds lambda1 and at least one other trader the rest
     for value in sweep["n"] or ():
-        _checked("config.sweep.n", _check_size, "n", value, 2)
+        _checked("config.sweep.n", check_size, "n", value, 2)
     for value in sweep["kappa"] or ():
-        _checked("config.sweep.kappa", _check_kappa, value)
+        _checked("config.sweep.kappa", check_kappa, value)
     for value in sweep["lambda1"] or ():
         if not 0.0 < value < 1.0:
             raise ConfigError(f"config.sweep.lambda1: {value} not in (0, 1)")
@@ -323,9 +322,9 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
     table = _section(config, "table")
     if "table" in config:
         for value in table["kappa"]:
-            _checked("config.table.kappa", _check_kappa, value)
+            _checked("config.table.kappa", check_kappa, value)
         n2_values = np.subtract.outer(table["n"], table["n1"])
-        _checked("config.table.n1", _check_counts, table["n1"], n2_values)
+        _checked("config.table.n1", check_counts, table["n1"], n2_values)
         for label in table["rows"]:
             if label not in FRACTION_BANDS:
                 raise ConfigError(
@@ -336,14 +335,14 @@ def parse_scenario(config: dict, renormalize: bool = False) -> Scenario:
     verify = _section(config, "verify")
     verify["n"], verify["kappa"] = tuple(verify["n"]), tuple(verify["kappa"])
     if "verify" in config:
-        _checked("config.verify.n", _check_suite_n, verify["n"])
-        _checked("config.verify.kappa", _check_suite_kappa, verify["kappa"])
-        _checked("config.verify.n_steps", _check_grid, max(verify["kappa"]), verify["n_steps"])
-        _checked("config.verify.draws", _check_size, "draws", verify["draws"], 1)
+        _checked("config.verify.n", check_suite_n, verify["n"])
+        _checked("config.verify.kappa", check_suite_kappa, verify["kappa"])
+        _checked("config.verify.n_steps", check_grid, max(verify["kappa"]), verify["n_steps"])
+        _checked("config.verify.draws", check_size, "draws", verify["draws"], 1)
 
     output = _section(config, "output")
     if "output" in config:
-        _checked("config.output.seed", _check_size, "seed", output["seed"], 0)
+        _checked("config.output.seed", check_size, "seed", output["seed"], 0)
 
     _unknown_keys(config, _SCHEMA, "config")
     return Scenario(spec, central, game, grid, centralization, sweep, table, verify, output)
@@ -608,7 +607,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args.config)
         scenario = parse_scenario(config, renormalize=args.renormalize_lambdas)
         if args.seed is not None:
-            _checked("--seed", _check_size, "seed", args.seed, 0)
+            _checked("--seed", check_size, "seed", args.seed, 0)
             scenario.output["seed"] = args.seed
         out_dir = Path(args.out) if args.out is not None else Path(scenario.output["directory"])
         meta = (

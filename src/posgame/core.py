@@ -6,8 +6,10 @@ target quantities ``lambdas`` summing to one, and a permanent-impact
 solved spec as two coefficient arrays; ``_alpha``, ``_curve`` and
 ``_market_curve`` are the one copy each of the decay-rate, curve and market
 curve formulas, as numpy kernels over arrays, ``percent_change`` the one
-percent-change rule, ``_KAPPA_FLOOR`` the one kappa -> 0 rule and
-``_gauss_legendre_64`` the one quadrature rule.
+percent-change rule and ``_gauss_legendre_64`` the one quadrature rule.
+The input errors, the kappa floor (the one kappa -> 0 rule) and the shared
+admission rules live in :mod:`posgame.rules`; this module imports the ones
+it calls and re-exports none.
 Equilibrium objects are immutable (their arrays read-only) and safe to share across
 threads.
 """
@@ -15,74 +17,18 @@ threads.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
+from .rules import (
+    KAPPA_FLOOR, LambdaCountMismatch, LambdaSumMismatch, NonPositiveLambda, ZeroBaseCost,
+    check_count, check_integer, check_kappa, check_size, check_traders,
+)
+
 LAMBDA_SUM_TOL = 1e-12
-
-# A kappa below 1e-300 counts as 0.  From the floor up, lambda_i n alpha stays
-# a normal double for every documented lambda_i >= 1e-6 and n >= 2, so the
-# coefficient 1 / (lambda_i n (1 - e^{-alpha})) stays finite; just above the
-# smallest normal double (2.2e-308) it overflows.  Below the floor the
-# kappa -> 0 limit is exact to double precision, as it is up to about 1e-16.
-_KAPPA_FLOOR = 1e-300
-
-
-class GameSpecError(ValueError):
-    """Invalid competition instance."""
-
-
-class EmptyGame(GameSpecError):
-    """Trader count below one."""
-
-
-class LambdaCountMismatch(GameSpecError):
-    """Number of target quantities differs from the trader count."""
-
-
-class NonPositiveLambda(GameSpecError):
-    """A fractional target quantity is zero or negative."""
-
-
-class LambdaSumMismatch(GameSpecError):
-    """Fractional target quantities do not sum to one."""
-
-
-class NegativeKappa(GameSpecError):
-    """Impact parameter must be non-negative."""
-
-
-class NonFiniteKappa(GameSpecError):
-    """Impact parameter is NaN or infinite."""
-
-
-class KappaTooLarge(GameSpecError):
-    """Impact parameter so large that a closed-form coefficient overflows."""
-
-
-class NonIntegerCount(GameSpecError):
-    """A trader count (or a change of one) is NaN, infinite or fractional,
-    or a size (a grid's step count, a draw count, a seed) is no integer."""
-
-
-class ZeroBaseCost(GameSpecError):
-    """A percent change's base cost is exactly 0, so the change has no value."""
-
-
-class GridMismatch(ValueError):
-    """Paths or bumps do not fit the oracle grid (shape or pinned endpoints)."""
-
-
-class BadBump(ValueError):
-    """Deviation bump does not vanish at both endpoints."""
-
-
-class RepresentationTooSmall(ValueError):
-    """Represented trader count n1 + delta fell below one."""
 
 
 @dataclass(frozen=True)
@@ -110,8 +56,8 @@ class GameSpec:
             NegativeKappa: kappa < 0.
             NonFiniteKappa: kappa is NaN or +inf.
         """
-        _check_integer("n", self.n)
-        _check_traders(self.n)
+        check_integer("n", self.n)
+        check_traders(self.n)
         if len(self.lambdas) != self.n:
             raise LambdaCountMismatch(
                 f"got {len(self.lambdas)} target quantities for n={self.n} traders"
@@ -122,75 +68,21 @@ class GameSpec:
         total = math.fsum(self.lambdas)
         if abs(total - 1.0) > LAMBDA_SUM_TOL:
             raise LambdaSumMismatch(f"sum of lambdas is {total!r}, expected 1")
-        _check_kappa(self.kappa)
+        check_kappa(self.kappa)
 
     @classmethod
     def symmetric(cls, n: int, kappa: float) -> "GameSpec":
         """``n`` traders with equal fractions; NonIntegerCount unless n is a
         whole number, EmptyGame if n < 1, ValueError if n > sys.maxsize (no
         tuple holds more fractions)."""
-        _check_count("n", n)
-        _check_traders(n)
+        check_count("n", n)
+        check_traders(n)
         n = int(n)
-        _check_size("n", n, 1, sys.maxsize)
+        check_size("n", n, 1, sys.maxsize)
         return cls(n=n, lambdas=(1.0 / n,) * n, kappa=kappa)
 
     def lambdas_array(self) -> np.ndarray:
         return np.asarray(self.lambdas, dtype=float)
-
-
-def _check_kappa(kappa: float) -> None:
-    """Raise NegativeKappa for kappa < 0 and NonFiniteKappa for NaN or +inf."""
-    if kappa < 0.0:
-        raise NegativeKappa(f"kappa = {kappa} must be non-negative")
-    if not math.isfinite(kappa):
-        raise NonFiniteKappa(f"kappa = {kappa} must be finite")
-
-
-def _check_traders(n) -> None:
-    """Raise EmptyGame unless every count ``n`` (a number or array) is >= 1."""
-    few = np.less(n, 1)
-    if few.any():
-        raise EmptyGame(f"need at least one trader, got n={np.ravel(n)[np.argmax(few)]}")
-
-
-def _check_count(name: str, value, limit: bool = False) -> None:
-    """Raise NonIntegerCount unless ``value`` (a number or an array of them) holds only
-    whole numbers, finite or +inf where ``limit``, and no bool, not even in a list that
-    numpy makes ints of; GameSpecError for an integer beyond the largest double."""
-    items = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
-    if items.dtype.kind in "bO" and any(isinstance(v, (bool, np.bool_)) for v in items.flat):
-        raise NonIntegerCount(f"{name} = {value} must be a whole number, not a bool")
-    value = np.asarray(value)
-    if value.dtype.kind in "iu":
-        return
-    try:
-        as_float = value.astype(float)  # object arrays: ints beyond int64, fractions
-    except OverflowError as exc:
-        raise GameSpecError(f"{name}: {exc}") from None
-    whole = np.isfinite(as_float) & (as_float == np.rint(as_float)) | limit & (as_float == math.inf)
-    if not whole.all():
-        raise NonIntegerCount(f"{name} = {value.flat[np.argmin(whole)]} must be a whole number")
-
-
-def _check_integer(name: str, value) -> None:
-    """NonIntegerCount unless ``value`` is an integer other than a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise NonIntegerCount(f"{name} = {value!r} must be an integer")
-
-
-def _check_size(name: str, value, least: int, most: int | None = None) -> None:
-    """NonIntegerCount unless ``value`` is an integer other than a bool (a
-    float, even a whole one, sizes no grid, draw set or seed), then
-    ValueError unless ``value >= least`` and, if given, ``value <= most``.
-    The one rule for sizes; trader counts take :func:`_check_count`, which
-    accepts whole floats.  A size that sets an array's length takes
-    ``most``: no array is longer than ``sys.maxsize``."""
-    _check_integer(name, value)
-    if value < least:
-        raise ValueError(f"need {name} >= {least}, got {value}")
-    if most is not None and value > most:
-        raise ValueError(f"need {name} <= {most}, got {value}")
 
 
 def renormalize_lambdas(lambdas) -> tuple[float, ...]:
@@ -209,9 +101,9 @@ def renormalize_lambdas(lambdas) -> tuple[float, ...]:
 def _alpha(n, kappa: float):
     """Decay rate of the market strategy, kappa (n - 1) / (n + 1), for a
     scalar kappa and a count ``n`` that may be an array.  It is 0 for n = 1
-    and for every kappa below ``_KAPPA_FLOOR``; the closed forms are singular
+    and for every kappa below ``KAPPA_FLOOR``; the closed forms are singular
     there and :func:`posgame.solve` takes the straight line."""
-    if kappa < _KAPPA_FLOOR:
+    if kappa < KAPPA_FLOOR:
         return 0.0 * n
     return kappa * (n - 1) / (n + 1)
 

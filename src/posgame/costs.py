@@ -21,16 +21,8 @@ import math
 
 import numpy as np
 
-from .core import (
-    _KAPPA_FLOOR,
-    CostBreakdown,
-    GameSpec,
-    KappaTooLarge,
-    _alpha,
-    _check_count,
-    _check_kappa,
-    _check_traders,
-)
+from .core import CostBreakdown, GameSpec, _alpha
+from .rules import KAPPA_FLOOR, KappaTooLarge, check_count, check_kappa, check_traders
 
 _EXP_KAPPA = 600.0  # n e^kappa overflows only above it, or for more than 1e47 traders
 
@@ -52,7 +44,7 @@ def group_cost(total, count, lam, kappa, decay=None):
     overflows (kappa near 1e308 for a dozen traders); that check is one
     comparison below kappa = 600.
     """
-    if kappa < _KAPPA_FLOOR:
+    if kappa < KAPPA_FLOOR:
         return lam + np.zeros(np.broadcast_shapes(np.shape(total), np.shape(count)))
     if kappa <= _EXP_KAPPA:
         return _group_cost(total, count, lam, kappa, decay)
@@ -82,9 +74,9 @@ def _group_cost(total, count, lam, kappa, decay):
 def _counts(n, limit: bool = False) -> np.ndarray:
     """Whole counts from 1 up (and +inf where ``limit``) as an array, ints beyond
     int64 as doubles; NonIntegerCount or EmptyGame (below 1) otherwise."""
-    _check_count("n", n, limit)
+    check_count("n", n, limit)
     n = np.asarray(n)
-    _check_traders(n)
+    check_traders(n)
     return n.astype(float) if n.dtype == object else n
 
 
@@ -99,9 +91,9 @@ def aggregate_cost(n, kappa: float):
     scalar).  One trader pays the market minimum 1 + kappa/2 and n = inf is the
     limit kappa / (1 - e^{-kappa}); below the kappa floor every aggregate is 1.
     KappaTooLarge where :func:`group_cost` raises for an entry from 2 up."""
-    _check_kappa(kappa)
+    check_kappa(kappa)
     n = _counts(n, limit=True)
-    limit = 1.0 if kappa < _KAPPA_FLOOR else kappa / -math.expm1(-kappa)
+    limit = 1.0 if kappa < KAPPA_FLOOR else kappa / -math.expm1(-kappa)
     cost = np.where(n == 1, market_min_cost(kappa), limit)
     many = (n != 1) & (n != math.inf)
     cost[many] = group_cost(n[many], n[many], 1.0, kappa)
@@ -116,9 +108,9 @@ def cost_shares(n, kappa: float, lam):
     and ``lam`` broadcast; a scalar pair gives a float.  T tends to -1 as
     kappa -> 0, so below the kappa floor the shares are the fractions lam, and
     to -(n + 1) / (n (1 - e^{-kappa})) as kappa grows, where e^alpha overflows."""
-    _check_kappa(kappa)
+    check_kappa(kappa)
     n = _counts(n)
-    if kappa < _KAPPA_FLOOR:
+    if kappa < KAPPA_FLOOR:
         shares = lam
     else:
         # n = 1's 0 / 0 is replaced below; overflows to inf give T's limit
@@ -137,7 +129,7 @@ def cost_shares(n, kappa: float, lam):
 
 def market_min_cost(kappa: float) -> float:
     """Cost of the centrally minimized market-wide strategy m(t) = t."""
-    _check_kappa(kappa)
+    check_kappa(kappa)
     return 1.0 + kappa / 2.0
 
 

@@ -78,14 +78,12 @@ from __future__ import annotations
 
 import importlib
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    BadBump, EquilibriumSolution, GameSpec, GridMismatch, _check_kappa, _check_size, _curve,
-)
+from .core import EquilibriumSolution, GameSpec, _curve
+from .rules import BadBump, GridMismatch, check_grid, check_kappa, check_size
 
 # A block of paths holds at most this many cells, 1 MiB of float64: verify
 # builds each stack of draws (draws * n * (N + 1) cells) to this size, so its
@@ -168,7 +166,7 @@ def sampled_equilibrium(solution: EquilibriumSolution, n_steps: int) -> Discrete
     intervals, as a game of ``solution.spec`` (for comparisons).
     NonIntegerCount unless ``n_steps`` is an integer, ValueError unless it is
     at least 1."""
-    _check_size("n_steps", n_steps, 1)
+    check_size("n_steps", n_steps, 1)
     b, d = solution.b[:, None], solution.d[:, None]
     paths = _sampled_paths(b, d, solution.spec.kappa, solution.alpha, n_steps)
     return DiscreteGame._adopt(solution.spec, paths)
@@ -228,7 +226,7 @@ def discrete_cost(paths, lambdas, kappa: float) -> np.ndarray:
     DiscreteGame's do; NegativeKappa or NonFiniteKappa unless 0 <= kappa < inf."""
     paths, lambdas = np.asarray(paths, dtype=float), np.asarray(lambdas, dtype=float)
     _check_paths(paths, lambdas.shape)
-    _check_kappa(kappa)
+    check_kappa(kappa)
     m = lambdas[..., None, :] @ paths
     return _cost_sum(m, lambdas[..., None], paths, kappa, 1.0 / (paths.shape[-1] - 1))
 
@@ -261,20 +259,6 @@ def best_response(game: DiscreteGame, i: int) -> np.ndarray:
     return np.concatenate(([0.0], solveh_banded(ab, rhs, lower=True), [1.0]))
 
 
-def _check_grid(kappa: float, n_steps: int) -> None:
-    """NonIntegerCount unless n_steps is an integer, then ValueError unless
-    n_steps >= 2, so that every trader has an interior node, and the grid's
-    n_steps + 1 nodes fit an array, then GridMismatch unless
-    n_steps > kappa / 2, the grids on which the Nash rows' root
-    sigma = (1 + c) / (1 - c) is positive (c = kappa / (2 N) < 1)."""
-    _check_size("n_steps", n_steps, 2, sys.maxsize - 1)
-    if 2 * n_steps <= kappa:
-        raise GridMismatch(
-            f"n_steps={n_steps} is too coarse for kappa={kappa:g}: "
-            f"need n_steps > kappa / 2, at least {math.floor(0.5 * kappa) + 1}"
-        )
-
-
 def _unit_path(log_root: float, n_steps: int) -> np.ndarray:
     """x[j] = (r^j - 1) / (r^N - 1), j = 0..N, with r = exp(log_root): the
     path through the constants and r^j pinned to x[0] = 0 and x[N] = 1, and
@@ -299,7 +283,7 @@ def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:
     unless n_steps >= 2 and GridMismatch unless n_steps > kappa / 2: on
     coarser grids the rows' root sigma is not positive.
     """
-    _check_grid(spec.kappa, n_steps)
+    check_grid(spec.kappa, n_steps)
     own, market = _nash_factors(spec.n, spec.kappa, n_steps)
     return DiscreteGame._adopt(spec, _nash_profile(spec.lambdas_array(), own, market))
 
@@ -309,7 +293,7 @@ def _nash_factors(n: int, kappa: float, n_steps: int) -> tuple[np.ndarray, np.nd
     of ``n_steps`` intervals, shape (N + 1,) each: ``own`` through sigma^j
     and ``market`` through rho^j (see the module docstring).  They depend on
     n, kappa and N alone; :func:`_nash_profile` builds the traders' paths
-    from them.  The caller checks the grid (:func:`_check_grid`)."""
+    from them.  The caller checks the grid (:func:`check_grid`)."""
     # c is rounded so that 1 +- c are exact, as a banded solve of the same
     # rows needs, and so that it is 0 (straight lines) where kappa / (2 N)
     # is below half an ulp of 1; it stays below 1 where kappa / (2 N) rounds
@@ -426,8 +410,8 @@ def standard_bumps(n_steps: int, seed: int = 0) -> np.ndarray:
     k = 1..5 and 5 rough seeded random vectors scaled into [-1, 1], all
     vanishing at both ends.  NonIntegerCount unless ``n_steps`` and ``seed``
     are integers, ValueError unless ``n_steps >= 1`` and ``seed >= 0``."""
-    _check_size("n_steps", n_steps, 1)
-    _check_size("seed", seed, 0)
+    check_size("n_steps", n_steps, 1)
+    check_size("seed", seed, 0)
     bumps = np.empty((10, n_steps + 1))  # each kind is built in its rows
     sines, rough = bumps[:5], bumps[5:]
     grid = np.linspace(0.0, 1.0, n_steps + 1)

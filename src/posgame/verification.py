@@ -5,27 +5,25 @@ compares them, so the CLI can emit one pass/fail line per check.  The cost
 row holds the per-trader cost formula to :func:`quadrature_cost`.
 ``inject_bug`` scales every trader's d coefficient of the closed-form
 solution by 1.01 before the comparison, which demonstrates that the suite
-detects a wrong solution.  The suite's rules on its settings are written
-here once, and the CLI reports them at their config keys.
+detects a wrong solution.  The suite's rules on its settings live in
+:mod:`posgame.rules`, and the CLI reports them at their config keys.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    _KAPPA_FLOOR, GameSpec, _alpha, _check_kappa, _check_size, _curve, _gauss_legendre_64,
-)
+from .core import GameSpec, _alpha, _curve, _gauss_legendre_64
 from .costs import aggregate_cost, group_cost
-from .equilibrium import _check_curves, _coefficients, governing_residuals, solve
+from .equilibrium import _coefficients, governing_residuals, solve
 from .oracle import (
-    _STACK_CELLS, _bump_terms, _check_grid, _expansion, _nash_factors, _nash_profile,
-    _sampled_paths, discrete_cost, nash_fixed_point, sampled_equilibrium, standard_bumps,
+    _STACK_CELLS, _bump_terms, _expansion, _nash_factors, _nash_profile, _sampled_paths,
+    discrete_cost, nash_fixed_point, sampled_equilibrium, standard_bumps,
 )
+from .rules import check_curves, check_grid, check_size, check_suite_kappa, check_suite_n
 
 
 @dataclass(frozen=True)
@@ -76,30 +74,6 @@ def draw_lambda_stack(rng: np.random.Generator, n: int, draws: int) -> np.ndarra
     return 0.9 * rng.dirichlet(np.ones(n), size=draws) + 0.1 / n
 
 
-def _check_suite_n(n_values) -> None:
-    """ValueError unless ``n_values`` is non-empty, then the size rule on
-    every entry: an integer 2 <= n <= sys.maxsize.  At n = 1 every strategy is the straight
-    line (b = d = 0), which an injected bug (it scales d) cannot move, and
-    the cost row reads 0 / 0."""
-    if not n_values:
-        raise ValueError(f"need a non-empty n_values, got {n_values}")
-    for k, n in enumerate(n_values):
-        _check_size(f"n_values[{k}]", n, 2, sys.maxsize)
-
-
-def _check_suite_kappa(kappa_values) -> None:
-    """ValueError unless ``kappa_values`` is non-empty and every kappa is
-    finite and at least 1e-300: a smaller kappa counts as 0, where every
-    strategy is the straight line too."""
-    for kappa in kappa_values:
-        _check_kappa(kappa)
-    if not kappa_values or min(kappa_values) < _KAPPA_FLOOR:
-        raise ValueError(
-            f"need a non-empty kappa_values with every kappa >= {_KAPPA_FLOOR:g}, "
-            f"got {kappa_values}"
-        )
-
-
 def quadrature_cost(lambdas, b, d, kappa: float) -> np.ndarray:
     """Every trader's cost by quadrature of the cost integrand
     (m' + kappa m) lambda_i a_i' on the curves of :func:`governing_residuals`
@@ -116,7 +90,7 @@ def quadrature_cost(lambdas, b, d, kappa: float) -> np.ndarray:
     where the curves are finite, and memory is a few (..., n, 64 P) arrays.
     A stack's batched products keep every game's bits.
     """
-    lambdas, b, d = _check_curves(lambdas, b, d, kappa)
+    lambdas, b, d = check_curves(lambdas, b, d, kappa)
     alpha = _alpha(lambdas.shape[-1], kappa)
     nodes, weights = _gauss_legendre_64()
     panels = max(1, math.ceil(kappa / 64.0))
@@ -180,11 +154,11 @@ def run_verification(
     with the former kernels), and this function about 0.87 of its former
     time (2-vCPU Xeon, numpy 2.4.6).
     """
-    _check_suite_n(n_values)
-    _check_suite_kappa(kappa_values)
-    _check_size("draws", draws, 1)
-    _check_size("seed", seed, 0)
-    _check_grid(max(kappa_values), n_steps)
+    check_suite_n(n_values)
+    check_suite_kappa(kappa_values)
+    check_size("draws", draws, 1)
+    check_size("seed", seed, 0)
+    check_grid(max(kappa_values), n_steps)
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
     bumps = standard_bumps(n_steps, seed=seed)

@@ -11,7 +11,12 @@ read; the outputs go to a temporary directory.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -84,3 +89,16 @@ def test_the_tracer_sees_the_cost_commands_call_the_public_costs(tmp_path):
     assert not hasattr(cli.price_of_anarchy, "__wrapped__")
     assert not hasattr(cli.cost_shares, "__wrapped__")
     assert not hasattr(pg.aggregate_cost, "__wrapped__")
+
+
+def test_a_fresh_cli_import_times_every_traced_layer():
+    """bench/run.py reads each traced layer's cumulative import time from a
+    fresh ``python -X importtime -c 'import posgame.cli'`` and fails the run
+    without one, so a change that stops ``posgame.cli`` loading a layer fails
+    here too, not only under ``bench/run.py --trace 1``."""
+    src = str(Path(pg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-c", "import posgame.cli"],
+                          env=env, capture_output=True, text=True, check=True)
+    timed = re.findall(r"^import time:\s+\d+ \|\s+\d+ \|\s+posgame\.(\w+)$", proc.stderr, re.M)
+    assert set(tracing.LAYERS) <= set(timed), proc.stderr

@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import posgame as pg
+import posgame.core
+import posgame.rules as rules
 from conftest import game_specs
-from posgame.centralization import _check_window
-from posgame.core import _check_size, _gauss_legendre_64, percent_change
-from posgame.oracle import _check_grid
-from posgame.verification import _check_suite_n
+from posgame.core import _gauss_legendre_64, percent_change
+from posgame.rules import check_grid, check_size, check_suite_n, check_window
 
 
 class TestValidateSpec:
@@ -125,15 +125,15 @@ def test_array_lengths_stop_at_the_largest_index():
     could index (sys.maxsize entries) and rejects one entry more, before
     anything is allocated."""
     longest = sys.maxsize
-    _check_size("n_points", longest, 2, longest)
-    _check_grid(1.0, longest - 1)  # n_steps + 1 grid nodes
-    _check_suite_n([2, longest])
-    _check_window(4, (-3, longest - 4))  # hi - lo + 1 deltas
+    check_size("n_points", longest, 2, longest)
+    check_grid(1.0, longest - 1)  # n_steps + 1 grid nodes
+    check_suite_n([2, longest])
+    check_window(4, (-3, longest - 4))  # hi - lo + 1 deltas
     too_long = [
-        lambda: _check_size("n_points", longest + 1, 2, longest),
-        lambda: _check_grid(1.0, longest),
-        lambda: _check_suite_n([2, longest + 1]),
-        lambda: _check_window(4, (-3, longest - 3)),
+        lambda: check_size("n_points", longest + 1, 2, longest),
+        lambda: check_grid(1.0, longest),
+        lambda: check_suite_n([2, longest + 1]),
+        lambda: check_window(4, (-3, longest - 3)),
         lambda: pg.GameSpec.symmetric(longest + 1, 1.0),
         lambda: pg.GameSpec.symmetric(1e30, 1.0),
     ]
@@ -174,9 +174,25 @@ def test_few_private_names_cross_module_boundaries():
             if isinstance(node, ast.ImportFrom) and node.level:
                 imported += [f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
                              if alias.name.startswith("_") and not alias.name.startswith("__")]
-    assert len(imported) <= 40, "\n".join(imported)
-    # the commands price costs through the public cost functions only
-    assert not [name for name in imported if name.startswith("cli <- costs.")]
+    assert len(imported) <= 17, "\n".join(imported)
+    # the commands check their config by the public rules and price costs
+    # through the public cost functions only
+    assert not [name for name in imported if name.startswith("cli <- ")]
+    # each shared rule has one public home; a rule one module calls stays there
+    assert not [name for name in imported if "._check" in name]
+
+
+def test_the_input_errors_and_rules_have_one_home():
+    """posgame.rules defines the errors, the kappa floor and the shared rules;
+    the package exports the same classes, and core no longer re-exports them."""
+    errors = [name for name, obj in vars(rules).items()
+              if isinstance(obj, type) and issubclass(obj, ValueError)]
+    assert len(errors) == 13
+    for name in errors:
+        assert getattr(pg, name) is getattr(rules, name) and name in pg.__all__
+        assert getattr(rules, name).__module__ == "posgame.rules"
+    assert not hasattr(posgame.core, "GameSpecError")
+    assert rules.KAPPA_FLOOR == 1e-300
 
 
 def test_cli_writes_csvs_only_from_main():
