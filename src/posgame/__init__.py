@@ -45,15 +45,14 @@ from .centralization import (
     optimal_representation,
 )
 from .oracle import (
-    DiscreteGame,
     best_response,
     deviation_expansion,
     discrete_cost,
     nash_fixed_point,
-    sampled_equilibrium,
     standard_bumps,
     stationarity_residual,
 )
+from .verification import sampled_equilibrium
 
 __all__ = [
     "__version__",
@@ -61,7 +60,6 @@ __all__ = [
     "CentralizationReport",
     "CentralizationScenario",
     "CostBreakdown",
-    "DiscreteGame",
     "EmptyGame",
     "EquilibriumSolution",
     "FRACTION_BANDS",

@@ -24,8 +24,8 @@ from functools import cache
 import numpy as np
 
 from .rules import (
-    KAPPA_FLOOR, LambdaCountMismatch, LambdaSumMismatch, NonPositiveLambda, ZeroBaseCost,
-    check_count, check_integer, check_kappa, check_size, check_traders,
+    KAPPA_FLOOR, LambdaCountMismatch, LambdaSumMismatch, ZeroBaseCost, check_count,
+    check_fractions, check_integer, check_kappa, check_size, check_traders,
 )
 
 LAMBDA_SUM_TOL = 1e-12
@@ -51,7 +51,7 @@ class GameSpec:
             NonIntegerCount: n is a bool or no integer.
             EmptyGame: n < 1.
             LambdaCountMismatch: len(lambdas) != n.
-            NonPositiveLambda: some lambda_i <= 0.
+            NonPositiveLambda: some lambda_i is not positive and finite.
             LambdaSumMismatch: |sum(lambdas) - 1| > 1e-12.
             NegativeKappa: kappa < 0.
             NonFiniteKappa: kappa is NaN or +inf.
@@ -62,9 +62,7 @@ class GameSpec:
             raise LambdaCountMismatch(
                 f"got {len(self.lambdas)} target quantities for n={self.n} traders"
             )
-        for i, lam in enumerate(self.lambdas):
-            if not lam > 0.0:
-                raise NonPositiveLambda(f"lambda_{i + 1} = {lam} must be positive")
+        check_fractions(self.lambdas)
         total = math.fsum(self.lambdas)
         if abs(total - 1.0) > LAMBDA_SUM_TOL:
             raise LambdaSumMismatch(f"sum of lambdas is {total!r}, expected 1")
@@ -90,11 +88,11 @@ def renormalize_lambdas(lambdas) -> tuple[float, ...]:
 
     Never applied implicitly: a :class:`GameSpec` whose fractions fail the
     sum check is rejected, so a caller that wants them rescaled passes them
-    through here before building the spec.
+    through here before building the spec.  Raises what
+    :func:`posgame.rules.check_fractions` raises, on the values given.
     """
+    check_fractions(lambdas)
     total = math.fsum(lambdas)
-    if total <= 0.0:
-        raise NonPositiveLambda("cannot renormalize a non-positive total")
     return tuple(lam / total for lam in lambdas)
 
 

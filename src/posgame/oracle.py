@@ -6,11 +6,11 @@ The implementation-cost functional for trader i,
 
 is discretized on the uniform grid t_j = j / N, j = 0..N, with forward
 differences for the rates and midpoint averaging for m on each interval; a
-profile is a :class:`DiscreteGame`, an (n, N + 1) array of paths whose width
-gives N.  The functional is then strictly convex in trader i's interior
-values (the permanent-impact self-term telescopes away, leaving the
-quadratic lambda_i^2 sum((a_i')^2) dt), so each best response is one
-symmetric positive-definite tridiagonal solve.
+profile is an (n, N + 1) array of paths, a stack of them (D, n, N + 1).
+The functional is then strictly convex in trader i's interior values (the
+permanent-impact self-term telescopes away, leaving the quadratic
+lambda_i^2 sum((a_i')^2) dt), so each best response is one symmetric
+positive-definite tridiagonal solve.
 
 The discrete Nash point is the profile at which every trader's best-response
 rows hold at once.  With h = 1/N, c = kappa h / 2, the second difference
@@ -54,9 +54,9 @@ j / N, and at q = 0 (n = 1) u is.  sigma is positive only while c < 1, so
 the grid needs N > kappa / 2.  The cost is O(n N).  The profile has rank 2
 in (trader, time): :func:`_nash_factors` returns the unit paths v and u,
 which depend on n, kappa and N alone, and :func:`_nash_profile` turns any
-stack of target fractions into its traders' paths, so ``run_verification``
-builds the factors once per (n, kappa) cell and prices the cell's draws as
-one stack.
+stack of target fractions into its traders' paths, so
+:func:`nash_fixed_point` builds the factors once per call and solves a
+stack of games on them.
 :func:`stationarity_residual` is the run-time certificate: it evaluates
 every trader's best-response rows on the computed profile directly, and it
 reads at rounding level exactly at the Nash point.
@@ -69,29 +69,19 @@ from the cost functional alone.
 
 Everything here deliberately avoids the closed-form solution: the only
 shared inputs are the cost functional and the boundary conditions.  The
-module imports no solver; :func:`sampled_equilibrium` samples a solution
-that its caller solved, and every function reads the spec off the game or
-solution it is given, or takes lambda and kappa beside the paths.
+module imports no package module but :mod:`posgame.rules`, and every
+function takes the target fractions and kappa as arrays and numbers beside
+the paths, which it checks itself.
 """
 
 from __future__ import annotations
 
 import importlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquilibriumSolution, GameSpec, _curve
-from .rules import BadBump, GridMismatch, check_grid, check_kappa, check_size
-
-# A block of paths holds at most this many cells, 1 MiB of float64: verify
-# builds each stack of draws (draws * n * (N + 1) cells) to this size, so its
-# memory grows like n N, not draws n N, and _sampled_paths fills a larger
-# result a block of rows at a time, so its temporaries stay one block each.
-# (_g12.CHUNK_CELLS is much smaller, to keep each CSV chunk, built once per
-# chunk of a file, off glibc's mmap path.)
-_STACK_CELLS = 1 << 17
+from .rules import BadBump, GridMismatch, check_fractions, check_grid, check_kappa, check_size
 
 
 class _Deferred:
@@ -119,79 +109,25 @@ class _Deferred:
 solveh_banded = _Deferred("solveh_banded")
 
 
-@dataclass(frozen=True)
-class DiscreteGame:
-    """Sampled strategy profile: ``paths[i]`` is trader i's path on the
-    uniform grid j / N, j = 0..N, pinned to 0 and 1 at the ends."""
-
-    spec: GameSpec
-    paths: np.ndarray  # shape (n, N + 1)
-
-    def __post_init__(self):
-        # a copy, so that the caller's array is never frozen behind its back
-        object.__setattr__(self, "paths", np.array(self.paths, dtype=float))
-        self._check_and_freeze()
-
-    @classmethod
-    def _adopt(cls, spec: GameSpec, paths: np.ndarray) -> "DiscreteGame":
-        """The game on ``paths``, a fresh float array that no caller holds,
-        kept as it is instead of copied: the oracle's own results."""
-        game = cls.__new__(cls)
-        object.__setattr__(game, "spec", spec)
-        object.__setattr__(game, "paths", paths)
-        game._check_and_freeze()
-        return game
-
-    def _check_and_freeze(self) -> None:
-        _check_paths(self.paths, (self.spec.n,))
-        self.paths.flags.writeable = False
-
-    @property
-    def n_steps(self) -> int:
-        """N, the number of grid intervals."""
-        return self.paths.shape[1] - 1
-
-
-def _check_paths(paths: np.ndarray, shape: tuple) -> None:
-    """GridMismatch unless ``paths`` has shape ``shape + (N + 1,)``, N >= 1,
-    ``shape`` the target fractions', and every path runs from 0 to 1."""
+def _check_paths(paths, lambdas, kappa: float, least: int = 1):
+    """``paths`` and ``lambdas`` as float arrays, checked: GridMismatch unless
+    ``paths`` has shape ``lambdas.shape + (N + 1,)``, ``lambdas`` of shape
+    (..., n), with N >= ``least`` (2 where the best-response rows need an
+    interior node), every path runs from 0 to 1 and every value is finite;
+    NegativeKappa or NonFiniteKappa unless 0 <= kappa < inf."""
+    paths, lambdas = np.asarray(paths, dtype=float), np.asarray(lambdas, dtype=float)
+    shape = lambdas.shape
     if not shape or paths.shape[:-1] != shape or paths.shape[-1] < 2:
         raise GridMismatch(f"paths shape {paths.shape} is not {shape} + (N + 1,), N >= 1")
+    if paths.shape[-1] <= least:
+        raise GridMismatch(f"need n_steps >= {least}, got {paths.shape[-1] - 1}: "
+                           "a one-interval grid has no interior node")
     if np.any(paths[..., 0] != 0.0) or np.any(paths[..., -1] != 1.0):
         raise GridMismatch("path endpoints must be pinned to 0 and 1")
-
-
-def sampled_equilibrium(solution: EquilibriumSolution, n_steps: int) -> DiscreteGame:
-    """``solution``'s strategies sampled on the oracle grid of ``n_steps``
-    intervals, as a game of ``solution.spec`` (for comparisons).
-    NonIntegerCount unless ``n_steps`` is an integer, ValueError unless it is
-    at least 1."""
-    check_size("n_steps", n_steps, 1)
-    b, d = solution.b[:, None], solution.d[:, None]
-    paths = _sampled_paths(b, d, solution.spec.kappa, solution.alpha, n_steps)
-    return DiscreteGame._adopt(solution.spec, paths)
-
-
-def _sampled_paths(b, d, kappa: float, alpha: float, n_steps: int) -> np.ndarray:
-    """The curves of coefficients ``b`` and ``d`` on the grid of ``n_steps``
-    intervals, shape (..., N + 1), with the ends pinned to 0 and 1 as the
-    oracle's are: (n, 1) columns give one game, (D, n, 1) stacks D games on
-    one grid.  Beyond ``_STACK_CELLS`` cells the result is filled a block
-    of rows of at most that many cells at a time, so ``_curve``'s two
-    products never reach the result's size; each cell keeps its bits."""
-    t = np.linspace(0.0, 1.0, n_steps + 1)
-    block = max(1, _STACK_CELLS // t.size)
-    if np.size(b) <= block:  # one block: _curve's own result, no fresh copy
-        paths = _curve(b, d, kappa, alpha, t, 0)
-    else:
-        paths = np.empty(np.shape(b)[:-1] + t.shape)
-        rows, b, d = paths.reshape(-1, t.size), np.reshape(b, (-1, 1)), np.reshape(d, (-1, 1))
-        for first in range(0, len(rows), block):
-            part = slice(first, first + block)
-            rows[part] = _curve(b[part], d[part], kappa, alpha, t, 0)
-    paths[..., 0] = 0.0
-    paths[..., -1] = 1.0
-    return paths
+    if not np.isfinite(paths).all():
+        raise GridMismatch("paths must be finite")
+    check_kappa(kappa)
+    return paths, lambdas
 
 
 def _pressure(x: np.ndarray, kappa: float, h: float) -> np.ndarray:
@@ -222,27 +158,29 @@ def discrete_cost(paths, lambdas, kappa: float) -> np.ndarray:
     """Discretized implementation cost of every trader of the profiles
     ``paths``, shape (..., n, N + 1), with target fractions ``lambdas``,
     shape (..., n): one cost per trader, shape (..., n), so a stack prices D
-    games on one grid at once.  GridMismatch unless the paths fit as a
-    DiscreteGame's do; NegativeKappa or NonFiniteKappa unless 0 <= kappa < inf."""
-    paths, lambdas = np.asarray(paths, dtype=float), np.asarray(lambdas, dtype=float)
-    _check_paths(paths, lambdas.shape)
-    check_kappa(kappa)
+    games on one grid at once.  GridMismatch unless the paths fit the
+    fractions, N >= 1, are pinned to 0 and 1 and are finite; NegativeKappa or
+    NonFiniteKappa unless 0 <= kappa < inf."""
+    paths, lambdas = _check_paths(paths, lambdas, kappa)
     m = lambdas[..., None, :] @ paths
     return _cost_sum(m, lambdas[..., None], paths, kappa, 1.0 / (paths.shape[-1] - 1))
 
 
-def _best_response_rhs(game: DiscreteGame) -> np.ndarray:
+def _best_response_rhs(paths: np.ndarray, lambdas: np.ndarray, kappa: float) -> np.ndarray:
     """Right-hand sides D2 r_i + (kappa h / 2) D1 r_i of every trader's
-    best-response rows, shape (n, N - 1), with r_i the opponents' aggregate."""
-    lambdas = game.spec.lambdas_array()[:, None]
-    c = 0.5 * game.spec.kappa / game.n_steps
-    r = lambdas.T @ game.paths - lambdas * game.paths
-    return (r[:, :-2] - 2.0 * r[:, 1:-1] + r[:, 2:]) + c * (r[:, 2:] - r[:, :-2])
+    best-response rows, shape (..., n, N - 1), with r_i the opponents'
+    aggregate, for checked ``paths`` and ``lambdas`` (:func:`_check_paths`)."""
+    c = 0.5 * kappa / (paths.shape[-1] - 1)
+    r = lambdas[..., None, :] @ paths - lambdas[..., None] * paths
+    return (r[..., :-2] - 2.0 * r[..., 1:-1] + r[..., 2:]) + c * (r[..., 2:] - r[..., :-2])
 
 
-def best_response(game: DiscreteGame, i: int) -> np.ndarray:
-    """Minimizer of trader i's discrete cost with the others fixed: its path
-    on the game's grid, shape (N + 1,), pinned to 0 and 1 at the ends.
+def best_response(paths, lambdas, kappa: float, i: int) -> np.ndarray:
+    """Minimizer of trader i's discrete cost with the others fixed at the
+    profile ``paths``, shape (n, N + 1), fractions ``lambdas``, shape (n,):
+    its path, shape (N + 1,), pinned to 0 and 1.  Raises what
+    :func:`stationarity_residual` raises, GridMismatch for a stack, and
+    NonIntegerCount unless ``i`` is an integer, ValueError unless 0 <= i < n.
 
     Stationarity at interior node j reads
 
@@ -251,11 +189,15 @@ def best_response(game: DiscreteGame, i: int) -> np.ndarray:
 
     with r the opponents' aggregate, a tridiagonal SPD system.
     """
-    lam = game.spec.lambdas_array()[i]
-    rhs = _best_response_rhs(game)[i]
+    paths, lambdas = _check_paths(paths, lambdas, kappa, least=2)
+    if lambdas.ndim != 1:
+        raise GridMismatch(f"paths shape {paths.shape} is not (n, N + 1): one profile")
+    check_size("i", i, 0, len(lambdas) - 1)
+    lam = lambdas[i]
+    rhs = _best_response_rhs(paths, lambdas, kappa)[i]
     rhs[-1] += 2.0 * lam  # a[N] = 1 moves to the right-hand side
     # SPD lower banded form: diagonal 4 lam, off-diagonal -2 lam.
-    ab = np.repeat([[4.0 * lam], [-2.0 * lam]], game.n_steps - 1, axis=1)
+    ab = np.repeat([[4.0 * lam], [-2.0 * lam]], paths.shape[-1] - 2, axis=1)
     return np.concatenate(([0.0], solveh_banded(ab, rhs, lower=True), [1.0]))
 
 
@@ -273,19 +215,26 @@ def _unit_path(log_root: float, n_steps: int) -> np.ndarray:
     return scale * (np.expm1(-j * log_root) / np.expm1(-n_steps * log_root))
 
 
-def nash_fixed_point(spec: GameSpec, n_steps: int) -> DiscreteGame:
-    """Discrete Nash point: every trader's best-response rows hold at once.
+def nash_fixed_point(lambdas, kappa: float, n_steps: int) -> np.ndarray:
+    """Discrete Nash point of target fractions ``lambdas``, shape (..., n),
+    at ``kappa`` on the grid of ``n_steps`` intervals: the paths, shape
+    (..., n, N + 1), on which every trader's best-response rows hold at
+    once.  A (D, n) stack solves D games, each with the bits of its own call.
 
     The market path and every trader's path are the explicit solutions of
     the summed and the per-trader rows (see the module docstring).  The
     paths match the sampled closed forms to the second-order discretization
-    error.  Raises NonIntegerCount unless n_steps is an integer, ValueError
-    unless n_steps >= 2 and GridMismatch unless n_steps > kappa / 2: on
-    coarser grids the rows' root sigma is not positive.
+    error.  Raises what :func:`check_fractions` and :func:`check_kappa`
+    raise, NonIntegerCount unless n_steps is an integer, ValueError unless
+    n_steps >= 2 and GridMismatch unless n_steps > kappa / 2: on coarser
+    grids the rows' root sigma is not positive.
     """
-    check_grid(spec.kappa, n_steps)
-    own, market = _nash_factors(spec.n, spec.kappa, n_steps)
-    return DiscreteGame._adopt(spec, _nash_profile(spec.lambdas_array(), own, market))
+    lambdas = np.asarray(lambdas, dtype=float)
+    check_fractions(lambdas)
+    check_kappa(kappa)
+    check_grid(kappa, n_steps)
+    own, market = _nash_factors(lambdas.shape[-1], kappa, n_steps)
+    return _nash_profile(lambdas, own, market)
 
 
 def _nash_factors(n: int, kappa: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -293,7 +242,7 @@ def _nash_factors(n: int, kappa: float, n_steps: int) -> tuple[np.ndarray, np.nd
     of ``n_steps`` intervals, shape (N + 1,) each: ``own`` through sigma^j
     and ``market`` through rho^j (see the module docstring).  They depend on
     n, kappa and N alone; :func:`_nash_profile` builds the traders' paths
-    from them.  The caller checks the grid (:func:`check_grid`)."""
+    from them.  The caller checks kappa and the grid (:func:`check_grid`)."""
     # c is rounded so that 1 +- c are exact, as a banded solve of the same
     # rows needs, and so that it is 0 (straight lines) where kappa / (2 N)
     # is below half an ulp of 1; it stays below 1 where kappa / (2 N) rounds
@@ -317,20 +266,21 @@ def _nash_profile(lambdas: np.ndarray, own: np.ndarray, market: np.ndarray) -> n
     return paths
 
 
-def stationarity_residual(game: DiscreteGame) -> np.ndarray:
-    """Relative residual of every trader's best-response rows, shape (n,).
+def stationarity_residual(paths, lambdas, kappa: float) -> np.ndarray:
+    """Relative residual of every trader's best-response rows, shape
+    (..., n), on the profiles ``paths`` with fractions ``lambdas`` as
+    :func:`discrete_cost` takes and checks them; GridMismatch also for N < 2.
 
     For trader i's rows A_i a_i = g_i (the system :func:`best_response`
     solves) this is the normwise backward error
     max|A_i a_i - g_i| / (||A_i|| max|a_i| + max|g_i|), ||A_i|| = 8 lambda_i;
     it is at rounding level exactly when every trader is best-responding.
     """
-    lambdas = game.spec.lambdas_array()[:, None]
-    a = game.paths
-    g = _best_response_rhs(game)
-    resid = -2.0 * lambdas * (a[:, :-2] - 2.0 * a[:, 1:-1] + a[:, 2:]) - g
-    scale = 8.0 * lambdas[:, 0] * np.max(np.abs(a), axis=1) + np.max(np.abs(g), axis=1)
-    return np.max(np.abs(resid), axis=1) / scale
+    a, lambdas = _check_paths(paths, lambdas, kappa, least=2)
+    g = _best_response_rhs(a, lambdas, kappa)
+    resid = -2.0 * lambdas[..., None] * (a[..., :-2] - 2.0 * a[..., 1:-1] + a[..., 2:]) - g
+    scale = 8.0 * lambdas * np.max(np.abs(a), axis=-1) + np.max(np.abs(g), axis=-1)
+    return np.max(np.abs(resid), axis=-1) / scale
 
 
 def _bump_terms(
@@ -368,16 +318,18 @@ def _expansion(
     return eps * lam * (market_term + lam * own_term) + eps**2 * lam**2 * curvature
 
 
-def deviation_expansion(base: DiscreteGame, bumps: np.ndarray, eps: float) -> np.ndarray:
-    """Cost changes when each trader alone deviates by eps * bump, shape (n, K).
+def deviation_expansion(paths, lambdas, kappa: float, bumps, eps: float) -> np.ndarray:
+    """Cost changes when each trader alone deviates by eps * bump from the
+    base profiles ``paths`` with fractions ``lambdas``, as
+    :func:`discrete_cost` takes and checks them: shape (..., n, K).
 
-    ``bumps`` holds K endpoint-vanishing directions on ``base``'s grid, shape
-    (K, N + 1): GridMismatch if they do not fit the grid and BadBump if one
-    does not vanish at both endpoints.  All traders sit at ``base``, whose
-    spec gives lambda and kappa; entry (i, k) is trader i's discrete cost
-    with its path moved to a_i + eps * bumps[k] minus its cost at the base,
-    non-negative (to rounding) at an equilibrium because the discrete cost
-    is convex in the own path and stationary at its minimum.
+    ``bumps`` holds K endpoint-vanishing directions on the base's grid,
+    shape (K, N + 1): GridMismatch if they do not fit the grid and BadBump
+    if one does not vanish at both endpoints; ValueError unless ``eps`` is
+    finite.  All traders sit at the base; entry (i, k) is trader i's
+    discrete cost with its path moved to a_i + eps * bumps[k] minus its cost
+    at the base, non-negative (to rounding) at an equilibrium because the
+    discrete cost is convex in the own path and stationary at its minimum.
 
     The change comes from the exact expansion of the discrete cost in the
     own path.  With p(x) the price pressure of :func:`_cost_sum` (linear in
@@ -394,15 +346,17 @@ def deviation_expansion(base: DiscreteGame, bumps: np.ndarray, eps: float) -> np
     prices many bases on one grid (``run_verification``) builds the bump
     terms once per kappa and pays only the two products per base.
     """
+    paths, lambdas = _check_paths(paths, lambdas, kappa)
     bumps = np.asarray(bumps, dtype=float)
-    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
-        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
+    if bumps.ndim != 2 or bumps.shape[1] != paths.shape[-1]:
+        raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {paths.shape[-1]})")
     if np.any(bumps[:, [0, -1]] != 0.0):
         raise BadBump("bump must vanish at both endpoints")
+    if not math.isfinite(eps):
+        raise ValueError(f"eps = {eps} must be finite")
     steps = bumps[:, 1:] - bumps[:, :-1]
-    kappa = base.spec.kappa
-    terms = _bump_terms(bumps, steps, kappa, 1.0 / base.n_steps)
-    return _expansion(base.paths, base.spec.lambdas_array(), kappa, steps, *terms, eps)
+    terms = _bump_terms(bumps, steps, kappa, 1.0 / (paths.shape[-1] - 1))
+    return _expansion(paths, lambdas, kappa, steps, *terms, eps)
 
 
 def standard_bumps(n_steps: int, seed: int = 0) -> np.ndarray:

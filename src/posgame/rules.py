@@ -37,7 +37,7 @@ class LambdaCountMismatch(GameSpecError):
 
 
 class NonPositiveLambda(GameSpecError):
-    """A fractional target quantity is zero or negative."""
+    """A fractional target quantity is not positive and finite."""
 
 
 class LambdaSumMismatch(GameSpecError):
@@ -66,7 +66,8 @@ class ZeroBaseCost(GameSpecError):
 
 
 class GridMismatch(ValueError):
-    """Paths or bumps do not fit the oracle grid (shape or pinned endpoints)."""
+    """Paths or bumps do not fit the oracle grid (shape, pinned endpoints or
+    finite values)."""
 
 
 class BadBump(ValueError):
@@ -90,6 +91,20 @@ def check_traders(n) -> None:
     few = np.less(n, 1)
     if few.any():
         raise EmptyGame(f"need at least one trader, got n={np.ravel(n)[np.argmax(few)]}")
+
+
+def check_fractions(lambdas) -> None:
+    """Raise EmptyGame unless the target fractions ``lambdas`` (a sequence or
+    an array) have shape (..., n), n >= 1, and NonPositiveLambda unless each
+    is positive and finite, naming the first other one by its trader."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if lambdas.ndim == 0 or lambdas.shape[-1] == 0:
+        raise EmptyGame(f"need target fractions of shape (..., n), n >= 1, got {lambdas.shape}")
+    good = (lambdas > 0.0) & (lambdas < math.inf)
+    if not good.all():
+        k = np.argmin(good)
+        raise NonPositiveLambda(f"lambda_{k % lambdas.shape[-1] + 1} = {lambdas.flat[k]} "
+                                "must be positive and finite")
 
 
 def check_count(name: str, value, limit: bool = False) -> None:

@@ -16,14 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GameSpec, _alpha, _curve, _gauss_legendre_64
+from .core import EquilibriumSolution, GameSpec, _alpha, _curve, _gauss_legendre_64
 from .costs import aggregate_cost, group_cost
 from .equilibrium import _coefficients, governing_residuals, solve
-from .oracle import (
-    _STACK_CELLS, _bump_terms, _expansion, _nash_factors, _nash_profile, _sampled_paths,
-    discrete_cost, nash_fixed_point, sampled_equilibrium, standard_bumps,
-)
+from .oracle import _bump_terms, _expansion, discrete_cost, nash_fixed_point, standard_bumps
 from .rules import check_curves, check_grid, check_size, check_suite_kappa, check_suite_n
+
+# A block of paths holds at most this many cells, 1 MiB of float64: each
+# stack of draws (draws * n * (N + 1) cells) and each block of rows that
+# _sampled_paths fills.  (_g12.CHUNK_CELLS is much smaller, to keep each CSV
+# chunk, built once per chunk of a file, off glibc's mmap path.)
+_STACK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -72,6 +75,38 @@ def draw_lambda_stack(rng: np.random.Generator, n: int, draws: int) -> np.ndarra
     across draws.  One Dirichlet call gives the bits of ``draws`` one-row
     calls and leaves ``rng`` in the same state."""
     return 0.9 * rng.dirichlet(np.ones(n), size=draws) + 0.1 / n
+
+
+def sampled_equilibrium(solution: EquilibriumSolution, n_steps: int) -> np.ndarray:
+    """``solution``'s strategies sampled on the oracle grid of ``n_steps``
+    intervals, shape (n, N + 1), with the ends pinned to 0 and 1 as the
+    oracle's paths are (for comparisons).  NonIntegerCount unless
+    ``n_steps`` is an integer, ValueError unless it is at least 1."""
+    check_size("n_steps", n_steps, 1)
+    b, d = solution.b[:, None], solution.d[:, None]
+    return _sampled_paths(b, d, solution.spec.kappa, solution.alpha, n_steps)
+
+
+def _sampled_paths(b, d, kappa: float, alpha: float, n_steps: int) -> np.ndarray:
+    """The curves of coefficients ``b`` and ``d`` on the grid of ``n_steps``
+    intervals, shape (..., N + 1), with the ends pinned to 0 and 1 as the
+    oracle's are: (n, 1) columns give one game, (D, n, 1) stacks D games on
+    one grid.  Beyond ``_STACK_CELLS`` cells the result is filled a block
+    of rows of at most that many cells at a time, so ``_curve``'s two
+    products never reach the result's size; each cell keeps its bits."""
+    t = np.linspace(0.0, 1.0, n_steps + 1)
+    block = max(1, _STACK_CELLS // t.size)
+    if np.size(b) <= block:  # one block: _curve's own result, no fresh copy
+        paths = _curve(b, d, kappa, alpha, t, 0)
+    else:
+        paths = np.empty(np.shape(b)[:-1] + t.shape)
+        rows, b, d = paths.reshape(-1, t.size), np.reshape(b, (-1, 1)), np.reshape(d, (-1, 1))
+        for first in range(0, len(rows), block):
+            part = slice(first, first + block)
+            rows[part] = _curve(b[part], d[part], kappa, alpha, t, 0)
+    paths[..., 0] = 0.0
+    paths[..., -1] = 1.0
+    return paths
 
 
 def quadrature_cost(lambdas, b, d, kappa: float) -> np.ndarray:
@@ -137,22 +172,22 @@ def run_verification(
     oracle solves on.
 
     Cost.  The bump increments are built once per run, each kappa's bump
-    pressure once, and the oracle's unit paths and the aggregate cost once
-    per (n, kappa) cell.  A cell's draws are one (D, n) stack, its
-    coefficients from ``solve``'s kernel in one call (KappaTooLarge where the
-    closed form overflows), its residuals and costs from one call each of the
-    public functions, every product a batched matmul that keeps the bits of
-    each draw's own call.  A stack holds
-    at most ``_STACK_CELLS`` path cells (draws * n * (N + 1)): memory grows
-    like n N, not draws n N.  The kernels work in place or through
-    ``out=``, so at most three arrays of a stack's size are held at once:
-    the sampled closed form, the Nash paths (the previous stack's, until
-    the new ones replace them) and one temporary or increment array.  Keeping
-    the previous Nash paths keeps the heap a cell grew in use for the next
-    one: on the bench verify config a warm pass in a worker-like process takes
-    about 260 minor page faults (about 550 with them dropped early, 720-750
-    with the former kernels), and this function about 0.87 of its former
-    time (2-vCPU Xeon, numpy 2.4.6).
+    pressure once, and the aggregate cost once per (n, kappa) cell.  A
+    cell's draws are one (D, n) stack, its coefficients from ``solve``'s
+    kernel in one call (KappaTooLarge where the closed form overflows), its
+    Nash paths, residuals and costs from one call each of the public
+    functions, every product a batched matmul that keeps the bits of each
+    draw's own call.  A stack holds at most ``_STACK_CELLS`` path cells
+    (draws * n * (N + 1)): memory grows like n N, not draws n N.  The
+    kernels work in place or through ``out=``, so at most three arrays of a
+    stack's size are held at once: the sampled closed form, the Nash paths
+    (the previous stack's, until the new ones replace them) and one
+    temporary or increment array.  Keeping the previous Nash paths keeps the
+    heap a cell grew in use for the next one: on the bench verify config a
+    warm pass in a worker-like process takes about 260 minor page faults
+    (about 550 with them dropped early, 720-750 with the former kernels),
+    and this function about 0.87 of its former time (2-vCPU Xeon,
+    numpy 2.4.6).
     """
     check_suite_n(n_values)
     check_suite_kappa(kappa_values)
@@ -170,7 +205,6 @@ def run_verification(
     for n in n_values:
         stack = max(1, _STACK_CELLS // (n * (n_steps + 1)))
         for kappa in kappa_values:
-            own, market = _nash_factors(n, kappa, n_steps)
             alpha = _alpha(n, kappa)
             aggregate = aggregate_cost(n, kappa)
             for first in range(0, draws, stack):
@@ -189,7 +223,7 @@ def run_verification(
                 # replaces it (see the Cost paragraph)
                 cf = _sampled_paths(b[..., None], d[..., None], kappa, alpha, n_steps)
                 deviations = _expansion(cf, lam, kappa, steps, *bump_terms[kappa], eps=0.01)
-                fp = _nash_profile(lam, own, market)  # (D, n, N + 1)
+                fp = nash_fixed_point(lam, kappa, n_steps)  # (D, n, N + 1)
                 cf -= fp
                 gaps = np.abs(cf, out=cf).max(axis=(-2, -1))
                 del cf
@@ -222,12 +256,12 @@ def convergence_order_check() -> Check:
     ratio per doubling is ~4.  The check requires at least first-order decay
     (every ratio >= 1.7) and reports the measured ratios.
     """
-    solution = solve(GameSpec(n=2, lambdas=(0.3, 0.7), kappa=5.0))
+    spec = GameSpec(n=2, lambdas=(0.3, 0.7), kappa=5.0)
+    solution = solve(spec)
     gaps = []
     for n_steps in (500, 1000, 2000):
-        fp = nash_fixed_point(solution.spec, n_steps=n_steps)
-        cf = sampled_equilibrium(solution, n_steps)
-        gaps.append(float(np.max(np.abs(fp.paths - cf.paths))))
+        fp = nash_fixed_point(spec.lambdas_array(), spec.kappa, n_steps)
+        gaps.append(float(np.max(np.abs(fp - sampled_equilibrium(solution, n_steps)))))
     ratios = [gaps[k] / gaps[k + 1] for k in range(len(gaps) - 1)]
     detail = "ratios " + ", ".join(f"{r:.2f}" for r in ratios)
     return _at_least("convergence order under grid doubling", min(ratios), 1.7, detail)

@@ -38,9 +38,19 @@ def quadrature_of(sol):
     return quadrature_cost(spec.lambdas_array(), sol.b, sol.d, spec.kappa)
 
 
-def game_costs(game):
-    """``pg.discrete_cost`` of one ``DiscreteGame``, one cost per trader."""
-    return pg.discrete_cost(game.paths, game.spec.lambdas_array(), game.spec.kappa)
+def nash_of(spec, n_steps):
+    """``pg.nash_fixed_point`` of one spec's game, shape (n, N + 1)."""
+    return pg.nash_fixed_point(spec.lambdas_array(), spec.kappa, n_steps)
+
+
+def game_costs(spec, paths):
+    """``pg.discrete_cost`` of one spec's profile ``paths``, one cost per trader."""
+    return pg.discrete_cost(paths, spec.lambdas_array(), spec.kappa)
+
+
+def stationarity_of(spec, paths):
+    """``pg.stationarity_residual`` of one spec's profile ``paths``, one per trader."""
+    return pg.stationarity_residual(paths, spec.lambdas_array(), spec.kappa)
 
 
 # kappas that count as 0 (below the floor 1e-300): kappa = 0, subnormals from

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import simpson
 
 import posgame as pg
-from conftest import draw_lambdas, game_costs, residuals_of
+from conftest import draw_lambdas, game_costs, nash_of, residuals_of
 from posgame.cli import main as cli_main
 from posgame.verification import run_verification
 
@@ -49,9 +49,9 @@ def test_criterion_1_closed_form_matches_oracle():
     start = time.monotonic()
     worst = 0.0
     for spec in sweep_specs():
-        fp = pg.nash_fixed_point(spec, n_steps=2000)
+        fp = nash_of(spec, 2000)
         cf = pg.sampled_equilibrium(pg.solve(spec), 2000)
-        worst = max(worst, float(np.max(np.abs(fp.paths - cf.paths))))
+        worst = max(worst, float(np.max(np.abs(fp - cf))))
     elapsed = time.monotonic() - start
     assert worst < 2e-3
     assert elapsed < 30.0
@@ -97,12 +97,10 @@ def test_criterion_4_market_wide_minimum():
     for kappa in (0.0, 1.0, 25.0):
         spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=kappa)
         grid = np.linspace(0.0, 1.0, 10_001)
-        start = pg.DiscreteGame(spec, (grid**2)[None, :])
-        response = pg.best_response(start, 0)
+        response = pg.best_response((grid**2)[None, :], spec.lambdas_array(), kappa, 0)
         worst_line = max(worst_line, float(np.max(np.abs(response - grid))))
-        optimal = pg.DiscreteGame(spec, response[None, :])
         worst_cost = max(
-            worst_cost, abs(game_costs(optimal)[0] - pg.market_min_cost(kappa))
+            worst_cost, abs(game_costs(spec, response[None, :])[0] - pg.market_min_cost(kappa))
         )
     assert worst_line < 1e-10
     assert worst_cost < 1e-4

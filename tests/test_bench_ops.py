@@ -41,10 +41,11 @@ def test_every_benchmark_operation_passes_its_checks(tmp_path, workload, seed):
 
 
 def test_the_tracer_sees_verify_call_the_public_checks():
-    """bench/tracing.py wraps public names only, so verify's residual, cost
-    and oracle-cost rows show in its spans when they call the public
+    """bench/tracing.py wraps public names only, so verify's Nash, residual,
+    cost and oracle-cost rows show in its spans when they call the public
     functions: one call each per stack, 9 stacks on the bench verify config
-    (3 n x 3 kappa, 3 draws a stack)."""
+    (3 n x 3 kappa, 3 draws a stack), and 3 Nash solves more in the
+    convergence row."""
     (op,) = workloads.verify_ops(0)
     cfg = op["config"]["verify"]
     tracer = tracing.Tracer()
@@ -59,6 +60,7 @@ def test_the_tracer_sees_verify_call_the_public_checks():
     assert calls["verification.run_verification"] == 1
     assert calls["equilibrium.governing_residuals"] == 9
     assert calls["oracle.discrete_cost"] == 9
+    assert calls["oracle.nash_fixed_point"] == 12
     assert calls["verification.quadrature_cost"] == 9
     # the package is as it was
     assert not hasattr(verification.governing_residuals, "__wrapped__")

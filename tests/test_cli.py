@@ -136,6 +136,20 @@ class TestConfigErrors:
         out = str(tmp_path / "out")
         assert main(["equilibrium", "--config", cfg, "--out", out, "--renormalize-lambdas"]) == 0
 
+    @pytest.mark.parametrize("given,shown", [(-0.5, "-0.5"), (math.inf, "inf"), (math.nan, "nan")])
+    def test_renormalize_flag_reports_the_fraction_given(self, tmp_path, capsys, given, shown):
+        # the rescaled value was reported: "lambda_1 = -1.0 must be positive"
+        # for -0.5 and "lambda_1 = nan" for Infinity
+        cfg = write_config(
+            tmp_path, "cfg.json", {"game": {"n": 2, "lambdas": [given, 1.0], "kappa": 1.0}}
+        )
+        out = tmp_path / "out"
+        argv = ["equilibrium", "--config", cfg, "--out", str(out), "--renormalize-lambdas"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"config error: config.game: lambda_1 = {shown} must be positive and finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command,payload,key",
         [
@@ -1055,7 +1069,7 @@ def test_oracle_solve_and_verify_load_no_scipy(tmp_path):
     code = (
         "import posgame as pg\n"
         "from posgame.cli import main\n"
-        "pg.nash_fixed_point(pg.GameSpec(3, (0.2, 0.3, 0.5), 25.0), 100)\n"
+        "pg.nash_fixed_point((0.2, 0.3, 0.5), 25.0, 100)\n"
         f"assert main(['verify', '--config', {cfg!r}, '--out', {out!r}]) == 0"
     )
     assert not any(is_scipy(m) or is_numpy_polynomial(m) for m in loaded_modules_after(code))

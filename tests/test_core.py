@@ -104,6 +104,14 @@ def test_renormalize_is_explicit_only():
         pg.renormalize_lambdas((0.5, -0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.0])
+def test_renormalize_rejects_the_fraction_given(bad):
+    # [nan, 1] gave (nan, nan), [inf, 1] (nan, 0.0) and [-0.5, 1] (-1.0, 2.0)
+    message = f"^lambda_1 = {bad} must be positive and finite$"
+    with pytest.raises(pg.NonPositiveLambda, match=message):
+        pg.renormalize_lambdas([bad, 1.0])
+
+
 def test_symmetric_constructor():
     spec = pg.GameSpec.symmetric(5, 2.0)
     assert spec.n == 5
@@ -174,12 +182,24 @@ def test_few_private_names_cross_module_boundaries():
             if isinstance(node, ast.ImportFrom) and node.level:
                 imported += [f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
                              if alias.name.startswith("_") and not alias.name.startswith("__")]
-    assert len(imported) <= 17, "\n".join(imported)
+    assert len(imported) <= 12, "\n".join(imported)
     # the commands check their config by the public rules and price costs
     # through the public cost functions only
     assert not [name for name in imported if name.startswith("cli <- ")]
     # each shared rule has one public home; a rule one module calls stays there
     assert not [name for name in imported if "._check" in name]
+
+
+def test_the_oracle_imports_only_the_input_rules():
+    """The oracle may share only the cost functional and the boundary
+    conditions with the closed forms: of the package it imports
+    posgame.rules alone, so no closed-form name can reach it."""
+    tree = ast.parse((Path(pg.__file__).resolve().parent / "oracle.py").read_text())
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level}
+    assert modules == {"rules"}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(alias.name.startswith("posgame") for alias in node.names)]
 
 
 def test_the_input_errors_and_rules_have_one_home():

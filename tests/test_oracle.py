@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 import posgame as pg
 import posgame.oracle as oracle
 import posgame.verification as verification
-from conftest import draw_lambdas, game_costs, game_specs, quadrature_of, residuals_of
+from conftest import (
+    draw_lambdas, game_costs, game_specs, nash_of, quadrature_of, residuals_of, stationarity_of,
+)
 from posgame.core import _curve
 from posgame.costs import group_cost
 from posgame.equilibrium import _coefficients
@@ -22,30 +24,30 @@ from posgame.verification import (
 )
 
 
-def deviation_test(base, bumps, eps):
+def deviation_test(spec, base, bumps, eps):
     """Cost changes when each trader alone deviates by eps * bump, shape (n, K),
     from re-pricing every perturbed profile: the direct reference that
     ``deviation_expansion`` is held to.
 
-    ``bumps`` holds K endpoint-vanishing directions on ``base``'s grid, shape
-    (K, N + 1).  All traders sit at ``base``; entry (i, k) is trader i's
-    discrete cost with its path moved to a_i + eps * bumps[k] minus its cost
-    at the base.  Each trader's K perturbed profiles are priced as one
-    (K, n, N + 1) stack, so time and memory grow like n^2 K N.  Raises what
-    ``deviation_expansion`` raises.
+    ``base`` is a profile of ``spec``, shape (n, N + 1), and ``bumps`` holds
+    K endpoint-vanishing directions on its grid, shape (K, N + 1).  All
+    traders sit at ``base``; entry (i, k) is trader i's discrete cost with
+    its path moved to a_i + eps * bumps[k] minus its cost at the base.  Each
+    trader's K perturbed profiles are priced as one (K, n, N + 1) stack, so
+    time and memory grow like n^2 K N.  Raises what ``deviation_expansion``
+    raises on bumps.
     """
     bumps = np.asarray(bumps, dtype=float)
-    if bumps.ndim != 2 or bumps.shape[1] != base.paths.shape[1]:
-        raise pg.GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.paths.shape[1]})")
+    if bumps.ndim != 2 or bumps.shape[1] != base.shape[1]:
+        raise pg.GridMismatch(f"bumps shape {bumps.shape} is not (K, {base.shape[1]})")
     if np.any(bumps[:, [0, -1]] != 0.0):
         raise pg.BadBump("bump must vanish at both endpoints")
-    spec = base.spec
     lambdas = spec.lambdas_array()
-    kappa, h = spec.kappa, 1.0 / base.n_steps
-    base_costs = oracle._cost_sum(lambdas @ base.paths, lambdas[:, None], base.paths, kappa, h)
+    kappa, h = spec.kappa, 1.0 / (base.shape[1] - 1)
+    base_costs = oracle._cost_sum(lambdas @ base, lambdas[:, None], base, kappa, h)
     changes = np.empty((spec.n, len(bumps)))
     for i in range(spec.n):
-        stack = np.repeat(base.paths[None], len(bumps), axis=0)
+        stack = np.repeat(base[None], len(bumps), axis=0)
         stack[:, i] += eps * bumps
         costs = oracle._cost_sum(lambdas @ stack, lambdas[i], stack[:, i], kappa, h)
         changes[i] = costs - base_costs[i]
@@ -54,8 +56,12 @@ def deviation_test(base, bumps, eps):
 
 def curved_start(spec, n_steps):
     grid = np.linspace(0.0, 1.0, n_steps + 1)
-    paths = np.tile(grid**2, (spec.n, 1))
-    return pg.DiscreteGame(spec, paths)
+    return np.tile(grid**2, (spec.n, 1))
+
+
+def respond(spec, paths, i):
+    """``pg.best_response`` of trader i against one spec's profile ``paths``."""
+    return pg.best_response(paths, spec.lambdas_array(), spec.kappa, i)
 
 
 class TestDiscreteCost:
@@ -63,9 +69,9 @@ class TestDiscreteCost:
         # midpoint averaging integrates the linear aggregate exactly
         spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=1.0)
         grid = np.linspace(0.0, 1.0, 101)
-        game = pg.DiscreteGame(spec, grid[None, :])
-        assert game_costs(game).shape == (1,)
-        assert game_costs(game)[0] == pytest.approx(1.5, abs=1e-12)
+        costs = game_costs(spec, grid[None, :])
+        assert costs.shape == (1,)
+        assert costs[0] == pytest.approx(1.5, abs=1e-12)
 
     def test_zero_kappa_total_bounded_below_by_one(self):
         rng = np.random.default_rng(5)
@@ -74,15 +80,12 @@ class TestDiscreteCost:
         for _ in range(5):
             paths = np.vstack([np.sort(rng.uniform(size=199)) for _ in range(3)])
             paths = np.hstack([np.zeros((3, 1)), paths, np.ones((3, 1))])
-            game = pg.DiscreteGame(spec, paths)
-            total = sum(game_costs(game))
+            total = sum(game_costs(spec, paths))
             assert total >= 1.0 - 1e-12
-        straight = pg.DiscreteGame(spec, np.tile(grid, (3, 1)))
-        total = sum(game_costs(straight))
+        total = sum(game_costs(spec, np.tile(grid, (3, 1))))
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_shapes_and_pinned_ends_are_checked(self):
-        # the checks a DiscreteGame makes when it is built
         paths = np.tile(np.linspace(0.0, 1.0, 11), (2, 1))
         lam = np.array([0.4, 0.6])
         assert pg.discrete_cost(paths, lam, 1.0).shape == (2,)
@@ -95,7 +98,6 @@ class TestDiscreteCost:
             unpinned[1, end] = 0.5
             with pytest.raises(pg.GridMismatch, match="pinned"):
                 pg.discrete_cost(unpinned, lam, 1.0)
-        # and the kappa check a GameSpec makes
         with pytest.raises(pg.NegativeKappa):
             pg.discrete_cost(paths, lam, -5.0)
         for kappa in (math.nan, math.inf):
@@ -104,7 +106,7 @@ class TestDiscreteCost:
 
     def test_converges_to_closed_form_cost(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        costs = game_costs(pg.sampled_equilibrium(pg.solve(spec), 10_000))
+        costs = game_costs(spec, pg.sampled_equilibrium(pg.solve(spec), 10_000))
         per_trader = pg.cost_breakdown(spec).per_trader
         for i in range(2):
             assert costs[i] == pytest.approx(per_trader[i], abs=1e-4)
@@ -115,23 +117,21 @@ class TestBestResponse:
         grid = np.linspace(0.0, 1.0, 501)
         for kappa in (0.0, 1.0, 25.0):
             spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=kappa)
-            start = curved_start(spec, 500)
-            response = pg.best_response(start, 0)
+            response = respond(spec, curved_start(spec, 500), 0)
             assert response.shape == grid.shape
             assert np.max(np.abs(response - grid)) < 1e-10
 
     def test_closed_form_is_a_fixed_point(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        game = pg.sampled_equilibrium(pg.solve(spec), 2000)
-        response = pg.best_response(game, 0)
-        assert np.max(np.abs(response - game.paths[0])) < 1e-3
+        cf = pg.sampled_equilibrium(pg.solve(spec), 2000)
+        assert np.max(np.abs(respond(spec, cf, 0) - cf[0])) < 1e-3
 
     def test_front_runs_an_eager_opponent(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=5.0)
         grid = np.linspace(0.0, 1.0, 801)
         eager = 1.0 - (1.0 - grid) ** 3
         paths = np.vstack([grid, eager])
-        response = pg.best_response(pg.DiscreteGame(spec, paths), 0)
+        response = respond(spec, paths, 0)
         quarter = np.searchsorted(grid, 0.25)
         assert response[quarter] > 0.25
 
@@ -141,55 +141,52 @@ class TestNashFixedPoint:
 
     def test_two_trader_gap(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        fp = pg.nash_fixed_point(spec, 2000)
+        fp = nash_of(spec, 2000)
         cf = pg.sampled_equilibrium(pg.solve(spec), 2000)
-        assert np.max(np.abs(fp.paths - cf.paths)) < 1e-3
+        assert np.max(np.abs(fp - cf)) < 1e-3
 
     def test_three_trader_gap_and_concavity(self):
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=5.0)
-        fp = pg.nash_fixed_point(spec, 2000)
+        fp = nash_of(spec, 2000)
         cf = pg.sampled_equilibrium(pg.solve(spec), 2000)
-        assert np.max(np.abs(fp.paths - cf.paths)) < 2e-3
-        market = spec.lambdas_array() @ fp.paths
+        assert np.max(np.abs(fp - cf)) < 2e-3
+        market = spec.lambdas_array() @ fp
         assert np.all(np.diff(market, 2) < 1e-9)
 
     def test_strong_coupling_solves_every_best_response(self):
-        fp = pg.nash_fixed_point(self.STRONG, 1000)
-        assert np.all(pg.stationarity_residual(fp) <= 1e-10)
+        fp = nash_of(self.STRONG, 1000)
+        assert np.all(stationarity_of(self.STRONG, fp) <= 1e-10)
         cf = pg.sampled_equilibrium(pg.solve(self.STRONG), 1000)
-        assert np.max(np.abs(fp.paths - cf.paths)) < 2e-3
+        assert np.max(np.abs(fp - cf)) < 2e-3
 
     def test_each_best_response_reproduces_the_solution(self):
-        fp = pg.nash_fixed_point(self.STRONG, 1000)
-        for i in range(fp.spec.n):
-            response = pg.best_response(fp, i)
-            assert np.max(np.abs(response - fp.paths[i])) <= 1e-8
+        fp = nash_of(self.STRONG, 1000)
+        for i in range(self.STRONG.n):
+            assert np.max(np.abs(respond(self.STRONG, fp, i) - fp[i])) <= 1e-8
 
     def test_fine_grid_best_responses_stay_consistent(self):
         # D2's O(N^2) condition number magnifies any error in the Nash rows: a
         # banded solve reads ~6e-10 here (~2e-8 with 1 +- c rounded), the
         # explicit form ~4e-11
         spec = pg.GameSpec(n=5, lambdas=(0.02, 0.08, 0.2, 0.3, 0.4), kappa=1.0)
-        fp = pg.nash_fixed_point(spec, 10_000)
+        fp = nash_of(spec, 10_000)
         for i in range(spec.n):
-            response = pg.best_response(fp, i)
-            assert np.max(np.abs(response - fp.paths[i])) <= 5e-9
+            assert np.max(np.abs(respond(spec, fp, i) - fp[i])) <= 5e-9
 
     def test_residual_flags_a_profile_off_the_nash_point(self):
         # the sampled closed form carries the O(h^2) discretization error
         cf = pg.sampled_equilibrium(pg.solve(self.STRONG), 1000)
-        assert np.max(pg.stationarity_residual(cf)) > 1e-10
+        assert np.max(stationarity_of(self.STRONG, cf)) > 1e-10
 
     def test_zero_kappa_gives_straight_lines(self):
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=0.0)
-        fp = pg.nash_fixed_point(spec, 500)
+        fp = nash_of(spec, 500)
         grid = np.linspace(0.0, 1.0, 501)
-        np.testing.assert_allclose(fp.paths, np.tile(grid, (3, 1)), atol=1e-12)
+        np.testing.assert_allclose(fp, np.tile(grid, (3, 1)), atol=1e-12)
 
     def test_total_discrete_cost_matches_aggregate(self):
         spec = pg.GameSpec(n=3, lambdas=(0.25, 0.35, 0.4), kappa=5.0)
-        fp = pg.nash_fixed_point(spec, 10_000)
-        total = sum(game_costs(fp))
+        total = sum(game_costs(spec, nash_of(spec, 10_000)))
         assert total == pytest.approx(pg.aggregate_cost(3, 5.0), abs=1e-3)
 
 
@@ -258,35 +255,34 @@ class TestExplicitNashPoint:
     def test_matches_lapack_and_a_long_double_solve_of_the_same_rows(self):
         eps = np.finfo(float).eps
         for spec, n_steps in reference_cases():
-            explicit = pg.nash_fixed_point(spec, n_steps)
-            lapack = pg.DiscreteGame(spec, banded_nash_point(spec, n_steps, lapack_tridiagonal))
+            explicit = nash_of(spec, n_steps)
+            lapack = banded_nash_point(spec, n_steps, lapack_tridiagonal)
             exact = banded_nash_point(spec, n_steps, thomas_tridiagonal, np.longdouble)
-            err = float(np.max(np.abs(explicit.paths - exact)))
-            lapack_err = float(np.max(np.abs(lapack.paths - exact)))
+            err = float(np.max(np.abs(explicit - exact)))
+            lapack_err = float(np.max(np.abs(lapack - exact)))
             assert err <= min(lapack_err, 1e-13), (spec, n_steps)
             # LAPACK's own error reaches 2.2e-11 on these cases
-            assert np.max(np.abs(explicit.paths - lapack.paths)) <= 5e-11
+            assert np.max(np.abs(explicit - lapack)) <= 5e-11
             # never worse than LAPACK's residual by more than one rounding
-            residual = np.max(pg.stationarity_residual(explicit))
-            assert residual <= np.max(pg.stationarity_residual(lapack)) + eps, (spec, n_steps)
+            residual = np.max(stationarity_of(spec, explicit))
+            assert residual <= np.max(stationarity_of(spec, lapack)) + eps, (spec, n_steps)
 
     def test_thousands_of_traders_solve_their_rows_to_rounding(self):
         # LAPACK's two banded solves leave a residual of 1.3e-10 here
         spec = pg.GameSpec(2000, draw_lambdas(np.random.default_rng(0), 2000), 25.0)
-        assert np.max(pg.stationarity_residual(pg.nash_fixed_point(spec, 2000))) <= 1e-11
+        assert np.max(stationarity_of(spec, nash_of(spec, 2000))) <= 1e-11
 
     def test_result_is_kept_not_copied(self):
-        # copying the (n, N + 1) result into the game doubled the peak: 61 MiB here
+        # copying the (n, N + 1) result into a game object doubled the peak: 61 MiB here
         spec = pg.GameSpec(2000, draw_lambdas(np.random.default_rng(0), 2000), 25.0)
         tracemalloc.start()
         try:
-            game = pg.nash_fixed_point(spec, 2000)
+            paths = nash_of(spec, 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # measured: 30.7 MiB for a 30.5 MiB result
-        assert peak < 1.5 * game.paths.nbytes
-        assert not game.paths.flags.writeable
+        assert peak < 1.5 * paths.nbytes
 
     def test_sampled_paths_fill_their_result_in_bounded_blocks(self):
         # one _curve call over every row held its two full (n, N + 1)
@@ -298,7 +294,7 @@ class TestExplicitNashPoint:
         expected[:, 0], expected[:, -1] = 0.0, 1.0
         tracemalloc.start()
         try:
-            paths = oracle._sampled_paths(b, d, spec.kappa, sol.alpha, 2000)
+            paths = verification._sampled_paths(b, d, spec.kappa, sol.alpha, 2000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -311,14 +307,14 @@ class TestExplicitNashPoint:
         # c = kappa / (2 N) = 1 makes the rows' root sigma = (1 + c) / (1 - c) infinite
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=2.0 * n_steps)
         with pytest.raises(pg.GridMismatch, match=f"at least {n_steps + 1}$"):
-            pg.nash_fixed_point(spec, n_steps)
-        assert np.max(pg.stationarity_residual(pg.nash_fixed_point(spec, n_steps + 1))) <= 1e-12
+            nash_of(spec, n_steps)
+        assert np.max(stationarity_of(spec, nash_of(spec, n_steps + 1))) <= 1e-12
 
     def test_kappa_just_below_twice_the_grid_solves(self):
         # kappa / (2 N) = 1 - 2^-53 rounds c up to 1; the oracle keeps c below it
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=2.0 * math.nextafter(1023.0, 0.0))
         assert (1.0 + 0.5 * spec.kappa / 1023) - 1.0 == 1.0
-        assert np.max(pg.stationarity_residual(pg.nash_fixed_point(spec, 1023))) <= 1e-12
+        assert np.max(stationarity_of(spec, nash_of(spec, 1023))) <= 1e-12
 
 
 @st.composite
@@ -335,18 +331,18 @@ def nash_grids(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=nash_grids())
 def test_nash_point_is_finite_pinned_and_stationary(case):
-    game = pg.nash_fixed_point(*case)
-    assert np.all(np.isfinite(game.paths))
-    assert np.all(game.paths[:, 0] == 0.0) and np.all(game.paths[:, -1] == 1.0)
-    assert np.max(pg.stationarity_residual(game)) <= 1e-12
+    spec, n_steps = case
+    paths = nash_of(spec, n_steps)
+    assert np.all(np.isfinite(paths))
+    assert np.all(paths[:, 0] == 0.0) and np.all(paths[:, -1] == 1.0)
+    assert np.max(stationarity_of(spec, paths)) <= 1e-12
 
 
 def test_run_verification_rejects_a_grid_too_coarse_for_kappa(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the grid is checked before any check runs")
 
-    for name in ("nash_fixed_point", "_nash_factors", "_nash_profile"):
-        monkeypatch.setattr(verification, name, unreachable)
+    monkeypatch.setattr(verification, "nash_fixed_point", unreachable)
     with pytest.raises(pg.GridMismatch, match="kappa=25: .* at least 13$"):
         run_verification(n_values=(2,), kappa_values=(1.0, 25.0), draws=1, n_steps=12)
 
@@ -374,8 +370,7 @@ def test_run_verification_checks_its_sizes_before_the_oracle_runs(
         raise AssertionError("the settings are checked before the oracle runs")
 
     for name in (
-        "nash_fixed_point", "_nash_factors", "_nash_profile", "standard_bumps", "_bump_terms",
-        "solve", "_coefficients",
+        "nash_fixed_point", "standard_bumps", "_bump_terms", "solve", "_coefficients",
     ):
         monkeypatch.setattr(verification, name, unreachable)
     settings = {"n_values": (2,), "kappa_values": (1.0,), "draws": 1, "n_steps": 40, **setting}
@@ -391,7 +386,7 @@ def test_run_verification_checks_its_sizes_before_the_oracle_runs(
 def test_a_non_integer_step_count_is_rejected_at_every_entry_point(entry, n_steps):
     spec = pg.GameSpec(n=2, lambdas=(0.4, 0.6), kappa=1.0)
     calls = {
-        "nash_fixed_point": lambda steps: pg.nash_fixed_point(spec, steps),
+        "nash_fixed_point": lambda steps: nash_of(spec, steps),
         "sampled_equilibrium": lambda steps: pg.sampled_equilibrium(pg.solve(spec), steps),
         "standard_bumps": lambda steps: pg.standard_bumps(steps),
         "run_verification": lambda steps: run_verification((2,), (1.0,), 1, steps),
@@ -424,16 +419,16 @@ def test_counts_that_make_no_grid_or_no_bump_set_are_rejected(call, error, messa
     assert type(raised.value) is error  # not a GridMismatch about path shapes
     # the smallest valid counts still work
     assert pg.standard_bumps(1).shape == (10, 2)
-    assert pg.sampled_equilibrium(SOLUTION, 1).n_steps == 1
+    assert pg.sampled_equilibrium(SOLUTION, 1).shape == (2, 2)
 
 
 def test_grid_doubling_convergence_order():
     solution = pg.solve(pg.GameSpec(n=2, lambdas=(0.3, 0.7), kappa=5.0))
     gaps = []
     for n_steps in (250, 500, 1000):
-        fp = pg.nash_fixed_point(solution.spec, n_steps)
+        fp = nash_of(solution.spec, n_steps)
         cf = pg.sampled_equilibrium(solution, n_steps)
-        gaps.append(float(np.max(np.abs(fp.paths - cf.paths))))
+        gaps.append(float(np.max(np.abs(fp - cf))))
     ratios = [gaps[k] / gaps[k + 1] for k in range(2)]
     # midpoint averaging makes the stationarity system second order: the gap
     # quarters per doubling
@@ -445,9 +440,9 @@ def test_market_path_grid_doubling():
     market = pg.solve(spec).market
     gaps = []
     for n_steps in (500, 1000, 2000):
-        fp = pg.nash_fixed_point(spec, n_steps)
+        fp = nash_of(spec, n_steps)
         grid = np.linspace(0.0, 1.0, n_steps + 1)
-        gaps.append(float(np.max(np.abs(spec.lambdas_array() @ fp.paths - market(grid)))))
+        gaps.append(float(np.max(np.abs(spec.lambdas_array() @ fp - market(grid)))))
     ratios = [gaps[k] / gaps[k + 1] for k in range(2)]
     # the summed stationarity rows are a second-order scheme for m'' + alpha m' = 0
     assert all(3.2 < r < 4.8 for r in ratios)
@@ -457,7 +452,7 @@ class TestDeviation:
     def test_zero_bump_changes_nothing(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         base = pg.sampled_equilibrium(pg.solve(spec), 200)
-        changes = deviation_test(base, np.zeros((1, 201)), eps=0.01)
+        changes = deviation_test(spec, base, np.zeros((1, 201)), eps=0.01)
         assert changes.shape == (2, 1)
         assert np.all(changes == 0.0)
 
@@ -467,8 +462,8 @@ class TestDeviation:
         grid = np.linspace(0.0, 1.0, 401)
         bump = np.sin(np.pi * grid)
         bump[0] = bump[-1] = 0.0
-        small = deviation_test(base, bump[None], eps=0.01)[0, 0]
-        large = deviation_test(base, bump[None], eps=0.02)[0, 0]
+        small = deviation_test(spec, base, bump[None], eps=0.01)[0, 0]
+        large = deviation_test(spec, base, bump[None], eps=0.02)[0, 0]
         assert small > 0.0
         assert large / small == pytest.approx(4.0, rel=0.05)
 
@@ -476,23 +471,23 @@ class TestDeviation:
         spec = pg.GameSpec(n=3, lambdas=(0.2, 0.3, 0.5), kappa=5.0)
         base = pg.sampled_equilibrium(pg.solve(spec), 300)
         bumps = pg.standard_bumps(300, seed=2)
-        assert np.all(deviation_test(base, bumps, eps=0.01) >= -1e-9)
-        assert np.all(deviation_test(base, -bumps, eps=0.01) >= -1e-9)
+        assert np.all(deviation_test(spec, base, bumps, eps=0.01) >= -1e-9)
+        assert np.all(deviation_test(spec, base, -bumps, eps=0.01) >= -1e-9)
 
     def test_rejects_nonvanishing_bump(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         base = pg.sampled_equilibrium(pg.solve(spec), 100)
         grid = np.linspace(0.0, 1.0, 101)
         with pytest.raises(pg.BadBump):
-            deviation_test(base, grid[None], eps=0.01)
+            deviation_test(spec, base, grid[None], eps=0.01)
 
     def test_rejects_bumps_off_the_oracle_grid(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         base = pg.sampled_equilibrium(pg.solve(spec), 100)
         with pytest.raises(pg.GridMismatch):
-            deviation_test(base, pg.standard_bumps(50), eps=0.01)
+            deviation_test(spec, base, pg.standard_bumps(50), eps=0.01)
         with pytest.raises(pg.GridMismatch):
-            deviation_test(base, pg.standard_bumps(100)[0], eps=0.01)
+            deviation_test(spec, base, pg.standard_bumps(100)[0], eps=0.01)
 
     def test_hundred_random_bumps_never_profit(self):
         n_steps = 500
@@ -511,17 +506,17 @@ class TestDeviation:
                 bumps[k] = values / np.max(np.abs(values))
                 rng.integers(spec.n)
             # every trader against every bump, not only the drawn trader
-            assert np.all(deviation_test(base, bumps, eps=0.01) >= -1e-9)
+            assert np.all(deviation_test(spec, base, bumps, eps=0.01) >= -1e-9)
 
 
-def _single_trader_cost(game, i):
+def _single_trader_cost(spec, paths, i):
     """Trader i's discrete cost computed alone, as the oracle did one trader
     at a time: the reference the all-trader kernel must reproduce bit for bit."""
-    lambdas = game.spec.lambdas_array()
-    h = 1.0 / game.n_steps
-    m = lambdas @ game.paths
-    pressure = np.diff(m) / h + game.spec.kappa * 0.5 * (m[:-1] + m[1:])
-    return float(np.sum(pressure * lambdas[i] * np.diff(game.paths[i])))
+    lambdas = spec.lambdas_array()
+    h = 1.0 / (paths.shape[1] - 1)
+    m = lambdas @ paths
+    pressure = np.diff(m) / h + spec.kappa * 0.5 * (m[:-1] + m[1:])
+    return float(np.sum(pressure * lambdas[i] * np.diff(paths[i])))
 
 
 class TestAllTraderKernelsMatchSingleTraderRoute:
@@ -538,30 +533,25 @@ class TestAllTraderKernelsMatchSingleTraderRoute:
         rng = np.random.default_rng(spec.n)
         rough = np.cumsum(rng.uniform(size=(spec.n, 300)), axis=1)
         rough = np.hstack([np.zeros((spec.n, 1)), rough / rough[:, -1:]])
-        for game in (
-            pg.nash_fixed_point(spec, 400),
-            pg.sampled_equilibrium(pg.solve(spec), 257),
-            pg.DiscreteGame(spec, rough),
-        ):
-            costs = game_costs(game)
+        for paths in (nash_of(spec, 400), pg.sampled_equilibrium(pg.solve(spec), 257), rough):
+            costs = game_costs(spec, paths)
             assert costs.shape == (spec.n,)
             for i in range(spec.n):
-                assert costs[i] == _single_trader_cost(game, i)
+                assert costs[i] == _single_trader_cost(spec, paths, i)
 
     @pytest.mark.parametrize("spec", CASES, ids=lambda s: f"n{s.n}-k{s.kappa:g}")
     def test_deviation_test(self, spec):
         n_steps, eps = 300, 0.01
         base = pg.sampled_equilibrium(pg.solve(spec), n_steps)
         bumps = pg.standard_bumps(n_steps, seed=3)
-        changes = deviation_test(base, bumps, eps=eps)
+        changes = deviation_test(spec, base, bumps, eps=eps)
         assert changes.shape == (spec.n, len(bumps))
         for i in range(spec.n):
-            base_cost = _single_trader_cost(base, i)
+            base_cost = _single_trader_cost(spec, base, i)
             for k, bump in enumerate(bumps):
-                perturbed = base.paths.copy()
+                perturbed = base.copy()
                 perturbed[i] = perturbed[i] + eps * bump
-                game = pg.DiscreteGame(spec, perturbed)
-                assert changes[i, k] == _single_trader_cost(game, i) - base_cost
+                assert changes[i, k] == _single_trader_cost(spec, perturbed, i) - base_cost
 
 
 # Largest |deviation_expansion - deviation_test| measured over the cases below
@@ -570,6 +560,11 @@ class TestAllTraderKernelsMatchSingleTraderRoute:
 # expansion the direct route is off by up to 8.2e-14 on those draws, the
 # expansion by up to 4.9e-14.
 EXPANSION_ABS = 2e-13
+
+
+def expand(spec, base, bumps, eps):
+    """``pg.deviation_expansion`` at one spec's profile ``base``."""
+    return pg.deviation_expansion(base, spec.lambdas_array(), spec.kappa, bumps, eps)
 
 
 def default_verify_draws():
@@ -593,8 +588,8 @@ class TestDeviationExpansion:
         base = pg.sampled_equilibrium(pg.solve(spec), 300)
         bumps = pg.standard_bumps(300, seed=3)
         for signed in (bumps, -bumps):
-            direct = deviation_test(base, signed, eps=0.01)
-            expansion = pg.deviation_expansion(base, signed, eps=0.01)
+            direct = deviation_test(spec, base, signed, eps=0.01)
+            expansion = expand(spec, base, signed, eps=0.01)
             assert expansion.shape == (spec.n, len(bumps))
             assert np.max(np.abs(expansion - direct)) <= EXPANSION_ABS
 
@@ -604,14 +599,14 @@ class TestDeviationExpansion:
         for spec in specs:
             base = pg.sampled_equilibrium(pg.solve(spec), 2000)
             for signed in (bumps, -bumps):
-                direct = deviation_test(base, signed, eps=0.01)
-                expansion = pg.deviation_expansion(base, signed, eps=0.01)
+                direct = deviation_test(spec, base, signed, eps=0.01)
+                expansion = expand(spec, base, signed, eps=0.01)
                 assert np.max(np.abs(expansion - direct)) <= EXPANSION_ABS
 
     def test_zero_bump_changes_nothing(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         base = pg.sampled_equilibrium(pg.solve(spec), 200)
-        changes = pg.deviation_expansion(base, np.zeros((1, 201)), eps=0.01)
+        changes = expand(spec, base, np.zeros((1, 201)), eps=0.01)
         assert changes.shape == (2, 1)
         assert np.all(changes == 0.0)
 
@@ -624,9 +619,9 @@ class TestDeviationExpansion:
             (pg.GridMismatch, pg.standard_bumps(100)[0]),
         ]
         for error, bumps in cases:
-            for route in (deviation_test, pg.deviation_expansion):
+            for route in (deviation_test, expand):
                 with pytest.raises(error):
-                    route(base, bumps, eps=0.01)
+                    route(spec, base, bumps, eps=0.01)
 
     def test_memory_is_linear_in_the_trader_count(self):
         # the direct route would hold a (K, n, N + 1) stack: 160 MB here
@@ -641,11 +636,10 @@ class TestDeviationExpansion:
         bound = 3 * n * (n_steps + 1) * 8  # three profiles' worth of floats
         tracemalloc.start()
         try:
-            given = pg.deviation_expansion(base, bumps, eps=0.01)
+            given = expand(spec, base, bumps, eps=0.01)
             peak_given = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            game = pg.sampled_equilibrium(solution, n_steps)
-            sampled = pg.deviation_expansion(game, bumps, eps=0.01)
+            sampled = expand(spec, pg.sampled_equilibrium(solution, n_steps), bumps, eps=0.01)
             peak_sampled = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -689,33 +683,155 @@ def test_lambda_stack_matches_one_draw_at_a_time():
         assert draw_lambdas(np.random.default_rng(seed), 5) == tuple(one)
 
 
-class TestDiscreteGameInvariants:
-    def test_endpoints_must_be_pinned(self):
-        spec = pg.GameSpec(n=1, lambdas=(1.0,), kappa=1.0)
-        for bad in (np.linspace(0.1, 1.0, 11), np.linspace(0.0, 0.9, 11)):
-            with pytest.raises(pg.GridMismatch):
-                pg.DiscreteGame(spec, bad[None, :])
+LAM = np.array([0.3, 0.7])
+GRID = np.linspace(0.0, 1.0, 11)
 
-    def test_shape_checked_against_spec(self):
-        spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        grid = np.linspace(0.0, 1.0, 11)
-        for bad in (grid[None, :], np.tile(grid, (3, 1)), grid, np.tile(grid, (2, 1, 1)),
+
+def path_routes(paths, lambdas, kappa):
+    """Every public oracle function that takes a profile, called on one."""
+    return {
+        "discrete_cost": lambda: pg.discrete_cost(paths, lambdas, kappa),
+        "stationarity_residual": lambda: pg.stationarity_residual(paths, lambdas, kappa),
+        "best_response": lambda: pg.best_response(paths, lambdas, kappa, 0),
+        "deviation_expansion": lambda: pg.deviation_expansion(
+            paths, lambdas, kappa, np.zeros((1, np.shape(paths)[-1])), 0.01),
+    }
+
+
+ROUTES = ["discrete_cost", "stationarity_residual", "best_response", "deviation_expansion"]
+
+
+class TestPathGate:
+    """Every function that takes a profile checks it at the one gate."""
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_endpoints_must_be_pinned(self, route):
+        for end in (0, -1):
+            unpinned = np.tile(GRID, (2, 1))
+            unpinned[1, end] = 0.5
+            with pytest.raises(pg.GridMismatch, match="pinned"):
+                path_routes(unpinned, LAM, 1.0)[route]()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_shape_checked_against_the_fractions(self, route):
+        for bad in (GRID[None, :], np.tile(GRID, (3, 1)), GRID, np.tile(GRID, (2, 1, 1)),
                     np.zeros((2, 0)), np.zeros((2, 1))):
-            with pytest.raises(pg.GridMismatch):
-                pg.DiscreteGame(spec, bad)
+            with pytest.raises(pg.GridMismatch, match="is not"):
+                path_routes(bad, LAM, 1.0)[route]()
 
-    def test_n_steps_is_read_off_the_paths(self):
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_paths_are_rejected(self, route, value):
+        # discrete_cost returned [nan, nan] for a NaN path, with no error
+        paths = np.tile(GRID, (2, 1))
+        paths[1, 4] = value
+        with pytest.raises(pg.GridMismatch, match="^paths must be finite$"):
+            path_routes(paths, LAM, 1.0)[route]()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("kappa,error", [(-5.0, pg.NegativeKappa),
+                                             (math.nan, pg.NonFiniteKappa),
+                                             (math.inf, pg.NonFiniteKappa)])
+    def test_kappa_is_checked(self, route, kappa, error):
+        with pytest.raises(error):
+            path_routes(np.tile(GRID, (2, 1)), LAM, kappa)[route]()
+
+    @pytest.mark.parametrize("route", ["stationarity_residual", "best_response"])
+    def test_the_rows_need_an_interior_node(self, route):
+        # an (n, 2) profile raised numpy's "zero-size array to reduction
+        # operation maximum" and an IndexError
+        one_interval = np.tile([0.0, 1.0], (2, 1))
+        with pytest.raises(pg.GridMismatch, match="^need n_steps >= 2, got 1: .* no interior node"):
+            path_routes(one_interval, LAM, 1.0)[route]()
+        # the cost and the deviations are defined on it
+        assert pg.discrete_cost(one_interval, LAM, 1.0).tolist() == pytest.approx([0.45, 1.05])
+        assert np.all(path_routes(one_interval, LAM, 1.0)["deviation_expansion"]() == 0.0)
+
+    def test_results_have_one_column_per_grid_node(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        paths = np.tile(np.linspace(0.0, 1.0, 11), (2, 1))
-        game = pg.DiscreteGame(spec, paths)
-        assert game.n_steps == 10
-        assert pg.nash_fixed_point(spec, 40).n_steps == 40
-        assert pg.sampled_equilibrium(pg.solve(spec), 7).n_steps == 7
-        # the game keeps its own read-only copy
-        paths[0, 5] = 9.0
-        assert game.paths[0, 5] == 0.5 and not game.paths.flags.writeable
-        with pytest.raises(AttributeError):
-            game.n_steps = 20
+        assert nash_of(spec, 40).shape == (2, 41)
+        assert pg.sampled_equilibrium(pg.solve(spec), 7).shape == (2, 8)
+        assert pg.stationarity_residual(np.tile(GRID, (2, 1)), LAM, 1.0).shape == (2,)
+
+    def test_the_checks_take_a_stack_of_profiles(self):
+        lam = draw_lambda_stack(np.random.default_rng(3), 4, 3)
+        stack = pg.nash_fixed_point(lam, 5.0, 200)
+        bumps = pg.standard_bumps(200)
+        residuals = pg.stationarity_residual(stack, lam, 5.0)
+        changes = pg.deviation_expansion(stack, lam, 5.0, bumps, 0.01)
+        assert residuals.shape == (3, 4) and changes.shape == (3, 4, 10)
+        for k in range(3):
+            assert np.array_equal(residuals[k], pg.stationarity_residual(stack[k], lam[k], 5.0))
+            assert np.array_equal(changes[k],
+                                  pg.deviation_expansion(stack[k], lam[k], 5.0, bumps, 0.01))
+
+
+class TestBestResponseIndex:
+    PATHS = np.tile(np.linspace(0.0, 1.0, 21), (3, 1))
+    LAM = np.array([0.2, 0.3, 0.5])
+
+    @pytest.mark.parametrize(
+        "i,error,message",
+        [
+            (3, ValueError, "need i <= 2, got 3"),
+            (-1, ValueError, "need i >= 0, got -1"),
+            (1.0, pg.NonIntegerCount, "i = 1.0 must be an integer"),
+            (True, pg.NonIntegerCount, "i = True must be an integer"),
+        ],
+        ids=["past-the-end", "negative", "float", "bool"],
+    )
+    def test_a_bad_trader_index_is_a_typed_error(self, i, error, message):
+        # 3 and 1.0 raised IndexError, True a broadcast ValueError, and -1
+        # answered for the last trader
+        with pytest.raises(error, match=f"^{message}$") as raised:
+            pg.best_response(self.PATHS, self.LAM, 1.0, i)
+        assert type(raised.value) is error
+
+    def test_every_integer_index_of_the_game_answers(self):
+        for i in (0, 2, np.int64(1)):
+            assert pg.best_response(self.PATHS, self.LAM, 1.0, i).shape == (21,)
+
+    def test_a_stack_is_one_profile_too_many(self):
+        with pytest.raises(pg.GridMismatch, match="one profile"):
+            pg.best_response(self.PATHS[None], self.LAM[None], 1.0, 0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_deviation_expansion_rejects_a_non_finite_eps(eps):
+    # it returned NaN with two RuntimeWarnings
+    paths = np.tile(GRID, (2, 1))
+    with pytest.raises(ValueError, match="^eps = .* must be finite$"):
+        pg.deviation_expansion(paths, LAM, 1.0, pg.standard_bumps(10), eps)
+
+
+class TestNashInputs:
+    @pytest.mark.parametrize("bad", [0.0, -0.2, math.nan, math.inf])
+    def test_every_fraction_is_positive_and_finite(self, bad):
+        with pytest.raises(pg.NonPositiveLambda, match=f"^lambda_2 = {bad} must be positive"):
+            pg.nash_fixed_point([0.5, bad, 0.5], 1.0, 40)
+        with pytest.raises(pg.NonPositiveLambda, match=f"^lambda_2 = {bad} must be positive"):
+            pg.nash_fixed_point([[0.5, 0.5, 0.5], [0.5, bad, 0.5]], 1.0, 40)
+
+    @pytest.mark.parametrize("lambdas", [0.5, [], np.zeros((3, 0))])
+    def test_fractions_need_a_trader_axis(self, lambdas):
+        with pytest.raises(pg.EmptyGame):
+            pg.nash_fixed_point(lambdas, 1.0, 40)
+
+    @pytest.mark.parametrize("kappa,error", [(math.nan, pg.NonFiniteKappa),
+                                             (math.inf, pg.NonFiniteKappa),
+                                             (-1.0, pg.NegativeKappa)])
+    def test_kappa_is_checked_before_the_grid(self, kappa, error):
+        # the grid rule alone lets a NaN kappa through
+        with pytest.raises(error):
+            pg.nash_fixed_point([0.4, 0.6], kappa, 40)
+
+    @pytest.mark.parametrize("n,kappa", [(1, 3.0), (4, 0.0), (40, 25.0), (7, 700.0)])
+    def test_a_stack_solves_each_game_bit_for_bit(self, n, kappa):
+        lam = draw_lambda_stack(np.random.default_rng(n), n, 5)
+        stack = pg.nash_fixed_point(lam, kappa, 1000)
+        assert stack.shape == (5, n, 1001)
+        for k in range(5):
+            assert np.array_equal(stack[k], pg.nash_fixed_point(lam[k], kappa, 1000))
 
 
 class TestDeferredScipy:
@@ -778,7 +894,7 @@ def test_verify_deviation_rows_read_the_public_route(inject_bug):
                     solution = dataclasses.replace(solution, d=solution.d * 1.01)
                 base = pg.sampled_equilibrium(solution, n_steps)
                 name = f"deviation non-negativity [n={n} kappa={kappa:g} draw={rep}]"
-                expected[name] = float(np.min(pg.deviation_expansion(base, bumps, eps=0.01)))
+                expected[name] = float(np.min(expand(solution.spec, base, bumps, eps=0.01)))
     assert rows == expected
 
 
@@ -803,19 +919,19 @@ def per_draw_checks(n_values, kappa_values, draws, n_steps, seed, inject_bug):
             for rep in range(draws):
                 spec = pg.GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=kappa)
                 label = f"n={n} kappa={kappa:g} draw={rep}"
-                fp = pg.nash_fixed_point(spec, n_steps)
+                fp = nash_of(spec, n_steps)
                 sol = pg.solve(spec)
                 if inject_bug:
                     sol = dataclasses.replace(sol, d=sol.d * 1.01)
                 cf = pg.sampled_equilibrium(sol, n_steps)
-                gap = float(np.max(np.abs(fp.paths - cf.paths)))
+                gap = float(np.max(np.abs(fp - cf)))
                 t = np.linspace(0.0, 1.0, 101)
                 res = max(float(np.max(np.abs(r))) for r in residuals_of(sol, t))
                 end_err = float(np.max(np.abs(sol.positions(1.0) - 1.0)))
                 costs = group_cost(n, 1, spec.lambdas_array(), kappa)
                 rel = float(np.max(np.abs(costs - quadrature_of(sol)) / np.abs(costs)))
-                worst = float(np.min(pg.deviation_expansion(cf, bumps, eps=0.01)))
-                agg = abs(float(sum(game_costs(fp))) - pg.aggregate_cost(n, kappa))
+                worst = float(np.min(expand(spec, cf, bumps, eps=0.01)))
+                agg = abs(float(sum(game_costs(spec, fp))) - pg.aggregate_cost(n, kappa))
                 rows = [
                     ("fixed-point gap", gap, gap_threshold),
                     ("governing residuals", res, 1e-9),
@@ -856,7 +972,7 @@ def test_nash_point_keeps_its_bits_through_the_factors(n, kappa):
     lambdas = spec.lambdas_array()
     expected = np.multiply.outer(-lambdas.sum() / (n * lambdas), own - market)
     expected += own
-    assert np.array_equal(pg.nash_fixed_point(spec, n_steps).paths, expected)
+    assert np.array_equal(nash_of(spec, n_steps), expected)
 
 
 def plain_pressure(x, kappa, h):
@@ -901,9 +1017,9 @@ def test_lean_kernels_keep_the_bits_of_their_plain_expressions(n_steps):
         else:
             plain_cf = b_col * np.expm1(kappa * t) - d_col * np.expm1(-alpha * t)
         plain_cf[..., 0], plain_cf[..., -1] = 0.0, 1.0
-        cf = oracle._sampled_paths(b_col, d_col, kappa, alpha, n_steps)
+        cf = verification._sampled_paths(b_col, d_col, kappa, alpha, n_steps)
         assert np.array_equal(cf, plain_cf)
-        blocked |= b.size * (n_steps + 1) > oracle._STACK_CELLS
+        blocked |= b.size * (n_steps + 1) > verification._STACK_CELLS
 
         own, market = oracle._nash_factors(lam.shape[-1], kappa, n_steps)
         coef = -lam.sum(axis=-1, keepdims=True) / (lam.shape[-1] * lam)
