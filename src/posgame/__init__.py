@@ -24,9 +24,10 @@ from .rules import (
     RepresentationTooSmall,
     ZeroBaseCost,
 )
-from .core import CostBreakdown, EquilibriumSolution, GameSpec, renormalize_lambdas
-from .equilibrium import governing_residuals, solve
+from .core import GameSpec, renormalize_lambdas
+from .equilibrium import EquilibriumSolution, governing_residuals, solve
 from .costs import (
+    CostBreakdown,
     aggregate_cost,
     cost_breakdown,
     cost_shares,

@@ -66,7 +66,7 @@ from .centralization import (
     optimal_representation,
 )
 from .core import GameSpec, percent_change, renormalize_lambdas
-from .costs import aggregate_cost, cost_breakdown, cost_shares, group_cost, price_of_anarchy
+from .costs import aggregate_cost, cost_breakdown, price_of_anarchy
 from .equilibrium import solve
 from .rules import (
     KappaTooLarge, ZeroBaseCost, check_count, check_counts, check_grid, check_kappa,
@@ -439,8 +439,8 @@ def cmd_equilibrium(sc: Scenario) -> Output:
     with _reported_at("config.game.kappa", KappaTooLarge):
         sol = solve(spec)
     header = ["t"] + [f"a_{i + 1}" for i in range(spec.n)] + ["m"]
-    breakdown = cost_breakdown(spec)
-    totals = np.array([[*breakdown.per_trader, breakdown.aggregate], [*breakdown.shares, 1.0]])
+    bd = cost_breakdown(spec.n, spec.kappa, spec.lambdas_array())
+    totals = np.array([np.append(bd.per_trader, bd.aggregate), np.append(bd.shares, 1.0)])
     cost, share = b"".join(format_rows(totals)).splitlines(keepends=True)
     with _size_reported_at("config.grid.n_points"):  # the curves are priced in the write
         t = np.linspace(0.0, 1.0, sc.grid["n_points"])
@@ -458,13 +458,11 @@ def cmd_costs(sc: Scenario) -> Output:
     rows = []
     with _reported_at("config.sweep.kappa", KappaTooLarge):
         for n in n_values:
-            for kappa in kappa_values:
-                # trader 1's entries of cost_breakdown, for every lambda1 at once
-                shares = cost_shares(n, kappa, lam1)
-                columns = (group_cost(n, 1, lam1, kappa), shares, shares - lam1)
-                aggregate = aggregate_cost(n, kappa)
+            for kappa in kappa_values:  # trader 1's breakdown, every lambda1 at once
+                bd = cost_breakdown(n, kappa, lam1)
+                columns = (bd.per_trader, bd.shares, bd.fair_share_deviation)
                 rows += [
-                    [n, kappa, *cells, aggregate]
+                    [n, kappa, *cells, bd.aggregate]
                     for cells in zip(lambda1_values, *(c.tolist() for c in columns))
                 ]
     return Output([Table("costs.csv", header, rows)])

@@ -1,17 +1,15 @@
-"""Domain types shared across the package.
+"""The competition instance, and the percent-change and quadrature rules.
 
 A competition instance is a :class:`GameSpec`: ``n`` traders, fractional
 target quantities ``lambdas`` summing to one, and a permanent-impact
-(alpha-decay) parameter ``kappa``.  An :class:`EquilibriumSolution` holds a
-solved spec as two coefficient arrays; ``_alpha``, ``_curve`` and
-``_market_curve`` are the one copy each of the decay-rate, curve and market
-curve formulas, as numpy kernels over arrays, ``percent_change`` the one
-percent-change rule and ``_gauss_legendre_64`` the one quadrature rule.
-The input errors, the kappa floor (the one kappa -> 0 rule) and the shared
-admission rules live in :mod:`posgame.rules`; this module imports the ones
-it calls and re-exports none.
-Equilibrium objects are immutable (their arrays read-only) and safe to share across
-threads.
+(alpha-decay) parameter ``kappa``.  ``renormalize_lambdas`` rescales
+fractions to build one from, ``percent_change`` is the one percent-change
+rule and ``_gauss_legendre_64`` the one quadrature rule.  The closed form
+(the decay rate, the curves and :class:`posgame.EquilibriumSolution`) lives
+in :mod:`posgame.equilibrium`.  The input errors, the kappa floor and the
+shared admission rules live in :mod:`posgame.rules`, the one module of the
+package that this one imports; it re-exports none of them.
+A spec is immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from functools import cache
 import numpy as np
 
 from .rules import (
-    KAPPA_FLOOR, LambdaCountMismatch, LambdaSumMismatch, ZeroBaseCost, check_count,
-    check_fractions, check_integer, check_kappa, check_size, check_traders,
+    LambdaCountMismatch, LambdaSumMismatch, ZeroBaseCost, check_count, check_fractions,
+    check_integer, check_kappa, check_size, check_traders,
 )
 
 LAMBDA_SUM_TOL = 1e-12
@@ -63,7 +61,10 @@ class GameSpec:
                 f"got {len(self.lambdas)} target quantities for n={self.n} traders"
             )
         check_fractions(self.lambdas)
-        total = math.fsum(self.lambdas)
+        try:
+            total = math.fsum(self.lambdas)
+        except OverflowError:  # finite fractions whose sum no double holds
+            total = math.inf
         if abs(total - 1.0) > LAMBDA_SUM_TOL:
             raise LambdaSumMismatch(f"sum of lambdas is {total!r}, expected 1")
         check_kappa(self.kappa)
@@ -92,52 +93,12 @@ def renormalize_lambdas(lambdas) -> tuple[float, ...]:
     :func:`posgame.rules.check_fractions` raises, on the values given.
     """
     check_fractions(lambdas)
-    total = math.fsum(lambdas)
+    try:
+        total = math.fsum(lambdas)
+    except OverflowError:  # finite fractions: a power of two brings them in range exactly
+        lambdas = [math.ldexp(lam, -64) for lam in lambdas]
+        total = math.fsum(lambdas)
     return tuple(lam / total for lam in lambdas)
-
-
-def _alpha(n, kappa: float):
-    """Decay rate of the market strategy, kappa (n - 1) / (n + 1), for a
-    scalar kappa and a count ``n`` that may be an array.  It is 0 for n = 1
-    and for every kappa below ``KAPPA_FLOOR``; the closed forms are singular
-    there and :func:`posgame.solve` takes the straight line."""
-    if kappa < KAPPA_FLOOR:
-        return 0.0 * n
-    return kappa * (n - 1) / (n + 1)
-
-
-def _curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
-    """The ``order``-th time derivative (0, 1 or 2) of the equilibrium curve
-    b (e^{kappa t} - 1) + d (1 - e^{-alpha t}); alpha == 0 is the straight
-    line a(t) = t.
-
-    The one copy of the curve formula.  ``b`` and ``d`` are scalars or
-    arrays that broadcast against ``t`` (an (n, 1, ...) column of
-    coefficients gives every trader's curve at once); each entry is computed
-    exactly as for scalar coefficients.
-    """
-    t = np.asarray(t, dtype=float)
-    if alpha == 0.0:
-        shape = np.broadcast_shapes(np.shape(b), t.shape)
-        if order == 0:
-            return np.broadcast_to(t, shape).copy()
-        return np.full(shape, 1.0 if order == 1 else 0.0)
-    if order == 0:  # the decay term is subtracted in place: one temporary, not two
-        curve = b * np.expm1(kappa * t)
-        curve -= d * np.expm1(-alpha * t)
-        return curve
-    if order == 1:
-        return kappa * b * np.exp(kappa * t) + alpha * d * np.exp(-alpha * t)
-    return kappa**2 * b * np.exp(kappa * t) - alpha**2 * d * np.exp(-alpha * t)
-
-
-def _market_curve(alpha: float, t, order: int) -> np.ndarray:
-    """The ``order``-th time derivative of the market strategy
-    (1 - e^{-alpha t}) / (1 - e^{-alpha}), an array shaped like ``t``: the
-    curve with b = 0, d = 1 / (1 - e^{-alpha}) and kappa = 0 (a spec's kappa
-    would make 0 * expm1(kappa t) NaN from kappa = 710 on)."""
-    d = 1.0 / -math.expm1(-alpha) if alpha else 0.0
-    return _curve(0.0, d, 0.0, alpha, t, order)
 
 
 def percent_change(value, base):
@@ -189,85 +150,3 @@ def _gauss_legendre_64() -> tuple[np.ndarray, np.ndarray]:
     weights = np.concatenate((half_weights[::-1], half_weights))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
-
-
-def _float_if_scalar(values):
-    """Curve-method return convention: a float for scalar t, else the array."""
-    return values if np.ndim(values) else float(values)
-
-
-@dataclass(frozen=True)
-class EquilibriumSolution:
-    """The closed-form equilibrium: trader i's strategy is
-    a_i(t) = b[i] (e^{kappa t} - 1) + d[i] (1 - e^{-alpha t}).
-
-    ``b`` and ``d`` are read-only float arrays of shape (n,), so the two
-    coefficient arrays describe every trader; ``alpha`` is read off the
-    spec.  The market strategy m(t) = sum_i lambda_i a_i(t) has the closed
-    form (1 - e^{-alpha t}) / (1 - e^{-alpha}) and is concave (eager)
-    whenever alpha > 0; the degenerate branch alpha == 0 gives the straight
-    line a_i(t) = m(t) = t.
-    """
-
-    spec: GameSpec
-    b: np.ndarray
-    d: np.ndarray
-
-    def __post_init__(self):
-        for name in ("b", "d"):
-            values = np.array(getattr(self, name), dtype=float)
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
-
-    @property
-    def alpha(self) -> float:
-        """The decay rate of the spec, by the one rule of :func:`_alpha`."""
-        return _alpha(self.spec.n, self.spec.kappa)
-
-    def positions(self, t) -> np.ndarray:
-        """Every trader's position at time(s) t: shape (n,) + shape of t."""
-        return self._curves(t, 0)
-
-    def velocities(self, t) -> np.ndarray:
-        """Every trader's trading rate at time(s) t, shaped as :meth:`positions`."""
-        return self._curves(t, 1)
-
-    def accelerations(self, t) -> np.ndarray:
-        """Every trader's second derivative at time(s) t, shaped as :meth:`positions`."""
-        return self._curves(t, 2)
-
-    def _curves(self, t, order: int) -> np.ndarray:
-        """Shape (n,) + t.shape, computed with the longer axis innermost
-        (a transposed view if that is the traders'); the same bits either way."""
-        t = np.asarray(t, dtype=float)
-        b, d, kappa, alpha = self.b, self.d, self.spec.kappa, self.alpha
-        if t.size < b.size:
-            return _curve(b, d, kappa, alpha, t[..., None], order).transpose(t.ndim, *range(t.ndim))
-        column = (-1,) + (1,) * t.ndim
-        return _curve(b.reshape(column), d.reshape(column), kappa, alpha, t, order)
-
-    def market(self, t):
-        return self._market(t, 0)
-
-    def market_velocity(self, t):
-        return self._market(t, 1)
-
-    def market_acceleration(self, t):
-        return self._market(t, 2)
-
-    def _market(self, t, order: int):
-        return _float_if_scalar(_market_curve(self.alpha, t, order))
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Per-trader implementation costs with shares of the aggregate.
-
-    ``fair_share_deviation[i]`` is ``shares[i] - lambdas[i]``: positive means
-    trader i pays more than its share of the total quantity would suggest.
-    """
-
-    per_trader: tuple[float, ...]
-    aggregate: float
-    shares: tuple[float, ...]
-    fair_share_deviation: tuple[float, ...]

@@ -18,11 +18,14 @@ trading), so the price of anarchy stays below 2 for every n and kappa.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostBreakdown, GameSpec, _alpha
-from .rules import KAPPA_FLOOR, KappaTooLarge, check_count, check_kappa, check_traders
+from .equilibrium import _alpha
+from .rules import (
+    KAPPA_FLOOR, KappaTooLarge, check_count, check_fractions, check_kappa, check_traders,
+)
 
 _EXP_KAPPA = 600.0  # n e^kappa overflows only above it, or for more than 1e47 traders
 
@@ -107,9 +110,11 @@ def cost_shares(n, kappa: float, lam):
     split at exactly 1/n.  ``n`` (finite counts as for :func:`aggregate_cost`)
     and ``lam`` broadcast; a scalar pair gives a float.  T tends to -1 as
     kappa -> 0, so below the kappa floor the shares are the fractions lam, and
-    to -(n + 1) / (n (1 - e^{-kappa})) as kappa grows, where e^alpha overflows."""
+    to -(n + 1) / (n (1 - e^{-kappa})) as kappa grows, where e^alpha overflows.
+    NonPositiveLambda unless every fraction is positive and finite."""
     check_kappa(kappa)
     n = _counts(n)
+    check_fractions(np.atleast_1d(lam))
     if kappa < KAPPA_FLOOR:
         shares = lam
     else:
@@ -140,18 +145,41 @@ def price_of_anarchy(n, kappa: float):
     return aggregate_cost(n, kappa) / market_min_cost(kappa)
 
 
-def cost_breakdown(spec: GameSpec) -> CostBreakdown:
-    """Per-trader costs, aggregate, shares and fair-share deviations.  A
-    single trader pays the market-wide minimum 1 + kappa/2, and below the
-    kappa floor (:func:`posgame.solve`'s rule) trader i pays lambda_i and the
-    aggregate is 1."""
-    n, kappa = spec.n, spec.kappa
+@dataclass(frozen=True, eq=False)
+class CostBreakdown:
+    """:func:`cost_breakdown`'s costs and shares: read-only float arrays
+    shaped like its ``lam``, and the float ``aggregate``.
+    ``fair_share_deviation`` is ``shares - lam``: positive means the trader
+    pays more than its share of the total quantity would suggest.
+    """
+
+    per_trader: np.ndarray
+    aggregate: float
+    shares: np.ndarray
+    fair_share_deviation: np.ndarray
+
+    def __post_init__(self):
+        for name in ("per_trader", "shares", "fair_share_deviation"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+
+def cost_breakdown(n, kappa: float, lam) -> CostBreakdown:
+    """Costs, aggregate, shares and fair-share deviations of traders with
+    target fractions ``lam`` (a scalar or an array) among ``n`` traders, a
+    whole count: a spec's are ``cost_breakdown(spec.n, spec.kappa,
+    spec.lambdas_array())``.  A single trader pays 1 + kappa/2; below the
+    kappa floor a trader pays its fraction and the aggregate is 1.  ValueError
+    for an array of counts."""
+    if np.ndim(n):
+        raise ValueError(f"n must be one trader count, got an array of shape {np.shape(n)}")
     aggregate = aggregate_cost(n, kappa)
-    lam = spec.lambdas_array()
     shares = cost_shares(n, kappa, lam)
+    lam = np.asarray(lam, dtype=float)
     return CostBreakdown(
-        per_trader=(aggregate,) if n == 1 else tuple(group_cost(n, 1, lam, kappa).tolist()),
+        per_trader=np.full(lam.shape, aggregate) if n == 1 else group_cost(n, 1, lam, kappa),
         aggregate=aggregate,
-        shares=tuple(shares.tolist()),
-        fair_share_deviation=tuple((shares - lam).tolist()),
+        shares=shares,
+        fair_share_deviation=shares - lam,
     )

@@ -20,19 +20,134 @@ for lambda_i >= 1e-6.  B_i's denominator lambda_i n (e^kappa - 1) overflows
 once kappa > ln(DBL_MAX / (lambda_i n)), about 709.78 - ln(lambda_i n); B_i
 would then read 0 and the curves be wrong, so :func:`solve` raises
 KappaTooLarge there instead.
+
+``_alpha``, ``_curve`` and ``_market_curve`` are the one copy each of the
+decay-rate, curve and market-curve formulas, as numpy kernels over arrays.
+Equilibrium objects are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    EquilibriumSolution, GameSpec, _alpha, _curve, _float_if_scalar, _market_curve,
-)
-from .rules import KappaTooLarge, check_curves
+from .core import GameSpec
+from .rules import KAPPA_FLOOR, KappaTooLarge, check_curves
+
+
+def _alpha(n, kappa: float):
+    """Decay rate of the market strategy, kappa (n - 1) / (n + 1), for a
+    scalar kappa and a count ``n`` that may be an array.  It is 0 for n = 1
+    and for every kappa below ``KAPPA_FLOOR``; the closed forms are singular
+    there and :func:`posgame.solve` takes the straight line."""
+    if kappa < KAPPA_FLOOR:
+        return 0.0 * n
+    return kappa * (n - 1) / (n + 1)
+
+
+def _curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
+    """The ``order``-th time derivative (0, 1 or 2) of the equilibrium curve
+    b (e^{kappa t} - 1) + d (1 - e^{-alpha t}); alpha == 0 is the straight
+    line a(t) = t.
+
+    The one copy of the curve formula.  ``b`` and ``d`` are scalars or
+    arrays that broadcast against ``t`` (an (n, 1, ...) column of
+    coefficients gives every trader's curve at once); each entry is computed
+    exactly as for scalar coefficients.
+    """
+    t = np.asarray(t, dtype=float)
+    if alpha == 0.0:
+        shape = np.broadcast_shapes(np.shape(b), t.shape)
+        if order == 0:
+            return np.broadcast_to(t, shape).copy()
+        return np.full(shape, 1.0 if order == 1 else 0.0)
+    if order == 0:  # the decay term is subtracted in place: one temporary, not two
+        curve = b * np.expm1(kappa * t)
+        curve -= d * np.expm1(-alpha * t)
+        return curve
+    if order == 1:
+        return kappa * b * np.exp(kappa * t) + alpha * d * np.exp(-alpha * t)
+    return kappa**2 * b * np.exp(kappa * t) - alpha**2 * d * np.exp(-alpha * t)
+
+
+def _market_curve(alpha: float, t, order: int) -> np.ndarray:
+    """The ``order``-th time derivative of the market strategy
+    (1 - e^{-alpha t}) / (1 - e^{-alpha}), an array shaped like ``t``: the
+    curve with b = 0, d = 1 / (1 - e^{-alpha}) and kappa = 0 (a spec's kappa
+    would make 0 * expm1(kappa t) NaN from kappa = 710 on)."""
+    d = 1.0 / -math.expm1(-alpha) if alpha else 0.0
+    return _curve(0.0, d, 0.0, alpha, t, order)
+
+
+def _float_if_scalar(values):
+    """Curve-method return convention: a float for scalar t, else the array."""
+    return values if np.ndim(values) else float(values)
+
+
+@dataclass(frozen=True)
+class EquilibriumSolution:
+    """The closed-form equilibrium: trader i's strategy is
+    a_i(t) = b[i] (e^{kappa t} - 1) + d[i] (1 - e^{-alpha t}).
+
+    ``b`` and ``d`` are read-only float arrays of shape (n,), so the two
+    coefficient arrays describe every trader; ``alpha`` is read off the
+    spec.  The market strategy m(t) = sum_i lambda_i a_i(t) has the closed
+    form (1 - e^{-alpha t}) / (1 - e^{-alpha}) and is concave (eager)
+    whenever alpha > 0; the degenerate branch alpha == 0 gives the straight
+    line a_i(t) = m(t) = t.
+    """
+
+    spec: GameSpec
+    b: np.ndarray
+    d: np.ndarray
+
+    def __post_init__(self):
+        for name in ("b", "d"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+    @property
+    def alpha(self) -> float:
+        """The decay rate of the spec, by the one rule of :func:`_alpha`."""
+        return _alpha(self.spec.n, self.spec.kappa)
+
+    def positions(self, t) -> np.ndarray:
+        """Every trader's position at time(s) t: shape (n,) + shape of t."""
+        return self._curves(t, 0)
+
+    def velocities(self, t) -> np.ndarray:
+        """Every trader's trading rate at time(s) t, shaped as :meth:`positions`."""
+        return self._curves(t, 1)
+
+    def accelerations(self, t) -> np.ndarray:
+        """Every trader's second derivative at time(s) t, shaped as :meth:`positions`."""
+        return self._curves(t, 2)
+
+    def _curves(self, t, order: int) -> np.ndarray:
+        """Shape (n,) + t.shape, computed with the longer axis innermost
+        (a transposed view if that is the traders'); the same bits either way."""
+        t = np.asarray(t, dtype=float)
+        b, d, kappa, alpha = self.b, self.d, self.spec.kappa, self.alpha
+        if t.size < b.size:
+            return _curve(b, d, kappa, alpha, t[..., None], order).transpose(t.ndim, *range(t.ndim))
+        column = (-1,) + (1,) * t.ndim
+        return _curve(b.reshape(column), d.reshape(column), kappa, alpha, t, order)
+
+    def market(self, t):
+        return self._market(t, 0)
+
+    def market_velocity(self, t):
+        return self._market(t, 1)
+
+    def market_acceleration(self, t):
+        return self._market(t, 2)
+
+    def _market(self, t, order: int):
+        return _float_if_scalar(_market_curve(self.alpha, t, order))
 
 
 def solve(spec: GameSpec) -> EquilibriumSolution:

@@ -324,12 +324,13 @@ def deviation_expansion(paths, lambdas, kappa: float, bumps, eps: float) -> np.n
     :func:`discrete_cost` takes and checks them: shape (..., n, K).
 
     ``bumps`` holds K endpoint-vanishing directions on the base's grid,
-    shape (K, N + 1): GridMismatch if they do not fit the grid and BadBump
-    if one does not vanish at both endpoints; ValueError unless ``eps`` is
-    finite.  All traders sit at the base; entry (i, k) is trader i's
-    discrete cost with its path moved to a_i + eps * bumps[k] minus its cost
-    at the base, non-negative (to rounding) at an equilibrium because the
-    discrete cost is convex in the own path and stationary at its minimum.
+    shape (K, N + 1): GridMismatch if they do not fit the grid or are not
+    finite and BadBump if one does not vanish at both endpoints; ValueError
+    unless ``eps`` is finite.  All traders sit at the base; entry (i, k) is
+    trader i's discrete cost with its path moved to a_i + eps * bumps[k]
+    minus its cost at the base, non-negative (to rounding) at an equilibrium
+    because the discrete cost is convex in the own path and stationary at
+    its minimum.
 
     The change comes from the exact expansion of the discrete cost in the
     own path.  With p(x) the price pressure of :func:`_cost_sum` (linear in
@@ -352,6 +353,8 @@ def deviation_expansion(paths, lambdas, kappa: float, bumps, eps: float) -> np.n
         raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {paths.shape[-1]})")
     if np.any(bumps[:, [0, -1]] != 0.0):
         raise BadBump("bump must vanish at both endpoints")
+    if not np.isfinite(bumps).all():  # the paths' test: a NaN would be priced as NaN
+        raise GridMismatch("bumps must be finite")
     if not math.isfinite(eps):
         raise ValueError(f"eps = {eps} must be finite")
     steps = bumps[:, 1:] - bumps[:, :-1]

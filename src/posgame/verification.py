@@ -16,9 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquilibriumSolution, GameSpec, _alpha, _curve, _gauss_legendre_64
+from .core import GameSpec, _gauss_legendre_64
 from .costs import aggregate_cost, group_cost
-from .equilibrium import _coefficients, governing_residuals, solve
+from .equilibrium import (
+    EquilibriumSolution, _alpha, _coefficients, _curve, governing_residuals, solve,
+)
 from .oracle import _bump_terms, _expansion, discrete_cost, nash_fixed_point, standard_bumps
 from .rules import check_curves, check_grid, check_size, check_suite_kappa, check_suite_n
 

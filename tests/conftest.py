@@ -32,6 +32,11 @@ def residuals_of(sol, t):
     return pg.governing_residuals(spec.lambdas_array(), sol.b, sol.d, spec.kappa, t)
 
 
+def breakdown_of(spec):
+    """``pg.cost_breakdown`` of one spec's traders, one entry per trader."""
+    return pg.cost_breakdown(spec.n, spec.kappa, spec.lambdas_array())
+
+
 def quadrature_of(sol):
     """``quadrature_cost`` of one solution's curves, one cost per trader."""
     spec = sol.spec

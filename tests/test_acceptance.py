@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import simpson
 
 import posgame as pg
-from conftest import draw_lambdas, game_costs, nash_of, residuals_of
+from conftest import breakdown_of, draw_lambdas, game_costs, nash_of, residuals_of
 from posgame.cli import main as cli_main
 from posgame.verification import run_verification
 
@@ -67,7 +67,7 @@ def test_criterion_2_cost_formula_matches_quadrature():
         velocity = sol.velocities(t)
         m = lambdas @ sol.positions(t)
         m_dot = lambdas @ velocity
-        per_trader = pg.cost_breakdown(spec).per_trader
+        per_trader = breakdown_of(spec).per_trader
         for i in range(spec.n):
             numeric = float(simpson((m_dot + spec.kappa * m) * lambdas[i] * velocity[i], x=t))
             formula = per_trader[i]
@@ -84,7 +84,7 @@ def test_criterion_3_aggregate_cost_independent_of_split():
     for _ in range(1000):
         lam = tuple(float(x) for x in rng.dirichlet(np.ones(n)))
         spec = pg.GameSpec(n=n, lambdas=lam, kappa=kappa)
-        totals.append(math.fsum(pg.cost_breakdown(spec).per_trader))
+        totals.append(math.fsum(breakdown_of(spec).per_trader))
     spread = max(totals) - min(totals)
     gap = abs(totals[0] - pg.aggregate_cost(n, kappa))
     assert spread < 1e-9
@@ -128,7 +128,7 @@ def test_criterion_6_cost_share_properties():
         n = int(rng.integers(2, 9))
         spec = pg.GameSpec(n=n, lambdas=draw_lambdas(rng, n), kappa=float(rng.uniform(0.2, 25.0)))
         worst_sum = max(
-            worst_sum, abs(math.fsum(pg.cost_breakdown(spec).shares) - 1.0)
+            worst_sum, abs(math.fsum(breakdown_of(spec).shares) - 1.0)
         )
     assert worst_sum < 1e-9
 
@@ -138,7 +138,7 @@ def test_criterion_6_cost_share_properties():
         for lam1 in lams:
             rest = (1.0 - lam1) / (n - 1)
             spec = pg.GameSpec(n=n, lambdas=(lam1,) + (rest,) * (n - 1), kappa=kappa)
-            shares.append(pg.cost_breakdown(spec).shares[0])
+            shares.append(breakdown_of(spec).shares[0])
         cross = (lams[2] - lams[0]) * (shares[1] - shares[0]) - (lams[1] - lams[0]) * (
             shares[2] - shares[0]
         )
@@ -147,7 +147,7 @@ def test_criterion_6_cost_share_properties():
 
     for n in (2, 4, 7):
         spec = pg.GameSpec.symmetric(n, 6.0)
-        assert pg.cost_breakdown(spec).shares == (1.0 / n,) * n
+        assert breakdown_of(spec).shares.tolist() == [1.0 / n] * n
     report(
         "6",
         f"share sums off by {worst_sum:.2e}, collinearity defect {worst_cross:.2e}, "
@@ -249,11 +249,11 @@ def test_criterion_10_governing_equation_residuals():
 
 def test_figure_data_shape_and_sign_checks(tmp_path):
     # share deviations: dominant traders overpay, tiny traders underpay
-    dev_dominant = pg.cost_breakdown(pg.GameSpec(2, (0.99, 0.01), 10.0)).fair_share_deviation[0]
+    dev_dominant = breakdown_of(pg.GameSpec(2, (0.99, 0.01), 10.0)).fair_share_deviation[0]
     assert dev_dominant > 0.20
-    dev_wide = pg.cost_breakdown(pg.GameSpec(8, (0.99,) + (0.01 / 7,) * 7, 25.0))
+    dev_wide = breakdown_of(pg.GameSpec(8, (0.99,) + (0.01 / 7,) * 7, 25.0))
     assert dev_wide.fair_share_deviation[0] > 0.04
-    dev_tiny = pg.cost_breakdown(pg.GameSpec(2, (0.01, 0.99), 0.5)).fair_share_deviation[0]
+    dev_tiny = breakdown_of(pg.GameSpec(2, (0.01, 0.99), 0.5)).fair_share_deviation[0]
     assert -0.009 < dev_tiny < -0.005
 
     # aggregate-cost growth with trader count at high impact

@@ -70,8 +70,9 @@ def test_the_tracer_sees_verify_call_the_public_checks():
 def test_the_tracer_sees_the_cost_commands_call_the_public_costs(tmp_path):
     """poa prices its columns with aggregate_cost and price_of_anarchy, one
     call each per kappa (4 on the figures workload) and one aggregate_cost
-    for each n = 2 base; costs prices its shares with cost_shares, once per
-    (n, kappa) (one each on a figures costs op)."""
+    for each n = 2 base; costs prices each (n, kappa) cell with one
+    cost_breakdown, which calls aggregate_cost and cost_shares once (one
+    cell on a figures costs op)."""
     plan = json.loads(workloads.write_plan("figures", 0, tmp_path).read_text())
     poa = next(op for op in plan["ops"] if op["command"] == "poa")
     costs = next(op for op in plan["ops"] if op["command"] == "costs")
@@ -87,9 +88,10 @@ def test_the_tracer_sees_the_cost_commands_call_the_public_costs(tmp_path):
     assert calls["costs.price_of_anarchy"] == 4
     assert calls["costs.aggregate_cost"] == 4 + 4 + 4 + 1  # columns, bases, poa's own, costs
     assert calls["costs.cost_shares"] == 1
+    assert calls["costs.cost_breakdown"] == 1
     # the package is as it was
     assert not hasattr(cli.price_of_anarchy, "__wrapped__")
-    assert not hasattr(cli.cost_shares, "__wrapped__")
+    assert not hasattr(cli.cost_breakdown, "__wrapped__")
     assert not hasattr(pg.aggregate_cost, "__wrapped__")
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import posgame as pg
+from conftest import breakdown_of
 
 
 def scenario(n1=4, n2=8, lam=0.4, kappa=5.0):
@@ -114,7 +115,7 @@ class TestReferenceValues:
         for split in ((0.125,) * 4, (0.2, 0.15, 0.1, 0.05), (0.34, 0.1, 0.03, 0.03)):
             rest = (0.5 / 8,) * 8
             spec = pg.GameSpec(n=12, lambdas=split + rest, kappa=1.0)
-            total = sum(pg.cost_breakdown(spec).per_trader[:4])
+            total = sum(breakdown_of(spec).per_trader[:4])
             assert total == pytest.approx(grouped, abs=1e-12)
 
     def test_centralized_firm_equals_single_new_trader(self):
@@ -122,7 +123,7 @@ class TestReferenceValues:
         rest = (0.6 / 8,) * 8
         spec = pg.GameSpec(n=9, lambdas=(0.4,) + rest, kappa=5.0)
         assert pg.naive_centralization_report(sc).firm_cost_central == pytest.approx(
-            pg.cost_breakdown(spec).per_trader[0], abs=1e-12
+            breakdown_of(spec).per_trader[0], abs=1e-12
         )
 
     def test_vanishing_nonfirm_fraction_can_profit(self):

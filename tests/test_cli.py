@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 import posgame as pg
 import posgame._g12 as _g12
 import posgame.cli as cli
-from conftest import load_bench
+from conftest import breakdown_of, load_bench
 from posgame.cli import main
 from posgame.verification import run_verification
 
@@ -74,7 +74,7 @@ class TestEquilibriumCommand:
         _, _, rows = read_csv(tmp_path / "out" / "equilibrium.csv")
         cost_row = next(r for r in rows if r[0] == "cost")
         share_row = next(r for r in rows if r[0] == "share")
-        breakdown = pg.cost_breakdown(pg.GameSpec(2, (0.5, 0.5), 1.0))
+        breakdown = breakdown_of(pg.GameSpec(2, (0.5, 0.5), 1.0))
         assert float(cost_row[1]) == pytest.approx(breakdown.per_trader[0], rel=1e-10)
         assert float(share_row[1]) == pytest.approx(0.5, abs=1e-12)
         assert float(cost_row[3]) == pytest.approx(pg.aggregate_cost(2, 1.0), rel=1e-10)
@@ -135,6 +135,20 @@ class TestConfigErrors:
         )
         out = str(tmp_path / "out")
         assert main(["equilibrium", "--config", cfg, "--out", out, "--renormalize-lambdas"]) == 0
+
+    def test_fractions_whose_sum_overflows(self, tmp_path, capsys):
+        # both were reported as "config.game: intermediate overflow in fsum"
+        cfg = write_config(
+            tmp_path, "cfg.json", {"game": {"n": 2, "lambdas": [1e308, 1e308], "kappa": 1.0}}
+        )
+        out = tmp_path / "out"
+        assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: config.game: sum of lambdas is inf, expected 1\n")
+        argv = ["equilibrium", "--config", cfg, "--out", str(out), "--renormalize-lambdas"]
+        assert main(argv) == 0
+        _, header, rows = read_csv(out / "equilibrium.csv")
+        assert rows[-1] == ["share", "0.5", "0.5", "1"]
 
     @pytest.mark.parametrize("given,shown", [(-0.5, "-0.5"), (math.inf, "inf"), (math.nan, "nan")])
     def test_renormalize_flag_reports_the_fraction_given(self, tmp_path, capsys, given, shown):
@@ -623,6 +637,23 @@ class TestCostsCommand:
         assert float(rows[1][dev]) == 0.0
         assert float(rows[2][dev]) > 0.0
 
+
+    def test_rows_are_each_cells_breakdown(self, tmp_path):
+        # one cost_breakdown per (n, kappa) cell prices trader 1 at every lambda1
+        sweep = {"n": [2, 7, 1000], "kappa": [5e-324, 0.5, 25.0, 800.0],
+                 "lambda1": [0.01, 0.3, 0.99]}
+        cfg = write_config(tmp_path, "cfg.json", {"sweep": sweep})
+        assert main(["costs", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        _, _, rows = read_csv(tmp_path / "out" / "costs.csv")
+        expected = []
+        for n in sweep["n"]:
+            for kappa in sweep["kappa"]:
+                bd = pg.cost_breakdown(n, kappa, np.array(sweep["lambda1"]))
+                columns = (bd.per_trader, bd.shares, bd.fair_share_deviation)
+                expected += [[cli._fmt(x) for x in (n, kappa, lam, *cells, bd.aggregate)]
+                             for lam, *cells in zip(sweep["lambda1"],
+                                                    *(c.tolist() for c in columns))]
+        assert rows == expected
 
     def test_underflowing_alpha_row_takes_the_zero_kappa_limit(self, tmp_path):
         # 5e-324 counts as 0: trader 1 pays and bears lambda1, aggregate 1
@@ -1393,7 +1424,7 @@ def test_large_equilibrium_matches_per_cell_formatting(tmp_path, n, kappa):
     t = np.linspace(0.0, 1.0, 201)
     columns = [t, *sol.positions(t), sol.market(t)]
     rows = [[col[k] for col in columns] for k in range(t.size)]
-    breakdown = pg.cost_breakdown(spec)
+    breakdown = breakdown_of(spec)
     rows.append(["cost", *breakdown.per_trader, breakdown.aggregate])
     rows.append(["share", *breakdown.shares, 1.0])
     header = ",".join(["t"] + [f"a_{i + 1}" for i in range(n)] + ["m"])
@@ -1513,7 +1544,7 @@ def test_streamed_equilibrium_matches_the_whole_block_at_chunk_edges(tmp_path, n
 
     sol = pg.solve(spec)
     t = np.linspace(0.0, 1.0, n_points)
-    breakdown = pg.cost_breakdown(spec)
+    breakdown = breakdown_of(spec)
     expected = printf_lines(np.column_stack([t, sol.positions(t).T, sol.market(t)]))
     expected += per_cell_lines([["cost", *breakdown.per_trader, breakdown.aggregate],
                                 ["share", *breakdown.shares, 1.0]])

@@ -104,6 +104,18 @@ def test_renormalize_is_explicit_only():
         pg.renormalize_lambdas((0.5, -0.5))
 
 
+def test_renormalize_rescales_fractions_whose_sum_overflows():
+    # math.fsum raised a bare "OverflowError: intermediate overflow in fsum"
+    big = sys.float_info.max
+    assert pg.renormalize_lambdas([1e308, 1e308]) == (0.5, 0.5)
+    assert pg.renormalize_lambdas([big] * 4) == (0.25,) * 4
+    # a power of two scales exactly, so the quotients are those of the scaled fractions
+    assert pg.renormalize_lambdas([1e308, 3e307, 7e307]) == pg.renormalize_lambdas(
+        [math.ldexp(lam, -64) for lam in (1e308, 3e307, 7e307)])
+    with pytest.raises(pg.LambdaSumMismatch, match="^sum of lambdas is inf, expected 1$"):
+        pg.GameSpec(2, (1e308, 1e308), 1.0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 0.0])
 def test_renormalize_rejects_the_fraction_given(bad):
     # [nan, 1] gave (nan, nan), [inf, 1] (nan, 0.0) and [-0.5, 1] (-1.0, 2.0)
@@ -182,10 +194,10 @@ def test_few_private_names_cross_module_boundaries():
             if isinstance(node, ast.ImportFrom) and node.level:
                 imported += [f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
                              if alias.name.startswith("_") and not alias.name.startswith("__")]
-    assert len(imported) <= 12, "\n".join(imported)
+    assert len(imported) <= 8, "\n".join(imported)
     # the commands check their config by the public rules and price costs
-    # through the public cost functions only
-    assert not [name for name in imported if name.startswith("cli <- ")]
+    # through the public cost functions only; the closed form borrows nothing
+    assert not [name for name in imported if name.startswith(("cli <- ", "equilibrium <- "))]
     # each shared rule has one public home; a rule one module calls stays there
     assert not [name for name in imported if "._check" in name]
 
@@ -200,6 +212,37 @@ def test_the_oracle_imports_only_the_input_rules():
     assert modules == {"rules"}
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
                 and any(alias.name.startswith("posgame") for alias in node.names)]
+
+
+def test_core_imports_only_the_input_rules():
+    """core holds the game and the shared percent-change and quadrature
+    rules; of the package it imports posgame.rules alone, so every layer can
+    import it."""
+    tree = ast.parse((Path(pg.__file__).resolve().parent / "core.py").read_text())
+    modules = {node.module for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level}
+    assert modules == {"rules"}
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Import)
+                and any(alias.name.startswith("posgame") for alias in node.names)]
+
+
+def test_the_closed_form_has_one_home():
+    """The decay rate, the curve kernels and the solution type are defined in
+    posgame.equilibrium alone, and the cost commands reach the cost kernels
+    only through cost_breakdown, aggregate_cost and price_of_anarchy."""
+    package = Path(pg.__file__).resolve().parent
+    homes = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                homes.setdefault(node.name, []).append(path.stem)
+    for name in ("_alpha", "_curve", "_market_curve", "EquilibriumSolution", "solve"):
+        assert homes[name] == ["equilibrium"], name
+    assert homes["CostBreakdown"] == homes["cost_breakdown"] == ["costs"]
+    cli_tree = ast.parse((package / "cli.py").read_text())
+    cli_names = {alias.name for node in ast.walk(cli_tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names}
+    assert not cli_names & {"group_cost", "cost_shares"}
 
 
 def test_the_input_errors_and_rules_have_one_home():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import posgame as pg
-from conftest import BELOW_KAPPA_FLOOR, draw_lambdas, game_specs, quadrature_of
+from conftest import BELOW_KAPPA_FLOOR, breakdown_of, draw_lambdas, game_specs, quadrature_of
 from posgame.costs import group_cost
 from posgame.verification import _at_most
 
@@ -36,17 +36,17 @@ class TestTraderCost:
         alpha = kappa * (n - 1) / (n + 1)
         expected = alpha / (n * math.expm1(alpha)) + kappa / (n + 1)
         spec = pg.GameSpec.symmetric(n, kappa)
-        for cost in pg.cost_breakdown(spec).per_trader:
+        for cost in breakdown_of(spec).per_trader:
             assert cost == pytest.approx(expected, abs=1e-15)
 
     def test_two_trader_unit_kappa_value(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
-        cost = pg.cost_breakdown(spec).per_trader[0]
+        cost = breakdown_of(spec).per_trader[0]
         assert cost == pytest.approx(0.7546, abs=1e-4)
         assert cost == pytest.approx(integral_cost(spec, 0), rel=1e-6)
 
     def test_dominant_trader_pays_more_than_the_total(self):
-        costs = pg.cost_breakdown(pg.GameSpec(n=2, lambdas=(0.99, 0.01), kappa=10.0)).per_trader
+        costs = breakdown_of(pg.GameSpec(n=2, lambdas=(0.99, 0.01), kappa=10.0)).per_trader
         assert costs[0] > pg.aggregate_cost(2, 10.0)
         # the counterpart earns a profit
         assert costs[1] < 0.0
@@ -60,7 +60,7 @@ class TestAggregateCost:
 
     def test_matches_sum_of_trader_costs(self):
         spec = pg.GameSpec(n=3, lambdas=(0.6, 0.3, 0.1), kappa=7.0)
-        total = sum(pg.cost_breakdown(spec).per_trader)
+        total = sum(breakdown_of(spec).per_trader)
         assert total == pytest.approx(pg.aggregate_cost(3, 7.0), abs=1e-12)
 
     def test_matches_market_integral(self):
@@ -129,11 +129,11 @@ class TestPriceOfAnarchy:
 
 class TestCostShare:
     def test_equal_split_shares_are_exact(self):
-        assert pg.cost_breakdown(pg.GameSpec.symmetric(4, 9.0)).shares == (0.25,) * 4
+        assert breakdown_of(pg.GameSpec.symmetric(4, 9.0)).shares.tolist() == [0.25] * 4
 
     def test_shares_sum_to_one(self):
         spec = pg.GameSpec(n=3, lambdas=(0.6, 0.3, 0.1), kappa=2.5)
-        assert sum(pg.cost_breakdown(spec).shares) == pytest.approx(1.0, abs=1e-12)
+        assert sum(breakdown_of(spec).shares) == pytest.approx(1.0, abs=1e-12)
 
     def test_affine_in_lambda(self):
         n, kappa = 5, 8.0
@@ -141,7 +141,7 @@ class TestCostShare:
         for lam1 in (0.1, 0.45, 0.8):
             rest = (1.0 - lam1) / (n - 1)
             spec = pg.GameSpec(n=n, lambdas=(lam1,) + (rest,) * (n - 1), kappa=kappa)
-            shares.append(pg.cost_breakdown(spec).shares[0])
+            shares.append(breakdown_of(spec).shares[0])
         lams = (0.1, 0.45, 0.8)
         cross = (lams[2] - lams[0]) * (shares[1] - shares[0]) - (
             lams[1] - lams[0]
@@ -150,12 +150,12 @@ class TestCostShare:
 
     def test_dominant_trader_share_deviation(self):
         spec = pg.GameSpec(n=2, lambdas=(0.99, 0.01), kappa=10.0)
-        assert pg.cost_breakdown(spec).shares[0] - 0.99 > 0.20
+        assert breakdown_of(spec).shares[0] - 0.99 > 0.20
 
     def test_matches_cost_ratio(self):
         spec = pg.GameSpec(n=4, lambdas=(0.4, 0.3, 0.2, 0.1), kappa=6.0)
         agg = pg.aggregate_cost(4, 6.0)
-        bd = pg.cost_breakdown(spec)
+        bd = breakdown_of(spec)
         for i in range(4):
             assert bd.shares[i] == pytest.approx(bd.per_trader[i] / agg, abs=1e-12)
 
@@ -169,7 +169,7 @@ class TestCostShare:
         spec = pg.GameSpec(n=n, lambdas=tuple(lam / lam.sum()), kappa=kappa)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            bd = pg.cost_breakdown(spec)
+            bd = breakdown_of(spec)
         shares = np.array(bd.shares)
         assert np.isfinite(shares).all() and np.isfinite(bd.per_trader).all()
         assert math.fsum(shares) == pytest.approx(1.0, abs=1e-12)
@@ -203,47 +203,68 @@ def test_group_cost_near_dbl_max_raises_kappa_too_large(kappa, total, count, lam
 
 class TestCostBreakdown:
     def test_tiny_trader_pays_under_fair_share(self):
-        bd = pg.cost_breakdown(pg.GameSpec(n=2, lambdas=(0.01, 0.99), kappa=0.5))
+        bd = breakdown_of(pg.GameSpec(n=2, lambdas=(0.01, 0.99), kappa=0.5))
         assert -0.009 < bd.fair_share_deviation[0] < -0.005
 
     def test_symmetric_deviations_vanish(self):
-        bd = pg.cost_breakdown(pg.GameSpec.symmetric(6, 4.0))
+        bd = breakdown_of(pg.GameSpec.symmetric(6, 4.0))
         assert all(d == 0.0 for d in bd.fair_share_deviation)
 
     def test_zero_kappa_limit(self):
-        bd = pg.cost_breakdown(pg.GameSpec(n=3, lambdas=(0.5, 0.3, 0.2), kappa=0.0))
+        bd = breakdown_of(pg.GameSpec(n=3, lambdas=(0.5, 0.3, 0.2), kappa=0.0))
         assert bd.aggregate == 1.0
-        assert bd.per_trader == (0.5, 0.3, 0.2)
-        assert bd.shares == (0.5, 0.3, 0.2)
+        assert bd.per_trader.tolist() == [0.5, 0.3, 0.2]
+        assert bd.shares.tolist() == [0.5, 0.3, 0.2]
 
     @pytest.mark.parametrize("n,kappa", [(2, 5e-324), (3, 5e-324)])
     def test_underflowing_alpha_takes_the_zero_kappa_limit(self, n, kappa):
         # below the smallest normal double kappa counts as 0, as in solve
         spec = pg.GameSpec(n=n, lambdas=(0.3,) + (0.7 / (n - 1),) * (n - 1), kappa=kappa)
-        bd = pg.cost_breakdown(spec)
-        assert bd.per_trader == spec.lambdas
-        assert bd.shares == spec.lambdas
+        bd = breakdown_of(spec)
+        assert tuple(bd.per_trader.tolist()) == spec.lambdas
+        assert tuple(bd.shares.tolist()) == spec.lambdas
         assert bd.aggregate == 1.0
-        assert bd.fair_share_deviation == (0.0,) * n
+        assert bd.fair_share_deviation.tolist() == [0.0] * n
 
     @pytest.mark.parametrize("kappa", [1e-320, 1e-310])
     def test_subnormal_kappa_is_the_zero_kappa_limit(self, kappa):
         # alpha does not underflow here, but every product with kappa loses digits
-        bd = pg.cost_breakdown(pg.GameSpec(n=2, lambdas=(0.2, 0.8), kappa=kappa))
-        assert bd.per_trader == (0.2, 0.8)
-        assert bd.shares == (0.2, 0.8)
+        bd = breakdown_of(pg.GameSpec(n=2, lambdas=(0.2, 0.8), kappa=kappa))
+        assert bd.per_trader.tolist() == [0.2, 0.8]
+        assert bd.shares.tolist() == [0.2, 0.8]
         assert bd.aggregate == 1.0
 
     def test_single_trader_limit(self):
-        bd = pg.cost_breakdown(pg.GameSpec(n=1, lambdas=(1.0,), kappa=3.0))
+        bd = breakdown_of(pg.GameSpec(n=1, lambdas=(1.0,), kappa=3.0))
         assert bd.aggregate == pg.market_min_cost(3.0)
         assert pg.aggregate_cost(1, 3.0) == bd.aggregate
-        assert bd.shares == (1.0,)
+        assert bd.shares.tolist() == [1.0]
+
+    def test_single_trader_pays_the_market_minimum_at_any_fraction_shape(self):
+        for lam in (1.0, np.array([1.0]), np.array([[1.0], [1.0]])):
+            bd = pg.cost_breakdown(1, 3.0, lam)
+            assert bd.per_trader.shape == bd.shares.shape == np.shape(lam)
+            assert np.all(bd.per_trader == 2.5) and bd.aggregate == 2.5
+            assert np.all(bd.shares == 1.0) and np.all(bd.fair_share_deviation == 0.0)
+
+    def test_fields_are_read_only_float_arrays_shaped_like_the_fractions(self):
+        lam = np.array([[0.2, 0.8], [0.5, 0.5]])
+        bd = pg.cost_breakdown(2, 1.0, lam)
+        for field in (bd.per_trader, bd.shares, bd.fair_share_deviation):
+            assert field.shape == lam.shape and field.dtype == float
+            assert not field.flags.writeable
+        assert type(bd.aggregate) is float
+        assert lam.flags.writeable  # the caller's array is not frozen
+        scalar = pg.cost_breakdown(2, 1.0, 0.2)
+        assert scalar.per_trader.shape == scalar.shares.shape == ()
+        assert scalar.per_trader == bd.per_trader[0, 0] and scalar.shares == bd.shares[0, 0]
+        with pytest.raises(ValueError, match=r"^n must be one trader count, got an array"):
+            pg.cost_breakdown(np.array([2, 3]), 1.0, 0.2)
 
     @settings(max_examples=30, deadline=None)
     @given(spec=game_specs())
     def test_shares_consistent_for_random_specs(self, spec):
-        bd = pg.cost_breakdown(spec)
+        bd = breakdown_of(spec)
         assert math.fsum(bd.per_trader) == pytest.approx(bd.aggregate, abs=1e-9)
         assert math.fsum(bd.shares) == pytest.approx(1.0, abs=1e-9)
         for i in range(spec.n):
@@ -259,7 +280,7 @@ class TestCostBreakdown:
         rng = np.random.default_rng(5)
         lambdas = pg.renormalize_lambdas(rng.dirichlet(np.ones(4000)))
         spec = pg.GameSpec(n=4000, lambdas=lambdas, kappa=5.0)
-        bd = pg.cost_breakdown(spec)
+        bd = breakdown_of(spec)
         assert len(bd.per_trader) == len(bd.shares) == 4000
         for i in rng.choice(4000, size=25, replace=False):
             lam = spec.lambdas[int(i)]
@@ -270,16 +291,27 @@ class TestCostBreakdown:
         assert math.fsum(bd.per_trader) == pytest.approx(bd.aggregate, abs=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 800.0])
+@pytest.mark.parametrize("bad", [0.0, -0.2, math.nan, math.inf])
+def test_shares_refuse_a_fraction_that_is_not_positive_and_finite(bad, kappa):
+    # cost_shares(2, 1.0, 0.0) gave a negative share, and nan and inf passed through
+    with pytest.raises(pg.NonPositiveLambda, match=f"^lambda_1 = {bad} must be positive"):
+        pg.cost_shares(2, kappa, bad)
+    with pytest.raises(pg.NonPositiveLambda, match=f"^lambda_2 = {bad} must be positive"):
+        pg.cost_breakdown(2, kappa, np.array([0.5, bad]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(spec=game_specs(kappas=st.sampled_from(BELOW_KAPPA_FLOOR) | st.floats(1e-3, 25.0)))
 def test_kappa_floor_and_cost_identities(spec):
-    bd = pg.cost_breakdown(spec)
+    bd = breakdown_of(spec)
     if spec.kappa in BELOW_KAPPA_FLOOR:
         sol = pg.solve(spec)
         t = np.linspace(0.0, 1.0, 11)
         assert np.all(sol.b == 0.0) and np.all(sol.d == 0.0)
         assert np.array_equal(sol.positions(t), np.tile(t, (spec.n, 1)))
-        assert bd == pg.cost_breakdown(dataclasses.replace(spec, kappa=0.0))
+        zero = breakdown_of(dataclasses.replace(spec, kappa=0.0))
+        assert all(map(np.array_equal, dataclasses.astuple(bd), dataclasses.astuple(zero)))
     assert math.fsum(bd.per_trader) == pytest.approx(bd.aggregate, abs=1e-9)
     n1 = spec.n // 2
     sc = pg.CentralizationScenario(
@@ -293,7 +325,7 @@ def test_kappa_floor_and_cost_identities(spec):
 class TestGroupCost:
     def test_special_cases_are_the_public_costs(self):
         spec = pg.GameSpec(n=4, lambdas=(0.4, 0.3, 0.2, 0.1), kappa=6.0)
-        per_trader = pg.cost_breakdown(spec).per_trader
+        per_trader = breakdown_of(spec).per_trader
         for i in range(4):
             assert pg.group_cost(4, 1, spec.lambdas[i], 6.0) == per_trader[i]
         assert pg.group_cost(4, 4, 1.0, 6.0) == pg.aggregate_cost(4, 6.0)
@@ -339,7 +371,7 @@ def test_aggregate_cost_is_independent_of_target_split():
     for _ in range(200):
         lam = rng.dirichlet(np.ones(n))
         spec = pg.GameSpec(n=n, lambdas=tuple(lam), kappa=kappa)
-        totals.append(math.fsum(pg.cost_breakdown(spec).per_trader))
+        totals.append(math.fsum(breakdown_of(spec).per_trader))
     assert max(totals) - min(totals) < 1e-9
     assert totals[0] == pytest.approx(pg.aggregate_cost(n, kappa), abs=1e-9)
 
@@ -347,7 +379,7 @@ def test_aggregate_cost_is_independent_of_target_split():
 @settings(max_examples=20, deadline=None)
 @given(spec=game_specs(max_n=6, max_kappa=15.0))
 def test_cost_formula_matches_quadrature(spec):
-    per_trader = pg.cost_breakdown(spec).per_trader
+    per_trader = breakdown_of(spec).per_trader
     for i in range(spec.n):
         formula = per_trader[i]
         numeric = integral_cost(spec, i)
@@ -417,7 +449,7 @@ def test_quadrature_cost_gives_every_traders_cost():
         spec = pg.GameSpec(n=4, lambdas=(0.1, 0.2, 0.3, 0.4), kappa=kappa)
         quadrature = quadrature_of(pg.solve(spec))
         assert quadrature.shape == (4,)
-        assert quadrature == pytest.approx(pg.cost_breakdown(spec).per_trader, rel=1e-13)
+        assert quadrature == pytest.approx(breakdown_of(spec).per_trader, rel=1e-13)
     reference = [integral_cost(spec, i) for i in range(4)]
     assert quadrature == pytest.approx(reference, rel=1e-13)
 

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 
 import posgame as pg
 from conftest import draw_lambdas, game_specs, residuals_of
-from posgame.core import _alpha
-from posgame.equilibrium import _coefficients
+from posgame.equilibrium import _alpha, _coefficients
 from posgame.verification import draw_lambda_stack, quadrature_cost
 
 

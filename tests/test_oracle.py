@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ import posgame as pg
 import posgame.oracle as oracle
 import posgame.verification as verification
 from conftest import (
-    draw_lambdas, game_costs, game_specs, nash_of, quadrature_of, residuals_of, stationarity_of,
+    breakdown_of, draw_lambdas, game_costs, game_specs, nash_of, quadrature_of, residuals_of,
+    stationarity_of,
 )
-from posgame.core import _curve
 from posgame.costs import group_cost
-from posgame.equilibrium import _coefficients
+from posgame.equilibrium import _coefficients, _curve
 from posgame.verification import (
     Check,
     draw_lambda_stack,
@@ -107,7 +108,7 @@ class TestDiscreteCost:
     def test_converges_to_closed_form_cost(self):
         spec = pg.GameSpec(n=2, lambdas=(0.5, 0.5), kappa=1.0)
         costs = game_costs(spec, pg.sampled_equilibrium(pg.solve(spec), 10_000))
-        per_trader = pg.cost_breakdown(spec).per_trader
+        per_trader = breakdown_of(spec).per_trader
         for i in range(2):
             assert costs[i] == pytest.approx(per_trader[i], abs=1e-4)
 
@@ -802,6 +803,17 @@ def test_deviation_expansion_rejects_a_non_finite_eps(eps):
     paths = np.tile(GRID, (2, 1))
     with pytest.raises(ValueError, match="^eps = .* must be finite$"):
         pg.deviation_expansion(paths, LAM, 1.0, pg.standard_bumps(10), eps)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_deviation_expansion_rejects_non_finite_bumps(bad):
+    # a NaN at one interior node priced that bump as NaN; an inf also warned twice
+    paths, bumps = np.tile(GRID, (2, 1)), pg.standard_bumps(10)
+    bumps[3, 5] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pg.GridMismatch, match="^bumps must be finite$"):
+            pg.deviation_expansion(paths, LAM, 1.0, bumps, 0.01)
 
 
 class TestNashInputs:
