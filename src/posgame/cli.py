@@ -547,7 +547,9 @@ def cmd_poa(sc: Scenario) -> Output:
 
 
 def cmd_verify(sc: Scenario) -> Output:
-    with _reported_at("config.verify.kappa", KappaTooLarge):  # a drawn game the closed form rejects
+    # a drawn game the closed form rejects, or a grid that fits an index but not memory
+    with _reported_at("config.verify.kappa", KappaTooLarge), \
+            _size_reported_at("config.verify.n_steps"):
         report = run_verification(
             n_values=sc.verify["n"],
             kappa_values=sc.verify["kappa"],

@@ -42,11 +42,13 @@ def group_cost(total, count, lam, kappa, decay=None):
     arguments are scalars or numpy arrays that broadcast together.  A kappa
     below the floor 1e-300 counts as 0 (:func:`_alpha`'s rule),
     and there each group pays its fraction ``lam``, the kappa -> 0 limit.
-    The caller rules out the degenerate total = 1.  Raises KappaTooLarge
-    where kappa is so close to DBL_MAX that a product of kappa and a count
-    overflows (kappa near 1e308 for a dozen traders); that check is one
-    comparison below kappa = 600.
+    The caller rules out the degenerate total = 1.  NegativeKappa or
+    NonFiniteKappa unless 0 <= kappa < inf; the other arguments are not
+    checked.  Raises KappaTooLarge where kappa is so close to DBL_MAX that a
+    product of kappa and a count overflows (kappa near 1e308 for a dozen
+    traders); that check is one comparison below kappa = 600.
     """
+    check_kappa(kappa)
     if kappa < KAPPA_FLOOR:
         return lam + np.zeros(np.broadcast_shapes(np.shape(total), np.shape(count)))
     if kappa <= _EXP_KAPPA:

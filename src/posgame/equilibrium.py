@@ -202,7 +202,8 @@ def governing_residuals(lambdas, b, d, kappa: float, t):
     r1[..., i] - r2 / lambda_i.  Derivatives are analytic.  A solution
     ``sol`` of ``spec`` is ``(spec.lambdas_array(), sol.b, sol.d, spec.kappa)``.
     ValueError unless the arrays share one shape, n >= 1; NegativeKappa or
-    NonFiniteKappa for a kappa outside [0, inf).
+    NonFiniteKappa for a kappa outside [0, inf); KappaTooLarge for n >= 2
+    and kappa > ln(DBL_MAX) = 709.78, where e^kappa overflows.
     """
     lambdas, b, d = check_curves(lambdas, b, d, kappa)
     t = np.asarray(t, dtype=float)

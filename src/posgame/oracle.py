@@ -52,11 +52,9 @@ v = sigma^(j - N) expm1(-j ln sigma) / expm1(-N ln sigma) (sigma > 1), no
 term overflows at any kappa; at c = 0 both unit paths are the straight line
 j / N, and at q = 0 (n = 1) u is.  sigma is positive only while c < 1, so
 the grid needs N > kappa / 2.  The cost is O(n N).  The profile has rank 2
-in (trader, time): :func:`_nash_factors` returns the unit paths v and u,
-which depend on n, kappa and N alone, and :func:`_nash_profile` turns any
-stack of target fractions into its traders' paths, so
-:func:`nash_fixed_point` builds the factors once per call and solves a
-stack of games on them.
+in (trader, time): the unit paths v and u depend on n, kappa and N alone,
+so :func:`nash_fixed_point` builds them once per call and solves a stack
+of games on them.
 :func:`stationarity_residual` is the run-time certificate: it evaluates
 every trader's best-response rows on the computed profile directly, and it
 reads at rounding level exactly at the Nash point.
@@ -143,27 +141,23 @@ def _pressure(x: np.ndarray, kappa: float, h: float) -> np.ndarray:
     return pressure
 
 
-def _cost_sum(m: np.ndarray, lam, a: np.ndarray, kappa: float, h: float) -> np.ndarray:
-    """The discrete cost sum over the last axis: the price pressure of the
-    aggregate path ``m`` times ``lam`` times the own path's increments.
-    Leading axes broadcast into the own path ``a``'s shape: one call prices
-    every trader or every profile of a stack.  The increments are weighted
-    in place, so besides them only the pressure times ``lam`` is made."""
-    terms = a[..., 1:] - a[..., :-1]
-    terms *= _pressure(m, kappa, h) * lam
-    return terms.sum(axis=-1)
-
-
 def discrete_cost(paths, lambdas, kappa: float) -> np.ndarray:
     """Discretized implementation cost of every trader of the profiles
     ``paths``, shape (..., n, N + 1), with target fractions ``lambdas``,
     shape (..., n): one cost per trader, shape (..., n), so a stack prices D
     games on one grid at once.  GridMismatch unless the paths fit the
     fractions, N >= 1, are pinned to 0 and 1 and are finite; NegativeKappa or
-    NonFiniteKappa unless 0 <= kappa < inf."""
+    NonFiniteKappa unless 0 <= kappa < inf.
+
+    Trader i's cost is the sum over the intervals of the market's price
+    pressure times lambda_i times the own path's increment.  The increments
+    are weighted in place, so besides them only the pressure times the
+    fractions is made."""
     paths, lambdas = _check_paths(paths, lambdas, kappa)
     m = lambdas[..., None, :] @ paths
-    return _cost_sum(m, lambdas[..., None], paths, kappa, 1.0 / (paths.shape[-1] - 1))
+    terms = paths[..., 1:] - paths[..., :-1]
+    terms *= _pressure(m, kappa, 1.0 / (paths.shape[-1] - 1)) * lambdas[..., None]
+    return terms.sum(axis=-1)
 
 
 def _best_response_rhs(paths: np.ndarray, lambdas: np.ndarray, kappa: float) -> np.ndarray:
@@ -233,16 +227,7 @@ def nash_fixed_point(lambdas, kappa: float, n_steps: int) -> np.ndarray:
     check_fractions(lambdas)
     check_kappa(kappa)
     check_grid(kappa, n_steps)
-    own, market = _nash_factors(lambdas.shape[-1], kappa, n_steps)
-    return _nash_profile(lambdas, own, market)
-
-
-def _nash_factors(n: int, kappa: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two unit paths of the n-trader Nash point at ``kappa`` on the grid
-    of ``n_steps`` intervals, shape (N + 1,) each: ``own`` through sigma^j
-    and ``market`` through rho^j (see the module docstring).  They depend on
-    n, kappa and N alone; :func:`_nash_profile` builds the traders' paths
-    from them.  The caller checks kappa and the grid (:func:`check_grid`)."""
+    n = lambdas.shape[-1]
     # c is rounded so that 1 +- c are exact, as a banded solve of the same
     # rows needs, and so that it is 0 (straight lines) where kappa / (2 N)
     # is below half an ulp of 1; it stays below 1 where kappa / (2 N) rounds
@@ -251,16 +236,10 @@ def _nash_factors(n: int, kappa: float, n_steps: int) -> tuple[np.ndarray, np.nd
     # amplifies the rounding of v - u in the traders' sum up to tenfold.
     c = min((1.0 + 0.5 * kappa / n_steps) - 1.0, 1.0 - 2.0**-52)
     q = (n - 1) * c
-    market = _unit_path(math.log1p(-2.0 * q / ((n + 1) + q)), n_steps)  # ln rho
-    own = _unit_path(math.log1p(2.0 * c / (1.0 - c)), n_steps)  # ln sigma
-    return own, market
-
-
-def _nash_profile(lambdas: np.ndarray, own: np.ndarray, market: np.ndarray) -> np.ndarray:
-    """The Nash paths a_i = v - M / (n lambda_i) (v - u) of target fractions
-    ``lambdas``, shape (..., n), from the :func:`_nash_factors` v = ``own``
-    and u = ``market``: shape (..., n, N + 1), a stack of D games at once."""
-    coef = -lambdas.sum(axis=-1, keepdims=True) / (lambdas.shape[-1] * lambdas)
+    market = _unit_path(math.log1p(-2.0 * q / ((n + 1) + q)), n_steps)  # u, through rho^j
+    own = _unit_path(math.log1p(2.0 * c / (1.0 - c)), n_steps)  # v, through sigma^j
+    # a_i = v - M / (n lambda_i) (v - u), every game of the stack at once
+    coef = -lambdas.sum(axis=-1, keepdims=True) / (n * lambdas)
     paths = coef[..., None] * (own - market)
     paths += own
     return paths
@@ -333,7 +312,7 @@ def deviation_expansion(paths, lambdas, kappa: float, bumps, eps: float) -> np.n
     its minimum.
 
     The change comes from the exact expansion of the discrete cost in the
-    own path.  With p(x) the price pressure of :func:`_cost_sum` (linear in
+    own path.  With p(x) the price pressure of :func:`_pressure` (linear in
     x), moving trader i alone by eps * b moves the market by
     eps * lambda_i * b, so its cost changes by exactly
 

@@ -23,6 +23,8 @@ import numpy as np
 # kappa -> 0 limit is exact to double precision, as it is up to about 1e-16.
 KAPPA_FLOOR = 1e-300
 
+_LOG_DBL_MAX = math.log(sys.float_info.max)  # 709.78: e^kappa is finite up to it
+
 
 class GameSpecError(ValueError):
     """Invalid competition instance."""
@@ -202,6 +204,11 @@ def check_curves(lambdas, b, d, kappa: float) -> tuple[np.ndarray, np.ndarray, n
         raise ValueError(f"lambdas, b and d must share one shape (..., n), n >= 1; got "
                          f"{lambdas.shape}, {b.shape} and {d.shape}")
     check_kappa(kappa)
+    # e^kappa overflows beyond ln(DBL_MAX), and solve refuses every game of
+    # n >= 2 before it; at n = 1 the curves are straight lines at any kappa
+    if lambdas.shape[-1] >= 2 and kappa > _LOG_DBL_MAX:
+        raise KappaTooLarge(f"kappa = {kappa} is too large: e^kappa overflows beyond "
+                            f"kappa = {_LOG_DBL_MAX:.2f} for n >= 2 traders")
     return lambdas, b, d
 
 

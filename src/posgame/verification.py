@@ -1,7 +1,7 @@
 """End-to-end verification: closed forms versus the discretized oracle.
 
-Each check pairs a measured quantity with its threshold and the rule that
-compares them, so the CLI can emit one pass/fail line per check.  The cost
+Each check pairs a measured quantity with its threshold and the direction
+of its bound, so the CLI can emit one pass/fail line per check.  The cost
 row holds the per-trader cost formula to :func:`quadrature_cost`.
 ``inject_bug`` scales every trader's d coefficient of the closed-form
 solution by 1.01 before the comparison, which demonstrates that the suite
@@ -12,7 +12,7 @@ detects a wrong solution.  The suite's rules on its settings live in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -33,11 +33,23 @@ _STACK_CELLS = 1 << 17
 
 @dataclass(frozen=True)
 class Check:
+    """A measured ``value`` held to its ``threshold``: at most it, or at
+    least it where ``at_least``.  The verdict is read off these three, so a
+    NaN reading fails either way; ``detail`` annotates the report line."""
+
     name: str
     value: float
     threshold: float
-    passed: bool
+    _: KW_ONLY
+    at_least: bool = False
     detail: str = ""
+
+    @property
+    def passed(self) -> bool:
+        """Whether ``value`` lies within its bound (a NaN reading does not)."""
+        if self.at_least:
+            return self.value >= self.threshold
+        return self.value <= self.threshold
 
     @property
     def status(self) -> str:
@@ -59,16 +71,6 @@ class VerificationReport:
             + (f" ({c.detail})" if c.detail else "")
             for c in self.checks
         ]
-
-
-def _at_most(name: str, value: float, threshold: float, detail: str = "") -> Check:
-    """A check that passes when ``value`` is at most ``threshold``."""
-    return Check(name, value, threshold, value <= threshold, detail)
-
-
-def _at_least(name: str, value: float, threshold: float, detail: str = "") -> Check:
-    """A check that passes when ``value`` is at least ``threshold``."""
-    return Check(name, value, threshold, value >= threshold, detail)
 
 
 def draw_lambda_stack(rng: np.random.Generator, n: int, draws: int) -> np.ndarray:
@@ -123,14 +125,17 @@ def quadrature_cost(lambdas, b, d, kappa: float) -> np.ndarray:
     (alpha < kappa).  With n = 1000 and lambda_min = 1e-6, one panel reads
     at the rounding floor (about 4e-9 there) up to kappa / P = 275, 2.4e-8
     at 300 and 9.7e-7 at 350, so the rule keeps a factor of four below where
-    the error leaves the floor.  P is at most 12 for every kappa < 710,
-    where the curves are finite, and memory is a few (..., n, 64 P) arrays.
+    the error leaves the floor.  P is at most 12 for every kappa up to
+    ln(DBL_MAX) = 709.78, beyond which the curves of n >= 2 traders overflow
+    (KappaTooLarge), and memory is a few (..., n, 64 P) arrays.  Where
+    alpha = 0 (n = 1, or kappa below the floor) the curves are straight
+    lines, whose linear integrand one panel integrates exactly at any kappa.
     A stack's batched products keep every game's bits.
     """
     lambdas, b, d = check_curves(lambdas, b, d, kappa)
     alpha = _alpha(lambdas.shape[-1], kappa)
     nodes, weights = _gauss_legendre_64()
-    panels = max(1, math.ceil(kappa / 64.0))
+    panels = max(1, math.ceil(kappa / 64.0)) if alpha else 1
     t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) / panels).ravel()
     row, b, d = lambdas[..., None, :], b[..., None], d[..., None]
     m = row @ _curve(b, d, kappa, alpha, t, 0)
@@ -187,9 +192,7 @@ def run_verification(
     temporary or increment array.  Keeping the previous Nash paths keeps the
     heap a cell grew in use for the next one: on the bench verify config a
     warm pass in a worker-like process takes about 260 minor page faults
-    (about 550 with them dropped early, 720-750 with the former kernels),
-    and this function about 0.87 of its former time (2-vCPU Xeon,
-    numpy 2.4.6).
+    (about 550 with them dropped early; 2-vCPU Xeon, numpy 2.4.6).
     """
     check_suite_n(n_values)
     check_suite_kappa(kappa_values)
@@ -234,18 +237,18 @@ def run_verification(
                 costs = group_cost(n, 1, lam, kappa)
                 cost_gaps = np.abs(costs - quadrature_cost(lam, b, d, kappa)) / np.abs(costs)
 
-                rows = (  # (name, rule, (D,) readings, threshold), in report order
-                    ("fixed-point gap", _at_most, gaps, 5.0 / n_steps),
-                    ("governing residuals", _at_most, residuals, 1e-9),
-                    ("endpoint a_i(1)=1", _at_most, end_errs, 1e-10),
-                    ("cost formula vs quadrature", _at_most, cost_gaps.max(axis=-1), 1e-6),
-                    ("deviation non-negativity", _at_least,
-                     deviations.min(axis=(-2, -1)), -1e-9),
-                    ("aggregate vs oracle sum", _at_most, np.abs(oracle_sums - aggregate), 1e-3),
+                rows = (  # (name, (D,) readings, threshold, at_least), in report order
+                    ("fixed-point gap", gaps, 5.0 / n_steps, False),
+                    ("governing residuals", residuals, 1e-9, False),
+                    ("endpoint a_i(1)=1", end_errs, 1e-10, False),
+                    ("cost formula vs quadrature", cost_gaps.max(axis=-1), 1e-6, False),
+                    ("deviation non-negativity", deviations.min(axis=(-2, -1)), -1e-9, True),
+                    ("aggregate vs oracle sum", np.abs(oracle_sums - aggregate), 1e-3, False),
                 )
-                checks += [rule(f"{name} [{label}]", float(readings[k]), threshold)
+                checks += [Check(f"{name} [{label}]", float(readings[k]), threshold,
+                                 at_least=at_least)
                            for k, label in enumerate(labels)
-                           for name, rule, readings, threshold in rows]
+                           for name, readings, threshold, at_least in rows]
 
     checks.append(convergence_order_check())
     return VerificationReport(checks=tuple(checks))
@@ -266,4 +269,5 @@ def convergence_order_check() -> Check:
         gaps.append(float(np.max(np.abs(fp - sampled_equilibrium(solution, n_steps)))))
     ratios = [gaps[k] / gaps[k + 1] for k in range(len(gaps) - 1)]
     detail = "ratios " + ", ".join(f"{r:.2f}" for r in ratios)
-    return _at_least("convergence order under grid doubling", min(ratios), 1.7, detail)
+    return Check("convergence order under grid doubling", min(ratios), 1.7, at_least=True,
+                 detail=detail)

@@ -409,6 +409,8 @@ class TestConfigErrors:
             # bytes at once, before anything is allocated
             ("equilibrium", {"game": GAME, "grid": {"n_points": 2**62}},
              "config.grid.n_points: array is too big"),
+            ("verify", {"verify": {"n": [2], "kappa": [1.0], "n_steps": 2**62}},
+             "config.verify.n_steps: array is too big"),
             # an exact window of sys.maxsize deltas passes its rule, but no
             # array of that many integers fits in memory
             ("centralize", {"game": {"n": 12, "kappa": 1.0},
@@ -421,7 +423,8 @@ class TestConfigErrors:
                             "centralization": {"n1": 10**17, "lambda_firm": 0.4}},
              "config.centralization.n1: Unable to allocate"),
         ],
-        ids=["n_points=2^62", "delta_range-of-maxsize", "default-window-of-n1"],
+        ids=["n_points=2^62", "verify-n_steps=2^62", "delta_range-of-maxsize",
+             "default-window-of-n1"],
     )
     def test_size_beyond_memory_is_config_error(self, tmp_path, capsys, command, payload,
                                                 message):
@@ -914,9 +917,8 @@ class TestVerifyCommand:
         assert checks[-1].name == "convergence order under grid doubling"
         at_least = ("deviation non-negativity", "convergence order")
         for c in checks:
-            holds = c.value >= c.threshold if c.name.startswith(at_least) else (
-                c.value <= c.threshold
-            )
+            assert c.at_least == c.name.startswith(at_least), c
+            holds = c.value >= c.threshold if c.at_least else c.value <= c.threshold
             assert c.passed == holds, c
         assert {c.status for c in checks} == {"PASS", "FAIL"}
         _, _, rows = read_csv(out / "verify_report.csv")

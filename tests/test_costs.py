@@ -14,7 +14,7 @@ from scipy.integrate import simpson
 import posgame as pg
 from conftest import BELOW_KAPPA_FLOOR, breakdown_of, draw_lambdas, game_specs, quadrature_of
 from posgame.costs import group_cost
-from posgame.verification import _at_most
+from posgame.verification import Check
 
 
 def integral_cost(spec, i, intervals=10_000):
@@ -199,6 +199,15 @@ def test_group_cost_near_dbl_max_raises_kappa_too_large(kappa, total, count, lam
     # e^alpha overflows, so the middle term is 0 and the cost is linear in kappa
     expected = kappa * (lam * total - count) / total + count * kappa / (total + 1.0)
     assert group_cost(total, count, lam, kappa) == pytest.approx(expected, rel=1e-15)
+
+
+@pytest.mark.parametrize("kappa,error", [(-1.0, pg.NegativeKappa),
+                                         (math.nan, pg.NonFiniteKappa),
+                                         (math.inf, pg.NonFiniteKappa)])
+def test_group_cost_refuses_a_kappa_it_cannot_price(kappa, error):
+    # a negative kappa was priced as 0, and a NaN read as too large
+    with pytest.raises(error, match=f"kappa = {kappa}"):
+        group_cost(2, 1, 0.5, kappa)
 
 
 class TestCostBreakdown:
@@ -466,7 +475,7 @@ def cost_row(solution, label=""):
     spec = solution.spec
     costs = group_cost(spec.n, 1, spec.lambdas_array(), spec.kappa)
     gap = np.max(np.abs(costs - quadrature_of(solution)) / np.abs(costs))
-    return _at_most(f"cost formula vs quadrature [{label}]", float(gap), 1e-6)
+    return Check(f"cost formula vs quadrature [{label}]", float(gap), 1e-6)
 
 
 def floored_spec(n, kappa, lam_min=1e-6):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 import posgame as pg
-from conftest import draw_lambdas, game_specs, residuals_of
+from conftest import draw_lambdas, game_specs, quadrature_of, residuals_of
 from posgame.equilibrium import _alpha, _coefficients
 from posgame.verification import draw_lambda_stack, quadrature_cost
 
@@ -197,6 +198,26 @@ class TestResiduals:
             pg.governing_residuals(lam, lam, lam, kappa, 0.5)
         with pytest.raises(error):
             quadrature_cost(lam, lam, lam, kappa)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa", [800.0, 1e300])
+    def test_kappa_beyond_ln_dbl_max_is_too_large_for_two_traders(self, kappa):
+        # e^kappa overflows; at 1e300 the panel count would exceed any array
+        lam = np.array([0.4, 0.6])
+        message = re.escape(f"kappa = {kappa} is too large")
+        with pytest.raises(pg.KappaTooLarge, match=message):
+            pg.governing_residuals(lam, lam, lam, kappa, 0.5)
+        with pytest.raises(pg.KappaTooLarge, match=message):
+            quadrature_cost(lam, lam, lam, kappa)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kappa", [800.0, 1e300])
+    def test_one_trader_is_priced_at_any_kappa(self, kappa):
+        # the straight line's linear integrand: one panel, exact
+        sol = pg.solve(pg.GameSpec(n=1, lambdas=(1.0,), kappa=kappa))
+        r1, r2, r3 = residuals_of(sol, np.linspace(0.0, 1.0, 5))
+        assert not r1.any() and not r2.any() and not r3.any()
+        assert quadrature_of(sol) == pytest.approx([1.0 + kappa / 2], rel=1e-15)
 
     @pytest.mark.parametrize("kappa", [0.0, 4.0])
     def test_rows_equal_the_single_trader_formula(self, kappa):

@@ -25,6 +25,10 @@ from posgame.verification import (
 )
 
 
+def plain_pressure(x, kappa, h):
+    return np.diff(x) / h + kappa * 0.5 * (x[..., :-1] + x[..., 1:])
+
+
 def deviation_test(spec, base, bumps, eps):
     """Cost changes when each trader alone deviates by eps * bump, shape (n, K),
     from re-pricing every perturbed profile: the direct reference that
@@ -45,13 +49,16 @@ def deviation_test(spec, base, bumps, eps):
         raise pg.BadBump("bump must vanish at both endpoints")
     lambdas = spec.lambdas_array()
     kappa, h = spec.kappa, 1.0 / (base.shape[1] - 1)
-    base_costs = oracle._cost_sum(lambdas @ base, lambdas[:, None], base, kappa, h)
+
+    def cost(m, lam, a):  # sum of the market's pressure times lam times a's increments
+        return np.sum(plain_pressure(m, kappa, h) * lam * np.diff(a), axis=-1)
+
+    base_costs = cost(lambdas @ base, lambdas[:, None], base)
     changes = np.empty((spec.n, len(bumps)))
     for i in range(spec.n):
         stack = np.repeat(base[None], len(bumps), axis=0)
         stack[:, i] += eps * bumps
-        costs = oracle._cost_sum(lambdas @ stack, lambdas[i], stack[:, i], kappa, h)
-        changes[i] = costs - base_costs[i]
+        changes[i] = cost(lambdas @ stack, lambdas[i], stack[:, i]) - base_costs[i]
     return changes
 
 
@@ -918,6 +925,21 @@ def test_verification_at_a_thousand_traders():
     assert not run_verification(**kwargs, inject_bug=True).passed
 
 
+@pytest.mark.parametrize("at_least", [False, True], ids=["at-most", "at-least"])
+def test_a_checks_verdict_is_read_off_its_bound(at_least):
+    # a NaN reading fails either way; a reading on its threshold passes
+    for value, passed in ((math.nan, False), (1.0, True), (0.5, not at_least),
+                          (2.0, at_least)):
+        check = Check("row", value, 1.0, at_least=at_least)
+        assert check.passed is passed, check
+        assert check.status == ("PASS" if passed else "FAIL")
+    # the direction and the detail are keywords: no fourth field reads a verdict
+    with pytest.raises(TypeError):
+        Check("row", 2.0, 1.0, True)
+    with pytest.raises(TypeError):
+        Check("row", 2.0, 1.0, passed=True)
+
+
 def per_draw_checks(n_values, kappa_values, draws, n_steps, seed, inject_bug):
     """``run_verification``'s checks built one draw at a time from the public
     routes, as the suite built them before it priced a cell's draws as one
@@ -954,8 +976,7 @@ def per_draw_checks(n_values, kappa_values, draws, n_steps, seed, inject_bug):
                 ]
                 for name, value, threshold in rows:
                     at_least = name.startswith("deviation")
-                    passed = value >= threshold if at_least else value <= threshold
-                    checks.append(Check(f"{name} [{label}]", value, threshold, passed))
+                    checks.append(Check(f"{name} [{label}]", value, threshold, at_least=at_least))
     checks.append(verification.convergence_order_check())
     return tuple(checks)
 
@@ -971,24 +992,25 @@ def test_stacked_draws_match_the_per_draw_routes_bit_for_bit(draws, inject_bug):
     assert all(type(c.value) is float for c in report.checks)
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 2000])
-@pytest.mark.parametrize("kappa", [0.0, 1.0, 25.0, 700.0])
-def test_nash_point_keeps_its_bits_through_the_factors(n, kappa):
-    # the one-expression Nash point that _nash_factors and _nash_profile split
-    spec = pg.GameSpec(n, draw_lambdas(np.random.default_rng(n), n), kappa)
-    n_steps = 2000
+def unit_paths(n, kappa, n_steps):
+    """The Nash point's unit paths (own, market) through sigma^j and rho^j."""
     c = min((1.0 + 0.5 * kappa / n_steps) - 1.0, 1.0 - 2.0**-52)
     q = (n - 1) * c
     market = oracle._unit_path(math.log1p(-2.0 * q / ((n + 1) + q)), n_steps)
-    own = oracle._unit_path(math.log1p(2.0 * c / (1.0 - c)), n_steps)
+    return oracle._unit_path(math.log1p(2.0 * c / (1.0 - c)), n_steps), market
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 2000])
+@pytest.mark.parametrize("kappa", [0.0, 1.0, 25.0, 700.0])
+def test_nash_point_keeps_its_bits_through_the_factors(n, kappa):
+    # the one-expression Nash point, with its unit paths from their rows' roots
+    spec = pg.GameSpec(n, draw_lambdas(np.random.default_rng(n), n), kappa)
+    n_steps = 2000
+    own, market = unit_paths(n, kappa, n_steps)
     lambdas = spec.lambdas_array()
     expected = np.multiply.outer(-lambdas.sum() / (n * lambdas), own - market)
     expected += own
     assert np.array_equal(nash_of(spec, n_steps), expected)
-
-
-def plain_pressure(x, kappa, h):
-    return np.diff(x) / h + kappa * 0.5 * (x[..., :-1] + x[..., 1:])
 
 
 def lean_kernel_cases():
@@ -1033,9 +1055,9 @@ def test_lean_kernels_keep_the_bits_of_their_plain_expressions(n_steps):
         assert np.array_equal(cf, plain_cf)
         blocked |= b.size * (n_steps + 1) > verification._STACK_CELLS
 
-        own, market = oracle._nash_factors(lam.shape[-1], kappa, n_steps)
+        own, market = unit_paths(lam.shape[-1], kappa, n_steps)
         coef = -lam.sum(axis=-1, keepdims=True) / (lam.shape[-1] * lam)
-        fp = oracle._nash_profile(lam, own, market)
+        fp = pg.nash_fixed_point(lam, kappa, n_steps)
         assert np.array_equal(fp, coef[..., None] * (own - market) + own)
 
         for x in (fp, fp[..., 0, :], bumps):
