@@ -46,9 +46,11 @@ from .centralization import (
     optimal_representation,
 )
 from .oracle import (
+    basis_profile,
     best_response,
     deviation_expansion,
     discrete_cost,
+    nash_basis,
     nash_fixed_point,
     standard_bumps,
     stationarity_residual,
@@ -79,6 +81,7 @@ __all__ = [
     "ZeroBaseCost",
     "aggregate_cost",
     "averaged_report",
+    "basis_profile",
     "best_response",
     "continuous_optimal_delta",
     "cost_breakdown",
@@ -89,6 +92,7 @@ __all__ = [
     "group_cost",
     "market_min_cost",
     "naive_centralization_report",
+    "nash_basis",
     "nash_fixed_point",
     "optimal_representation",
     "price_of_anarchy",

@@ -69,8 +69,9 @@ from .core import GameSpec, percent_change, renormalize_lambdas
 from .costs import aggregate_cost, cost_breakdown, price_of_anarchy
 from .equilibrium import solve
 from .rules import (
-    KappaTooLarge, ZeroBaseCost, check_count, check_counts, check_grid, check_kappa,
-    check_size, check_suite_kappa, check_suite_n, check_traders, check_window,
+    ArrayTooLarge, KappaTooLarge, ZeroBaseCost, check_count, check_counts, check_grid,
+    check_kappa, check_size, check_suite_kappa, check_suite_n, check_traders, check_window,
+    sized_by,
 )
 from .verification import run_verification
 
@@ -102,15 +103,14 @@ def _reported_at(path: str, error: type[Exception]):
 def _size_reported_at(path: str):
     """Report a MemoryError, or numpy's "array is too big" ValueError, raised
     in the block as a config error at ``path``: a size that every rule
-    admits but whose array does not fit in memory."""
+    admits but whose array does not fit in memory.  An ArrayTooLarge that
+    names another setting is reported at that setting's key beside ``path``."""
+    section, _, setting = path.rpartition(".")
     try:
-        yield
-    except MemoryError as exc:
-        raise ConfigError(f"{path}: {exc or 'out of memory'}") from exc
-    except ValueError as exc:
-        if not str(exc).startswith("array is too big"):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+        with sized_by(setting):
+            yield
+    except ArrayTooLarge as exc:
+        raise ConfigError(f"{section}.{exc.setting}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -547,7 +547,8 @@ def cmd_poa(sc: Scenario) -> Output:
 
 
 def cmd_verify(sc: Scenario) -> Output:
-    # a drawn game the closed form rejects, or a grid that fits an index but not memory
+    # a drawn game the closed form rejects, or a size that fits an index but
+    # not memory: run_verification names n or n_steps
     with _reported_at("config.verify.kappa", KappaTooLarge), \
             _size_reported_at("config.verify.n_steps"):
         report = run_verification(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import _alpha
+from .equilibrium import decay_rate
 from .rules import (
     KAPPA_FLOOR, KappaTooLarge, check_count, check_fractions, check_kappa, check_traders,
 )
@@ -40,7 +40,7 @@ def group_cost(total, count, lam, kappa, decay=None):
     alpha = kappa (total - 1) / (total + 1) by default; the frozen-decay
     approximation passes ``decay=kappa``.  ``kappa`` is a scalar; the other
     arguments are scalars or numpy arrays that broadcast together.  A kappa
-    below the floor 1e-300 counts as 0 (:func:`_alpha`'s rule),
+    below the floor 1e-300 counts as 0 (:func:`decay_rate`'s rule),
     and there each group pays its fraction ``lam``, the kappa -> 0 limit.
     The caller rules out the degenerate total = 1.  NegativeKappa or
     NonFiniteKappa unless 0 <= kappa < inf; the other arguments are not
@@ -68,7 +68,7 @@ def group_cost(total, count, lam, kappa, decay=None):
 
 def _group_cost(total, count, lam, kappa, decay):
     """The formula of :func:`group_cost` for kappa at or above the floor."""
-    alpha = _alpha(total, kappa) if decay is None else decay
+    alpha = decay_rate(total, kappa) if decay is None else decay
     return (
         kappa * (lam * total - count) / (total * -np.expm1(-kappa))
         + alpha * count / (total * np.expm1(alpha))
@@ -122,7 +122,7 @@ def cost_shares(n, kappa: float, lam):
     else:
         # n = 1's 0 / 0 is replaced below; overflows to inf give T's limit
         with np.errstate(all="ignore"):
-            alpha, scale = _alpha(n, kappa), -math.expm1(-kappa)
+            alpha, scale = decay_rate(n, kappa), -math.expm1(-kappa)
             if kappa <= _EXP_KAPPA:
                 growth, e_alpha = _libm(math.expm1, alpha), _libm(math.exp, alpha)
                 t_slope = (n + 1) * growth / (scale * (1.0 - n * e_alpha))

@@ -21,7 +21,7 @@ once kappa > ln(DBL_MAX / (lambda_i n)), about 709.78 - ln(lambda_i n); B_i
 would then read 0 and the curves be wrong, so :func:`solve` raises
 KappaTooLarge there instead.
 
-``_alpha``, ``_curve`` and ``_market_curve`` are the one copy each of the
+``decay_rate``, ``curve`` and ``_market_curve`` are the one copy each of the
 decay-rate, curve and market-curve formulas, as numpy kernels over arrays.
 Equilibrium objects are immutable and safe to share across threads.
 """
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import GameSpec
-from .rules import KAPPA_FLOOR, KappaTooLarge, check_curves
+from .rules import KAPPA_FLOOR, KappaTooLarge, check_curves, check_fractions, check_kappa
 
 
-def _alpha(n, kappa: float):
+def decay_rate(n, kappa: float):
     """Decay rate of the market strategy, kappa (n - 1) / (n + 1), for a
     scalar kappa and a count ``n`` that may be an array.  It is 0 for n = 1
     and for every kappa below ``KAPPA_FLOOR``; the closed forms are singular
@@ -48,7 +48,7 @@ def _alpha(n, kappa: float):
     return kappa * (n - 1) / (n + 1)
 
 
-def _curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
+def curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
     """The ``order``-th time derivative (0, 1 or 2) of the equilibrium curve
     b (e^{kappa t} - 1) + d (1 - e^{-alpha t}); alpha == 0 is the straight
     line a(t) = t.
@@ -56,7 +56,8 @@ def _curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
     The one copy of the curve formula.  ``b`` and ``d`` are scalars or
     arrays that broadcast against ``t`` (an (n, 1, ...) column of
     coefficients gives every trader's curve at once); each entry is computed
-    exactly as for scalar coefficients.
+    exactly as for scalar coefficients.  A kernel: it checks nothing, and
+    its callers pass what :func:`coefficients` or :func:`check_curves` admit.
     """
     t = np.asarray(t, dtype=float)
     if alpha == 0.0:
@@ -65,9 +66,9 @@ def _curve(b, d, kappa: float, alpha: float, t, order: int) -> np.ndarray:
             return np.broadcast_to(t, shape).copy()
         return np.full(shape, 1.0 if order == 1 else 0.0)
     if order == 0:  # the decay term is subtracted in place: one temporary, not two
-        curve = b * np.expm1(kappa * t)
-        curve -= d * np.expm1(-alpha * t)
-        return curve
+        values = b * np.expm1(kappa * t)
+        values -= d * np.expm1(-alpha * t)
+        return values
     if order == 1:
         return kappa * b * np.exp(kappa * t) + alpha * d * np.exp(-alpha * t)
     return kappa**2 * b * np.exp(kappa * t) - alpha**2 * d * np.exp(-alpha * t)
@@ -79,7 +80,7 @@ def _market_curve(alpha: float, t, order: int) -> np.ndarray:
     curve with b = 0, d = 1 / (1 - e^{-alpha}) and kappa = 0 (a spec's kappa
     would make 0 * expm1(kappa t) NaN from kappa = 710 on)."""
     d = 1.0 / -math.expm1(-alpha) if alpha else 0.0
-    return _curve(0.0, d, 0.0, alpha, t, order)
+    return curve(0.0, d, 0.0, alpha, t, order)
 
 
 def _float_if_scalar(values):
@@ -112,8 +113,8 @@ class EquilibriumSolution:
 
     @property
     def alpha(self) -> float:
-        """The decay rate of the spec, by the one rule of :func:`_alpha`."""
-        return _alpha(self.spec.n, self.spec.kappa)
+        """The decay rate of the spec, by the one rule of :func:`decay_rate`."""
+        return decay_rate(self.spec.n, self.spec.kappa)
 
     def positions(self, t) -> np.ndarray:
         """Every trader's position at time(s) t: shape (n,) + shape of t."""
@@ -133,9 +134,9 @@ class EquilibriumSolution:
         t = np.asarray(t, dtype=float)
         b, d, kappa, alpha = self.b, self.d, self.spec.kappa, self.alpha
         if t.size < b.size:
-            return _curve(b, d, kappa, alpha, t[..., None], order).transpose(t.ndim, *range(t.ndim))
+            return curve(b, d, kappa, alpha, t[..., None], order).transpose(t.ndim, *range(t.ndim))
         column = (-1,) + (1,) * t.ndim
-        return _curve(b.reshape(column), d.reshape(column), kappa, alpha, t, order)
+        return curve(b.reshape(column), d.reshape(column), kappa, alpha, t, order)
 
     def market(self, t):
         return self._market(t, 0)
@@ -162,19 +163,23 @@ def solve(spec: GameSpec) -> EquilibriumSolution:
     Raises KappaTooLarge where lambda_i n (e^kappa - 1) overflows for some
     trader, which holds from kappa = 709.79 on for every game.
     """
-    n, kappa = spec.n, spec.kappa
-    alpha = _alpha(n, kappa)
-    if alpha == 0.0:
-        return EquilibriumSolution(spec, b=np.zeros(n), d=np.zeros(n))
-    b, d = _coefficients(spec.lambdas_array(), kappa, alpha)
+    b, d = coefficients(spec.lambdas_array(), spec.kappa)
     return EquilibriumSolution(spec, b=b, d=d)
 
 
-def _coefficients(lambdas, kappa: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """B_i and D_i of the target fractions ``lambdas``, shape (..., n) (a
-    (D, n) stack gives D games of one size and kappa), for alpha > 0: two
+def coefficients(lambdas, kappa: float) -> tuple[np.ndarray, np.ndarray]:
+    """B_i and D_i of the target fractions ``lambdas``, shape (..., n), at
+    ``kappa`` (a (D, n) stack gives D games of one size and kappa): two
     arrays shaped like ``lambdas``, each entry the bits of its game's
-    :func:`solve`.  KappaTooLarge where lambda_i n (e^kappa - 1) overflows."""
+    :func:`solve`, and zeros where alpha = 0.  Raises what
+    :func:`check_fractions` and :func:`check_kappa` raise, and KappaTooLarge
+    where lambda_i n (e^kappa - 1) overflows."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    check_fractions(lambdas)
+    check_kappa(kappa)
+    alpha = decay_rate(lambdas.shape[-1], kappa)
+    if alpha == 0.0:
+        return np.zeros_like(lambdas), np.zeros_like(lambdas)
     lam_n = lambdas * lambdas.shape[-1]
     with np.errstate(over="ignore"):
         growth = lam_n * np.expm1(kappa)
@@ -208,13 +213,13 @@ def governing_residuals(lambdas, b, d, kappa: float, t):
     lambdas, b, d = check_curves(lambdas, b, d, kappa)
     t = np.asarray(t, dtype=float)
     n = lambdas.shape[-1]
-    alpha = _alpha(n, kappa)
+    alpha = decay_rate(n, kappa)
     mdd = _market_curve(alpha, t, 2)
     md = _market_curve(alpha, t, 1)
     pressure = mdd + kappa * md
     column = (1,) * t.ndim
     b, d, lambdas = (x.reshape(x.shape + column) for x in (b, d, lambdas))
-    accel = _curve(b, d, kappa, alpha, t, 2)
-    r1 = accel - kappa * _curve(b, d, kappa, alpha, t, 1) + pressure / lambdas
+    accel = curve(b, d, kappa, alpha, t, 2)
+    r1 = accel - kappa * curve(b, d, kappa, alpha, t, 1) + pressure / lambdas
     r2 = pressure - (2.0 * kappa / (n + 1)) * md
     return r1, _float_if_scalar(r2), _float_if_scalar(mdd + alpha * md)

@@ -51,10 +51,10 @@ Written as u = expm1(j ln rho) / expm1(N ln rho) (rho < 1) and
 v = sigma^(j - N) expm1(-j ln sigma) / expm1(-N ln sigma) (sigma > 1), no
 term overflows at any kappa; at c = 0 both unit paths are the straight line
 j / N, and at q = 0 (n = 1) u is.  sigma is positive only while c < 1, so
-the grid needs N > kappa / 2.  The cost is O(n N).  The profile has rank 2
-in (trader, time): the unit paths v and u depend on n, kappa and N alone,
-so :func:`nash_fixed_point` builds them once per call and solves a stack
-of games on them.
+the grid needs N > kappa / 2.  The profile has rank 2: :func:`nash_basis`
+returns the basis v - u, v and each trader's two weights in O(N + n), which
+:func:`discrete_cost` and :func:`deviation_expansion` price as they are; a
+full profile is the case where the basis is the paths themselves.
 :func:`stationarity_residual` is the run-time certificate: it evaluates
 every trader's best-response rows on the computed profile directly, and it
 reads at rounding level exactly at the Nash point.
@@ -107,25 +107,44 @@ class _Deferred:
 solveh_banded = _Deferred("solveh_banded")
 
 
-def _check_paths(paths, lambdas, kappa: float, least: int = 1):
-    """``paths`` and ``lambdas`` as float arrays, checked: GridMismatch unless
-    ``paths`` has shape ``lambdas.shape + (N + 1,)``, ``lambdas`` of shape
-    (..., n), with N >= ``least`` (2 where the best-response rows need an
-    interior node), every path runs from 0 to 1 and every value is finite;
+def _check_paths(paths, lambdas, kappa: float, least: int = 1, weights=None):
+    """``paths``, ``lambdas`` and ``weights`` as float arrays, checked: the
+    profile is ``paths``, shape lambdas.shape + (N + 1,), or with
+    ``weights``, shape lambdas.shape + (R,), the :func:`basis_profile` of
+    the basis ``paths``, shape (R, N + 1).  GridMismatch unless the shapes
+    fit, N >= ``least`` (2 where the best-response rows need an interior
+    node), the profile's paths run from 0 to 1 and every value is finite;
     NegativeKappa or NonFiniteKappa unless 0 <= kappa < inf."""
     paths, lambdas = np.asarray(paths, dtype=float), np.asarray(lambdas, dtype=float)
     shape = lambdas.shape
+    if weights is not None:
+        weights = np.asarray(weights, dtype=float)
+        if not shape or weights.shape != shape + paths.shape[:1] or paths.ndim != 2:
+            raise GridMismatch(f"weights shape {weights.shape} and basis shape {paths.shape} "
+                               f"are not {shape} + (R,) and (R, N + 1)")
+        if not np.isfinite(weights).all():
+            raise GridMismatch("weights must be finite")
+        shape = paths.shape[:-1]
     if not shape or paths.shape[:-1] != shape or paths.shape[-1] < 2:
         raise GridMismatch(f"paths shape {paths.shape} is not {shape} + (N + 1,), N >= 1")
     if paths.shape[-1] <= least:
         raise GridMismatch(f"need n_steps >= {least}, got {paths.shape[-1] - 1}: "
                            "a one-interval grid has no interior node")
-    if np.any(paths[..., 0] != 0.0) or np.any(paths[..., -1] != 1.0):
+    ends = paths[..., [0, -1]] if weights is None else basis_profile(weights, paths[:, [0, -1]])
+    if (ends != (0.0, 1.0)).any():
         raise GridMismatch("path endpoints must be pinned to 0 and 1")
     if not np.isfinite(paths).all():
         raise GridMismatch("paths must be finite")
     check_kappa(kappa)
-    return paths, lambdas
+    return paths, lambdas, weights
+
+
+def basis_profile(weights, basis) -> np.ndarray:
+    """The profile whose trader i path is sum_r weights[..., i, r] basis[r],
+    shape (..., n, N + 1), for ``weights`` of shape (..., n, R) and the basis
+    ``basis`` of shape (R, N + 1): each cell the sum of its rounded products
+    in the order of r, so no path's bits depend on how many are formed."""
+    return np.einsum("...r,rj->...j", weights, basis)
 
 
 def _pressure(x: np.ndarray, kappa: float, h: float) -> np.ndarray:
@@ -141,23 +160,37 @@ def _pressure(x: np.ndarray, kappa: float, h: float) -> np.ndarray:
     return pressure
 
 
-def discrete_cost(paths, lambdas, kappa: float) -> np.ndarray:
+def _pricing_terms(paths, lambdas, kappa: float, weights):
+    """For checked arguments, the market path's pressure, shape (..., 1, N),
+    formed from the basis (the fractions combine the weights first), and
+    the paths' increments with the weights.  Each basis path's increments
+    are scaled by a power of 2 to a largest magnitude in [1/2, 1) and its
+    weights by the inverse: exact, so no product's bits move, and no sum
+    overflows on a path near DBL_MAX (e^{kappa t} - 1 at kappa near 709)."""
+    row = lambdas[..., None, :] if weights is None else lambdas[..., None, :] @ weights
+    market = _pressure(row @ paths, kappa, 1.0 / (paths.shape[-1] - 1))
+    increments = paths[..., 1:] - paths[..., :-1]
+    if weights is None:
+        return market, increments, weights
+    _, scale = np.frexp(np.abs(increments).max(axis=-1))
+    return market, np.ldexp(increments, -scale[:, None]), np.ldexp(weights, scale)
+
+
+def discrete_cost(paths, lambdas, kappa: float, weights=None) -> np.ndarray:
     """Discretized implementation cost of every trader of the profiles
     ``paths``, shape (..., n, N + 1), with target fractions ``lambdas``,
-    shape (..., n): one cost per trader, shape (..., n), so a stack prices D
-    games on one grid at once.  GridMismatch unless the paths fit the
-    fractions, N >= 1, are pinned to 0 and 1 and are finite; NegativeKappa or
-    NonFiniteKappa unless 0 <= kappa < inf.
-
-    Trader i's cost is the sum over the intervals of the market's price
-    pressure times lambda_i times the own path's increment.  The increments
-    are weighted in place, so besides them only the pressure times the
-    fractions is made."""
-    paths, lambdas = _check_paths(paths, lambdas, kappa)
-    m = lambdas[..., None, :] @ paths
-    terms = paths[..., 1:] - paths[..., :-1]
-    terms *= _pressure(m, kappa, 1.0 / (paths.shape[-1] - 1)) * lambdas[..., None]
-    return terms.sum(axis=-1)
+    shape (..., n), or with ``weights``, shape (..., n, R), of their
+    :func:`basis_profile` on the basis ``paths``, shape (R, N + 1): one cost
+    per trader, shape (..., n), so a stack prices D games on one grid at
+    once.  GridMismatch unless the shapes fit, N >= 1 and the paths are
+    pinned to 0 and 1 and finite; NegativeKappa or NonFiniteKappa unless
+    0 <= kappa < inf.  Trader i's cost is lambda_i times the sum over the
+    intervals of the market's price pressure times the own increment, a sum
+    made once per basis path: O(R N + n R)."""
+    paths, lambdas, weights = _check_paths(paths, lambdas, kappa, weights=weights)
+    market, terms, weights = _pricing_terms(paths, lambdas, kappa, weights)
+    own = (terms * market).sum(axis=-1)
+    return lambdas * (own if weights is None else (weights @ own[..., None])[..., 0])
 
 
 def _best_response_rhs(paths: np.ndarray, lambdas: np.ndarray, kappa: float) -> np.ndarray:
@@ -183,7 +216,7 @@ def best_response(paths, lambdas, kappa: float, i: int) -> np.ndarray:
 
     with r the opponents' aggregate, a tridiagonal SPD system.
     """
-    paths, lambdas = _check_paths(paths, lambdas, kappa, least=2)
+    paths, lambdas, _ = _check_paths(paths, lambdas, kappa, least=2)
     if lambdas.ndim != 1:
         raise GridMismatch(f"paths shape {paths.shape} is not (n, N + 1): one profile")
     check_size("i", i, 0, len(lambdas) - 1)
@@ -209,20 +242,15 @@ def _unit_path(log_root: float, n_steps: int) -> np.ndarray:
     return scale * (np.expm1(-j * log_root) / np.expm1(-n_steps * log_root))
 
 
-def nash_fixed_point(lambdas, kappa: float, n_steps: int) -> np.ndarray:
+def nash_basis(lambdas, kappa: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Discrete Nash point of target fractions ``lambdas``, shape (..., n),
-    at ``kappa`` on the grid of ``n_steps`` intervals: the paths, shape
-    (..., n, N + 1), on which every trader's best-response rows hold at
-    once.  A (D, n) stack solves D games, each with the bits of its own call.
-
-    The market path and every trader's path are the explicit solutions of
-    the summed and the per-trader rows (see the module docstring).  The
-    paths match the sampled closed forms to the second-order discretization
-    error.  Raises what :func:`check_fractions` and :func:`check_kappa`
+    at ``kappa`` on the grid of ``n_steps`` intervals in basis form: every
+    trader's weights (-M / (n lambda_i), 1), shape (..., n, 2), on the basis
+    v - u, v of the unit paths, shape (2, N + 1), which a stack of games
+    shares.  Raises what :func:`check_fractions` and :func:`check_kappa`
     raise, NonIntegerCount unless n_steps is an integer, ValueError unless
     n_steps >= 2 and GridMismatch unless n_steps > kappa / 2: on coarser
-    grids the rows' root sigma is not positive.
-    """
+    grids the rows' root sigma is not positive."""
     lambdas = np.asarray(lambdas, dtype=float)
     check_fractions(lambdas)
     check_kappa(kappa)
@@ -238,11 +266,18 @@ def nash_fixed_point(lambdas, kappa: float, n_steps: int) -> np.ndarray:
     q = (n - 1) * c
     market = _unit_path(math.log1p(-2.0 * q / ((n + 1) + q)), n_steps)  # u, through rho^j
     own = _unit_path(math.log1p(2.0 * c / (1.0 - c)), n_steps)  # v, through sigma^j
-    # a_i = v - M / (n lambda_i) (v - u), every game of the stack at once
-    coef = -lambdas.sum(axis=-1, keepdims=True) / (n * lambdas)
-    paths = coef[..., None] * (own - market)
-    paths += own
-    return paths
+    weights = np.ones(lambdas.shape + (2,))
+    weights[..., 0] = -lambdas.sum(axis=-1, keepdims=True) / (n * lambdas)
+    return weights, np.array((own - market, own))
+
+
+def nash_fixed_point(lambdas, kappa: float, n_steps: int) -> np.ndarray:
+    """The paths, shape (..., n, N + 1), on which every trader's
+    best-response rows hold at once: the :func:`basis_profile` of
+    :func:`nash_basis`, whose arguments and errors it takes; a (D, n) stack
+    gives each game the bits of its own call.  They match the sampled closed
+    forms to the second-order discretization error."""
+    return basis_profile(*nash_basis(lambdas, kappa, n_steps))
 
 
 def stationarity_residual(paths, lambdas, kappa: float) -> np.ndarray:
@@ -255,51 +290,17 @@ def stationarity_residual(paths, lambdas, kappa: float) -> np.ndarray:
     max|A_i a_i - g_i| / (||A_i|| max|a_i| + max|g_i|), ||A_i|| = 8 lambda_i;
     it is at rounding level exactly when every trader is best-responding.
     """
-    a, lambdas = _check_paths(paths, lambdas, kappa, least=2)
+    a, lambdas, _ = _check_paths(paths, lambdas, kappa, least=2)
     g = _best_response_rhs(a, lambdas, kappa)
     resid = -2.0 * lambdas[..., None] * (a[..., :-2] - 2.0 * a[..., 1:-1] + a[..., 2:]) - g
     scale = 8.0 * lambdas * np.max(np.abs(a), axis=-1) + np.max(np.abs(g), axis=-1)
     return np.max(np.abs(resid), axis=-1) / scale
 
 
-def _bump_terms(
-    bumps: np.ndarray, steps: np.ndarray, kappa: float, h: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The bumps' price pressure p(b), shape (K, N), and curvatures
-    sum p(b) db, shape (K,), at ``kappa`` on the grid of step ``h``: the
-    terms of :func:`deviation_expansion` that no base enters.  ``steps`` is
-    the bumps' increments along the grid."""
-    pressure = _pressure(bumps, kappa, h)
-    return pressure, (pressure * steps).sum(axis=-1)
-
-
-def _expansion(
-    paths: np.ndarray,
-    lambdas: np.ndarray,
-    kappa: float,
-    steps: np.ndarray,
-    pressure: np.ndarray,
-    curvature: np.ndarray,
-    eps: float,
-) -> np.ndarray:
-    """:func:`deviation_expansion` on the profiles ``paths``, shape
-    (..., n, N + 1), with target fractions ``lambdas``, shape (..., n), from
-    the bump increments ``steps`` and the :func:`_bump_terms` ``pressure``
-    and ``curvature``, which must be built on the profiles' grid and at
-    ``kappa``: shape (..., n, K).  Each profile costs a (K, N) @ (N, n) and
-    a (K, N) @ (N, 1) product; a stack of profiles makes them as one batched
-    matmul each, which keeps every profile's bits."""
-    market = _pressure(lambdas[..., None, :] @ paths, kappa, 1.0 / (paths.shape[-1] - 1))
-    market_term = np.swapaxes(steps @ np.swapaxes(market, -1, -2), -1, -2)  # (..., 1, K)
-    increments = np.swapaxes(paths[..., 1:] - paths[..., :-1], -1, -2)
-    own_term = np.swapaxes(pressure @ increments, -1, -2)
-    lam = lambdas[..., None]
-    return eps * lam * (market_term + lam * own_term) + eps**2 * lam**2 * curvature
-
-
-def deviation_expansion(paths, lambdas, kappa: float, bumps, eps: float) -> np.ndarray:
+def deviation_expansion(paths, lambdas, kappa: float, bumps, eps: float,
+                        weights=None) -> np.ndarray:
     """Cost changes when each trader alone deviates by eps * bump from the
-    base profiles ``paths`` with fractions ``lambdas``, as
+    base profiles ``paths`` with fractions ``lambdas`` and ``weights``, as
     :func:`discrete_cost` takes and checks them: shape (..., n, K).
 
     ``bumps`` holds K endpoint-vanishing directions on the base's grid,
@@ -319,26 +320,44 @@ def deviation_expansion(paths, lambdas, kappa: float, bumps, eps: float) -> np.n
         eps lambda_i [sum p(m) db + lambda_i sum p(b) da_i]
             + eps^2 lambda_i^2 sum p(b) db,
 
-    d the increments along the grid.  The bump terms db, p(b) and
-    sum p(b) db depend on the bumps, kappa and N alone; the base enters
-    through one (K, N) @ (N, n) and one (K, N) @ (N,) product, so memory
-    grows like (n + K) N and no perturbed profile is built.  A caller that
-    prices many bases on one grid (``run_verification``) builds the bump
-    terms once per kappa and pays only the two products per base.
+    d the increments along the grid.  The base enters through one
+    (K, N) @ (N, R) product with its paths' increments, which each trader's
+    weights combine in O(R K), and one with the market's pressure: no
+    perturbed profile is built.
     """
-    paths, lambdas = _check_paths(paths, lambdas, kappa)
+    paths, lambdas, weights = _check_paths(paths, lambdas, kappa, weights=weights)
     bumps = np.asarray(bumps, dtype=float)
     if bumps.ndim != 2 or bumps.shape[1] != paths.shape[-1]:
         raise GridMismatch(f"bumps shape {bumps.shape} is not (K, {paths.shape[-1]})")
-    if np.any(bumps[:, [0, -1]] != 0.0):
+    if bumps[:, 0].any() or bumps[:, -1].any():
         raise BadBump("bump must vanish at both endpoints")
     if not np.isfinite(bumps).all():  # the paths' test: a NaN would be priced as NaN
         raise GridMismatch("bumps must be finite")
     if not math.isfinite(eps):
         raise ValueError(f"eps = {eps} must be finite")
-    steps = bumps[:, 1:] - bumps[:, :-1]
-    terms = _bump_terms(bumps, steps, kappa, 1.0 / (paths.shape[-1] - 1))
-    return _expansion(paths, lambdas, kappa, steps, *terms, eps)
+    return _deviation_pricer(bumps)(paths, lambdas, kappa, eps, weights)
+
+
+def _deviation_pricer(bumps: np.ndarray):
+    """:func:`deviation_expansion` along the checked ``bumps``, as a function
+    of checked (paths, lambdas, kappa, eps, weights).  p(b) = db / h +
+    kappa / 2 (b_j + b_{j+1}) = (1 / h + kappa / 2) db + kappa b_j, so the
+    own term is two products and the kappa part of sum p(b) db telescopes
+    to 0: the bump terms are made here once, for every kappa and base."""
+    h, steps = 1.0 / (bumps.shape[1] - 1), bumps[:, 1:] - bumps[:, :-1]
+    curvature = np.einsum("kj,kj->k", steps, steps) / h
+
+    def price(paths, lambdas, kappa, eps, weights):
+        market, increments, weights = _pricing_terms(paths, lambdas, kappa, weights)
+        market_term = market @ steps.T  # (..., 1, K)
+        own_term = (1.0 / h + 0.5 * kappa) * (increments @ steps.T)
+        own_term += kappa * (increments @ bumps[:, :-1].T)  # (..., R, K)
+        if weights is not None:
+            own_term = weights @ own_term
+        lam = lambdas[..., None]
+        return eps * lam * (market_term + lam * own_term) + eps**2 * lam**2 * curvature
+
+    return price
 
 
 def standard_bumps(n_steps: int, seed: int = 0) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -78,6 +79,27 @@ class BadBump(ValueError):
 
 class RepresentationTooSmall(ValueError):
     """Represented trader count n1 + delta fell below one."""
+
+
+class ArrayTooLarge(MemoryError):
+    """An array that the size ``setting`` asks for does not fit in memory."""
+
+    def __init__(self, setting: str, reason: str):
+        super().__init__(reason)
+        self.setting = setting
+
+
+@contextmanager
+def sized_by(setting: str):
+    """ArrayTooLarge naming ``setting`` for a MemoryError, or numpy's "array
+    is too big" ValueError, raised in the block, unless it is one already."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ArrayTooLarge) or not (
+                isinstance(exc, MemoryError) or str(exc).startswith("array is too big")):
+            raise
+        raise ArrayTooLarge(setting, str(exc) or "out of memory") from exc
 
 
 def check_kappa(kappa: float) -> None:

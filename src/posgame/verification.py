@@ -19,15 +19,18 @@ import numpy as np
 from .core import GameSpec, _gauss_legendre_64
 from .costs import aggregate_cost, group_cost
 from .equilibrium import (
-    EquilibriumSolution, _alpha, _coefficients, _curve, governing_residuals, solve,
+    EquilibriumSolution, coefficients, curve, decay_rate, governing_residuals, solve,
 )
-from .oracle import _bump_terms, _expansion, discrete_cost, nash_fixed_point, standard_bumps
-from .rules import check_curves, check_grid, check_size, check_suite_kappa, check_suite_n
+from .oracle import (
+    _deviation_pricer, basis_profile, discrete_cost, nash_basis, nash_fixed_point, standard_bumps,
+)
+from .rules import (
+    check_curves, check_grid, check_size, check_suite_kappa, check_suite_n, sized_by,
+)
 
-# A block of paths holds at most this many cells, 1 MiB of float64: each
-# stack of draws (draws * n * (N + 1) cells) and each block of rows that
-# _sampled_paths fills.  (_g12.CHUNK_CELLS is much smaller, to keep each CSV
-# chunk, built once per chunk of a file, off glibc's mmap path.)
+# A stack of draws sizes its draws by this many path cells (draws * n * (N + 1)),
+# and the gap row reads at most this many at once: 1 MiB of float64.
+# (_g12.CHUNK_CELLS is much smaller, to keep each CSV chunk off glibc's mmap path.)
 _STACK_CELLS = 1 << 17
 
 
@@ -84,33 +87,27 @@ def draw_lambda_stack(rng: np.random.Generator, n: int, draws: int) -> np.ndarra
 def sampled_equilibrium(solution: EquilibriumSolution, n_steps: int) -> np.ndarray:
     """``solution``'s strategies sampled on the oracle grid of ``n_steps``
     intervals, shape (n, N + 1), with the ends pinned to 0 and 1 as the
-    oracle's paths are (for comparisons).  NonIntegerCount unless
+    oracle's paths are (for comparisons): the :func:`basis_profile` of the
+    weights (b_i, d_i, 1) on :func:`_sampled_basis`.  NonIntegerCount unless
     ``n_steps`` is an integer, ValueError unless it is at least 1."""
     check_size("n_steps", n_steps, 1)
-    b, d = solution.b[:, None], solution.d[:, None]
-    return _sampled_paths(b, d, solution.spec.kappa, solution.alpha, n_steps)
+    weights = np.stack((solution.b, solution.d, np.ones(solution.spec.n)), axis=-1)
+    grid = np.linspace(0.0, 1.0, n_steps + 1)
+    return basis_profile(weights, _sampled_basis(solution.spec.n, solution.spec.kappa, grid))
 
 
-def _sampled_paths(b, d, kappa: float, alpha: float, n_steps: int) -> np.ndarray:
-    """The curves of coefficients ``b`` and ``d`` on the grid of ``n_steps``
-    intervals, shape (..., N + 1), with the ends pinned to 0 and 1 as the
-    oracle's are: (n, 1) columns give one game, (D, n, 1) stacks D games on
-    one grid.  Beyond ``_STACK_CELLS`` cells the result is filled a block
-    of rows of at most that many cells at a time, so ``_curve``'s two
-    products never reach the result's size; each cell keeps its bits."""
-    t = np.linspace(0.0, 1.0, n_steps + 1)
-    block = max(1, _STACK_CELLS // t.size)
-    if np.size(b) <= block:  # one block: _curve's own result, no fresh copy
-        paths = _curve(b, d, kappa, alpha, t, 0)
-    else:
-        paths = np.empty(np.shape(b)[:-1] + t.shape)
-        rows, b, d = paths.reshape(-1, t.size), np.reshape(b, (-1, 1)), np.reshape(d, (-1, 1))
-        for first in range(0, len(rows), block):
-            part = slice(first, first + block)
-            rows[part] = _curve(b[part], d[part], kappa, alpha, t, 0)
-    paths[..., 0] = 0.0
-    paths[..., -1] = 1.0
-    return paths
+def _sampled_basis(n: int, kappa: float, grid: np.ndarray) -> np.ndarray:
+    """The curves g, h, z of ``n`` traders at ``kappa`` on the oracle grid
+    ``grid``, shape (3, N + 1): z of the coefficients (0, 0), g and h of
+    (1, 0) and (0, 1) less z, so b_i g + d_i h + z has the bits of trader
+    i's :func:`curve`.  Their ends are pinned, g and h to 0 and z to 0 and
+    1, so each combination with weights (b_i, d_i, 1) is too."""
+    units = np.eye(3)[:2, :, None]  # the b and d columns of (1, 0), (0, 1) and (0, 0)
+    basis = curve(*units, kappa, decay_rate(n, kappa), grid, 0)
+    basis[:2] -= basis[2]
+    basis[:, 0] = basis[:, -1] = 0.0
+    basis[2, -1] = 1.0
+    return basis
 
 
 def quadrature_cost(lambdas, b, d, kappa: float) -> np.ndarray:
@@ -133,13 +130,13 @@ def quadrature_cost(lambdas, b, d, kappa: float) -> np.ndarray:
     A stack's batched products keep every game's bits.
     """
     lambdas, b, d = check_curves(lambdas, b, d, kappa)
-    alpha = _alpha(lambdas.shape[-1], kappa)
+    alpha = decay_rate(lambdas.shape[-1], kappa)
     nodes, weights = _gauss_legendre_64()
     panels = max(1, math.ceil(kappa / 64.0)) if alpha else 1
     t = ((np.arange(panels)[:, None] + 0.5 * (nodes + 1.0)) / panels).ravel()
     row, b, d = lambdas[..., None, :], b[..., None], d[..., None]
-    m = row @ _curve(b, d, kappa, alpha, t, 0)
-    velocities = _curve(b, d, kappa, alpha, t, 1)
+    m = row @ curve(b, d, kappa, alpha, t, 0)
+    velocities = curve(b, d, kappa, alpha, t, 1)
     pressure = row @ velocities + kappa * m  # (..., 1, T)
     weighted = np.swapaxes(pressure * np.tile(weights, panels), -1, -2)
     return lambdas * (velocities @ weighted)[..., 0] / (2.0 * panels)
@@ -178,21 +175,17 @@ def run_verification(
     GridMismatch unless n_steps > max(kappa_values) / 2, the grids the
     oracle solves on.
 
-    Cost.  The bump increments are built once per run, each kappa's bump
-    pressure once, and the aggregate cost once per (n, kappa) cell.  A
-    cell's draws are one (D, n) stack, its coefficients from ``solve``'s
-    kernel in one call (KappaTooLarge where the closed form overflows), its
-    Nash paths, residuals and costs from one call each of the public
-    functions, every product a batched matmul that keeps the bits of each
-    draw's own call.  A stack holds at most ``_STACK_CELLS`` path cells
-    (draws * n * (N + 1)): memory grows like n N, not draws n N.  The
-    kernels work in place or through ``out=``, so at most three arrays of a
-    stack's size are held at once: the sampled closed form, the Nash paths
-    (the previous stack's, until the new ones replace them) and one
-    temporary or increment array.  Keeping the previous Nash paths keeps the
-    heap a cell grew in use for the next one: on the bench verify config a
-    warm pass in a worker-like process takes about 260 minor page faults
-    (about 550 with them dropped early; 2-vCPU Xeon, numpy 2.4.6).
+    Cost.  The bumps and their terms are built once per run and the
+    aggregate cost once per (n, kappa) cell.  A cell's draws are one (D, n)
+    stack in basis form, the closed form the weights (b_i, d_i, 1) on
+    :func:`_sampled_basis` and the Nash point :func:`nash_basis`; a row is
+    one call of its public function on the stack, and every product keeps
+    the bits of each draw's own call.  Only the gap row reads every cell, a
+    block of trader rows at a time, so memory grows like n + N plus one
+    block.  A MemoryError, or numpy's "array is too big", raises
+    ArrayTooLarge naming ``n_steps`` for the grid's arrays and ``n`` for
+    the traders'.  On the bench verify config a warm pass takes no minor
+    page fault (2-vCPU Xeon, numpy 2.4.6).
     """
     check_suite_n(n_values)
     check_suite_kappa(kappa_values)
@@ -201,41 +194,40 @@ def run_verification(
     check_grid(max(kappa_values), n_steps)
     rng = np.random.default_rng(seed)
     checks: list[Check] = []
-    bumps = standard_bumps(n_steps, seed=seed)
-    steps = bumps[:, 1:] - bumps[:, :-1]
-    bump_terms = {kappa: _bump_terms(bumps, steps, kappa, 1.0 / n_steps) for kappa in kappa_values}
-    del bumps  # a draw reads only the increments and its kappa's terms
-    t = np.linspace(0.0, 1.0, 101)
+    with sized_by("n_steps"):
+        deviations_at = _deviation_pricer(standard_bumps(n_steps, seed=seed))
+        scratch = np.empty((max(2, _STACK_CELLS // (n_steps - 1)) + 1, n_steps - 1))
+    t, grid = np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, n_steps + 1)
 
     for n in n_values:
         stack = max(1, _STACK_CELLS // (n * (n_steps + 1)))
         for kappa in kappa_values:
-            alpha = _alpha(n, kappa)
-            aggregate = aggregate_cost(n, kappa)
+            alpha, aggregate = decay_rate(n, kappa), aggregate_cost(n, kappa)
             for first in range(0, draws, stack):
                 labels = [f"n={n} kappa={kappa:g} draw={rep}"
                           for rep in range(first, min(draws, first + stack))]
-                lam = draw_lambda_stack(rng, n, len(labels))  # (D, n)
-                b, d = _coefficients(lam, kappa, alpha)
-                if inject_bug:
-                    d = d * 1.01
+                with sized_by("n"):
+                    lam = draw_lambda_stack(rng, n, len(labels))  # (D, n)
+                    b, d = coefficients(lam, kappa)  # KappaTooLarge before the basis overflows
+                    if inject_bug:
+                        d = d * 1.01
+                    closed = np.ones(b.shape + (3,))  # (D, n, 3): the weights (b_i, d_i, 1)
+                    closed[..., 0], closed[..., 1] = b, d
+                    basis = _sampled_basis(n, kappa, grid)
 
-                r1, r2, r3 = governing_residuals(lam, b, d, kappa, t)  # r1: (D, n, 101)
-                market_res = max(np.max(np.abs(r2)), np.max(np.abs(r3)))
-                residuals = np.maximum(np.abs(r1, out=r1).max(axis=(-2, -1)), market_res)
-                end_errs = np.abs(_curve(b, d, kappa, alpha, 1.0, 0) - 1.0).max(axis=-1)
-                # cf is dropped once its gap is read, fp once the next stack's
-                # replaces it (see the Cost paragraph)
-                cf = _sampled_paths(b[..., None], d[..., None], kappa, alpha, n_steps)
-                deviations = _expansion(cf, lam, kappa, steps, *bump_terms[kappa], eps=0.01)
-                fp = nash_fixed_point(lam, kappa, n_steps)  # (D, n, N + 1)
-                cf -= fp
-                gaps = np.abs(cf, out=cf).max(axis=(-2, -1))
-                del cf
-                # summed in trader order: np.sum pairs terms and moves the last digits
-                oracle_sums = np.add.accumulate(discrete_cost(fp, lam, kappa), axis=-1)[:, -1]
-                costs = group_cost(n, 1, lam, kappa)
-                cost_gaps = np.abs(costs - quadrature_cost(lam, b, d, kappa)) / np.abs(costs)
+                    r1, r2, r3 = governing_residuals(lam, b, d, kappa, t)  # r1: (D, n, 101)
+                    market_res = max(np.max(np.abs(r2)), np.max(np.abs(r3)))
+                    residuals = np.maximum(np.abs(r1, out=r1).max(axis=(-2, -1)), market_res)
+                    del r1  # the stack's largest array: the next stack's must not meet it
+                    end_errs = np.abs(curve(b, d, kappa, alpha, 1.0, 0) - 1.0).max(axis=-1)
+                    deviations = deviations_at(basis, lam, kappa, 0.01, closed)
+                    nash, nash_paths = nash_basis(lam, kappa, n_steps)  # (D, n, 2), (2, N + 1)
+                    gaps = _gaps(closed, basis, nash, nash_paths, scratch)
+                    # summed in trader order: np.sum pairs terms and moves the last digits
+                    oracle_costs = discrete_cost(nash_paths, lam, kappa, nash)
+                    oracle_sums = np.add.accumulate(oracle_costs, axis=-1)[:, -1]
+                    costs = group_cost(n, 1, lam, kappa)
+                    cost_gaps = np.abs(costs - quadrature_cost(lam, b, d, kappa)) / np.abs(costs)
 
                 rows = (  # (name, (D,) readings, threshold, at_least), in report order
                     ("fixed-point gap", gaps, 5.0 / n_steps, False),
@@ -252,6 +244,24 @@ def run_verification(
 
     checks.append(convergence_order_check())
     return VerificationReport(checks=tuple(checks))
+
+
+def _gaps(closed, closed_basis, nash, nash_paths, scratch) -> np.ndarray:
+    """max |sampled closed form - Nash point| of every game of a stack,
+    shape (D,).  Both are pinned, so only the interior is read: the weights
+    (b_i, d_i, -c_i, -1) on g, h, v - u, v, one matrix product into
+    ``scratch`` per block of two trader rows or more (numpy forms a one-row
+    product as a matrix-vector one, which rounds otherwise)."""
+    weights = np.concatenate((closed[..., :2], -nash), axis=-1).reshape(-1, 4)
+    basis = np.concatenate((closed_basis[:2, 1:-1], nash_paths[:, 1:-1]))
+    rows, block = len(weights), len(scratch) - 1  # a block may take one row more
+    gaps, first = np.empty(rows), 0
+    while first < rows:
+        last = rows if rows - first - block < 2 else first + block
+        gap = np.matmul(weights[first:last], basis, out=scratch[:last - first])
+        gaps[first:last] = np.abs(gap, out=gap).max(axis=-1)
+        first = last
+    return gaps.reshape(closed.shape[:-2] + (-1,)).max(axis=-1)
 
 
 def convergence_order_check() -> Check:

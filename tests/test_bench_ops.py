@@ -41,11 +41,12 @@ def test_every_benchmark_operation_passes_its_checks(tmp_path, workload, seed):
 
 
 def test_the_tracer_sees_verify_call_the_public_checks():
-    """bench/tracing.py wraps public names only, so verify's Nash, residual,
-    cost and oracle-cost rows show in its spans when they call the public
-    functions: one call each per stack, 9 stacks on the bench verify config
-    (3 n x 3 kappa, 3 draws a stack), and 3 Nash solves more in the
-    convergence row."""
+    """bench/tracing.py wraps public names only, so verify's coefficient,
+    Nash, residual, cost and oracle-cost rows show in its spans when they
+    call the public functions: one call each per stack, 9 stacks on the
+    bench verify config (3 n x 3 kappa, 3 draws a stack).  The convergence
+    row adds 3 Nash points, each a nash_basis call, and one solve, which
+    calls coefficients."""
     (op,) = workloads.verify_ops(0)
     cfg = op["config"]["verify"]
     tracer = tracing.Tracer()
@@ -59,8 +60,10 @@ def test_the_tracer_sees_verify_call_the_public_checks():
     calls = Counter(span[0] for span in spans)
     assert calls["verification.run_verification"] == 1
     assert calls["equilibrium.governing_residuals"] == 9
+    assert calls["equilibrium.coefficients"] == 9 + 1
     assert calls["oracle.discrete_cost"] == 9
-    assert calls["oracle.nash_fixed_point"] == 12
+    assert calls["oracle.nash_basis"] == 9 + 3
+    assert calls["oracle.nash_fixed_point"] == 3
     assert calls["verification.quadrature_cost"] == 9
     # the package is as it was
     assert not hasattr(verification.governing_residuals, "__wrapped__")

@@ -411,6 +411,10 @@ class TestConfigErrors:
              "config.grid.n_points: array is too big"),
             ("verify", {"verify": {"n": [2], "kappa": [1.0], "n_steps": 2**62}},
              "config.verify.n_steps: array is too big"),
+            # 10^18 traders' fractions are 8e18 bytes, which malloc refuses
+            # at once; 4 steps fit anywhere, so the key is verify.n
+            ("verify", {"verify": {"n": [10**18], "kappa": [1.0], "n_steps": 4}},
+             "config.verify.n: Unable to allocate"),
             # an exact window of sys.maxsize deltas passes its rule, but no
             # array of that many integers fits in memory
             ("centralize", {"game": {"n": 12, "kappa": 1.0},
@@ -423,7 +427,7 @@ class TestConfigErrors:
                             "centralization": {"n1": 10**17, "lambda_firm": 0.4}},
              "config.centralization.n1: Unable to allocate"),
         ],
-        ids=["n_points=2^62", "verify-n_steps=2^62", "delta_range-of-maxsize",
+        ids=["n_points=2^62", "verify-n_steps=2^62", "verify-n=10^18", "delta_range-of-maxsize",
              "default-window-of-n1"],
     )
     def test_size_beyond_memory_is_config_error(self, tmp_path, capsys, command, payload,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 
 import posgame as pg
 from conftest import draw_lambdas, game_specs, quadrature_of, residuals_of
-from posgame.equilibrium import _alpha, _coefficients
+from posgame.equilibrium import decay_rate, coefficients
 from posgame.verification import draw_lambda_stack, quadrature_cost
 
 
@@ -28,15 +28,15 @@ def trader_curve(sol, i, t, order):
 
 class TestComputeAlpha:
     def test_two_traders(self):
-        assert _alpha(2, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert decay_rate(2, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
     def test_single_trader_is_zero(self):
-        assert _alpha(1, 5.0) == 0.0
+        assert decay_rate(1, 5.0) == 0.0
 
     def test_monotone_to_kappa_from_below(self):
         kappa = 5.0
-        values = _alpha(np.array([2, 5, 20, 100, 10_000]), kappa).tolist()
-        assert values == [_alpha(n, kappa) for n in (2, 5, 20, 100, 10_000)]
+        values = decay_rate(np.array([2, 5, 20, 100, 10_000]), kappa).tolist()
+        assert values == [decay_rate(n, kappa) for n in (2, 5, 20, 100, 10_000)]
         assert all(a < b for a, b in zip(values, values[1:]))
         assert all(v < kappa for v in values)
         assert values[-1] == pytest.approx(kappa, rel=1e-3)
@@ -294,7 +294,7 @@ def test_kappa_up_to_700_solves_with_lambda_n_up_to_ten_thousand(kappa):
 def test_coefficients_of_a_stack_are_solve_row_by_row(n, kappa):
     rng = np.random.default_rng(n)
     lambdas = np.array([draw_lambdas(rng, n) for _ in range(3)])  # (D, n)
-    b, d = _coefficients(lambdas, kappa, _alpha(n, kappa))
+    b, d = coefficients(lambdas, kappa)
     assert b.shape == d.shape == lambdas.shape
     for row, b_row, d_row in zip(lambdas, b, d):
         sol = pg.solve(pg.GameSpec(n, tuple(row.tolist()), kappa))
@@ -309,7 +309,7 @@ def test_coefficients_raise_where_one_row_of_a_stack_overflows():
         pg.solve(pg.GameSpec(3, overflowing, kappa))
     lambdas = np.array([(1 / 3, 1 / 3, 1 / 3), overflowing])
     with pytest.raises(pg.KappaTooLarge) as raised:
-        _coefficients(lambdas, kappa, _alpha(3, kappa))
+        coefficients(lambdas, kappa)
     assert str(raised.value) == str(expected.value)
 
 
